@@ -13,7 +13,6 @@ from .errors import (
     InconsistentValue,
     NonEmbedding,
     NonPerfectBase,
-    NonPolynomialTail,
     NoPthRoot,
     NotTopDegree,
     NotTopological,
@@ -107,7 +106,6 @@ __all__ = [
     "InconsistentValue",
     "NonEmbedding",
     "NonPerfectBase",
-    "NonPolynomialTail",
     "NoPthRoot",
     "NotTopDegree",
     "NotTopological",

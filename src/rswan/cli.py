@@ -270,10 +270,14 @@ def _build_tower(name: str, desc, precision: int | None) -> FieldTower:
             "p": desc["p"],
             "k": desc.get("k", 1),
             "s": desc.get("s", 1),
-            "variables": tuple(desc["variables"]),
+            "variables": desc["variables"],
         }
     except KeyError as exc:
         raise ConfigError(f"tower {name!r} is missing field {exc.args[0]!r}") from None
+    variables = kwargs["variables"]
+    if not isinstance(variables, (list, tuple)) or not all(isinstance(v, str) for v in variables):
+        raise ConfigError(f"tower {name!r} field 'variables' must be a list of names")
+    kwargs["variables"] = tuple(variables)
     if precision is not None:
         kwargs["precision"] = precision
     elif "precision" in desc:

@@ -78,15 +78,6 @@ class InconsistentValue(RswanError):
     """Two independent computations of the same quantity disagree."""
 
 
-class NonPolynomialTail(RswanError):
-    """Reserved: a reduction input fails the finite-support requirement.
-
-    With dictionary-backed windows every stored series has finite support, so
-    library code never raises this in practice; the class is part of the
-    public vocabulary for completeness.
-    """
-
-
 class NonPerfectBase(RswanError):
     """The operation requires a one-dimensional (perfect-residue-field) source."""
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .logdiff import dlog
 from .ratfunc import RatFuncDomain
-from .series import NestedSeries
+from .series import NestedSeries, series_substitute
 from .tower import FieldTower
 from .witt import (
     Character,
@@ -41,7 +41,7 @@ from .witt import (
     asw_reduce,
     asw_reduce_components,
     swan_conductor,
-    witt_ord_of,
+    swan_of_components,
 )
 
 __all__ = [
@@ -127,34 +127,19 @@ def pullback_series(
 ) -> NestedSeries:
     """Image of a source series under the embedding.
 
-    Coefficients are shared constants; each source monomial maps to the
-    product of the variable images raised to its exponents.  A finite source
-    window propagates to the target window at ``ceiling * e``.
+    Coefficients are shared constants; each source variable is replaced by
+    its image (see :func:`~rswan.series.series_substitute`).  A finite
+    source window propagates to the target window at ``ceiling * e``; a
+    window on a lower-variable coefficient raises
+    :class:`PrecisionExhausted`, since lower variables map to units.
     """
     if sr.level != ext.source.d:
         raise TowerMismatch("series does not live over the source tower")
-    target = ext.target
-    domain = target.field_domain
-    prec = precision if precision is not None else target.precision
-    image_list = [ext.images[name] for name in ext.source.variables]
-    power_cache: dict = {}
-
-    def power_of(var_idx: int, n: int) -> NestedSeries:
-        key = (var_idx, n)
-        if key not in power_cache:
-            power_cache[key] = image_list[var_idx].pow(n, prec)
-        return power_cache[key]
-
-    acc = NestedSeries.zero(target.d, domain)
-    for exps, raw in sr.iter_monomials():
-        term = NestedSeries.constant(target.d, domain, raw)
-        for var_idx, e in enumerate(exps):
-            if e:
-                term = term * power_of(var_idx, e)
-        acc = acc + term
-    if sr.ceiling is not None:
-        acc = acc.truncate(sr.ceiling * ramification_index(ext))
-    return acc
+    images = {
+        level: ext.images[name] for level, name in enumerate(ext.source.variables, 1)
+    }
+    prec = precision if precision is not None else ext.target.precision
+    return series_substitute(sr, images, prec)
 
 
 def pullback_character(
@@ -375,13 +360,6 @@ def perfect_residue_ratios(
 
 # ---------------------------------------------------- curve restriction
 
-def _swan_of_raw(comps, p: int) -> int:
-    reduced = asw_reduce_components(list(comps), p)
-    if all(c.is_zero() and c.ceiling is None for c in reduced):
-        return 0
-    return max(0, -witt_ord_of(reduced, p))
-
-
 def _eval_poly_at(series_base: NestedSeries, coeffs, domain) -> NestedSeries:
     acc = NestedSeries.zero(series_base.level, domain)
     for c in reversed(coeffs):
@@ -410,7 +388,7 @@ def curve_restriction_ratios(
         raise TowerMismatch("f must have F_p(x) coefficients for this experiment")
     if f.level != 1:
         raise TowerMismatch("the experiment restricts one-variable characters")
-    sw_generic = _swan_of_raw((f,), p)
+    sw_generic = swan_of_components(asw_reduce_components([f], p), p)
     target = FieldTower(p, 1, 1, ("u",))
     fd = target.field_domain
     prec = precision if precision is not None else target.precision

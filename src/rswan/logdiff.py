@@ -16,11 +16,12 @@ bases, with exact Gaussian elimination to decide invertibility.
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 from .errors import (
     DegreeMismatch,
     DegreeOverflow,
     InconsistentValue,
-    NoPthRoot,
     NotTopDegree,
     PrecisionExhausted,
     TowerMismatch,
@@ -37,7 +38,6 @@ __all__ = [
     "dlog",
     "log_derivative",
     "cartier",
-    "cartier_scalar",
     "residue_step",
     "residue_to_prime_field",
     "r_b",
@@ -231,22 +231,6 @@ def dlog(f: NestedSeries, precision: int | None = None) -> LogForm:
 
 # ------------------------------------------------------------------ Cartier
 
-def _cartier_series(sr: NestedSeries) -> NestedSeries:
-    p = sr.domain.p
-    out = {}
-    for e, c in sr.coeffs.items():
-        if e % p:
-            continue
-        if sr.level == 1:
-            if not sr.domain.is_pth_power(c):
-                raise NoPthRoot("coefficient is not a p-th power at the scalar level")
-            out[e // p] = sr.domain.pth_root(c)
-        else:
-            out[e // p] = _cartier_series(c)
-    ceiling = None if sr.ceiling is None else (sr.ceiling - 1) // p + 1
-    return NestedSeries(sr.level, sr.domain, out, ceiling)
-
-
 def cartier(omega: LogForm) -> LogForm:
     """Cartier operator on a top-degree form: C(c T^{pe} dlog base) = c^{1/p} T^e dlog base."""
     if omega.degree != omega.level:
@@ -257,14 +241,8 @@ def cartier(omega: LogForm) -> LogForm:
     c = omega.coeffs.get(key)
     if c is None:
         return LogForm.zero(omega.level, omega.domain, omega.degree)
-    return LogForm(omega.level, omega.domain, omega.degree, {key: _cartier_series(c)})
-
-
-def cartier_scalar(raw, domain):
-    """Degree-0 Cartier: the p-th root of a scalar."""
-    if not domain.is_pth_power(raw):
-        raise NoPthRoot("scalar is not a p-th power")
-    return domain.pth_root(raw)
+    root = c.pth_root(skip_prime_to_p=True)
+    return LogForm(omega.level, omega.domain, omega.degree, {key: root})
 
 
 # ------------------------------------------------------------------ residues
@@ -409,46 +387,22 @@ def r_b(x: WindowedForm, b: int):
         return omega0
     raw = omega0
     for _ in range(b):
-        raw = cartier_scalar(raw, form.domain)
+        raw = form.domain.pth_root(raw)
     return raw
 
 
 # ---------------------------------------------------------------- duality
-
-def _subsets(universe, size):
-    universe = list(universe)
-    if size == 0:
-        yield ()
-        return
-    if size > len(universe):
-        return
-    first, rest = universe[0], universe[1:]
-    for tail in _subsets(rest, size - 1):
-        yield (first,) + tail
-    yield from _subsets(rest, size)
-
 
 def window_basis(level: int, domain, degree: int, n: int, m: int, b: int):
     """Monomial basis of m^{-n}/m^{-m} tensor degree-``degree`` forms, as a
     twisted vector space over the residue ring: top exponents -n..-m-1,
     one dlog key per sorted subset, residue monomials with exponents
     0..p^b-1 in each lower variable."""
-    p = domain.p
-    exps_lower = [range(p**b) for _ in range(level - 1)]
-
-    def lower_tuples(idx):
-        if idx == level - 1:
-            yield ()
-            return
-        for e in exps_lower[idx]:
-            for tail in lower_tuples(idx + 1):
-                yield (e,) + tail
-
     out = []
-    for key in _subsets(range(1, level + 1), degree):
+    for key in combinations(range(1, level + 1), degree):
         for top_e in range(-n, -m):
-            for lower in lower_tuples(0):
-                exps = tuple(lower) + (top_e,)
+            for lower in product(range(domain.p**b), repeat=level - 1):
+                exps = lower + (top_e,)
                 mono = NestedSeries.from_monomials(level, domain, [(exps, domain.one())])
                 out.append(WindowedForm(LogForm(level, domain, degree, {key: mono}), n, m))
     return out

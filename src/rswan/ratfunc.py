@@ -11,6 +11,8 @@ no residue/trace structure here — forms over this domain are out of scope.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import NoPthRoot, RswanError, ZeroInput
 
 __all__ = ["RatFuncDomain", "rat_func_domain", "poly_from_coeffs"]
@@ -224,5 +226,6 @@ class RatFuncDomain:
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=None)
 def rat_func_domain(p: int) -> RatFuncDomain:
     return RatFuncDomain(p)

@@ -49,7 +49,6 @@ __all__ = [
     "check_exp_congruences",
     "ExpCongruenceReport",
     "theta_lift",
-    "res_p",
     "eval_symbol",
     "schmid_symbol",
     "verify_rsw_characterization",
@@ -200,11 +199,6 @@ def theta_lift(vec: WittVector | Character) -> NestedSeries:
         term = lift_series(a_i, big).pow(p**i).mul_int(p ** (s - 1 - i))
         acc = acc + term
     return acc
-
-
-def res_p(omega: LogForm) -> int:
-    """Iterated T^0-dlog-coefficient extraction, then the trace to Z/p^s."""
-    return residue_to_prime_field(omega)
 
 
 def eval_symbol(char: Character | WittVector, ys, precision: int | None = None) -> int:

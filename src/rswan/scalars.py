@@ -3,9 +3,6 @@
 Both rings are quotients (Z/p^s)[x]/(f) for a fixed monic polynomial f from
 a published table (s = 1 gives the field).  For speed the domains operate on
 *raw* values: a plain int when k == 1, a length-k tuple of ints otherwise.
-The thin wrapper classes :class:`FqElem` / :class:`GaloisRingElem` give raw
-values an operator interface for API use and tests; the series layer talks
-to the domains directly.
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ __all__ = [
     "GaloisRingDomain",
     "fq_domain",
     "galois_ring_domain",
-    "FqElem",
-    "GaloisRingElem",
 ]
 
 # Conway polynomials for F_{p^k}, coefficients ascending, monic.
@@ -287,9 +282,6 @@ class FqDomain(_QuotientDomain):
 class GaloisRingDomain(_QuotientDomain):
     """Arithmetic of the unramified extension of Z/p^s defined by the same table."""
 
-    def is_unit(self, x) -> bool:
-        return not fq_domain(self.p, self.k).is_zero(self.reduce_mod_p(x))
-
 
 @lru_cache(maxsize=None)
 def fq_domain(p: int, k: int) -> FqDomain:
@@ -299,102 +291,3 @@ def fq_domain(p: int, k: int) -> FqDomain:
 @lru_cache(maxsize=None)
 def galois_ring_domain(p: int, k: int, s: int) -> GaloisRingDomain:
     return GaloisRingDomain(p, k, s)
-
-
-class _Elem:
-    """Operator sugar over (domain, raw value).  Immutable."""
-
-    __slots__ = ("domain", "raw")
-
-    def __init__(self, domain, raw):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "raw", raw)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def _wrap(self, raw):
-        return type(self)(self.domain, raw)
-
-    def _raw_of(self, other):
-        if isinstance(other, _Elem):
-            if other.domain is not self.domain:
-                raise ValueError("elements of different coefficient rings")
-            return other.raw
-        if isinstance(other, int):
-            return self.domain.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._raw_of(other)
-        return NotImplemented if r is NotImplemented else self._wrap(self.domain.add(self.raw, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._raw_of(other)
-        return NotImplemented if r is NotImplemented else self._wrap(self.domain.sub(self.raw, r))
-
-    def __rsub__(self, other):
-        r = self._raw_of(other)
-        return NotImplemented if r is NotImplemented else self._wrap(self.domain.sub(r, self.raw))
-
-    def __mul__(self, other):
-        r = self._raw_of(other)
-        return NotImplemented if r is NotImplemented else self._wrap(self.domain.mul(self.raw, r))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._wrap(self.domain.neg(self.raw))
-
-    def __pow__(self, n):
-        return self._wrap(self.domain.pow(self.raw, n))
-
-    def __truediv__(self, other):
-        r = self._raw_of(other)
-        return NotImplemented if r is NotImplemented else self._wrap(self.domain.mul(self.raw, self.domain.inv(r)))
-
-    def __eq__(self, other):
-        if isinstance(other, _Elem):
-            return self.domain is other.domain and self.raw == other.raw
-        if isinstance(other, int):
-            return self.raw == self.domain.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.domain), self.raw))
-
-    def __bool__(self):
-        return not self.domain.is_zero(self.raw)
-
-    def __repr__(self):
-        return self.domain.render(self.raw)
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return self.domain.coeffs(self.raw)
-
-
-class FqElem(_Elem):
-    """An element of F_q.  ``FqElem(fq_domain(2, 2), raw)`` or via helpers."""
-
-    def frobenius(self) -> "FqElem":
-        return self._wrap(self.domain.frobenius(self.raw))
-
-    def pth_root(self) -> "FqElem":
-        return self._wrap(self.domain.pth_root(self.raw))
-
-    def trace(self) -> int:
-        return self.domain.trace(self.raw)
-
-
-class GaloisRingElem(_Elem):
-    """An element of the unramified Z/p^s extension."""
-
-    def reduce_mod_p(self) -> FqElem:
-        d = fq_domain(self.domain.p, self.domain.k)
-        return FqElem(d, self.domain.reduce_mod_p(self.raw))
-
-    def trace(self) -> int:
-        return self.domain.trace(self.raw)

@@ -24,8 +24,6 @@ from .errors import NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
 
 __all__ = [
     "NestedSeries",
-    "series_arith",
-    "series_inv",
     "series_substitute",
     "series_reverse",
     "identity_images",
@@ -154,11 +152,6 @@ class NestedSeries:
                 exponent=e,
             )
         return e
-
-    def width(self) -> int | None:
-        if self.ceiling is None:
-            return None
-        return self.ceiling - self.low()
 
     def coefficient(self, e: int):
         """Level-(l-1) coefficient at exponent ``e`` (raw scalar at level 1)."""
@@ -339,29 +332,46 @@ class NestedSeries:
         ceiling = None if self.ceiling is None else (self.ceiling - 1) * p_t + 1
         return NestedSeries(self.level, self.domain, out, ceiling)
 
-    def is_pth_power(self) -> bool:
-        """Window-level test: stored support has p-divisible exponents and
-        recursively p-th-power coefficients."""
-        p = self.domain.p
-        for e, c in self.coeffs.items():
-            if e % p != 0:
-                return False
-            if self.level == 1:
-                if not self.domain.is_pth_power(c):
-                    return False
-            elif not c.is_pth_power():
-                return False
-        return True
+    def pth_root(
+        self, *, skip_prime_to_p: bool = False, skip_non_powers: bool = False
+    ) -> "NestedSeries":
+        """p-th root, taken monomial by monomial at every level.
 
-    def pth_root(self) -> "NestedSeries":
+        A monomial ``c * T^e`` has the root ``c^(1/p) * T^(e/p)`` when p
+        divides every exponent and the scalar ``c`` is a p-th power.  A
+        monomial that fails raises :class:`NoPthRoot` unless its flag leaves
+        it out: ``skip_prime_to_p`` gives the series action of the Cartier
+        operator; both flags give the root of the largest removable part
+        (character reduction), which also leaves out coefficients with
+        nothing left in them.
+        """
         p = self.domain.p
         out = {}
         for e, c in self.coeffs.items():
-            if e % p != 0:
+            if e % p:
+                if skip_prime_to_p:
+                    continue
                 raise NoPthRoot(f"exponent {e} is not divisible by p = {p}")
-            out[e // p] = self.domain.pth_root(c) if self.level == 1 else c.pth_root()
+            if self.level == 1:
+                if not self.domain.is_pth_power(c):
+                    if skip_non_powers:
+                        continue
+                    raise NoPthRoot("coefficient is not a p-th power at the scalar level")
+                out[e // p] = self.domain.pth_root(c)
+                continue
+            root = c.pth_root(skip_prime_to_p=skip_prime_to_p, skip_non_powers=skip_non_powers)
+            if root.coeffs or not skip_non_powers:
+                out[e // p] = root
         ceiling = None if self.ceiling is None else (self.ceiling - 1) // p + 1
         return NestedSeries(self.level, self.domain, out, ceiling)
+
+    def is_pth_power(self) -> bool:
+        """Whether :meth:`pth_root` succeeds."""
+        try:
+            self.pth_root()
+        except NoPthRoot:
+            return False
+        return True
 
     # ------------------------------------------------------------- comparison
     def agrees_with(self, other: "NestedSeries") -> bool:
@@ -414,24 +424,6 @@ class NestedSeries:
 
 
 # ---------------------------------------------------------------- module ops
-
-def series_arith(a: NestedSeries, b: NestedSeries, op: str) -> NestedSeries:
-    """Windowed ring operations with structural checks.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def series_inv(a: NestedSeries, precision: int | None = None) -> NestedSeries:
-    return a.inv(precision)
-
 
 def identity_images(level: int, domain) -> dict[int, NestedSeries]:
     return {j: NestedSeries.variable(level, domain, j) for j in range(1, level + 1)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from .errors import TowerMismatch
 from .scalars import fq_domain, galois_ring_domain
 
-__all__ = ["FieldTower", "require_same_tower"]
+__all__ = ["FieldTower"]
 
 DEFAULT_PRECISION = 64
 
@@ -38,7 +38,9 @@ class FieldTower:
     def __post_init__(self):
         if isinstance(self.variables, list):
             object.__setattr__(self, "variables", tuple(self.variables))
-        # triggers the table lookup for (p, k) and the 1 <= s <= 4 bound
+        if not 1 <= self.s <= 4:
+            raise ValueError(f"lift length s = {self.s} out of the supported range 1..4")
+        # triggers the table lookup for (p, k)
         galois_ring_domain(self.p, self.k, self.s)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("tower variables must be distinct")
@@ -88,8 +90,3 @@ class FieldTower:
     def describe(self) -> str:
         base = f"F_{self.q}"
         return base + "".join(f"(({v}))" for v in self.variables)
-
-
-def require_same_tower(a: FieldTower, b: FieldTower, what: str = "operands"):
-    if a != b:
-        raise TowerMismatch(f"{what} live in different towers: {a.describe()} vs {b.describe()}")

@@ -47,6 +47,7 @@ __all__ = [
     "witt_frobenius",
     "witt_verschiebung",
     "witt_ord_of",
+    "swan_of_components",
     "asw_reduce_components",
     "asw_reduce",
     "swan_conductor",
@@ -170,12 +171,10 @@ def witt_verschiebung(comps):
     return tuple(list(comps[1:]) + [zero]) if s > 1 else (zero,)
 
 
-def witt_ord_of(comps, p: int) -> int:
-    """min_i p^i * ord(comps[i]); ZeroInput when every component vanishes.
-
-    Raises :class:`PrecisionExhausted` when an unknown window tail could lie
-    below the stored minimum.
-    """
+def _weighted_orders(comps, p: int):
+    """``(known, bound)``: ``min_i p^i * ord(comps[i])`` over the stored
+    data, and ``min_i p^i * ceiling_i`` over the finite windows (each None
+    when there is nothing to take the minimum of)."""
     known = None
     bound = None
     for i, c in enumerate(comps):
@@ -186,6 +185,16 @@ def witt_ord_of(comps, p: int) -> int:
         if c.ceiling is not None:
             b = w * c.ceiling
             bound = b if bound is None else min(bound, b)
+    return known, bound
+
+
+def witt_ord_of(comps, p: int) -> int:
+    """min_i p^i * ord(comps[i]); ZeroInput when every component vanishes.
+
+    Raises :class:`PrecisionExhausted` when an unknown window tail could lie
+    below the stored minimum.
+    """
+    known, bound = _weighted_orders(comps, p)
     if known is None:
         if bound is not None:
             raise PrecisionExhausted(
@@ -199,37 +208,30 @@ def witt_ord_of(comps, p: int) -> int:
     return known
 
 
+def swan_of_components(comps, p: int) -> int:
+    """Swan conductor of reduced components: minus their weighted order, at
+    least 0.
+
+    Raises :class:`PrecisionExhausted` when window tails could carry deeper
+    polar terms than the stored data.
+    """
+    known, bound = _weighted_orders(comps, p)
+    sw_known = max(0, -known) if known is not None else 0
+    if bound is not None and -bound > sw_known:
+        raise PrecisionExhausted(
+            "window tails could carry deeper polar terms than the stored data"
+        )
+    return sw_known
+
+
 # ----------------------------------------------------------- reduction loop
 
-def _pth_power_part(c, domain, level: int):
-    """Root of the removable part of a coefficient, or None.
-
-    ``c`` is a raw scalar when ``level == 0``, a series otherwise.  The
-    removable part consists of the monomials whose exponents are divisible
-    by p at every level and whose scalars admit p-th roots; only that part
-    is returned (as its p-th root), so partially removable coefficients are
-    split rather than skipped.
-    """
-    p = domain.p
-    if level == 0:
-        if domain.is_zero(c):
-            return None
-        return domain.pth_root(c) if domain.is_pth_power(c) else None
-    out = {}
-    for e, sub in c.coeffs.items():
-        if e % p:
-            continue
-        root = _pth_power_part(sub, domain, level - 1)
-        if root is not None:
-            out[e // p] = root
-    if not out:
-        return None
-    ceiling = None if c.ceiling is None else (c.ceiling - 1) // p + 1
-    return NestedSeries(level, domain, out, ceiling)
-
-
 def _find_reducible(comps, p: int):
-    """Deepest removable polar term: (weighted_ord, slot, exponent, root)."""
+    """Deepest removable polar term: ``(weighted_ord, slot, u)``.
+
+    ``u`` is the p-th root of the term's removable part, as a one-term
+    series: the coboundary of ``u`` in that slot cancels the part.
+    """
     best = None
     domain = comps[0].domain
     level = comps[0].level
@@ -238,12 +240,11 @@ def _find_reducible(comps, p: int):
         for e in sorted(comp.coeffs):
             if e >= 0:
                 break
-            if e % p:
+            term = NestedSeries(level, domain, {e: comp.coeffs[e]})
+            u = term.pth_root(skip_prime_to_p=True, skip_non_powers=True)
+            if not u.coeffs:
                 continue
-            root = _pth_power_part(comp.coeffs[e], domain, level - 1)
-            if root is None:
-                continue
-            cand = (w * e, i, e, root)
+            cand = (w * e, i, u)
             if best is None or cand[0] < best[0]:
                 best = cand
             break  # deeper terms in this slot dominate shallower ones
@@ -279,7 +280,7 @@ def asw_reduce_components(comps, p: int):
         target = _find_reducible(comps, p)
         if target is None:
             return comps
-        weight, slot, e, root = target
+        weight, slot, u = target
         if last_weight is not None and weight < last_weight:
             raise RswanError(
                 "reduction made the polar part worse (internal error)"
@@ -288,10 +289,7 @@ def asw_reduce_components(comps, p: int):
         steps += 1
         if steps > _REDUCTION_STEP_CAP:
             raise RswanError("reduction did not terminate (internal error)")
-        level = comps[0].level
-        domain = comps[0].domain
-        u = NestedSeries(level, domain, {e // p: root})
-        correction = [NestedSeries.zero(level, domain)] * len(comps)
+        correction = [NestedSeries.zero(u.level, u.domain)] * len(comps)
         correction[slot] = u
         correction = tuple(correction)
         coboundary = witt_sub(witt_frobenius(correction), correction, p)
@@ -403,21 +401,4 @@ def swan_conductor(char: WittVector | Character) -> int:
     when windows leave the answer ambiguous.
     """
     char = asw_reduce(char)
-    comps = char.vector.comps
-    p = char.tower.p
-    known = None
-    bound = None
-    for i, c in enumerate(comps):
-        w = p**i
-        if c.coeffs:
-            v = w * c.ord()
-            known = v if known is None else min(known, v)
-        if c.ceiling is not None:
-            b = w * c.ceiling
-            bound = b if bound is None else min(bound, b)
-    sw_known = max(0, -known) if known is not None else 0
-    if bound is not None and -bound > sw_known:
-        raise PrecisionExhausted(
-            "window tails could carry deeper polar terms than the stored data"
-        )
-    return sw_known
+    return swan_of_components(char.vector.comps, char.tower.p)

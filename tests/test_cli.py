@@ -165,6 +165,20 @@ def test_extension_validation_is_a_config_error():
         load_config(doc)
 
 
+def test_load_config_rejects_lift_length_above_four(tmp_path, capsys):
+    doc = config_doc(tower={"p": 2, "s": 5, "variables": ["t"]})
+    with pytest.raises(ConfigError, match="lift length s = 5"):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    assert "lift length s = 5" in capsys.readouterr().err
+
+
+def test_load_config_rejects_variables_that_are_not_a_list_of_names():
+    for variables in ("ut", [1]):
+        with pytest.raises(ConfigError, match="'variables' must be a list of names"):
+            load_config(config_doc(tower={"p": 2, "variables": variables}))
+
+
 def test_cli_precision_override_wins():
     doc = config_doc(tower={**MAIN2, "precision": 32})
     assert load_config(doc).main_tower.precision == 32

@@ -38,7 +38,7 @@ from rswan.logdiff import WindowedForm
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
 from rswan.rsw import rsw_char_p
-from rswan.series import NestedSeries
+from rswan.series import NestedSeries, series_substitute
 from rswan.tower import FieldTower
 from rswan.witt import Character, WittVector, asw_reduce, swan_conductor
 
@@ -149,6 +149,29 @@ def test_pullback_is_a_ring_map():
         assert pullback_series(ext, f + g).agrees_with(
             pullback_series(ext, f) + pullback_series(ext, g)
         )
+
+
+def test_pullback_refuses_windowed_lower_coefficients():
+    """(1+u)^-1 mod u^4 * t^-3 along u -> v^2 + w: the unknown u^4 tail of
+    the coefficient meets every power of the unit image v^2 + w, so no
+    target coefficient can be certified."""
+    _, (ext,) = imperfect_residue_family(2, (3,))
+    fd = KD.field_domain
+    inner = parse_series("1 + u", KD).coefficient(0).inv(4)
+    assert inner.ceiling == 4
+    src = NestedSeries(2, fd, {-3: inner})
+    with pytest.raises(PrecisionExhausted):
+        pullback_series(ext, src)
+
+
+def test_pullback_through_unit_order_lower_image():
+    """u^2 t^-1 + t^2 along u -> v^2 + w, t -> w^3: (v^4 + w^2) w^-3 + w^6."""
+    _, (ext,) = imperfect_residue_family(2, (3,))
+    src = parse_series("u^2*t^-1 + t^2", KD)
+    out = pullback_series(ext, src)
+    assert out == parse_series("v^4*w^-3 + w^-1 + w^6", LD)
+    images = {1: ext.images["u"], 2: ext.images["t"]}
+    assert out == series_substitute(src, images, LD.precision)
 
 
 def test_pullback_character_reduces_on_the_target():

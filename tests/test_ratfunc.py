@@ -109,6 +109,12 @@ def test_render_pins():
     assert dom.render(dom.from_polys([0, 2, 1])) == "2*x + x^2"
 
 
+def test_domain_is_cached_per_prime():
+    """Series compare domains by identity, so one prime gives one domain."""
+    assert rat_func_domain(2) is rat_func_domain(2)
+    assert rat_func_domain(2) is not rat_func_domain(3)
+
+
 def test_unsupported_prime_refused():
     with pytest.raises(RswanError):
         RatFuncDomain(7)

@@ -29,7 +29,6 @@ from rswan.reciprocity import (
     CharacterizationReport,
     check_exp_congruences,
     eval_symbol,
-    res_p,
     schmid_symbol,
     theta_lift,
     truncated_exp,
@@ -154,8 +153,8 @@ def test_theta_is_additive_in_the_lift_ring(tower):
 
 
 def test_theta_of_frobenius_minus_one_has_zero_residue():
-    """Coboundaries pair to zero: res_p(theta((phi-1)E) dlog y) = 0."""
-    from rswan.logdiff import dlog
+    """Coboundaries pair to zero: Res(theta((phi-1)E) dlog y) = 0."""
+    from rswan.logdiff import dlog, residue_to_prime_field
 
     rng = random.Random(5)
     dom = K2s2.field_domain
@@ -173,7 +172,7 @@ def test_theta_of_frobenius_minus_one_has_zero_residue():
         from rswan.witt import lift_series
 
         omega = dlog(lift_series(y, K2s2.lift_domain), 32).scale(theta)
-        assert res_p(omega) == 0
+        assert residue_to_prime_field(omega) == 0
 
 
 # ------------------------------------------------------------------ symbols
