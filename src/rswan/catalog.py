@@ -116,12 +116,9 @@ _THMB = {
 }
 
 
-def _tower_dict(params, precision=None):
+def _tower_dict(params):
     p, k, s, variables = params
-    out = {"p": p, "k": k, "s": s, "variables": list(variables)}
-    if precision is not None:
-        out["precision"] = precision
-    return out
+    return {"p": p, "k": k, "s": s, "variables": list(variables)}
 
 
 def catalog_characters(p: int):
@@ -133,12 +130,12 @@ def catalog_characters(p: int):
     return rows
 
 
-def canned_config(p: int, precision: int | None = None) -> dict:
+def canned_config(p: int) -> dict:
     """The check-all run configuration for one prime."""
     if p not in CATALOG_PRIMES:
         raise ValueError(f"no canned catalog for p = {p}")
     towers = {
-        name: _tower_dict(params, precision)
+        name: _tower_dict(params)
         for name, params in _TOWERS[p].items()
         if name != "main"
     }
@@ -170,7 +167,7 @@ def canned_config(p: int, precision: int | None = None) -> dict:
     tasks.append({"task": "thmC", "f": {"-3": "x"}, "x0": 0, **_CURVES[p]})
     return {
         "version": 1,
-        "tower": _tower_dict(_TOWERS[p]["main"], precision),
+        "tower": _tower_dict(_TOWERS[p]["main"]),
         "towers": towers,
         "characters": characters,
         "extensions": dict(_EXTENSIONS[p]),

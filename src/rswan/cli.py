@@ -166,9 +166,7 @@ def _parse_term(term: str, tower: FieldTower):
 _WINDOW_TAIL = re.compile(r"^window\((-?\d+),(-?\d+)\)$")
 
 
-def parse_windowed_form(
-    text: str, tower: FieldTower, precision: int | None = None
-) -> WindowedForm:
+def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
     """Inverse of :func:`render_form`; the zero literal parses at degree 1."""
     body, sep, window = text.rpartition(" | ")
     match = _WINDOW_TAIL.match(window) if sep else None
@@ -186,7 +184,7 @@ def parse_windowed_form(
             degree = len(key)
         elif len(key) != degree:
             raise ParseError("mixed-degree terms in one form literal")
-        sr = parse_series(coeff_text, tower, precision)
+        sr = parse_series(coeff_text, tower)
         coeffs[key] = coeffs[key] + sr if key in coeffs else sr
     form = LogForm(tower.d, domain, degree, coeffs)
     return WindowedForm(form, n, m)
@@ -342,7 +340,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         )
         try:
             series = [parse_series(text, tower) for text in comps]
-        except ParseError as exc:
+        except (ParseError, ValueError) as exc:
             raise ConfigError(f"character {label!r} does not parse: {exc}") from None
         characters[label] = Character(WittVector.from_print_order(tower, series))
         character_towers[label] = tower_name
@@ -375,7 +373,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 var: parse_series(text, target) for var, text in images_doc.items()
             }
             extensions[name] = ExtensionMap(towers[source_name], target, images)
-        except RswanError as exc:
+        except (RswanError, ValueError) as exc:
             raise ConfigError(f"extension {name!r} is invalid: {exc}") from None
 
     tasks = doc.get("tasks", [])
@@ -392,6 +390,11 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             _require(
                 label in characters,
                 f"task #{idx} ({kind}) references undefined character {label!r}",
+            )
+        if kind == "reciprocity" and "samples" in task:
+            _require(
+                type(task["samples"]) is int and task["samples"] > 0,
+                f"task #{idx} (reciprocity) needs a positive integer 'samples'",
             )
         if kind == "conductor-change":
             ext_name = task.get("extension")
@@ -647,15 +650,10 @@ def run(config: RunConfig, seed: int = 0) -> dict:
         try:
             records.extend(_EXECUTORS[task["task"]](config, task, _task_seed(seed, idx)))
         except Exception as exc:  # noqa: BLE001 - becomes a structured record
-            records.append(
-                _record(
-                    task,
-                    "ERROR",
-                    {},
-                    None,
-                    error={"type": type(exc).__name__, "message": str(exc)},
-                )
-            )
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            if getattr(exc, "exponent", None) is not None:
+                error["exponent"] = exc.exponent
+            records.append(_record(task, "ERROR", {}, None, error=error))
         timings.append(round(time.perf_counter() - started, 6))
     return {
         "version": REPORT_VERSION,

@@ -122,9 +122,7 @@ def ramification_index(ext: ExtensionMap) -> int:
     return ext.images[ext.source.variables[-1]].ord()
 
 
-def pullback_series(
-    ext: ExtensionMap, sr: NestedSeries, precision: int | None = None
-) -> NestedSeries:
+def pullback_series(ext: ExtensionMap, sr: NestedSeries) -> NestedSeries:
     """Image of a source series under the embedding.
 
     Coefficients are shared constants; each source variable is replaced by
@@ -138,23 +136,20 @@ def pullback_series(
     images = {
         level: ext.images[name] for level, name in enumerate(ext.source.variables, 1)
     }
-    prec = precision if precision is not None else ext.target.precision
-    return series_substitute(sr, images, prec)
+    return series_substitute(sr, images, ext.target.precision)
 
 
-def pullback_character(
-    ext: ExtensionMap, char: Character | WittVector, precision: int | None = None
-) -> Character:
+def pullback_character(ext: ExtensionMap, char: Character | WittVector) -> Character:
     """Reduce over the source, pull each component back, re-reduce over the
     target."""
     if isinstance(char, WittVector):
         char = Character(char)
     char = asw_reduce(char)
-    comps = tuple(pullback_series(ext, c, precision) for c in char.vector.comps)
+    comps = tuple(pullback_series(ext, c) for c in char.vector.comps)
     return asw_reduce(Character(WittVector(ext.target, comps)))
 
 
-def pullback_form(ext: ExtensionMap, form, precision: int | None = None):
+def pullback_form(ext: ExtensionMap, form):
     """Image of a log form: coefficients pull back as series, each
     ``dlog T_lambda`` maps to ``dlog(image of T_lambda)``."""
     from .logdiff import LogForm, wedge
@@ -162,12 +157,12 @@ def pullback_form(ext: ExtensionMap, form, precision: int | None = None):
     target = ext.target
     domain = target.field_domain
     dlog_images = {
-        idx + 1: dlog(ext.images[name], precision)
+        idx + 1: dlog(ext.images[name], target.precision)
         for idx, name in enumerate(ext.source.variables)
     }
     acc = LogForm.zero(target.d, domain, form.degree)
     for key, c in form.coeffs.items():
-        term = LogForm.from_series(pullback_series(ext, c, precision))
+        term = LogForm.from_series(pullback_series(ext, c))
         for lam in key:
             term = wedge(term, dlog_images[lam])
         acc = acc + term
@@ -188,7 +183,7 @@ class TorsionReport:
     coefficients: dict
 
 
-def delta_tor(ext: ExtensionMap, precision: int | None = None) -> TorsionReport:
+def delta_tor(ext: ExtensionMap) -> TorsionReport:
     """Torsion depth of the embedding (one-variable source fields only).
 
     The minimum target-top order of the coefficients of ``dlog(image of the
@@ -199,7 +194,7 @@ def delta_tor(ext: ExtensionMap, precision: int | None = None) -> TorsionReport:
             "the torsion depth is defined over a one-variable source field"
         )
     target = ext.target
-    omega = dlog(ext.images[ext.source.variables[-1]], precision)
+    omega = dlog(ext.images[ext.source.variables[-1]], target.precision)
     if not omega.coeffs:
         raise NonEmbedding(
             "dlog of the uniformizer image vanishes identically "
@@ -253,9 +248,7 @@ class ConductorChangeReport:
         )
 
 
-def conductor_change(
-    ext: ExtensionMap, char: Character | WittVector, precision: int | None = None
-) -> ConductorChangeReport:
+def conductor_change(ext: ExtensionMap, char: Character | WittVector) -> ConductorChangeReport:
     """Compare the actual target conductor against ``e*Sw - delta``.
 
     The formula is asserted only under the strong-ramification hypothesis
@@ -267,9 +260,9 @@ def conductor_change(
     char = asw_reduce(char)
     p = ext.source.p
     e = ramification_index(ext)
-    delta = delta_tor(ext, precision).delta
+    delta = delta_tor(ext).delta
     sw_source = swan_conductor(char)
-    sw_target = swan_conductor(pullback_character(ext, char, precision))
+    sw_target = swan_conductor(pullback_character(ext, char))
     predicted = e * sw_source - delta
     lhs = Fraction(sw_source)
     rhs = Fraction(p, p - 1) * Fraction(delta, e)
@@ -322,9 +315,7 @@ def imperfect_residue_family(p: int = 2, t_values=(3, 5, 7)):
     return chi, family
 
 
-def perfect_residue_ratios(
-    chi: Character | WittVector, family, precision: int | None = None
-):
+def perfect_residue_ratios(chi: Character | WittVector, family):
     """Conductor growth ratios ``Sw(pullback)/e`` over a family of embeddings.
 
     Every ratio is bounded by the source conductor ``n``; the report carries
@@ -345,7 +336,7 @@ def perfect_residue_ratios(
     rows = []
     for ext in family:
         e = ramification_index(ext)
-        sw_t = swan_conductor(pullback_character(ext, chi, precision))
+        sw_t = swan_conductor(pullback_character(ext, chi))
         rows.append({"e": e, "sw_target": sw_t, "ratio": Fraction(sw_t, e)})
     return {
         "sw_source": n,
@@ -369,13 +360,7 @@ def _eval_poly_at(series_base: NestedSeries, coeffs, domain) -> NestedSeries:
     return acc
 
 
-def curve_restriction_ratios(
-    p: int,
-    f: NestedSeries,
-    x0: int,
-    exponents=(2, 4, 8),
-    precision: int | None = None,
-):
+def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents=(2, 4, 8)):
     """Restrict a character over F_p(x)((t)) to curves t -> u^e, x -> x0 + u.
 
     ``f`` is a length-one component with coefficients in F_p(x) (the
@@ -391,7 +376,6 @@ def curve_restriction_ratios(
     sw_generic = swan_of_components(asw_reduce_components([f], p), p)
     target = FieldTower(p, 1, 1, ("u",))
     fd = target.field_domain
-    prec = precision if precision is not None else target.precision
     base = NestedSeries.from_monomials(
         1, fd, [((0,), fd.from_int(x0)), ((1,), fd.one())]
     )
@@ -407,7 +391,9 @@ def curve_restriction_ratios(
                     f"coefficient denominator vanishes at x = {x0}; the curve "
                     "meets a pole of the character"
                 )
-            coeff = num_s * den_s.inv(prec) if den_s != NestedSeries.one(1, fd) else num_s
+            coeff = num_s
+            if den_s != NestedSeries.one(1, fd):
+                coeff = num_s * den_s.inv(target.precision)
             acc = acc + coeff.shift(e * te)
         chi_e = asw_reduce(Character(WittVector(target, (acc,))))
         sw_e = swan_conductor(chi_e)

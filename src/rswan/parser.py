@@ -51,12 +51,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, tower: FieldTower, precision: int | None):
+    def __init__(self, text: str, tower: FieldTower):
         self.text = text
         self.tower = tower
         self.domain = tower.field_domain
         self.level = tower.d
-        self.precision = precision if precision is not None else tower.precision
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -120,7 +119,7 @@ class _Parser:
                 exps = tuple(n if j == var_level else 0 for j in range(1, self.level + 1))
                 return NestedSeries.from_monomials(self.level, self.domain, [(exps, self.domain.one())])
             try:
-                return base_series.pow(n, self.precision)
+                return base_series.pow(n, self.tower.precision)
             except ZeroInput:
                 raise ParseError("cannot raise a non-invertible expression to a negative power", position=pos)
         return base_series
@@ -155,13 +154,15 @@ class _Parser:
         return sign * val
 
 
-def parse_series(text: str, tower: FieldTower, precision: int | None = None) -> NestedSeries:
+def parse_series(text: str, tower: FieldTower) -> NestedSeries:
     """Parse ``text`` into a series over ``tower``'s residue field.
+
+    A negative power of a sum opens a window of ``tower.precision`` terms.
 
     Unknown variable names raise :class:`UnknownVariable`; other syntax
     problems raise :class:`ParseError` with a character position.
     """
-    return _Parser(text, tower, precision).parse()
+    return _Parser(text, tower).parse()
 
 
 def _render_monomial(tower: FieldTower, exps, raw) -> str:

@@ -60,7 +60,7 @@ _MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0}
 
 # ------------------------------------------------------------ truncated exp
 
-def truncated_exp(x: NestedSeries, precision: int | None = None) -> NestedSeries:
+def truncated_exp(x: NestedSeries) -> NestedSeries:
     """E(x) = sum_{i<p} x^i / i!; requires ord(x) >= 1 in the top variable."""
     if x.coeffs and x.ord() < 1:
         raise NotTopological(
@@ -201,7 +201,7 @@ def theta_lift(vec: WittVector | Character) -> NestedSeries:
     return acc
 
 
-def eval_symbol(char: Character | WittVector, ys, precision: int | None = None) -> int:
+def eval_symbol(char: Character | WittVector, ys) -> int:
     """Value of the character on the symbol {y_1, ..., y_d}, in Z/p^s.
 
     Each ``y_i`` is a nonzero series over the residue tower; they are lifted
@@ -220,26 +220,45 @@ def eval_symbol(char: Character | WittVector, ys, precision: int | None = None) 
             if y.ceiling is None:
                 raise ZeroEntry("symbol entries must be nonzero")
             raise PrecisionExhausted("symbol entry is zero within its window")
-    prec = precision if precision is not None else tower.precision
-    theta = theta_lift(char.vector)
-    return _symbol_value(theta, tower, ys, prec)
+    return _symbol_value(theta_lift(char.vector), tower, ys)
 
 
-def _symbol_value(theta: NestedSeries, tower, ys, prec: int) -> int:
+def _symbol_value(theta: NestedSeries, tower, ys) -> int:
+    """Res of ``theta ^_i dlog y~_i``, traced to Z/p^s.
+
+    Res reads nothing above T^0, so the dlog windows open at the width the
+    lowest exponent of ``theta`` (at any level) needs, capped by the tower
+    budget.  Lower-level poles of the entries can make that width too
+    small; the residue is then computed once more at the cap.
+    """
+    low = min((min(exps) for exps, _ in theta.iter_monomials()), default=0)
+    width = min(max(1, 1 - low), tower.precision)
+    try:
+        return _residue_of_symbol(theta, tower, ys, width)
+    except PrecisionExhausted:
+        if width == tower.precision:
+            raise
+        return _residue_of_symbol(theta, tower, ys, tower.precision)
+
+
+def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int) -> int:
     big = tower.lift_domain
     omega = LogForm.from_series(theta)
     for y in ys:
-        omega = wedge(omega, dlog(lift_series(y, big), prec))
+        omega = wedge(omega, dlog(lift_series(y, big), width))
     return residue_to_prime_field(omega)
 
 
-def schmid_symbol(f: NestedSeries, y: NestedSeries, precision: int | None = None) -> int:
-    """Classical one-variable, length-1 local symbol: trace of Res(f dlog y)."""
+def schmid_symbol(f: NestedSeries, y: NestedSeries) -> int:
+    """Classical one-variable, length-1 local symbol: trace of Res(f dlog y).
+
+    The dlog window opens at ``1 - ord f`` terms, which is all Res reads.
+    """
     if f.level != 1:
         raise InconsistentValue("the classical symbol oracle is one-variable only")
     if y.is_zero():
         raise ZeroEntry("symbol entries must be nonzero")
-    omega = dlog(y, precision).scale(f)
+    omega = dlog(y, max(1, 1 - f.low())).scale(f)
     return residue_to_prime_field(omega)
 
 
@@ -282,10 +301,7 @@ def _random_window_terms(tower, rng, m: int, n: int):
 
 
 def verify_rsw_characterization(
-    char: Character | WittVector,
-    samples: int,
-    seed: int = 0,
-    precision: int | None = None,
+    char: Character | WittVector, samples: int, seed: int = 0
 ) -> CharacterizationReport:
     """Check chi(E(alpha)) = Res_F(R_b(alpha ^ Rsw(chi))) on random alpha.
 
@@ -310,7 +326,6 @@ def verify_rsw_characterization(
     b = 0
     while p**b < a:
         b += 1
-    prec = precision if precision is not None else tower.precision
     theta = theta_lift(char.vector)
     rng = random.Random(seed)
     agreements = 0
@@ -325,10 +340,10 @@ def verify_rsw_characterization(
             ys = [truncated_exp(x)]
             for lam in key:
                 ys.append(NestedSeries.variable(tower.d, tower.field_domain, lam))
-            val = _symbol_value(theta, tower, ys, prec)
+            val = _symbol_value(theta, tower, ys)
             lhs = (lhs + val) % modulus
             if s == 1 and tower.d == 1:
-                oracle = schmid_symbol(char.vector.comps[0], ys[0], prec)
+                oracle = schmid_symbol(char.vector.comps[0], ys[0])
                 if oracle % modulus != val % modulus:
                     mismatches.append(
                         {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}

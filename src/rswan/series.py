@@ -29,7 +29,6 @@ __all__ = [
     "identity_images",
 ]
 
-DEFAULT_WIDTH = 64
 _ORD_FLOOR = -10_000
 
 
@@ -294,7 +293,8 @@ class NestedSeries:
         The result window is exactly what the input window supports: for an
         input known on [v, v + w) the inverse is known on [-v, -v + w).  An
         exact single-term input inverts exactly; otherwise ``precision``
-        (default 64) bounds a fresh window.
+        bounds a fresh window, and without it the inverse raises
+        :class:`PrecisionExhausted`.
         """
         if not self.coeffs:
             raise ZeroInput("cannot invert a (window-)zero series")
@@ -308,8 +308,13 @@ class NestedSeries:
             return out
         if self.ceiling is not None:
             width = self.ceiling - v
+        elif precision is not None:
+            width = precision
         else:
-            width = precision if precision is not None else DEFAULT_WIDTH
+            raise PrecisionExhausted(
+                "the inverse of an exact series with several terms needs a width",
+                exponent=-v,
+            )
         # x_{n+1} = x_n (2 - a x_n); the error 1 - a x_n squares each step.
         two = NestedSeries.one(self.level, self.domain).mul_int(2)
         x = NestedSeries(self.level, self.domain, {-v: lead_inv}, -v + width)
@@ -450,23 +455,22 @@ def series_substitute(
     for img in targets:
         if img.level != out_level or img.domain is not domain:
             raise TowerMismatch("substitution images live in different targets")
-    return _substitute(a, images, out_level, domain, precision)
+    powers = {level: {} for level in images}
+    return _substitute(a, images, powers, out_level, domain, precision)
 
 
-def _substitute(a, images, out_level, domain, precision):
+def _substitute(a, images, powers, out_level, domain, precision):
     img = images.get(a.level)
     if img is None:
         raise TowerMismatch(f"no image supplied for level {a.level}")
     result = NestedSeries.zero(out_level, domain)
-    if a.coeffs:
-        pows = _PowerCache(img, precision)
-        for e in sorted(a.coeffs):
-            c = a.coeffs[e]
-            if a.level == 1:
-                piece = NestedSeries.constant(out_level, domain, c)
-            else:
-                piece = _substitute(c, images, out_level, domain, precision)
-            result = result + piece * pows.get(e)
+    for e in sorted(a.coeffs):
+        c = a.coeffs[e]
+        if a.level == 1:
+            piece = NestedSeries.constant(out_level, domain, c)
+        else:
+            piece = _substitute(c, images, powers, out_level, domain, precision)
+        result = result + piece * _image_power(img, powers[a.level], e, precision)
     if a.ceiling is not None:
         # Bound the damage of the unknown tail of `a`.
         if img.is_zero():
@@ -485,23 +489,16 @@ def _substitute(a, images, out_level, domain, precision):
     return result
 
 
-class _PowerCache:
-    def __init__(self, base: NestedSeries, precision):
-        self.base = base
-        self.precision = precision
-        self.cache: dict[int, NestedSeries] = {}
-
-    def get(self, e: int) -> NestedSeries:
-        if e not in self.cache:
-            if e >= 0:
-                self.cache[e] = self.base.pow(e)
-            else:
-                inv = self.cache.get(-1)
-                if inv is None:
-                    inv = self.base.inv(self.precision)
-                    self.cache[-1] = inv
-                self.cache[e] = inv.pow(-e)
-        return self.cache[e]
+def _image_power(img: NestedSeries, table: dict, e: int, precision) -> NestedSeries:
+    """``img^e`` from the power table of its level; ``table[-1]`` is the one inverse."""
+    if e not in table:
+        if e >= 0:
+            table[e] = img.pow(e)
+        else:
+            if -1 not in table:
+                table[-1] = img.inv(precision)
+            table[e] = table[-1].pow(-e)
+    return table[e]
 
 
 def _top_derivative(f: NestedSeries) -> NestedSeries:
@@ -516,17 +513,20 @@ def _top_derivative(f: NestedSeries) -> NestedSeries:
 def series_reverse(f: NestedSeries, precision: int | None = None) -> NestedSeries:
     """Composition inverse of a series of order 1 in the top variable.
 
-    Returns ``g`` with ``f(g) = T`` to the requested precision (default 64
-    exponents, or the input window width when narrower).
+    Returns ``g`` with ``f(g) = T`` to ``precision`` exponents, or to the
+    input window width when narrower; an exact input with no ``precision``
+    raises :class:`PrecisionExhausted`.
     """
     if f.is_zero() or f.ord() != 1:
         raise ZeroInput("reversion needs a series of valuation exactly 1")
     lead = f.coeffs[1]
     if f.level > 1 and (lead.is_zero() or lead.ord() != 0):
         raise ZeroInput("reversion needs a unit linear coefficient")
-    width = precision if precision is not None else DEFAULT_WIDTH
+    width = precision
     if f.ceiling is not None:
-        width = min(width, f.ceiling - 1)
+        width = f.ceiling - 1 if width is None else min(width, f.ceiling - 1)
+    if width is None:
+        raise PrecisionExhausted("the reversion of an exact series needs a width")
     if width < 1:
         raise PrecisionExhausted("no room to compute a reversion")
     domain = f.domain

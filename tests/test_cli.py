@@ -179,6 +179,32 @@ def test_load_config_rejects_variables_that_are_not_a_list_of_names():
             load_config(config_doc(tower={"p": 2, "variables": variables}))
 
 
+def test_reciprocity_samples_must_be_a_positive_int(tmp_path, capsys):
+    for samples in (0, -3, True, 2.5, "3"):
+        doc = config_doc(
+            characters={"X": ["t^-3"]},
+            tasks=[{"task": "reciprocity", "character": "X", "samples": samples}],
+        )
+        with pytest.raises(ConfigError, match=r"task #0 \(reciprocity\) needs a positive"):
+            load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    assert "positive integer 'samples'" in capsys.readouterr().err
+    doc["tasks"][0]["samples"] = 1
+    assert load_config(doc).tasks[0]["samples"] == 1
+
+
+def test_out_of_range_literal_exponents_exit_two(tmp_path, capsys):
+    deep_character = config_doc(characters={"X": ["t^-20000"]})
+    deep_image = config_doc(
+        towers={"L": {"p": 2, "k": 1, "s": 1, "variables": ["u"]}},
+        extensions={"phi": {"target": "L", "images": {"t": "u^-20000"}}},
+    )
+    for doc, label in ((deep_character, "character 'X'"), (deep_image, "extension 'phi'")):
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert label in err and "below the supported range" in err
+
+
 def test_cli_precision_override_wins():
     doc = config_doc(tower={**MAIN2, "precision": 32})
     assert load_config(doc).main_tower.precision == 32
@@ -228,6 +254,18 @@ def test_task_errors_become_records_and_never_abort():
     assert first["status"] == "ERROR"
     assert first["error"]["type"] == "UnramifiedCharacter"
     assert second["status"] == "PASS"
+
+
+def test_error_records_keep_the_exponent():
+    doc = config_doc(
+        tower={**MAIN2, "precision": 4},
+        characters={"X": ["t^-5 + t^-2"]},
+        tasks=[{"task": "reciprocity", "character": "X", "samples": 3}],
+    )
+    (rec,) = run(load_config(doc))["tasks"]
+    assert rec["status"] == "ERROR"
+    assert rec["error"]["type"] == "PrecisionExhausted"
+    assert rec["error"]["exponent"] == 0
 
 
 def test_rsw_task_checks_expected_literal():

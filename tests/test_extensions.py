@@ -193,6 +193,15 @@ def test_delta_frozen_wild():
     assert c.ord() == 1 and c.coefficient(1) == L2.field_domain.one()
 
 
+def test_delta_windows_follow_the_target_budget():
+    """The dlog window of the uniformizer image is the target tower's budget."""
+    l8 = FieldTower(2, 1, 1, ("u",), precision=8)
+    ext = ExtensionMap(K2, l8, {"t": parse_series("u^2*(1+u)", l8)})
+    report = delta_tor(ext)
+    assert report.delta == 1
+    assert all(c.ceiling <= 9 for c in report.coefficients.values())
+
+
 def test_delta_frozen_tame():
     """dlog(u^3) = 3 dlog u = dlog u over F_2: depth 0."""
     assert delta_tor(tame_map()).delta == 0
@@ -294,7 +303,7 @@ def test_rsw_functoriality_on_the_guaranteed_window():
     assert n_prime == 5
     delta = delta_tor(ext).delta
     m_floor = delta + (n_prime - delta) // K2.p
-    pulled = pullback_form(ext, value.window.form, precision=64)
+    pulled = pullback_form(ext, value.window.form)
     assert WindowedForm(value_l.window.form, n_prime, m_floor) == WindowedForm(
         pulled, n_prime, m_floor
     )

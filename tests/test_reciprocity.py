@@ -27,6 +27,7 @@ from rswan.errors import (
 from rswan.parser import parse_series, render_series
 from rswan.reciprocity import (
     CharacterizationReport,
+    _residue_of_symbol,
     check_exp_congruences,
     eval_symbol,
     schmid_symbol,
@@ -197,6 +198,16 @@ def test_symbol_frozen_two_variables():
     y1 = parse_series("1 + u^-1*t", KD)
     y2 = parse_series("t", KD)
     assert eval_symbol(chi, [y1, y2]) == 1
+
+
+def test_symbol_widens_to_the_budget_when_lower_poles_need_it():
+    """theta = u^-1 t^-2 asks for dlog windows of width 3, but the u^-2 in
+    the first entry pushes the residue past them; the budget answers."""
+    chi = char_of(KD, ["u^-1*t^-2"])
+    ys = [parse_series("1 + u + u^-2*t", KD), parse_series("t", KD)]
+    with pytest.raises(PrecisionExhausted):
+        _residue_of_symbol(theta_lift(chi), KD, ys, 3)
+    assert eval_symbol(chi, ys) == 1
 
 
 def test_symbol_is_multiplicative_per_entry():

@@ -115,6 +115,17 @@ def test_inverse_of_shifted_unit():
     assert prod.agrees_with(NestedSeries.one(1, F2))
 
 
+def test_inverse_without_width_refuses_a_fresh_window():
+    """An exact sum has no window of its own; its inverse needs a width."""
+    f = parse_series("1 + t", K2)
+    with pytest.raises(PrecisionExhausted):
+        f.inv()
+    with pytest.raises(PrecisionExhausted):
+        series_reverse(parse_series("t + t^2", K2))
+    assert f.inv(8).ceiling == 8
+    assert parse_series("t^-3", K2).inv() == parse_series("t^3", K2)
+
+
 def test_inverse_of_zero_refused():
     with pytest.raises(ZeroInput):
         NestedSeries.zero(1, F2).inv(8)
