@@ -28,7 +28,7 @@ from .errors import (
 )
 from .tower import FieldTower
 from .series import NestedSeries, series_reverse, series_substitute
-from .parser import parse_series, render_series
+from .parser import parse_series, parse_windowed_form, render_form, render_series
 from .witt import (
     Character,
     WittVector,
@@ -85,14 +85,7 @@ from .extensions import (
     ramification_index,
 )
 from .catalog import CATALOG_PRIMES, canned_config, catalog_characters
-from .cli import (
-    load_config,
-    main,
-    parse_windowed_form,
-    render_form,
-    report_body_bytes,
-    run,
-)
+from .cli import load_config, main, report_body_bytes, run
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 
@@ -27,11 +26,11 @@ from .extensions import (
     imperfect_residue_family,
     perfect_residue_ratios,
 )
-from .logdiff import LogForm, WindowedForm, duality_matrix, gram_is_invertible
-from .parser import parse_series, render_series
-from .ratfunc import RatFuncDomain, rat_func_domain
+from .logdiff import duality_matrix, gram_is_invertible
+from .parser import parse_rat_func, parse_series, parse_windowed_form, render_form, render_series
+from .ratfunc import rat_func_domain
 from .reciprocity import check_exp_congruences, verify_rsw_characterization
-from .rsw import RswValue, rsw_char_p, rsw_is_closed, sw_from_rsw
+from .rsw import rsw_char_p, rsw_is_closed, sw_from_rsw
 from .series import NestedSeries
 from .tower import FieldTower
 from .witt import Character, WittVector, asw_reduce, swan_conductor
@@ -41,9 +40,6 @@ __all__ = [
     "load_config",
     "run",
     "report_body_bytes",
-    "render_form",
-    "parse_windowed_form",
-    "parse_rat_func",
     "main",
 ]
 
@@ -71,188 +67,20 @@ CONVENTIONS = {
 _FAILING_STATUSES = ("FAIL", "ERROR")
 
 
-# ------------------------------------------------------------ form literals
-
-def render_form(value, tower: FieldTower | None = None) -> str:
-    """Canonical text of a windowed form: ``coeff dlog(v)^... | window(n,m)``.
-
-    Accepts an :class:`RswValue` (tower inferred) or a :class:`WindowedForm`
-    with an explicit tower.  Terms are ordered by their dlog keys,
-    coefficients render in the series-literal grammar (parenthesized when
-    they have several terms), and the zero form renders as ``0``.
-    """
-    if isinstance(value, RswValue):
-        if tower is None:
-            tower = value.character.tower
-        value = value.window
-    if tower is None:
-        raise ValueError("render_form needs the tower for variable names")
-    form = value.form
-    parts = []
-    for key in sorted(form.coeffs):
-        coeff = form.coeffs[key]
-        if coeff.is_zero():
-            continue
-        text = render_series(coeff, tower)
-        dlogs = "^".join(f"dlog({tower.variables[lam - 1]})" for lam in key)
-        if not key:
-            parts.append(text)
-        elif text == "1":
-            parts.append(dlogs)
-        else:
-            if " + " in text:
-                text = f"({text})"
-            parts.append(f"{text} {dlogs}")
-    body = " + ".join(parts) if parts else "0"
-    return f"{body} | window({value.n},{value.m})"
-
-
-def _split_top_level(body: str) -> list[str]:
-    """Split on ``" + "`` outside parentheses."""
-    terms, depth, start, i = [], 0, 0, 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ')' in form literal")
-        elif depth == 0 and body.startswith(" + ", i):
-            terms.append(body[start:i])
-            i += 3
-            start = i
-            continue
-        i += 1
-    if depth != 0:
-        raise ParseError("unbalanced '(' in form literal")
-    terms.append(body[start:])
-    return terms
-
-
-_DLOG_CHAIN = re.compile(r"^dlog\((\w+)\)(?:\^dlog\((\w+)\))*$")
-
-
-def _parse_term(term: str, tower: FieldTower):
-    """One rendered term -> (coefficient text, dlog key tuple)."""
-    term = term.strip()
-    if term.startswith("dlog("):
-        coeff_text, chain = "1", term
-    else:
-        cut = None
-        depth = 0
-        for i, ch in enumerate(term):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and term.startswith(" dlog(", i):
-                cut = i
-                break
-        if cut is None:
-            return term, ()  # degree-0 term: bare coefficient
-        coeff_text, chain = term[:cut], term[cut + 1 :]
-    if not _DLOG_CHAIN.match(chain):
-        raise ParseError(f"bad dlog chain in form term {term!r}")
-    names = re.findall(r"dlog\((\w+)\)", chain)
-    key = tuple(tower.level_of(name) for name in names)
-    if any(b <= a for a, b in zip(key, key[1:])):
-        raise ParseError(f"dlog variables must appear in tower order in {term!r}")
-    if coeff_text.startswith("(") and coeff_text.endswith(")"):
-        coeff_text = coeff_text[1:-1]
-    return coeff_text, key
-
-
-_WINDOW_TAIL = re.compile(r"^window\((-?\d+),(-?\d+)\)$")
-
-
-def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
-    """Inverse of :func:`render_form`; the zero literal parses at degree 1."""
-    body, sep, window = text.rpartition(" | ")
-    match = _WINDOW_TAIL.match(window) if sep else None
-    if match is None:
-        raise ParseError("a form literal ends in ' | window(n,m)'")
-    n, m = int(match.group(1)), int(match.group(2))
-    domain = tower.field_domain
-    if body.strip() == "0":
-        return WindowedForm(LogForm.zero(tower.d, domain, 1), n, m)
-    coeffs: dict = {}
-    degree = None
-    for term in _split_top_level(body.strip()):
-        coeff_text, key = _parse_term(term, tower)
-        if degree is None:
-            degree = len(key)
-        elif len(key) != degree:
-            raise ParseError("mixed-degree terms in one form literal")
-        sr = parse_series(coeff_text, tower)
-        coeffs[key] = coeffs[key] + sr if key in coeffs else sr
-    form = LogForm(tower.d, domain, degree, coeffs)
-    return WindowedForm(form, n, m)
-
-
-# -------------------------------------------------- rational-function literals
-
-_RAT_TERM = re.compile(r"^([+-]?)(\d*)\*?(x(?:\^(\d+))?)?$")
-
-
-def _parse_rat_poly(text: str, p: int) -> tuple:
-    """Polynomial in ``x`` over F_p, low-degree-first coefficient tuple."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    text = text.replace(" ", "")
-    if not text:
-        raise ParseError("empty polynomial literal")
-    coeffs: dict = {}
-    for term in re.findall(r"[+-]?[^+-]+", text):
-        match = _RAT_TERM.match(term)
-        if match is None or (not match.group(2) and not match.group(3)):
-            raise ParseError(f"bad rational-coefficient term {term!r}")
-        sign = -1 if match.group(1) == "-" else 1
-        c = int(match.group(2)) if match.group(2) else 1
-        if match.group(3):
-            e = int(match.group(4)) if match.group(4) else 1
-        else:
-            e = 0
-        coeffs[e] = (coeffs.get(e, 0) + sign * c) % p
-    top = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(top + 1))
-
-
-def parse_rat_func(text: str, domain: RatFuncDomain):
-    """``"num/den"`` (or just ``"num"``) with polynomial parts in ``x``."""
-    depth, cut = 0, None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if cut is not None:
-                raise ParseError("more than one '/' in rational literal")
-            cut = i
-    if cut is None:
-        num_t, den_t = text, "1"
-    else:
-        num_t, den_t = text[:cut], text[cut + 1 :]
-    num = _parse_rat_poly(num_t, domain.p)
-    den = _parse_rat_poly(den_t, domain.p)
-    return domain.from_polys(num, den)
-
-
 # ------------------------------------------------------------- configuration
 
 class RunConfig:
     """A validated run: towers, characters, extensions, and the task list."""
 
     def __init__(self, main_tower, towers, characters, character_towers,
-                 extensions, tasks, version):
+                 extensions, tasks, curves, version):
         self.main_tower = main_tower
         self.towers = towers  # name -> FieldTower, includes "main"
         self.characters = characters  # label -> Character (unreduced)
         self.character_towers = character_towers  # label -> tower name
         self.extensions = extensions  # name -> ExtensionMap
         self.tasks = tasks
+        self.curves = curves  # thmC 'f' items -> the parsed series over F_p(x)
         self.version = version
 
 
@@ -289,6 +117,14 @@ def _build_tower(name: str, desc, precision: int | None) -> FieldTower:
 def _require(condition: bool, message: str):
     if not condition:
         raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # bools are ints to isinstance
+
+
+def _positive_ints(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(_is_int(v) and v > 0 for v in value)
 
 
 def load_config(doc: dict, precision: int | None = None) -> RunConfig:
@@ -378,6 +214,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
 
     tasks = doc.get("tasks", [])
     _require(isinstance(tasks, list), "'tasks' must be a list")
+    curves: dict = {}
     for idx, task in enumerate(tasks):
         _require(isinstance(task, dict), f"task #{idx} must be an object")
         kind = task.get("task")
@@ -393,7 +230,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             )
         if kind == "reciprocity" and "samples" in task:
             _require(
-                type(task["samples"]) is int and task["samples"] > 0,
+                _is_int(task["samples"]) and task["samples"] > 0,
                 f"task #{idx} (reciprocity) needs a positive integer 'samples'",
             )
         if kind == "conductor-change":
@@ -409,15 +246,35 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 f"task #{idx} (duality) references undefined tower {tower_name!r}",
             )
             _require(
-                isinstance(task.get("n"), int) and isinstance(task.get("m"), int),
+                _is_int(task.get("n")) and _is_int(task.get("m")),
                 f"task #{idx} (duality) needs integer window bounds 'n' and 'm'",
             )
             _require(task["n"] > task["m"], f"task #{idx} (duality) needs n > m")
-        if kind == "thmC":
             _require(
-                isinstance(task.get("f"), dict) and task["f"],
+                "b" not in task or (_is_int(task["b"]) and task["b"] >= 0),
+                f"task #{idx} (duality) needs a non-negative integer 'b'",
+            )
+        list_field = {"thmB": "t_values", "thmC": "exponents"}.get(kind)
+        if list_field in task:
+            _require(
+                _positive_ints(task[list_field]),
+                f"task #{idx} ({kind}) needs {list_field!r} to be a nonempty list of positive integers",
+            )
+        if kind == "thmC":
+            f_doc = task.get("f")
+            _require(
+                isinstance(f_doc, dict) and f_doc
+                and all(e.removeprefix("-").isdigit() and isinstance(v, str) for e, v in f_doc.items()),
                 f"task #{idx} (thmC) needs a nonempty 'f' object of exponent -> literal",
             )
+            _require(_is_int(task.get("x0", 0)), f"task #{idx} (thmC) needs an integer 'x0'")
+            domain = rat_func_domain(towers["main"].p)
+            try:
+                curves[tuple(f_doc.items())] = NestedSeries.from_monomials(
+                    1, domain, [((int(e),), parse_rat_func(text, domain)) for e, text in f_doc.items()]
+                )
+            except (ParseError, ValueError) as exc:
+                raise ConfigError(f"task #{idx} (thmC) 'f' does not parse: {exc}") from None
     return RunConfig(
         main_tower=towers["main"],
         towers=towers,
@@ -425,6 +282,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         character_towers=character_towers,
         extensions=extensions,
         tasks=tasks,
+        curves=curves,
         version=version,
     )
 
@@ -587,18 +445,9 @@ def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
 
 
 def _run_thmC(config: RunConfig, task: dict, task_seed: int) -> list:
-    p = config.main_tower.p
-    domain = rat_func_domain(p)
-    monomials = []
-    for exp_text, literal in task["f"].items():
-        try:
-            exp = int(exp_text)
-        except ValueError:
-            raise ConfigError(f"thmC exponent {exp_text!r} is not an integer") from None
-        monomials.append(((exp,), parse_rat_func(literal, domain)))
-    f = NestedSeries.from_monomials(1, domain, monomials)
+    f = config.curves[tuple(task["f"].items())]
     exponents = tuple(task.get("exponents", (2, 4, 8)))
-    out = curve_restriction_ratios(p, f, task.get("x0", 0), exponents)
+    out = curve_restriction_ratios(config.main_tower.p, f, task.get("x0", 0), exponents)
     rows = [
         {"e": r["e"], "sw": r["sw"], "ratio": _frac(r["ratio"])} for r in out["rows"]
     ]

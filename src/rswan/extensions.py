@@ -142,8 +142,6 @@ def pullback_series(ext: ExtensionMap, sr: NestedSeries) -> NestedSeries:
 def pullback_character(ext: ExtensionMap, char: Character | WittVector) -> Character:
     """Reduce over the source, pull each component back, re-reduce over the
     target."""
-    if isinstance(char, WittVector):
-        char = Character(char)
     char = asw_reduce(char)
     comps = tuple(pullback_series(ext, c) for c in char.vector.comps)
     return asw_reduce(Character(WittVector(ext.target, comps)))
@@ -255,8 +253,6 @@ def conductor_change(ext: ExtensionMap, char: Character | WittVector) -> Conduct
     ``Sw > (p/(p-1)) * delta/e``; outside it the report carries both
     conductors and the verdict NOT_APPLICABLE.
     """
-    if isinstance(char, WittVector):
-        char = Character(char)
     char = asw_reduce(char)
     p = ext.source.p
     e = ramification_index(ext)
@@ -325,8 +321,6 @@ def perfect_residue_ratios(chi: Character | WittVector, family):
     """
     from .rsw import rsw_char_p, rsw_decompose
 
-    if isinstance(chi, WittVector):
-        chi = Character(chi)
     chi = asw_reduce(chi)
     n = swan_conductor(chi)
     decomposition = rsw_decompose(rsw_char_p(chi))

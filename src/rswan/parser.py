@@ -1,19 +1,27 @@
-"""Text form of series: a small expression grammar and a canonical renderer.
+"""Text form of series, windowed forms and F_p(x) coefficients: one grammar.
 
 Grammar (whitespace-insensitive)::
 
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := atom ['^' sint]
-    atom   := INT | 'g' | NAME | '(' expr ')'
-    sint   := ['-'] INT
+    expr    := ['-'] term (('+'|'-') term)*
+    term    := factor ('*' factor)*
+    factor  := atom ['^' sint]
+    atom    := INT | 'g' | NAME | '(' expr ')'
+    sint    := ['-'] INT
+
+    form    := ['-'] fterm (('+'|'-') fterm)* '|' 'window' '(' sint ',' sint ')'
+    fterm   := term [chain] | chain
+    chain   := 'dlog' '(' NAME ')' ('^' 'dlog' '(' NAME ')')*
+
+    ratfunc := expr ['/' expr]
 
 ``g`` denotes the fixed multiplicative generator of the coefficient field;
 any other NAME must be a variable of the tower.  Multiplication is always
-explicit (``2*g*t^-1``).  The renderer emits a canonical member of this
-grammar: monomials sorted by exponents (outermost variable first), scalar
-coefficients as polynomials in ``g`` with nonnegative representatives,
-parenthesised when they multiply a variable part.
+explicit (``2*g*t^-1``).  A rational function is read over the one-variable
+tower in ``x``; both sides must be exact polynomials.  The renderers emit a
+canonical member of this grammar: monomials sorted by exponents (outermost
+variable first), scalar coefficients as polynomials in ``g`` with
+nonnegative representatives, parenthesised when they multiply a variable
+part.
 """
 
 from __future__ import annotations
@@ -21,12 +29,21 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, TowerMismatch, UnknownVariable, ZeroInput
+from .logdiff import LogForm, WindowedForm
+from .ratfunc import RatFuncDomain
+from .rsw import RswValue
 from .series import NestedSeries
 from .tower import FieldTower
 
-__all__ = ["parse_series", "render_series"]
+__all__ = [
+    "parse_series",
+    "render_series",
+    "parse_windowed_form",
+    "render_form",
+    "parse_rat_func",
+]
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/|,]))")
 
 
 def _tokenize(text: str):
@@ -52,7 +69,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, tower: FieldTower):
-        self.text = text
         self.tower = tower
         self.domain = tower.field_domain
         self.level = tower.d
@@ -67,53 +83,50 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", position=pos)
+    def at(self, val: str, kind: str = "op") -> bool:
+        tok_kind, tok_val, _ = self.peek()
+        return tok_kind == kind and tok_val == val
+
+    def accept(self, op: str) -> bool:
+        if self.at(op):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, val: str, kind: str = "op"):
+        if not self.at(val, kind):
+            raise ParseError(f"expected {val!r}", position=self.peek()[2])
         return self.advance()
 
     # ------------------------------------------------------------------
-    def parse(self) -> NestedSeries:
-        out = self.expr()
+    def parse(self, rule, *args):
+        out = rule(self, *args)
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", position=pos)
         return out
 
     def expr(self) -> NestedSeries:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
-            self.advance()
-            negate = True
+        negate = self.accept("-")
         acc = self.term()
         if negate:
             acc = -acc
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
-            else:
-                return acc
+        while self.at("+") or self.at("-"):
+            _, op, _ = self.advance()
+            rhs = self.term()
+            acc = acc + rhs if op == "+" else acc - rhs
+        return acc
 
     def term(self) -> NestedSeries:
         acc = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                acc = acc * self.factor()
-            else:
-                return acc
+        while self.accept("*"):
+            acc = acc * self.factor()
+        return acc
 
     def factor(self) -> NestedSeries:
         base_series, var_level = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
+        pos = self.peek()[2]
+        if self.accept("^"):
             n = self.signed_int()
             if var_level is not None:
                 exps = tuple(n if j == var_level else 0 for j in range(1, self.level + 1))
@@ -139,19 +152,84 @@ class _Parser:
             return NestedSeries.variable(self.level, self.domain, lvl), lvl
         if kind == "op" and val == "(":
             inner = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return inner, None
         raise ParseError(f"expected a number, name, or '(' (got {val!r})", position=pos)
 
     def signed_int(self) -> int:
+        sign = -1 if self.accept("-") else 1
         kind, val, pos = self.advance()
-        sign = 1
-        if kind == "op" and val == "-":
-            sign = -1
-            kind, val, pos = self.advance()
         if kind != "int":
-            raise ParseError("expected an integer exponent", position=pos)
+            raise ParseError("expected an integer", position=pos)
         return sign * val
+
+    # ------------------------------------------------------------ forms
+    def form(self) -> WindowedForm:
+        coeffs: dict = {}
+        op = "-" if self.accept("-") else "+"
+        while True:
+            pos = self.peek()[2]
+            coeff, key = self.fterm()
+            if coeffs and len(key) != len(next(iter(coeffs))):
+                raise ParseError("mixed-degree terms in one form literal", position=pos)
+            if op == "-":
+                coeff = -coeff
+            coeffs[key] = coeffs[key] + coeff if key in coeffs else coeff
+            if not (self.at("+") or self.at("-")):
+                break
+            _, op, _ = self.advance()
+        self.expect("|")
+        self.expect("window", "name")
+        self.expect("(")
+        n = self.signed_int()
+        self.expect(",")
+        m = self.signed_int()
+        self.expect(")")
+        degree = len(next(iter(coeffs)))
+        if degree == 0 and all(c.is_zero() for c in coeffs.values()):
+            return WindowedForm(LogForm.zero(self.level, self.domain, 1), n, m)
+        return WindowedForm(LogForm(self.level, self.domain, degree, coeffs), n, m)
+
+    def fterm(self):
+        coeff = NestedSeries.one(self.level, self.domain)
+        if not self.at("dlog", "name"):
+            coeff = self.term()
+            if not self.at("dlog", "name"):
+                return coeff, ()
+        key = [self.dlog()]
+        while self.accept("^"):
+            key.append(self.dlog())
+        if any(b <= a for a, b in zip(key, key[1:])):
+            raise ParseError("dlog variables must appear in strictly increasing tower order")
+        return coeff, tuple(key)
+
+    def dlog(self) -> int:
+        self.expect("dlog", "name")
+        self.expect("(")
+        kind, val, pos = self.advance()
+        if kind != "name":
+            raise ParseError("expected a variable name", position=pos)
+        self.expect(")")
+        return self.tower.level_of(val)
+
+    # ------------------------------------------------- rational functions
+    def rat_func(self, domain: RatFuncDomain):
+        num = self.polynomial()
+        pos = self.peek()[2]
+        den = self.polynomial() if self.accept("/") else [1]
+        if not any(den):
+            raise ParseError("zero denominator in a rational literal", position=pos)
+        return domain.from_polys(num, den)
+
+    def polynomial(self) -> list:
+        pos = self.peek()[2]
+        sr = self.expr()
+        if not sr.is_exact() or any(e < 0 for e in sr.coeffs):
+            raise ParseError("a rational literal is a quotient of polynomials in x", position=pos)
+        coeffs = [0] * (max(sr.coeffs, default=0) + 1)
+        for (e,), raw in sr.iter_monomials():
+            coeffs[e] = raw
+        return coeffs
 
 
 def parse_series(text: str, tower: FieldTower) -> NestedSeries:
@@ -162,7 +240,21 @@ def parse_series(text: str, tower: FieldTower) -> NestedSeries:
     Unknown variable names raise :class:`UnknownVariable`; other syntax
     problems raise :class:`ParseError` with a character position.
     """
-    return _Parser(text, tower).parse()
+    return _Parser(text, tower).parse(_Parser.expr)
+
+
+def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
+    """Inverse of :func:`render_form`.
+
+    A ``dlog`` name outside the tower raises :class:`TowerMismatch`.  A body
+    of degree 0 that is zero (such as ``0``) is the zero form, of degree 1.
+    """
+    return _Parser(text, tower).parse(_Parser.form)
+
+
+def parse_rat_func(text: str, domain: RatFuncDomain):
+    """``"num/den"`` (or just ``"num"``): polynomials in ``x`` over F_p."""
+    return _Parser(text, FieldTower(domain.p, 1, 1, ("x",))).parse(_Parser.rat_func, domain)
 
 
 def _render_monomial(tower: FieldTower, exps, raw) -> str:
@@ -200,3 +292,37 @@ def render_series(series: NestedSeries, tower: FieldTower) -> str:
     if series.ceiling is not None:
         body += f" + O({tower.uniformizer}^{series.ceiling})"
     return body
+
+
+def render_form(value, tower: FieldTower | None = None) -> str:
+    """Canonical text of a windowed form: ``coeff dlog(v)^... | window(n,m)``.
+
+    Accepts an :class:`RswValue` (tower inferred) or a :class:`WindowedForm`
+    with an explicit tower.  Terms are ordered by their dlog keys,
+    coefficients render in the series-literal grammar (parenthesized when
+    they have several terms), and the zero form renders as ``0``.
+    """
+    if isinstance(value, RswValue):
+        if tower is None:
+            tower = value.character.tower
+        value = value.window
+    if tower is None:
+        raise ValueError("render_form needs the tower for variable names")
+    form = value.form
+    parts = []
+    for key in sorted(form.coeffs):
+        coeff = form.coeffs[key]
+        if coeff.is_zero():
+            continue
+        text = render_series(coeff, tower)
+        dlogs = "^".join(f"dlog({tower.variables[lam - 1]})" for lam in key)
+        if not key:
+            parts.append(text)
+        elif text == "1":
+            parts.append(dlogs)
+        else:
+            if " + " in text:
+                text = f"({text})"
+            parts.append(f"{text} {dlogs}")
+    body = " + ".join(parts) if parts else "0"
+    return f"{body} | window({value.n},{value.m})"

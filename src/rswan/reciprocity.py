@@ -208,8 +208,6 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
     coefficientwise and the residue of ``theta(f) ^_i dlog y~_i`` is traced
     down to Z/p^s.
     """
-    if isinstance(char, WittVector):
-        char = Character(char)
     char = asw_reduce(char)
     tower = char.tower
     ys = list(ys)
@@ -310,8 +308,6 @@ def verify_rsw_characterization(
     {E(x), T_lambda}, the right side through r_b with the minimal b such
     that p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1).
     """
-    if isinstance(char, WittVector):
-        char = Character(char)
     char = asw_reduce(char)
     tower = char.tower
     if tower.d not in (1, 2):

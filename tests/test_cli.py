@@ -7,6 +7,7 @@ and the exit-code contract (nonzero on any FAIL or ERROR record).
 """
 
 import json
+import random
 
 import pytest
 
@@ -16,22 +17,21 @@ from rswan.cli import (
     TASK_NAMES,
     load_config,
     main,
-    parse_rat_func,
-    parse_windowed_form,
-    render_form,
     report_body_bytes,
     run,
 )
 from rswan.errors import ConfigError, ParseError, TowerMismatch
-from rswan.logdiff import LogForm, WindowedForm
-from rswan.parser import parse_series
+from rswan.logdiff import LogForm, WindowedForm, wedge
+from rswan.parser import parse_rat_func, parse_series, parse_windowed_form, render_form
 from rswan.ratfunc import rat_func_domain
-from rswan.rsw import rsw_char_p
+from rswan.rsw import rsw_char_p, rsw_form_at
+from rswan.series import NestedSeries
 from rswan.tower import FieldTower
-from rswan.witt import WittVector, asw_reduce
+from rswan.witt import WittVector, asw_reduce, swan_conductor
 
 K2 = FieldTower(2, 1, 1, ("t",))
 K3 = FieldTower(3, 1, 1, ("t",))
+K4 = FieldTower(2, 2, 1, ("t",))
 KD = FieldTower(2, 1, 1, ("u", "t"))
 
 MAIN2 = {"p": 2, "k": 1, "s": 1, "variables": ["t"]}
@@ -63,6 +63,8 @@ def test_form_literal_round_trips():
         ("(t^-3 + t^-2) dlog(t) | window(3,1)", K2),
         ("t^-3 dlog(t) | window(3,1)", K2),
         ("(u^-1*t^-2 + u*t^-2) dlog(u) | window(2,1)", KD),
+        ("u^-1*t^-2 dlog(u)^dlog(t) | window(2,1)", KD),
+        ("((1 + g)*t^-3 + g*t^-2) dlog(t) | window(3,1)", K4),
     ]:
         parsed = parse_windowed_form(text, tower)
         assert render_form(parsed, tower) == text
@@ -77,6 +79,55 @@ def test_form_literal_errors():
         parse_windowed_form("t^-2 dlog(t) dlog(t) | window(2,0)", K2)  # repeated factor
     with pytest.raises(TowerMismatch):
         parse_windowed_form("t^-2 dlog(q) | window(2,0)", K2)  # unknown variable
+
+
+def test_form_literal_signs_follow_the_series_grammar():
+    with pytest.raises(ParseError, match="mixed-degree"):
+        parse_windowed_form("t^-3 - t^-2 dlog(t) | window(3,1)", K2)
+    canonical = parse_windowed_form("(t^-3 + t^-2) dlog(t) | window(3,1)", K3)
+    assert parse_windowed_form("t^-3 dlog(t) - 2*t^-2 dlog(t) | window(3,1)", K3) == canonical
+
+
+def test_form_literals_are_whitespace_insensitive():
+    canonical = parse_windowed_form("(t^-3 + t^-2) dlog(t) | window(3,1)", K2)
+    for text in (
+        "t^-3 dlog(t)+t^-2 dlog(t) | window(3,1)",
+        "(t^-3 + t^-2) dlog(t) | window(3, 1)",
+        "(t^-3 + t^-2)dlog(t) | window(3,1)",
+    ):
+        assert parse_windowed_form(text, K2) == canonical
+
+
+def test_random_refined_invariants_round_trip():
+    rng = random.Random(20261018)
+    towers = [FieldTower(p, k, s, vs) for p in (2, 3) for k in (1, 2) for s in (1, 2)
+              for vs in (("t",), ("u", "t"))]
+    checked = 0
+    for _ in range(4):
+        for tower in towers:
+            dom = tower.field_domain
+            comps = [
+                NestedSeries.from_monomials(tower.d, dom, [
+                    (tuple(rng.randint(-2, 2) for _ in range(tower.d - 1)) + (rng.randint(-4, 2),),
+                     dom.random_nonzero(rng))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for _ in range(tower.s)
+            ]
+            chi = asw_reduce(WittVector(tower, tuple(comps)))
+            n = swan_conductor(chi)
+            if not n:
+                continue
+            value = rsw_form_at(chi.vector, n)
+            forms = [value]
+            if tower.d == 2:  # degree 2: the invariant is closed, so wedge with a dlog
+                forms += [WindowedForm(wedge(value.form, LogForm.basis(2, dom, (lam,))), n, value.m)
+                          for lam in (1, 2)]
+            for form in forms:
+                text = render_form(form, tower)
+                assert render_form(parse_windowed_form(text, tower), tower) == text
+                checked += 1
+    assert checked >= 40
 
 
 def test_bare_dlog_coefficient_is_one():
@@ -103,6 +154,16 @@ def test_parse_rat_func_errors():
         parse_rat_func("y + 1", dom)
     with pytest.raises(ParseError):
         parse_rat_func("", dom)
+
+
+def test_rat_func_literals_follow_the_series_grammar():
+    dom = rat_func_domain(3)
+    for text in ("1-+x", "x - - 1", "2 x", "x^-1", "(1 + x)^-1"):
+        with pytest.raises(ParseError):
+            parse_rat_func(text, dom)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_rat_func("x/(3 + 3*x)", dom)
+    assert parse_rat_func(" ( 1+x ) / x^2 ", dom) == dom.from_polys([1, 1], [0, 0, 1])
 
 
 # ---------------------------------------------------------------- validation
@@ -203,6 +264,35 @@ def test_out_of_range_literal_exponents_exit_two(tmp_path, capsys):
         assert main(["run", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
         assert label in err and "below the supported range" in err
+
+
+def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
+    bad_tasks = [
+        ({"task": "thmC", "f": {"-20000": "x"}}, "below the supported range"),
+        ({"task": "thmC", "f": {"-3": "x/0"}}, "zero denominator"),
+        ({"task": "thmC", "f": {"-3": "2 x"}}, "does not parse"),
+        ({"task": "thmC", "f": {"x": "1"}}, "nonempty 'f'"),
+        ({"task": "thmC", "f": {"-3": "x"}, "exponents": [0]}, "'exponents'"),
+        ({"task": "thmC", "f": {"-3": "x"}, "exponents": [-2]}, "'exponents'"),
+        ({"task": "thmC", "f": {"-3": "x"}, "x0": "a"}, "integer 'x0'"),
+        ({"task": "thmC", "f": {"-3": "x"}, "x0": True}, "integer 'x0'"),
+        ({"task": "thmB", "t_values": "ab"}, "'t_values'"),
+        ({"task": "thmB", "t_values": [True]}, "'t_values'"),
+        ({"task": "duality", "n": 2, "m": 0, "b": "x"}, "non-negative integer 'b'"),
+        ({"task": "duality", "n": 2, "m": 0, "b": True}, "non-negative integer 'b'"),
+        ({"task": "duality", "n": True, "m": False}, "integer window bounds"),
+    ]
+    for task, message in bad_tasks:
+        doc = config_doc(tasks=[task])
+        with pytest.raises(ConfigError, match=message):
+            load_config(doc)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
+    good = config_doc(tasks=[
+        {"task": "thmC", "f": {"-3": "x"}, "exponents": [2, 4], "x0": 1},
+        {"task": "duality", "n": 2, "m": 0, "b": 1},
+    ])
+    assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS", "PASS"]
 
 
 def test_cli_precision_override_wins():

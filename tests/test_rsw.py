@@ -15,7 +15,7 @@ import random
 import pytest
 
 from rswan.catalog import catalog_characters
-from rswan.cli import render_form
+from rswan.parser import render_form
 from rswan.errors import InconsistentValue, UnramifiedCharacter
 from rswan.logdiff import LogForm, WindowedForm, d
 from rswan.rsw import (
