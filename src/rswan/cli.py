@@ -65,6 +65,7 @@ CONVENTIONS = {
 }
 
 _FAILING_STATUSES = ("FAIL", "ERROR")
+_THMB_T_VALUES = (3, 5, 7)  # thmB's family exponents when a task gives none
 
 
 # ------------------------------------------------------------- configuration
@@ -125,6 +126,16 @@ def _is_int(value) -> bool:
 
 def _positive_ints(value) -> bool:
     return isinstance(value, list) and bool(value) and all(_is_int(v) and v > 0 for v in value)
+
+
+def _ratio_texts(value) -> bool:
+    """A list of rationals written as the report writes them (``"5/2"``, ``"3"``)."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        return False
+    try:
+        return all(str(Fraction(v)) == v for v in value)
+    except (ValueError, ZeroDivisionError):
+        return False
 
 
 def load_config(doc: dict, precision: int | None = None) -> RunConfig:
@@ -259,6 +270,23 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             _require(
                 _positive_ints(task[list_field]),
                 f"task #{idx} ({kind}) needs {list_field!r} to be a nonempty list of positive integers",
+            )
+        if kind in ("thmB", "thmC") and "expect_ratios" in task:
+            _require(
+                _ratio_texts(task["expect_ratios"]),
+                f"task #{idx} ({kind}) needs 'expect_ratios' to be a list of ratio strings "
+                "written as the report writes them, such as \"5/2\"",
+            )
+        if kind == "thmB":
+            p = towers["main"].p
+            _require(
+                all(t % p for t in task.get("t_values", _THMB_T_VALUES)),
+                f"task #{idx} (thmB) needs 't_values' prime to p = {p}",
+            )
+        if kind == "exp-congruences" and "p" in task:
+            _require(
+                _is_int(task["p"]) and task["p"] in (2, 3, 5),
+                f"task #{idx} (exp-congruences) needs 'p' to be one of 2, 3, 5",
             )
         if kind == "thmC":
             f_doc = task.get("f")
@@ -417,7 +445,7 @@ def _run_conductor_change(config: RunConfig, task: dict, task_seed: int) -> list
 
 def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
     p = config.main_tower.p
-    t_values = tuple(task.get("t_values", (3, 5, 7)))
+    t_values = tuple(task.get("t_values", _THMB_T_VALUES))
     chi, family = imperfect_residue_family(p, t_values)
     out = perfect_residue_ratios(chi, family)
     n = out["sw_source"]

@@ -247,7 +247,8 @@ def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
     """Inverse of :func:`render_form`.
 
     A ``dlog`` name outside the tower raises :class:`TowerMismatch`.  A body
-    of degree 0 that is zero (such as ``0``) is the zero form, of degree 1.
+    of degree 0 that is zero (such as ``0``) is the zero form, of degree 1;
+    a zero body with a ``dlog`` chain is the zero form of the chain's degree.
     """
     return _Parser(text, tower).parse(_Parser.form)
 
@@ -300,7 +301,9 @@ def render_form(value, tower: FieldTower | None = None) -> str:
     Accepts an :class:`RswValue` (tower inferred) or a :class:`WindowedForm`
     with an explicit tower.  Terms are ordered by their dlog keys,
     coefficients render in the series-literal grammar (parenthesized when
-    they have several terms), and the zero form renders as ``0``.
+    they have several terms).  The zero form of degree 1 renders as ``0``;
+    one of higher degree as ``0`` times the chain of the first variables,
+    such as ``0 dlog(u)^dlog(t)``, so that it parses back at its degree.
     """
     if isinstance(value, RswValue):
         if tower is None:
@@ -315,7 +318,7 @@ def render_form(value, tower: FieldTower | None = None) -> str:
         if coeff.is_zero():
             continue
         text = render_series(coeff, tower)
-        dlogs = "^".join(f"dlog({tower.variables[lam - 1]})" for lam in key)
+        dlogs = _dlog_chain(tower, key)
         if not key:
             parts.append(text)
         elif text == "1":
@@ -324,5 +327,11 @@ def render_form(value, tower: FieldTower | None = None) -> str:
             if " + " in text:
                 text = f"({text})"
             parts.append(f"{text} {dlogs}")
+    if not parts and form.degree > 1:
+        parts.append(f"0 {_dlog_chain(tower, range(1, form.degree + 1))}")
     body = " + ".join(parts) if parts else "0"
     return f"{body} | window({value.n},{value.m})"
+
+
+def _dlog_chain(tower: FieldTower, key) -> str:
+    return "^".join(f"dlog({tower.variables[lam - 1]})" for lam in key)

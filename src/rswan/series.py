@@ -16,11 +16,35 @@ exact through ring operations; finite windows appear where they must
 (inversion, reversion, substitution through non-monomial images) and
 propagate by window intersection.  Operations that cannot certify a result
 raise :class:`PrecisionExhausted` instead of truncating silently.
+
+Multiplication
+--------------
+A level-1 product over ``(Z/p^s)[x]/(f)`` (``F_q`` and its lifts) with at
+least ``_KRONECKER_MIN_PAIRS`` term pairs, and no more exponent slots than
+term pairs, goes through a Kronecker-substitution kernel: each operand,
+trimmed to the exponents the result ceiling can use, is packed into one
+Python int with one slot per exponent (``2k - 1`` sub-slots, one per power
+of ``g``, when ``k > 1``); the two ints are multiplied once, and the slots
+of the product are read back, reduced mod ``p^s`` and, for ``k > 1``,
+through the reduction rows of ``f``.  It is exact because a slot never
+carries into the next: a product slot sums at most ``min(len) * k``
+products of two residues below ``p^s``, so a slot of
+``min(len) * k * (p^s - 1)^2`` (rounded up to 1, 2, 4 or 8 bytes) holds it.
+Smaller or sparser products, ``F_p(x)`` coefficients and levels >= 2 use
+the dict loop ``_schoolbook_mul``, which stays as the reference.  Results
+of ring operations are built by ``_make``, which skips the per-entry checks
+of ``__init__`` but still drops zeros, cuts at the ceiling and refuses
+exponents below the supported range.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
+
 from .errors import NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
+from .scalars import _QuotientDomain
 
 __all__ = [
     "NestedSeries",
@@ -30,11 +54,155 @@ __all__ = [
 ]
 
 _ORD_FLOOR = -10_000
+_new = object.__new__
+_set = object.__setattr__  # series are immutable: their own __setattr__ raises
 
 
 def _min_ceiling(*cs):
     finite = [c for c in cs if c is not None]
     return min(finite) if finite else None
+
+
+def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None) -> "NestedSeries":
+    """Trusted constructor for the result of an operation on valid series.
+
+    The operands passed ``_check_compatible`` (or there is one operand), so
+    the per-entry type and level checks of ``NestedSeries.__init__`` are
+    skipped; zeros are still dropped, the ceiling still cuts and an exponent
+    below the supported range still raises ``ValueError``.  ``__init__``
+    passes itself as ``out`` once it has made those checks.
+    """
+    clean = {}
+    if level > 1:
+        # Only an *exactly* zero coefficient may be dropped.  A slot that is
+        # zero merely within a finite window stays stored: absent slots read
+        # back as exact zeros, so pruning it would claim knowledge beyond the
+        # slot's inner ceiling.
+        for e, c in coeffs.items():
+            if (ceiling is None or e < ceiling) and not (c.is_zero() and c.is_exact()):
+                clean[e] = c
+    elif isinstance(domain, _QuotientDomain):
+        # Raw ints and tuples: comparing with the raw zero is the zero test,
+        # without a method call per entry.
+        zero = domain.zero()
+        for e, c in coeffs.items():
+            if c != zero and (ceiling is None or e < ceiling):
+                clean[e] = c
+    else:
+        is_zero = domain.is_zero
+        for e, c in coeffs.items():
+            if (ceiling is None or e < ceiling) and not is_zero(c):
+                clean[e] = c
+    if clean and min(clean) < _ORD_FLOOR:
+        raise ValueError(f"exponent {min(clean)} below the supported range (>{_ORD_FLOOR})")
+    if out is None:
+        out = _new(NestedSeries)
+    _set(out, "level", level)
+    _set(out, "domain", domain)
+    _set(out, "coeffs", clean)
+    _set(out, "ceiling", ceiling)
+    return out
+
+
+# Below this many term pairs the dict loop is as fast as packing or faster;
+# measured with bench/series_mul.py (BENCH_5.json), which puts the crossover
+# at 36 to 49 pairs from run to run.
+_KRONECKER_MIN_PAIRS = 49
+# Slot sizes in bytes -> array typecode of that item size.
+_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _schoolbook_mul(a: dict, b: dict, ceiling: int | None, mul, add) -> dict:
+    """Coefficient map of a product, term pair by term pair (zeros kept)."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if ceiling is not None and e >= ceiling:
+                continue
+            prod = mul(ca, cb)
+            out[e] = add(out[e], prod) if e in out else prod
+    return out
+
+
+def _kronecker_applies(domain, a: dict, b: dict) -> bool:
+    """Whether a level-1 product with enough term pairs goes through
+    :func:`_kronecker_mul`.
+
+    It needs ``(Z/p^s)[x]/(f)`` scalars and a dense enough support: the
+    kernel touches every exponent slot of the product, the dict loop every
+    term pair.
+    """
+    return (
+        isinstance(domain, _QuotientDomain)
+        and max(a) - min(a) + max(b) - min(b) < len(a) * len(b)
+    )
+
+
+def _pack(coeffs: dict, low: int, high: int, domain, code: str) -> int:
+    """One int holding ``coeffs`` in slots of ``code``'s width from ``low``.
+
+    Exponent ``e`` takes ``2k - 1`` consecutive slots, the first ``k`` for
+    the ``g``-power coordinates of its coefficient.
+    """
+    k, m = domain.k, domain.modulus
+    stride = 2 * k - 1
+    dense = [0] * ((high - low + 1) * stride)
+    if k == 1:
+        for e, c in coeffs.items():
+            dense[e - low] = c % m
+    else:
+        for e, c in coeffs.items():
+            i = (e - low) * stride
+            dense[i:i + k] = [x % m for x in c]
+    return int.from_bytes(array(code, dense).tobytes(), sys.byteorder)
+
+
+def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
+    """Coefficient map of a level-1 product by Kronecker substitution.
+
+    Same values as :func:`_schoolbook_mul` with the domain's ``mul`` and
+    ``add`` (zeros dropped): both reduce the same integer sums mod ``p^s``.
+    """
+    la, lb = min(a), min(b)
+    if ceiling is not None:
+        if la + lb >= ceiling:
+            return {}
+        if max(a) + lb >= ceiling:
+            a = {e: c for e, c in a.items() if e + lb < ceiling}
+        if max(b) + la >= ceiling:
+            b = {e: c for e, c in b.items() if e + la < ceiling}
+    k, m = domain.k, domain.modulus
+    # A product slot sums at most min(len) * k products of two residues.
+    need = (min(len(a), len(b)) * k * (m - 1) ** 2).bit_length()
+    size = min((s for s in _SLOT_CODES if 8 * s >= need), default=None)
+    if size is None:  # wider than 8 bytes: more terms than any window holds
+        return _schoolbook_mul(a, b, ceiling, domain.mul, domain.add)
+    code = _SLOT_CODES[size]
+    ha, hb = max(a), max(b)
+    prod = _pack(a, la, ha, domain, code) * _pack(b, lb, hb, domain, code)
+    stride = 2 * k - 1
+    e0 = la + lb
+    span = ha + hb - e0 + 1
+    vals = memoryview(prod.to_bytes(span * stride * size, sys.byteorder)).cast(code)
+    top = span if ceiling is None else min(span, ceiling - e0)
+    if k == 1:
+        return {e0 + i: r for i, v in enumerate(vals[:top]) if (r := v % m)}
+    rows = domain._red_rows
+    out = {}
+    for j in range(top):
+        sub = vals[j * stride:(j + 1) * stride]
+        acc = list(sub[:k])
+        for d in range(k, stride):
+            c = sub[d]
+            if c:
+                row = rows[d - k]
+                for i in range(k):
+                    acc[i] += c * row[i]
+        coeff = tuple(x % m for x in acc)
+        if any(coeff):
+            out[e0 + j] = coeff
+    return out
 
 
 class NestedSeries:
@@ -43,29 +211,11 @@ class NestedSeries:
     def __init__(self, level: int, domain, coeffs: dict, ceiling: int | None = None):
         if level < 1:
             raise ValueError("series level must be >= 1")
-        clean = {}
-        for e, c in coeffs.items():
-            if ceiling is not None and e >= ceiling:
-                continue
-            if e < _ORD_FLOOR:
-                raise ValueError(f"exponent {e} below the supported range (>{_ORD_FLOOR})")
-            if level == 1:
-                if domain.is_zero(c):
-                    continue
-            else:
+        if level > 1:
+            for c in coeffs.values():
                 if not isinstance(c, NestedSeries) or c.level != level - 1:
                     raise TowerMismatch("coefficient level does not match series level")
-                # Only an *exactly* zero coefficient may be dropped.  A slot
-                # that is zero merely within a finite window stays stored:
-                # absent slots read back as exact zeros, so pruning it would
-                # claim knowledge beyond the slot's inner ceiling.
-                if c.is_zero() and c.is_exact():
-                    continue
-            clean[e] = c
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "ceiling", ceiling)
+        _make(level, domain, coeffs, ceiling, self)
 
     def __setattr__(self, *a):
         raise AttributeError("series are immutable")
@@ -192,22 +342,16 @@ class NestedSeries:
     def _cneg(self, a):
         return self.domain.neg(a) if self.level == 1 else -a
 
-    def _cmul(self, a, b):
-        return self.domain.mul(a, b) if self.level == 1 else a * b
-
-    def _ciszero(self, a) -> bool:
-        return self.domain.is_zero(a) if self.level == 1 else a.is_zero()
-
     def __add__(self, other):
         self._check_compatible(other)
         ceiling = _min_ceiling(self.ceiling, other.ceiling)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = self._cadd(out[e], c) if e in out else c
-        return NestedSeries(self.level, self.domain, out, ceiling)
+        return _make(self.level, self.domain, out, ceiling)
 
     def __neg__(self):
-        return NestedSeries(
+        return _make(
             self.level, self.domain, {e: self._cneg(c) for e, c in self.coeffs.items()}, self.ceiling
         )
 
@@ -220,15 +364,14 @@ class NestedSeries:
             None if self.ceiling is None else self.ceiling + other.low(),
             None if other.ceiling is None else other.ceiling + self.low(),
         )
-        out: dict = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = ea + eb
-                if ceiling is not None and e >= ceiling:
-                    continue
-                prod = self._cmul(ca, cb)
-                out[e] = self._cadd(out[e], prod) if e in out else prod
-        return NestedSeries(self.level, self.domain, out, ceiling)
+        a, b, domain = self.coeffs, other.coeffs, self.domain
+        if self.level > 1:
+            out = _schoolbook_mul(a, b, ceiling, operator.mul, operator.add)
+        elif len(a) * len(b) >= _KRONECKER_MIN_PAIRS and _kronecker_applies(domain, a, b):
+            out = _kronecker_mul(domain, a, b, ceiling)
+        else:
+            out = _schoolbook_mul(a, b, ceiling, domain.mul, domain.add)
+        return _make(self.level, domain, out, ceiling)
 
     def scalar_mul(self, raw) -> "NestedSeries":
         """Multiply by a raw scalar of the coefficient domain."""
@@ -238,7 +381,7 @@ class NestedSeries:
             out = {e: self.domain.mul(c, raw) for e, c in self.coeffs.items()}
         else:
             out = {e: c.scalar_mul(raw) for e, c in self.coeffs.items()}
-        return NestedSeries(self.level, self.domain, out, self.ceiling)
+        return _make(self.level, self.domain, out, self.ceiling)
 
     def mul_int(self, n: int) -> "NestedSeries":
         return self.scalar_mul(self.domain.from_int(n))
@@ -249,7 +392,7 @@ class NestedSeries:
 
     def shift(self, n: int) -> "NestedSeries":
         """Multiply by T^n in the top variable."""
-        return NestedSeries(
+        return _make(
             self.level,
             self.domain,
             {e + n: c for e, c in self.coeffs.items()},
@@ -262,7 +405,7 @@ class NestedSeries:
             return self.shift(n)
         if var_level > self.level or var_level < 1:
             raise TowerMismatch(f"no variable at level {var_level}")
-        return NestedSeries(
+        return _make(
             self.level,
             self.domain,
             {e: c.shift_at(var_level, n) for e, c in self.coeffs.items()},
@@ -273,7 +416,7 @@ class NestedSeries:
         new = _min_ceiling(self.ceiling, ceiling)
         if new == self.ceiling:
             return self
-        return NestedSeries(self.level, self.domain, self.coeffs, new)
+        return _make(self.level, self.domain, self.coeffs, new)
 
     def pow(self, n: int, precision: int | None = None) -> "NestedSeries":
         if n < 0:
@@ -335,7 +478,7 @@ class NestedSeries:
         else:
             out = {e * p_t: c.frobenius(times) for e, c in self.coeffs.items()}
         ceiling = None if self.ceiling is None else (self.ceiling - 1) * p_t + 1
-        return NestedSeries(self.level, self.domain, out, ceiling)
+        return _make(self.level, self.domain, out, ceiling)
 
     def pth_root(
         self, *, skip_prime_to_p: bool = False, skip_non_powers: bool = False

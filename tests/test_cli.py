@@ -21,7 +21,7 @@ from rswan.cli import (
     run,
 )
 from rswan.errors import ConfigError, ParseError, TowerMismatch
-from rswan.logdiff import LogForm, WindowedForm, wedge
+from rswan.logdiff import LogForm, WindowedForm, d, wedge
 from rswan.parser import parse_rat_func, parse_series, parse_windowed_form, render_form
 from rswan.ratfunc import rat_func_domain
 from rswan.rsw import rsw_char_p, rsw_form_at
@@ -64,6 +64,7 @@ def test_form_literal_round_trips():
         ("t^-3 dlog(t) | window(3,1)", K2),
         ("(u^-1*t^-2 + u*t^-2) dlog(u) | window(2,1)", KD),
         ("u^-1*t^-2 dlog(u)^dlog(t) | window(2,1)", KD),
+        ("0 dlog(u)^dlog(t) | window(2,1)", KD),
         ("((1 + g)*t^-3 + g*t^-2) dlog(t) | window(3,1)", K4),
     ]:
         parsed = parse_windowed_form(text, tower)
@@ -120,12 +121,15 @@ def test_random_refined_invariants_round_trip():
                 continue
             value = rsw_form_at(chi.vector, n)
             forms = [value]
-            if tower.d == 2:  # degree 2: the invariant is closed, so wedge with a dlog
+            if tower.d == 2:  # degree 2: d of the invariant (zero: it is closed) and wedges
+                forms.append(WindowedForm(d(value.form), n, value.m))
                 forms += [WindowedForm(wedge(value.form, LogForm.basis(2, dom, (lam,))), n, value.m)
                           for lam in (1, 2)]
             for form in forms:
                 text = render_form(form, tower)
-                assert render_form(parse_windowed_form(text, tower), tower) == text
+                parsed = parse_windowed_form(text, tower)
+                assert parsed == form
+                assert render_form(parsed, tower) == text
                 checked += 1
     assert checked >= 40
 
@@ -293,6 +297,40 @@ def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
         {"task": "duality", "n": 2, "m": 0, "b": 1},
     ])
     assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS", "PASS"]
+
+
+def assert_config_error(tmp_path, capsys, doc, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_expect_ratios_are_checked_at_load_time(tmp_path, capsys):
+    for ratios in (5, "5/2", [5], ["10/4"], ["x"], ["1/0"], [" 5/2"]):
+        for task in ({"task": "thmB"}, {"task": "thmC", "f": {"-3": "x"}}):
+            doc = config_doc(tasks=[{**task, "expect_ratios": ratios}])
+            assert_config_error(tmp_path, capsys, doc, "'expect_ratios'")
+    good = config_doc(tasks=[{"task": "thmB", "expect_ratios": ["5/3", "9/5", "13/7"]}])
+    assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS"]
+
+
+def test_thmB_t_values_must_be_prime_to_p(tmp_path, capsys):
+    assert_config_error(tmp_path, capsys, config_doc(tasks=[{"task": "thmB", "t_values": [2]}]),
+                        "prime to p = 2")
+    # the default family (3, 5, 7) is not prime to 3
+    assert_config_error(tmp_path, capsys, config_doc(tower=MAIN3, tasks=[{"task": "thmB"}]),
+                        "prime to p = 3")
+    good = config_doc(tower=MAIN3, tasks=[{"task": "thmB", "t_values": [2, 5]}])
+    assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS"]
+
+
+def test_exp_congruences_p_is_checked_at_load_time(tmp_path, capsys):
+    for p in (4, "x", True, 7, 2.0):
+        doc = config_doc(tasks=[{"task": "exp-congruences", "p": p}])
+        assert_config_error(tmp_path, capsys, doc, "'p' to be one of 2, 3, 5")
+    good = config_doc(tasks=[{"task": "exp-congruences", "p": 5}])
+    assert {r["status"] for r in run(load_config(good))["tasks"]} == {"PASS"}
 
 
 def test_cli_precision_override_wins():

@@ -5,7 +5,9 @@ Oracles used here:
   * substitution and reversion are checked against hand-expanded
     polynomials and the defining identity f(g) = t;
   * random-series arithmetic identities certify the ring structure;
-  * window propagation rules are asserted with exact expected ceilings.
+  * window propagation rules are asserted with exact expected ceilings;
+  * the Kronecker product kernel is compared against the schoolbook dict
+    product, which stays as the reference.
 """
 
 import random
@@ -22,9 +24,14 @@ from rswan.errors import (
     ZeroInput,
 )
 from rswan.parser import parse_series, render_series
-from rswan.scalars import fq_domain
+from rswan.ratfunc import rat_func_domain
+from rswan.scalars import fq_domain, galois_ring_domain
 from rswan.series import (
+    _KRONECKER_MIN_PAIRS,
     NestedSeries,
+    _kronecker_applies,
+    _kronecker_mul,
+    _schoolbook_mul,
     identity_images,
     series_reverse,
     series_substitute,
@@ -355,3 +362,122 @@ def test_cross_domain_operations_refused():
     b = mono(1, F3, (1,))
     with pytest.raises((TowerMismatch, InconsistentValue)):
         a + b
+
+
+# ------------------------------------------------------ multiplication kernel
+
+def schoolbook(x, y):
+    """The reference product: dict loop and the validating constructor."""
+    ceiling = (x * y).ceiling
+    out = _schoolbook_mul(x.coeffs, y.coeffs, ceiling, x.domain.mul, x.domain.add)
+    return NestedSeries(1, x.domain, out, ceiling)
+
+
+def uses_kernel(x, y):
+    pairs = len(x.coeffs) * len(y.coeffs)
+    return pairs >= _KRONECKER_MIN_PAIRS and _kronecker_applies(x.domain, x.coeffs, y.coeffs)
+
+
+def random_window(rng, domain, width, density=1.0):
+    """Up to ``width`` terms from a random (often negative) exponent; a window
+    or exact."""
+    low = rng.randint(-40, 10)
+    coeffs = {e: domain.random_nonzero(rng) for e in range(low, low + width)
+              if rng.random() < density} or {low: domain.one()}
+    ceiling = None if rng.random() < 0.4 else low + width + rng.randint(0, 4)
+    return NestedSeries(1, domain, coeffs, ceiling)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kronecker_product_matches_the_schoolbook_oracle(p, k, s):
+    domain = fq_domain(p, k) if s == 1 else galois_ring_domain(p, k, s)
+    rng = random.Random(1000 * p + 100 * k + s)
+    sides = {"below": 0, "kernel": 0}
+    for i in range(24):
+        # alternate small and large widths: term-pair counts on both sides
+        # of the cutoff
+        widths = (1, 5) if i % 2 else (8, 40)
+        x = random_window(rng, domain, rng.randint(*widths), rng.choice((0.5, 1.0)))
+        y = random_window(rng, domain, rng.randint(*widths), rng.choice((0.5, 1.0)))
+        assert x * y == schoolbook(x, y)
+        # the kernel itself agrees on every size, the cutoff aside
+        ceiling = (x * y).ceiling
+        direct = NestedSeries(1, domain, _kronecker_mul(domain, x.coeffs, y.coeffs, ceiling), ceiling)
+        assert direct == schoolbook(x, y)
+        sides["kernel" if uses_kernel(x, y) else "below"] += 1
+    assert sides["below"] and sides["kernel"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kronecker_worst_case_slot_sums(p):
+    """Every coordinate at p^s - 1 makes the largest slot sum reach its
+    bound, min(len) * k * (p^s - 1)^2; widths on both sides of each slot-size
+    boundary (2^8, 2^16, 2^32)."""
+    for k in (1, 2):
+        for s in (1, 2, 3, 4):
+            domain = fq_domain(p, k) if s == 1 else galois_ring_domain(p, k, s)
+            top = domain.from_coeffs([domain.modulus - 1] * k)
+            per_pair = k * (domain.modulus - 1) ** 2
+            for bits in (8, 16, 32):
+                n = -(-(1 << bits) // per_pair)  # the first width past the boundary
+                for width in {max(1, n - 1), n}:
+                    if width > 300:
+                        continue
+                    x = NestedSeries(1, domain, {e: top for e in range(-width, 0)})
+                    assert x * x == schoolbook(x, x)
+
+
+def test_kronecker_cancellation_and_full_square():
+    rng = random.Random(7)
+    for domain in (F2, F4, galois_ring_domain(3, 1, 4)):
+        x = random_window(rng, domain, 24)
+        assert uses_kernel(x, -x)
+        assert (x * x - x * x).is_zero()
+        assert x * (-x) == -schoolbook(x, x)
+    # (sum of t^i, i < 16)^2 over F_2 keeps only the even exponents
+    ones = NestedSeries(1, F2, {e: 1 for e in range(16)})
+    assert ones * ones == NestedSeries(1, F2, {e: 1 for e in range(0, 31, 2)})
+
+
+def test_sparse_and_rational_function_products_keep_the_dict_loop():
+    sparse = NestedSeries(1, F3, {e: 1 for e in range(0, 8000, 1000)})
+    assert len(sparse.coeffs) ** 2 >= _KRONECKER_MIN_PAIRS
+    assert not uses_kernel(sparse, sparse)
+    assert sparse * sparse == schoolbook(sparse, sparse)
+    dom = rat_func_domain(3)
+    rng = random.Random(11)
+    x = NestedSeries(1, dom, {e: dom.random_nonzero(rng) for e in range(-6, 6)}, 6)
+    assert not uses_kernel(x, x)
+    assert x * x == schoolbook(x, x)
+
+
+def test_trusted_results_store_no_zero_and_nothing_at_the_ceiling():
+    rng = random.Random(13)
+    for domain in (F2, F3, F4, galois_ring_domain(2, 1, 3)):
+        for _ in range(10):
+            x = random_window(rng, domain, rng.randint(1, 30))
+            y = random_window(rng, domain, rng.randint(1, 30))
+            results = [x + y, x - y, -x, x * y, x * x, x.shift(-3), x.truncate(2),
+                       x.scalar_mul(domain.random_nonzero(rng))]
+            if domain.s == 1:
+                results.append(x.frobenius())
+            for r in results:
+                assert not any(domain.is_zero(c) for c in r.coeffs.values())
+                assert r.ceiling is None or all(e < r.ceiling for e in r.coeffs)
+            assert (x - x).coeffs == {}
+
+
+def test_exponent_floor_guards_the_operations_that_move_exponents():
+    deep = mono(1, F2, (-6000,))
+    with pytest.raises(ValueError, match="below the supported range"):
+        deep * deep
+    wide = NestedSeries(1, F2, {e: 1 for e in range(-6000, -5990)})
+    assert uses_kernel(wide, wide)
+    with pytest.raises(ValueError, match="below the supported range"):
+        wide * wide
+    with pytest.raises(ValueError, match="below the supported range"):
+        deep.shift(-6000)
+    with pytest.raises(ValueError, match="below the supported range"):
+        mono(1, F3, (-4000,)).frobenius()
