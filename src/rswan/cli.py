@@ -26,7 +26,7 @@ from .extensions import (
     imperfect_residue_family,
     perfect_residue_ratios,
 )
-from .logdiff import duality_matrix, gram_is_invertible
+from .logdiff import duality_matrix, gram_is_invertible, minimal_b
 from .parser import parse_rat_func, parse_series, parse_windowed_form, render_form, render_series
 from .ratfunc import rat_func_domain
 from .reciprocity import check_exp_congruences, verify_rsw_characterization
@@ -376,12 +376,9 @@ def _run_rsw(config: RunConfig, task: dict, task_seed: int) -> list:
 def _run_duality(config: RunConfig, task: dict, task_seed: int) -> list:
     tower = config.towers[task.get("tower", "main")]
     n, m = task["n"], task["m"]
-    width = n - m
     b = task.get("b")
     if b is None:
-        b = 0
-        while tower.p**b < width:
-            b += 1
+        b = minimal_b(tower.p, n - m)
     degrees = {}
     for i in range(tower.d + 1):
         j = tower.d - i

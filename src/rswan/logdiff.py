@@ -41,6 +41,7 @@ __all__ = [
     "residue_step",
     "residue_to_prime_field",
     "r_b",
+    "minimal_b",
     "wedge_windowed",
     "scale_windowed",
     "duality_matrix",
@@ -360,6 +361,14 @@ def wedge_windowed(x: WindowedForm, y: WindowedForm) -> WindowedForm:
         )
     a = x.width
     return WindowedForm(wedge(x.form, y.form), a - 1, -1)
+
+
+def minimal_b(p: int, a: int) -> int:
+    """The smallest b with p^b >= a: the least r_b that collapses width a."""
+    b = 0
+    while p**b < a:
+        b += 1
+    return b
 
 
 def r_b(x: WindowedForm, b: int):

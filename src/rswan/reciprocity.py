@@ -35,6 +35,7 @@ from .logdiff import (
     LogForm,
     WindowedForm,
     dlog,
+    minimal_b,
     r_b,
     residue_to_prime_field,
     wedge,
@@ -318,10 +319,7 @@ def verify_rsw_characterization(
         raise UnramifiedCharacter("the identity is about ramified characters")
     value = rsw_char_p(char)
     m = value.m
-    a = n - m
-    b = 0
-    while p**b < a:
-        b += 1
+    b = minimal_b(p, n - m)
     theta = theta_lift(char.vector)
     rng = random.Random(seed)
     agreements = 0

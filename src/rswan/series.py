@@ -421,14 +421,14 @@ class NestedSeries:
     def pow(self, n: int, precision: int | None = None) -> "NestedSeries":
         if n < 0:
             return self.inv(precision).pow(-n)
-        acc = NestedSeries.one(self.level, self.domain)
+        acc = None
         base = self
         while n:
             if n & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             base = base * base if n > 1 else base
             n >>= 1
-        return acc
+        return NestedSeries.one(self.level, self.domain) if acc is None else acc
 
     def inv(self, precision: int | None = None) -> "NestedSeries":
         """Multiplicative inverse, Newton iteration on the top variable.
@@ -633,14 +633,17 @@ def _substitute(a, images, powers, out_level, domain, precision):
 
 
 def _image_power(img: NestedSeries, table: dict, e: int, precision) -> NestedSeries:
-    """``img^e`` from the power table of its level; ``table[-1]`` is the one inverse."""
+    """``img^e`` from the power table of its level; ``table[-1]`` is the one
+    inverse, and a power next to a stored one is one product away from it."""
+    if e < 0 and -1 not in table:
+        table[-1] = img.inv(precision)
     if e not in table:
-        if e >= 0:
-            table[e] = img.pow(e)
+        if e - 1 in table and e not in (0, 1):
+            table[e] = table[e - 1] * img
+        elif e + 1 in table and e < -1:
+            table[e] = table[e + 1] * table[-1]
         else:
-            if -1 not in table:
-                table[-1] = img.inv(precision)
-            table[e] = table[-1].pow(-e)
+            table[e] = img.pow(e) if e >= 0 else table[-1].pow(-e)
     return table[e]
 
 

@@ -21,6 +21,19 @@ and the result is reduced mod p.  Double length makes every division exact
 and leaves the mod-p answer correct (``z_n`` is accurate mod ``p^(2s-n)``).
 Length-1 vectors use plain componentwise arithmetic, which also serves
 coefficient domains without a stored lift ring (rational-function scalars).
+
+Reduction
+---------
+Slots are reduced in standard order ``x_0, x_1, ...`` (internal ``s - 1`` down
+to 0).  With ``E`` nonzero only in standard slot ``j``, ``E - F(E)`` lies in
+``V^j W``: adding it leaves ``x_0, ..., x_{j-1}`` alone, adds ``U - U^p`` to
+``x_j`` and carries only into lighter slots.  So a slot runs the
+Artin–Schreier loop ``x <- x - u^p + u`` on its one series, collecting ``U``,
+then takes one combination ``comps - F(E) + E``, after which slot ``j`` must
+agree with the series-level result and each finished slot with its old value
+(on the common window: a windowed combination may narrow it).  The weight-1
+slot (internal 0) carries into nothing and takes the series-level result
+directly, so at ``s = 1`` no combination runs.
 """
 
 from __future__ import annotations
@@ -226,31 +239,6 @@ def swan_of_components(comps, p: int) -> int:
 
 # ----------------------------------------------------------- reduction loop
 
-def _find_reducible(comps, p: int):
-    """Deepest removable polar term: ``(weighted_ord, slot, u)``.
-
-    ``u`` is the p-th root of the term's removable part, as a one-term
-    series: the coboundary of ``u`` in that slot cancels the part.
-    """
-    best = None
-    domain = comps[0].domain
-    level = comps[0].level
-    for i, comp in enumerate(comps):
-        w = p**i
-        for e in sorted(comp.coeffs):
-            if e >= 0:
-                break
-            term = NestedSeries(level, domain, {e: comp.coeffs[e]})
-            u = term.pth_root(skip_prime_to_p=True, skip_non_powers=True)
-            if not u.coeffs:
-                continue
-            cand = (w * e, i, u)
-            if best is None or cand[0] < best[0]:
-                best = cand
-            break  # deeper terms in this slot dominate shallower ones
-    return best
-
-
 def _check_windows_cover_polar_part(comps):
     for i, c in enumerate(comps):
         if c.ceiling is not None and c.ceiling <= 0:
@@ -261,40 +249,44 @@ def _check_windows_cover_polar_part(comps):
             )
 
 
-def asw_reduce_components(comps, p: int):
-    """Greedy reduction: remove every removable polar term.
+def _reduce_slot(x: NestedSeries):
+    """``(x - U^p + U, U)``, ``U`` None if nothing moved: repeatedly cancel the
+    deepest removable polar term, the p-th power of a one-term ``u``, by
+    ``x <- x - u^p + u``."""
+    total = removed = None
+    for _ in range(_REDUCTION_STEP_CAP):
+        for e in sorted(k for k in x.coeffs if k < 0):
+            term = NestedSeries(x.level, x.domain, {e: x.coeffs[e]})
+            u = term.pth_root(skip_prime_to_p=True, skip_non_powers=True)
+            if u.coeffs:
+                break
+        else:
+            return x, total
+        if removed is not None and e <= removed:
+            raise RswanError("reduction removed a term out of order (internal error)")
+        removed = e
+        x = x - u.frobenius() + u
+        total = u if total is None else total + u
+    raise RswanError("reduction did not terminate (internal error)")
 
-    Repeatedly picks the removable polar term of lowest weighted order, say
-    ``c * T^e`` in slot ``i`` with ``c = u_0^p`` and ``p | e``, and subtracts
-    the coboundary ``F(E) - E`` of the vector ``E`` with ``u_0 T^(e/p)`` in
-    slot ``i``.  The offending term cancels exactly; everything the
-    subtraction introduces sits at strictly higher weighted order, so the
-    loop terminates with a vector whose polar part admits no further
-    removal.
-    """
+
+def asw_reduce_components(comps, p: int):
+    """Remove every removable polar term, one slot at a time (module docstring)."""
     _check_windows_cover_polar_part(comps)
     comps = tuple(comps)
-    steps = 0
-    last_weight = None
-    while True:
-        target = _find_reducible(comps, p)
-        if target is None:
-            return comps
-        weight, slot, u = target
-        if last_weight is not None and weight < last_weight:
-            raise RswanError(
-                "reduction made the polar part worse (internal error)"
-            )
-        last_weight = weight
-        steps += 1
-        if steps > _REDUCTION_STEP_CAP:
-            raise RswanError("reduction did not terminate (internal error)")
-        correction = [NestedSeries.zero(u.level, u.domain)] * len(comps)
-        correction[slot] = u
-        correction = tuple(correction)
-        coboundary = witt_sub(witt_frobenius(correction), correction, p)
-        comps = witt_sub(comps, coboundary, p)
+    for i in reversed(range(len(comps))):
+        reduced, total = _reduce_slot(comps[i])
+        if i == 0 or total is None:
+            comps = comps[:i] + (reduced,) + comps[i + 1:]
+            continue
+        zero = NestedSeries.zero(total.level, total.domain)
+        e_vec = tuple(total if j == i else zero for j in range(len(comps)))
+        combined = witt_combine([comps, witt_frobenius(e_vec), e_vec], [1, -1, 1], p)
+        if not all(a.agrees_with(b) for a, b in zip(combined[i:], (reduced,) + comps[i + 1:])):
+            raise RswanError("a coboundary moved a slot unpredictably (internal error)")
+        comps = combined
         _check_windows_cover_polar_part(comps)
+    return comps
 
 
 # ------------------------------------------------------------- tower layer

@@ -31,6 +31,7 @@ from rswan.logdiff import (
     duality_matrix,
     gram_is_invertible,
     log_derivative,
+    minimal_b,
     r_b,
     residue_step,
     residue_to_prime_field,
@@ -353,6 +354,17 @@ def test_r_b_rejects_wide_windows():
     with pytest.raises(WindowTooWide):
         r_b(x, 0)  # 2^0 = 1 < 3
     assert r_b(x, 2) == F2.zero()
+
+
+def test_minimal_b_is_the_least_collapsing_b():
+    cases = {(2, 0): 0, (2, 1): 0, (2, 2): 1, (2, 3): 2, (2, 5): 3, (3, 9): 2, (3, 10): 3, (5, 6): 2}
+    for (p, a), b in cases.items():
+        assert minimal_b(p, a) == b
+    f = mono(1, F2, (-2,))
+    x = WindowedForm(LogForm(1, F2, 1, {(1,): f}), 2, -1)  # width 3
+    r_b(x, minimal_b(2, 3))
+    with pytest.raises(WindowTooWide):
+        r_b(x, minimal_b(2, 3) - 1)
 
 
 def test_r_b_needs_residue_shaped_window():

@@ -242,6 +242,29 @@ def test_substitution_laurent_tail():
     assert out.agrees_with(expect)
 
 
+def test_substitution_power_table_matches_fresh_powers():
+    """Dense exponents of both signs, exact and windowed: the power table
+    builds each power from its neighbour, and the result equals the sum of
+    fresh powers ``img.pow(e)`` term by term, windows included."""
+    dom = fq_domain(3, 2)
+    rng = random.Random(17)
+    img = NestedSeries.from_monomials(
+        1, dom, [((2,), dom.one()), ((3,), dom.random_nonzero(rng)), ((5,), dom.random_nonzero(rng))]
+    )
+    for ceiling in (None, 4):
+        f = NestedSeries.from_monomials(
+            1, dom, [((e,), dom.random_nonzero(rng)) for e in range(-6, 7) if e != -3]
+        ).truncate(ceiling)
+        inv = img.inv(12)
+        want = NestedSeries.zero(1, dom)
+        for e, c in f.coeffs.items():
+            power = img.pow(e) if e >= 0 else inv.pow(-e)
+            want = want + power.scalar_mul(c)
+        if ceiling is not None:
+            want = want.truncate(2 * ceiling)
+        assert series_substitute(f, {1: img}, precision=12) == want
+
+
 def test_substitution_identity_images():
     rng = random.Random(47)
     for _ in range(15):

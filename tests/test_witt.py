@@ -5,7 +5,10 @@ Oracles used here:
     S_1 = x_1 + y_1 - sum_i (1/p) C(p,i) x_0^i y_0^{p-i} (standard order);
   * reduction steps are replayed by hand on frozen examples;
   * the conductor's class invariance is certified by perturbing vectors
-    with explicit coboundaries (phi - 1)E.
+    with explicit coboundaries (phi - 1)E;
+  * one-variable conductors are recomputed by local class field theory from
+    symbol values, a path that runs neither ``asw_reduce`` nor
+    ``witt_combine`` (``swan_oracle``).
 """
 
 import random
@@ -13,8 +16,12 @@ from math import comb
 
 import pytest
 
-from rswan.errors import PrecisionExhausted, TowerMismatch, ZeroInput
+from rswan import witt
+from rswan.errors import PrecisionExhausted, RswanError, TowerMismatch, ZeroInput
+from rswan.extensions import ExtensionMap, conductor_change, pullback_series
 from rswan.parser import parse_series
+from rswan.ratfunc import rat_func_domain
+from rswan.reciprocity import _symbol_value, theta_lift
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
 from rswan.witt import (
@@ -268,3 +275,176 @@ def test_character_wrapper_tracks_reducedness():
     red = asw_reduce(raw)
     assert red.reduced
     assert asw_reduce(red) is red
+
+
+# ------------------------------------------------- the reciprocity oracle
+
+def swan_oracle(vector):
+    """Sw by local class field theory (Serre, Local Fields, ch. XV), d = 1.
+
+    Sw is the largest ``i >= 1`` with ``chi(1 + a*T^i) != 0`` for some ``a``
+    in an F_p-basis of F_q, or 0 if there is none.  ``chi(y)`` is
+    ``Res(theta(chi) dlog y~)`` on the *unreduced* vector, so neither
+    ``asw_reduce`` nor ``witt_combine`` runs; ``i`` starts at the weighted
+    pole depth, which bounds the conductor of any representative.
+    """
+    tower = vector.tower
+    dom, p = tower.field_domain, tower.p
+    theta = theta_lift(vector)
+    depth = max([-(p**i) * c.ord() for i, c in enumerate(vector.comps) if c.coeffs] + [0])
+    basis = [dom.from_coeffs([int(j == b) for j in range(tower.k)]) for b in range(tower.k)]
+    for i in range(depth, 0, -1):
+        for a in basis:
+            y = NestedSeries(1, dom, {0: dom.one(), i: a})
+            if _symbol_value(theta, tower, [y]) % p**tower.s:
+                return i
+    return 0
+
+
+ORACLE_CELLS = [
+    (p, k, s)
+    for k in (1, 2)
+    for p, s in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2))
+] + [(3, 1, 3)]
+
+
+@pytest.mark.parametrize("p,k,s", ORACLE_CELLS)
+def test_conductor_matches_reciprocity_oracle(p, k, s):
+    """Seeded draws with poles down to -6, a third of them windowed.  The
+    draws at (2,1,4), (2,2,3), (2,2,4) and (3,1,3) include vectors on which
+    the former cross-slot greedy reduction raised "polar part worse"."""
+    tower = FieldTower(p, k, s, ("t",))
+    dom = tower.field_domain
+    rng = random.Random(f"oracle:{p}:{k}:{s}")
+    compared = 0
+    for _ in range(20):
+        ceiling = rng.choice((None, None, rng.randint(1, 6)))
+        comps = tuple(
+            NestedSeries.from_monomials(1, dom, [
+                ((rng.randint(-6, 2),), dom.random_nonzero(rng))
+                for _ in range(rng.randint(0, 3))
+            ]).truncate(ceiling)
+            for _ in range(s)
+        )
+        v = WittVector(tower, comps)
+        try:
+            want = swan_oracle(v)
+            got = swan_conductor(v)
+        except PrecisionExhausted:
+            continue
+        assert got == want, [str(c) for c in v.print_order]
+        compared += 1
+    assert compared >= 10
+
+
+# ----------------------------------------- reductions the greedy scan refused
+
+def test_roadmap_example_reduces_slot_by_slot():
+    chi = asw_reduce(vec(K2s2, "t^-9 + t^-2 + t^-1", "t^-12 + t + t^2"))
+    assert chi.vector == vec(K2s2, "t^-9", "t^-11 + t^-5 + t^-1 + t + t^2")
+    assert swan_conductor(chi) == 18 == swan_oracle(vec(K2s2, "t^-9 + t^-2 + t^-1", "t^-12 + t + t^2"))
+
+
+# ``chi`` literals of the witt-workload reproducers in perfbench/baseline.json
+WITT_REPRODUCERS = [
+    ((2, 1, 3, ("u", "t")),
+     ("u^-1*t^-4 + u^2*t^-4 + u^2*t^-3 + u^-1*t^2", "t^-4", "u^-2*t^-1"), 16),
+    ((2, 2, 4, ("t",)),
+     ("(1 + g)*t^-4 + g*t^-2", "(1 + g)*t^-4 + (1 + g)*t + g*t^2", "t^-4 + t^-1", "0"), 15),
+    ((2, 2, 4, ("t",)),
+     ("g*t^-3 + (1 + g)*t^-2 + 1", "g*t^-3 + g*t^-1 + t", "(1 + g)*t^2", "0"), 24),
+]
+
+
+@pytest.mark.parametrize("cell,printed,sw", WITT_REPRODUCERS)
+def test_witt_reproducers_have_pinned_conductors(cell, printed, sw):
+    tower = FieldTower(*cell)
+    v = vec(tower, *printed)
+    assert swan_conductor(v) == sw
+    if tower.d == 1:
+        assert swan_oracle(v) == sw
+    else:
+        # no d = 2 oracle yet: the conductor must survive coboundary shifts
+        for printed_e in (("u*t^-2", "t^-1", "0"), ("0", "u^-1*t^-1", "u^2*t^-3 + t")):
+            e = vec(tower, *printed_e)
+            assert swan_conductor(v + (e.frobenius() - e)) == sw
+
+
+# The embed-workload reproducers: (p, chi over F_p((t)), t -> image in
+# F_p((u)), (Sw source, Sw target) or None when the target runs out of
+# precision, and whether the oracle's own windows decide the target).
+EMBED_REPRODUCERS = [
+    (2, ("t^-9 + t^-2 + t^-1", "t^-12 + t + t^2"), "u^3 + u^5 + u^6", (18, 54), True),
+    (3, ("2*t^-11 + 2*t^-6 + 2*t^-2", "2*t^-7 + t^-5 + t^-1"), "u^6 + 2*u^7 + 2*u^8 + 2*u^9",
+     None, False),
+    (2, ("t^-10 + t^-8 + t^-1", "t^-11 + t^-2"), "u^6 + u^7", (10, 59), False),
+]
+
+
+@pytest.mark.parametrize("p,printed,image,sws,target_oracle", EMBED_REPRODUCERS)
+def test_embed_reproducers_have_pinned_conductors(p, printed, image, sws, target_oracle):
+    source = FieldTower(p, 1, 2, ("t",))
+    target = FieldTower(p, 1, 2, ("u",))
+    ext = ExtensionMap(source, target, {"t": parse_series(image, target)})
+    v = vec(source, *printed)
+    if sws is None:
+        assert swan_conductor(v) == swan_oracle(v)
+        with pytest.raises(PrecisionExhausted):
+            conductor_change(ext, v)
+        return
+    report = conductor_change(ext, v)
+    assert (report.sw_source, report.sw_target) == sws
+    assert report.status == "PASS"
+    assert swan_oracle(v) == sws[0]
+    pulled = WittVector(target, tuple(pullback_series(ext, c) for c in v.comps))
+    if target_oracle:
+        assert swan_oracle(pulled) == sws[1]
+    else:
+        with pytest.raises(PrecisionExhausted):
+            swan_oracle(pulled)
+
+
+def test_windowed_repro_still_runs_out_of_precision():
+    """The combination for x_0 narrows the finished windows below the polar
+    part; that is PrecisionExhausted, not an internal error."""
+    K = FieldTower(2, 1, 4, ("t",))
+    v = WittVector.from_print_order(
+        K, [parse_series(c, K).truncate(3) for c in ("t^-1", "t", "t^-2", "0")]
+    )
+    with pytest.raises(PrecisionExhausted):
+        asw_reduce(v)
+
+
+def test_one_combination_per_slot_at_most(monkeypatch):
+    calls = []
+
+    def counting(comps_list, ints, p):
+        calls.append(len(comps_list[0]))
+        return witt_combine(comps_list, ints, p)
+
+    monkeypatch.setattr(witt, "witt_combine", counting)
+    rng = random.Random(61)
+    for tower in (K2, K3, K2s2, K3s2, K2s3, FieldTower(2, 2, 4, ("t",))):
+        for _ in range(15):
+            calls.clear()
+            asw_reduce(random_vector(rng, tower, lo=-8))
+            assert len(calls) <= tower.s - 1
+    calls.clear()
+    dom = rat_func_domain(3)
+    x = dom.variable()
+    f = NestedSeries.from_monomials(1, dom, [((-9,), dom.pow(x, 3)), ((-6,), x), ((-3,), dom.one())])
+    reduced = asw_reduce_components([f], 3)
+    assert calls == []
+    assert reduced[0] != f
+
+
+def test_internal_check_fires_when_a_finished_slot_moves(monkeypatch):
+    """The per-slot check is live: a combination that disturbs the finished
+    slot x_0 is an internal error."""
+    def disturbing(comps_list, ints, p):
+        out = witt_combine(comps_list, ints, p)
+        return out[:-1] + (out[-1] + NestedSeries.constant(1, out[-1].domain, 1),)
+
+    monkeypatch.setattr(witt, "witt_combine", disturbing)
+    with pytest.raises(RswanError, match="internal error"):
+        asw_reduce(vec(K2s3, "t^-1", "t^-4", "0"))
