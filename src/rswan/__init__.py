@@ -34,10 +34,7 @@ from .witt import (
     WittVector,
     asw_reduce,
     swan_conductor,
-    witt_add,
     witt_frobenius,
-    witt_neg,
-    witt_sub,
     witt_verschiebung,
 )
 from .logdiff import (
@@ -122,10 +119,7 @@ __all__ = [
     "WittVector",
     "asw_reduce",
     "swan_conductor",
-    "witt_add",
     "witt_frobenius",
-    "witt_neg",
-    "witt_sub",
     "witt_verschiebung",
     # differential forms
     "LogForm",

@@ -73,12 +73,10 @@ _THMB_T_VALUES = (3, 5, 7)  # thmB's family exponents when a task gives none
 class RunConfig:
     """A validated run: towers, characters, extensions, and the task list."""
 
-    def __init__(self, main_tower, towers, characters, character_towers,
-                 extensions, tasks, curves, version):
+    def __init__(self, main_tower, towers, characters, extensions, tasks, curves, version):
         self.main_tower = main_tower
         self.towers = towers  # name -> FieldTower, includes "main"
         self.characters = characters  # label -> Character (unreduced)
-        self.character_towers = character_towers  # label -> tower name
         self.extensions = extensions  # name -> ExtensionMap
         self.tasks = tasks
         self.curves = curves  # thmC 'f' items -> the parsed series over F_p(x)
@@ -160,7 +158,6 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         towers[name] = _build_tower(name, desc, precision)
 
     characters: dict = {}
-    character_towers: dict = {}
     chars_doc = doc.get("characters", {})
     _require(isinstance(chars_doc, dict), "'characters' must map labels to component lists")
     for label, desc in chars_doc.items():
@@ -190,7 +187,6 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         except (ParseError, ValueError) as exc:
             raise ConfigError(f"character {label!r} does not parse: {exc}") from None
         characters[label] = Character(WittVector.from_print_order(tower, series))
-        character_towers[label] = tower_name
 
     extensions: dict = {}
     ext_doc = doc.get("extensions", {})
@@ -307,7 +303,6 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         main_tower=towers["main"],
         towers=towers,
         characters=characters,
-        character_towers=character_towers,
         extensions=extensions,
         tasks=tasks,
         curves=curves,
@@ -332,10 +327,6 @@ def _record(task: dict, status: str, values: dict, precision: int | None, **extr
         rec["precision"] = precision
     rec.update(extra)
     return rec
-
-
-def _char_tower(config: RunConfig, task: dict) -> FieldTower:
-    return config.towers[config.character_towers[task["character"]]]
 
 
 def _run_swan(config: RunConfig, task: dict, task_seed: int) -> list:
@@ -399,7 +390,7 @@ def _run_duality(config: RunConfig, task: dict, task_seed: int) -> list:
 
 def _run_reciprocity(config: RunConfig, task: dict, task_seed: int) -> list:
     char = config.characters[task["character"]]
-    tower = _char_tower(config, task)
+    tower = char.tower
     samples = task.get("samples", 100)
     report = verify_rsw_characterization(char, samples, seed=task_seed)
     values = {

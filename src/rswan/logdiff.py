@@ -16,6 +16,7 @@ bases, with exact Gaussian elimination to decide invertibility.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations, product
 
 from .errors import (
@@ -461,41 +462,33 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
         return True
     if any(len(r) != size for r in rows):
         return False
-    series_entries = isinstance(rows[0][0], NestedSeries)
-    if series_entries:
-        def is_exact_zero(v):
+    if isinstance(rows[0][0], NestedSeries):
+        def is_zero(v):
             if v.is_zero() and v.ceiling is not None:
                 raise PrecisionExhausted("pivot is zero within its window; rank is ambiguous")
             return v.is_zero()
-    else:
-        if domain is None:
-            raise ValueError("raw-scalar matrices need their domain")
 
-        def is_exact_zero(v):
-            return domain.is_zero(v)
+        def inv(v):
+            return v.inv(precision)
+
+        mul, sub = operator.mul, operator.sub
+    elif domain is None:
+        raise ValueError("raw-scalar matrices need their domain")
+    else:
+        is_zero, inv, mul, sub = domain.is_zero, domain.inv, domain.mul, domain.sub
 
     work = [list(r) for r in rows]
     for col in range(size):
-        pivot_row = None
-        for r in range(col, size):
-            if not is_exact_zero(work[r][col]):
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, size) if not is_zero(work[r][col])), None)
         if pivot_row is None:
             return False
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        pivot_inv = pivot.inv(precision) if series_entries else domain.inv(pivot)
+        pivot_inv = inv(work[col][col])
         for r in range(col + 1, size):
             factor = work[r][col]
-            if is_exact_zero(factor):
+            if is_zero(factor):
                 continue
-            if series_entries:
-                quot = factor * pivot_inv
-                for c in range(col, size):
-                    work[r][c] = work[r][c] - work[col][c] * quot
-            else:
-                quot = domain.mul(factor, pivot_inv)
-                for c in range(col, size):
-                    work[r][c] = domain.sub(work[r][c], domain.mul(work[col][c], quot))
+            quot = mul(factor, pivot_inv)
+            for c in range(col, size):
+                work[r][c] = sub(work[r][c], mul(work[col][c], quot))
     return True

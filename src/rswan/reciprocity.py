@@ -43,7 +43,14 @@ from .logdiff import (
 )
 from .rsw import rsw_char_p
 from .series import NestedSeries
-from .witt import Character, WittVector, asw_reduce, lift_series, swan_conductor
+from .witt import (
+    Character,
+    WittVector,
+    asw_reduce,
+    ghost_component,
+    lift_series,
+    swan_conductor,
+)
 
 __all__ = [
     "truncated_exp",
@@ -187,19 +194,14 @@ def check_exp_congruences(p: int, bound: int | None = None) -> ExpCongruenceRepo
 # ---------------------------------------------------------------- theta map
 
 def theta_lift(vec: WittVector | Character) -> NestedSeries:
-    """sum_i p^(s-1-i) * lift(a_i)^(p^i) over the length-s lift ring."""
+    """The last ghost component of the coefficientwise lift over the length-s
+    lift ring: ``sum_i p^(s-1-i) * lift(a_i)^(p^i)`` in internal order."""
     if isinstance(vec, Character):
         vec = vec.vector
     tower = vec.tower
-    p, s = tower.p, tower.s
-    big = tower.lift_domain
-    acc = NestedSeries.zero(tower.d, big)
-    for i, a_i in enumerate(vec.comps):
-        if a_i.is_zero() and a_i.ceiling is None:
-            continue
-        term = lift_series(a_i, big).pow(p**i).mul_int(p ** (s - 1 - i))
-        acc = acc + term
-    return acc
+    lift = tower.lift_domain
+    xs = [lift_series(x, lift) for x in vec.print_order]
+    return ghost_component(xs, tower.s - 1, tower.p, NestedSeries.zero(tower.d, lift))
 
 
 def eval_symbol(char: Character | WittVector, ys) -> int:

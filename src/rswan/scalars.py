@@ -1,8 +1,11 @@
 """Coefficient arithmetic: F_q and its unramified Z/p^s lift.
 
 Both rings are quotients (Z/p^s)[x]/(f) for a fixed monic polynomial f from
-a published table (s = 1 gives the field).  For speed the domains operate on
-*raw* values: a plain int when k == 1, a length-k tuple of ints otherwise.
+a published table (s = 1 gives the field).  s runs over 1..4, the lift
+lengths a tower accepts; Witt arithmetic runs in the tower's own lift ring
+(see :mod:`rswan.witt`), so no longer ring is built.  For speed the domains
+operate on *raw* values: a plain int when k == 1, a length-k tuple of ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -46,10 +49,8 @@ class _QuotientDomain:
     def __init__(self, p: int, k: int, s: int):
         if (p, k) not in DEFINING_POLYNOMIALS:
             raise ValueError(f"no defining polynomial on file for (p, k) = ({p}, {k})")
-        if s < 1 or s > 8:
-            # 1..4 for user-facing lifts; up to 8 internally (ghost-component
-            # bookkeeping needs double length).
-            raise ValueError(f"lift length s = {s} out of the supported range 1..8")
+        if not 1 <= s <= 4:
+            raise ValueError(f"lift length s = {s} out of the supported range 1..4")
         self.p = p
         self.k = k
         self.s = s
@@ -171,8 +172,8 @@ class _QuotientDomain:
         if fld.is_zero(res):
             raise ZeroInput("not a unit in the lift ring (reduction mod p is zero)")
         cur = self.lift_from_field(fld.inv(res))
-        # each step doubles p-adic accuracy; s <= 8 needs three steps
-        for _ in range(3):
+        # each step doubles the p-adic accuracy, starting from 1
+        for _ in range((self.s - 1).bit_length()):
             err = self.sub(self.from_int(2), self.mul(x, cur))
             cur = self.mul(cur, err)
         return cur
@@ -233,21 +234,6 @@ class _QuotientDomain:
             x = self.random(rng)
             if not self.is_zero(x):
                 return x
-
-    def elements(self):
-        if self.k == 1:
-            yield from range(self.modulus)
-            return
-
-        def rec(i):
-            if i == self.k:
-                yield ()
-                return
-            for c in range(self.modulus):
-                for rest in rec(i + 1):
-                    yield (c,) + rest
-
-        yield from rec(0)
 
     def render(self, x) -> str:
         """Human-readable form (polynomial in g)."""

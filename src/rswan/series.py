@@ -384,11 +384,7 @@ class NestedSeries:
         return _make(self.level, self.domain, out, self.ceiling)
 
     def mul_int(self, n: int) -> "NestedSeries":
-        return self.scalar_mul(self.domain.from_int(n))
-
-    def embed_coeff(self, c) -> "NestedSeries":
-        """A level-(l-1) coefficient as a series at this level (exponent 0)."""
-        return NestedSeries(self.level, self.domain, {0: c})
+        return self if n == 1 else self.scalar_mul(self.domain.from_int(n))
 
     def shift(self, n: int) -> "NestedSeries":
         """Multiply by T^n in the top variable."""

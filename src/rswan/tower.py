@@ -38,9 +38,7 @@ class FieldTower:
     def __post_init__(self):
         if isinstance(self.variables, list):
             object.__setattr__(self, "variables", tuple(self.variables))
-        if not 1 <= self.s <= 4:
-            raise ValueError(f"lift length s = {self.s} out of the supported range 1..4")
-        # triggers the table lookup for (p, k)
+        # checks the lift length and looks up the table entry for (p, k)
         galois_ring_domain(self.p, self.k, self.s)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("tower variables must be distinct")

@@ -12,13 +12,17 @@ so ``comps[i]`` carries weight ``p^i``: a polar term of order ``-m`` in
 Arithmetic
 ----------
 Sums, negations and integer combinations are computed instance-wise through
-ghost components: the field coefficients are lifted to the length-``2s``
-quotient ring, the combined ghost vector is unwound by the usual recursion
+ghost components (:func:`ghost_component`): the field coefficients are lifted
+to the tower's own lift ring ``Z/p^s`` (``tower.lift_domain``), the combined
+ghost vector is unwound by the usual recursion
 
     z_n = (W_n - sum_{i<n} p^i z_i^{p^(n-i)}) / p^n,
 
-and the result is reduced mod p.  Double length makes every division exact
-and leaves the mod-p answer correct (``z_n`` is accurate mod ``p^(2s-n)``).
+and the result is reduced mod p.  Length ``s`` is enough: ``z_n mod p`` needs
+``W_n mod p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p (mod
+p^(k+1))``, so ``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on ``z_i mod p``.
+The last ghost component ``W_{s-1}`` of a vector is the paper's ``theta``
+(:func:`rswan.reciprocity.theta_lift`).
 Length-1 vectors use plain componentwise arithmetic, which also serves
 coefficient domains without a stored lift ring (rational-function scalars).
 
@@ -53,10 +57,8 @@ from .tower import FieldTower
 __all__ = [
     "WittVector",
     "Character",
+    "ghost_component",
     "witt_combine",
-    "witt_add",
-    "witt_neg",
-    "witt_sub",
     "witt_frobenius",
     "witt_verschiebung",
     "witt_ord_of",
@@ -91,13 +93,25 @@ def reduce_series(a: NestedSeries, field_domain) -> NestedSeries:
 
 # --------------------------------------------------------------- raw engine
 
+def ghost_component(xs, n: int, p: int, zero: NestedSeries) -> NestedSeries:
+    """``zero + sum_{i<=n} p^i * xs[i]^(p^(n-i))`` over the standard-order
+    components ``xs`` present (all of them when ``len(xs) <= n``); exactly
+    zero components are skipped."""
+    acc = zero
+    for i, x in enumerate(xs[: n + 1]):
+        if x.is_zero() and x.ceiling is None:
+            continue
+        acc = acc + x.pow(p ** (n - i)).mul_int(p**i)
+    return acc
+
+
 def witt_combine(comps_list, ints, p: int):
     """Integer combination ``sum_j ints[j] * vec_j`` of Witt vectors.
 
     Each entry of ``comps_list`` is a component tuple in internal order; all
     must share one length and one coefficient domain.  Length 1 is plain
-    componentwise arithmetic; longer vectors go through ghost lifting and
-    need finite-field coefficients.
+    componentwise arithmetic; longer vectors go through ghost components over
+    the length-``s`` lift ring and need finite-field coefficients.
     """
     if not comps_list:
         raise ValueError("nothing to combine")
@@ -119,22 +133,20 @@ def witt_combine(comps_list, ints, p: int):
         raise TowerMismatch(
             "length-s Witt arithmetic needs finite-field coefficients"
         )
-    big = galois_ring_domain(p, domain.k, 2 * s)
+    lift = galois_ring_domain(p, domain.k, s)
+    zero = NestedSeries.zero(level, lift)
     # standard order (x_0 first), lifted coefficientwise
-    lifted = [
-        [lift_series(x, big) for x in reversed(comps)] for comps in comps_list
+    terms = [
+        (cj, [lift_series(x, lift) for x in reversed(comps)])
+        for cj, comps in zip(ints, comps_list)
+        if cj % lift.modulus
     ]
     z: list[NestedSeries] = []
     for n in range(s):
-        acc = NestedSeries.zero(level, big)
-        for cj, lx in zip(ints, lifted):
-            if cj % big.modulus == 0:
-                continue
-            for i in range(n + 1):
-                acc = acc + lx[i].pow(p ** (n - i)).mul_int(cj * p**i)
-        for i in range(n):
-            acc = acc - z[i].pow(p ** (n - i)).mul_int(p**i)
-        z.append(_divide_by_int(acc, p**n))
+        acc = zero
+        for cj, lx in terms:
+            acc = acc + ghost_component(lx, n, p, zero).mul_int(cj)
+        z.append(_divide_by_int(acc - ghost_component(z, n, p, zero), p**n))
     out_std = [reduce_series(zi, domain) for zi in z]
     return tuple(reversed(out_std))
 
@@ -157,18 +169,6 @@ def _divide_by_int(a: NestedSeries, n: int) -> NestedSeries:
         return domain.from_coeffs(out)
 
     return _map_raw(a, div_raw, domain)
-
-
-def witt_add(a, b, p: int):
-    return witt_combine([a, b], [1, 1], p)
-
-
-def witt_neg(a, p: int):
-    return witt_combine([a], [-1], p)
-
-
-def witt_sub(a, b, p: int):
-    return witt_combine([a, b], [1, -1], p)
 
 
 def witt_frobenius(comps):
@@ -333,9 +333,6 @@ class WittVector:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
-    def witt_ord(self) -> int:
-        return witt_ord_of(self.comps, self.tower.p)
-
     # -- arithmetic -------------------------------------------------------
     def _peer(self, other: "WittVector"):
         if not isinstance(other, WittVector):
@@ -345,14 +342,16 @@ class WittVector:
 
     def __add__(self, other):
         self._peer(other)
-        return WittVector(self.tower, witt_add(self.comps, other.comps, self.tower.p))
+        comps = witt_combine([self.comps, other.comps], [1, 1], self.tower.p)
+        return WittVector(self.tower, comps)
 
     def __neg__(self):
-        return WittVector(self.tower, witt_neg(self.comps, self.tower.p))
+        return WittVector(self.tower, witt_combine([self.comps], [-1], self.tower.p))
 
     def __sub__(self, other):
         self._peer(other)
-        return WittVector(self.tower, witt_sub(self.comps, other.comps, self.tower.p))
+        comps = witt_combine([self.comps, other.comps], [1, -1], self.tower.p)
+        return WittVector(self.tower, comps)
 
     def frobenius(self) -> "WittVector":
         return WittVector(self.tower, witt_frobenius(self.comps))

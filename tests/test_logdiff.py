@@ -404,6 +404,23 @@ def test_duality_two_variables_small():
         assert gram_is_invertible(rows, domain=F2, precision=KD_.precision)
 
 
+def test_gram_elimination_rules():
+    """One elimination for series and raw-scalar entries; a pivot candidate
+    that is zero only within a window, and a raw matrix without its domain,
+    are refused."""
+    def s(text):
+        return parse_series(text, K3)
+
+    assert gram_is_invertible([[s("t"), s("1")], [s("1"), s("0")]], precision=K3.precision)
+    assert not gram_is_invertible([[s("t"), s("1 + t")], [s("t^2"), s("t + t^2")]],
+                                  precision=K3.precision)
+    assert not gram_is_invertible([[1, 2], [2, 1]], domain=F3)
+    assert gram_is_invertible([[1, 2], [1, 1]], domain=F3)
+    with pytest.raises(PrecisionExhausted, match="pivot is zero within its window"):
+        gram_is_invertible([[s("t^2").truncate(1), s("1")], [s("1"), s("0")]])
+    with pytest.raises(ValueError, match="need their domain"):
+        gram_is_invertible([[1]])
+
 def test_duality_rejects_wrong_degrees():
     with pytest.raises(DegreeMismatch):
         duality_matrix(2, 1, 1, KD, 1, 2)

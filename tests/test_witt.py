@@ -22,6 +22,7 @@ from rswan.extensions import ExtensionMap, conductor_change, pullback_series
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
 from rswan.reciprocity import _symbol_value, theta_lift
+from rswan.scalars import DEFINING_POLYNOMIALS, GaloisRingDomain, fq_domain
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
 from rswan.witt import (
@@ -30,12 +31,9 @@ from rswan.witt import (
     asw_reduce,
     asw_reduce_components,
     swan_conductor,
-    witt_add,
     witt_combine,
     witt_frobenius,
-    witt_neg,
     witt_ord_of,
-    witt_sub,
     witt_verschiebung,
 )
 
@@ -162,7 +160,90 @@ def test_mismatched_lengths_refused():
     a = vec(K2s2, "t^-1", "0")
     b = vec(K2, "t^-1")
     with pytest.raises(TowerMismatch):
-        witt_add(a.comps, b.comps, 2)
+        witt_combine([a.comps, b.comps], [1, 1], 2)
+
+
+# ------------------------------------------------- double-length ghost oracle
+
+class _DoubleLengthRing(GaloisRingDomain):
+    """``(Z/p^m)[g]/(f)`` for any ``m``, ``k <= 2``: the lift rings are capped at
+    length 4, and the oracle below needs length ``2s``."""
+
+    def __init__(self, p, k, m):
+        assert k <= 2
+        super().__init__(p, k, 1)
+        self.s, self.modulus = m, p**m
+        self.poly = tuple(c % self.modulus for c in DEFINING_POLYNOMIALS[(p, k)])
+        self._red_rows = (tuple((-c) % self.modulus for c in self.poly[:k]),) if k == 2 else ()
+
+
+def double_length_combine(comps_list, ints, p):
+    """The ghost recursion over ``Z/p^(2s)``, where every ``z_n`` is accurate
+    mod ``p^(2s-n)``: an independent check that length ``s`` loses nothing."""
+    s = len(comps_list[0])
+    domain, level = comps_list[0][0].domain, comps_list[0][0].level
+    big = _DoubleLengthRing(p, domain.k, 2 * s)
+    lifted = [[witt.lift_series(x, big) for x in reversed(comps)] for comps in comps_list]
+    z = []
+    for n in range(s):
+        acc = NestedSeries.zero(level, big)
+        for cj, lx in zip(ints, lifted):
+            if cj % big.modulus == 0:
+                continue
+            for i in range(n + 1):
+                acc = acc + lx[i].pow(p ** (n - i)).mul_int(cj * p**i)
+        for i in range(n):
+            acc = acc - z[i].pow(p ** (n - i)).mul_int(p**i)
+        z.append(witt._divide_by_int(acc, p**n))
+    return tuple(reversed([witt.reduce_series(zi, domain) for zi in z]))
+
+
+def window_not_narrower(a, b):
+    """Whether every window of ``a``, at every level, reaches at least as far
+    as the matching window of ``b``."""
+    if a.ceiling is not None and (b.ceiling is None or a.ceiling < b.ceiling):
+        return False
+    if a.level == 1:
+        return True
+    exact_zero = NestedSeries.zero(a.level - 1, a.domain)
+    return all(
+        window_not_narrower(c, b.coeffs.get(e, exact_zero))
+        for e, c in a.coeffs.items()
+        if b.ceiling is None or e < b.ceiling
+    )
+
+
+GHOST_CELLS = [
+    (p, k, s, d)
+    for p in (2, 3, 5) for k in (1, 2) for s in (2, 3, 4) for d in (1, 2)
+    if p != 5 or s == 2
+]
+
+
+@pytest.mark.parametrize("p,k,s,d", GHOST_CELLS)
+def test_combine_matches_double_length_oracle(p, k, s, d):
+    """Seeded combinations of two or three vectors, half of them windowed:
+    equal on the common window, and no result window narrower."""
+    dom = fq_domain(p, k)
+    rng = random.Random(f"ghost:{p}:{k}:{s}:{d}")
+    for _ in range(8):
+        ceiling = rng.choice((None, rng.randint(-1, 4)))
+        vecs = [
+            tuple(
+                NestedSeries.from_monomials(d, dom, [
+                    ((rng.randint(0, 1),) * (d - 1) + (rng.randint(-2, 2),), dom.random_nonzero(rng))
+                    for _ in range(rng.randint(0, 2))
+                ]).truncate(ceiling)
+                for _ in range(s)
+            )
+            for _ in range(rng.randint(2, 3))
+        ]
+        ints = [rng.choice((-1, 1, rng.randint(-(p**s), p**s))) for _ in vecs]
+        got = witt_combine(vecs, ints, p)
+        want = double_length_combine(vecs, ints, p)
+        for a, b in zip(got, want):
+            assert a.agrees_with(b), (ints, str(a), str(b))
+            assert window_not_narrower(a, b), (ints, str(a), str(b))
 
 
 # ----------------------------------------------------------------- ordering
