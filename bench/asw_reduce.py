@@ -1,6 +1,6 @@
 """Layer bench: character reduction (``asw_reduce``) over the ``witt`` workload cells.
 
-    python3 bench/asw_reduce.py [OUT] [SRC ...]
+    python3 bench/asw_reduce.py OUT [SRC ...]
 
 Run it from the repository root; it uses only the standard library.  Each
 ``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
@@ -18,7 +18,8 @@ and top exponents in -4..2, the shape the workload draws.  Per cell:
   cell's vectors, failures included; the median of ``REPEATS`` timed batches
   of whole passes.
 
-The JSON written to ``OUT`` (default ``BENCH_6.json``) records the commit
+The JSON written to ``OUT`` (required, so that no run overwrites a committed
+``BENCH_<n>.json`` by default) records the commit
 (``git describe --always --dirty``), the Python version and the machine.
 """
 
@@ -148,7 +149,10 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--measure"]:
         print(json.dumps(measure(argv[1])))
         return 0
-    out_path = Path(argv[0]) if argv else ROOT / "BENCH_6.json"
+    if not argv:
+        print("usage: python3 bench/asw_reduce.py OUT [SRC ...]", file=sys.stderr)
+        return 2
+    out_path = Path(argv[0])
     srcs = argv[1:] or [str(ROOT / "src")]
     trees = []
     for src in srcs:

@@ -1,0 +1,145 @@
+"""Layer bench: duality Gram matrices (``logdiff.duality_matrix``).
+
+    python3 bench/duality_matrix.py OUT [SRC ...]
+
+Run it from the repository root; it uses only the standard library.  Each
+``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
+checkout's ``src``); pass the ``src`` of another checkout to put its figures
+beside these.  All trees are imported into this one process, each under its
+own package name, and timed in alternation: every pass times each cell for
+every tree before moving on, and the tree order flips from pass to pass, so
+machine drift falls on all trees alike.
+
+The cells are ``(p, d, a, split)``: the windows of perfbench's ``duality``
+workload over ``F_p((u))((t))`` (d = 2, p = 2 widths 1..6 and p = 3 widths
+1..5), plus p = 5 widths 1..5 and the d = 3 tower ``F_2((v))((u))((t))``
+with widths 1..2.  ``split`` is the degree pair ``(i, j)``.  Per cell:
+
+* ``rows``: the Gram size, the same for every tree (checked);
+* ``ms_per_matrix``: one figure per tree, in the order of ``trees``: the
+  mean builder time over the windows ``(m + a, m)`` for m = 0..3 with the
+  minimal ``b``, the median over ``PASSES`` passes.
+
+``totals_ms`` sums the builder time over every workload window (d = 2,
+p = 2 and 3, 4 windows per cell) per tree.  The JSON written to ``OUT``
+(required, so that no run overwrites a committed ``BENCH_<n>.json`` by
+default) records each tree's commit (``git describe --always --dirty``),
+the Python version and the machine.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+WORKLOAD_WIDTHS = {2: range(1, 7), 3: range(1, 6)}  # perfbench's DUALITY_WIDTHS
+CELLS = tuple(
+    [(p, 2, a) for p, widths in WORKLOAD_WIDTHS.items() for a in widths]
+    + [(5, 2, a) for a in range(1, 6)]
+    + [(2, 3, a) for a in (1, 2)]
+)
+MS = range(4)
+PASSES = 5
+VARIABLES = ("v", "u", "t")
+
+
+def _load(src: str, index: int):
+    """Import ``src/rswan`` as the package ``rswan_<index>``."""
+    package = Path(src).resolve() / "rswan"
+    name = f"rswan_{index}"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _time_cell(rswan, p: int, d: int, a: int, i: int):
+    """Seconds per matrix over the windows of one cell, and the Gram size."""
+    tower = rswan.FieldTower(p, 1, 1, VARIABLES[3 - d:])
+    b = rswan.logdiff.minimal_b(p, a)
+    elapsed = 0.0
+    for m in MS:
+        t0 = time.perf_counter()
+        rows = rswan.duality_matrix(m + a, m, b, tower, i, d - i)
+        elapsed += time.perf_counter() - t0
+    return elapsed / len(MS), len(rows)
+
+
+def _commit(src: str) -> str:
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=Path(src).resolve().parent,
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def measure(srcs: list[str]) -> dict:
+    trees = [_load(src, index) for index, src in enumerate(srcs)]
+    keys = [(p, d, a, i) for p, d, a in CELLS for i in range(d + 1)]
+    times = {key: [[] for _ in trees] for key in keys}
+    sizes = {}
+    for run in range(PASSES):
+        order = list(range(len(trees)))
+        if run % 2:
+            order.reverse()
+        for key in keys:
+            for index in order:
+                seconds, rows = _time_cell(trees[index], *key)
+                times[key][index].append(seconds)
+                if sizes.setdefault(key, rows) != rows:
+                    raise SystemExit(f"cell {key}: Gram sizes differ between trees")
+    cells = []
+    totals = [0.0 for _ in trees]
+    for key in keys:
+        p, d, a, i = key
+        medians = [statistics.median(ts) * 1e3 for ts in times[key]]
+        cells.append({
+            "p": p, "d": d, "a": a, "split": f"({i},{d - i})",
+            "rows": sizes[key],
+            "ms_per_matrix": [round(ms, 3) for ms in medians],
+        })
+        if d == 2 and p in WORKLOAD_WIDTHS:
+            totals = [t + ms * len(MS) for t, ms in zip(totals, medians)]
+    return {
+        "trees": [{"commit": _commit(src)} for src in srcs],
+        "totals_ms": [round(t, 1) for t in totals],
+        "cells": cells,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python3 bench/duality_matrix.py OUT [SRC ...]", file=sys.stderr)
+        return 2
+    out_path = Path(argv[0])
+    srcs = argv[1:] or [str(ROOT / "src")]
+    result = {
+        "bench": "duality_matrix",
+        "python": platform.python_version(),
+        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
+        "passes": PASSES,
+        **measure(srcs),
+    }
+    text = json.dumps(result, indent=2)
+    out_path.write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,6 +1,6 @@
 """Layer bench: one-variable series products, Kronecker kernel against the dict loop.
 
-    python3 bench/series_mul.py [OUT]
+    python3 bench/series_mul.py OUT
 
 Run it from the repository root; it imports ``rswan`` from ``src/`` and uses
 only the standard library.  For ``(p, k, s)`` in ``(2,1,1)``, ``(3,2,1)`` and
@@ -18,7 +18,8 @@ only the standard library.  For ``(p, k, s)`` in ``(2,1,1)``, ``(3,2,1)`` and
   ``series._KRONECKER_MIN_PAIRS`` takes the upper end.
 
 Each figure is the median of ``REPEATS`` timings of a batch of calls.  The
-JSON written to ``OUT`` (default ``BENCH_5.json``) records the commit
+JSON written to ``OUT`` (required, so that no run overwrites a committed
+``BENCH_<n>.json`` by default) records the commit
 (``git describe --always --dirty``), the Python version and the machine.
 """
 
@@ -143,7 +144,10 @@ def _commit() -> str:
 
 
 def main(argv: list[str]) -> int:
-    out_path = Path(argv[0]) if argv else ROOT / "BENCH_5.json"
+    if len(argv) != 1:
+        print("usage: python3 bench/series_mul.py OUT", file=sys.stderr)
+        return 2
+    out_path = Path(argv[0])
     rng = random.Random(5)
     result = {
         "bench": "series_mul",

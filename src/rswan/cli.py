@@ -90,6 +90,9 @@ def _build_tower(name: str, desc, precision: int | None) -> FieldTower:
     extra = set(desc) - allowed
     if extra:
         raise ConfigError(f"tower {name!r} has unknown fields {sorted(extra)}")
+    for key in ("p", "k", "s", "precision"):
+        if key in desc and not _is_int(desc[key]):
+            raise ConfigError(f"tower {name!r} field {key!r} must be an integer")
     try:
         kwargs = {
             "p": desc["p"],

@@ -403,19 +403,28 @@ def r_b(x: WindowedForm, b: int):
 
 # ---------------------------------------------------------------- duality
 
+def _basis_monomials(level: int, degree: int, n: int, m: int, lower_bound: int):
+    """The ``(key, exponents)`` of :func:`window_basis`, in its order."""
+    for key in combinations(range(1, level + 1), degree):
+        for top_e in range(-n, -m):
+            for lower in product(range(lower_bound), repeat=level - 1):
+                yield key, lower + (top_e,)
+
+
+def _basis_form(level: int, domain, key, exps, n: int, m: int) -> WindowedForm:
+    mono = NestedSeries.from_monomials(level, domain, [(exps, domain.one())])
+    return WindowedForm(LogForm(level, domain, len(key), {key: mono}), n, m)
+
+
 def window_basis(level: int, domain, degree: int, n: int, m: int, b: int):
     """Monomial basis of m^{-n}/m^{-m} tensor degree-``degree`` forms, as a
     twisted vector space over the residue ring: top exponents -n..-m-1,
     one dlog key per sorted subset, residue monomials with exponents
     0..p^b-1 in each lower variable."""
-    out = []
-    for key in combinations(range(1, level + 1), degree):
-        for top_e in range(-n, -m):
-            for lower in product(range(domain.p**b), repeat=level - 1):
-                exps = lower + (top_e,)
-                mono = NestedSeries.from_monomials(level, domain, [(exps, domain.one())])
-                out.append(WindowedForm(LogForm(level, domain, degree, {key: mono}), n, m))
-    return out
+    return [
+        _basis_form(level, domain, key, exps, n, m)
+        for key, exps in _basis_monomials(level, degree, n, m, domain.p**b)
+    ]
 
 
 def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
@@ -425,6 +434,19 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     window (-m-1, -n-1) in degree ``i``; ``i + j`` must be the top degree.
     Entries are the coefficient series of the resulting top form over the
     residue ring (raw scalars when the tower has one variable).
+
+    Zero pattern: each row has exactly one nonzero entry, and the rows'
+    entries sit in distinct columns.  For ``x = u^alpha t^e dlog_K`` the
+    only partner is ``y = u^beta t^f dlog_K'`` with
+
+    * ``K'`` the complement of ``K``, since the wedge kills a repeated dlog;
+    * ``f = -e``, since the residue reads the ``t^0`` coefficient;
+    * ``beta_l = (-alpha_l) mod p^b`` for every lower variable, since
+      ``C^b`` keeps only exponents divisible by ``p^b`` and
+      ``alpha_l + beta_l`` lies in ``[0, 2 p^b - 2]``.
+
+    So only the partner entry is evaluated, through :func:`wedge_windowed`
+    and :func:`r_b`; the other entries share one exact zero.
     """
     level = K.d
     domain = K.field_domain
@@ -435,18 +457,24 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
         raise InconsistentValue("empty window")
     if b < 0 or domain.p**b < a:
         raise WindowTooWide(f"p^{b} < {a}: the window is too wide for r_{b}")
-    xs = window_basis(level, domain, j, n, m, b)
-    ys = window_basis(level, domain, i, -m - 1, -n - 1, b)
-    rows = []
+    pb = domain.p**b
+    columns = {
+        monomial: col
+        for col, monomial in enumerate(_basis_monomials(level, i, -m - 1, -n - 1, pb))
+    }
+    zero = NestedSeries.zero(level - 1, domain) if level > 1 else domain.zero()
     res_key = tuple(range(1, level))
-    for x in xs:
-        row = []
-        for y in ys:
-            val = r_b(wedge_windowed(x, y), b)
-            if isinstance(val, LogForm):
-                row.append(val.coefficient(res_key))
-            else:
-                row.append(val)
+    rows = []
+    for key, exps in _basis_monomials(level, j, n, m, pb):
+        partner_key = tuple(v for v in range(1, level + 1) if v not in key)
+        partner_exps = tuple(-e % pb for e in exps[:-1]) + (-exps[-1],)
+        x = _basis_form(level, domain, key, exps, n, m)
+        y = _basis_form(level, domain, partner_key, partner_exps, -m - 1, -n - 1)
+        val = r_b(wedge_windowed(x, y), b)
+        row = [zero] * len(columns)
+        row[columns[partner_key, partner_exps]] = (
+            val.coefficient(res_key) if isinstance(val, LogForm) else val
+        )
         rows.append(row)
     return rows
 

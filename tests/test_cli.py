@@ -238,6 +238,20 @@ def test_load_config_rejects_lift_length_above_four(tmp_path, capsys):
     assert "lift length s = 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("p", 2.0), ("k", 1.0), ("s", 2.0), ("s", True), ("precision", 64.0)]
+)
+def test_tower_integer_fields_must_be_ints(tmp_path, capsys, field, value):
+    """A float or bool would load: ``"s": 2.0`` once gave a float lift
+    modulus and a run-time TypeError, ``"s": true`` loaded as s = 1."""
+    doc = config_doc(tower={**MAIN2, field: value})
+    message = f"field '{field}' must be an integer"
+    with pytest.raises(ConfigError, match=message):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_load_config_rejects_variables_that_are_not_a_list_of_names():
     for variables in ("ut", [1]):
         with pytest.raises(ConfigError, match="'variables' must be a list of names"):

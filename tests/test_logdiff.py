@@ -10,6 +10,7 @@ Oracles used here:
 """
 
 import random
+from math import comb
 
 import pytest
 
@@ -420,6 +421,82 @@ def test_gram_elimination_rules():
         gram_is_invertible([[s("t^2").truncate(1), s("1")], [s("1"), s("0")]])
     with pytest.raises(ValueError, match="need their domain"):
         gram_is_invertible([[1]])
+
+
+def dense_duality_oracle(n, m, b, K, i, j):
+    """The N^2 builder: r_b(x ^ y) evaluated on every pair of basis forms."""
+    level = K.d
+    xs = window_basis(level, K.field_domain, j, n, m, b)
+    ys = window_basis(level, K.field_domain, i, -m - 1, -n - 1, b)
+    res_key = tuple(range(1, level))
+    rows = []
+    for x in xs:
+        row = []
+        for y in ys:
+            val = r_b(wedge_windowed(x, y), b)
+            row.append(val.coefficient(res_key) if isinstance(val, LogForm) else val)
+        rows.append(row)
+    return rows
+
+
+def assert_partner_matched(K, n, m, b):
+    """Every split equals the N^2 oracle and is a monomial matrix."""
+    dom = K.field_domain
+    for i in range(K.d + 1):
+        rows = duality_matrix(n, m, b, K, i, K.d - i)
+        assert rows == dense_duality_oracle(n, m, b, K, i, K.d - i)
+        nonzero_cols = []
+        for row in rows:
+            cols = [
+                c for c, v in enumerate(row)
+                if not (v.is_zero() if isinstance(v, NestedSeries) else dom.is_zero(v))
+            ]
+            assert len(cols) == 1
+            nonzero_cols.append(cols[0])
+        assert len(set(nonzero_cols)) == len(rows)
+
+
+# The windows of perfbench's duality workload: widths per prime, m = 0..3.
+@pytest.mark.parametrize(
+    "p, width", [(2, a) for a in range(1, 7)] + [(3, a) for a in range(1, 6)]
+)
+def test_duality_matrix_matches_dense_oracle_on_workload_windows(p, width):
+    K = KD if p == 2 else KD3
+    for m in range(4):
+        assert_partner_matched(K, m + width, m, minimal_b(p, width))
+
+
+def test_duality_matrix_matches_dense_oracle_off_the_workload():
+    for p in (2, 3, 5):
+        K = FieldTower(p, 1, 1, ("t",))
+        for width in range(1, 6):
+            for m in (-2, 0, 1):
+                assert_partner_matched(K, m + width, m, minimal_b(p, width))
+    K4D = FieldTower(2, 2, 1, ("u", "t"))  # F_4((u))((t))
+    for width in (1, 2, 3):
+        assert_partner_matched(K4D, width + 1, 1, minimal_b(2, width))
+    K3D = FieldTower(2, 1, 1, ("v", "u", "t"))  # F_2((v))((u))((t))
+    assert_partner_matched(K3D, 2, 0, 1)
+    # b above the minimal one: p^b = 4 and 9 for width 2
+    assert_partner_matched(KD, 2, 0, 2)
+    assert_partner_matched(KD3, 3, 1, 2)
+
+
+def test_duality_wider_windows_are_invertible():
+    """p = 5 over F_5((u))((t)), and a d = 3 tower F_2((v))((u))((t))."""
+    towers = [
+        (FieldTower(5, 1, 1, ("u", "t")), range(1, 6)),
+        (FieldTower(2, 1, 1, ("v", "u", "t")), range(1, 3)),
+    ]
+    for K, widths in towers:
+        for width in widths:
+            for m in (0, 2):
+                b = minimal_b(K.p, width)
+                for i in range(K.d + 1):
+                    rows = duality_matrix(m + width, m, b, K, i, K.d - i)
+                    assert len(rows) == comb(K.d, i) * width * K.p ** (b * (K.d - 1))
+                    assert gram_is_invertible(rows, domain=K.field_domain, precision=K.precision)
+
 
 def test_duality_rejects_wrong_degrees():
     with pytest.raises(DegreeMismatch):
