@@ -18,7 +18,8 @@ with widths 1..2.  ``split`` is the degree pair ``(i, j)``.  Per cell:
 * ``rows``: the Gram size, the same for every tree (checked);
 * ``ms_per_matrix``: one figure per tree, in the order of ``trees``: the
   mean builder time over the windows ``(m + a, m)`` for m = 0..3 with the
-  minimal ``b``, the median over ``PASSES`` passes.
+  minimal ``b``, the median over ``PASSES`` passes, each timing a batch of
+  builds of all four windows.
 
 ``totals_ms`` sums the builder time over every workload window (d = 2,
 p = 2 and 3, 4 windows per cell) per tree.  The JSON written to ``OUT``
@@ -29,15 +30,13 @@ the Python version and the machine.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import platform
-import statistics
-import subprocess
 import sys
-import time
 from pathlib import Path
+
+from _trees import alternate, commit, load
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,74 +48,43 @@ CELLS = tuple(
 )
 MS = range(4)
 PASSES = 5
+BATCH_SECONDS = 0.02  # each timing covers a batch of calls of about this length
 VARIABLES = ("v", "u", "t")
 
 
-def _load(src: str, index: int):
-    """Import ``src/rswan`` as the package ``rswan_<index>``."""
-    package = Path(src).resolve() / "rswan"
-    name = f"rswan_{index}"
-    spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _time_cell(rswan, p: int, d: int, a: int, i: int):
-    """Seconds per matrix over the windows of one cell, and the Gram size."""
+def _builder(rswan, p: int, d: int, a: int, i: int):
+    """A call that builds the Gram matrices of the cell's windows and
+    returns their sizes."""
     tower = rswan.FieldTower(p, 1, 1, VARIABLES[3 - d:])
     b = rswan.logdiff.minimal_b(p, a)
-    elapsed = 0.0
-    for m in MS:
-        t0 = time.perf_counter()
-        rows = rswan.duality_matrix(m + a, m, b, tower, i, d - i)
-        elapsed += time.perf_counter() - t0
-    return elapsed / len(MS), len(rows)
-
-
-def _commit(src: str) -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=Path(src).resolve().parent,
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return out.stdout.strip()
+    return lambda: [len(rswan.duality_matrix(m + a, m, b, tower, i, d - i)) for m in MS]
 
 
 def measure(srcs: list[str]) -> dict:
-    trees = [_load(src, index) for index, src in enumerate(srcs)]
+    trees = [load(src, index) for index, src in enumerate(srcs)]
     keys = [(p, d, a, i) for p, d, a in CELLS for i in range(d + 1)]
-    times = {key: [[] for _ in trees] for key in keys}
+    calls = {key: [_builder(tree, *key) for tree in trees] for key in keys}
     sizes = {}
-    for run in range(PASSES):
-        order = list(range(len(trees)))
-        if run % 2:
-            order.reverse()
-        for key in keys:
-            for index in order:
-                seconds, rows = _time_cell(trees[index], *key)
-                times[key][index].append(seconds)
-                if sizes.setdefault(key, rows) != rows:
-                    raise SystemExit(f"cell {key}: Gram sizes differ between trees")
+    for key, builders in calls.items():
+        rows = [build() for build in builders]
+        if any(r != rows[0] for r in rows):
+            raise SystemExit(f"cell {key}: Gram sizes differ between trees")
+        sizes[key] = rows[0][-1]
+    seconds = alternate(calls, PASSES, BATCH_SECONDS)
     cells = []
     totals = [0.0 for _ in trees]
     for key in keys:
         p, d, a, i = key
-        medians = [statistics.median(ts) * 1e3 for ts in times[key]]
+        per_matrix = [t * 1e3 / len(MS) for t in seconds[key]]
         cells.append({
             "p": p, "d": d, "a": a, "split": f"({i},{d - i})",
             "rows": sizes[key],
-            "ms_per_matrix": [round(ms, 3) for ms in medians],
+            "ms_per_matrix": [round(ms, 3) for ms in per_matrix],
         })
         if d == 2 and p in WORKLOAD_WIDTHS:
-            totals = [t + ms * len(MS) for t, ms in zip(totals, medians)]
+            totals = [t + ms * len(MS) for t, ms in zip(totals, per_matrix)]
     return {
-        "trees": [{"commit": _commit(src)} for src in srcs],
+        "trees": [{"commit": commit(src)} for src in srcs],
         "totals_ms": [round(t, 1) for t in totals],
         "cells": cells,
     }

@@ -30,10 +30,11 @@ import os
 import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from _trees import commit
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -132,17 +133,6 @@ def crossover(rng) -> dict:
     }
 
 
-def _commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=ROOT,
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return out.stdout.strip()
-
-
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 bench/series_mul.py OUT", file=sys.stderr)
@@ -151,7 +141,7 @@ def main(argv: list[str]) -> int:
     rng = random.Random(5)
     result = {
         "bench": "series_mul",
-        "commit": _commit(),
+        "commit": commit(str(ROOT / "src")),
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
         "repeats": REPEATS,

@@ -10,7 +10,7 @@ Grammar (whitespace-insensitive)::
 
     form    := ['-'] fterm (('+'|'-') fterm)* '|' 'window' '(' sint ',' sint ')'
     fterm   := term [chain] | chain
-    chain   := 'dlog' '(' NAME ')' ('^' 'dlog' '(' NAME ')')*
+    chain   := 'dlog' '(' NAME ')' ('^' 'dlog' '(' NAME ')')* | 'dlog' '(' ')'
 
     ratfunc := expr ['/' expr]
 
@@ -166,10 +166,13 @@ class _Parser:
     # ------------------------------------------------------------ forms
     def form(self) -> WindowedForm:
         coeffs: dict = {}
+        chained = False
         op = "-" if self.accept("-") else "+"
         while True:
             pos = self.peek()[2]
             coeff, key = self.fterm()
+            chained = chained or key is not None
+            key = key or ()
             if coeffs and len(key) != len(next(iter(coeffs))):
                 raise ParseError("mixed-degree terms in one form literal", position=pos)
             if op == "-":
@@ -186,26 +189,36 @@ class _Parser:
         m = self.signed_int()
         self.expect(")")
         degree = len(next(iter(coeffs)))
-        if degree == 0 and all(c.is_zero() for c in coeffs.values()):
+        if not chained and all(c.is_zero() for c in coeffs.values()):
             return WindowedForm(LogForm.zero(self.level, self.domain, 1), n, m)
         return WindowedForm(LogForm(self.level, self.domain, degree, coeffs), n, m)
 
     def fterm(self):
+        """(coefficient, dlog key); the key is None for a term without a
+        chain and () for the empty chain ``dlog()``."""
         coeff = NestedSeries.one(self.level, self.domain)
         if not self.at("dlog", "name"):
             coeff = self.term()
             if not self.at("dlog", "name"):
-                return coeff, ()
-        key = [self.dlog()]
+                return coeff, None
+        first = self.dlog()
+        if first is None:
+            return coeff, ()
+        key = [first]
         while self.accept("^"):
             key.append(self.dlog())
+        if None in key:
+            raise ParseError("the empty chain dlog() stands alone")
         if any(b <= a for a, b in zip(key, key[1:])):
             raise ParseError("dlog variables must appear in strictly increasing tower order")
         return coeff, tuple(key)
 
-    def dlog(self) -> int:
+    def dlog(self) -> int | None:
+        """The level of ``dlog(NAME)``, or None for the empty ``dlog()``."""
         self.expect("dlog", "name")
         self.expect("(")
+        if self.accept(")"):
+            return None
         kind, val, pos = self.advance()
         if kind != "name":
             raise ParseError("expected a variable name", position=pos)
@@ -246,9 +259,10 @@ def parse_series(text: str, tower: FieldTower) -> NestedSeries:
 def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
     """Inverse of :func:`render_form`.
 
-    A ``dlog`` name outside the tower raises :class:`TowerMismatch`.  A body
-    of degree 0 that is zero (such as ``0``) is the zero form, of degree 1;
-    a zero body with a ``dlog`` chain is the zero form of the chain's degree.
+    A ``dlog`` name outside the tower raises :class:`TowerMismatch`.  A zero
+    body without a ``dlog`` chain (such as ``0``) is the zero form of
+    degree 1; a zero body with a chain is the zero form of the chain's
+    degree, and ``0 dlog()``, with the empty chain, is the one of degree 0.
     """
     return _Parser(text, tower).parse(_Parser.form)
 
@@ -302,8 +316,9 @@ def render_form(value, tower: FieldTower | None = None) -> str:
     with an explicit tower.  Terms are ordered by their dlog keys,
     coefficients render in the series-literal grammar (parenthesized when
     they have several terms).  The zero form of degree 1 renders as ``0``;
-    one of higher degree as ``0`` times the chain of the first variables,
-    such as ``0 dlog(u)^dlog(t)``, so that it parses back at its degree.
+    one of another degree as ``0`` times the chain of the first variables,
+    such as ``0 dlog(u)^dlog(t)``, or the empty chain ``0 dlog()`` at
+    degree 0, so that it parses back at its degree.
     """
     if isinstance(value, RswValue):
         if tower is None:
@@ -327,8 +342,8 @@ def render_form(value, tower: FieldTower | None = None) -> str:
             if " + " in text:
                 text = f"({text})"
             parts.append(f"{text} {dlogs}")
-    if not parts and form.degree > 1:
-        parts.append(f"0 {_dlog_chain(tower, range(1, form.degree + 1))}")
+    if not parts and form.degree != 1:
+        parts.append(f"0 {_dlog_chain(tower, range(1, form.degree + 1)) or 'dlog()'}")
     body = " + ".join(parts) if parts else "0"
     return f"{body} | window({value.n},{value.m})"
 

@@ -310,6 +310,11 @@ def verify_rsw_characterization(
     random small sum of monomial terms; the left side goes through symbols
     {E(x), T_lambda}, the right side through r_b with the minimal b such
     that p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1).
+
+    Within one call each distinct symbol ``{E(x), T_lambda}`` (with its
+    Schmid oracle value at s = 1, d = 1) and each distinct alpha's pairing
+    is evaluated once; the sums, agreements and mismatch entries are still
+    taken per sample, so repeated draws cost a dict lookup, not a dlog.
     """
     char = asw_reduce(char)
     tower = char.tower
@@ -328,18 +333,24 @@ def verify_rsw_characterization(
     schmid_checked = 0
     mismatches = []
     modulus = p**s
+    schmid = s == 1 and tower.d == 1
+    symbols: dict = {}  # (x, key) -> (symbol value, Schmid oracle value or None)
+    pairings: dict = {}  # frozen form_coeffs -> RHS value in Z/p^s
     for idx in range(samples):
         terms = _random_window_terms(tower, rng, m, n)
         # Left side: sum over terms of the symbol {E(x), T_lambda}.
         lhs = 0
         for x, key in terms:
-            ys = [truncated_exp(x)]
-            for lam in key:
-                ys.append(NestedSeries.variable(tower.d, tower.field_domain, lam))
-            val = _symbol_value(theta, tower, ys)
+            if (x, key) not in symbols:
+                ys = [truncated_exp(x)]
+                for lam in key:
+                    ys.append(NestedSeries.variable(tower.d, tower.field_domain, lam))
+                val = _symbol_value(theta, tower, ys)
+                oracle = schmid_symbol(char.vector.comps[0], ys[0]) if schmid else None
+                symbols[x, key] = (val, oracle)
+            val, oracle = symbols[x, key]
             lhs = (lhs + val) % modulus
-            if s == 1 and tower.d == 1:
-                oracle = schmid_symbol(char.vector.comps[0], ys[0])
+            if schmid:
                 if oracle % modulus != val % modulus:
                     mismatches.append(
                         {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}
@@ -349,15 +360,18 @@ def verify_rsw_characterization(
         form_coeffs: dict = {}
         for x, key in terms:
             form_coeffs[key] = form_coeffs[key] + x if key in form_coeffs else x
-        alpha = WindowedForm(
-            LogForm(tower.d, tower.field_domain, tower.d - 1, form_coeffs), -m - 1, -n - 1
-        )
-        collapsed = r_b(wedge_windowed(alpha, value.window), b)
-        if isinstance(collapsed, LogForm):
-            res_val = residue_to_prime_field(collapsed)
-        else:
-            res_val = residue_to_prime_field(collapsed, tower.field_domain)
-        rhs = (res_val * p ** (s - 1)) % modulus
+        frozen = frozenset(form_coeffs.items())
+        if frozen not in pairings:
+            alpha = WindowedForm(
+                LogForm(tower.d, tower.field_domain, tower.d - 1, form_coeffs), -m - 1, -n - 1
+            )
+            collapsed = r_b(wedge_windowed(alpha, value.window), b)
+            if isinstance(collapsed, LogForm):
+                res_val = residue_to_prime_field(collapsed)
+            else:
+                res_val = residue_to_prime_field(collapsed, tower.field_domain)
+            pairings[frozen] = (res_val * p ** (s - 1)) % modulus
+        rhs = pairings[frozen]
         if lhs == rhs:
             agreements += 1
         else:

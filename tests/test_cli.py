@@ -71,6 +71,22 @@ def test_form_literal_round_trips():
         assert render_form(parsed, tower) == text
 
 
+def test_zero_forms_of_every_degree_round_trip():
+    pinned = {0: "0 dlog() | window(2,0)", 1: "0 | window(2,0)",
+              2: "0 dlog(u)^dlog(t) | window(2,0)"}
+    for tower in (K2, KD):
+        for degree in range(tower.d + 1):
+            zero = WindowedForm(LogForm.zero(tower.d, tower.field_domain, degree), 2, 0)
+            text = render_form(zero, tower)
+            assert text == pinned[degree]
+            assert parse_windowed_form(text, tower) == zero
+    # a chainless zero body keeps its old meaning, the zero form of degree 1
+    assert parse_windowed_form("0 | window(2,0)", K2).form.degree == 1
+    assert parse_windowed_form("t^-1 dlog() | window(2,0)", K2) == parse_windowed_form(
+        "t^-1 | window(2,0)", K2
+    )
+
+
 def test_form_literal_errors():
     with pytest.raises(ParseError):
         parse_windowed_form("t^-2 dlog(t)", K2)  # no window tail
@@ -80,6 +96,12 @@ def test_form_literal_errors():
         parse_windowed_form("t^-2 dlog(t) dlog(t) | window(2,0)", K2)  # repeated factor
     with pytest.raises(TowerMismatch):
         parse_windowed_form("t^-2 dlog(q) | window(2,0)", K2)  # unknown variable
+    with pytest.raises(ParseError):
+        parse_windowed_form("0 dlog(t)^dlog() | window(2,0)", K2)  # empty chain in a chain
+    with pytest.raises(ParseError):
+        parse_windowed_form("0 dlog()^dlog(t) | window(2,0)", K2)
+    with pytest.raises(ParseError, match="mixed-degree"):
+        parse_windowed_form("0 dlog() + t^-1 dlog(t) | window(2,0)", K2)
 
 
 def test_form_literal_signs_follow_the_series_grammar():

@@ -10,19 +10,30 @@ Oracles used here:
     against the classical trace-of-residue symbol;
   * multiplicativity in each entry and antisymmetry are exact consequences
     of dlog(yy') = dlog y + dlog y' and wedge antisymmetry, so they hold on
-    the nose and serve as representation-independent oracles.
+    the nose and serve as representation-independent oracles;
+  * the characterization checker is compared with its own loop without the
+    per-call symbol and pairing dicts (``uncached_characterization_oracle``).
 """
 
 import random
 
 import pytest
 
+from rswan import catalog, cli, reciprocity
 from rswan.errors import (
     InconsistentValue,
     NotTopological,
     PrecisionExhausted,
     UnramifiedCharacter,
     ZeroEntry,
+)
+from rswan.logdiff import (
+    LogForm,
+    WindowedForm,
+    minimal_b,
+    r_b,
+    residue_to_prime_field,
+    wedge_windowed,
 )
 from rswan.parser import parse_series, render_series
 from rswan.reciprocity import (
@@ -35,6 +46,7 @@ from rswan.reciprocity import (
     truncated_exp,
     verify_rsw_characterization,
 )
+from rswan.rsw import RswValue
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
 from rswan.witt import Character, WittVector, asw_reduce
@@ -291,3 +303,132 @@ def test_characterization_covers_low_dimensions_only():
     chi = char_of(K3d, ["t^-1"])
     with pytest.raises(InconsistentValue):
         verify_rsw_characterization(chi, samples=1)
+
+
+# ------------------------------------- the unmemoized characterization loop
+
+def uncached_characterization_oracle(char, samples, seed=0):
+    """The characterization loop without its per-call symbol and pairing
+    dicts: every term's symbol, its Schmid oracle value and every sample's
+    pairing evaluated afresh.  Helpers are looked up on the module, so a
+    monkeypatched one reaches both this loop and the library's."""
+    char = asw_reduce(char)
+    tower = char.tower
+    p, s = tower.p, tower.s
+    n = reciprocity.swan_conductor(char)
+    value = reciprocity.rsw_char_p(char)
+    m = value.m
+    b = minimal_b(p, n - m)
+    theta = theta_lift(char.vector)
+    rng = random.Random(seed)
+    agreements = schmid_checked = 0
+    mismatches = []
+    modulus = p**s
+    for idx in range(samples):
+        terms = reciprocity._random_window_terms(tower, rng, m, n)
+        lhs = 0
+        for x, key in terms:
+            ys = [truncated_exp(x)]
+            for lam in key:
+                ys.append(NestedSeries.variable(tower.d, tower.field_domain, lam))
+            val = reciprocity._symbol_value(theta, tower, ys)
+            lhs = (lhs + val) % modulus
+            if s == 1 and tower.d == 1:
+                oracle = reciprocity.schmid_symbol(char.vector.comps[0], ys[0])
+                if oracle % modulus != val % modulus:
+                    mismatches.append(
+                        {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}
+                    )
+                schmid_checked += 1
+        form_coeffs: dict = {}
+        for x, key in terms:
+            form_coeffs[key] = form_coeffs[key] + x if key in form_coeffs else x
+        alpha = WindowedForm(
+            LogForm(tower.d, tower.field_domain, tower.d - 1, form_coeffs), -m - 1, -n - 1
+        )
+        collapsed = r_b(wedge_windowed(alpha, value.window), b)
+        if isinstance(collapsed, LogForm):
+            res_val = residue_to_prime_field(collapsed)
+        else:
+            res_val = residue_to_prime_field(collapsed, tower.field_domain)
+        rhs = (res_val * p ** (s - 1)) % modulus
+        if lhs == rhs:
+            agreements += 1
+        else:
+            mismatches.append({"sample": idx, "kind": "identity", "lhs": lhs, "rhs": rhs})
+    return CharacterizationReport(
+        n=n, m=m, b=b, samples=samples, agreements=agreements,
+        schmid_checked=schmid_checked, mismatches=tuple(mismatches[:10]),
+    )
+
+
+def catalog_reciprocity_cells(p):
+    """(label, character, samples) for every check-all reciprocity task at p."""
+    config = cli.load_config(catalog.canned_config(p))
+    return [
+        (task["character"], config.characters[task["character"]], task["samples"])
+        for task in config.tasks
+        if task["task"] == "reciprocity"
+    ]
+
+
+@pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
+def test_characterization_matches_uncached_oracle_on_the_catalog(p):
+    for label, char, samples in catalog_reciprocity_cells(p):
+        for seed in range(5):
+            report = verify_rsw_characterization(char, samples, seed=seed)
+            assert report == uncached_characterization_oracle(char, samples, seed), (label, seed)
+            assert report.all_equal
+
+
+def _zero_invariant(rsw_char_p):
+    def corrupted(char):
+        window = rsw_char_p(char).window
+        form = window.form
+        zero = LogForm.zero(form.level, form.domain, form.degree)
+        return RswValue(char, WindowedForm(zero, window.n, window.m))
+
+    return corrupted
+
+
+@pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
+def test_characterization_mismatches_match_uncached_oracle(p, monkeypatch):
+    """A zero invariant breaks the identity and an off-by-one Schmid value
+    breaks the oracle check; both kinds of entry, recorded per occurrence of
+    a repeated symbol, equal the unmemoized loop's."""
+    monkeypatch.setattr(reciprocity, "rsw_char_p", _zero_invariant(reciprocity.rsw_char_p))
+    schmid = reciprocity.schmid_symbol
+    monkeypatch.setattr(reciprocity, "schmid_symbol", lambda f, y: schmid(f, y) + 1)
+    kinds = set()
+    for label, char, samples in catalog_reciprocity_cells(p):
+        for seed, count in ((0, 3), (1, samples)):
+            report = verify_rsw_characterization(char, count, seed=seed)
+            assert report == uncached_characterization_oracle(char, count, seed), (label, seed)
+            kinds |= {entry["kind"] for entry in report.mismatches}
+        assert not report.all_equal, label
+    assert kinds == {"identity", "schmid-oracle"}
+
+
+@pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
+def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
+    drawn = set()
+    calls = []
+    draw = reciprocity._random_window_terms
+    symbol_value = reciprocity._symbol_value
+
+    def recording_draw(*args):
+        terms = draw(*args)
+        drawn.update(terms)
+        return terms
+
+    def counting_symbol_value(*args):
+        calls.append(args)
+        return symbol_value(*args)
+
+    monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw)
+    monkeypatch.setattr(reciprocity, "_symbol_value", counting_symbol_value)
+    for label, char, samples in catalog_reciprocity_cells(p):
+        drawn.clear()
+        calls.clear()
+        verify_rsw_characterization(char, samples, seed=3)
+        assert len(calls) == len(drawn) < samples, label
