@@ -1,0 +1,243 @@
+"""Layer bench: the conductor-change path (level-1 inversion, reduction, the formula).
+
+    python3 bench/conductor_change.py OUT [SRC ...]
+
+Run it from the repository root; it uses only the standard library.  Each
+``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
+checkout's ``src``); pass the ``src`` of another checkout to put its figures
+beside these.  All trees are imported into this one process, each under its
+own package name, and timed in alternation: every pass times each cell for
+every tree before moving on, and the tree order flips from pass to pass, so
+machine drift falls on all trees alike.  Results must be equal across trees
+(checked).
+
+Three sections, with one figure per tree in the order of ``trees``:
+
+* ``inv``: ``NestedSeries.inv`` of an exact level-1 series with ``terms``
+  stored terms in ``[0, width)`` (the lead at exponent 0, the others at
+  seeded random exponents) at precision ``width``, for widths 4, 16 and 64
+  (the ``embed`` shape), 256 and 1024, over ``F_2``, ``F_9`` and ``Z/16``;
+  ``inv_us`` per tree.
+* ``asw_reduce``: per cell ``(p, s)`` of perfbench's ``embed`` workload,
+  ``UNITS`` seeded units drawn as that workload draws them (a character
+  with 0..4 monomials per component at exponents -12..2, an image
+  ``u^e (1 + ...)`` with ``e`` in 2..6); ``pulled_back`` is how many of
+  them reduce and pull back without error, and ``us_per_reduce`` the mean
+  time of ``asw_reduce`` on one pulled-back character, the reduction that
+  ``pullback_character`` ends with.
+* ``conductor_change``: the same units; ``answered`` and ``errors`` (by
+  kind) of ``extensions.conductor_change``, and ``us_per_change``, the
+  mean time of one call, failures included.
+
+Each time is the median over ``PASSES`` passes, each timing a batch of
+calls of about ``BATCH_SECONDS``.  The JSON written to ``OUT`` (required,
+so that no run overwrites a committed ``BENCH_<n>.json`` by default)
+records each tree's commit (``git describe --always --dirty``), the Python
+version and the machine.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import sys
+from pathlib import Path
+
+from _trees import alternate, commit, load
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DOMAINS = {"F_2": (2, 1, 1), "F_9": (3, 2, 1), "Z/16": (2, 1, 4)}
+WIDTHS = (4, 16, 64, 256, 1024)
+TERMS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
+EMBED_CELLS = tuple((p, s) for p in (2, 3, 5) for s in (1, 2))
+UNITS = 24
+PASSES = 7
+BATCH_SECONDS = 0.02
+
+
+# ----------------------------------------------------------------------- inv
+
+def _grid():
+    return [(name, w, n) for name in DOMAINS for w in WIDTHS for n in TERMS if n <= w]
+
+
+def _inv_input(rswan, name, width, terms):
+    p, k, s = DOMAINS[name]
+    dom = rswan.scalars.galois_ring_domain(p, k, s)
+    rng = random.Random(f"inv:{name}:{width}:{terms}")
+    lead = dom.random_nonzero(rng)
+    while dom.is_zero(dom.reduce_mod_p(lead)):  # a unit of Z/16
+        lead = dom.random_nonzero(rng)
+    coeffs = {0: lead}
+    for e in rng.sample(range(1, width), terms - 1):
+        coeffs[e] = dom.random_nonzero(rng)
+    return rswan.NestedSeries(1, dom, coeffs)
+
+
+def _same(results) -> bool:
+    first = results[0]
+    return all(r.coeffs == first.coeffs and r.ceiling == first.ceiling for r in results)
+
+
+def _inv_section(trees):
+    calls = {}
+    for cell in _grid():
+        width = cell[1]
+        inputs = [_inv_input(tree, *cell) for tree in trees]
+        calls[cell] = [(lambda a=a, w=width: a.inv(w)) for a in inputs]
+        if not _same([fn() for fn in calls[cell]]):
+            raise SystemExit(f"inverse of {cell}: results differ between trees")
+    seconds = alternate(calls, PASSES, BATCH_SECONDS)
+    return [
+        {"domain": name, "width": width, "terms": terms,
+         "inv_us": [round(t * 1e6, 1) for t in seconds[name, width, terms]]}
+        for name, width, terms in _grid()
+    ]
+
+
+# ------------------------------------------------------------------- embed
+
+def _units(rswan, cell):
+    """``(ExtensionMap, WittVector)`` pairs, drawn as the ``embed`` workload draws."""
+    p, s = cell
+    source = rswan.FieldTower(p, 1, s, ("t",))
+    target = rswan.FieldTower(p, 1, s, ("u",))
+    dom = target.field_domain
+    rng = random.Random(f"conductor_change:{cell}")
+    out = []
+    for _ in range(UNITS):
+        e = rng.randint(2, 6)
+        terms = [((e,), dom.random_nonzero(rng))]
+        for j in range(1, 4):
+            if rng.random() < 0.5:
+                terms.append(((e + j,), dom.random_nonzero(rng)))
+        if all(exps[0] % p == 0 for exps, _ in terms):
+            j = next(j for j in range(1, p + 1) if (e + j) % p)
+            terms.append(((e + j,), dom.random_nonzero(rng)))
+        image = rswan.NestedSeries.from_monomials(1, dom, terms)
+        comps = []
+        for _ in range(s):
+            monos = [((rng.randint(-12, 2),), dom.random_nonzero(rng))
+                     for _ in range(rng.randint(0, 4))]
+            comps.append(rswan.NestedSeries.from_monomials(1, dom, monos))
+        ext = rswan.extensions.ExtensionMap(source, target, {"t": image})
+        out.append((ext, rswan.WittVector(source, tuple(comps))))
+    return out
+
+
+def _pulled_back(rswan, units):
+    """The characters ``pullback_character`` reduces over the target."""
+    out = []
+    for ext, vec in units:
+        try:
+            char = rswan.asw_reduce(vec)
+            comps = tuple(rswan.extensions.pullback_series(ext, c) for c in char.vector.comps)
+        except rswan.RswanError:
+            continue
+        out.append(rswan.WittVector(ext.target, comps))
+    return out
+
+
+def _reduce(rswan, vec):
+    try:
+        return rswan.asw_reduce(vec)
+    except rswan.RswanError as exc:
+        return type(exc).__name__
+
+
+def _change(rswan, ext, vec):
+    try:
+        return rswan.extensions.conductor_change(ext, vec)
+    except rswan.RswanError as exc:
+        return type(exc).__name__
+
+
+def _outcome(result):
+    """A tree-independent form of a reduction or a report (or an error kind)."""
+    if isinstance(result, str):
+        return result
+    if hasattr(result, "vector"):
+        return [(c.coeffs, c.ceiling) for c in result.vector.comps]
+    return (result.e, result.delta, result.sw_source, result.sw_target, result.status)
+
+
+def _embed_section(trees):
+    units = {cell: [_units(tree, cell) for tree in trees] for cell in EMBED_CELLS}
+    pulled = {cell: [_pulled_back(tree, u) for tree, u in zip(trees, units[cell])]
+              for cell in EMBED_CELLS}
+    calls = {}
+    for cell in EMBED_CELLS:
+        reduced = [[_outcome(_reduce(tree, v)) for v in vecs]
+                   for tree, vecs in zip(trees, pulled[cell])]
+        if any(r != reduced[0] for r in reduced):
+            raise SystemExit(f"cell {cell}: reduced characters differ between trees")
+        calls["asw_reduce", cell] = [
+            (lambda tree=tree, vecs=vecs: [_reduce(tree, v) for v in vecs])
+            for tree, vecs in zip(trees, pulled[cell])
+        ]
+        calls["conductor_change", cell] = [
+            (lambda tree=tree, us=us: [_change(tree, *u) for u in us])
+            for tree, us in zip(trees, units[cell])
+        ]
+    seconds = alternate(calls, PASSES, BATCH_SECONDS)
+    reduce_rows, change_rows = [], []
+    for cell in EMBED_CELLS:
+        p, s = cell
+        outcomes = [[_outcome(_change(tree, *u)) for u in us]
+                    for tree, us in zip(trees, units[cell])]
+        if any(o != outcomes[0] for o in outcomes):
+            raise SystemExit(f"cell {cell}: conductor-change reports differ between trees")
+        errors: dict = {}
+        for o in outcomes[0]:
+            if isinstance(o, str):
+                errors[o] = errors.get(o, 0) + 1
+        reduce_rows.append({
+            "p": p, "s": s, "pulled_back": len(pulled[cell][0]),
+            "us_per_reduce": [round(t * 1e6 / len(pulled[cell][0]), 1)
+                              for t in seconds["asw_reduce", cell]],
+        })
+        change_rows.append({
+            "p": p, "s": s, "answered": UNITS - sum(errors.values()), "errors": errors,
+            "us_per_change": [round(t * 1e6 / UNITS, 1)
+                              for t in seconds["conductor_change", cell]],
+        })
+    return reduce_rows, change_rows
+
+
+def measure(srcs: list[str]) -> dict:
+    trees = [load(src, index) for index, src in enumerate(srcs)]
+    inv_rows = _inv_section(trees)
+    reduce_rows, change_rows = _embed_section(trees)
+    return {
+        "trees": [{"commit": commit(src)} for src in srcs],
+        "inv": inv_rows,
+        "asw_reduce": reduce_rows,
+        "conductor_change": change_rows,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python3 bench/conductor_change.py OUT [SRC ...]", file=sys.stderr)
+        return 2
+    out_path = Path(argv[0])
+    srcs = argv[1:] or [str(ROOT / "src")]
+    result = {
+        "bench": "conductor_change",
+        "python": platform.python_version(),
+        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
+        "units_per_cell": UNITS,
+        "passes": PASSES,
+        **measure(srcs),
+    }
+    text = json.dumps(result, indent=2)
+    out_path.write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -35,6 +35,24 @@ the dict loop ``_schoolbook_mul``, which stays as the reference.  Results
 of ring operations are built by ``_make``, which skips the per-entry checks
 of ``__init__`` but still drops zeros, cuts at the ceiling and refuses
 exponents below the supported range.
+
+Inversion
+---------
+Write ``a = c T^v (1 + sum_i b_i T^i)``.  Its inverse on the window
+``[-v, -v + w)`` is unique, so every method that computes it exactly gives
+the same series.  At level 1, over every domain, ``inv`` runs power-series
+division by recurrence (Knuth, TAOCP vol. 2, sec. 4.7): ``d_0 = c^-1`` and
+``d_n = -sum_{i <= n} b_i d_{n-i}`` over the stored terms of ``[v, v + w)``,
+``O(w * terms)`` scalar operations; over ``(Z/p^s)[g]/(f)`` each ``d_n`` is
+summed in plain ints and reduced once.  That cost is paid on every exponent
+of the window even when the inverse is sparse, so Newton is faster on inputs
+of two to six terms at width 1024, and on ``F_9`` windows of 256 terms at
+widths 256 and 1024 (bench/conductor_change.py, BENCH_10.json); the
+workloads invert at widths up to 64.  Levels >= 2 run Newton's iteration ``x <- x (2 - a x)``:
+about ``log2 w`` products at full width, which the Kronecker kernel makes
+cheap when they are dense.  The checks before either kernel are shared: a
+zero input raises ``ZeroInput``, an exact input of several terms with no
+width raises ``PrecisionExhausted``, and a single exact term inverts exactly.
 """
 
 from __future__ import annotations
@@ -188,21 +206,74 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
     top = span if ceiling is None else min(span, ceiling - e0)
     if k == 1:
         return {e0 + i: r for i, v in enumerate(vals[:top]) if (r := v % m)}
-    rows = domain._red_rows
     out = {}
     for j in range(top):
-        sub = vals[j * stride:(j + 1) * stride]
-        acc = list(sub[:k])
-        for d in range(k, stride):
-            c = sub[d]
-            if c:
-                row = rows[d - k]
-                for i in range(k):
-                    acc[i] += c * row[i]
-        coeff = tuple(x % m for x in acc)
+        coeff = _fold(domain, vals[j * stride:(j + 1) * stride])
         if any(coeff):
             out[e0 + j] = coeff
     return out
+
+
+def _fold(domain, vals) -> tuple:
+    """The raw value of ``sum_d vals[d] g^d`` (``d < 2k - 1``, unreduced ints)
+    in ``(Z/p^s)[g]/(f)``, ``k > 1``."""
+    k, rows = domain.k, domain._red_rows
+    acc = list(vals[:k])
+    for d in range(k, len(vals)):
+        c = vals[d]
+        if c:
+            row = rows[d - k]
+            for i in range(k):
+                acc[i] += c * row[i]
+    m = domain.modulus
+    return tuple(x % m for x in acc)
+
+
+def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
+    """``[d_0, ..., d_{width-1}]``, the inverse of ``c * (1 + sum b_i T^i)``.
+
+    ``lead_inv`` is ``c^-1`` and ``tail`` lists ``(i, c * b_i)`` for
+    ``0 < i < width`` in ascending ``i``; ``d_0 = c^-1`` and
+    ``d_n = -sum_{i <= n} b_i d_{n-i}``.  Over ``(Z/p^s)[g]/(f)`` each
+    ``d_n`` is summed as plain ints and reduced once.
+    """
+    d = [lead_inv]
+    neg_lead_inv = domain.neg(lead_inv)
+    steps = [(i, domain.mul(neg_lead_inv, c)) for i, c in tail]
+    if isinstance(domain, _QuotientDomain) and domain.k == 1:
+        m = domain.modulus
+        for n in range(1, width):
+            acc = 0
+            for i, b in steps:
+                if i > n:
+                    break
+                acc += b * d[n - i]
+            d.append(acc % m)
+    elif isinstance(domain, _QuotientDomain):
+        stride = 2 * domain.k - 1
+        for n in range(1, width):
+            acc = [0] * stride
+            for i, b in steps:
+                if i > n:
+                    break
+                x = d[n - i]
+                for r, br in enumerate(b):
+                    if br:
+                        for j, xj in enumerate(x):
+                            acc[r + j] += br * xj
+            d.append(_fold(domain, acc))
+    else:
+        mul, add, is_zero, zero = domain.mul, domain.add, domain.is_zero, domain.zero()
+        for n in range(1, width):
+            acc = zero
+            for i, b in steps:
+                if i > n:
+                    break
+                x = d[n - i]
+                if not is_zero(x):
+                    acc = add(acc, mul(b, x))
+            d.append(acc)
+    return d
 
 
 class NestedSeries:
@@ -427,7 +498,8 @@ class NestedSeries:
         return NestedSeries.one(self.level, self.domain) if acc is None else acc
 
     def inv(self, precision: int | None = None) -> "NestedSeries":
-        """Multiplicative inverse, Newton iteration on the top variable.
+        """Multiplicative inverse in the top variable (module docstring,
+        "Inversion").
 
         The result window is exactly what the input window supports: for an
         input known on [v, v + w) the inverse is known on [-v, -v + w).  An
@@ -454,6 +526,10 @@ class NestedSeries:
                 "the inverse of an exact series with several terms needs a width",
                 exponent=-v,
             )
+        if self.level == 1:
+            tail = sorted((e - v, c) for e, c in self.coeffs.items() if v < e < v + width)
+            d = _inverse_by_recurrence(self.domain, lead_inv, tail, width)
+            return _make(1, self.domain, {n - v: x for n, x in enumerate(d)}, -v + width)
         # x_{n+1} = x_n (2 - a x_n); the error 1 - a x_n squares each step.
         two = NestedSeries.one(self.level, self.domain).mul_int(2)
         x = NestedSeries(self.level, self.domain, {-v: lead_inv}, -v + width)

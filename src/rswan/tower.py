@@ -2,9 +2,9 @@
 
 A :class:`FieldTower` names the field K = F_q((T_1))...((T_d)) together with
 the lift length s used by its characters and the precision budget N that
-caps the width of any freshly created finite window.  Towers are immutable
-value objects; all structural checks (TowerMismatch and friends) compare
-them by equality.
+caps the width of any freshly created finite window (4 <= N <= 4096).
+Towers are immutable value objects; all structural checks (TowerMismatch
+and friends) compare them by equality.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from .scalars import fq_domain, galois_ring_domain
 __all__ = ["FieldTower"]
 
 DEFAULT_PRECISION = 64
+# Fresh windows are allocated one slot per exponent (the level-1 inverse
+# keeps a list of the width), so the budget is capped.
+MAX_PRECISION = 4096
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ class FieldTower:
                 raise ValueError(f"bad variable name {v!r}")
         if self.precision < 4:
             raise ValueError("precision budget too small to be useful")
+        if self.precision > MAX_PRECISION:
+            raise ValueError(f"precision budget {self.precision} above the cap {MAX_PRECISION}")
 
     # -- structure ----------------------------------------------------------
     @property

@@ -31,17 +31,29 @@ Reduction
 Slots are reduced in standard order ``x_0, x_1, ...`` (internal ``s - 1`` down
 to 0).  With ``E`` nonzero only in standard slot ``j``, ``E - F(E)`` lies in
 ``V^j W``: adding it leaves ``x_0, ..., x_{j-1}`` alone, adds ``U - U^p`` to
-``x_j`` and carries only into lighter slots.  So a slot runs the
-Artin–Schreier loop ``x <- x - u^p + u`` on its one series, collecting ``U``,
+``x_j`` and carries only into lighter slots.  So a slot is first reduced as
+one series, ``x <- x - u^p + u`` for each removable term, collecting ``U``,
 then takes one combination ``comps - F(E) + E``, after which slot ``j`` must
 agree with the series-level result and each finished slot with its old value
 (on the common window: a windowed combination may narrow it).  The weight-1
 slot (internal 0) carries into nothing and takes the series-level result
 directly, so at ``s = 1`` no combination runs.
+
+The series-level reduction (``_reduce_slot``) is one ascending sweep over a
+heap of the negative exponents divisible by ``p``.  The term ``c_e T^e`` is
+removable when its root ``u`` (``pth_root`` with ``skip_prime_to_p`` and
+``skip_non_powers``, at any level) is nonzero; removing it sets
+``c_e <- c_e - F(u)`` and ``c_{e/p} <- c_{e/p} + u``, pushes ``e/p`` when it
+is new and adds ``u T^(e/p)`` to ``U``.  Those are the coefficient operations
+of ``x - u^p + u``.  A removal only adds at ``e/p > e``, so no exponent
+already passed becomes removable again: the sweep removes the same terms in
+the same order as rescanning from the deepest pole after each removal, and
+it ends, because every pushed exponent is larger and still negative.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import (
@@ -69,8 +81,6 @@ __all__ = [
     "lift_series",
     "reduce_series",
 ]
-
-_REDUCTION_STEP_CAP = 10_000
 
 
 def _map_raw(sr: NestedSeries, fn, domain) -> NestedSeries:
@@ -250,24 +260,41 @@ def _check_windows_cover_polar_part(comps):
 
 
 def _reduce_slot(x: NestedSeries):
-    """``(x - U^p + U, U)``, ``U`` None if nothing moved: repeatedly cancel the
-    deepest removable polar term, the p-th power of a one-term ``u``, by
-    ``x <- x - u^p + u``."""
-    total = removed = None
-    for _ in range(_REDUCTION_STEP_CAP):
-        for e in sorted(k for k in x.coeffs if k < 0):
-            term = NestedSeries(x.level, x.domain, {e: x.coeffs[e]})
-            u = term.pth_root(skip_prime_to_p=True, skip_non_powers=True)
-            if u.coeffs:
-                break
+    """``(x - U^p + U, U)``, ``U`` None if nothing moved: cancel each removable
+    polar term, deepest first, by ``x <- x - u^p + u`` (module docstring).
+
+    ``x``'s window must cover its polar part (ceiling > 0), as
+    :func:`asw_reduce_components` checks.
+    """
+    p, level, domain = x.domain.p, x.level, x.domain
+    coeffs = dict(x.coeffs)  # zeros stay until the constructor drops them
+    u_coeffs = {}
+    heap = [e for e in coeffs if e < 0 and e % p == 0]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)
+        c = coeffs[e]
+        if level == 1:
+            if domain.is_zero(c) or not domain.is_pth_power(c):
+                continue
+            u = domain.pth_root(c)
+            coeffs[e] = domain.zero()  # c - u^p, exactly zero over a field
         else:
-            return x, total
-        if removed is not None and e <= removed:
-            raise RswanError("reduction removed a term out of order (internal error)")
-        removed = e
-        x = x - u.frobenius() + u
-        total = u if total is None else total + u
-    raise RswanError("reduction did not terminate (internal error)")
+            u = c.pth_root(skip_prime_to_p=True, skip_non_powers=True)
+            if not u.coeffs:
+                continue
+            coeffs[e] = c + -u.frobenius()
+        f = e // p
+        u_coeffs[f] = u
+        if f in coeffs:
+            coeffs[f] = domain.add(coeffs[f], u) if level == 1 else coeffs[f] + u
+        else:
+            coeffs[f] = u
+            if f % p == 0:
+                heapq.heappush(heap, f)
+    if not u_coeffs:
+        return x, None
+    return NestedSeries(level, domain, coeffs, x.ceiling), NestedSeries(level, domain, u_coeffs)
 
 
 def asw_reduce_components(comps, p: int):

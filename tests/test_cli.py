@@ -375,6 +375,19 @@ def test_cli_precision_override_wins():
     assert load_config(doc, precision=16).main_tower.precision == 16
 
 
+def test_precision_budget_is_capped(tmp_path, capsys):
+    """The budget sizes every fresh window; 4096 loads, 4097 is a
+    ConfigError from the file and from ``--precision`` (nothing is run)."""
+    assert load_config(config_doc(tower={**MAIN2, "precision": 4096})).main_tower.precision == 4096
+    assert load_config(config_doc(tower=MAIN2), precision=4096).main_tower.precision == 4096
+    doc = config_doc(tower={**MAIN2, "precision": 4097})
+    assert_config_error(tmp_path, capsys, doc, "above the cap 4096")
+    with pytest.raises(ConfigError, match="above the cap 4096"):
+        load_config(config_doc(tower=MAIN2), precision=4097)
+    assert main(["run", write_config(tmp_path, config_doc(tower=MAIN2)), "--precision", "4097"]) == 2
+    assert "above the cap 4096" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- running
 
 def test_swan_task_record_shape():

@@ -7,7 +7,9 @@ Oracles used here:
   * random-series arithmetic identities certify the ring structure;
   * window propagation rules are asserted with exact expected ceilings;
   * the Kronecker product kernel is compared against the schoolbook dict
-    product, which stays as the reference.
+    product, which stays as the reference;
+  * the level-1 inverse by recurrence is compared against the Newton loop
+    (``newton_inverse_oracle``), which stays as the reference.
 """
 
 import random
@@ -150,6 +152,68 @@ def test_inverse_random_certified():
                 continue
             inv = f.inv(24)
             assert (f * inv).agrees_with(one)
+
+
+def newton_inverse_oracle(a, precision=None):
+    """The inverse by Newton iteration at every width and level, as
+    ``NestedSeries.inv`` computed it before the level-1 recurrence."""
+    if not a.coeffs:
+        raise ZeroInput("cannot invert a (window-)zero series")
+    v = a.ord()
+    lead = a.coeffs[v]
+    lead_inv = a.domain.inv(lead) if a.level == 1 else lead.inv(precision)
+    if len(a.coeffs) == 1:
+        out = NestedSeries(a.level, a.domain, {-v: lead_inv})
+        return out if a.ceiling is None else out.truncate(-v + (a.ceiling - v))
+    if a.ceiling is not None:
+        width = a.ceiling - v
+    elif precision is not None:
+        width = precision
+    else:
+        raise PrecisionExhausted("the inverse of an exact series with several terms needs a width")
+    two = NestedSeries.one(a.level, a.domain).mul_int(2)
+    x = NestedSeries(a.level, a.domain, {-v: lead_inv}, -v + width)
+    a = a.truncate(v + width)
+    for _ in range(max(1, (width - 1).bit_length() + 1)):
+        x = (x * (two - a * x)).truncate(-v + width)
+    return x
+
+
+F9 = fq_domain(3, 2)
+Z16 = galois_ring_domain(2, 1, 4)
+FX = rat_func_domain(3)
+
+
+def random_invertible(rng, domain, width, terms, windowed):
+    """``terms`` stored terms in ``[v, v + width)``, a unit lead at ``v``;
+    windowed at ``v + width``, or exact with terms past the window too."""
+    v = rng.randint(-12, 12)
+    lead = domain.random_nonzero(rng)
+    while domain is Z16 and lead % 2 == 0:
+        lead = domain.random_nonzero(rng)
+    coeffs = {v: lead}
+    for e in rng.sample(range(v + 1, v + width), terms - 1):
+        coeffs[e] = domain.random_nonzero(rng)
+    if windowed:
+        return NestedSeries(1, domain, coeffs, v + width)
+    for _ in range(rng.randint(0, 2)):
+        coeffs[v + width + rng.randint(0, 4)] = domain.random_nonzero(rng)
+    return NestedSeries(1, domain, coeffs)
+
+
+@pytest.mark.parametrize("name,domain,widths", [
+    ("F_2", F2, (1, 80)), ("F_9", F9, (1, 80)), ("Z/16", Z16, (1, 80)), ("F_3(x)", FX, (1, 10)),
+])
+def test_level_one_inverse_matches_the_newton_oracle(name, domain, widths):
+    """Equal, window and values, from one term to a full window."""
+    rng = random.Random(f"inverse:{name}")
+    cases = [(w, t) for w in (1, 2, widths[1]) for t in (1, w)]
+    cases += [(w, rng.randint(1, w)) for w in (rng.randint(*widths) for _ in range(36))]
+    if domain is F2:  # wide and dense
+        cases += [(200, 194)] * 2
+    for i, (width, terms) in enumerate(cases):
+        a = random_invertible(rng, domain, width, terms, windowed=i % 2 == 1)
+        assert a.inv(width) == newton_inverse_oracle(a, width)
 
 
 # ----------------------------------------------------------- window algebra

@@ -1,0 +1,77 @@
+"""Property tests of the level-1 inverse (skipped without Hypothesis).
+
+For a random level-1 series ``a`` of order ``v`` and a width ``w``:
+``a * a.inv(w)`` agrees with 1 below ``T^w``; ``a.inv(w)`` is windowed at
+``-v + w`` unless ``a`` is one exact term; and ``a.pow(-n, w)`` is
+``a.inv(w).pow(n)``.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from rswan.ratfunc import rat_func_domain  # noqa: E402
+from rswan.scalars import fq_domain, galois_ring_domain  # noqa: E402
+from rswan.series import NestedSeries  # noqa: E402
+
+DOMAINS = {
+    "F_2": fq_domain(2, 1),
+    "F_9": fq_domain(3, 2),
+    "Z/16": galois_ring_domain(2, 1, 4),
+    "F_3(x)": rat_func_domain(3),
+}
+MAX_WIDTH = {"F_3(x)": 8}
+
+
+def _scalar(domain, digits):
+    """A raw scalar from small integers: coordinates over (Z/p^s)[g]/(f),
+    a polynomial over F_p(x)."""
+    if hasattr(domain, "k"):
+        return domain.from_coeffs(digits[: domain.k])
+    return domain.from_polys(digits)
+
+
+@st.composite
+def level_one_series(draw):
+    name = draw(st.sampled_from(sorted(DOMAINS)))
+    domain = DOMAINS[name]
+    width = draw(st.integers(1, MAX_WIDTH.get(name, 64)))
+    v = draw(st.integers(-20, 20))
+    digits = st.lists(st.integers(0, 15), min_size=1, max_size=3)
+    lead = _scalar(domain, draw(digits))
+    if domain.is_zero(domain.reduce_mod_p(lead) if hasattr(domain, "k") else lead):
+        lead = domain.add(lead, domain.one())  # a unit
+    offsets = draw(st.dictionaries(st.integers(1, width + 4), digits, max_size=6))
+    coeffs = {v: lead, **{v + i: _scalar(domain, d) for i, d in offsets.items()}}
+    windowed = draw(st.booleans())
+    ceiling = v + width if windowed else None
+    a = NestedSeries(1, domain, {e: c for e, c in coeffs.items()
+                                 if ceiling is None or e < ceiling}, ceiling)
+    return a, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_one_series())
+def test_inverse_agrees_with_one_below_the_width(case):
+    a, width = case
+    one = NestedSeries.one(1, a.domain)
+    assert (a * a.inv(width)).truncate(width) == one.truncate(width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_one_series())
+def test_inverse_window_is_the_input_window(case):
+    a, width = case
+    v = a.ord()
+    exact_term = len(a.coeffs) == 1 and a.ceiling is None
+    assert a.inv(width).ceiling == (None if exact_term else -v + width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_one_series(), st.integers(1, 4))
+def test_negative_power_is_the_power_of_the_inverse(case, n):
+    a, width = case
+    assert a.pow(-n, width) == a.inv(width).pow(n)

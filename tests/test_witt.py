@@ -8,7 +8,9 @@ Oracles used here:
     with explicit coboundaries (phi - 1)E;
   * one-variable conductors are recomputed by local class field theory from
     symbol values, a path that runs neither ``asw_reduce`` nor
-    ``witt_combine`` (``swan_oracle``).
+    ``witt_combine`` (``swan_oracle``);
+  * the one-sweep slot reduction is compared against the rescan loop it
+    replaced (``rescan_reduce_slot_oracle``).
 """
 
 import random
@@ -287,6 +289,69 @@ def test_reduce_keeps_prime_to_p_poles():
     chi = asw_reduce(vec(K3, "t^-4 + t^-1"))
     assert swan_conductor(chi) == 4
     assert chi.vector.print_order[0].coefficient(-4) == K3.field_domain.one()
+
+
+def rescan_reduce_slot_oracle(x):
+    """``witt._reduce_slot`` as a rescan: after each removal, scan the
+    negative exponents again from the deepest and cancel the first
+    removable term by ``x <- x - u^p + u``."""
+    total = None
+    while True:
+        for e in sorted(k for k in x.coeffs if k < 0):
+            term = NestedSeries(x.level, x.domain, {e: x.coeffs[e]})
+            u = term.pth_root(skip_prime_to_p=True, skip_non_powers=True)
+            if u.coeffs:
+                break
+        else:
+            return x, total
+        x = x - u.frobenius() + u
+        total = u if total is None else total + u
+
+
+def _random_scalar(rng, domain, p):
+    """A nonzero scalar; over F_p(x) a p-th power half of the time."""
+    c = domain.random_nonzero(rng)
+    return domain.pow(c, p) if rng.random() < 0.5 else c
+
+
+def _random_slot(rng, level, domain, p, windowed, top=True):
+    """Poles at multiples of p, p^2 and p^3 (chains of removals), some
+    prime-to-p ones and a few non-negative terms; windows at every level
+    when ``windowed``, the top one above 0 (the polar part covered)."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 5)):
+        e = rng.choice((-rng.randint(1, 3) * p ** rng.randint(1, 3), -rng.randint(1, 7),
+                        rng.randint(0, 3)))
+        if level == 1:
+            coeffs[e] = _random_scalar(rng, domain, p)
+        else:
+            coeffs[e] = _random_slot(rng, level - 1, domain, p, windowed, top=False)
+    ceiling = max(coeffs) + rng.randint(1, 3)
+    if windowed:
+        return NestedSeries(level, domain, coeffs, max(ceiling, 1) if top else ceiling)
+    return NestedSeries(level, domain, coeffs)
+
+
+@pytest.mark.parametrize("name,p,domain", [
+    ("F_2", 2, fq_domain(2, 1)), ("F_3", 3, fq_domain(3, 1)), ("F_4", 2, fq_domain(2, 2)),
+    ("F_5", 5, fq_domain(5, 1)), ("F_2(x)", 2, rat_func_domain(2)),
+    ("F_3(x)", 3, rat_func_domain(3)),
+])
+def test_slot_sweep_matches_the_rescan_oracle(name, p, domain):
+    """Equal ``(reduced, U)`` at levels 1 and 2, exact and windowed."""
+    rng = random.Random(f"slot:{name}")
+    moved = 0
+    for level in (1, 2):
+        for i in range(60):
+            x = _random_slot(rng, level, domain, p, windowed=i % 2 == 1)
+            got = witt._reduce_slot(x)
+            assert got == rescan_reduce_slot_oracle(x)
+            moved += got[1] is not None
+    # a chain: each removal leaves a new removable pole one step up
+    x = NestedSeries(1, domain, {-p**3: domain.one()})
+    assert witt._reduce_slot(x) == rescan_reduce_slot_oracle(x)
+    assert witt._reduce_slot(x)[0] == NestedSeries(1, domain, {-1: domain.one()})
+    assert moved > 30
 
 
 def test_reduce_is_idempotent():
