@@ -1,152 +1,288 @@
-"""Layer bench: one-variable series products, Kronecker kernel against the dict loop.
+"""Layer bench: series products at levels 1, 2 and 3.
 
-    python3 bench/series_mul.py OUT
+    python3 bench/series_mul.py OUT [SRC ...]
 
-Run it from the repository root; it imports ``rswan`` from ``src/`` and uses
-only the standard library.  For ``(p, k, s)`` in ``(2,1,1)``, ``(3,2,1)`` and
-``(2,1,4)`` it times the product of two dense level-1 series:
+Run it from the repository root; it uses only the standard library.  Each
+``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
+checkout's ``src``); pass the ``src`` of another checkout to put its figures
+beside these.  All trees are imported into this one process, each under its
+own package name, and timed in alternation (``bench/_trees.py``).  Products
+must be equal across trees (checked).
 
-* ``products``: widths 16 and 64, exact operands and operands with a window
-  (the shape of the power tables in a pullback).  ``kernel_us`` is
-  ``NestedSeries.__mul__``; ``reference_us`` is the schoolbook loop plus the
-  validating constructor, the product of the parent design.
-* ``crossover``: ``n x n`` products for ``n`` in 2..12, exact and cut at
-  exponent ``n`` (the square of a window), kernel against loop without
-  constructors, and the smallest term-pair count from which the kernel
-  wins for every triple and shape.  It moves between 36 and 49 from run to
-  run (6 x 6 windows at ``(2,1,4)`` are a tie), and
-  ``series._KRONECKER_MIN_PAIRS`` takes the upper end.
+Sections, with one figure per tree in the order of ``trees`` where a key
+ends in ``_us``:
 
-Each figure is the median of ``REPEATS`` timings of a batch of calls.  The
-JSON written to ``OUT`` (required, so that no run overwrites a committed
-``BENCH_<n>.json`` by default) records the commit
-(``git describe --always --dirty``), the Python version and the machine.
+* ``products``: dense level-1 products at widths 16 and 64 over ``(p, k, s)``
+  in ``(2,1,1)``, ``(3,2,1)`` and ``(2,1,4)``, exact and with a window;
+  ``mul_us`` is ``NestedSeries.__mul__``.
+* ``small``: level-1 products of ``n x n`` terms at seeded random exponents
+  in ``[-10, 10)``, ``n`` in 1..6, over the workload rings; ``mul_us``.
+* ``crossover`` (first tree only): ``n x n`` dense products for ``n`` in
+  2..12, exact and cut at exponent ``n``, the plain-int loop over the
+  Kronecker kernel, and the smallest term-pair count from which the median
+  of that ratio over the cells stays above 1;
+  ``series._KRONECKER_MIN_PAIRS`` is that cut-off.
+* ``nested``: level-2 and level-3 products over ``F_2``, ``F_4``, ``Z/4``
+  and ``(Z/16)[g]``, exact and with an outer window (operands cut just
+  above their last top exponent).  ``layout`` gives each
+  operand's terms per level, outermost first (``[2, 4]``: two top
+  exponents with four inner terms each); ``pairs`` counts the top-level
+  term pairs and ``monomial_pairs`` the monomial pairs.  ``mul_us`` is the
+  product per tree; ``flat_us`` and ``loop_us`` time the first tree's
+  product with the flat path forced on and off through
+  ``series._FLAT_MIN_PAIRS`` (so the first tree must have it).
+* ``flat_gate``: per top-level pair count, the median of ``loop_us /
+  flat_us`` over the cells with that count, and the smallest count from
+  which that median stays above 1; ``series._FLAT_MIN_PAIRS`` is that count.
+
+Each time is the median over ``PASSES`` passes, each timing a batch of
+calls of about ``BATCH_SECONDS``.  The JSON written to ``OUT`` (required,
+so that no run overwrites a committed ``BENCH_<n>.json`` by default)
+records each tree's commit (``git describe --always --dirty``), the Python
+version and the machine.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import random
 import statistics
 import sys
-import time
 from pathlib import Path
 
-from _trees import commit
+from _trees import alternate, commit, load
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from rswan.scalars import galois_ring_domain  # noqa: E402
-from rswan.series import (  # noqa: E402
-    NestedSeries,
-    _KRONECKER_MIN_PAIRS,
-    _kronecker_mul,
-    _schoolbook_mul,
-)
 
 CELLS = ((2, 1, 1), (3, 2, 1), (2, 1, 4))
 WIDTHS = (16, 64)
+SMALL_RINGS = {"F_2": (2, 1, 1), "F_4": (2, 2, 1), "Z/4": (2, 1, 2), "(Z/25)[g]": (5, 2, 2)}
+SMALL_SIZES = range(1, 7)
 CROSSOVER_SIZES = range(2, 13)
-REPEATS = 7
-BATCH_SECONDS = 0.02  # each timing covers a batch of about this length
+NESTED_RINGS = {"F_2": (2, 1, 1), "F_4": (2, 2, 1), "Z/4": (2, 1, 2), "(Z/16)[g]": (2, 2, 4)}
+# Operand layouts (terms per level, outermost first), from 1 x 2 to 64 x 64
+# monomials.
+LAYOUTS = (
+    ((1, 1), (2, 1)), ((2, 1), (2, 1)), ((1, 2), (2, 1)), ((3, 1), (3, 1)),
+    ((2, 2), (2, 2)), ((4, 1), (4, 1)), ((3, 2), (3, 2)), ((2, 4), (2, 4)),
+    ((4, 2), (4, 2)), ((8, 1), (8, 1)), ((4, 4), (4, 4)), ((8, 4), (8, 4)),
+    ((8, 8), (8, 8)),
+    ((2, 1, 1), (2, 1, 1)), ((2, 2, 1), (2, 2, 1)), ((2, 2, 2), (2, 2, 2)),
+    ((4, 2, 2), (4, 2, 2)), ((4, 4, 4), (4, 4, 4)),
+)
+PASSES = 7
+BATCH_SECONDS = 0.02
 
 
-def _median_us(fn) -> float:
-    """Median over REPEATS batches of the time of one call, in microseconds."""
-    fn()
-    batch = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(batch):
-            fn()
-        if time.perf_counter() - t0 >= BATCH_SECONDS:
+def _domain(rswan, ring):
+    return rswan.scalars.galois_ring_domain(*ring)
+
+
+def _canon(x):
+    """A tree-independent form of a series."""
+    if x.level == 1:
+        return (x.ceiling, dict(x.coeffs))
+    return (x.ceiling, {e: _canon(c) for e, c in x.coeffs.items()})
+
+
+def _check_equal(products, cell):
+    first = _canon(products[0])
+    if any(_canon(p) != first for p in products[1:]):
+        raise SystemExit(f"{cell}: products differ between trees")
+
+
+def _time(trees, build) -> dict:
+    """``{cell: [seconds per tree]}`` for ``build(tree) -> {cell: (x, y)}``."""
+    operands = [build(tree) for tree in trees]
+    calls = {}
+    for cell in operands[0]:
+        pairs = [ops[cell] for ops in operands]
+        _check_equal([x * y for x, y in pairs], cell)
+        calls[cell] = [(lambda x=x, y=y: x * y) for x, y in pairs]
+    return alternate(calls, PASSES, BATCH_SECONDS)
+
+
+def _us(seconds) -> list:
+    return [round(t * 1e6, 2) for t in seconds]
+
+
+# ------------------------------------------------------------------ level 1
+
+def _dense(rswan, dom, rng, low, width, ceiling):
+    coeffs = {e: dom.random_nonzero(rng) for e in range(low, low + width)}
+    return rswan.NestedSeries(1, dom, coeffs, ceiling)
+
+
+def products(trees) -> list:
+    def build(rswan):
+        rng = random.Random(5)
+        out = {}
+        for p, k, s in CELLS:
+            dom = _domain(rswan, (p, k, s))
+            for width in WIDTHS:
+                for shape in ("exact", "window"):
+                    ceiling = width - 3 if shape == "window" else None
+                    x = _dense(rswan, dom, rng, -3, width, ceiling)
+                    y = _dense(rswan, dom, rng, 0, width, None if ceiling is None else width)
+                    out[p, k, s, width, shape] = (x, y)
+        return out
+    seconds = _time(trees, build)
+    return [{"p": p, "k": k, "s": s, "width": w, "shape": shape, "mul_us": _us(t)}
+            for (p, k, s, w, shape), t in seconds.items()]
+
+
+def small(trees) -> list:
+    def build(rswan):
+        rng = random.Random(7)
+        out = {}
+        for name, ring in SMALL_RINGS.items():
+            dom = _domain(rswan, ring)
+            for n in SMALL_SIZES:
+                x, y = (rswan.NestedSeries(1, dom, {e: dom.random_nonzero(rng)
+                                                    for e in rng.sample(range(-10, 10), n)})
+                        for _ in range(2))
+                out[name, n] = (x, y)
+        return out
+    seconds = _time(trees, build)
+    return [{"ring": name, "terms": n, "mul_us": _us(t)} for (name, n), t in seconds.items()]
+
+
+def crossover(tree) -> dict:
+    series = tree.series
+    table = []
+    for n in CROSSOVER_SIZES:
+        calls = {}
+        rng = random.Random(n)
+        for p, k, s in CELLS:
+            dom = _domain(tree, (p, k, s))
+            for shape, ceiling in (("exact", None), ("window", n)):
+                a = _dense(tree, dom, rng, 0, n, ceiling).coeffs
+                b = _dense(tree, dom, rng, 0, n, ceiling).coeffs
+                calls[f"{p},{k},{s} {shape}"] = [
+                    lambda a=a, b=b, dom=dom, c=ceiling: series._int_mul(dom, a, b, c),
+                    lambda a=a, b=b, dom=dom, c=ceiling: series._kronecker_mul(dom, a, b, c),
+                ]
+        seconds = alternate(calls, PASSES, BATCH_SECONDS)
+        row = {"n": n, "pairs": n * n}
+        row.update({key: round(loop / kernel, 2) for key, (loop, kernel) in seconds.items()})
+        table.append(row)
+    medians = {row["pairs"]: statistics.median(v for key, v in row.items()
+                                               if key not in ("n", "pairs"))
+               for row in table}
+    return {
+        "loop_over_kernel": table,
+        "kernel_wins_from_pairs": _wins_from(medians),
+        "cutoff_in_code": series._KRONECKER_MIN_PAIRS,
+    }
+
+
+def _wins_from(medians: dict):
+    """The smallest count from which every median ratio is above 1."""
+    wins_from = None
+    for count in sorted(medians, reverse=True):
+        if medians[count] <= 1:
             break
-        batch *= 2
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for _ in range(batch):
-            fn()
-        times.append((time.perf_counter() - t0) / batch)
-    return statistics.median(times) * 1e6
+        wins_from = count
+    return wins_from
 
 
-def _dense(dom, rng, low: int, width: int, ceiling) -> NestedSeries:
-    return NestedSeries(
-        1, dom, {e: dom.random_nonzero(rng) for e in range(low, low + width)}, ceiling
-    )
+# ------------------------------------------------------------ levels 2 and 3
+
+def _nested(rswan, dom, rng, layout, ceiling):
+    """An exact series with ``layout[0]`` consecutive top exponents from a
+    random start, each holding ``layout[1:]`` terms below it at random
+    exponents in ``[-4, 4)``; cut at ``ceiling`` above its last top term."""
+    level = len(layout)
+
+    def monomials(depth):
+        if depth == level:
+            return [((), dom.random_nonzero(rng))]
+        return [(rest + (e,), c) for e in rng.sample(range(-4, 4), layout[depth])
+                for rest, c in monomials(depth + 1)]
+
+    top = rng.randint(-4, 0)
+    monos = [(rest + (top + i,), c)
+             for i in range(layout[0]) for rest, c in monomials(1)]
+    x = rswan.NestedSeries.from_monomials(level, dom, monos)
+    return x if ceiling is None else x.truncate(top + layout[0] + ceiling)
 
 
-def _reference(x: NestedSeries, y: NestedSeries, ceiling) -> NestedSeries:
-    dom = x.domain
-    return NestedSeries(1, dom, _schoolbook_mul(x.coeffs, y.coeffs, ceiling, dom.mul, dom.add), ceiling)
+def _nested_cells():
+    return [(name, layout, shape) for name in NESTED_RINGS for layout in LAYOUTS
+            for shape in ("exact", "window")]
 
 
-def products(rng) -> list:
+def _nested_operands(rswan):
+    out = {}
+    for name, (la, lb), shape in _nested_cells():
+        rng = random.Random(f"{name}:{la}:{lb}:{shape}")
+        dom = _domain(rswan, NESTED_RINGS[name])
+        ceiling = None if shape == "exact" else 0
+        out[name, (la, lb), shape] = (_nested(rswan, dom, rng, la, ceiling),
+                                      _nested(rswan, dom, rng, lb, ceiling))
+    return out
+
+
+def nested(trees) -> list:
+    seconds = _time(trees, _nested_operands)
+    series = trees[0].series
+    operands = _nested_operands(trees[0])
+    gate = series._FLAT_MIN_PAIRS
+    forced = {}
+    for flat in (True, False):
+        series._FLAT_MIN_PAIRS = 0 if flat else sys.maxsize
+        try:
+            calls = {cell: [lambda x=x, y=y: x * y] for cell, (x, y) in operands.items()}
+            forced[flat] = alternate(calls, PASSES, BATCH_SECONDS)
+        finally:
+            series._FLAT_MIN_PAIRS = gate
     rows = []
-    for p, k, s in CELLS:
-        dom = galois_ring_domain(p, k, s)
-        for width in WIDTHS:
-            for shape in ("exact", "window"):
-                ceiling = width - 3 if shape == "window" else None
-                x = _dense(dom, rng, -3, width, ceiling)
-                y = _dense(dom, rng, 0, width, None if ceiling is None else width)
-                product = x * y
-                if product != _reference(x, y, product.ceiling):
-                    raise SystemExit(f"kernel and reference differ at {(p, k, s, width, shape)}")
-                kernel = _median_us(lambda: x * y)
-                reference = _median_us(lambda: _reference(x, y, product.ceiling))
-                rows.append({
-                    "p": p, "k": k, "s": s, "width": width, "shape": shape,
-                    "kernel_us": round(kernel, 2), "reference_us": round(reference, 2),
-                    "speedup": round(reference / kernel, 2),
-                })
+    for cell in operands:
+        name, (la, lb), shape = cell
+        rows.append({
+            "ring": name, "layout": [list(la), list(lb)], "shape": shape,
+            "pairs": la[0] * lb[0], "monomial_pairs": math.prod(la) * math.prod(lb),
+            "mul_us": _us(seconds[cell]),
+            "flat_us": _us(forced[True][cell]), "loop_us": _us(forced[False][cell]),
+        })
     return rows
 
 
-def crossover(rng) -> dict:
-    table = []
-    for n in CROSSOVER_SIZES:
-        row = {"n": n, "pairs": n * n}
-        for p, k, s in CELLS:
-            dom = galois_ring_domain(p, k, s)
-            for shape, ceiling in (("exact", None), ("window", n)):
-                a = _dense(dom, rng, 0, n, ceiling).coeffs
-                b = _dense(dom, rng, 0, n, ceiling).coeffs
-                loop = _median_us(lambda: _schoolbook_mul(a, b, ceiling, dom.mul, dom.add))
-                kernel = _median_us(lambda: _kronecker_mul(dom, a, b, ceiling))
-                row[f"{p},{k},{s} {shape}"] = round(loop / kernel, 2)
-        table.append(row)
-    # the smallest size from which the kernel wins in every cell and shape
-    wins_from = None
-    for row in reversed(table):
-        if not all(v > 1 for key, v in row.items() if key not in ("n", "pairs")):
-            break
-        wins_from = row["pairs"]
+def flat_gate(rows, gate_in_code) -> dict:
+    by_pairs: dict = {}
+    for row in rows:
+        if row["pairs"] > 1:
+            by_pairs.setdefault(row["pairs"], []).append(row["loop_us"][0] / row["flat_us"][0])
+    medians = {pairs: round(statistics.median(r), 2) for pairs, r in sorted(by_pairs.items())}
     return {
-        "loop_over_kernel": table,
-        "kernel_wins_from_pairs": wins_from,
-        "cutoff_in_code": _KRONECKER_MIN_PAIRS,
+        "median_loop_over_flat_by_pairs": medians,
+        "flat_wins_from_pairs": _wins_from(medians),
+        "gate_in_code": gate_in_code,
     }
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 bench/series_mul.py OUT", file=sys.stderr)
+    if not argv:
+        print("usage: python3 bench/series_mul.py OUT [SRC ...]", file=sys.stderr)
         return 2
     out_path = Path(argv[0])
-    rng = random.Random(5)
+    srcs = argv[1:] or [str(ROOT / "src")]
+    trees = [load(src, index) for index, src in enumerate(srcs)]
+    nested_rows = nested(trees)
     result = {
         "bench": "series_mul",
-        "commit": commit(str(ROOT / "src")),
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
-        "repeats": REPEATS,
-        "products": products(rng),
-        "crossover": crossover(rng),
+        "passes": PASSES,
+        "trees": [{"commit": commit(src)} for src in srcs],
+        "products": products(trees),
+        "small": small(trees),
+        "crossover": crossover(trees[0]),
+        "nested": nested_rows,
+        "flat_gate": flat_gate(nested_rows, trees[0].series._FLAT_MIN_PAIRS),
     }
     text = json.dumps(result, indent=2)
     out_path.write_text(text + "\n")

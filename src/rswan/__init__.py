@@ -27,7 +27,7 @@ from .errors import (
     ZeroInput,
 )
 from .tower import FieldTower
-from .series import NestedSeries, series_reverse, series_substitute
+from .series import NestedSeries, series_substitute
 from .parser import parse_series, parse_windowed_form, render_form, render_series
 from .witt import (
     Character,
@@ -110,7 +110,6 @@ __all__ = [
     # fields and series
     "FieldTower",
     "NestedSeries",
-    "series_reverse",
     "series_substitute",
     "parse_series",
     "render_series",

@@ -56,6 +56,11 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
     at least ``-n``); the value on two representatives of the same character
     within that step agrees — that invariance is what the well-definedness
     tests exercise.
+
+    Only the window is computed: every term of ``a_i^(p^i-1) d(a_i)`` that
+    uses a term of ``a_i`` at ``e >= -m - (p^i - 1) v`` (``v`` the lowest
+    stored exponent of ``a_i``) has order ``>= -m``, so ``a_i`` is cut there
+    before the power, and a component cut to nothing is left out.
     """
     tower = vec.tower
     p = tower.p
@@ -66,6 +71,11 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
     for i, a_i in enumerate(vec.comps):
         if a_i.is_zero():
             continue
+        v = a_i.low()
+        cut = -m - (p**i - 1) * v
+        if cut <= v:
+            continue
+        a_i = a_i.truncate(cut)
         weight = a_i.pow(p**i - 1)
         total = total + d(a_i).scale(weight)
     total = -total

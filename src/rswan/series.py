@@ -13,28 +13,50 @@ Precision model
 exactly zero.  A finite ``ceiling`` means exponents ``>= ceiling`` are
 unknown; unstored exponents below it are exactly zero.  Exact data stays
 exact through ring operations; finite windows appear where they must
-(inversion, reversion, substitution through non-monomial images) and
-propagate by window intersection.  Operations that cannot certify a result
-raise :class:`PrecisionExhausted` instead of truncating silently.
+(inversion, substitution through non-monomial images) and propagate by
+window intersection.  Operations that cannot certify a result raise
+:class:`PrecisionExhausted` instead of truncating silently.
 
 Multiplication
 --------------
-A level-1 product over ``(Z/p^s)[x]/(f)`` (``F_q`` and its lifts) with at
-least ``_KRONECKER_MIN_PAIRS`` term pairs, and no more exponent slots than
-term pairs, goes through a Kronecker-substitution kernel: each operand,
-trimmed to the exponents the result ceiling can use, is packed into one
-Python int with one slot per exponent (``2k - 1`` sub-slots, one per power
-of ``g``, when ``k > 1``); the two ints are multiplied once, and the slots
-of the product are read back, reduced mod ``p^s`` and, for ``k > 1``,
-through the reduction rows of ``f``.  It is exact because a slot never
-carries into the next: a product slot sums at most ``min(len) * k``
-products of two residues below ``p^s``, so a slot of
-``min(len) * k * (p^s - 1)^2`` (rounded up to 1, 2, 4 or 8 bytes) holds it.
-Smaller or sparser products, ``F_p(x)`` coefficients and levels >= 2 use
-the dict loop ``_schoolbook_mul``, which stays as the reference.  Results
-of ring operations are built by ``_make``, which skips the per-entry checks
-of ``__init__`` but still drops zeros, cuts at the ceiling and refuses
-exponents below the supported range.
+Every product with more than one term pair over ``(Z/p^s)[g]/(f)`` (``F_q``
+and its lifts, ``k = deg f``) goes through a level-1 kernel.
+
+* **Kronecker** (at least ``_KRONECKER_MIN_PAIRS`` term pairs, and no more
+  exponent slots than term pairs).  Each operand, trimmed to the exponents
+  the result ceiling can use, is packed into one Python int with one slot
+  per exponent (``2k - 1`` sub-slots, one per power of ``g``, when
+  ``k > 1``); the two ints are multiplied once, and the slots of the
+  product are read back, reduced mod ``p^s`` and, for ``k > 1``, folded
+  through the reduction rows of ``f`` column by column.  No slot carries
+  into the next: a product slot sums at most ``min(len) * k`` products of
+  two residues below ``p^s``, so a slot of ``min(len) * k * (p^s - 1)^2``
+  (rounded up to 1, 2, 4 or 8 bytes) holds it.
+* **The int loop** (``_int_mul``, the other products).  It runs over the
+  term pairs and sums each exponent in plain ints, reduced once per
+  exponent; at ``k > 1`` each coefficient is one int with a slot per power
+  of ``g``, so a pair costs one int product.
+* **Flat products at levels >= 2** (``_flat_mul``), when both operands have
+  exact inner coefficients and there are at least ``_FLAT_MIN_PAIRS`` term
+  pairs.  Each operand is written once as a level-1 map with mixed-radix
+  exponents ``E = e_d R_{d-1} + sum_{j<d} (e_j - lo_j) R_{j-1}``, where
+  ``lo_j`` is the operand's least level-``j`` exponent, ``R_0 = 1`` and
+  ``R_j = R_{j-1} (span_a + span_b + 1)`` with the two operands' level-``j``
+  exponent spans.  A product digit ``e_j + e'_j - lo_j - lo'_j`` lies in
+  ``[0, span_a + span_b]``, below its radix, so no digit carries into the
+  next and ``E`` determines every exponent; the top digit is
+  ``floor(E / R_{d-1})``, so an outer ceiling ``c`` is the flat ceiling
+  ``c R_{d-1}``.  One level-1 product runs, and its terms are unpacked into
+  nested maps, each inner series built once.
+
+What falls back to the dict loop ``_schoolbook_mul``, which stays as the
+reference: single-pair products; products at levels >= 2 with fewer than
+``_FLAT_MIN_PAIRS`` term pairs (``bench/series_mul.py`` measures the gate,
+BENCH_11.json) or with an inner coefficient that has a window; and
+``F_p(x)`` coefficients.  Results of ring operations are built by
+``_make``, which skips the per-entry checks of ``__init__`` but still drops
+zeros, cuts at the ceiling and refuses exponents below the supported range;
+the kernels return maps that are already clean, which it takes as they are.
 
 Inversion
 ---------
@@ -44,13 +66,13 @@ the same series.  At level 1, over every domain, ``inv`` runs power-series
 division by recurrence (Knuth, TAOCP vol. 2, sec. 4.7): ``d_0 = c^-1`` and
 ``d_n = -sum_{i <= n} b_i d_{n-i}`` over the stored terms of ``[v, v + w)``,
 ``O(w * terms)`` scalar operations; over ``(Z/p^s)[g]/(f)`` each ``d_n`` is
-summed in plain ints and reduced once.  That cost is paid on every exponent
-of the window even when the inverse is sparse, so Newton is faster on inputs
-of two to six terms at width 1024, and on ``F_9`` windows of 256 terms at
-widths 256 and 1024 (bench/conductor_change.py, BENCH_10.json); the
-workloads invert at widths up to 64.  Levels >= 2 run Newton's iteration ``x <- x (2 - a x)``:
-about ``log2 w`` products at full width, which the Kronecker kernel makes
-cheap when they are dense.  The checks before either kernel are shared: a
+summed in plain ints (one int per coefficient at ``k > 1``, as in the int
+loop) and reduced once.  That cost is paid on every exponent of the window
+even when the inverse is sparse, so Newton is faster on inputs of two to
+four terms at width 1024 (bench/conductor_change.py); the workloads invert
+at widths up to 64.  Levels >= 2 run Newton's iteration
+``x <- x (2 - a x)``: about ``log2 w`` products at full width, which the
+product kernels make cheap.  The checks before either kernel are shared: a
 zero input raises ``ZeroInput``, an exact input of several terms with no
 width raises ``PrecisionExhausted``, and a single exact term inverts exactly.
 """
@@ -67,8 +89,6 @@ from .scalars import _QuotientDomain
 __all__ = [
     "NestedSeries",
     "series_substitute",
-    "series_reverse",
-    "identity_images",
 ]
 
 _ORD_FLOOR = -10_000
@@ -81,51 +101,59 @@ def _min_ceiling(*cs):
     return min(finite) if finite else None
 
 
-def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None) -> "NestedSeries":
+def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None, *,
+          clean: bool = False) -> "NestedSeries":
     """Trusted constructor for the result of an operation on valid series.
 
     The operands passed ``_check_compatible`` (or there is one operand), so
     the per-entry type and level checks of ``NestedSeries.__init__`` are
     skipped; zeros are still dropped, the ceiling still cuts and an exponent
     below the supported range still raises ``ValueError``.  ``__init__``
-    passes itself as ``out`` once it has made those checks.
+    passes itself as ``out`` once it has made those checks.  ``clean`` says
+    that ``coeffs`` holds no zero and nothing at or above the ceiling, as
+    the product kernels return it; it is then stored as it is.
     """
-    clean = {}
-    if level > 1:
-        # Only an *exactly* zero coefficient may be dropped.  A slot that is
-        # zero merely within a finite window stays stored: absent slots read
-        # back as exact zeros, so pruning it would claim knowledge beyond the
-        # slot's inner ceiling.
-        for e, c in coeffs.items():
-            if (ceiling is None or e < ceiling) and not (c.is_zero() and c.is_exact()):
-                clean[e] = c
-    elif isinstance(domain, _QuotientDomain):
-        # Raw ints and tuples: comparing with the raw zero is the zero test,
-        # without a method call per entry.
-        zero = domain.zero()
-        for e, c in coeffs.items():
-            if c != zero and (ceiling is None or e < ceiling):
-                clean[e] = c
-    else:
-        is_zero = domain.is_zero
-        for e, c in coeffs.items():
-            if (ceiling is None or e < ceiling) and not is_zero(c):
-                clean[e] = c
-    if clean and min(clean) < _ORD_FLOOR:
-        raise ValueError(f"exponent {min(clean)} below the supported range (>{_ORD_FLOOR})")
+    if not clean:
+        kept = {}
+        if level > 1:
+            # Only an *exactly* zero coefficient may be dropped.  A slot that
+            # is zero merely within a finite window stays stored: absent slots
+            # read back as exact zeros, so pruning it would claim knowledge
+            # beyond the slot's inner ceiling.
+            for e, c in coeffs.items():
+                if (ceiling is None or e < ceiling) and not (c.is_zero() and c.is_exact()):
+                    kept[e] = c
+        elif isinstance(domain, _QuotientDomain):
+            # Raw ints and tuples: comparing with the raw zero is the zero
+            # test, without a method call per entry.
+            zero = domain.zero()
+            for e, c in coeffs.items():
+                if c != zero and (ceiling is None or e < ceiling):
+                    kept[e] = c
+        else:
+            is_zero = domain.is_zero
+            for e, c in coeffs.items():
+                if (ceiling is None or e < ceiling) and not is_zero(c):
+                    kept[e] = c
+        coeffs = kept
+    if coeffs and min(coeffs) < _ORD_FLOOR:
+        raise ValueError(f"exponent {min(coeffs)} below the supported range (>{_ORD_FLOOR})")
     if out is None:
         out = _new(NestedSeries)
     _set(out, "level", level)
     _set(out, "domain", domain)
-    _set(out, "coeffs", clean)
+    _set(out, "coeffs", coeffs)
     _set(out, "ceiling", ceiling)
     return out
 
 
-# Below this many term pairs the dict loop is as fast as packing or faster;
-# measured with bench/series_mul.py (BENCH_5.json), which puts the crossover
-# at 36 to 49 pairs from run to run.
-_KRONECKER_MIN_PAIRS = 49
+# Below this many term pairs the int loop is as fast as packing or faster;
+# measured with bench/series_mul.py (BENCH_11.json: the median over the
+# crossover cells turns at 64 pairs; windowed k = 1 cells turn near 100).
+_KRONECKER_MIN_PAIRS = 64
+# Below this many term pairs a product at level >= 2 keeps the loop over
+# them; measured with bench/series_mul.py (BENCH_11.json).
+_FLAT_MIN_PAIRS = 4
 # Slot sizes in bytes -> array typecode of that item size.
 _SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
 
@@ -155,6 +183,166 @@ def _kronecker_applies(domain, a: dict, b: dict) -> bool:
         isinstance(domain, _QuotientDomain)
         and max(a) - min(a) + max(b) - min(b) < len(a) * len(b)
     )
+
+
+def _level_one_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
+    """Coefficient map of a level-1 product over ``(Z/p^s)[g]/(f)``, by the
+    kernel that suits it (zeros dropped)."""
+    if len(a) * len(b) >= _KRONECKER_MIN_PAIRS and _kronecker_applies(domain, a, b):
+        return _kronecker_mul(domain, a, b, ceiling)
+    return _int_mul(domain, a, b, ceiling)
+
+
+def _int_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
+    """Coefficient map of a level-1 product over ``(Z/p^s)[g]/(f)``, term
+    pair by term pair, each exponent summed in plain ints and reduced once
+    (zeros dropped).
+
+    At ``k > 1`` a coefficient is one int with a slot per power of ``g``
+    (:func:`_pack_g`), so one int product convolves two coefficients; an
+    exponent sums at most ``min(len)`` pairs, which sets the slot width
+    (:func:`_g_width`), and :func:`_g_reducer` folds and reduces each sum.
+    """
+    cut = sys.maxsize if ceiling is None else ceiling
+    k, m = domain.k, domain.modulus
+    acc: dict = {}
+    if k == 1:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                if e < cut:
+                    acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+        out = {}
+        for e, v in acc.items():
+            v %= m
+            if v:
+                out[e] = v
+        return out
+    w = _g_width(domain, min(len(a), len(b)))
+    packed_b = [(eb, _pack_g(cb, w)) for eb, cb in b.items()]
+    for ea, ca in a.items():
+        x = _pack_g(ca, w)
+        for eb, y in packed_b:
+            e = ea + eb
+            if e < cut:
+                acc[e] = acc[e] + x * y if e in acc else x * y
+    reduce = _g_reducer(domain, w)
+    out = {}
+    for e, v in acc.items():
+        coeff = reduce(v)
+        if any(coeff):
+            out[e] = coeff
+    return out
+
+
+def _pack_g(coeff, w: int) -> int:
+    """``sum_i coeff[i] 2^(i w)``: a raw coefficient in ``w``-bit slots."""
+    v = 0
+    for x in reversed(coeff):
+        v = (v << w) | x
+    return v
+
+
+def _g_width(domain, terms: int) -> int:
+    """Slot width for a sum of ``terms`` products of reduced coefficients
+    packed by :func:`_pack_g`, folded through the rows of ``f``: a product
+    slot sums at most ``k`` products below ``m^2``, and the fold adds
+    ``k - 1`` slots times a row entry below ``m``, so no slot carries."""
+    k, m = domain.k, domain.modulus
+    return (max(terms, 1) * k * (m - 1) ** 2 * (1 + (k - 1) * (m - 1))).bit_length()
+
+
+def _g_reducer(domain, w: int):
+    """The map from such a packed sum (slots ``0 .. 2k - 2``) to its raw
+    value in ``(Z/p^s)[g]/(f)``, ``k > 1``."""
+    k, m = domain.k, domain.modulus
+    mask, low = (1 << w) - 1, (1 << (k * w)) - 1
+    rows = [(d * w, _pack_g(row, w)) for d, row in enumerate(domain._red_rows, k)]
+    shifts = range(0, k * w, w)
+
+    def reduce(v: int) -> tuple:
+        r = v & low
+        for shift, row in rows:
+            r += ((v >> shift) & mask) * row
+        return tuple([((r >> j) & mask) % m for j in shifts])
+
+    return reduce
+
+
+def _inner_extent(coeffs: dict, level: int, lows: list, highs: list) -> bool:
+    """Widen ``lows[l]``/``highs[l]`` to the level-``l`` exponents of a
+    nested coefficient map at ``level >= 2``, for ``l < level``; ``False``
+    when an inner coefficient has a window."""
+    for c in coeffs.values():
+        if c.ceiling is not None:
+            return False
+        inner = c.coeffs
+        lo, hi = min(inner), max(inner)
+        if lo < lows[level - 1]:
+            lows[level - 1] = lo
+        if hi > highs[level - 1]:
+            highs[level - 1] = hi
+        if level > 2 and not _inner_extent(inner, level - 1, lows, highs):
+            return False
+    return True
+
+
+def _flatten(coeffs: dict, level: int, lows: list, weights: list, base: int, out: dict):
+    """Write the monomials of a nested coefficient map into the level-1 map
+    ``out`` at the exponents ``base + sum_l (e_l - lows[l]) * weights[l]``."""
+    w, lo = weights[level], lows[level]
+    if level == 1:
+        for e, c in coeffs.items():
+            out[base + e - lo] = c
+    else:
+        for e, c in coeffs.items():
+            _flatten(c.coeffs, level - 1, lows, weights, base + (e - lo) * w, out)
+
+
+def _build(level: int, domain, nested: dict) -> dict:
+    """Coefficient map at ``level`` of exact inner series from nested dicts."""
+    if level == 2:
+        return {e: _make(1, domain, inner, None, clean=True) for e, inner in nested.items()}
+    return {e: _make(level - 1, domain, _build(level - 1, domain, inner), None, clean=True)
+            for e, inner in nested.items()}
+
+
+def _flat_mul(level: int, domain, a: dict, b: dict, ceiling: int | None) -> dict | None:
+    """Coefficient map of a product at ``level >= 2`` through one level-1
+    product (module docstring, "Multiplication"); ``None`` when an inner
+    coefficient has a window."""
+    # lows[l], highs[l]: level-l exponent range for 0 < l < level; the top
+    # exponent keeps offset 0, so that a ceiling c reads c * weights[level].
+    lows_a = [0] + [sys.maxsize] * (level - 1) + [0]
+    highs_a = [0] + [-sys.maxsize] * (level - 1) + [0]
+    lows_b, highs_b = list(lows_a), list(highs_a)
+    if not (_inner_extent(a, level, lows_a, highs_a) and _inner_extent(b, level, lows_b, highs_b)):
+        return None
+    # weights[l] is the place value of the level-l digit; each radix holds
+    # the widest digit sum, so no digit carries into the next.
+    weights = [0, 1]
+    for l in range(1, level):
+        spans = highs_a[l] - lows_a[l] + highs_b[l] - lows_b[l]
+        weights.append(weights[l] * (spans + 1))
+    flat_a: dict = {}
+    flat_b: dict = {}
+    _flatten(a, level, lows_a, weights, 0, flat_a)
+    _flatten(b, level, lows_b, weights, 0, flat_b)
+    top = weights[level]
+    flat = _level_one_mul(domain, flat_a, flat_b, None if ceiling is None else ceiling * top)
+    lows = [x + y for x, y in zip(lows_a, lows_b)]
+    nested: dict = {}
+    for e, c in flat.items():
+        node = nested
+        for l in range(level, 1, -1):
+            digit, e = divmod(e, weights[l])
+            key = digit + lows[l]
+            child = node.get(key)
+            if child is None:
+                child = node[key] = {}
+            node = child
+        node[e + lows[1]] = c
+    return _build(level, domain, nested)
 
 
 def _pack(coeffs: dict, low: int, high: int, domain, code: str) -> int:
@@ -195,7 +383,7 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
     need = (min(len(a), len(b)) * k * (m - 1) ** 2).bit_length()
     size = min((s for s in _SLOT_CODES if 8 * s >= need), default=None)
     if size is None:  # wider than 8 bytes: more terms than any window holds
-        return _schoolbook_mul(a, b, ceiling, domain.mul, domain.add)
+        return _int_mul(domain, a, b, ceiling)
     code = _SLOT_CODES[size]
     ha, hb = max(a), max(b)
     prod = _pack(a, la, ha, domain, code) * _pack(b, lb, hb, domain, code)
@@ -206,27 +394,15 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
     top = span if ceiling is None else min(span, ceiling - e0)
     if k == 1:
         return {e0 + i: r for i, v in enumerate(vals[:top]) if (r := v % m)}
-    out = {}
-    for j in range(top):
-        coeff = _fold(domain, vals[j * stride:(j + 1) * stride])
-        if any(coeff):
-            out[e0 + j] = coeff
-    return out
-
-
-def _fold(domain, vals) -> tuple:
-    """The raw value of ``sum_d vals[d] g^d`` (``d < 2k - 1``, unreduced ints)
-    in ``(Z/p^s)[g]/(f)``, ``k > 1``."""
-    k, rows = domain.k, domain._red_rows
-    acc = list(vals[:k])
-    for d in range(k, len(vals)):
-        c = vals[d]
-        if c:
-            row = rows[d - k]
-            for i in range(k):
-                acc[i] += c * row[i]
-    m = domain.modulus
-    return tuple(x % m for x in acc)
+    # Fold column by column: coordinate d of every exponent is vals[d::stride].
+    cols = [list(vals[d:top * stride:stride]) for d in range(stride)]
+    acc = cols[:k]
+    for d, row in enumerate(domain._red_rows, k):
+        for i, r in enumerate(row):
+            if r:
+                acc[i] = [x + r * y for x, y in zip(acc[i], cols[d])]
+    reduced = zip(*[[x % m for x in col] for col in acc])
+    return {e0 + j: coeff for j, coeff in enumerate(reduced) if any(coeff)}
 
 
 def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
@@ -235,7 +411,8 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
     ``lead_inv`` is ``c^-1`` and ``tail`` lists ``(i, c * b_i)`` for
     ``0 < i < width`` in ascending ``i``; ``d_0 = c^-1`` and
     ``d_n = -sum_{i <= n} b_i d_{n-i}``.  Over ``(Z/p^s)[g]/(f)`` each
-    ``d_n`` is summed as plain ints and reduced once.
+    ``d_n`` is summed as plain ints, packed by :func:`_pack_g` at
+    ``k > 1``, and reduced once.
     """
     d = [lead_inv]
     neg_lead_inv = domain.neg(lead_inv)
@@ -250,18 +427,19 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
                 acc += b * d[n - i]
             d.append(acc % m)
     elif isinstance(domain, _QuotientDomain):
-        stride = 2 * domain.k - 1
+        w = _g_width(domain, len(steps))
+        reduce = _g_reducer(domain, w)
+        packed_steps = [(i, _pack_g(b, w)) for i, b in steps]
+        packed = [_pack_g(lead_inv, w)]
         for n in range(1, width):
-            acc = [0] * stride
-            for i, b in steps:
+            acc = 0
+            for i, b in packed_steps:
                 if i > n:
                     break
-                x = d[n - i]
-                for r, br in enumerate(b):
-                    if br:
-                        for j, xj in enumerate(x):
-                            acc[r + j] += br * xj
-            d.append(_fold(domain, acc))
+                acc += b * packed[n - i]
+            x = reduce(acc)
+            d.append(x)
+            packed.append(_pack_g(x, w))
     else:
         mul, add, is_zero, zero = domain.mul, domain.add, domain.is_zero, domain.zero()
         for n in range(1, width):
@@ -435,14 +613,20 @@ class NestedSeries:
             None if self.ceiling is None else self.ceiling + other.low(),
             None if other.ceiling is None else other.ceiling + self.low(),
         )
-        a, b, domain = self.coeffs, other.coeffs, self.domain
-        if self.level > 1:
-            out = _schoolbook_mul(a, b, ceiling, operator.mul, operator.add)
-        elif len(a) * len(b) >= _KRONECKER_MIN_PAIRS and _kronecker_applies(domain, a, b):
-            out = _kronecker_mul(domain, a, b, ceiling)
-        else:
+        a, b, domain, level = self.coeffs, other.coeffs, self.domain, self.level
+        pairs = len(a) * len(b)
+        if pairs > 1 and isinstance(domain, _QuotientDomain):
+            if level == 1:
+                return _make(1, domain, _level_one_mul(domain, a, b, ceiling), ceiling, clean=True)
+            if pairs >= _FLAT_MIN_PAIRS:
+                out = _flat_mul(level, domain, a, b, ceiling)
+                if out is not None:
+                    return _make(level, domain, out, ceiling, clean=True)
+        if level == 1:
             out = _schoolbook_mul(a, b, ceiling, domain.mul, domain.add)
-        return _make(self.level, domain, out, ceiling)
+        else:
+            out = _schoolbook_mul(a, b, ceiling, operator.mul, operator.add)
+        return _make(level, domain, out, ceiling)
 
     def scalar_mul(self, raw) -> "NestedSeries":
         """Multiply by a raw scalar of the coefficient domain."""
@@ -645,10 +829,6 @@ class NestedSeries:
 
 # ---------------------------------------------------------------- module ops
 
-def identity_images(level: int, domain) -> dict[int, NestedSeries]:
-    return {j: NestedSeries.variable(level, domain, j) for j in range(1, level + 1)}
-
-
 def series_substitute(
     a: NestedSeries,
     images: dict[int, NestedSeries],
@@ -717,49 +897,3 @@ def _image_power(img: NestedSeries, table: dict, e: int, precision) -> NestedSer
         else:
             table[e] = img.pow(e) if e >= 0 else table[-1].pow(-e)
     return table[e]
-
-
-def _top_derivative(f: NestedSeries) -> NestedSeries:
-    """d/dT in the top variable (not logarithmic)."""
-    out = {}
-    for e, c in f.coeffs.items():
-        out[e - 1] = c.mul_int(e) if f.level > 1 else f.domain.mul_int(c, e)
-    ceiling = None if f.ceiling is None else f.ceiling - 1
-    return NestedSeries(f.level, f.domain, out, ceiling)
-
-
-def series_reverse(f: NestedSeries, precision: int | None = None) -> NestedSeries:
-    """Composition inverse of a series of order 1 in the top variable.
-
-    Returns ``g`` with ``f(g) = T`` to ``precision`` exponents, or to the
-    input window width when narrower; an exact input with no ``precision``
-    raises :class:`PrecisionExhausted`.
-    """
-    if f.is_zero() or f.ord() != 1:
-        raise ZeroInput("reversion needs a series of valuation exactly 1")
-    lead = f.coeffs[1]
-    if f.level > 1 and (lead.is_zero() or lead.ord() != 0):
-        raise ZeroInput("reversion needs a unit linear coefficient")
-    width = precision
-    if f.ceiling is not None:
-        width = f.ceiling - 1 if width is None else min(width, f.ceiling - 1)
-    if width is None:
-        raise PrecisionExhausted("the reversion of an exact series needs a width")
-    if width < 1:
-        raise PrecisionExhausted("no room to compute a reversion")
-    domain = f.domain
-    level = f.level
-    ident = NestedSeries.variable(level, domain, level)
-    images = identity_images(level, domain)
-    lead_inv = domain.inv(lead) if level == 1 else lead.inv(width)
-    g = NestedSeries(level, domain, {1: lead_inv}, width + 1)
-    fprime = _top_derivative(f)
-    steps = max(1, (width - 1).bit_length() + 1)
-    for _ in range(steps):
-        images[level] = g
-        err = series_substitute(f, images, width) - ident
-        if err.is_zero():
-            break
-        deriv = series_substitute(fprime, images, width)
-        g = (g - err * deriv.inv(width)).truncate(width + 1)
-    return g

@@ -27,7 +27,6 @@ TAKES_PRECISION = {
     "NestedSeries.inv",
     "NestedSeries.pow",
     "series_substitute",
-    "series_reverse",
     "dlog",
     "gram_is_invertible",
     "load_config",

@@ -158,6 +158,56 @@ def test_invariance_under_random_coboundaries(tower):
     assert checked >= 10
 
 
+def untruncated_form_at(vec, n):
+    """``-sum_i a_i^(p^i-1) d(a_i)`` on the whole components, then windowed."""
+    p = vec.tower.p
+    total = LogForm.zero(vec.tower.d, vec.tower.field_domain, 1)
+    for i, a_i in enumerate(vec.comps):
+        if not a_i.is_zero():
+            total = total + d(a_i).scale(a_i.pow(p**i - 1))
+    return WindowedForm(-total, n, n // p)
+
+
+# (p, k, s, d) of the perfbench witt workload.
+WITT_CELLS = tuple(
+    (p, k, s, d)
+    for p in (2, 3, 5) for k in (1, 2) for s in (1, 2) for d in (1, 2)
+    if (p, k, s, d) != (5, 2, 2, 2)
+) + ((2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (3, 1, 3, 1), (2, 1, 4, 1), (2, 2, 4, 1))
+
+
+@pytest.mark.parametrize("cell", WITT_CELLS, ids=lambda c: "p{}k{}s{}d{}".format(*c))
+def test_windowed_form_is_the_untruncated_form(cell):
+    """Cutting each component before the power changes nothing in the
+    window: on reduced characters drawn as the witt workload draws them, and
+    on their coboundary shifts."""
+    p, k, s, dd = cell
+    tower = FieldTower(p, k, s, ("u", "t")[2 - dd:])
+    dom = tower.field_domain
+    rng = random.Random(f"window:{cell}")
+
+    def component(low):
+        return NestedSeries.from_monomials(dd, dom, [
+            (tuple(rng.randint(-2, 2) for _ in range(dd - 1)) + (rng.randint(low, 2),),
+             dom.random_nonzero(rng))
+            for _ in range(rng.randint(0, 4))
+        ])
+
+    checked = 0
+    for _ in range(12):
+        chi = asw_reduce(WittVector(tower, tuple(component(-4) for _ in range(s))))
+        n = swan_conductor(chi)
+        if n == 0:
+            continue
+        m = n // p
+        e_vec = WittVector(tower, tuple(component(-(m // p**i) if m else 0) for i in range(s)))
+        shifted = chi.vector + (e_vec.frobenius() - e_vec)
+        for vec in (chi.vector, shifted):
+            assert rsw_form_at(vec, n) == untruncated_form_at(vec, n)
+        checked += 1
+    assert checked
+
+
 # ------------------------------------------------------------------ refusals
 
 def test_rsw_needs_a_character():

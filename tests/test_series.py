@@ -2,16 +2,17 @@
 
 Oracles used here:
   * the inverse of 1 - t is compared against the geometric sum 1 + t + ...;
-  * substitution and reversion are checked against hand-expanded
-    polynomials and the defining identity f(g) = t;
+  * substitution is checked against hand-expanded polynomials;
   * random-series arithmetic identities certify the ring structure;
   * window propagation rules are asserted with exact expected ceilings;
-  * the Kronecker product kernel is compared against the schoolbook dict
+  * the product kernels (Kronecker, the plain-int loop and the flat
+    product at levels 2 and 3) are compared against the schoolbook dict
     product, which stays as the reference;
   * the level-1 inverse by recurrence is compared against the Newton loop
     (``newton_inverse_oracle``), which stays as the reference.
 """
 
+import operator
 import random
 
 import pytest
@@ -29,13 +30,17 @@ from rswan.parser import parse_series, render_series
 from rswan.ratfunc import rat_func_domain
 from rswan.scalars import fq_domain, galois_ring_domain
 from rswan.series import (
+    _FLAT_MIN_PAIRS,
     _KRONECKER_MIN_PAIRS,
     NestedSeries,
+    _flat_mul,
+    _g_reducer,
+    _g_width,
+    _int_mul,
+    _pack_g,
     _kronecker_applies,
     _kronecker_mul,
     _schoolbook_mul,
-    identity_images,
-    series_reverse,
     series_substitute,
 )
 from rswan.tower import FieldTower
@@ -129,8 +134,6 @@ def test_inverse_without_width_refuses_a_fresh_window():
     f = parse_series("1 + t", K2)
     with pytest.raises(PrecisionExhausted):
         f.inv()
-    with pytest.raises(PrecisionExhausted):
-        series_reverse(parse_series("t + t^2", K2))
     assert f.inv(8).ceiling == 8
     assert parse_series("t^-3", K2).inv() == parse_series("t^3", K2)
 
@@ -333,7 +336,8 @@ def test_substitution_identity_images():
     rng = random.Random(47)
     for _ in range(15):
         f = random_series(rng, 2, F2)
-        assert series_substitute(f, identity_images(2, F2)) == f
+        images = {j: NestedSeries.variable(2, F2, j) for j in (1, 2)}
+        assert series_substitute(f, images) == f
 
 
 def test_substitution_tail_guard():
@@ -350,35 +354,6 @@ def test_substitution_missing_image():
     f = mono(2, F2, (1, 1))
     with pytest.raises(TowerMismatch):
         series_substitute(f, {2: mono(1, F2, (1,))})
-
-
-# ---------------------------------------------------------------- reversion
-
-def test_reversion_defining_identity():
-    t = NestedSeries.variable(1, F3, 1)
-    f = t + t * t  # ord 1
-    g = series_reverse(f, 16)
-    back = series_substitute(f, {1: g}, precision=16)
-    assert back.agrees_with(t)
-    # and the other composition order
-    forth = series_substitute(g, {1: f}, precision=16)
-    assert forth.agrees_with(t)
-
-
-def test_reversion_random_certified():
-    rng = random.Random(53)
-    t = NestedSeries.variable(1, F3, 1)
-    for _ in range(10):
-        tail = random_series(rng, 1, F3, lo=2, hi=6)
-        f = t + tail
-        g = series_reverse(f, 20)
-        assert series_substitute(f, {1: g}, precision=20).agrees_with(t)
-
-
-def test_reversion_needs_order_one():
-    t2 = mono(1, F2, (2,))
-    with pytest.raises(ZeroInput):
-        series_reverse(t2)
 
 
 # -------------------------------------------------------------------- parser
@@ -454,10 +429,16 @@ def test_cross_domain_operations_refused():
 # ------------------------------------------------------ multiplication kernel
 
 def schoolbook(x, y):
-    """The reference product: dict loop and the validating constructor."""
-    ceiling = (x * y).ceiling
-    out = _schoolbook_mul(x.coeffs, y.coeffs, ceiling, x.domain.mul, x.domain.add)
-    return NestedSeries(1, x.domain, out, ceiling)
+    """The reference product at any level: the dict loop over term pairs
+    with the domain's ops at level 1 and this same product above it, and the
+    validating constructor."""
+    bounds = [c + o.low() for c, o in ((x.ceiling, y), (y.ceiling, x)) if c is not None]
+    ceiling = min(bounds) if bounds else None
+    if x.level == 1:
+        out = _schoolbook_mul(x.coeffs, y.coeffs, ceiling, x.domain.mul, x.domain.add)
+    else:
+        out = _schoolbook_mul(x.coeffs, y.coeffs, ceiling, schoolbook, operator.add)
+    return NestedSeries(x.level, x.domain, out, ceiling)
 
 
 def uses_kernel(x, y):
@@ -538,6 +519,130 @@ def test_sparse_and_rational_function_products_keep_the_dict_loop():
     x = NestedSeries(1, dom, {e: dom.random_nonzero(rng) for e in range(-6, 6)}, 6)
     assert not uses_kernel(x, x)
     assert x * x == schoolbook(x, x)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_int_loop_matches_the_domain_loop(p, k, s):
+    """Small products summed in plain ints, exact and cut, random and with
+    every coordinate at p^s - 1 (the largest slot sums of the packed k > 1
+    loop)."""
+    domain = fq_domain(p, k) if s == 1 else galois_ring_domain(p, k, s)
+    top = domain.from_coeffs([domain.modulus - 1] * k)
+    rng = random.Random(f"int:{p}:{k}:{s}")
+    for i in range(30):
+        na, nb = rng.randint(1, 7), rng.randint(1, 7)
+        if i % 3 == 2:
+            a = {e: top for e in range(-na, 0)}
+            b = {e: top for e in range(nb)}
+        else:
+            a = {e: domain.random_nonzero(rng) for e in rng.sample(range(-10, 10), na)}
+            b = {e: domain.random_nonzero(rng) for e in rng.sample(range(-10, 10), nb)}
+        ceiling = None if i % 2 else rng.randint(-8, 12)
+        got = _int_mul(domain, a, b, ceiling)
+        want = NestedSeries(1, domain, _schoolbook_mul(a, b, ceiling, domain.mul, domain.add), ceiling)
+        assert NestedSeries(1, domain, got, ceiling) == want
+        assert not any(domain.is_zero(c) for c in got.values())
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_sums_reduce_like_the_domain(p, k, s):
+    """The largest sums the int loop and the k > 1 inverse recurrence form:
+    ``terms`` products with every coordinate at p^s - 1, packed at the width
+    ``_g_width(domain, terms)``, reduce to the domain's own sum."""
+    domain = fq_domain(p, k) if s == 1 else galois_ring_domain(p, k, s)
+    top = domain.from_coeffs([domain.modulus - 1] * k)
+    square = domain.mul(top, top)
+    for terms in (1, 2, 7, 64, 300):
+        w = _g_width(domain, terms)
+        packed = _pack_g(top, w)
+        want = domain.zero()
+        for _ in range(terms):
+            want = domain.add(want, square)
+        assert _g_reducer(domain, w)(terms * packed * packed) == want
+
+
+def random_nested(rng, level, domain, top_terms, inner_terms, ceiling=False):
+    """``top_terms`` top exponents in ``[-5, 5)``, each over up to
+    ``inner_terms`` monomials with inner exponents in ``[-5, 5)``; cut above
+    a random top exponent when ``ceiling``."""
+    tops = rng.sample(range(-5, 5), top_terms)
+    monos = [(tuple(rng.randint(-5, 4) for _ in range(level - 1)) + (t,), domain.random_nonzero(rng))
+             for t in tops for _ in range(rng.randint(1, inner_terms))]
+    x = NestedSeries.from_monomials(level, domain, monos)
+    return x.truncate(rng.randint(min(tops) + 1, 6)) if ceiling else x
+
+
+def uses_flat(x, y):
+    return len(x.coeffs) * len(y.coeffs) >= _FLAT_MIN_PAIRS and all(
+        c.is_exact() for c in (*x.coeffs.values(), *y.coeffs.values())
+    )
+
+
+NESTED_RINGS = {
+    "F_2": F2, "F_4": F4, "Z/4": galois_ring_domain(2, 1, 2),
+    "Z/27": galois_ring_domain(3, 1, 3), "(Z/16)[g]": galois_ring_domain(2, 2, 4),
+}
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("ring", sorted(NESTED_RINGS))
+def test_nested_product_matches_the_schoolbook_oracle(ring, level):
+    """Exact operands and operands cut at an outer ceiling, negative inner
+    exponents, term-pair counts on both sides of the flat-path gate."""
+    domain = NESTED_RINGS[ring]
+    rng = random.Random(f"nested:{ring}:{level}")
+    sides = {"flat": 0, "loop": 0}
+    for i in range(40):
+        inner = 3 if level == 2 else 2
+        x = random_nested(rng, level, domain, rng.randint(1, 5), inner, ceiling=i % 3 == 0)
+        y = random_nested(rng, level, domain, rng.randint(1, 5), inner, ceiling=i % 4 == 0)
+        assert x * y == schoolbook(x, y)
+        sides["flat" if uses_flat(x, y) else "loop"] += 1
+    assert sides["flat"] and sides["loop"]
+
+
+def test_nested_inner_sums_that_cancel_leave_no_entry():
+    """Outer entries whose inner sums cancel to an exact zero are not stored."""
+    x = NestedSeries.from_monomials(2, F2, [((u, t), 1) for u in (0, 1) for t in range(4)])
+    assert uses_flat(x, x)
+    # (1 + u)^2 (1 + t + t^2 + t^3)^2 = (1 + u^2)(1 + t^2 + t^4 + t^6) over F_2
+    square = x * x
+    assert square == schoolbook(x, x)
+    assert sorted(square.coeffs) == [0, 2, 4, 6]
+    assert all(c == NestedSeries(1, F2, {0: 1, 2: 1}) for c in square.coeffs.values())
+    z4 = galois_ring_domain(2, 1, 2)
+    x = NestedSeries.from_monomials(2, z4, [((e, t), 2) for e in (-1, 2) for t in range(3)])
+    assert uses_flat(x, x)
+    assert (x * x).coeffs == {} and (x * x).ceiling is None  # 2 * 2 = 0 in Z/4
+    level3 = NestedSeries.from_monomials(3, F2, [((v, u, t), 1) for v in (0, 1) for u in (0, 1)
+                                                 for t in (0, 1)])
+    assert uses_flat(level3, level3)
+    assert level3 * level3 == schoolbook(level3, level3)
+    assert sorted((level3 * level3).coeffs) == [0, 2]
+
+
+def test_nested_fallbacks_give_the_oracle_product():
+    """Inner windows and F_p(x) coefficients keep the loop over term pairs."""
+    rng = random.Random(17)
+    for domain in (F2, F4, galois_ring_domain(2, 2, 4)):
+        for _ in range(10):
+            x = random_nested(rng, 2, domain, 4, 3)
+            y = random_nested(rng, 2, domain, 3, 3)
+            cut = min(x.coeffs)
+            x = NestedSeries(2, domain, {**x.coeffs, cut: x.coeffs[cut].truncate(2)})
+            assert len(x.coeffs) * len(y.coeffs) >= _FLAT_MIN_PAIRS
+            assert _flat_mul(2, domain, x.coeffs, y.coeffs, None) is None
+            assert x * y == schoolbook(x, y)
+            assert y * x == schoolbook(y, x)
+    dom = rat_func_domain(3)
+    for _ in range(5):
+        x = random_nested(rng, 2, dom, 3, 2, ceiling=True)
+        y = random_nested(rng, 2, dom, 3, 2)
+        assert x * y == schoolbook(x, y)
 
 
 def test_trusted_results_store_no_zero_and_nothing_at_the_ceiling():

@@ -1,10 +1,14 @@
-"""Property tests of the level-1 inverse (skipped without Hypothesis).
+"""Property tests of series products and the level-1 inverse (skipped
+without Hypothesis).
 
 For a random level-1 series ``a`` of order ``v`` and a width ``w``:
 ``a * a.inv(w)`` agrees with 1 below ``T^w``; ``a.inv(w)`` is windowed at
 ``-v + w`` unless ``a`` is one exact term; and ``a.pow(-n, w)`` is
-``a.inv(w).pow(n)``.
+``a.inv(w).pow(n)``.  Any product of two level-2 series, exact or cut at
+either level, equals the schoolbook dict product.
 """
+
+import operator
 
 import pytest
 
@@ -15,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rswan.ratfunc import rat_func_domain  # noqa: E402
 from rswan.scalars import fq_domain, galois_ring_domain  # noqa: E402
-from rswan.series import NestedSeries  # noqa: E402
+from rswan.series import NestedSeries, _schoolbook_mul  # noqa: E402
 
 DOMAINS = {
     "F_2": fq_domain(2, 1),
@@ -75,3 +79,54 @@ def test_inverse_window_is_the_input_window(case):
 def test_negative_power_is_the_power_of_the_inverse(case, n):
     a, width = case
     assert a.pow(-n, width) == a.inv(width).pow(n)
+
+
+LEVEL_TWO_DOMAINS = {
+    "F_2": fq_domain(2, 1),
+    "F_4": fq_domain(2, 2),
+    "Z/4": galois_ring_domain(2, 1, 2),
+    "(Z/16)[g]": galois_ring_domain(2, 2, 4),
+    "F_3(x)": rat_func_domain(3),
+}
+
+
+def schoolbook(x, y):
+    """The reference product: the dict loop over term pairs at every level."""
+    bounds = [c + o.low() for c, o in ((x.ceiling, y), (y.ceiling, x)) if c is not None]
+    ceiling = min(bounds) if bounds else None
+    if x.level == 1:
+        out = _schoolbook_mul(x.coeffs, y.coeffs, ceiling, x.domain.mul, x.domain.add)
+    else:
+        out = _schoolbook_mul(x.coeffs, y.coeffs, ceiling, schoolbook, operator.add)
+    return NestedSeries(x.level, x.domain, out, ceiling)
+
+
+@st.composite
+def level_two_series(draw, domain):
+    """Up to 6 top exponents over up to 5 inner terms, exponents in
+    ``[-6, 6]``; a random outer ceiling, and now and then an inner one."""
+    exps = st.integers(-6, 6)
+    digits = st.lists(st.integers(0, 15), min_size=1, max_size=3)
+    ceilings = st.one_of(st.none(), st.integers(-6, 7))
+    terms = draw(st.dictionaries(exps, st.dictionaries(exps, digits, min_size=1, max_size=5),
+                                 max_size=6))
+    coeffs = {}
+    for top, inner in terms.items():
+        cut = draw(ceilings) if draw(st.integers(0, 9)) == 0 else None
+        coeffs[top] = NestedSeries(1, domain, {e: _scalar(domain, d) for e, d in inner.items()
+                                               if cut is None or e < cut}, cut)
+    cut = draw(ceilings)
+    return NestedSeries(2, domain, {e: c for e, c in coeffs.items() if cut is None or e < cut}, cut)
+
+
+@st.composite
+def level_two_pair(draw):
+    domain = LEVEL_TWO_DOMAINS[draw(st.sampled_from(sorted(LEVEL_TWO_DOMAINS)))]
+    return draw(level_two_series(domain)), draw(level_two_series(domain))
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_two_pair())
+def test_level_two_product_is_the_schoolbook_product(pair):
+    x, y = pair
+    assert x * y == schoolbook(x, y)
