@@ -65,6 +65,7 @@ CONVENTIONS = {
 }
 
 _FAILING_STATUSES = ("FAIL", "ERROR")
+MAX_SAMPLES = 10_000  # reciprocity samples per task: 100 times the default
 _THMB_T_VALUES = (3, 5, 7)  # thmB's family exponents when a task gives none
 
 
@@ -242,6 +243,10 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             _require(
                 _is_int(task["samples"]) and task["samples"] > 0,
                 f"task #{idx} (reciprocity) needs a positive integer 'samples'",
+            )
+            _require(
+                task["samples"] <= MAX_SAMPLES,
+                f"task #{idx} (reciprocity) 'samples' {task['samples']} is above the cap {MAX_SAMPLES}",
             )
         if kind == "conductor-change":
             ext_name = task.get("extension")

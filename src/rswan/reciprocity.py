@@ -282,22 +282,16 @@ class CharacterizationReport:
 
 
 def _random_window_terms(tower, rng, m: int, n: int):
-    """1..3 random monomial terms c * (lower monomial) * t^i dlog T_S with
-    i in [m+1, n]; degree r = d - 1."""
-    domain = tower.field_domain
+    """1..3 random raw terms ``(exps, c, key)``, each standing for the form
+    c * (lower monomial) * t^i dlog T_key with i in [m+1, n]; degree d - 1."""
     d_level = tower.d
     terms = []
     for _ in range(rng.randint(1, 3)):
         i = rng.randint(m + 1, n)
-        c = domain.random_nonzero(rng)
+        c = tower.field_domain.random_nonzero(rng)
         lower = tuple(rng.randint(-2, 2) for _ in range(d_level - 1))
-        exps = lower + (i,)
-        x = NestedSeries.from_monomials(d_level, domain, [(exps, c)])
-        if d_level == 1:
-            key = ()
-        else:
-            key = (rng.randint(1, d_level),)
-        terms.append((x, key))
+        key = () if d_level == 1 else (rng.randint(1, d_level),)
+        terms.append((lower + (i,), c, key))
     return terms
 
 
@@ -311,10 +305,21 @@ def verify_rsw_characterization(
     {E(x), T_lambda}, the right side through r_b with the minimal b such
     that p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1).
 
-    Within one call each distinct symbol ``{E(x), T_lambda}`` (with its
-    Schmid oracle value at s = 1, d = 1) and each distinct alpha's pairing
-    is evaluated once; the sums, agreements and mismatch entries are still
-    taken per sample, so repeated draws cost a dict lookup, not a dlog.
+    Both sides are additive in alpha.  The left side is a sum of symbols
+    by definition; on the right each map is additive:
+
+    * the wedge with Rsw(chi) is bilinear;
+    * window truncation and ``residue_step`` read off coefficients;
+    * Cartier is additive in characteristic p: (a + b)^(1/p) = a^(1/p) + b^(1/p);
+    * the trace to F_p is additive;
+    * 1 |-> p^(s-1) is a group homomorphism F_p -> Z/p^s.
+
+    So each distinct drawn term, keyed by its raw monomial ``(exps, c,
+    key)``, has its series built and its symbol, its Schmid oracle value
+    (at s = 1, d = 1) and its own pairing evaluated once per call; a
+    sample's right side is the sum of its terms' pairings.  Within a
+    sample the symbols come first, in draw order, then the new pairings,
+    so an exception comes from the sample's first failing symbol.
     """
     char = asw_reduce(char)
     tower = char.tower
@@ -328,27 +333,31 @@ def verify_rsw_characterization(
     m = value.m
     b = minimal_b(p, n - m)
     theta = theta_lift(char.vector)
+    domain = tower.field_domain
     rng = random.Random(seed)
     agreements = 0
     schmid_checked = 0
     mismatches = []
     modulus = p**s
     schmid = s == 1 and tower.d == 1
-    symbols: dict = {}  # (x, key) -> (symbol value, Schmid oracle value or None)
-    pairings: dict = {}  # frozen form_coeffs -> RHS value in Z/p^s
+    known: dict = {}  # raw term -> [symbol value, Schmid oracle value or None, pairing]
     for idx in range(samples):
         terms = _random_window_terms(tower, rng, m, n)
         # Left side: sum over terms of the symbol {E(x), T_lambda}.
+        fresh = []
         lhs = 0
-        for x, key in terms:
-            if (x, key) not in symbols:
+        for term in terms:
+            if term not in known:
+                exps, c, key = term
+                x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
                 ys = [truncated_exp(x)]
                 for lam in key:
-                    ys.append(NestedSeries.variable(tower.d, tower.field_domain, lam))
+                    ys.append(NestedSeries.variable(tower.d, domain, lam))
                 val = _symbol_value(theta, tower, ys)
                 oracle = schmid_symbol(char.vector.comps[0], ys[0]) if schmid else None
-                symbols[x, key] = (val, oracle)
-            val, oracle = symbols[x, key]
+                known[term] = [val, oracle, None]
+                fresh.append((term, x))
+            val, oracle, _ = known[term]
             lhs = (lhs + val) % modulus
             if schmid:
                 if oracle % modulus != val % modulus:
@@ -356,22 +365,12 @@ def verify_rsw_characterization(
                         {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}
                     )
                 schmid_checked += 1
-        # Right side: alpha as a windowed form, wedged against the invariant.
-        form_coeffs: dict = {}
-        for x, key in terms:
-            form_coeffs[key] = form_coeffs[key] + x if key in form_coeffs else x
-        frozen = frozenset(form_coeffs.items())
-        if frozen not in pairings:
-            alpha = WindowedForm(
-                LogForm(tower.d, tower.field_domain, tower.d - 1, form_coeffs), -m - 1, -n - 1
-            )
-            collapsed = r_b(wedge_windowed(alpha, value.window), b)
-            if isinstance(collapsed, LogForm):
-                res_val = residue_to_prime_field(collapsed)
-            else:
-                res_val = residue_to_prime_field(collapsed, tower.field_domain)
-            pairings[frozen] = (res_val * p ** (s - 1)) % modulus
-        rhs = pairings[frozen]
+        # Right side: each new term x dlog T_key wedged against the invariant.
+        for term, x in fresh:
+            alpha = WindowedForm(LogForm(tower.d, domain, tower.d - 1, {term[2]: x}), -m - 1, -n - 1)
+            res_val = residue_to_prime_field(r_b(wedge_windowed(alpha, value.window), b), domain)
+            known[term][2] = (res_val * p ** (s - 1)) % modulus
+        rhs = sum(known[term][2] for term in terms) % modulus
         if lhs == rhs:
             agreements += 1
         else:

@@ -13,6 +13,7 @@ import pytest
 
 from rswan.cli import (
     CONVENTIONS,
+    MAX_SAMPLES,
     REPORT_VERSION,
     TASK_NAMES,
     load_config,
@@ -292,6 +293,18 @@ def test_reciprocity_samples_must_be_a_positive_int(tmp_path, capsys):
     assert "positive integer 'samples'" in capsys.readouterr().err
     doc["tasks"][0]["samples"] = 1
     assert load_config(doc).tasks[0]["samples"] == 1
+
+
+def test_reciprocity_samples_are_capped(tmp_path, capsys):
+    """10,000 samples load, 10,001 are a ConfigError with exit 2; neither
+    config is run."""
+    doc = config_doc(
+        characters={"X": ["t^-3"]},
+        tasks=[{"task": "reciprocity", "character": "X", "samples": MAX_SAMPLES}],
+    )
+    assert load_config(doc).tasks[0]["samples"] == MAX_SAMPLES == 10_000
+    doc["tasks"][0]["samples"] = MAX_SAMPLES + 1
+    assert_config_error(tmp_path, capsys, doc, "'samples' 10001 is above the cap 10000")
 
 
 def test_out_of_range_literal_exponents_exit_two(tmp_path, capsys):

@@ -12,7 +12,8 @@ Oracles used here:
     of dlog(yy') = dlog y + dlog y' and wedge antisymmetry, so they hold on
     the nose and serve as representation-independent oracles;
   * the characterization checker is compared with its own loop without the
-    per-call symbol and pairing dicts (``uncached_characterization_oracle``).
+    per-call dict of terms, which pairs each sample's whole summed alpha
+    (``uncached_characterization_oracle``): a check of additivity.
 """
 
 import random
@@ -308,10 +309,12 @@ def test_characterization_covers_low_dimensions_only():
 # ------------------------------------- the unmemoized characterization loop
 
 def uncached_characterization_oracle(char, samples, seed=0):
-    """The characterization loop without its per-call symbol and pairing
-    dicts: every term's symbol, its Schmid oracle value and every sample's
-    pairing evaluated afresh.  Helpers are looked up on the module, so a
-    monkeypatched one reaches both this loop and the library's."""
+    """The characterization loop without its per-call dict of terms and
+    without additivity: every term's series, symbol and Schmid oracle value
+    built afresh, and every sample's whole summed alpha paired at once, so
+    the library's per-term pairings are checked against the pairing of the
+    sum.  Helpers are looked up on the module, so a monkeypatched one
+    reaches both this loop and the library's."""
     char = asw_reduce(char)
     tower = char.tower
     p, s = tower.p, tower.s
@@ -325,7 +328,10 @@ def uncached_characterization_oracle(char, samples, seed=0):
     mismatches = []
     modulus = p**s
     for idx in range(samples):
-        terms = reciprocity._random_window_terms(tower, rng, m, n)
+        terms = [
+            (NestedSeries.from_monomials(tower.d, tower.field_domain, [(exps, c)]), key)
+            for exps, c, key in reciprocity._random_window_terms(tower, rng, m, n)
+        ]
         lhs = 0
         for x, key in terms:
             ys = [truncated_exp(x)]
@@ -411,24 +417,86 @@ def test_characterization_mismatches_match_uncached_oracle(p, monkeypatch):
 
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
 def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
+    """One symbol and one pairing (one ``r_b``) per distinct drawn term."""
     drawn = set()
-    calls = []
+    calls = {"_symbol_value": 0, "r_b": 0}
     draw = reciprocity._random_window_terms
-    symbol_value = reciprocity._symbol_value
 
     def recording_draw(*args):
         terms = draw(*args)
         drawn.update(terms)
         return terms
 
-    def counting_symbol_value(*args):
-        calls.append(args)
-        return symbol_value(*args)
+    def counting(name):
+        original = getattr(reciprocity, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
 
     monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw)
-    monkeypatch.setattr(reciprocity, "_symbol_value", counting_symbol_value)
+    for name in calls:
+        monkeypatch.setattr(reciprocity, name, counting(name))
     for label, char, samples in catalog_reciprocity_cells(p):
         drawn.clear()
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         verify_rsw_characterization(char, samples, seed=3)
-        assert len(calls) == len(drawn) < samples, label
+        assert calls["_symbol_value"] == calls["r_b"] == len(drawn) < samples, label
+
+
+# ----------------------------------------- additivity beyond the catalog
+
+# Towers that no catalog reciprocity cell reaches: F_4 residues (k = 2, one
+# and two variables), lift length 3, and p = 5 over two variables.  The flag
+# says whether the identity holds there: over two variables at odd p every
+# mismatch the checker records has lhs = -rhs, a sign that p = 2 cannot see.
+# The check here is that the library's report equals the oracle's, either way.
+ADDITIVITY_CELLS = [
+    (FieldTower(2, 2, 1, ("t",)), ["g*t^-3 + t^-1"], True),
+    (FieldTower(2, 2, 1, ("u", "t")), ["g*u*t^-3"], True),
+    (FieldTower(2, 1, 3, ("t",)), ["t^-1", "0", "t^-3"], True),
+    (FieldTower(3, 1, 3, ("t",)), ["t^-1", "0", "t^-2"], True),
+    (FieldTower(5, 1, 1, ("u", "t")), ["u*t^-2"], False),
+    (FieldTower(5, 1, 1, ("u", "t")), ["u^-1*t^-3 + t^-1"], False),
+]
+
+
+def _repeating_and_cancelling(draw):
+    """Wrap the term draw so that every sample also holds the negative of
+    its first term (the two cancel in alpha), a second term on the first
+    term's dlog key at another exponent, the first term once more and, over
+    two variables, the first term's monomial on the other dlog key."""
+
+    def wrapped(tower, rng, m, n):
+        terms = draw(tower, rng, m, n)
+        exps, c, key = terms[0]
+        top = m + 1 + (exps[-1] - m) % (n - m)  # another exponent in [m+1, n] when n > m + 1
+        terms += [(exps, tower.field_domain.neg(c), key), (exps[:-1] + (top,), c, key), terms[0]]
+        if key:
+            terms.append((exps, c, (3 - key[0],)))
+        return terms
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "tower,texts,holds", ADDITIVITY_CELLS,
+    ids=["F4", "F4d2", "p2s3", "p3s3", "p5d2", "p5d2pole"],
+)
+def test_characterization_is_additive_beyond_the_catalog(tower, texts, holds, monkeypatch):
+    """Per-term pairings summed equal the pairing of the summed alpha, on
+    towers the catalog does not sample, with repeated dlog keys, repeated
+    terms and terms that cancel in alpha."""
+    chi = char_of(tower, texts)
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(
+                reciprocity, "_random_window_terms",
+                _repeating_and_cancelling(reciprocity._random_window_terms),
+            )
+        for seed in range(3):
+            report = verify_rsw_characterization(chi, 30, seed=seed)
+            assert report == uncached_characterization_oracle(chi, 30, seed), (forced, seed)
+            assert report.all_equal or not holds, (forced, seed)
