@@ -19,10 +19,13 @@ with widths 1..2.  ``split`` is the degree pair ``(i, j)``.  Per cell:
 * ``ms_per_matrix``: one figure per tree, in the order of ``trees``: the
   mean builder time over the windows ``(m + a, m)`` for m = 0..3 with the
   minimal ``b``, the median over ``PASSES`` passes, each timing a batch of
-  builds of all four windows.
+  builds of all four windows;
+* ``gram_ms``: the same for ``gram_is_invertible`` on the rows each tree
+  has just built for those windows (every answer must be ``True``).
 
-``totals_ms`` sums the builder time over every workload window (d = 2,
-p = 2 and 3, 4 windows per cell) per tree.  The JSON written to ``OUT``
+``totals_ms`` and ``gram_totals_ms`` sum the builder and the elimination
+time over every workload window (d = 2, p = 2 and 3, 4 windows per cell)
+per tree.  The JSON written to ``OUT``
 (required, so that no run overwrites a committed ``BENCH_<n>.json`` by
 default) records each tree's commit (``git describe --always --dirty``),
 the Python version and the machine.
@@ -52,40 +55,62 @@ BATCH_SECONDS = 0.02  # each timing covers a batch of calls of about this length
 VARIABLES = ("v", "u", "t")
 
 
-def _builder(rswan, p: int, d: int, a: int, i: int):
+def _calls(rswan, p: int, d: int, a: int, i: int):
     """A call that builds the Gram matrices of the cell's windows and
-    returns their sizes."""
+    returns their sizes, and a call that decides their invertibility."""
     tower = rswan.FieldTower(p, 1, 1, VARIABLES[3 - d:])
     b = rswan.logdiff.minimal_b(p, a)
-    return lambda: [len(rswan.duality_matrix(m + a, m, b, tower, i, d - i)) for m in MS]
+
+    def build():
+        return [rswan.duality_matrix(m + a, m, b, tower, i, d - i) for m in MS]
+
+    built = build()
+
+    def gram():
+        return [
+            rswan.gram_is_invertible(rows, domain=tower.field_domain, precision=tower.precision)
+            for rows in built
+        ]
+
+    return (lambda: [len(rows) for rows in build()]), gram
 
 
 def measure(srcs: list[str]) -> dict:
     trees = [load(src, index) for index, src in enumerate(srcs)]
     keys = [(p, d, a, i) for p, d, a in CELLS for i in range(d + 1)]
-    calls = {key: [_builder(tree, *key) for tree in trees] for key in keys}
+    calls, grams = {}, {}
+    for key in keys:
+        calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
     sizes = {}
     for key, builders in calls.items():
         rows = [build() for build in builders]
         if any(r != rows[0] for r in rows):
             raise SystemExit(f"cell {key}: Gram sizes differ between trees")
+        if not all(all(gram()) for gram in grams[key]):
+            raise SystemExit(f"cell {key}: a Gram matrix is singular")
         sizes[key] = rows[0][-1]
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
+    gram_seconds = alternate(grams, PASSES, BATCH_SECONDS)
     cells = []
     totals = [0.0 for _ in trees]
+    gram_totals = [0.0 for _ in trees]
     for key in keys:
         p, d, a, i = key
         per_matrix = [t * 1e3 / len(MS) for t in seconds[key]]
+        gram_ms = [t * 1e3 / len(MS) for t in gram_seconds[key]]
         cells.append({
             "p": p, "d": d, "a": a, "split": f"({i},{d - i})",
             "rows": sizes[key],
             "ms_per_matrix": [round(ms, 3) for ms in per_matrix],
+            "gram_ms": [round(ms, 3) for ms in gram_ms],
         })
         if d == 2 and p in WORKLOAD_WIDTHS:
             totals = [t + ms * len(MS) for t, ms in zip(totals, per_matrix)]
+            gram_totals = [t + ms * len(MS) for t, ms in zip(gram_totals, gram_ms)]
     return {
         "trees": [{"commit": commit(src)} for src in srcs],
         "totals_ms": [round(t, 1) for t in totals],
+        "gram_totals_ms": [round(t, 1) for t in gram_totals],
         "cells": cells,
     }
 

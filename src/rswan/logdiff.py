@@ -11,7 +11,8 @@ products, the Cartier operator on top-degree forms, the one-step residue
 to the prime field, windowed forms (classes modulo a power of the maximal
 ideal of the top variable), the window collapse ``r_b = C^b(omega_0)``, and
 the Gram matrix of the pairing ``(x, y) -> r_b(x ^ y)`` on twisted monomial
-bases, with exact Gaussian elimination to decide invertibility.
+bases (one pairing per dlog key and residue monomial), with exact sparse
+elimination over a column index to decide invertibility.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def residue_to_prime_field(omega, domain=None) -> int:
         raw = cur
     else:
         if domain is None:
-            raise ValueError("a raw scalar needs its domain")
+            raise TowerMismatch("a raw scalar needs its domain")
         raw = omega
     return domain.trace(raw) % domain.modulus
 
@@ -445,8 +446,18 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
       ``C^b`` keeps only exponents divisible by ``p^b`` and
       ``alpha_l + beta_l`` lies in ``[0, 2 p^b - 2]``.
 
-    So only the partner entry is evaluated, through :func:`wedge_windowed`
-    and :func:`r_b`; the other entries share one exact zero.
+    One pairing per class: the partner entry depends on the row's dlog key
+    ``K`` and lower exponents ``alpha`` only, not on its top exponent ``e``,
+    since
+
+    * ``t^e t^(-e) = t^0`` for every ``e``;
+    * the sign of the wedge depends only on ``K`` and its complement;
+    * the window ``(a-1, -1)`` and ``r_b`` read only the ``t^0`` slot.
+
+    So the pairing is evaluated once per ``(K, alpha)``, through
+    :func:`wedge_windowed` and :func:`r_b`, and its value is placed in the
+    partner column of each of the class's ``a = n - m`` rows; the other
+    entries share one exact zero.
     """
     level = K.d
     domain = K.field_domain
@@ -464,26 +475,36 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     }
     zero = NestedSeries.zero(level - 1, domain) if level > 1 else domain.zero()
     res_key = tuple(range(1, level))
+    pairings = {}
     rows = []
     for key, exps in _basis_monomials(level, j, n, m, pb):
         partner_key = tuple(v for v in range(1, level + 1) if v not in key)
         partner_exps = tuple(-e % pb for e in exps[:-1]) + (-exps[-1],)
-        x = _basis_form(level, domain, key, exps, n, m)
-        y = _basis_form(level, domain, partner_key, partner_exps, -m - 1, -n - 1)
-        val = r_b(wedge_windowed(x, y), b)
+        cls = key, exps[:-1]
+        if cls not in pairings:
+            x = _basis_form(level, domain, key, exps, n, m)
+            y = _basis_form(level, domain, partner_key, partner_exps, -m - 1, -n - 1)
+            val = r_b(wedge_windowed(x, y), b)
+            pairings[cls] = val.coefficient(res_key) if isinstance(val, LogForm) else val
         row = [zero] * len(columns)
-        row[columns[partner_key, partner_exps]] = (
-            val.coefficient(res_key) if isinstance(val, LogForm) else val
-        )
+        row[columns[partner_key, partner_exps]] = pairings[cls]
         rows.append(row)
     return rows
 
 
 def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
-    """Exact Gaussian elimination; entries are series or raw scalars.
+    """Exact sparse elimination; entries are series or raw scalars.
 
-    A pivot candidate that is zero within a finite window (but not exactly
-    zero) raises :class:`PrecisionExhausted` rather than guessing.
+    Each row is kept as ``{column: entry}`` without its exact zeros, beside
+    an index from each column to the remaining rows that hold it.  Columns
+    are eliminated in order: the pivot is the lowest-index remaining row
+    holding the column, and only the other rows holding it are reduced, so
+    the cost follows the nonzero entries, not the square of the size.  A
+    column that no remaining row holds makes the matrix singular.
+
+    A pivot candidate or a factor that is zero within a finite window (but
+    not exactly zero) raises :class:`PrecisionExhausted` rather than
+    guessing.
     """
     size = len(rows)
     if size == 0:
@@ -491,32 +512,62 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     if any(len(r) != size for r in rows):
         return False
     if isinstance(rows[0][0], NestedSeries):
-        def is_zero(v):
-            if v.is_zero() and v.ceiling is not None:
+        def exact_zero(v):
+            return v.ceiling is None and v.is_zero()
+
+        def known(v):
+            if v.ceiling is not None and v.is_zero():
                 raise PrecisionExhausted("pivot is zero within its window; rank is ambiguous")
-            return v.is_zero()
+            return v
 
         def inv(v):
             return v.inv(precision)
 
-        mul, sub = operator.mul, operator.sub
+        mul, sub, neg = operator.mul, operator.sub, operator.neg
     elif domain is None:
-        raise ValueError("raw-scalar matrices need their domain")
+        raise TowerMismatch("raw-scalar matrices need their domain")
     else:
-        is_zero, inv, mul, sub = domain.is_zero, domain.inv, domain.mul, domain.sub
+        exact_zero = domain.is_zero
+        inv, mul, sub, neg = domain.inv, domain.mul, domain.sub, domain.neg
 
-    work = [list(r) for r in rows]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if not is_zero(work[r][col])), None)
-        if pivot_row is None:
-            return False
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot_inv = inv(work[col][col])
-        for r in range(col + 1, size):
-            factor = work[r][col]
-            if is_zero(factor):
+        def known(v):
+            return v
+
+    work = []
+    holders = [set() for _ in range(size)]
+    for r, dense in enumerate(rows):
+        row = {}
+        zero_seen = None  # entries are often one shared zero object
+        for c, v in enumerate(dense):
+            if v is zero_seen:
                 continue
-            quot = mul(factor, pivot_inv)
-            for c in range(col, size):
-                work[r][c] = sub(work[r][c], mul(work[col][c], quot))
+            if exact_zero(v):
+                zero_seen = v
+                continue
+            row[c] = v
+            holders[c].add(r)
+        work.append(row)
+
+    for col in range(size):
+        if not holders[col]:
+            return False
+        pivot_row = min(holders[col])
+        pivot = work[pivot_row]
+        for c in pivot:
+            holders[c].discard(pivot_row)
+        pivot_inv = inv(known(pivot[col]))
+        for r in holders[col]:
+            row = work[r]
+            quot = mul(known(row.pop(col)), pivot_inv)
+            for c, v in pivot.items():
+                if c == col:
+                    continue
+                term = mul(v, quot)
+                new = sub(row[c], term) if c in row else neg(term)
+                if exact_zero(new):
+                    row.pop(c, None)
+                    holders[c].discard(r)
+                else:
+                    row[c] = new
+                    holders[c].add(r)
     return True

@@ -9,11 +9,13 @@ Oracles used here:
     p | e, and is asserted on random exact forms.
 """
 
+import operator
 import random
 from math import comb
 
 import pytest
 
+from rswan import logdiff
 from rswan.errors import (
     DegreeMismatch,
     DegreeOverflow,
@@ -21,6 +23,7 @@ from rswan.errors import (
     NoPthRoot,
     NotTopDegree,
     PrecisionExhausted,
+    TowerMismatch,
     WindowTooWide,
 )
 from rswan.logdiff import (
@@ -267,6 +270,9 @@ def test_residue_traces_the_coefficient_field():
     assert residue_to_prime_field(omega) == 1
     one_form = LogForm(1, F4, 1, {(1,): NestedSeries.one(1, F4)})
     assert residue_to_prime_field(one_form) == 0  # trace of 1 = 2 = 0 mod 2
+    assert residue_to_prime_field(g, F4) == 1
+    with pytest.raises(TowerMismatch, match="needs its domain"):
+        residue_to_prime_field(g)
 
 
 def test_residue_is_coordinate_free():
@@ -419,8 +425,146 @@ def test_gram_elimination_rules():
     assert gram_is_invertible([[1, 2], [1, 1]], domain=F3)
     with pytest.raises(PrecisionExhausted, match="pivot is zero within its window"):
         gram_is_invertible([[s("t^2").truncate(1), s("1")], [s("1"), s("0")]])
-    with pytest.raises(ValueError, match="need their domain"):
+    with pytest.raises(TowerMismatch, match="need their domain"):
         gram_is_invertible([[1]])
+
+
+def dense_gram_oracle(rows, domain=None, precision=None):
+    """The dense Gaussian elimination: for each column, swap in the first
+    remaining row whose entry is nonzero and clear the column below it."""
+    size = len(rows)
+    if size == 0:
+        return True
+    if any(len(r) != size for r in rows):
+        return False
+    if isinstance(rows[0][0], NestedSeries):
+        def is_zero(v):
+            if v.is_zero() and v.ceiling is not None:
+                raise PrecisionExhausted("pivot is zero within its window; rank is ambiguous")
+            return v.is_zero()
+
+        def inv(v):
+            return v.inv(precision)
+
+        mul, sub = operator.mul, operator.sub
+    else:
+        is_zero, inv, mul, sub = domain.is_zero, domain.inv, domain.mul, domain.sub
+
+    work = [list(r) for r in rows]
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if not is_zero(work[r][col])), None)
+        if pivot_row is None:
+            return False
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot_inv = inv(work[col][col])
+        for r in range(col + 1, size):
+            factor = work[r][col]
+            if is_zero(factor):
+                continue
+            quot = mul(factor, pivot_inv)
+            for c in range(col, size):
+                work[r][c] = sub(work[r][c], mul(work[col][c], quot))
+    return True
+
+
+def random_gram(rng, size, shape, entry, zero):
+    """A square matrix of the given zero pattern; ``entry()`` draws a
+    nonzero entry.  ``rank-deficient`` duplicates a row or zeroes a column."""
+    if shape == "monomial":
+        perm = rng.sample(range(size), size)
+        rows = [[entry() if c == perm[r] else zero for c in range(size)] for r in range(size)]
+    elif shape == "banded":
+        width = rng.randint(0, 2)
+        rows = [
+            [entry() if abs(r - c) <= width and rng.random() < 0.8 else zero
+             for c in range(size)]
+            for r in range(size)
+        ]
+    else:
+        rows = [[entry() if rng.random() < 0.7 else zero for _ in range(size)]
+                for _ in range(size)]
+    if shape == "rank-deficient":
+        if size > 1 and rng.random() < 0.5:
+            src, dst = rng.sample(range(size), 2)
+            rows[dst] = list(rows[src])
+        else:
+            col = rng.randrange(size)
+            for row in rows:
+                row[col] = zero
+    return rows
+
+
+def graded(rng, raw, K):
+    """``c_ij T^(r_i + s_j)`` for the scalar matrix ``c``: every quotient in
+    the elimination is then a monomial, so the arithmetic stays exact and
+    the matrix is invertible exactly when ``c`` is."""
+    dom = K.field_domain
+    shifts = [[tuple(rng.randint(-3, 3) for _ in range(K.d)) for _ in raw] for _ in "rs"]
+    return [
+        [NestedSeries.from_monomials(
+            K.d, dom, [(tuple(x + y for x, y in zip(shifts[0][r], shifts[1][c])), v)]
+        ) if not dom.is_zero(v) else NestedSeries.zero(K.d, dom)
+         for c, v in enumerate(row)]
+        for r, row in enumerate(raw)
+    ]
+
+
+def gram_outcome(fn, rows, **kw):
+    try:
+        return fn(rows, **kw)
+    except PrecisionExhausted:
+        return "exhausted"
+
+
+GRAM_TOWERS = (
+    K2, K3, K4,
+    FieldTower(2, 1, 1, ("u", "t")),
+    FieldTower(3, 1, 1, ("u", "t")),
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_gram_matches_dense_oracle(seed):
+    """Seeded property: the sparse elimination decides as the dense oracle
+    on random square matrices of sizes 1..10 (monomial, banded, dense and
+    rank-deficient patterns) over F_2, F_3, F_4 as raw scalars, and over
+    exact one- and two-variable series.
+
+    On graded series (see :func:`graded`) both stay exact and must agree.
+    On general series the two pivot orders may meet a zero-within-window
+    entry at different steps, so there one side may raise
+    :class:`PrecisionExhausted`; the two never return different answers.
+    """
+    rng = random.Random(seed)
+    shapes = ("monomial", "banded", "dense", "rank-deficient")
+    answered = 0
+    for _ in range(30):
+        K = rng.choice(GRAM_TOWERS)
+        dom = K.field_domain
+        shape = rng.choice(shapes)
+        size = rng.randint(1, 10)
+        raw = random_gram(rng, size, shape, lambda: dom.random_nonzero(rng), dom.zero())
+        want = dense_gram_oracle(raw, domain=dom)
+        assert gram_is_invertible(raw, domain=dom) == want, (shape, raw)
+        if shape == "rank-deficient":
+            assert not want
+        series = graded(rng, raw, K)
+        assert gram_is_invertible(series, precision=K.precision) == want
+        assert dense_gram_oracle(series, precision=K.precision) == want
+
+        size = min(size, 8 if K.d == 1 else 3)
+        rows = random_gram(
+            rng, size, shape,
+            lambda: random_series(rng, K.d, dom, lo=-2, hi=2, terms=2),
+            NestedSeries.zero(K.d, dom),
+        )
+        kw = {"precision": 16}
+        got = gram_outcome(gram_is_invertible, rows, **kw)
+        oracle = gram_outcome(dense_gram_oracle, rows, **kw)
+        if "exhausted" not in (got, oracle):
+            assert got == oracle, (shape, rows)
+            answered += 1
+    assert answered >= 15
 
 
 def dense_duality_oracle(n, m, b, K, i, j):
@@ -437,6 +581,43 @@ def dense_duality_oracle(n, m, b, K, i, j):
             row.append(val.coefficient(res_key) if isinstance(val, LogForm) else val)
         rows.append(row)
     return rows
+
+
+def test_duality_matrix_pairs_once_per_class(monkeypatch):
+    """``r_b`` and ``wedge_windowed`` run once per ``(dlog key, residue
+    monomial)`` class: ``len(rows) / (n - m)`` times per split, on the
+    workload windows (p = 2 and 3, d = 2), at d = 1 and on the d = 3 tower."""
+    calls = {"r_b": 0, "wedge_windowed": 0}
+
+    def counted(name):
+        inner = getattr(logdiff, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(logdiff, name, counted(name))
+    windows = [
+        (KD if p == 2 else KD3, m + width, m, minimal_b(p, width))
+        for p, widths in ((2, range(1, 7)), (3, range(1, 6)))
+        for width in widths
+        for m in range(4)
+    ]
+    windows += [
+        (FieldTower(p, 1, 1, ("t",)), width, 0, minimal_b(p, width))
+        for p in (2, 3) for width in range(1, 5)
+    ]
+    K3D = FieldTower(2, 1, 1, ("v", "u", "t"))
+    windows += [(K3D, width + 1, 1, minimal_b(2, width)) for width in (1, 2)]
+    for K, n, m, b in windows:
+        for i in range(K.d + 1):
+            calls.update(r_b=0, wedge_windowed=0)
+            rows = duality_matrix(n, m, b, K, i, K.d - i)
+            classes, rest = divmod(len(rows), n - m)
+            assert rest == 0
+            assert calls == {"r_b": classes, "wedge_windowed": classes}
 
 
 def assert_partner_matched(K, n, m, b):
