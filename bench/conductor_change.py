@@ -1,4 +1,4 @@
-"""Layer bench: the conductor-change path (level-1 inversion, reduction, the formula).
+"""Layer bench: the conductor-change path (inversion, reduction, the formula).
 
     python3 bench/conductor_change.py OUT [SRC ...]
 
@@ -9,15 +9,19 @@ beside these.  All trees are imported into this one process, each under its
 own package name, and timed in alternation: every pass times each cell for
 every tree before moving on, and the tree order flips from pass to pass, so
 machine drift falls on all trees alike.  Results must be equal across trees
-(checked).
+(checked by exponents, raw scalars and the ceiling at every level: series
+of two loaded packages do not compare with ``==``).
 
 Three sections, with one figure per tree in the order of ``trees``:
 
-* ``inv``: ``NestedSeries.inv`` of an exact level-1 series with ``terms``
-  stored terms in ``[0, width)`` (the lead at exponent 0, the others at
-  seeded random exponents) at precision ``width``, for widths 4, 16 and 64
-  (the ``embed`` shape), 256 and 1024, over ``F_2``, ``F_9`` and ``Z/16``;
-  ``inv_us`` per tree.
+* ``inv``: ``NestedSeries.inv`` over ``F_2``, ``F_9`` and ``Z/16``;
+  ``inv_us`` per tree.  At level 1, an exact series with ``terms`` stored
+  terms in ``[0, width)`` (the lead at exponent 0, the others at seeded
+  random exponents) at precision ``width``, for widths 4, 16 and 64 (the
+  ``embed`` shape), 256 and 1024.  At levels 2 and 3, an exact series with
+  ``terms`` top exponents in ``[0, width)``, the lead at 0, over inner
+  series with 2 top exponents in ``[0, 4)`` (3 terms at level 1), at
+  precision ``width`` = 4, 8 and 16.
 * ``asw_reduce``: per cell ``(p, s)`` of perfbench's ``embed`` workload,
   ``UNITS`` seeded units drawn as that workload draws them (a character
   with 0..4 monomials per component at exponents -12..2, an image
@@ -52,6 +56,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DOMAINS = {"F_2": (2, 1, 1), "F_9": (3, 2, 1), "Z/16": (2, 1, 4)}
 WIDTHS = (4, 16, 64, 256, 1024)
 TERMS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
+NESTED_PRECISIONS = (4, 8, 16)
+NESTED_TERMS = (2, 4)
 EMBED_CELLS = tuple((p, s) for p in (2, 3, 5) for s in (1, 2))
 UNITS = 24
 PASSES = 7
@@ -61,40 +67,60 @@ BATCH_SECONDS = 0.02
 # ----------------------------------------------------------------------- inv
 
 def _grid():
-    return [(name, w, n) for name in DOMAINS for w in WIDTHS for n in TERMS if n <= w]
+    """``(domain, level, width, terms)`` cells."""
+    return [(name, 1, w, n) for name in DOMAINS for w in WIDTHS for n in TERMS if n <= w] + [
+        (name, level, w, n)
+        for name in DOMAINS for level in (2, 3) for w in NESTED_PRECISIONS for n in NESTED_TERMS
+    ]
 
 
-def _inv_input(rswan, name, width, terms):
+def _series(rswan, dom, rng, level, width, terms):
+    """An exact series with ``terms`` top exponents in ``[0, width)``, the
+    lead at 0, over inner series with 2 top exponents in ``[0, 4)`` (3 terms
+    at level 1); every lead is a unit."""
+    if level == 1:
+        lead = dom.random_nonzero(rng)
+        while dom.is_zero(dom.reduce_mod_p(lead)):  # a unit of Z/16
+            lead = dom.random_nonzero(rng)
+        coeffs = {0: lead}
+        for e in rng.sample(range(1, width), terms - 1):
+            coeffs[e] = dom.random_nonzero(rng)
+        return rswan.NestedSeries(1, dom, coeffs)
+    exps = [0, *rng.sample(range(1, width), terms - 1)]
+    inner_terms = 3 if level == 2 else 2
+    return rswan.NestedSeries(level, dom, {e: _series(rswan, dom, rng, level - 1, 4, inner_terms)
+                                           for e in exps})
+
+
+def _inv_input(rswan, name, level, width, terms):
     p, k, s = DOMAINS[name]
     dom = rswan.scalars.galois_ring_domain(p, k, s)
-    rng = random.Random(f"inv:{name}:{width}:{terms}")
-    lead = dom.random_nonzero(rng)
-    while dom.is_zero(dom.reduce_mod_p(lead)):  # a unit of Z/16
-        lead = dom.random_nonzero(rng)
-    coeffs = {0: lead}
-    for e in rng.sample(range(1, width), terms - 1):
-        coeffs[e] = dom.random_nonzero(rng)
-    return rswan.NestedSeries(1, dom, coeffs)
+    seed = f"inv:{name}:{width}:{terms}" if level == 1 else f"inv:{name}:{level}:{width}:{terms}"
+    return _series(rswan, dom, random.Random(seed), level, width, terms)
 
 
-def _same(results) -> bool:
-    first = results[0]
-    return all(r.coeffs == first.coeffs and r.ceiling == first.ceiling for r in results)
+def _form(a):
+    """A tree-independent form of a series: the ceiling, exponents and raw
+    scalars at every level."""
+    if a.level == 1:
+        return a.ceiling, sorted(a.coeffs.items())
+    return a.ceiling, [(e, _form(c)) for e, c in sorted(a.coeffs.items())]
 
 
 def _inv_section(trees):
     calls = {}
     for cell in _grid():
-        width = cell[1]
+        width = cell[2]
         inputs = [_inv_input(tree, *cell) for tree in trees]
         calls[cell] = [(lambda a=a, w=width: a.inv(w)) for a in inputs]
-        if not _same([fn() for fn in calls[cell]]):
+        forms = [_form(fn()) for fn in calls[cell]]
+        if any(f != forms[0] for f in forms):
             raise SystemExit(f"inverse of {cell}: results differ between trees")
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
     return [
-        {"domain": name, "width": width, "terms": terms,
-         "inv_us": [round(t * 1e6, 1) for t in seconds[name, width, terms]]}
-        for name, width, terms in _grid()
+        {"domain": name, "level": level, "width": width, "terms": terms,
+         "inv_us": [round(t * 1e6, 1) for t in seconds[name, level, width, terms]]}
+        for name, level, width, terms in _grid()
     ]
 
 

@@ -11,8 +11,9 @@ products, the Cartier operator on top-degree forms, the one-step residue
 to the prime field, windowed forms (classes modulo a power of the maximal
 ideal of the top variable), the window collapse ``r_b = C^b(omega_0)``, and
 the Gram matrix of the pairing ``(x, y) -> r_b(x ^ y)`` on twisted monomial
-bases (one pairing per dlog key and residue monomial), with exact sparse
-elimination over a column index to decide invertibility.
+bases as sparse ``{column: entry}`` rows (one pairing per dlog key and
+residue monomial), with exact sparse elimination over a column index to
+decide invertibility.
 """
 
 from __future__ import annotations
@@ -434,7 +435,9 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     ``x`` runs over the window (n, m) in degree ``j``; ``y`` over the dual
     window (-m-1, -n-1) in degree ``i``; ``i + j`` must be the top degree.
     Entries are the coefficient series of the resulting top form over the
-    residue ring (raw scalars when the tower has one variable).
+    residue ring (raw scalars when the tower has one variable).  The matrix
+    is a list of sparse ``{column: entry}`` rows, columns numbered in
+    :func:`window_basis` order of the dual window.
 
     Zero pattern: each row has exactly one nonzero entry, and the rows'
     entries sit in distinct columns.  For ``x = u^alpha t^e dlog_K`` the
@@ -455,9 +458,9 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     * the window ``(a-1, -1)`` and ``r_b`` read only the ``t^0`` slot.
 
     So the pairing is evaluated once per ``(K, alpha)``, through
-    :func:`wedge_windowed` and :func:`r_b`, and its value is placed in the
-    partner column of each of the class's ``a = n - m`` rows; the other
-    entries share one exact zero.
+    :func:`wedge_windowed` and :func:`r_b`, and its value is stored in the
+    partner column of each of the class's ``a = n - m`` rows, the row's
+    only entry.
     """
     level = K.d
     domain = K.field_domain
@@ -473,7 +476,6 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
         monomial: col
         for col, monomial in enumerate(_basis_monomials(level, i, -m - 1, -n - 1, pb))
     }
-    zero = NestedSeries.zero(level - 1, domain) if level > 1 else domain.zero()
     res_key = tuple(range(1, level))
     pairings = {}
     rows = []
@@ -486,21 +488,21 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
             y = _basis_form(level, domain, partner_key, partner_exps, -m - 1, -n - 1)
             val = r_b(wedge_windowed(x, y), b)
             pairings[cls] = val.coefficient(res_key) if isinstance(val, LogForm) else val
-        row = [zero] * len(columns)
-        row[columns[partner_key, partner_exps]] = pairings[cls]
-        rows.append(row)
+        rows.append({columns[partner_key, partner_exps]: pairings[cls]})
     return rows
 
 
 def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
-    """Exact sparse elimination; entries are series or raw scalars.
+    """Exact sparse elimination of sparse ``{column: entry}`` rows; entries
+    are series or raw scalars.
 
-    Each row is kept as ``{column: entry}`` without its exact zeros, beside
-    an index from each column to the remaining rows that hold it.  Columns
-    are eliminated in order: the pivot is the lowest-index remaining row
-    holding the column, and only the other rows holding it are reduced, so
-    the cost follows the nonzero entries, not the square of the size.  A
-    column that no remaining row holds makes the matrix singular.
+    The rows are copied without their exact zeros, beside an index from
+    each column to the remaining rows that hold it.  Columns are eliminated
+    in order: the pivot is the lowest-index remaining row holding the
+    column, and only the other rows holding it are reduced, so the cost
+    follows the stored entries, not the square of the size.  A column that
+    no remaining row holds makes the matrix singular, and so does a column
+    outside ``range(len(rows))``.
 
     A pivot candidate or a factor that is zero within a finite window (but
     not exactly zero) raises :class:`PrecisionExhausted` rather than
@@ -509,9 +511,10 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     size = len(rows)
     if size == 0:
         return True
-    if any(len(r) != size for r in rows):
+    first = next((v for row in rows for v in row.values()), None)
+    if first is None:
         return False
-    if isinstance(rows[0][0], NestedSeries):
+    if isinstance(first, NestedSeries):
         def exact_zero(v):
             return v.ceiling is None and v.is_zero()
 
@@ -535,18 +538,15 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
 
     work = []
     holders = [set() for _ in range(size)]
-    for r, dense in enumerate(rows):
-        row = {}
-        zero_seen = None  # entries are often one shared zero object
-        for c, v in enumerate(dense):
-            if v is zero_seen:
-                continue
-            if exact_zero(v):
-                zero_seen = v
-                continue
-            row[c] = v
-            holders[c].add(r)
-        work.append(row)
+    for r, row in enumerate(rows):
+        kept = {}
+        for c, v in row.items():
+            if c not in range(size):
+                return False
+            if not exact_zero(v):
+                kept[c] = v
+                holders[c].add(r)
+        work.append(kept)
 
     for col in range(size):
         if not holders[col]:

@@ -257,10 +257,6 @@ class FqDomain(_QuotientDomain):
     def __init__(self, p: int, k: int):
         super().__init__(p, k, 1)
 
-    @property
-    def q(self) -> int:
-        return self.p**self.k
-
     def is_pth_power(self, x) -> bool:  # F_q is perfect
         return True
 

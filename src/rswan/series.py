@@ -62,19 +62,22 @@ Inversion
 ---------
 Write ``a = c T^v (1 + sum_i b_i T^i)``.  Its inverse on the window
 ``[-v, -v + w)`` is unique, so every method that computes it exactly gives
-the same series.  At level 1, over every domain, ``inv`` runs power-series
-division by recurrence (Knuth, TAOCP vol. 2, sec. 4.7): ``d_0 = c^-1`` and
-``d_n = -sum_{i <= n} b_i d_{n-i}`` over the stored terms of ``[v, v + w)``,
-``O(w * terms)`` scalar operations; over ``(Z/p^s)[g]/(f)`` each ``d_n`` is
-summed in plain ints (one int per coefficient at ``k > 1``, as in the int
-loop) and reduced once.  That cost is paid on every exponent of the window
-even when the inverse is sparse, so Newton is faster on inputs of two to
-four terms at width 1024 (bench/conductor_change.py); the workloads invert
-at widths up to 64.  Levels >= 2 run Newton's iteration
-``x <- x (2 - a x)``: about ``log2 w`` products at full width, which the
-product kernels make cheap.  The checks before either kernel are shared: a
+the same series.  At every level and over every domain, ``inv`` runs
+power-series division by recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
+``d_0 = c^-1`` and ``d_n = -sum_{i <= n} b_i d_{n-i}`` over the stored
+terms of ``[v, v + w)``, ``O(w * terms)`` coefficient operations.  At
+level 1 over ``(Z/p^s)[g]/(f)`` each ``d_n`` is summed in plain ints (one
+int per coefficient at ``k > 1``, as in the int loop) and reduced once.  At
+levels >= 2 the coefficients are level-``(l-1)`` series, ``c^-1`` is the
+inverse of ``c`` at its own level, and the sum skips only an *exactly* zero
+``d_{n-i}``: one that is zero within a window still carries that window
+into ``d_n``, and skipping it would claim knowledge the window lacks.  The cost is paid on
+every exponent of the window even when the inverse is sparse, so Newton's
+iteration is faster on level-1 inputs of two to four terms at width 1024
+(bench/conductor_change.py); the workloads invert at widths up to 64.  A
 zero input raises ``ZeroInput``, an exact input of several terms with no
-width raises ``PrecisionExhausted``, and a single exact term inverts exactly.
+width raises ``PrecisionExhausted``, and a single exact term inverts
+exactly.
 """
 
 from __future__ import annotations
@@ -410,14 +413,26 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
 
     ``lead_inv`` is ``c^-1`` and ``tail`` lists ``(i, c * b_i)`` for
     ``0 < i < width`` in ascending ``i``; ``d_0 = c^-1`` and
-    ``d_n = -sum_{i <= n} b_i d_{n-i}``.  Over ``(Z/p^s)[g]/(f)`` each
-    ``d_n`` is summed as plain ints, packed by :func:`_pack_g` at
-    ``k > 1``, and reduced once.
+    ``d_n = -sum_{i <= n} b_i d_{n-i}``.  Over raw scalars of
+    ``(Z/p^s)[g]/(f)`` each ``d_n`` is summed as plain ints, packed by
+    :func:`_pack_g` at ``k > 1``, and reduced once.  Over series
+    coefficients (levels >= 2) only an exactly zero ``d_{n-i}`` is skipped:
+    a window-zero one still carries its window.
     """
+    nested = isinstance(lead_inv, NestedSeries)
+    if nested:
+        mul, add, neg = operator.mul, operator.add, operator.neg
+        zero = NestedSeries.zero(lead_inv.level, domain)
+
+        def is_zero(x):
+            return not x.coeffs and x.ceiling is None
+    else:
+        mul, add, neg = domain.mul, domain.add, domain.neg
+        is_zero, zero = domain.is_zero, domain.zero()
     d = [lead_inv]
-    neg_lead_inv = domain.neg(lead_inv)
-    steps = [(i, domain.mul(neg_lead_inv, c)) for i, c in tail]
-    if isinstance(domain, _QuotientDomain) and domain.k == 1:
+    neg_lead_inv = neg(lead_inv)
+    steps = [(i, mul(neg_lead_inv, c)) for i, c in tail]
+    if not nested and isinstance(domain, _QuotientDomain) and domain.k == 1:
         m = domain.modulus
         for n in range(1, width):
             acc = 0
@@ -426,7 +441,7 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
                     break
                 acc += b * d[n - i]
             d.append(acc % m)
-    elif isinstance(domain, _QuotientDomain):
+    elif not nested and isinstance(domain, _QuotientDomain):
         w = _g_width(domain, len(steps))
         reduce = _g_reducer(domain, w)
         packed_steps = [(i, _pack_g(b, w)) for i, b in steps]
@@ -441,7 +456,6 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
             d.append(x)
             packed.append(_pack_g(x, w))
     else:
-        mul, add, is_zero, zero = domain.mul, domain.add, domain.is_zero, domain.zero()
         for n in range(1, width):
             acc = zero
             for i, b in steps:
@@ -478,10 +492,7 @@ class NestedSeries:
     def constant(cls, level: int, domain, raw, ceiling: int | None = None) -> "NestedSeries":
         cur = raw
         for lvl in range(1, level + 1):
-            if lvl == 1:
-                cur = cls(1, domain, {0: cur}, None)
-            else:
-                cur = cls(lvl, domain, {0: cur}, None)
+            cur = cls(lvl, domain, {0: cur})
         if ceiling is not None:
             cur = cur.truncate(ceiling)
         return cur
@@ -710,18 +721,9 @@ class NestedSeries:
                 "the inverse of an exact series with several terms needs a width",
                 exponent=-v,
             )
-        if self.level == 1:
-            tail = sorted((e - v, c) for e, c in self.coeffs.items() if v < e < v + width)
-            d = _inverse_by_recurrence(self.domain, lead_inv, tail, width)
-            return _make(1, self.domain, {n - v: x for n, x in enumerate(d)}, -v + width)
-        # x_{n+1} = x_n (2 - a x_n); the error 1 - a x_n squares each step.
-        two = NestedSeries.one(self.level, self.domain).mul_int(2)
-        x = NestedSeries(self.level, self.domain, {-v: lead_inv}, -v + width)
-        steps = max(1, (width - 1).bit_length() + 1)
-        a = self.truncate(v + width)
-        for _ in range(steps):
-            x = (x * (two - a * x)).truncate(-v + width)
-        return x
+        tail = sorted((e - v, c) for e, c in self.coeffs.items() if v < e < v + width)
+        d = _inverse_by_recurrence(self.domain, lead_inv, tail, width)
+        return _make(self.level, self.domain, {n - v: x for n, x in enumerate(d)}, -v + width)
 
     # --------------------------------------------------- characteristic-p maps
     def frobenius(self, times: int = 1) -> "NestedSeries":

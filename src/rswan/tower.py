@@ -9,7 +9,7 @@ and friends) compare them by equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import TowerMismatch
 from .scalars import fq_domain, galois_ring_domain
@@ -67,12 +67,6 @@ class FieldTower:
         if not self.variables:
             raise ValueError("a zero-dimensional tower has no uniformizer")
         return self.variables[-1]
-
-    def residue(self) -> "FieldTower":
-        """The residue field, as a tower with one variable fewer."""
-        if not self.variables:
-            raise ValueError("the residue tower of a finite field is not defined here")
-        return replace(self, variables=self.variables[:-1])
 
     def level_of(self, name: str) -> int:
         """1-based level of a variable (1 = innermost)."""

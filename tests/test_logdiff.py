@@ -418,15 +418,36 @@ def test_gram_elimination_rules():
     def s(text):
         return parse_series(text, K3)
 
-    assert gram_is_invertible([[s("t"), s("1")], [s("1"), s("0")]], precision=K3.precision)
-    assert not gram_is_invertible([[s("t"), s("1 + t")], [s("t^2"), s("t + t^2")]],
+    assert gram_is_invertible([{0: s("t"), 1: s("1")}, {0: s("1"), 1: s("0")}],
+                              precision=K3.precision)
+    assert not gram_is_invertible([{0: s("t"), 1: s("1 + t")}, {0: s("t^2"), 1: s("t + t^2")}],
                                   precision=K3.precision)
-    assert not gram_is_invertible([[1, 2], [2, 1]], domain=F3)
-    assert gram_is_invertible([[1, 2], [1, 1]], domain=F3)
+    assert not gram_is_invertible([{0: 1, 1: 2}, {0: 2, 1: 1}], domain=F3)
+    assert gram_is_invertible([{0: 1, 1: 2}, {0: 1, 1: 1}], domain=F3)
     with pytest.raises(PrecisionExhausted, match="pivot is zero within its window"):
-        gram_is_invertible([[s("t^2").truncate(1), s("1")], [s("1"), s("0")]])
+        gram_is_invertible([{0: s("t^2").truncate(1), 1: s("1")}, {0: s("1")}])
     with pytest.raises(TowerMismatch, match="need their domain"):
-        gram_is_invertible([[1]])
+        gram_is_invertible([{0: 1}])
+
+
+def test_gram_columns_outside_the_matrix_and_empty_rows():
+    """A column outside ``range(len(rows))`` makes the matrix singular, as
+    a wrong-length dense row did; a matrix with no stored entry is singular
+    without a domain, and the empty matrix is invertible."""
+    assert not gram_is_invertible([{0: 1}, {2: 1}], domain=F3)
+    assert not gram_is_invertible([{0: 1}, {-1: 1, 1: 1}], domain=F3)
+    assert not gram_is_invertible([{}, {}])
+    assert gram_is_invertible([])
+
+
+def to_dense(rows, zero):
+    """Sparse ``{column: entry}`` rows as a square list of lists."""
+    return [[row.get(c, zero) for c in range(len(rows))] for row in rows]
+
+
+def zero_of(K):
+    """The exact zero of the residue ring: Gram entries of a ``K.d`` tower."""
+    return NestedSeries.zero(K.d - 1, K.field_domain) if K.d > 1 else K.field_domain.zero()
 
 
 def dense_gram_oracle(rows, domain=None, precision=None):
@@ -467,44 +488,42 @@ def dense_gram_oracle(rows, domain=None, precision=None):
     return True
 
 
-def random_gram(rng, size, shape, entry, zero):
-    """A square matrix of the given zero pattern; ``entry()`` draws a
-    nonzero entry.  ``rank-deficient`` duplicates a row or zeroes a column."""
+def random_gram(rng, size, shape, entry):
+    """Sparse rows of a square matrix of the given zero pattern; ``entry()``
+    draws a nonzero entry.  ``rank-deficient`` duplicates a row or empties
+    a column."""
     if shape == "monomial":
         perm = rng.sample(range(size), size)
-        rows = [[entry() if c == perm[r] else zero for c in range(size)] for r in range(size)]
+        rows = [{perm[r]: entry()} for r in range(size)]
     elif shape == "banded":
         width = rng.randint(0, 2)
         rows = [
-            [entry() if abs(r - c) <= width and rng.random() < 0.8 else zero
-             for c in range(size)]
+            {c: entry() for c in range(size) if abs(r - c) <= width and rng.random() < 0.8}
             for r in range(size)
         ]
     else:
-        rows = [[entry() if rng.random() < 0.7 else zero for _ in range(size)]
-                for _ in range(size)]
+        rows = [{c: entry() for c in range(size) if rng.random() < 0.7} for _ in range(size)]
     if shape == "rank-deficient":
         if size > 1 and rng.random() < 0.5:
             src, dst = rng.sample(range(size), 2)
-            rows[dst] = list(rows[src])
+            rows[dst] = dict(rows[src])
         else:
             col = rng.randrange(size)
             for row in rows:
-                row[col] = zero
+                row.pop(col, None)
     return rows
 
 
 def graded(rng, raw, K):
-    """``c_ij T^(r_i + s_j)`` for the scalar matrix ``c``: every quotient in
-    the elimination is then a monomial, so the arithmetic stays exact and
-    the matrix is invertible exactly when ``c`` is."""
+    """``c_ij T^(r_i + s_j)`` for the sparse scalar matrix ``c``: every
+    quotient in the elimination is then a monomial, so the arithmetic stays
+    exact and the matrix is invertible exactly when ``c`` is."""
     dom = K.field_domain
     shifts = [[tuple(rng.randint(-3, 3) for _ in range(K.d)) for _ in raw] for _ in "rs"]
     return [
-        [NestedSeries.from_monomials(
-            K.d, dom, [(tuple(x + y for x, y in zip(shifts[0][r], shifts[1][c])), v)]
-        ) if not dom.is_zero(v) else NestedSeries.zero(K.d, dom)
-         for c, v in enumerate(row)]
+        {c: NestedSeries.from_monomials(
+            K.d, dom, [(tuple(x + y for x, y in zip(shifts[0][r], shifts[1][c])), v)])
+         for c, v in row.items()}
         for r, row in enumerate(raw)
     ]
 
@@ -543,24 +562,23 @@ def test_sparse_gram_matches_dense_oracle(seed):
         dom = K.field_domain
         shape = rng.choice(shapes)
         size = rng.randint(1, 10)
-        raw = random_gram(rng, size, shape, lambda: dom.random_nonzero(rng), dom.zero())
-        want = dense_gram_oracle(raw, domain=dom)
+        raw = random_gram(rng, size, shape, lambda: dom.random_nonzero(rng))
+        want = dense_gram_oracle(to_dense(raw, dom.zero()), domain=dom)
         assert gram_is_invertible(raw, domain=dom) == want, (shape, raw)
         if shape == "rank-deficient":
             assert not want
         series = graded(rng, raw, K)
+        zero = NestedSeries.zero(K.d, dom)
         assert gram_is_invertible(series, precision=K.precision) == want
-        assert dense_gram_oracle(series, precision=K.precision) == want
+        assert dense_gram_oracle(to_dense(series, zero), precision=K.precision) == want
 
         size = min(size, 8 if K.d == 1 else 3)
         rows = random_gram(
-            rng, size, shape,
-            lambda: random_series(rng, K.d, dom, lo=-2, hi=2, terms=2),
-            NestedSeries.zero(K.d, dom),
+            rng, size, shape, lambda: random_series(rng, K.d, dom, lo=-2, hi=2, terms=2)
         )
         kw = {"precision": 16}
         got = gram_outcome(gram_is_invertible, rows, **kw)
-        oracle = gram_outcome(dense_gram_oracle, rows, **kw)
+        oracle = gram_outcome(dense_gram_oracle, to_dense(rows, zero), **kw)
         if "exhausted" not in (got, oracle):
             assert got == oracle, (shape, rows)
             answered += 1
@@ -621,20 +639,16 @@ def test_duality_matrix_pairs_once_per_class(monkeypatch):
 
 
 def assert_partner_matched(K, n, m, b):
-    """Every split equals the N^2 oracle and is a monomial matrix."""
+    """Every split equals the N^2 oracle and is a monomial matrix: one
+    stored nonzero entry per row, in distinct columns."""
     dom = K.field_domain
     for i in range(K.d + 1):
         rows = duality_matrix(n, m, b, K, i, K.d - i)
-        assert rows == dense_duality_oracle(n, m, b, K, i, K.d - i)
-        nonzero_cols = []
-        for row in rows:
-            cols = [
-                c for c, v in enumerate(row)
-                if not (v.is_zero() if isinstance(v, NestedSeries) else dom.is_zero(v))
-            ]
-            assert len(cols) == 1
-            nonzero_cols.append(cols[0])
-        assert len(set(nonzero_cols)) == len(rows)
+        assert to_dense(rows, zero_of(K)) == dense_duality_oracle(n, m, b, K, i, K.d - i)
+        assert all(len(row) == 1 for row in rows)
+        assert not any(v.is_zero() if isinstance(v, NestedSeries) else dom.is_zero(v)
+                       for row in rows for v in row.values())
+        assert len({c for row in rows for c in row}) == len(rows)
 
 
 # The windows of perfbench's duality workload: widths per prime, m = 0..3.
@@ -686,7 +700,7 @@ def test_duality_rejects_wrong_degrees():
 
 def test_singular_matrix_detected():
     one = NestedSeries.one(1, F2)
-    rows = [[one, one], [one, one]]
+    rows = [{0: one, 1: one}, {0: one, 1: one}]
     assert not gram_is_invertible(rows)
-    zero_row = [[F2.zero(), F2.zero()], [F2.one(), F2.one()]]
+    zero_row = [{0: F2.zero(), 1: F2.zero()}, {0: F2.one(), 1: F2.one()}]
     assert not gram_is_invertible(zero_row, domain=F2)

@@ -8,8 +8,9 @@ Oracles used here:
   * the product kernels (Kronecker, the plain-int loop and the flat
     product at levels 2 and 3) are compared against the schoolbook dict
     product, which stays as the reference;
-  * the level-1 inverse by recurrence is compared against the Newton loop
-    (``newton_inverse_oracle``), which stays as the reference.
+  * the inverse by recurrence is compared at levels 1, 2 and 3 against
+    the Newton loop (``newton_inverse_oracle``), which stays as the
+    reference.
 """
 
 import operator
@@ -158,13 +159,14 @@ def test_inverse_random_certified():
 
 
 def newton_inverse_oracle(a, precision=None):
-    """The inverse by Newton iteration at every width and level, as
-    ``NestedSeries.inv`` computed it before the level-1 recurrence."""
+    """The inverse by Newton iteration ``x <- x (2 - a x)`` at every width
+    and level, inner leads included, as ``NestedSeries.inv`` computed it
+    at levels >= 2 before the recurrence ran at every level."""
     if not a.coeffs:
         raise ZeroInput("cannot invert a (window-)zero series")
     v = a.ord()
     lead = a.coeffs[v]
-    lead_inv = a.domain.inv(lead) if a.level == 1 else lead.inv(precision)
+    lead_inv = a.domain.inv(lead) if a.level == 1 else newton_inverse_oracle(lead, precision)
     if len(a.coeffs) == 1:
         out = NestedSeries(a.level, a.domain, {-v: lead_inv})
         return out if a.ceiling is None else out.truncate(-v + (a.ceiling - v))
@@ -217,6 +219,62 @@ def test_level_one_inverse_matches_the_newton_oracle(name, domain, widths):
     for i, (width, terms) in enumerate(cases):
         a = random_invertible(rng, domain, width, terms, windowed=i % 2 == 1)
         assert a.inv(width) == newton_inverse_oracle(a, width)
+
+
+def random_nested_unit(rng, level, domain, inner_windowed, top_windowed):
+    """1-4 top terms in a span of 6 (1-3 at level 1), the lowest exponent's
+    coefficient with a unit lead at every level.  Inner levels are windowed
+    when ``inner_windowed``: cut 0-4 above their lead, where a cut at 0
+    leaves a coefficient zero within its window.  The top level is windowed
+    when ``top_windowed``: cut 1-6 above its lead."""
+    if level == 1:
+        lead = domain.random_nonzero(rng)
+        while domain is Z16 and lead % 2 == 0:
+            lead = domain.random_nonzero(rng)
+        v = rng.randint(-3, 3)
+        coeffs = {v: lead}
+        for i in rng.sample(range(1, 6), rng.randint(0, 2)):
+            coeffs[v + i] = domain.random_nonzero(rng)
+        if not inner_windowed:
+            return NestedSeries(1, domain, coeffs)
+        cut = v + rng.choice((0, 1, 1, 2, 4))
+        return NestedSeries(1, domain, {e: c for e, c in coeffs.items() if e < cut}, cut)
+    v = rng.randint(-3, 3)
+    exps = [v] + [v + i for i in rng.sample(range(1, 6), rng.randint(0, 3))]
+    coeffs = {e: random_nested_unit(rng, level - 1, domain, inner_windowed, inner_windowed)
+              for e in exps}
+    if not top_windowed:
+        return NestedSeries(level, domain, coeffs)
+    cut = v + rng.randint(1, 6)
+    return NestedSeries(level, domain, {e: c for e, c in coeffs.items() if e < cut}, cut)
+
+
+def inverse_or_error(invert, a, precision):
+    """The inverse, or the type of the library error it raised."""
+    try:
+        return invert(a, precision)
+    except (PrecisionExhausted, ZeroInput) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name,domain", [("F_2", F2), ("F_9", F9), ("Z/16", Z16), ("F_3(x)", FX)])
+def test_nested_inverse_matches_the_newton_oracle(name, domain):
+    """Levels 2 and 3: equal values and ceilings at every level, or the
+    same error, over exact and windowed inner and top levels, at precisions
+    4-16 (4-8 over F_3(x), where rational-function degrees grow)."""
+    rng = random.Random(f"nested inverse:{name}")
+    seen = set()
+    for level in (2, 3):
+        for inner_windowed in (False, True):
+            for top_windowed in (False, True):
+                for _ in range(5):
+                    a = random_nested_unit(rng, level, domain, inner_windowed, top_windowed)
+                    precision = rng.randint(4, 8 if domain is FX else 16)
+                    got = inverse_or_error(NestedSeries.inv, a, precision)
+                    assert got == inverse_or_error(newton_inverse_oracle, a, precision)
+                    seen.add(got if isinstance(got, type) else (level, got.is_exact()))
+    assert PrecisionExhausted in seen
+    assert {(2, False), (3, False)} <= seen
 
 
 # ----------------------------------------------------------- window algebra

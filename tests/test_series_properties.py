@@ -1,11 +1,11 @@
-"""Property tests of series products and the level-1 inverse (skipped
-without Hypothesis).
+"""Property tests of series products and inverses (skipped without
+Hypothesis).
 
-For a random level-1 series ``a`` of order ``v`` and a width ``w``:
-``a * a.inv(w)`` agrees with 1 below ``T^w``; ``a.inv(w)`` is windowed at
-``-v + w`` unless ``a`` is one exact term; and ``a.pow(-n, w)`` is
-``a.inv(w).pow(n)``.  Any product of two level-2 series, exact or cut at
-either level, equals the schoolbook dict product.
+For a random level-1 or level-2 series ``a`` of order ``v`` and a width
+``w``: ``a * a.inv(w)`` agrees with 1 below ``T^w``; ``a.inv(w)`` is
+windowed at ``-v + w`` unless ``a`` is one exact term.  At level 1,
+``a.pow(-n, w)`` is ``a.inv(w).pow(n)``.  Any product of two level-2
+series, exact or cut at either level, equals the schoolbook dict product.
 """
 
 import operator
@@ -39,10 +39,10 @@ def _scalar(domain, digits):
 
 
 @st.composite
-def level_one_series(draw):
-    name = draw(st.sampled_from(sorted(DOMAINS)))
+def level_one_series(draw, name=None, max_width=64):
+    name = name or draw(st.sampled_from(sorted(DOMAINS)))
     domain = DOMAINS[name]
-    width = draw(st.integers(1, MAX_WIDTH.get(name, 64)))
+    width = draw(st.integers(1, min(max_width, MAX_WIDTH.get(name, 64))))
     v = draw(st.integers(-20, 20))
     digits = st.lists(st.integers(0, 15), min_size=1, max_size=3)
     lead = _scalar(domain, draw(digits))
@@ -57,16 +57,36 @@ def level_one_series(draw):
     return a, width
 
 
-@settings(max_examples=150, deadline=None)
-@given(level_one_series())
+@st.composite
+def level_two_unit_series(draw):
+    """A level-1 series of ``level_one_series`` as the lowest coefficient at
+    ``T^v``, and up to 4 more above it, each exact or windowed; the top level
+    windowed at ``v + w``, or exact with terms past it."""
+    name = draw(st.sampled_from(sorted(DOMAINS)))
+    width = draw(st.integers(1, 4 if name == "F_3(x)" else 12))
+    v = draw(st.integers(-6, 6))
+    offsets = draw(st.lists(st.integers(1, width + 2), max_size=4, unique=True))
+    coeffs = {v + i: draw(level_one_series(name, 8))[0] for i in [0, *offsets]}
+    ceiling = v + width if draw(st.booleans()) else None
+    a = NestedSeries(2, DOMAINS[name], {e: c for e, c in coeffs.items()
+                                        if ceiling is None or e < ceiling}, ceiling)
+    return a, width
+
+
+invertible_series = st.one_of(level_one_series(), level_two_unit_series())
+
+
+@settings(max_examples=250, deadline=None)
+@given(invertible_series)
 def test_inverse_agrees_with_one_below_the_width(case):
     a, width = case
-    one = NestedSeries.one(1, a.domain)
-    assert (a * a.inv(width)).truncate(width) == one.truncate(width)
+    product = (a * a.inv(width)).truncate(width)
+    assert product.ceiling == width
+    assert product.agrees_with(NestedSeries.one(a.level, a.domain))
 
 
-@settings(max_examples=150, deadline=None)
-@given(level_one_series())
+@settings(max_examples=250, deadline=None)
+@given(invertible_series)
 def test_inverse_window_is_the_input_window(case):
     a, width = case
     v = a.ord()
