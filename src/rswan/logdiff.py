@@ -82,7 +82,7 @@ class LogForm:
                 raise TowerMismatch(f"basis key {key} outside levels 1..{level}")
             if not isinstance(c, NestedSeries) or c.level != level or c.domain is not domain:
                 raise TowerMismatch("coefficient series does not match the form's ring")
-            if c.is_zero() and c.ceiling is None:
+            if not c.coeffs and c.ceiling is None:  # exact zero
                 continue
             clean[key] = c
         object.__setattr__(self, "level", level)
@@ -116,7 +116,7 @@ class LogForm:
 
     def _peer(self, other: "LogForm"):
         if not isinstance(other, LogForm):
-            raise TypeError("expected a form")
+            raise TowerMismatch("expected a form")
         if other.level != self.level or other.domain is not self.domain:
             raise TowerMismatch("forms over different rings")
 
@@ -213,7 +213,7 @@ def d(omega) -> LogForm:
             if i in key:
                 continue
             dc = log_derivative(c, i)
-            if dc.is_zero() and dc.ceiling is None:
+            if not dc.coeffs and dc.ceiling is None:  # exact zero
                 continue
             sign, new_key = _merge_sign((i,), key)
             term = dc.mul_int(sign)

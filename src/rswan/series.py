@@ -56,7 +56,28 @@ BENCH_11.json) or with an inner coefficient that has a window; and
 ``F_p(x)`` coefficients.  Results of ring operations are built by
 ``_make``, which skips the per-entry checks of ``__init__`` but still drops
 zeros, cuts at the ceiling and refuses exponents below the supported range;
-the kernels return maps that are already clean, which it takes as they are.
+the kernels and :func:`linear_combination` return maps that are already
+clean, which it takes as they are (``clean=True``), and the Witt layer
+builds its lifts, reductions and divisions through it as well.  Nothing
+it stores is an exactly zero inner coefficient, so at levels >= 2 a
+series is exactly zero when it has no coefficient and no ceiling; one
+that is zero only within an inner window is not.
+
+Linear combinations
+-------------------
+:func:`linear_combination` computes ``sum_j n_j x_j`` in one pass.  It takes
+the least ceiling of all the ``x_j`` and cuts at it.  A multiplier that
+vanishes in the ring (mod ``p^s``, or mod ``p`` over ``F_p(x)``) adds only
+that ceiling, as ``x.mul_int(n)`` does.  At level 1 over
+``(Z/p^s)[g]/(f)`` every exponent is summed in plain ints (one int per
+``g``-coordinate at ``k > 1``) and reduced once; over ``F_p(x)`` the
+domain's ``mul_int`` and ``add`` run in the same single pass.  At levels
+>= 2 the terms are grouped by top exponent and each group is combined one
+level down, with the least inner ceiling of the group; an inner result is
+dropped only when it is exactly zero.  The value and every ceiling equal
+those of folding ``acc + x.mul_int(n)``, which the tests keep as the
+reference; ``__add__`` itself still makes one domain call per colliding
+entry.
 
 Inversion
 ---------
@@ -91,6 +112,7 @@ from .scalars import _QuotientDomain
 
 __all__ = [
     "NestedSeries",
+    "linear_combination",
     "series_substitute",
 ]
 
@@ -592,7 +614,7 @@ class NestedSeries:
     # ------------------------------------------------------------------- ring
     def _check_compatible(self, other: "NestedSeries"):
         if not isinstance(other, NestedSeries):
-            raise TypeError(f"expected a series, got {type(other).__name__}")
+            raise TowerMismatch(f"expected a series, got {type(other).__name__}")
         if other.level != self.level or other.domain is not self.domain:
             raise TowerMismatch("series belong to different towers or coefficient rings")
 
@@ -830,6 +852,95 @@ class NestedSeries:
 
 
 # ---------------------------------------------------------------- module ops
+
+def linear_combination(level: int, domain, pairs) -> NestedSeries:
+    """``sum_j n_j * x_j`` over ``(n_j, x_j)`` pairs of ints and series at
+    ``level`` over ``domain``, in one pass (module docstring, "Linear
+    combinations"); the empty sum is the exact zero."""
+    for _, x in pairs:
+        if not isinstance(x, NestedSeries) or x.level != level or x.domain is not domain:
+            raise TowerMismatch("combined series belong to different towers or coefficient rings")
+    # F_p(x) has characteristic p; a multiplier that vanishes there adds
+    # only its ceiling.
+    m = domain.modulus if isinstance(domain, _QuotientDomain) else domain.p
+    terms = [(n % m, x) for n, x in pairs if n % m]
+    return _combination(level, domain, terms, _least_ceiling(pairs))
+
+
+def _least_ceiling(pairs) -> int | None:
+    """The least finite ceiling of the series of ``(n, x)`` pairs (a plain
+    loop: this runs once per coefficient group)."""
+    least = None
+    for _, x in pairs:
+        c = x.ceiling
+        if c is not None and (least is None or c < least):
+            least = c
+    return least
+
+
+def _combination(level: int, domain, terms: list, ceiling: int | None) -> NestedSeries:
+    """:func:`linear_combination` of ``terms``, whose multipliers are reduced
+    and nonzero, cut at ``ceiling``."""
+    cut = sys.maxsize if ceiling is None else ceiling
+    if level > 1:
+        groups: dict = {}
+        for n, x in terms:
+            for e, c in x.coeffs.items():
+                if e < cut:
+                    if e in groups:
+                        groups[e].append((n, c))
+                    else:
+                        groups[e] = [(n, c)]
+        out = {}
+        for e, group in groups.items():
+            if len(group) == 1 and group[0][0] == 1:
+                out[e] = group[0][1]  # stored, so not an exact zero
+                continue
+            c = _combination(level - 1, domain, group, _least_ceiling(group))
+            # only an exact zero is dropped: a window-zero one keeps its window
+            if c.coeffs or c.ceiling is not None:
+                out[e] = c
+        return _make(level, domain, out, ceiling, clean=True)
+    acc: dict = {}
+    if not isinstance(domain, _QuotientDomain):
+        mul_int, add, is_zero = domain.mul_int, domain.add, domain.is_zero
+        for n, x in terms:
+            for e, c in x.coeffs.items():
+                if e < cut:
+                    if n != 1:
+                        c = mul_int(c, n)
+                    acc[e] = add(acc[e], c) if e in acc else c
+        out = {e: c for e, c in acc.items() if not is_zero(c)}
+        return _make(1, domain, out, ceiling, clean=True)
+    m = domain.modulus
+    out = {}
+    if domain.k == 1:
+        for n, x in terms:
+            for e, c in x.coeffs.items():
+                if e < cut:
+                    if e in acc:
+                        acc[e] += n * c
+                    else:
+                        acc[e] = n * c
+        for e, v in acc.items():
+            v %= m
+            if v:
+                out[e] = v
+        return _make(1, domain, out, ceiling, clean=True)
+    # one int per g-coordinate
+    for n, x in terms:
+        for e, c in x.coeffs.items():
+            if e < cut:
+                if e in acc:
+                    acc[e] = [a + n * b for a, b in zip(acc[e], c)]
+                else:
+                    acc[e] = [n * b for b in c]
+    for e, v in acc.items():
+        coeff = tuple([a % m for a in v])
+        if any(coeff):
+            out[e] = coeff
+    return _make(1, domain, out, ceiling, clean=True)
+
 
 def series_substitute(
     a: NestedSeries,

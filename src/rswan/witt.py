@@ -12,19 +12,30 @@ so ``comps[i]`` carries weight ``p^i``: a polar term of order ``-m`` in
 Arithmetic
 ----------
 Sums, negations and integer combinations are computed instance-wise through
-ghost components (:func:`ghost_component`): the field coefficients are lifted
-to the tower's own lift ring ``Z/p^s`` (``tower.lift_domain``), the combined
-ghost vector is unwound by the usual recursion
+ghost components (:func:`ghost_component`).  The field coefficients are
+lifted to the tower's own lift ring ``Z/p^s`` (``tower.lift_domain``) by a
+relabel: a raw residue of ``F_q`` (ints below ``p``, one per power of
+``g``) is already a raw residue of ``Z/p^s``, so only the domain changes.
+The combined ghost vector is unwound by the usual recursion
 
     z_n = (W_n - sum_{i<n} p^i z_i^{p^(n-i)}) / p^n,
 
-and the result is reduced mod p.  Length ``s`` is enough: ``z_n mod p`` needs
-``W_n mod p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p (mod
-p^(k+1))``, so ``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on ``z_i mod p``.
+and the result is reduced mod p.  Each ghost index ``n`` is one integer
+linear combination (:func:`rswan.series.linear_combination`, which sums
+every exponent in plain ints and reduces once) of the terms
+``c_j p^i x_{j,i}^(p^(n-i))`` of every input ``j`` with ``c_j`` nonzero mod
+``p^s`` and the terms ``-p^i z_i^(p^(n-i))``; a term whose multiplier
+``c_j p^i`` vanishes mod ``p^s`` is exactly zero and adds only its top
+ceiling.  The division by ``p^n`` is one exact division of the raw ints,
+and a remainder is an internal error.  Length ``s`` is enough: ``z_n mod
+p`` needs ``W_n mod p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p
+(mod p^(k+1))``, so ``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on
+``z_i mod p``.
 The last ghost component ``W_{s-1}`` of a vector is the paper's ``theta``
 (:func:`rswan.reciprocity.theta_lift`).
-Length-1 vectors use plain componentwise arithmetic, which also serves
-coefficient domains without a stored lift ring (rational-function scalars).
+Length-1 vectors are one linear combination of their components, which also
+serves coefficient domains without a stored lift ring (rational-function
+scalars).
 
 Reduction
 ---------
@@ -57,13 +68,14 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import (
+    InconsistentValue,
     PrecisionExhausted,
     RswanError,
     TowerMismatch,
     ZeroInput,
 )
 from .scalars import galois_ring_domain
-from .series import NestedSeries
+from .series import NestedSeries, _make, linear_combination
 from .tower import FieldTower
 
 __all__ = [
@@ -84,16 +96,22 @@ __all__ = [
 
 
 def _map_raw(sr: NestedSeries, fn, domain) -> NestedSeries:
+    """``fn`` on every raw scalar of ``sr``, into ``domain`` (zeros dropped)."""
     if sr.level == 1:
         out = {e: fn(c) for e, c in sr.coeffs.items()}
     else:
         out = {e: _map_raw(c, fn, domain) for e, c in sr.coeffs.items()}
-    return NestedSeries(sr.level, domain, out, sr.ceiling)
+    return _make(sr.level, domain, out, sr.ceiling)
 
 
 def lift_series(a: NestedSeries, lift_domain) -> NestedSeries:
-    """Coefficientwise lift of a residue-field series into a lift ring."""
-    return _map_raw(a, lift_domain.lift_from_field, lift_domain)
+    """Coefficientwise lift of a residue-field series into a lift ring: the
+    raw residues of ``F_q`` are already residues of ``Z/p^s``, so only the
+    domain changes."""
+    if a.level == 1:
+        return _make(1, lift_domain, a.coeffs, a.ceiling, clean=True)
+    coeffs = {e: lift_series(c, lift_domain) for e, c in a.coeffs.items()}
+    return _make(a.level, lift_domain, coeffs, a.ceiling, clean=True)
 
 
 def reduce_series(a: NestedSeries, field_domain) -> NestedSeries:
@@ -103,28 +121,35 @@ def reduce_series(a: NestedSeries, field_domain) -> NestedSeries:
 
 # --------------------------------------------------------------- raw engine
 
+def _ghost_terms(xs, n: int, p: int, c: int, out: list) -> list:
+    """Append ``(c * p^i, xs[i]^(p^(n-i)))`` to ``out`` for the components
+    ``i <= n`` present in ``xs`` that are not exactly zero."""
+    for i, x in enumerate(xs[: n + 1]):
+        if x.coeffs or x.ceiling is not None:
+            out.append((c * p**i, x.pow(p ** (n - i))))
+    return out
+
+
 def ghost_component(xs, n: int, p: int, zero: NestedSeries) -> NestedSeries:
     """``zero + sum_{i<=n} p^i * xs[i]^(p^(n-i))`` over the standard-order
-    components ``xs`` present (all of them when ``len(xs) <= n``); exactly
-    zero components are skipped."""
-    acc = zero
-    for i, x in enumerate(xs[: n + 1]):
-        if x.is_zero() and x.ceiling is None:
-            continue
-        acc = acc + x.pow(p ** (n - i)).mul_int(p**i)
-    return acc
+    components ``xs`` present (all of them when ``len(xs) <= n``), as one
+    :func:`~rswan.series.linear_combination`; exactly zero components are
+    skipped."""
+    return linear_combination(zero.level, zero.domain, _ghost_terms(xs, n, p, 1, [(1, zero)]))
 
 
 def witt_combine(comps_list, ints, p: int):
     """Integer combination ``sum_j ints[j] * vec_j`` of Witt vectors.
 
     Each entry of ``comps_list`` is a component tuple in internal order; all
-    must share one length and one coefficient domain.  Length 1 is plain
-    componentwise arithmetic; longer vectors go through ghost components over
-    the length-``s`` lift ring and need finite-field coefficients.
+    must share one length and one coefficient domain.  Length 1 is one
+    linear combination of the components; longer vectors go through ghost
+    components over the length-``s`` lift ring, one linear combination per
+    ghost index (module docstring, "Arithmetic"), and need finite-field
+    coefficients.
     """
     if not comps_list:
-        raise ValueError("nothing to combine")
+        raise InconsistentValue("nothing to combine")
     s = len(comps_list[0])
     domain = comps_list[0][0].domain
     level = comps_list[0][0].level
@@ -135,48 +160,45 @@ def witt_combine(comps_list, ints, p: int):
             if c.domain is not domain or c.level != level:
                 raise TowerMismatch("Witt components live in different towers")
     if s == 1:
-        acc = NestedSeries.zero(level, domain)
-        for n, (comp,) in zip(ints, comps_list):
-            acc = acc + comp.mul_int(n)
-        return (acc,)
+        pairs = [(n, comp) for n, (comp,) in zip(ints, comps_list)]
+        return (linear_combination(level, domain, pairs),)
     if not hasattr(domain, "k") or getattr(domain, "s", 1) != 1:
         raise TowerMismatch(
             "length-s Witt arithmetic needs finite-field coefficients"
         )
     lift = galois_ring_domain(p, domain.k, s)
-    zero = NestedSeries.zero(level, lift)
     # standard order (x_0 first), lifted coefficientwise
-    terms = [
+    vectors = [
         (cj, [lift_series(x, lift) for x in reversed(comps)])
         for cj, comps in zip(ints, comps_list)
         if cj % lift.modulus
     ]
     z: list[NestedSeries] = []
     for n in range(s):
-        acc = zero
-        for cj, lx in terms:
-            acc = acc + ghost_component(lx, n, p, zero).mul_int(cj)
-        z.append(_divide_by_int(acc - ghost_component(z, n, p, zero), p**n))
-    out_std = [reduce_series(zi, domain) for zi in z]
-    return tuple(reversed(out_std))
+        terms: list = []
+        for cj, lx in vectors:
+            _ghost_terms(lx, n, p, cj, terms)
+        _ghost_terms(z, n, p, -1, terms)
+        z.append(_divide_by_int(linear_combination(level, lift, terms), p**n))
+    return tuple(reversed([reduce_series(zi, domain) for zi in z]))
 
 
 def _divide_by_int(a: NestedSeries, n: int) -> NestedSeries:
+    """``a / n`` on the raw ints of every coefficient, each of which must be
+    divisible by ``n``."""
     if n == 1:
         return a
     domain = a.domain
 
     def div_raw(x):
         cs = domain.coeffs(x)
-        out = []
         for c in cs:
             if c % n:
                 raise RswanError(
                     "ghost recursion produced a coefficient not divisible "
                     f"by {n} (internal error)"
                 )
-            out.append(c // n)
-        return domain.from_coeffs(out)
+        return cs[0] // n if domain.k == 1 else tuple([c // n for c in cs])
 
     return _map_raw(a, div_raw, domain)
 
@@ -363,7 +385,7 @@ class WittVector:
     # -- arithmetic -------------------------------------------------------
     def _peer(self, other: "WittVector"):
         if not isinstance(other, WittVector):
-            raise TypeError("expected a Witt vector")
+            raise TowerMismatch("expected a Witt vector")
         if other.tower != self.tower:
             raise TowerMismatch("Witt vectors over different towers")
 

@@ -109,6 +109,30 @@ def test_d_of_top_degree_overflows():
         d(omega)
 
 
+def window_zero_inner(e, ceiling):
+    """``0 + O(u^ceiling)`` at ``t^e``: top-exact, zero only within its inner window."""
+    return NestedSeries(2, F2, {e: NestedSeries(1, F2, {}, ceiling)})
+
+
+def test_a_form_keeps_a_coefficient_zero_within_an_inner_window():
+    x = window_zero_inner(-2, 3)
+    assert LogForm(2, F2, 1, {(1,): x}).coeffs == {(1,): x}
+    assert LogForm(2, F2, 1, {(1,): NestedSeries.zero(2, F2)}).coeffs == {}
+
+
+def test_d_keeps_a_derivative_zero_within_an_inner_window():
+    """Over F_2, u d/du of u^2 t^-3 + O(u^3) is 0 + O(u^3): its dlog u term stays."""
+    y = NestedSeries(2, F2, {-3: NestedSeries(1, F2, {2: 1}, 3)})
+    assert d(y).coeffs == {(1,): window_zero_inner(-3, 3), (2,): y}
+
+
+def test_adding_a_non_form_is_a_tower_mismatch():
+    with pytest.raises(TowerMismatch):
+        LogForm.from_series(mono(1, F2, (1,))) + mono(1, F2, (1,))
+    with pytest.raises(TowerMismatch):
+        mono(1, F2, (1,)) + 1
+
+
 def test_leibniz_rule_random():
     rng = random.Random(103)
     for level, domain in [(1, F3), (2, F2)]:

@@ -10,13 +10,18 @@ Oracles used here:
     product, which stays as the reference;
   * the inverse by recurrence is compared at levels 1, 2 and 3 against
     the Newton loop (``newton_inverse_oracle``), which stays as the
-    reference.
+    reference;
+  * ``linear_combination`` is compared at levels 1, 2 and 3 against the
+    fold of ``+`` and ``mul_int`` (``fold_combination_oracle``), which
+    stays as the reference.
 """
 
 import operator
 import random
 
 import pytest
+
+import rswan.series
 
 from rswan.errors import (
     InconsistentValue,
@@ -42,6 +47,7 @@ from rswan.series import (
     _kronecker_applies,
     _kronecker_mul,
     _schoolbook_mul,
+    linear_combination,
     series_substitute,
 )
 from rswan.tower import FieldTower
@@ -731,3 +737,105 @@ def test_exponent_floor_guards_the_operations_that_move_exponents():
         deep.shift(-6000)
     with pytest.raises(ValueError, match="below the supported range"):
         mono(1, F3, (-4000,)).frobenius()
+
+
+# ------------------------------------------------------- linear combinations
+
+def fold_combination_oracle(level, domain, pairs):
+    """``sum n * x`` one series addition at a time: the reference."""
+    acc = NestedSeries.zero(level, domain)
+    for n, x in pairs:
+        acc = acc + x.mul_int(n)
+    return acc
+
+
+COMBINATION_RINGS = {
+    "F_2": F2, "F_9": F9, "Z/4": galois_ring_domain(2, 1, 2),
+    "Z/27": galois_ring_domain(3, 1, 3), "(Z/16)[g]": galois_ring_domain(2, 2, 4), "F_3(x)": FX,
+}
+
+
+def random_windowed(rng, level, domain, exps=(-3, 3)):
+    """Up to 4 top exponents in ``exps``; every level exact or cut at a
+    random exponent, which can leave an inner coefficient zero within its
+    window (a cut at or below its lowest exponent)."""
+    coeffs = {}
+    for e in rng.sample(range(exps[0], exps[1] + 1), rng.randint(0, 4)):
+        coeffs[e] = (domain.random_nonzero(rng) if level == 1
+                     else random_windowed(rng, level - 1, domain, (-2, 2)))
+    ceiling = rng.choice((None, None, rng.randint(exps[0] - 1, exps[1] + 1)))
+    return NestedSeries(level, domain, coeffs, ceiling)
+
+
+def multiplier(rng, modulus):
+    return rng.choice((1, 1, -1, 2, -3, modulus, -modulus, 2 * modulus + 1, 0,
+                       rng.randint(-50, 50)))
+
+
+def has_window_zero_inner(x):
+    return x.level > 1 and any(
+        (not c.coeffs and c.ceiling is not None) or has_window_zero_inner(c)
+        for c in x.coeffs.values()
+    )
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("ring", sorted(COMBINATION_RINGS))
+def test_linear_combination_matches_the_fold_oracle(ring, level):
+    """Exact and windowed top and inner levels, 1-5 pairs over a narrow
+    exponent range (so that entries collide), multipliers that are negative
+    or vanish in the ring: equal values and ceilings at every level."""
+    domain = COMBINATION_RINGS[ring]
+    modulus = domain.modulus if hasattr(domain, "modulus") else domain.p
+    rng = random.Random(f"combination:{ring}:{level}")
+    seen = {"window_zero_inner": 0, "windowed": 0}
+    for _ in range(60 if ring != "F_3(x)" or level < 3 else 20):
+        xs = [random_windowed(rng, level, domain) for _ in range(rng.randint(1, 5))]
+        pairs = [(multiplier(rng, modulus), x) for x in xs]
+        if rng.random() < 0.3:  # exact cancellation of a random pair
+            pairs.append((-pairs[0][0], pairs[0][1]))
+        got = linear_combination(level, domain, pairs)
+        assert got == fold_combination_oracle(level, domain, pairs)
+        seen["window_zero_inner"] += has_window_zero_inner(got)
+        seen["windowed"] += got.ceiling is not None
+    assert seen["windowed"]
+    assert level == 1 or seen["window_zero_inner"]
+
+
+def test_linear_combination_edge_cases():
+    z4 = galois_ring_domain(2, 1, 2)
+    x = NestedSeries(1, z4, {-2: 1, 0: 3, 5: 2}, 7)
+    assert linear_combination(1, z4, []) == NestedSeries.zero(1, z4)
+    # cancellation leaves the window
+    assert linear_combination(1, z4, [(1, x), (-1, x)]) == NestedSeries.zero(1, z4, 7)
+    # a multiplier that vanishes mod 4 adds only its ceiling
+    y = NestedSeries(1, z4, {0: 1})
+    assert linear_combination(1, z4, [(1, y), (4, x)]) == NestedSeries(1, z4, {0: 1}, 7)
+    # 2 * 2 = 0: an entry that vanishes is not stored
+    assert linear_combination(1, z4, [(2, x)]).coeffs == {-2: 2, 0: 2}
+    # the least ceiling cuts every pair
+    w = NestedSeries(1, z4, {0: 1, 3: 1}, 2)
+    assert linear_combination(1, z4, [(1, x), (1, w)]) == NestedSeries(1, z4, {-2: 1}, 2)
+    # an inner coefficient zero within its window keeps the window
+    window_zero = NestedSeries(2, z4, {-2: NestedSeries(1, z4, {}, 3)})
+    assert linear_combination(2, z4, [(1, window_zero)]) == window_zero
+    assert linear_combination(2, z4, [(2, window_zero)]) == window_zero
+    inner = NestedSeries(2, z4, {-2: NestedSeries(1, z4, {1: 1}, 3)})
+    assert linear_combination(2, z4, [(1, inner), (-1, inner)]) == window_zero
+    # an exact inner sum that cancels is dropped
+    exact = NestedSeries(2, z4, {-2: NestedSeries(1, z4, {1: 1}), 1: NestedSeries(1, z4, {0: 2})})
+    assert linear_combination(2, z4, [(1, exact), (-1, exact)]) == NestedSeries.zero(2, z4)
+    assert linear_combination(2, z4, [(2, exact)]) == NestedSeries(
+        2, z4, {-2: NestedSeries(1, z4, {1: 2})})
+
+
+def test_linear_combination_refuses_mixed_rings_and_the_exponent_floor(monkeypatch):
+    z4 = galois_ring_domain(2, 1, 2)
+    with pytest.raises(TowerMismatch):
+        linear_combination(1, z4, [(1, mono(1, F2, (0,)))])
+    with pytest.raises(TowerMismatch):
+        linear_combination(2, F2, [(1, mono(1, F2, (0,)))])
+    deep = mono(1, F2, (-8,))
+    monkeypatch.setattr(rswan.series, "_ORD_FLOOR", -5)
+    with pytest.raises(ValueError, match="below the supported range"):
+        linear_combination(1, F2, [(1, deep)])

@@ -5,7 +5,9 @@ For a random level-1 or level-2 series ``a`` of order ``v`` and a width
 ``w``: ``a * a.inv(w)`` agrees with 1 below ``T^w``; ``a.inv(w)`` is
 windowed at ``-v + w`` unless ``a`` is one exact term.  At level 1,
 ``a.pow(-n, w)`` is ``a.inv(w).pow(n)``.  Any product of two level-2
-series, exact or cut at either level, equals the schoolbook dict product.
+series, exact or cut at either level, equals the schoolbook dict product,
+and any integer combination of level-2 series equals the fold of ``+`` and
+``mul_int``.
 """
 
 import operator
@@ -19,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rswan.ratfunc import rat_func_domain  # noqa: E402
 from rswan.scalars import fq_domain, galois_ring_domain  # noqa: E402
-from rswan.series import NestedSeries, _schoolbook_mul  # noqa: E402
+from rswan.series import NestedSeries, _schoolbook_mul, linear_combination  # noqa: E402
 
 DOMAINS = {
     "F_2": fq_domain(2, 1),
@@ -150,3 +152,21 @@ def level_two_pair(draw):
 def test_level_two_product_is_the_schoolbook_product(pair):
     x, y = pair
     assert x * y == schoolbook(x, y)
+
+
+@st.composite
+def level_two_combination(draw):
+    domain = LEVEL_TWO_DOMAINS[draw(st.sampled_from(sorted(LEVEL_TWO_DOMAINS)))]
+    pairs = draw(st.lists(st.tuples(st.integers(-40, 40), level_two_series(domain)),
+                          max_size=5))
+    return domain, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_two_combination())
+def test_level_two_combination_is_the_fold(case):
+    domain, pairs = case
+    acc = NestedSeries.zero(2, domain)
+    for n, x in pairs:
+        acc = acc + x.mul_int(n)
+    assert linear_combination(2, domain, pairs) == acc

@@ -10,7 +10,10 @@ Oracles used here:
     symbol values, a path that runs neither ``asw_reduce`` nor
     ``witt_combine`` (``swan_oracle``);
   * the one-sweep slot reduction is compared against the rescan loop it
-    replaced (``rescan_reduce_slot_oracle``).
+    replaced (``rescan_reduce_slot_oracle``);
+  * each ghost index's one linear combination is compared against the
+    ghost recursion run one series addition at a time
+    (``uncombined_witt_oracle``).
 """
 
 import random
@@ -19,12 +22,18 @@ from math import comb
 import pytest
 
 from rswan import witt
-from rswan.errors import PrecisionExhausted, RswanError, TowerMismatch, ZeroInput
+from rswan.errors import (
+    InconsistentValue,
+    PrecisionExhausted,
+    RswanError,
+    TowerMismatch,
+    ZeroInput,
+)
 from rswan.extensions import ExtensionMap, conductor_change, pullback_series
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
 from rswan.reciprocity import _symbol_value, theta_lift
-from rswan.scalars import DEFINING_POLYNOMIALS, GaloisRingDomain, fq_domain
+from rswan.scalars import DEFINING_POLYNOMIALS, GaloisRingDomain, fq_domain, galois_ring_domain
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
 from rswan.witt import (
@@ -246,6 +255,172 @@ def test_combine_matches_double_length_oracle(p, k, s, d):
         for a, b in zip(got, want):
             assert a.agrees_with(b), (ints, str(a), str(b))
             assert window_not_narrower(a, b), (ints, str(a), str(b))
+
+
+# ---------------------------------------------- one combination per ghost index
+
+def _map_raw_oracle(x, fn, domain):
+    """``fn`` on every raw scalar, through the checked constructor."""
+    if x.level == 1:
+        out = {e: fn(c) for e, c in x.coeffs.items()}
+    else:
+        out = {e: _map_raw_oracle(c, fn, domain) for e, c in x.coeffs.items()}
+    return NestedSeries(x.level, domain, out, x.ceiling)
+
+
+def _fold_ghost(xs, n, p, zero):
+    acc = zero
+    for i, x in enumerate(xs[: n + 1]):
+        if not x.coeffs and x.ceiling is None:
+            continue
+        acc = acc + x.pow(p ** (n - i)).mul_int(p**i)
+    return acc
+
+
+def uncombined_witt_oracle(comps_list, ints, p):
+    """``witt_combine`` with every ghost sum folded one series addition and
+    one ``mul_int`` at a time, the lift through ``lift_from_field`` and the
+    division through the domain's coefficient tuples."""
+    s = len(comps_list[0])
+    domain, level = comps_list[0][0].domain, comps_list[0][0].level
+    if s == 1:
+        acc = NestedSeries.zero(level, domain)
+        for n, (comp,) in zip(ints, comps_list):
+            acc = acc + comp.mul_int(n)
+        return (acc,)
+    lift = galois_ring_domain(p, domain.k, s)
+    zero = NestedSeries.zero(level, lift)
+    terms = [
+        (cj, [_map_raw_oracle(x, lift.lift_from_field, lift) for x in reversed(comps)])
+        for cj, comps in zip(ints, comps_list)
+        if cj % lift.modulus
+    ]
+    z = []
+    for n in range(s):
+        acc = zero
+        for cj, lx in terms:
+            acc = acc + _fold_ghost(lx, n, p, zero).mul_int(cj)
+        acc = acc - _fold_ghost(z, n, p, zero)
+
+        def divide(c, q=p**n):
+            assert all(x % q == 0 for x in lift.coeffs(c))
+            return lift.from_coeffs([x // q for x in lift.coeffs(c)])
+
+        z.append(_map_raw_oracle(acc, divide, lift))
+    return tuple(reversed([_map_raw_oracle(zi, lift.reduce_mod_p, domain) for zi in z]))
+
+
+# The cells of perfbench's ``witt`` workload, (p, k, s, d).
+WORKLOAD_CELLS = tuple(
+    (p, k, s, d)
+    for p in (2, 3, 5) for k in (1, 2) for s in (1, 2) for d in (1, 2)
+    if (p, k, s, d) != (5, 2, 2, 2)
+) + ((2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (3, 1, 3, 1), (2, 1, 4, 1), (2, 2, 4, 1))
+
+
+def workload_vector(rng, tower):
+    """0..4 monomials per component, top exponents in -4..2, lower ones in
+    -2..2: the shape the workload draws."""
+    dom = tower.field_domain
+    return WittVector(tower, tuple(
+        NestedSeries.from_monomials(tower.d, dom, [
+            (tuple(rng.randint(-2, 2) for _ in range(tower.d - 1)) + (rng.randint(-4, 2),),
+             dom.random_nonzero(rng))
+            for _ in range(rng.randint(0, 4))
+        ])
+        for _ in range(tower.s)
+    ))
+
+
+def assert_combinations_match_the_oracle(monkeypatch, vectors):
+    """Sums, differences and negations of consecutive vectors ``a, b``, and
+    every combination made by reducing ``a`` and its coboundary shift
+    ``a + (F(b) - b)``, equal the oracle's."""
+    p = vectors[0].tower.p
+    made = []
+
+    def recording(comps_list, ints, q):
+        out = witt_combine(comps_list, ints, q)
+        made.append((comps_list, ints, out))
+        return out
+
+    monkeypatch.setattr(witt, "witt_combine", recording)
+    for a, b in zip(vectors, vectors[1:]):
+        for comps_list, ints in (([a.comps, b.comps], [1, 1]), ([a.comps, b.comps], [1, -1]),
+                                 ([a.comps], [-1])):
+            assert witt_combine(comps_list, ints, p) == uncombined_witt_oracle(comps_list, ints, p)
+        for v in (a, a + (b.frobenius() - b)):
+            try:
+                asw_reduce(v)
+            except PrecisionExhausted:
+                pass
+    for comps_list, ints, out in made:
+        assert out == uncombined_witt_oracle(comps_list, ints, p)
+    monkeypatch.undo()
+    return sum(ints == [1, -1, 1] for _, ints, _ in made)
+
+
+@pytest.mark.parametrize("p,k,s,d", WORKLOAD_CELLS)
+def test_combinations_match_the_uncombined_oracle(monkeypatch, p, k, s, d):
+    tower = FieldTower(p, k, s, ("u", "t")[2 - d:])
+    rng = random.Random(f"uncombined:{p}:{k}:{s}:{d}")
+    reductions = assert_combinations_match_the_oracle(
+        monkeypatch, [workload_vector(rng, tower) for _ in range(12)]
+    )
+    assert reductions or s == 1
+
+
+def test_windowed_combinations_match_the_uncombined_oracle(monkeypatch):
+    """Pulled-back vectors (windowed at the top) and two-variable vectors
+    with inner windows, some of them zero within their window."""
+    rng = random.Random("uncombined:windowed")
+    reductions = 0
+    for p, image in ((2, "u^3 + u^5 + u^6"), (3, "u^2 + 2*u^3"), (2, "u^6 + u^7")):
+        source = FieldTower(p, 1, 2, ("t",))
+        target = FieldTower(p, 1, 2, ("u",))
+        ext = ExtensionMap(source, target, {"t": parse_series(image, target)})
+        pulled = [
+            WittVector(target, tuple(pullback_series(ext, c) for c in workload_vector(rng, source).comps))
+            for _ in range(6)
+        ]
+        assert any(c.ceiling is not None for v in pulled for c in v.comps)
+        reductions += assert_combinations_match_the_oracle(monkeypatch, pulled)
+    tower = FieldTower(2, 1, 2, ("u", "t"))
+    dom = tower.field_domain
+    nested = []
+    for _ in range(10):
+        comps = []
+        for _ in range(2):
+            coeffs = {}
+            for e in rng.sample(range(-4, 3), rng.randint(0, 3)):
+                inner = {f: 1 for f in rng.sample(range(-2, 3), rng.randint(0, 2))}
+                cut = rng.choice((None, rng.randint(-2, 3)))
+                coeffs[e] = NestedSeries(1, dom, {f: c for f, c in inner.items()
+                                                  if cut is None or f < cut}, cut)
+            comps.append(NestedSeries(2, dom, coeffs, rng.choice((None, 4))))
+        nested.append(WittVector(tower, tuple(comps)))
+    assert_combinations_match_the_oracle(monkeypatch, nested)
+    assert reductions
+
+
+def test_a_component_zero_within_an_inner_window_keeps_its_window():
+    """A top-exact component whose only coefficient is zero within its
+    inner window is not an exact zero: the sum keeps that window."""
+    tower = FieldTower(2, 1, 2, ("u", "t"))
+    dom = tower.field_domain
+    x = NestedSeries(2, dom, {-2: NestedSeries(1, dom, {}, 3)})
+    v = WittVector(tower, (x, parse_series("t^-1", tower)))
+    total = v + WittVector.zero(tower)
+    assert total.comps[0] == x
+    assert total == v
+    assert total.comps == uncombined_witt_oracle([v.comps, WittVector.zero(tower).comps], [1, 1], 2)
+
+
+def test_combination_errors_are_library_errors():
+    with pytest.raises(InconsistentValue):
+        witt_combine([], [], 2)
+    with pytest.raises(TowerMismatch):
+        vec(K2s2, "t^-1", "0") + 1
 
 
 # ----------------------------------------------------------------- ordering
