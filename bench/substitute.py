@@ -1,0 +1,165 @@
+"""Layer bench: substitution (``series_substitute``) on the shapes the ``embed`` workload pulls back.
+
+    python3 bench/substitute.py OUT [SRC ...]
+
+Run it from the repository root; it uses only the standard library.  Each
+``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
+checkout's ``src``); pass the ``src`` of another checkout to put its figures
+beside these.  All trees are imported into this one process, each under its
+own package name, and timed in alternation: every pass times each cell for
+every tree before moving on, and the tree order flips from pass to pass, so
+machine drift falls on all trees alike.  Results must be equal across trees
+(checked by exponents, raw scalars and the ceiling at every level: series
+of two loaded packages do not compare with ``==``), errors by kind.
+
+Two sections, with one figure per tree in the order of ``trees``:
+
+* ``embed``: per cell ``(p, e)``, ``p`` in 2, 3, 5 and ``e`` in 2..6,
+  ``SOURCES`` seeded exact series over ``F_p`` with 1..4 monomials at
+  exponents -12..2 (the components the ``embed`` workload draws), each
+  substituted through its own seeded image ``u^e (c + ...)`` drawn as that
+  workload draws it, at the target's precision budget; ``us_per_substitution``
+  is the mean time of one call.
+* ``imperfect_residue``: per ``p`` in 2, 3, 5, the canned family
+  ``u -> v^p + w, t -> w^t`` (``t`` in ``T_VALUES``, prime to ``p``) and its
+  character's component over ``F_p((u))((t))``; ``us_per_substitution`` is
+  the mean time of one pullback of that component through one member.
+
+Each time is the median over ``PASSES`` passes, each timing a batch of
+whole cells of about ``BATCH_SECONDS``.  The JSON written to ``OUT``
+(required, so that no run overwrites a committed ``BENCH_<n>.json`` by
+default) records each tree's commit (``git describe --always --dirty``),
+the Python version and the machine.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import sys
+from pathlib import Path
+
+from _trees import alternate, commit, load
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EMBED_CELLS = tuple((p, e) for p in (2, 3, 5) for e in range(2, 7))
+SOURCES = 24
+T_VALUES = (3, 4, 5, 7, 8, 11)  # each family takes the first three prime to p
+PASSES = 7
+BATCH_SECONDS = 0.05
+
+
+def _image(rswan, dom, rng, p, e):
+    """``u^e (c + ...)``, never a p-th power, as the ``embed`` workload draws it."""
+    terms = [((e,), dom.random_nonzero(rng))]
+    for j in range(1, 4):
+        if rng.random() < 0.5:
+            terms.append(((e + j,), dom.random_nonzero(rng)))
+    if all(exps[0] % p == 0 for exps, _ in terms):
+        j = next(j for j in range(1, p + 1) if (e + j) % p)
+        terms.append(((e + j,), dom.random_nonzero(rng)))
+    return rswan.NestedSeries.from_monomials(1, dom, terms)
+
+
+def _embed_inputs(rswan, cell):
+    """``(source, images, precision)`` triples of one ``embed`` cell."""
+    p, e = cell
+    target = rswan.FieldTower(p, 1, 1, ("u",))
+    dom = target.field_domain
+    rng = random.Random(f"substitute:{cell}")
+    out = []
+    for _ in range(SOURCES):
+        monos = [((rng.randint(-12, 2),), dom.random_nonzero(rng))
+                 for _ in range(rng.randint(1, 4))]
+        source = rswan.NestedSeries.from_monomials(1, dom, monos)
+        out.append((source, {1: _image(rswan, dom, rng, p, e)}, target.precision))
+    return out
+
+
+def _family_inputs(rswan, p):
+    """``(source, images, precision)`` per member of the imperfect-residue family."""
+    t_values = tuple(t for t in T_VALUES if t % p)[:3]
+    chi, family = rswan.extensions.imperfect_residue_family(p, t_values)
+    (comp,) = chi.vector.comps
+    out = []
+    for ext in family:
+        images = {level: ext.images[name] for level, name in enumerate(ext.source.variables, 1)}
+        out.append((comp, images, ext.target.precision))
+    return out
+
+
+def _form(a):
+    """A tree-independent form of a series: the ceiling, exponents and raw
+    scalars at every level."""
+    if a.level == 1:
+        return a.ceiling, sorted(a.coeffs.items())
+    return a.ceiling, [(e, _form(c)) for e, c in sorted(a.coeffs.items())]
+
+
+def _substitute_all(rswan, inputs):
+    out = []
+    for source, images, precision in inputs:
+        try:
+            out.append(rswan.series_substitute(source, images, precision))
+        except rswan.RswanError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def _same(what, results):
+    forms = [[r if isinstance(r, str) else _form(r) for r in out] for out in results]
+    if any(f != forms[0] for f in forms):
+        raise SystemExit(f"{what}: results differ between trees")
+
+
+def measure(srcs: list[str]) -> dict:
+    trees = [load(src, index) for index, src in enumerate(srcs)]
+    inputs = {("embed", cell): [_embed_inputs(tree, cell) for tree in trees]
+              for cell in EMBED_CELLS}
+    inputs.update({("imperfect_residue", p): [_family_inputs(tree, p) for tree in trees]
+                   for p in (2, 3, 5)})
+    calls = {}
+    for key, per_tree in inputs.items():
+        calls[key] = [(lambda tree=tree, ins=ins: _substitute_all(tree, ins))
+                      for tree, ins in zip(trees, per_tree)]
+        _same(f"{key[0]} cell {key[1]}", [fn() for fn in calls[key]])
+    seconds = alternate(calls, PASSES, BATCH_SECONDS)
+
+    def us(key):
+        return [round(t * 1e6 / len(inputs[key][0]), 1) for t in seconds[key]]
+
+    return {
+        "trees": [{"commit": commit(src)} for src in srcs],
+        "embed": [{"p": p, "e": e, "us_per_substitution": us(("embed", (p, e)))}
+                  for p, e in EMBED_CELLS],
+        "imperfect_residue": [{"p": p, "members": len(inputs["imperfect_residue", p][0]),
+                               "us_per_substitution": us(("imperfect_residue", p))}
+                              for p in (2, 3, 5)],
+    }
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python3 bench/substitute.py OUT [SRC ...]", file=sys.stderr)
+        return 2
+    out_path = Path(argv[0])
+    srcs = argv[1:] or [str(ROOT / "src")]
+    result = {
+        "bench": "substitute",
+        "python": platform.python_version(),
+        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
+        "sources_per_cell": SOURCES,
+        "passes": PASSES,
+        **measure(srcs),
+    }
+    text = json.dumps(result, indent=2)
+    out_path.write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -87,9 +87,9 @@ class ExtensionMap:
                 )
             if img.domain is not target.field_domain:
                 raise NonEmbedding(f"image of {name!r} lives over the wrong coefficients")
+            if img.is_exact_zero():
+                raise NonEmbedding(f"image of {name!r} is zero")
             if img.is_zero():
-                if img.ceiling is None:
-                    raise NonEmbedding(f"image of {name!r} is zero")
                 raise PrecisionExhausted(
                     f"image of {name!r} is zero within its window; cannot certify an embedding"
                 )
@@ -208,9 +208,9 @@ def delta_tor(ext: ExtensionMap) -> TorsionReport:
             slot = f"db({name})"
         else:
             slot = f"dlog({name})"
+        if c.is_exact_zero():
+            continue
         if c.is_zero():
-            if c.ceiling is None:
-                continue
             raise PrecisionExhausted(
                 "a dlog coefficient is zero within its window; "
                 "the torsion depth cannot be certified"

@@ -82,7 +82,7 @@ class LogForm:
                 raise TowerMismatch(f"basis key {key} outside levels 1..{level}")
             if not isinstance(c, NestedSeries) or c.level != level or c.domain is not domain:
                 raise TowerMismatch("coefficient series does not match the form's ring")
-            if not c.coeffs and c.ceiling is None:  # exact zero
+            if c.is_exact_zero():
                 continue
             clean[key] = c
         object.__setattr__(self, "level", level)
@@ -213,7 +213,7 @@ def d(omega) -> LogForm:
             if i in key:
                 continue
             dc = log_derivative(c, i)
-            if not dc.coeffs and dc.ceiling is None:  # exact zero
+            if dc.is_exact_zero():
                 continue
             sign, new_key = _merge_sign((i,), key)
             term = dc.mul_int(sign)
@@ -515,11 +515,11 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     if first is None:
         return False
     if isinstance(first, NestedSeries):
-        def exact_zero(v):
-            return v.ceiling is None and v.is_zero()
+        exact_zero = NestedSeries.is_exact_zero
 
         def known(v):
-            if v.ceiling is not None and v.is_zero():
+            # exact zeros are never stored, so a zero here is one within a window
+            if v.is_zero():
                 raise PrecisionExhausted("pivot is zero within its window; rank is ambiguous")
             return v
 

@@ -217,9 +217,9 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
     if len(ys) != tower.d:
         raise InconsistentValue(f"expected {tower.d} symbol entries, got {len(ys)}")
     for y in ys:
+        if y.is_exact_zero():
+            raise ZeroEntry("symbol entries must be nonzero")
         if y.is_zero():
-            if y.ceiling is None:
-                raise ZeroEntry("symbol entries must be nonzero")
             raise PrecisionExhausted("symbol entry is zero within its window")
     return _symbol_value(theta_lift(char.vector), tower, ys)
 

@@ -58,10 +58,8 @@ BENCH_11.json) or with an inner coefficient that has a window; and
 zeros, cuts at the ceiling and refuses exponents below the supported range;
 the kernels and :func:`linear_combination` return maps that are already
 clean, which it takes as they are (``clean=True``), and the Witt layer
-builds its lifts, reductions and divisions through it as well.  Nothing
-it stores is an exactly zero inner coefficient, so at levels >= 2 a
-series is exactly zero when it has no coefficient and no ceiling; one
-that is zero only within an inner window is not.
+builds its lifts, reductions and divisions through it as well.  It never
+stores an exactly zero inner coefficient (``is_exact_zero`` relies on it).
 
 Linear combinations
 -------------------
@@ -78,6 +76,23 @@ dropped only when it is exactly zero.  The value and every ceiling equal
 those of folding ``acc + x.mul_int(n)``, which the tests keep as the
 reference; ``__add__`` itself still makes one domain call per colliding
 entry.
+
+Substitution
+------------
+:func:`series_substitute` evaluates ``sum_e a_e T^e`` at ``T = img`` by
+Horner's rule (Knuth, TAOCP vol. 2, sec. 4.6.4) over the stored exponents
+in descending order, ``q <- q * img^(e' - e) + a_e``, with exact gap powers
+kept per level (at levels >= 2 each ``a_e`` is substituted first); then
+``q * img^e_min``, or ``q * (img^n).inv(precision)`` for ``e_min = -n``:
+one exact power of the short image and one inverse at any depth of poles.
+For an exact image of order ``m`` that inverse is known below
+``-n m + precision``, as ``inv(img)^n`` is.  The poles are evaluated apart
+from the other exponents, so that the inverse's inner windows stay off
+the exact polynomial part.  The unknown tail of a source with ceiling
+``c`` cuts the result at ``c * low(img)``, or at ``c * ord(img)`` when
+``c < 0`` (a negative power needs the order itself); an image of order
+below 1 raises ``PrecisionExhausted``, but an exactly zero one passes
+when ``c >= 1``, as every tail term is then zero.
 
 Inversion
 ---------
@@ -146,7 +161,7 @@ def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None, *,
             # read back as exact zeros, so pruning it would claim knowledge
             # beyond the slot's inner ceiling.
             for e, c in coeffs.items():
-                if (ceiling is None or e < ceiling) and not (c.is_zero() and c.is_exact()):
+                if (ceiling is None or e < ceiling) and not c.is_exact_zero():
                     kept[e] = c
         elif isinstance(domain, _QuotientDomain):
             # Raw ints and tuples: comparing with the raw zero is the zero
@@ -445,9 +460,7 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
     if nested:
         mul, add, neg = operator.mul, operator.add, operator.neg
         zero = NestedSeries.zero(lead_inv.level, domain)
-
-        def is_zero(x):
-            return not x.coeffs and x.ceiling is None
+        is_zero = NestedSeries.is_exact_zero
     else:
         mul, add, neg = domain.mul, domain.add, domain.neg
         is_zero, zero = domain.is_zero, domain.zero()
@@ -511,12 +524,10 @@ class NestedSeries:
         return cls(level, domain, {}, ceiling)
 
     @classmethod
-    def constant(cls, level: int, domain, raw, ceiling: int | None = None) -> "NestedSeries":
+    def constant(cls, level: int, domain, raw) -> "NestedSeries":
         cur = raw
         for lvl in range(1, level + 1):
-            cur = cls(lvl, domain, {0: cur})
-        if ceiling is not None:
-            cur = cur.truncate(ceiling)
+            cur = _make(lvl, domain, {0: cur}, None)
         return cur
 
     @classmethod
@@ -556,6 +567,11 @@ class NestedSeries:
         if self.level == 1:
             return not self.coeffs
         return all(c.is_zero() for c in self.coeffs.values())
+
+    def is_exact_zero(self) -> bool:
+        """Exactly zero: no stored coefficient and no ceiling (``_make``
+        never stores an exactly zero inner coefficient)."""
+        return not self.coeffs and self.ceiling is None
 
     def is_exact(self) -> bool:
         if self.ceiling is not None:
@@ -598,9 +614,6 @@ class NestedSeries:
     def _zero_coeff(self):
         return self.domain.zero() if self.level == 1 else NestedSeries.zero(self.level - 1, self.domain)
 
-    def leading(self):
-        return self.coeffs[self.ord()]
-
     def iter_monomials(self):
         """Yield ``(exponent_tuple, raw_scalar)`` over the stored support."""
         for e in sorted(self.coeffs):
@@ -618,24 +631,19 @@ class NestedSeries:
         if other.level != self.level or other.domain is not self.domain:
             raise TowerMismatch("series belong to different towers or coefficient rings")
 
-    def _cadd(self, a, b):
-        return self.domain.add(a, b) if self.level == 1 else a + b
-
-    def _cneg(self, a):
-        return self.domain.neg(a) if self.level == 1 else -a
-
     def __add__(self, other):
         self._check_compatible(other)
         ceiling = _min_ceiling(self.ceiling, other.ceiling)
+        add = self.domain.add if self.level == 1 else operator.add
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = self._cadd(out[e], c) if e in out else c
+            out[e] = add(out[e], c) if e in out else c
         return _make(self.level, self.domain, out, ceiling)
 
     def __neg__(self):
-        return _make(
-            self.level, self.domain, {e: self._cneg(c) for e, c in self.coeffs.items()}, self.ceiling
-        )
+        neg = self.domain.neg if self.level == 1 else operator.neg
+        return _make(self.level, self.domain, {e: neg(c) for e, c in self.coeffs.items()},
+                     self.ceiling)
 
     def __sub__(self, other):
         return self + (-other)
@@ -837,18 +845,21 @@ class NestedSeries:
         return hash((self.level, id(self.domain), self.ceiling, tuple(sorted(self.coeffs))))
 
     def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            bits = []
-            for exps, raw in self.iter_monomials():
-                mono = "*".join(
-                    f"T{i + 1}^{e}" for i, e in enumerate(exps) if e != 0
-                )
-                bits.append(f"{raw!r}*{mono}" if mono else f"{raw!r}")
-            body = " + ".join(bits)
-        tail = "" if self.ceiling is None else f" + O(T{self.level}^{self.ceiling})"
-        return f"<series L{self.level}: {body}{tail}>"
+        return f"<series L{self.level}: {self._repr_body()}>"
+
+    def _repr_body(self, suffix: str = "") -> str:
+        """Monomials ``raw*T1^e1*...*suffix``, then the window ``O(T_l^c)``;
+        an inner coefficient with a window prints as one group ``(...)``."""
+        bits = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            mono = (f"*T{self.level}^{e}" if e else "") + suffix
+            if self.level == 1:
+                bits.append(f"{c!r}{mono}")
+            else:
+                bits.append(c._repr_body(mono) if c.is_exact() else f"({c._repr_body()}){mono}")
+        body = " + ".join(bits) or "0"
+        return body if self.ceiling is None else f"{body} + O(T{self.level}^{self.ceiling})"
 
 
 # ---------------------------------------------------------------- module ops
@@ -898,7 +909,7 @@ def _combination(level: int, domain, terms: list, ceiling: int | None) -> Nested
                 continue
             c = _combination(level - 1, domain, group, _least_ceiling(group))
             # only an exact zero is dropped: a window-zero one keeps its window
-            if c.coeffs or c.ceiling is not None:
+            if not c.is_exact_zero():
                 out[e] = c
         return _make(level, domain, out, ceiling, clean=True)
     acc: dict = {}
@@ -942,71 +953,58 @@ def _combination(level: int, domain, terms: list, ceiling: int | None) -> Nested
     return _make(1, domain, out, ceiling, clean=True)
 
 
-def series_substitute(
-    a: NestedSeries,
-    images: dict[int, NestedSeries],
-    precision: int | None = None,
-) -> NestedSeries:
-    """Evaluate ``a`` with each level-``j`` variable replaced by ``images[j]``.
-
-    All images must be series of one common level and domain (the target).
-    Fails loudly (:class:`PrecisionExhausted`) when an unknown tail of ``a``
-    would pollute the guaranteed part of the result: that happens exactly
-    when ``a`` has a finite ceiling and the relevant image is not a
-    uniformizer-like element (top-variable order >= 1).
-    """
+def series_substitute(a: NestedSeries, images: dict[int, NestedSeries],
+                      precision: int | None = None) -> NestedSeries:
+    """Evaluate ``a`` with each level-``j`` variable replaced by ``images[j]``,
+    series of one common level and domain (module docstring, "Substitution")."""
     targets = list(images.values())
     if not targets:
-        raise ValueError("no images supplied")
-    out_level = targets[0].level
-    domain = targets[0].domain
+        raise TowerMismatch("no images supplied")
+    out_level, domain = targets[0].level, targets[0].domain
     for img in targets:
         if img.level != out_level or img.domain is not domain:
             raise TowerMismatch("substitution images live in different targets")
-    powers = {level: {} for level in images}
-    return _substitute(a, images, powers, out_level, domain, precision)
+    return _substitute(a, images, {level: {} for level in images}, out_level, domain, precision)
 
 
 def _substitute(a, images, powers, out_level, domain, precision):
     img = images.get(a.level)
     if img is None:
         raise TowerMismatch(f"no image supplied for level {a.level}")
-    result = NestedSeries.zero(out_level, domain)
-    for e in sorted(a.coeffs):
-        c = a.coeffs[e]
-        if a.level == 1:
-            piece = NestedSeries.constant(out_level, domain, c)
-        else:
-            piece = _substitute(c, images, powers, out_level, domain, precision)
-        result = result + piece * _image_power(img, powers[a.level], e, precision)
-    if a.ceiling is not None:
-        # Bound the damage of the unknown tail of `a`.
-        if img.is_zero():
-            tail_bound = None  # image is zero: tail contributes nothing
-        else:
-            m = img.ord()
-            if m >= 1:
-                tail_bound = m * a.ceiling
-            else:
-                raise PrecisionExhausted(
-                    "cannot substitute a windowed series through a unit-order image",
-                    exponent=a.ceiling,
-                )
-        if tail_bound is not None:
-            result = result.truncate(tail_bound)
-    return result
+    poles = {e: c for e, c in a.coeffs.items() if e < 0}
+    if poles and len(poles) < len(a.coeffs):  # keeps the inverse's windows off the rest
+        rest = _make(a.level, a.domain, {e: c for e, c in a.coeffs.items() if e >= 0}, a.ceiling,
+                     clean=True)
+        return (_substitute(rest, images, powers, out_level, domain, precision)
+                + _substitute(_make(a.level, a.domain, poles, None, clean=True),
+                              images, powers, out_level, domain, precision))
+    table = powers[a.level]
+    q = None
+    for e, c in sorted(a.coeffs.items(), reverse=True):
+        piece = (NestedSeries.constant(out_level, domain, c) if a.level == 1
+                 else _substitute(c, images, powers, out_level, domain, precision))
+        q = piece if q is None else q * _exact_power(img, table, last - e) + piece
+        last = e
+    if q is None:
+        q = NestedSeries.zero(out_level, domain)
+    elif last:
+        power = _exact_power(img, table, abs(last))
+        q = q * (power if last > 0 else power.inv(precision))
+    if a.ceiling is None:
+        return q
+    if img.is_exact_zero() and a.ceiling >= 1:
+        return q  # each tail term is a multiple of 0^e = 0
+    m = img.low() if a.ceiling >= 0 or img.is_exact_zero() else img.ord()  # c < 0: the order
+    if m < 1:
+        raise PrecisionExhausted(
+            "cannot bound the unknown tail of a windowed series through an image of order < 1",
+            exponent=a.ceiling,
+        )
+    return q.truncate(m * a.ceiling)
 
 
-def _image_power(img: NestedSeries, table: dict, e: int, precision) -> NestedSeries:
-    """``img^e`` from the power table of its level; ``table[-1]`` is the one
-    inverse, and a power next to a stored one is one product away from it."""
-    if e < 0 and -1 not in table:
-        table[-1] = img.inv(precision)
-    if e not in table:
-        if e - 1 in table and e not in (0, 1):
-            table[e] = table[e - 1] * img
-        elif e + 1 in table and e < -1:
-            table[e] = table[e + 1] * table[-1]
-        else:
-            table[e] = img.pow(e) if e >= 0 else table[-1].pow(-e)
-    return table[e]
+def _exact_power(img: NestedSeries, table: dict, n: int) -> NestedSeries:
+    """``img^n`` for ``n >= 1``, kept in the power table of its level."""
+    if n not in table:
+        table[n] = img.pow(n)
+    return table[n]

@@ -108,6 +108,10 @@ def test_extension_rejects_zero_and_window_zero_images():
         ExtensionMap(K2, L2, {"t": NestedSeries.zero(1, L2.field_domain)})
     with pytest.raises(PrecisionExhausted):
         ExtensionMap(K2, L2, {"t": parse_series("u", L2).truncate(0)})
+    # zero only within an inner window: unknown, not zero
+    dom = LD.field_domain
+    with pytest.raises(PrecisionExhausted):
+        ExtensionMap(K2, LD, {"t": NestedSeries(2, dom, {1: NestedSeries.zero(1, dom, 3)})})
 
 
 def test_ramification_index():
@@ -228,6 +232,12 @@ def test_delta_needs_one_variable_source():
 def test_delta_window_zero_coefficient_is_ambiguous():
     img = parse_series("u^2", L2) + NestedSeries.zero(1, L2.field_domain, 9)
     ext = ExtensionMap(K2, L2, {"t": img})
+    with pytest.raises(PrecisionExhausted):
+        delta_tor(ext)
+    # w (1 + O(v^3)): the db(v) coefficient is zero only within an inner window
+    dom = LD.field_domain
+    unit = NestedSeries.one(1, dom).truncate(3)
+    ext = ExtensionMap(K2, LD, {"t": NestedSeries(2, dom, {1: unit})})
     with pytest.raises(PrecisionExhausted):
         delta_tor(ext)
 

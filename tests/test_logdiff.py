@@ -454,6 +454,15 @@ def test_gram_elimination_rules():
         gram_is_invertible([{0: 1}])
 
 
+def test_gram_entry_zero_within_an_inner_window_is_not_dropped():
+    """A top-exact entry whose coefficient is zero only within an inner
+    window is unknown: it is not dropped as an exact zero (which would make
+    the matrix singular) but refused as a pivot."""
+    entry = NestedSeries(2, F2, {0: NestedSeries.zero(1, F2, 3)})
+    with pytest.raises(PrecisionExhausted, match="pivot is zero within its window"):
+        gram_is_invertible([{0: entry}])
+
+
 def test_gram_columns_outside_the_matrix_and_empty_rows():
     """A column outside ``range(len(rows))`` makes the matrix singular, as
     a wrong-length dense row did; a matrix with no stored entry is singular

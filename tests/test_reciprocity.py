@@ -252,6 +252,15 @@ def test_symbol_entry_validation():
         eval_symbol(chi, [parse_series("t", K2).truncate(0)])
 
 
+def test_symbol_entry_zero_within_an_inner_window_is_not_a_zero_entry():
+    """An entry whose only coefficient is zero within an inner window is
+    unknown, not zero."""
+    dom = KD.field_domain
+    y = NestedSeries(2, dom, {0: NestedSeries.zero(1, dom, 3)})
+    with pytest.raises(PrecisionExhausted):
+        eval_symbol(char_of(KD, ["t^-1"]), [parse_series("t", KD), y])
+
+
 def test_schmid_symbol_refusals():
     with pytest.raises(InconsistentValue):
         schmid_symbol(parse_series("u*t^-1", KD), parse_series("t", KD))

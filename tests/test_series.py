@@ -2,7 +2,9 @@
 
 Oracles used here:
   * the inverse of 1 - t is compared against the geometric sum 1 + t + ...;
-  * substitution is checked against hand-expanded polynomials;
+  * substitution is checked against hand-expanded polynomials, and on a
+    seeded grid against the table of powers (``power_table_substitute_oracle``),
+    which stays as the reference;
   * random-series arithmetic identities certify the ring structure;
   * window propagation rules are asserted with exact expected ceilings;
   * the product kernels (Kronecker, the plain-int loop and the flat
@@ -374,9 +376,9 @@ def test_substitution_laurent_tail():
 
 
 def test_substitution_power_table_matches_fresh_powers():
-    """Dense exponents of both signs, exact and windowed: the power table
-    builds each power from its neighbour, and the result equals the sum of
-    fresh powers ``img.pow(e)`` term by term, windows included."""
+    """Dense exponents of both signs, exact and windowed: Horner's rule
+    (gap powers, then one power and one inverse) gives the sum of fresh
+    powers ``img.pow(e)`` term by term, windows included."""
     dom = fq_domain(3, 2)
     rng = random.Random(17)
     img = NestedSeries.from_monomials(
@@ -394,6 +396,164 @@ def test_substitution_power_table_matches_fresh_powers():
         if ceiling is not None:
             want = want.truncate(2 * ceiling)
         assert series_substitute(f, {1: img}, precision=12) == want
+
+
+def power_table_substitute_oracle(a, images, precision=None):
+    """``series_substitute`` as a sum of ``piece_e * img^e`` over a table of
+    powers: ``img^e`` from its neighbour in the table, or ``img.pow(e)``,
+    and ``inv(img)^|e|`` for ``e < 0``; the tail is bounded by ``ord(img)``
+    and passes untouched through a zero image (the evaluation before
+    Horner's rule)."""
+    out_level = next(iter(images.values())).level
+    domain = next(iter(images.values())).domain
+    powers = {level: {} for level in images}
+
+    def power(img, table, e):
+        if e < 0 and -1 not in table:
+            table[-1] = img.inv(precision)
+        if e not in table:
+            if e - 1 in table and e not in (0, 1):
+                table[e] = table[e - 1] * img
+            elif e + 1 in table and e < -1:
+                table[e] = table[e + 1] * table[-1]
+            else:
+                table[e] = img.pow(e) if e >= 0 else table[-1].pow(-e)
+        return table[e]
+
+    def substitute(a):
+        img = images[a.level]
+        result = NestedSeries.zero(out_level, domain)
+        for e in sorted(a.coeffs):
+            c = a.coeffs[e]
+            piece = NestedSeries.constant(out_level, domain, c) if a.level == 1 else substitute(c)
+            result = result + piece * power(img, powers[a.level], e)
+        if a.ceiling is not None and not img.is_zero():
+            m = img.ord()
+            if m < 1:
+                raise PrecisionExhausted("windowed series through a unit-order image")
+            result = result.truncate(m * a.ceiling)
+        return result
+
+    return substitute(a)
+
+
+# The substitution grid: F_2, F_9, F_5 and the lift ring Z/8.
+GRID_DOMAINS = (F2, fq_domain(3, 2), fq_domain(5, 1), galois_ring_domain(2, 1, 3))
+
+
+def grid_series(rng, level, domain, tops, windows):
+    """A series at ``level`` with top exponents ``tops`` (lower ones in
+    -2..2); with ``windows``, some level-1 coefficients of a level-2 series
+    take a window."""
+    if level == 1:
+        return NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in tops})
+    coeffs = {}
+    for e in tops:
+        c = grid_series(rng, 1, domain, rng.sample(range(-2, 3), rng.randint(1, 3)), False)
+        if windows and rng.random() < 0.3:
+            c = c.truncate(min(c.coeffs) + rng.randint(0, 3))
+        coeffs[e] = c
+    return NestedSeries(2, domain, coeffs)
+
+
+def grid_cell(rng, domain, d_src, d_tgt):
+    """``(source, images, precision)``: a source over ``d_src`` variables with
+    top exponents in -8..6, exact or windowed; images over ``d_tgt``
+    variables, exact or windowed, the top one of order 1..3 and the lower
+    one of order 0."""
+    windows = rng.random() < 0.5
+    f = grid_series(rng, d_src, domain, rng.sample(range(-8, 7), rng.randint(1, 5)), windows)
+    if windows:
+        f = f.truncate(max(f.coeffs) + rng.randint(-1, 3))
+    images = {}
+    for j in range(1, d_src + 1):
+        order = rng.randint(1, 3) if j == d_src else 0
+        tops = [order] + rng.sample(range(order + 1, order + 5), rng.randint(0, 3))
+        img_windows = rng.random() < 0.4
+        img = grid_series(rng, d_tgt, domain, tops, img_windows)
+        if img_windows:
+            img = img.truncate(order + rng.randint(1, 5))
+        images[j] = img
+    return f, images, rng.randint(4, 10)
+
+
+def substitution_outcome(fn, *args):
+    """The series ``fn`` returns, or the type of the library error it raises."""
+    try:
+        return fn(*args)
+    except (PrecisionExhausted, ZeroInput) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("d_src,d_tgt", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_substitution_matches_the_power_table_oracle(d_src, d_tgt):
+    """Horner's rule against the table of powers.  One-variable sources into
+    one-variable targets over fields give the oracle's answers with ``==``
+    (errors included); every other answer agrees, on the common window,
+    with the oracle and with the oracle at four times the precision.  Over
+    Z/8 the oracle refuses ``inv(img)`` for a non-unit lead, while a power
+    of the image can have a unit lead and invert; such an answer ``r`` for a
+    one-variable source with least exponent ``-k`` is checked by
+    ``r * img^k = sum_e a_e img^(e + k)``."""
+    rng = random.Random(f"substitution grid {d_src} {d_tgt}")
+    answered = 0
+    for domain in GRID_DOMAINS:
+        field = domain.s == 1
+        for _ in range(30):
+            f, images, precision = grid_cell(rng, domain, d_src, d_tgt)
+            got = substitution_outcome(series_substitute, f, images, precision)
+            want = substitution_outcome(power_table_substitute_oracle, f, images, precision)
+            if field and d_src == d_tgt == 1:
+                assert got == want, (f, images)
+            if not isinstance(got, NestedSeries):
+                continue
+            answered += 1
+            k = -min(f.coeffs, default=0)
+            if not isinstance(want, NestedSeries) and d_src == 1 and k > 0:
+                img = images[1]
+                poly = NestedSeries.zero(d_tgt, domain)
+                for e, c in f.coeffs.items():
+                    poly = poly + img.pow(e + k).scalar_mul(c)
+                if f.ceiling is not None:
+                    poly = poly.truncate(img.low() * (f.ceiling + k))
+                assert (got * img.pow(k)).agrees_with(poly), (f, images, got)
+            wide = substitution_outcome(power_table_substitute_oracle, f, images, 4 * precision)
+            for ref in (want, wide):
+                if isinstance(ref, NestedSeries):
+                    assert got.agrees_with(ref), (f, images, got, ref)
+    assert answered >= 40
+
+
+def test_substitution_tail_through_zero_images():
+    """The unknown tail of a windowed source is bounded through a zero image
+    too: a window-zero image bounds it by its own ceiling, and an exactly
+    zero one drops it only when no tail exponent is below 1."""
+    one = NestedSeries.one(1, F2)
+    window_zero = NestedSeries.zero(1, F2, 5)
+    assert series_substitute(one.truncate(2), {1: window_zero}) == one.truncate(10)
+    exact_zero = NestedSeries.zero(1, F2)
+    with pytest.raises(PrecisionExhausted):
+        series_substitute(NestedSeries.zero(1, F2, 0), {1: exact_zero})
+    f = (one + NestedSeries.variable(1, F2, 1)).truncate(3)
+    assert series_substitute(f, {1: exact_zero}) == one
+    # a negative tail exponent needs the image's order, not a bound for it
+    with pytest.raises(ZeroInput):
+        series_substitute(NestedSeries.zero(1, F2, -2), {1: window_zero})
+
+
+def test_substitution_without_images_is_a_tower_mismatch():
+    with pytest.raises(TowerMismatch, match="no images supplied"):
+        series_substitute(NestedSeries.one(1, F2), {})
+
+
+def test_repr_shows_every_window():
+    """Inner windows print, so a coefficient that is zero only within its
+    window no longer prints like the exact zero."""
+    inner = mono(1, F2, (1,)).truncate(5)
+    f = NestedSeries(2, F2, {-2: NestedSeries.zero(1, F2, 3), 1: inner}, 4)
+    assert repr(f) == "<series L2: (0 + O(T1^3))*T2^-2 + (1*T1^1 + O(T1^5))*T2^1 + O(T2^4)>"
+    assert repr(NestedSeries.zero(2, F2)) == "<series L2: 0>"
+    assert repr(mono(2, F2, (1, -2)) + mono(2, F2, (0, 3))) == "<series L2: 1*T1^1*T2^-2 + 1*T2^3>"
 
 
 def test_substitution_identity_images():
