@@ -13,8 +13,9 @@ machine drift falls on all trees alike.  Results must be equal across trees
 of two loaded packages do not compare with ``==``).
 
 The inputs are the same for every tree: for every ``(p, k, s, d)`` cell of
-the ``witt`` workload, ``VECTORS`` fixed seeded exact characters with 0..4
-monomials per component and top exponents in -4..2, the shape the workload
+the ``witt`` workload and the three-variable cell ``(2, 1, 2, 3)``,
+``VECTORS`` fixed seeded exact characters with 0..4 monomials per component,
+top exponents in -4..2 and lower ones in -2..2, the shape the workload
 draws.  Per cell, one figure per tree in the order of ``trees``:
 
 * ``us_per_sum``: the mean time of one two-vector sum ``a + b`` over the
@@ -45,12 +46,14 @@ from _trees import alternate, commit, load
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The cells of perfbench's ``witt`` workload, (p, k, s, d).
+# The cells of perfbench's ``witt`` workload, (p, k, s, d), and one
+# three-variable cell, where the flat maps take two inner digits.
 CELLS = tuple(
     (p, k, s, d)
     for p in (2, 3, 5) for k in (1, 2) for s in (1, 2) for d in (1, 2)
     if (p, k, s, d) != (5, 2, 2, 2)
-) + ((2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (3, 1, 3, 1), (2, 1, 4, 1), (2, 2, 4, 1))
+) + ((2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (3, 1, 3, 1), (2, 1, 4, 1), (2, 2, 4, 1),
+     (2, 1, 2, 3))
 VECTORS = 40
 PASSES = 7
 BATCH_SECONDS = 0.05  # each timing covers a batch of passes of about this length
@@ -58,7 +61,7 @@ BATCH_SECONDS = 0.05  # each timing covers a batch of passes of about this lengt
 
 def _vectors(rswan, cell):
     p, k, s, d = cell
-    tower = rswan.FieldTower(p, k, s, ("u", "t")[2 - d:])
+    tower = rswan.FieldTower(p, k, s, ("v", "u", "t")[3 - d:])
     dom = tower.field_domain
     rng = random.Random(f"witt_combine:{cell}")
     out = []

@@ -10,6 +10,7 @@ from .errors import (
     ConfigError,
     DegreeMismatch,
     DegreeOverflow,
+    ExponentOutOfRange,
     InconsistentValue,
     NonEmbedding,
     NonPerfectBase,
@@ -93,6 +94,7 @@ __all__ = [
     "ConfigError",
     "DegreeMismatch",
     "DegreeOverflow",
+    "ExponentOutOfRange",
     "InconsistentValue",
     "NonEmbedding",
     "NonPerfectBase",

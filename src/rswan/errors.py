@@ -24,6 +24,14 @@ class PrecisionExhausted(RswanError):
         self.exponent = exponent
 
 
+class ExponentOutOfRange(RswanError, ValueError):
+    """An exponent falls below the supported range of series exponents.
+
+    Also a ``ValueError``, so that callers catching ``ValueError`` for it
+    keep working.
+    """
+
+
 class TowerMismatch(RswanError):
     """Operands belong to different towers / levels / coefficient rings."""
 

@@ -47,7 +47,10 @@ and its lifts, ``k = deg f``) goes through a level-1 kernel.
   next and ``E`` determines every exponent; the top digit is
   ``floor(E / R_{d-1})``, so an outer ceiling ``c`` is the flat ceiling
   ``c R_{d-1}``.  One level-1 product runs, and its terms are unpacked into
-  nested maps, each inner series built once.
+  nested maps, each inner series built once.  The Witt layer's ghost
+  recursion is the second user of this flattening (:mod:`rswan.witt`,
+  "Arithmetic"): it writes its exact inputs once, with balanced digits
+  sized for the whole recursion, and runs every product on level-1 maps.
 
 What falls back to the dict loop ``_schoolbook_mul``, which stays as the
 reference: single-pair products; products at levels >= 2 with fewer than
@@ -114,6 +117,15 @@ iteration is faster on level-1 inputs of two to four terms at width 1024
 zero input raises ``ZeroInput``, an exact input of several terms with no
 width raises ``PrecisionExhausted``, and a single exact term inverts
 exactly.
+
+Over a lift ring ``(Z/p^s)[g]/(f)`` a level-1 series is a unit as soon as
+one coefficient is, even when the lowest is not.  Split ``a = N + H``: ``H``
+holds the terms from the lowest unit coefficient on, with the ceiling, and
+``N`` the terms below it, all in ``p R``.  Then ``(N H^-1)^s = 0`` and
+``a^-1 = H^-1 sum_{k<s} (-N H^-1)^k``, computed by the ring operations, so
+the windows propagate by the usual rules.  With no unit coefficient stored,
+an exact input raises ``ZeroInput`` (it is nilpotent) and a windowed one
+``PrecisionExhausted`` (its unknown tail decides).
 """
 
 from __future__ import annotations
@@ -122,7 +134,7 @@ import operator
 import sys
 from array import array
 
-from .errors import NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
+from .errors import ExponentOutOfRange, NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
 from .scalars import _QuotientDomain
 
 __all__ = [
@@ -148,10 +160,10 @@ def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None, *,
     The operands passed ``_check_compatible`` (or there is one operand), so
     the per-entry type and level checks of ``NestedSeries.__init__`` are
     skipped; zeros are still dropped, the ceiling still cuts and an exponent
-    below the supported range still raises ``ValueError``.  ``__init__``
-    passes itself as ``out`` once it has made those checks.  ``clean`` says
-    that ``coeffs`` holds no zero and nothing at or above the ceiling, as
-    the product kernels return it; it is then stored as it is.
+    below the supported range still raises :class:`ExponentOutOfRange`.
+    ``__init__`` passes itself as ``out`` once it has made those checks.
+    ``clean`` says that ``coeffs`` holds no zero and nothing at or above the
+    ceiling, as the product kernels return it; it is then stored as it is.
     """
     if not clean:
         kept = {}
@@ -177,7 +189,7 @@ def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None, *,
                     kept[e] = c
         coeffs = kept
     if coeffs and min(coeffs) < _ORD_FLOOR:
-        raise ValueError(f"exponent {min(coeffs)} below the supported range (>{_ORD_FLOOR})")
+        _refuse_below_floor(min(coeffs))
     if out is None:
         out = _new(NestedSeries)
     _set(out, "level", level)
@@ -185,6 +197,20 @@ def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None, *,
     _set(out, "coeffs", coeffs)
     _set(out, "ceiling", ceiling)
     return out
+
+
+def _is_lift_non_unit(domain, c) -> bool:
+    """Whether the raw scalar ``c`` lies in ``p (Z/p^s)[g]/(f)`` for a lift
+    ring (``s > 1``): a non-unit, nilpotent since ``p^s = 0``."""
+    return (isinstance(domain, _QuotientDomain) and domain.s > 1
+            and domain.is_zero(domain.reduce_mod_p(c)))
+
+
+def _refuse_below_floor(e: int):
+    """Raise :class:`ExponentOutOfRange` when ``e`` is below the supported
+    range of exponents."""
+    if e < _ORD_FLOOR:
+        raise ExponentOutOfRange(f"exponent {e} below the supported range (>{_ORD_FLOOR})")
 
 
 # Below this many term pairs the int loop is as fast as packing or faster;
@@ -370,7 +396,13 @@ def _flat_mul(level: int, domain, a: dict, b: dict, ceiling: int | None) -> dict
     _flatten(b, level, lows_b, weights, 0, flat_b)
     top = weights[level]
     flat = _level_one_mul(domain, flat_a, flat_b, None if ceiling is None else ceiling * top)
-    lows = [x + y for x, y in zip(lows_a, lows_b)]
+    return _unflatten(level, domain, flat, weights, [x + y for x, y in zip(lows_a, lows_b)])
+
+
+def _unflatten(level: int, domain, flat: dict, weights: list, lows: list) -> dict:
+    """Coefficient map at ``level >= 2`` of exact inner series from a flat
+    level-1 map whose exponents are ``sum_l (e_l - lows[l]) * weights[l]``
+    with every lower digit in ``[0, weights[l+1] / weights[l])``."""
     nested: dict = {}
     for e, c in flat.items():
         node = nested
@@ -736,6 +768,8 @@ class NestedSeries:
             raise ZeroInput("cannot invert a (window-)zero series")
         v = self.ord()
         lead = self.coeffs[v]
+        if self.level == 1 and _is_lift_non_unit(self.domain, lead):
+            return self._inv_past_a_nilpotent_head(precision)
         lead_inv = self.domain.inv(lead) if self.level == 1 else lead.inv(precision)
         if len(self.coeffs) == 1:
             out = NestedSeries(self.level, self.domain, {-v: lead_inv})
@@ -754,6 +788,33 @@ class NestedSeries:
         tail = sorted((e - v, c) for e, c in self.coeffs.items() if v < e < v + width)
         d = _inverse_by_recurrence(self.domain, lead_inv, tail, width)
         return _make(self.level, self.domain, {n - v: x for n, x in enumerate(d)}, -v + width)
+
+    def _inv_past_a_nilpotent_head(self, precision: int | None) -> "NestedSeries":
+        """Inverse at level 1 over a lift ring ``(Z/p^s)[g]/(f)`` whose
+        lowest stored coefficient is not a unit (module docstring,
+        "Inversion")."""
+        domain = self.domain
+        split = next((e for e in sorted(self.coeffs)
+                      if not _is_lift_non_unit(domain, self.coeffs[e])), None)
+        if split is None:
+            if self.ceiling is None:
+                raise ZeroInput("not a unit in the lift ring: no coefficient is a unit")
+            raise PrecisionExhausted(
+                "no stored coefficient is a unit; the unknown tail decides whether "
+                "the series is one",
+                exponent=self.ceiling,
+            )
+        head = _make(1, domain, {e: c for e, c in self.coeffs.items() if e < split}, None,
+                     clean=True)
+        rest = _make(1, domain, {e: c for e, c in self.coeffs.items() if e >= split},
+                     self.ceiling, clean=True)
+        rest_inv = rest.inv(precision)
+        step = -(head * rest_inv)
+        total = term = NestedSeries.one(1, domain)
+        for _ in range(1, domain.s):
+            term = term * step
+            total = total + term
+        return rest_inv * total
 
     # --------------------------------------------------- characteristic-p maps
     def frobenius(self, times: int = 1) -> "NestedSeries":

@@ -11,31 +11,69 @@ so ``comps[i]`` carries weight ``p^i``: a polar term of order ``-m`` in
 
 Arithmetic
 ----------
-Sums, negations and integer combinations are computed instance-wise through
-ghost components (:func:`ghost_component`).  The field coefficients are
-lifted to the tower's own lift ring ``Z/p^s`` (``tower.lift_domain``) by a
-relabel: a raw residue of ``F_q`` (ints below ``p``, one per power of
-``g``) is already a raw residue of ``Z/p^s``, so only the domain changes.
-The combined ghost vector is unwound by the usual recursion
+Sums, negations and integer combinations are computed through ghost
+components.  The field coefficients are lifted to the tower's own lift ring
+``Z/p^s`` (``tower.lift_domain``) by a relabel: a raw residue of ``F_q``
+(ints below ``p``, one per power of ``g``) is already a raw residue of
+``Z/p^s``, so only the domain changes.  The combined ghost vector is unwound
+by the recursion (M. Hazewinkel, arXiv:0804.3888, sec. 5)
 
     z_n = (W_n - sum_{i<n} p^i z_i^{p^(n-i)}) / p^n,
 
-and the result is reduced mod p.  Each ghost index ``n`` is one integer
-linear combination (:func:`rswan.series.linear_combination`, which sums
-every exponent in plain ints and reduces once) of the terms
+written once (``_ghost_recursion``): each ghost index ``n`` sums the terms
 ``c_j p^i x_{j,i}^(p^(n-i))`` of every input ``j`` with ``c_j`` nonzero mod
-``p^s`` and the terms ``-p^i z_i^(p^(n-i))``; a term whose multiplier
-``c_j p^i`` vanishes mod ``p^s`` is exactly zero and adds only its top
-ceiling.  The division by ``p^n`` is one exact division of the raw ints,
-and a remainder is an internal error.  Length ``s`` is enough: ``z_n mod
-p`` needs ``W_n mod p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p
-(mod p^(k+1))``, so ``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on
-``z_i mod p``.
+``p^s`` and the terms ``-p^i z_i^(p^(n-i))``, then divides the raw ints
+exactly by ``p^n``; a remainder is an internal error.  The results are
+reduced mod p.  Length ``s`` is enough: ``z_n mod p`` needs ``W_n mod
+p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p (mod p^(k+1))``, so
+``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on ``z_i mod p``.
 The last ghost component ``W_{s-1}`` of a vector is the paper's ``theta``
-(:func:`rswan.reciprocity.theta_lift`).
-Length-1 vectors are one linear combination of their components, which also
-serves coefficient domains without a stored lift ring (rational-function
-scalars).
+(:func:`rswan.reciprocity.theta_lift`).  Length-1 vectors are one linear
+combination of their components, which also serves coefficient domains
+without a stored lift ring (rational-function scalars).
+
+The recursion runs on one of two representations of its series.
+
+* **Flat raw maps** (``_flat_combine``), when every component of every
+  kept input is exact at every level; this is the gate
+  :func:`rswan.series._flat_mul` applies.  Each component is written once
+  as a level-1 map of raw coefficients by the Kronecker substitution
+  ``(e_1, ..., e_d) -> e_d W_d + sum_{l<d} e_l W_l`` with balanced digits:
+  ``W_1 = 1``, ``W_{l+1} = W_l (2 B_l + 1)`` and ``B_l = max_{j,i}
+  p^(s-1-i) max |e_l(x_{j,i})|`` over the kept inputs (standard index
+  ``i``).  The map sends monomials to monomials multiplicatively, so it is
+  a ring homomorphism and the recursion runs on its image: powers by
+  square-and-multiply over :func:`rswan.series._level_one_mul`, each ghost
+  index one sum in plain ints, reduced once.  The ``s`` results are
+  reduced mod p, decoded (add ``sum_l B_l W_l``, then read the digits) and
+  each result series is built once.  At ``d = 1`` the map is the identity.
+* **Series** otherwise (a window at any level): each ghost index is one
+  :func:`rswan.series.linear_combination`, which sums every exponent in
+  plain ints and reduces once; a term whose multiplier ``c_j p^i``
+  vanishes mod ``p^s`` is exactly zero and adds only its top ceiling.
+
+*No digit carries.*  Decoding is exact when every monomial of every product
+the recursion forms has level-``l`` exponents in ``[-B_l, B_l]`` for
+``l < d``: the map is injective on that box.  Give ``x_{j,i}`` the weight
+``p^i``.  By induction on ``n`` every monomial of ``z_n`` is a product of
+monomials of the inputs, ``a_{j,i}`` of them from ``x_{j,i}``, with
+``sum a_{j,i} p^i = p^n``: so are those of ``W_n`` and of each
+``z_i^(p^(n-i))``, and the sum, the division and the reduction add no
+monomial.  Since ``max |e_l(x_{j,i})| <= p^(i-s+1) B_l``, such a monomial
+has ``|e_l| <= sum a_{j,i} p^(i-s+1) B_l = p^(n-s+1) B_l``.  A power
+``y^(p^(n-i))`` of a component or of ``z_i``, and every partial product of
+its square-and-multiply, is a product of at most ``p^(n-i)`` monomials of
+weight ``p^i``, so its exponents are bounded by ``p^(n-s+1) B_l <= B_l``
+for ``n <= s - 1``.  The ghost sums only add such monomials.
+
+*The exponent floor.*  The deepest exponent the series path forms at a
+level is ``p^(s-1-i)`` times slot ``i``'s lowest exponent there, minimized
+over the kept slots: every monomial is bounded below as above, and the
+slot's own last ghost power ``x_{j,i}^(p^(s-1-i))`` reaches it (the part of
+``x`` at its lowest level-``l`` exponent has unit coefficients, so its
+power is not zero mod ``p``).  The flat engine refuses with
+:class:`~rswan.errors.ExponentOutOfRange` exactly when that exponent is
+below the supported range, as the series path does.
 
 Reduction
 ---------
@@ -65,6 +103,7 @@ it ends, because every pushed exponent is larger and still negative.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -75,7 +114,16 @@ from .errors import (
     ZeroInput,
 )
 from .scalars import galois_ring_domain
-from .series import NestedSeries, _make, linear_combination
+from .series import (
+    NestedSeries,
+    _flatten,
+    _inner_extent,
+    _level_one_mul,
+    _make,
+    _refuse_below_floor,
+    _unflatten,
+    linear_combination,
+)
 from .tower import FieldTower
 
 __all__ = [
@@ -119,15 +167,22 @@ def reduce_series(a: NestedSeries, field_domain) -> NestedSeries:
     return _map_raw(a, a.domain.reduce_mod_p, field_domain)
 
 
-# --------------------------------------------------------------- raw engine
+# ------------------------------------------------------------ ghost recursion
 
-def _ghost_terms(xs, n: int, p: int, c: int, out: list) -> list:
-    """Append ``(c * p^i, xs[i]^(p^(n-i)))`` to ``out`` for the components
-    ``i <= n`` present in ``xs`` that are not exactly zero."""
-    for i, x in enumerate(xs[: n + 1]):
-        if x.coeffs or x.ceiling is not None:
-            out.append((c * p**i, x.pow(p ** (n - i))))
-    return out
+def _ghost_terms(xs, n: int, p: int, c: int) -> list:
+    """``(c * p^i, x_i, p^(n-i))`` for the standard-order components
+    ``x_i``, ``i <= n``, of ``xs``: the terms ``c p^i x_i^(p^(n-i))`` of
+    ``c W_n``."""
+    return [(c * p**i, x, p ** (n - i)) for i, x in enumerate(xs[: n + 1])]
+
+
+def _series_ghost_sum(level: int, domain, terms) -> NestedSeries:
+    """``sum c * x^e`` over ``(c, x, e)`` terms of series, as one
+    :func:`~rswan.series.linear_combination`; exactly zero ``x`` are
+    skipped."""
+    return linear_combination(
+        level, domain, [(c, x.pow(e)) for c, x, e in terms if not x.is_exact_zero()]
+    )
 
 
 def ghost_component(xs, n: int, p: int, zero: NestedSeries) -> NestedSeries:
@@ -135,7 +190,24 @@ def ghost_component(xs, n: int, p: int, zero: NestedSeries) -> NestedSeries:
     components ``xs`` present (all of them when ``len(xs) <= n``), as one
     :func:`~rswan.series.linear_combination`; exactly zero components are
     skipped."""
-    return linear_combination(zero.level, zero.domain, _ghost_terms(xs, n, p, 1, [(1, zero)]))
+    return _series_ghost_sum(zero.level, zero.domain, [(1, zero, 1)] + _ghost_terms(xs, n, p, 1))
+
+
+def _ghost_recursion(vectors, s: int, p: int, ghost_sum) -> list:
+    """``[z_0, ..., z_{s-1}]`` for ``(c_j, xs_j)`` pairs of multipliers and
+    standard-order components: ``z_n = (sum_j c_j W_n(xs_j) - sum_{i<n} p^i
+    z_i^(p^(n-i))) / p^n`` (module docstring, "Arithmetic").
+    ``ghost_sum(terms, q)`` sums the ``(c, x, e)`` terms ``c x^e`` of one
+    representation (series or flat raw maps) and divides the sum by ``q``.
+    """
+    z: list = []
+    for n in range(s):
+        terms: list = []
+        for cj, xs in vectors:
+            terms += _ghost_terms(xs, n, p, cj)
+        terms += _ghost_terms(z, n, p, -1)
+        z.append(ghost_sum(terms, p**n))
+    return z
 
 
 def witt_combine(comps_list, ints, p: int):
@@ -143,10 +215,10 @@ def witt_combine(comps_list, ints, p: int):
 
     Each entry of ``comps_list`` is a component tuple in internal order; all
     must share one length and one coefficient domain.  Length 1 is one
-    linear combination of the components; longer vectors go through ghost
-    components over the length-``s`` lift ring, one linear combination per
-    ghost index (module docstring, "Arithmetic"), and need finite-field
-    coefficients.
+    linear combination of the components; longer vectors go through the
+    ghost recursion over the length-``s`` lift ring and need finite-field
+    coefficients: on flat raw maps when every component is exact, else on
+    series (module docstring, "Arithmetic").
     """
     if not comps_list:
         raise InconsistentValue("nothing to combine")
@@ -167,19 +239,17 @@ def witt_combine(comps_list, ints, p: int):
             "length-s Witt arithmetic needs finite-field coefficients"
         )
     lift = galois_ring_domain(p, domain.k, s)
-    # standard order (x_0 first), lifted coefficientwise
-    vectors = [
-        (cj, [lift_series(x, lift) for x in reversed(comps)])
-        for cj, comps in zip(ints, comps_list)
-        if cj % lift.modulus
-    ]
-    z: list[NestedSeries] = []
-    for n in range(s):
-        terms: list = []
-        for cj, lx in vectors:
-            _ghost_terms(lx, n, p, cj, terms)
-        _ghost_terms(z, n, p, -1, terms)
-        z.append(_divide_by_int(linear_combination(level, lift, terms), p**n))
+    # standard order (x_0 first); an input whose multiplier vanishes mod p^s
+    # takes no part
+    kept = [(cj, comps[::-1]) for cj, comps in zip(ints, comps_list) if cj % lift.modulus]
+    flat = _flat_components(kept, s, p, level)
+    if flat is not None:
+        return _flat_combine(flat, s, p, level, lift, domain)
+    vectors = [(cj, [lift_series(x, lift) for x in xs]) for cj, xs in kept]
+    z = _ghost_recursion(
+        vectors, s, p,
+        lambda terms, q: _divide_by_int(_series_ghost_sum(level, lift, terms), q),
+    )
     return tuple(reversed([reduce_series(zi, domain) for zi in z]))
 
 
@@ -194,13 +264,145 @@ def _divide_by_int(a: NestedSeries, n: int) -> NestedSeries:
         cs = domain.coeffs(x)
         for c in cs:
             if c % n:
-                raise RswanError(
-                    "ghost recursion produced a coefficient not divisible "
-                    f"by {n} (internal error)"
-                )
+                raise _not_divisible(n)
         return cs[0] // n if domain.k == 1 else tuple([c // n for c in cs])
 
     return _map_raw(a, div_raw, domain)
+
+
+def _not_divisible(n: int) -> RswanError:
+    return RswanError(
+        f"ghost recursion produced a coefficient not divisible by {n} (internal error)"
+    )
+
+
+# --------------------------------------------------------- flat raw engine
+
+def _digit_radix(bound: int) -> int:
+    """Radix of a balanced digit in ``[-bound, bound]``."""
+    return 2 * bound + 1
+
+
+def _flat_components(kept, s: int, p: int, level: int):
+    """``(vectors, weights, lows)``: the ``(c_j, xs_j)`` pairs with each
+    component written as one flat level-1 map of raw coefficients, and the
+    digit weights and offsets that decode it (module docstring,
+    "Arithmetic"); ``None`` when some component has a window at any level.
+
+    Refuses, as the series path does, an input whose last ghost power would
+    reach below the supported exponent range.
+    """
+    if level == 1:
+        deepest = 0
+        for _, xs in kept:
+            for i, x in enumerate(xs):
+                if x.ceiling is not None:
+                    return None
+                if x.coeffs:
+                    # the lowest exponent of x's last ghost power
+                    deepest = min(deepest, p ** (s - 1 - i) * min(x.coeffs))
+        _refuse_below_floor(deepest)
+        return [(cj, [x.coeffs for x in xs]) for cj, xs in kept], None, None
+    deepest = [0] * (level + 1)
+    bounds = [0] * level  # bounds[l], 0 < l < level: B_l
+    for _, xs in kept:
+        for i, x in enumerate(xs):
+            if x.ceiling is not None:
+                return None
+            if not x.coeffs:
+                continue
+            q = p ** (s - 1 - i)  # the exponent of x's last ghost power
+            lows = [0] + [sys.maxsize] * (level - 1) + [min(x.coeffs)]
+            highs = [0] + [-sys.maxsize] * level
+            if not _inner_extent(x.coeffs, level, lows, highs):
+                return None
+            for l in range(1, level):
+                bounds[l] = max(bounds[l], q * max(-lows[l], highs[l]))
+            for l in range(1, level + 1):
+                deepest[l] = min(deepest[l], q * lows[l])
+    _refuse_below_floor(min(deepest))
+    weights = [0, 1]
+    for l in range(1, level):
+        weights.append(weights[l] * _digit_radix(bounds[l]))
+    zeros = [0] * (level + 1)
+    vectors = []
+    for cj, xs in kept:
+        flats = []
+        for x in xs:
+            out: dict = {}
+            _flatten(x.coeffs, level, zeros, weights, 0, out)
+            flats.append(out)
+        vectors.append((cj, flats))
+    return vectors, weights, [0] + [-b for b in bounds[1:]] + [0]
+
+
+def _raw_pow(domain, x: dict, n: int) -> dict:
+    """``x^n`` for ``n >= 1`` by square-and-multiply over
+    :func:`~rswan.series._level_one_mul` (exact: no ceiling)."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = x if acc is None else _level_one_mul(domain, acc, x, None)
+        n >>= 1
+        if not n:
+            return acc
+        x = _level_one_mul(domain, x, x, None)
+
+
+def _flat_combine(flat, s: int, p: int, level: int, lift, field):
+    """:func:`witt_combine` of exact components, the ghost recursion run on
+    the flat raw maps of :func:`_flat_components`; each result series is
+    built once."""
+    vectors, weights, lows = flat
+    m, k = lift.modulus, lift.k
+
+    def powers(terms):
+        """``(c mod p^s, x^e)`` for the terms with ``c`` nonzero mod ``p^s``
+        and ``x`` not exactly zero."""
+        for c, x, e in terms:
+            c %= m
+            if c and x:
+                yield c, _raw_pow(lift, x, e)
+
+    def ghost_sum(terms, q):
+        acc: dict = {}
+        out = {}
+        if k == 1:
+            for c, power in powers(terms):
+                for ex, v in power.items():
+                    acc[ex] = acc[ex] + c * v if ex in acc else c * v
+            for ex, v in acc.items():
+                v %= m
+                if v:
+                    if v % q:
+                        raise _not_divisible(q)
+                    out[ex] = v // q
+            return out
+        for c, power in powers(terms):  # one int per g-coordinate
+            for ex, v in power.items():
+                if ex in acc:
+                    acc[ex] = [a + c * b for a, b in zip(acc[ex], v)]
+                else:
+                    acc[ex] = [c * b for b in v]
+        for ex, v in acc.items():
+            v = [a % m for a in v]
+            if any(v):
+                if any(a % q for a in v):
+                    raise _not_divisible(q)
+                out[ex] = tuple([a // q for a in v])
+        return out
+
+    results = []
+    half = 0 if level == 1 else sum(-lo * w for lo, w in zip(lows[1:level], weights[1:level]))
+    for zi in reversed(_ghost_recursion(vectors, s, p, ghost_sum)):
+        if k == 1:
+            reduced = {ex + half: r for ex, v in zi.items() if (r := v % p)}
+        else:
+            reduced = {ex + half: r for ex, v in zi.items() if any(r := tuple([a % p for a in v]))}
+        if level > 1:
+            reduced = _unflatten(level, field, reduced, weights, lows)
+        results.append(_make(level, field, reduced, None, clean=True))
+    return tuple(results)
 
 
 def witt_frobenius(comps):

@@ -26,10 +26,12 @@ import pytest
 import rswan.series
 
 from rswan.errors import (
+    ExponentOutOfRange,
     InconsistentValue,
     NoPthRoot,
     ParseError,
     PrecisionExhausted,
+    RswanError,
     TowerMismatch,
     UnknownVariable,
     ZeroInput,
@@ -164,6 +166,42 @@ def test_inverse_random_certified():
                 continue
             inv = f.inv(24)
             assert (f * inv).agrees_with(one)
+
+
+def test_lift_ring_inverse_past_a_non_unit_lead():
+    """Over a lift ring a series with a unit coefficient is a unit even when
+    its lowest coefficient is not: ``(2u + u^2)^-1 = u^-2 + 6u^-3 + 4u^-4``
+    over Z/8, and seeded series with a nilpotent head over Z/8, Z/9[g] and
+    Z/16[g] invert on their windows."""
+    z8 = galois_ring_domain(2, 1, 3)
+    a = NestedSeries(1, z8, {1: 2, 2: 1})
+    inv = a.inv(8)
+    assert inv.agrees_with(NestedSeries(1, z8, {-2: 1, -3: 6, -4: 4}))
+    assert (a * inv).agrees_with(NestedSeries.one(1, z8))
+    rng = random.Random("nilpotent head")
+    for dom in (z8, galois_ring_domain(3, 2, 2), galois_ring_domain(2, 2, 4)):
+        one = NestedSeries.one(1, dom)
+        for _ in range(8):
+            v = rng.randint(-4, 2)
+            coeffs = {e: dom.mul_int(dom.random_nonzero(rng), dom.p) for e in range(v, v + 3)}
+            u = v + 3
+            for e in [u] + rng.sample(range(u + 1, u + 5), rng.randint(0, 2)):
+                coeffs[e] = dom.lift_from_field(fq_domain(dom.p, dom.k).random_nonzero(rng))
+            f = NestedSeries(1, dom, coeffs, rng.choice((None, u + 6)))
+            prod = f * f.inv(24)
+            assert prod.agrees_with(one)
+            if f.ceiling is None:
+                assert prod.ceiling is None or prod.ceiling > 0
+
+
+def test_lift_ring_inverse_without_a_unit_coefficient_refuses():
+    """No stored unit coefficient: an exact series is nilpotent, and a
+    windowed one leaves it to the unknown tail."""
+    z8 = galois_ring_domain(2, 1, 3)
+    with pytest.raises(ZeroInput):
+        NestedSeries(1, z8, {1: 2, 3: 4}).inv(8)
+    with pytest.raises(PrecisionExhausted):
+        NestedSeries(1, z8, {1: 2, 3: 4}, 5).inv(8)
 
 
 def newton_inverse_oracle(a, precision=None):
@@ -987,6 +1025,15 @@ def test_linear_combination_edge_cases():
     assert linear_combination(2, z4, [(1, exact), (-1, exact)]) == NestedSeries.zero(2, z4)
     assert linear_combination(2, z4, [(2, exact)]) == NestedSeries(
         2, z4, {-2: NestedSeries(1, z4, {1: 2})})
+
+
+def test_the_exponent_floor_error_is_typed():
+    """Below the floor the library raises ``ExponentOutOfRange``, one of its
+    own errors and still a ``ValueError``."""
+    deep = mono(1, F2, (-6000,))
+    with pytest.raises(ExponentOutOfRange, match="below the supported range") as caught:
+        deep * deep
+    assert isinstance(caught.value, RswanError) and isinstance(caught.value, ValueError)
 
 
 def test_linear_combination_refuses_mixed_rings_and_the_exponent_floor(monkeypatch):

@@ -22,7 +22,9 @@ from math import comb
 import pytest
 
 from rswan import witt
+import rswan.series
 from rswan.errors import (
+    ExponentOutOfRange,
     InconsistentValue,
     PrecisionExhausted,
     RswanError,
@@ -401,6 +403,107 @@ def test_windowed_combinations_match_the_uncombined_oracle(monkeypatch):
         nested.append(WittVector(tower, tuple(comps)))
     assert_combinations_match_the_oracle(monkeypatch, nested)
     assert reductions
+
+
+def edge_vector(rng, tower):
+    """Every component holds a monomial with every inner exponent -2 and
+    one with every inner exponent +2, plus 0..2 others: the last ghost
+    power of each slot reaches the flat engine's digit bound at every
+    inner level."""
+    dom, d = tower.field_domain, tower.d
+    comps = []
+    for _ in range(tower.s):
+        inner = [(-2,) * (d - 1), (2,) * (d - 1)]
+        inner += [tuple(rng.randint(-2, 2) for _ in range(d - 1)) for _ in range(rng.randint(0, 2))]
+        comps.append(NestedSeries.from_monomials(d, dom, [
+            (exps + (rng.randint(-3, 2),), dom.random_nonzero(rng)) for exps in inner
+        ]))
+    return tuple(comps)
+
+
+EDGE_CELLS = [(2, s, ("v", "u", "t")) for s in (2, 3, 4)] + [(3, s, ("u", "t")) for s in (2, 3)]
+
+
+def edge_combinations():
+    """Seeded two- and three-vector combinations over the edge cells."""
+    for p, s, names in EDGE_CELLS:
+        tower = FieldTower(p, 1, s, names)
+        rng = random.Random(f"flat edge:{p}:{s}:{len(names)}")
+        for _ in range(3):
+            vecs = [edge_vector(rng, tower) for _ in range(rng.randint(2, 3))]
+            yield vecs, [rng.choice((1, -1, 3, 5, -7)) for _ in vecs], p
+
+
+def combine_or_error(combine, comps_list, ints, p):
+    try:
+        return combine(comps_list, ints, p)
+    except RswanError as exc:
+        return type(exc)
+
+
+def test_the_flattening_bound_is_tight(monkeypatch):
+    """At the digit bound ``B_l`` of every inner level the flat engine
+    equals the series oracle; with radix ``2 B_l``, one too small, some
+    combination comes out different, so this test has power."""
+    cases = list(edge_combinations())
+    for comps_list, ints, p in cases:
+        assert witt_combine(comps_list, ints, p) == uncombined_witt_oracle(comps_list, ints, p)
+    monkeypatch.setattr(witt, "_digit_radix", lambda bound: 2 * bound)
+    differ = sum(
+        combine_or_error(witt_combine, comps_list, ints, p)
+        != uncombined_witt_oracle(comps_list, ints, p)
+        for comps_list, ints, p in cases
+    )
+    assert differ
+
+
+def test_the_flat_engine_refuses_what_the_series_path_refuses(monkeypatch):
+    """With the exponent floor raised to -20, a combination refuses with
+    ``ExponentOutOfRange`` exactly when the series oracle does: when some
+    slot's last ghost power, ``p^(s-1-i)`` times its lowest exponent at
+    some level, reaches below the floor."""
+    monkeypatch.setattr(rswan.series, "_ORD_FLOOR", -20)
+    rng = random.Random("flat floor")
+    outcomes = set()
+    for p, s, d in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2)):
+        tower = FieldTower(p, 1, s, ("u", "t")[2 - d:])
+        dom = tower.field_domain
+        for _ in range(12):
+            vecs = [
+                tuple(
+                    NestedSeries.from_monomials(d, dom, [
+                        (tuple(rng.randint(-12, 2) for _ in range(d)), dom.random_nonzero(rng))
+                        for _ in range(rng.randint(0, 2))
+                    ])
+                    for _ in range(s)
+                )
+                for _ in range(2)
+            ]
+            got = combine_or_error(witt_combine, vecs, [1, 1], p)
+            assert got == combine_or_error(uncombined_witt_oracle, vecs, [1, 1], p)
+            outcomes.add(got if isinstance(got, type) else tuple)
+    assert outcomes == {ExponentOutOfRange, tuple}
+    assert issubclass(ExponentOutOfRange, ValueError)
+
+
+def test_the_flat_engine_checks_each_division(monkeypatch):
+    """A ghost power off by one at one exponent leaves a ghost sum that
+    ``p`` does not divide: an internal error, not a wrong answer."""
+    raw_pow = witt._raw_pow
+    perturbed = []
+
+    def off_by_one(domain, x, n):
+        out = raw_pow(domain, x, n)
+        if n > 1 and not perturbed:
+            e = min(out)
+            perturbed.append(e)
+            out = {**out, e: domain.add(out[e], domain.one())}
+        return out
+
+    monkeypatch.setattr(witt, "_raw_pow", off_by_one)
+    with pytest.raises(RswanError, match="not divisible"):
+        vec(K2s2, "t^-1", "t^-3") + vec(K2s2, "t^-2", "t^-1")
+    assert perturbed
 
 
 def test_a_component_zero_within_an_inner_window_keeps_its_window():
