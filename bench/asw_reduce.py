@@ -1,45 +1,25 @@
 """Layer bench: character reduction (``asw_reduce``) over the ``witt`` workload cells.
 
-    python3 bench/asw_reduce.py OUT [SRC ...]
-
-Run it from the repository root; it uses only the standard library.  Each
-``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
-checkout's ``src``); pass the ``src`` of another checkout to put its figures
-beside these.  All trees are imported into this one process, each under its
-own package name, and timed in alternation: every pass times each cell for
-every tree before moving on, and the tree order flips from pass to pass, so
-machine drift falls on all trees alike.
-
 The vectors are the same for every tree: for every ``(p, k, s, d)`` cell of
 the ``witt`` workload, ``VECTORS`` fixed seeded exact characters with 0..4
 monomials per component and top exponents in -4..2, the shape the workload
-draws.  Per cell, one figure per tree in the order of ``trees``:
+draws.  Per cell, one figure per tree:
 
 * ``answered`` and ``errors``: reductions that returned, and the failures by
   kind (``RswanError`` internal errors, ``PrecisionExhausted``);
 * ``combine_calls`` and ``combine_max``: ``witt_combine`` calls over all the
   cell's reductions, and the most in one reduction;
 * ``us_per_reduce``: the mean time of one ``asw_reduce`` call over the
-  cell's vectors, failures included; the median over ``PASSES`` passes, each
-  timing a batch of whole passes over the vectors.
-
-The JSON written to ``OUT`` (required, so that no run overwrites a committed
-``BENCH_<n>.json`` by default) records each tree's commit
-(``git describe --always --dirty``), the Python version and the machine.
+  cell's vectors, failures included, from ``PASSES`` alternating passes,
+  each timing a batch of whole passes over the vectors (``bench/_trees.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import random
 import sys
-from pathlib import Path
 
-from _trees import alternate, commit, load
-
-ROOT = Path(__file__).resolve().parent.parent
+from _trees import alternate, main
 
 # The cells of perfbench's ``witt`` workload, (p, k, s, d).
 CELLS = tuple(
@@ -107,8 +87,7 @@ def _count(rswan, vectors) -> dict:
     }
 
 
-def measure(srcs: list[str]) -> dict:
-    trees = [load(src, index) for index, src in enumerate(srcs)]
+def measure(trees) -> dict:
     vectors = {cell: [_vectors(tree, cell) for tree in trees] for cell in CELLS}
     calls = {
         cell: [
@@ -127,28 +106,8 @@ def measure(srcs: list[str]) -> dict:
             **{field: [c[field] for c in counts] for field in counts[0]},
             "us_per_reduce": [round(t * 1e6 / VECTORS, 1) for t in seconds[cell]],
         })
-    return {"trees": [{"commit": commit(src)} for src in srcs], "cells": rows}
-
-
-def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 bench/asw_reduce.py OUT [SRC ...]", file=sys.stderr)
-        return 2
-    out_path = Path(argv[0])
-    srcs = argv[1:] or [str(ROOT / "src")]
-    result = {
-        "bench": "asw_reduce",
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
-        "vectors_per_cell": VECTORS,
-        "passes": PASSES,
-        **measure(srcs),
-    }
-    text = json.dumps(result, indent=2)
-    out_path.write_text(text + "\n")
-    print(text)
-    return 0
+    return {"cells": rows}
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(__file__, measure, {"vectors_per_cell": VECTORS, "passes": PASSES}))

@@ -1,18 +1,7 @@
 """Layer bench: the conductor-change path (inversion, reduction, the formula).
 
-    python3 bench/conductor_change.py OUT [SRC ...]
-
-Run it from the repository root; it uses only the standard library.  Each
-``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
-checkout's ``src``); pass the ``src`` of another checkout to put its figures
-beside these.  All trees are imported into this one process, each under its
-own package name, and timed in alternation: every pass times each cell for
-every tree before moving on, and the tree order flips from pass to pass, so
-machine drift falls on all trees alike.  Results must be equal across trees
-(checked by exponents, raw scalars and the ceiling at every level: series
-of two loaded packages do not compare with ``==``).
-
-Three sections, with one figure per tree in the order of ``trees``:
+Results must be equal across trees (checked), error kinds by name.  Three
+sections, with one figure per tree:
 
 * ``inv``: ``NestedSeries.inv`` over ``F_2``, ``F_9`` and ``Z/16``;
   ``inv_us`` per tree.  At level 1, an exact series with ``terms`` stored
@@ -33,25 +22,16 @@ Three sections, with one figure per tree in the order of ``trees``:
   kind) of ``extensions.conductor_change``, and ``us_per_change``, the
   mean time of one call, failures included.
 
-Each time is the median over ``PASSES`` passes, each timing a batch of
-calls of about ``BATCH_SECONDS``.  The JSON written to ``OUT`` (required,
-so that no run overwrites a committed ``BENCH_<n>.json`` by default)
-records each tree's commit (``git describe --always --dirty``), the Python
-version and the machine.
+Each time comes from ``PASSES`` alternating passes, each timing a batch of
+calls of about ``BATCH_SECONDS`` (``bench/_trees.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import random
 import sys
-from pathlib import Path
 
-from _trees import alternate, commit, load
-
-ROOT = Path(__file__).resolve().parent.parent
+from _trees import alternate, main, same
 
 DOMAINS = {"F_2": (2, 1, 1), "F_9": (3, 2, 1), "Z/16": (2, 1, 4)}
 WIDTHS = (4, 16, 64, 256, 1024)
@@ -99,23 +79,13 @@ def _inv_input(rswan, name, level, width, terms):
     return _series(rswan, dom, random.Random(seed), level, width, terms)
 
 
-def _form(a):
-    """A tree-independent form of a series: the ceiling, exponents and raw
-    scalars at every level."""
-    if a.level == 1:
-        return a.ceiling, sorted(a.coeffs.items())
-    return a.ceiling, [(e, _form(c)) for e, c in sorted(a.coeffs.items())]
-
-
 def _inv_section(trees):
     calls = {}
     for cell in _grid():
         width = cell[2]
         inputs = [_inv_input(tree, *cell) for tree in trees]
         calls[cell] = [(lambda a=a, w=width: a.inv(w)) for a in inputs]
-        forms = [_form(fn()) for fn in calls[cell]]
-        if any(f != forms[0] for f in forms):
-            raise SystemExit(f"inverse of {cell}: results differ between trees")
+        same(f"inverse of {cell}", [fn() for fn in calls[cell]])
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
     return [
         {"domain": name, "level": level, "width": width, "terms": terms,
@@ -182,11 +152,12 @@ def _change(rswan, ext, vec):
 
 
 def _outcome(result):
-    """A tree-independent form of a reduction or a report (or an error kind)."""
+    """What the trees must agree on: an error kind, a reduced character's
+    components or a report's fields."""
     if isinstance(result, str):
         return result
     if hasattr(result, "vector"):
-        return [(c.coeffs, c.ceiling) for c in result.vector.comps]
+        return result.vector.comps
     return (result.e, result.delta, result.sw_source, result.sw_target, result.status)
 
 
@@ -196,10 +167,9 @@ def _embed_section(trees):
               for cell in EMBED_CELLS}
     calls = {}
     for cell in EMBED_CELLS:
-        reduced = [[_outcome(_reduce(tree, v)) for v in vecs]
-                   for tree, vecs in zip(trees, pulled[cell])]
-        if any(r != reduced[0] for r in reduced):
-            raise SystemExit(f"cell {cell}: reduced characters differ between trees")
+        same(f"reduced characters of cell {cell}",
+             [[_outcome(_reduce(tree, v)) for v in vecs]
+              for tree, vecs in zip(trees, pulled[cell])])
         calls["asw_reduce", cell] = [
             (lambda tree=tree, vecs=vecs: [_reduce(tree, v) for v in vecs])
             for tree, vecs in zip(trees, pulled[cell])
@@ -214,8 +184,7 @@ def _embed_section(trees):
         p, s = cell
         outcomes = [[_outcome(_change(tree, *u)) for u in us]
                     for tree, us in zip(trees, units[cell])]
-        if any(o != outcomes[0] for o in outcomes):
-            raise SystemExit(f"cell {cell}: conductor-change reports differ between trees")
+        same(f"conductor-change reports of cell {cell}", outcomes)
         errors: dict = {}
         for o in outcomes[0]:
             if isinstance(o, str):
@@ -233,37 +202,15 @@ def _embed_section(trees):
     return reduce_rows, change_rows
 
 
-def measure(srcs: list[str]) -> dict:
-    trees = [load(src, index) for index, src in enumerate(srcs)]
+def measure(trees) -> dict:
     inv_rows = _inv_section(trees)
     reduce_rows, change_rows = _embed_section(trees)
     return {
-        "trees": [{"commit": commit(src)} for src in srcs],
         "inv": inv_rows,
         "asw_reduce": reduce_rows,
         "conductor_change": change_rows,
     }
 
 
-def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 bench/conductor_change.py OUT [SRC ...]", file=sys.stderr)
-        return 2
-    out_path = Path(argv[0])
-    srcs = argv[1:] or [str(ROOT / "src")]
-    result = {
-        "bench": "conductor_change",
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
-        "units_per_cell": UNITS,
-        "passes": PASSES,
-        **measure(srcs),
-    }
-    text = json.dumps(result, indent=2)
-    out_path.write_text(text + "\n")
-    print(text)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(__file__, measure, {"units_per_cell": UNITS, "passes": PASSES}))

@@ -1,16 +1,7 @@
 """Layer bench: series products at levels 1, 2 and 3.
 
-    python3 bench/series_mul.py OUT [SRC ...]
-
-Run it from the repository root; it uses only the standard library.  Each
-``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
-checkout's ``src``); pass the ``src`` of another checkout to put its figures
-beside these.  All trees are imported into this one process, each under its
-own package name, and timed in alternation (``bench/_trees.py``).  Products
-must be equal across trees (checked).
-
-Sections, with one figure per tree in the order of ``trees`` where a key
-ends in ``_us``:
+Products must be equal across trees (checked).  Sections, with one figure
+per tree where a key ends in ``_us``:
 
 * ``products``: dense level-1 products at widths 16 and 64 over ``(p, k, s)``
   in ``(2,1,1)``, ``(3,2,1)`` and ``(2,1,4)``, exact and with a window;
@@ -35,27 +26,18 @@ ends in ``_us``:
   flat_us`` over the cells with that count, and the smallest count from
   which that median stays above 1; ``series._FLAT_MIN_PAIRS`` is that count.
 
-Each time is the median over ``PASSES`` passes, each timing a batch of
-calls of about ``BATCH_SECONDS``.  The JSON written to ``OUT`` (required,
-so that no run overwrites a committed ``BENCH_<n>.json`` by default)
-records each tree's commit (``git describe --always --dirty``), the Python
-version and the machine.
+Each time comes from ``PASSES`` alternating passes, each timing a batch of
+calls of about ``BATCH_SECONDS`` (``bench/_trees.py``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import platform
 import random
 import statistics
 import sys
-from pathlib import Path
 
-from _trees import alternate, commit, load
-
-ROOT = Path(__file__).resolve().parent.parent
+from _trees import alternate, main, same
 
 CELLS = ((2, 1, 1), (3, 2, 1), (2, 1, 4))
 WIDTHS = (16, 64)
@@ -81,26 +63,13 @@ def _domain(rswan, ring):
     return rswan.scalars.galois_ring_domain(*ring)
 
 
-def _canon(x):
-    """A tree-independent form of a series."""
-    if x.level == 1:
-        return (x.ceiling, dict(x.coeffs))
-    return (x.ceiling, {e: _canon(c) for e, c in x.coeffs.items()})
-
-
-def _check_equal(products, cell):
-    first = _canon(products[0])
-    if any(_canon(p) != first for p in products[1:]):
-        raise SystemExit(f"{cell}: products differ between trees")
-
-
 def _time(trees, build) -> dict:
     """``{cell: [seconds per tree]}`` for ``build(tree) -> {cell: (x, y)}``."""
     operands = [build(tree) for tree in trees]
     calls = {}
     for cell in operands[0]:
         pairs = [ops[cell] for ops in operands]
-        _check_equal([x * y for x, y in pairs], cell)
+        same(f"products of {cell}", [x * y for x, y in pairs])
         calls[cell] = [(lambda x=x, y=y: x * y) for x, y in pairs]
     return alternate(calls, PASSES, BATCH_SECONDS)
 
@@ -264,31 +233,16 @@ def flat_gate(rows, gate_in_code) -> dict:
     }
 
 
-def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 bench/series_mul.py OUT [SRC ...]", file=sys.stderr)
-        return 2
-    out_path = Path(argv[0])
-    srcs = argv[1:] or [str(ROOT / "src")]
-    trees = [load(src, index) for index, src in enumerate(srcs)]
+def measure(trees) -> dict:
     nested_rows = nested(trees)
-    result = {
-        "bench": "series_mul",
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
-        "passes": PASSES,
-        "trees": [{"commit": commit(src)} for src in srcs],
+    return {
         "products": products(trees),
         "small": small(trees),
         "crossover": crossover(trees[0]),
         "nested": nested_rows,
         "flat_gate": flat_gate(nested_rows, trees[0].series._FLAT_MIN_PAIRS),
     }
-    text = json.dumps(result, indent=2)
-    out_path.write_text(text + "\n")
-    print(text)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(__file__, measure, {"passes": PASSES}))

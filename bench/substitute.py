@@ -1,18 +1,7 @@
 """Layer bench: substitution (``series_substitute``) on the shapes the ``embed`` workload pulls back.
 
-    python3 bench/substitute.py OUT [SRC ...]
-
-Run it from the repository root; it uses only the standard library.  Each
-``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
-checkout's ``src``); pass the ``src`` of another checkout to put its figures
-beside these.  All trees are imported into this one process, each under its
-own package name, and timed in alternation: every pass times each cell for
-every tree before moving on, and the tree order flips from pass to pass, so
-machine drift falls on all trees alike.  Results must be equal across trees
-(checked by exponents, raw scalars and the ceiling at every level: series
-of two loaded packages do not compare with ``==``), errors by kind.
-
-Two sections, with one figure per tree in the order of ``trees``:
+Results must be equal across trees (checked), error kinds by name.  Two
+sections, with one figure per tree:
 
 * ``embed``: per cell ``(p, e)``, ``p`` in 2, 3, 5 and ``e`` in 2..6,
   ``SOURCES`` seeded exact series over ``F_p`` with 1..4 monomials at
@@ -25,25 +14,16 @@ Two sections, with one figure per tree in the order of ``trees``:
   character's component over ``F_p((u))((t))``; ``us_per_substitution`` is
   the mean time of one pullback of that component through one member.
 
-Each time is the median over ``PASSES`` passes, each timing a batch of
-whole cells of about ``BATCH_SECONDS``.  The JSON written to ``OUT``
-(required, so that no run overwrites a committed ``BENCH_<n>.json`` by
-default) records each tree's commit (``git describe --always --dirty``),
-the Python version and the machine.
+Each time comes from ``PASSES`` alternating passes, each timing a batch of
+whole cells of about ``BATCH_SECONDS`` (``bench/_trees.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import random
 import sys
-from pathlib import Path
 
-from _trees import alternate, commit, load
-
-ROOT = Path(__file__).resolve().parent.parent
+from _trees import alternate, main, same
 
 EMBED_CELLS = tuple((p, e) for p in (2, 3, 5) for e in range(2, 7))
 SOURCES = 24
@@ -91,14 +71,6 @@ def _family_inputs(rswan, p):
     return out
 
 
-def _form(a):
-    """A tree-independent form of a series: the ceiling, exponents and raw
-    scalars at every level."""
-    if a.level == 1:
-        return a.ceiling, sorted(a.coeffs.items())
-    return a.ceiling, [(e, _form(c)) for e, c in sorted(a.coeffs.items())]
-
-
 def _substitute_all(rswan, inputs):
     out = []
     for source, images, precision in inputs:
@@ -109,14 +81,7 @@ def _substitute_all(rswan, inputs):
     return out
 
 
-def _same(what, results):
-    forms = [[r if isinstance(r, str) else _form(r) for r in out] for out in results]
-    if any(f != forms[0] for f in forms):
-        raise SystemExit(f"{what}: results differ between trees")
-
-
-def measure(srcs: list[str]) -> dict:
-    trees = [load(src, index) for index, src in enumerate(srcs)]
+def measure(trees) -> dict:
     inputs = {("embed", cell): [_embed_inputs(tree, cell) for tree in trees]
               for cell in EMBED_CELLS}
     inputs.update({("imperfect_residue", p): [_family_inputs(tree, p) for tree in trees]
@@ -125,14 +90,13 @@ def measure(srcs: list[str]) -> dict:
     for key, per_tree in inputs.items():
         calls[key] = [(lambda tree=tree, ins=ins: _substitute_all(tree, ins))
                       for tree, ins in zip(trees, per_tree)]
-        _same(f"{key[0]} cell {key[1]}", [fn() for fn in calls[key]])
+        same(f"{key[0]} cell {key[1]}", [fn() for fn in calls[key]])
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
 
     def us(key):
         return [round(t * 1e6 / len(inputs[key][0]), 1) for t in seconds[key]]
 
     return {
-        "trees": [{"commit": commit(src)} for src in srcs],
         "embed": [{"p": p, "e": e, "us_per_substitution": us(("embed", (p, e)))}
                   for p, e in EMBED_CELLS],
         "imperfect_residue": [{"p": p, "members": len(inputs["imperfect_residue", p][0]),
@@ -141,25 +105,5 @@ def measure(srcs: list[str]) -> dict:
     }
 
 
-def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 bench/substitute.py OUT [SRC ...]", file=sys.stderr)
-        return 2
-    out_path = Path(argv[0])
-    srcs = argv[1:] or [str(ROOT / "src")]
-    result = {
-        "bench": "substitute",
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
-        "sources_per_cell": SOURCES,
-        "passes": PASSES,
-        **measure(srcs),
-    }
-    text = json.dumps(result, indent=2)
-    out_path.write_text(text + "\n")
-    print(text)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(__file__, measure, {"sources_per_cell": SOURCES, "passes": PASSES}))

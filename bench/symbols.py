@@ -1,44 +1,25 @@
 """Layer bench: the characterization check (``verify_rsw_characterization``).
 
-    python3 bench/symbols.py OUT [SRC ...]
-
-Run it from the repository root; it uses only the standard library.  Each
-``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
-checkout's ``src``); pass the ``src`` of another checkout to put its figures
-beside these.  All trees are imported into this one process, each under its
-own package name, and timed in alternation: every pass times each cell for
-every tree before moving on, and the tree order flips from pass to pass, so
-machine drift falls on all trees alike.
-
 The cells are the reciprocity tasks of ``rswan check-all`` for p = 2, 3, 5:
 the catalog character and sample count of each, checked at seed ``SEED``.
 The reports must be equal field for field across trees (checked).  Per
-cell, one figure per tree in the order of ``trees``:
+cell, one figure per tree:
 
 * ``symbols_evaluated`` and ``pairings_evaluated``: the calls of
   ``reciprocity._symbol_value`` and of ``r_b`` in one check;
-* ``ms_per_check``: the time of one call, the median over ``PASSES``
-  passes, each timing a batch of calls.
+* ``ms_per_check``: the time of one call, from ``PASSES`` alternating
+  passes, each timing a batch of calls (``bench/_trees.py``).
 
 ``terms`` is the number of symbols the samples draw, the same for every
-tree.  ``totals_ms`` sums ``ms_per_check`` over the cells per tree.  The
-JSON written to ``OUT`` (required, so that no run overwrites a committed
-``BENCH_<n>.json`` by default) records each tree's commit
-(``git describe --always --dirty``), the Python version and the machine.
+tree.  ``totals_ms`` sums ``ms_per_check`` over the cells per tree.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import platform
 import sys
-from pathlib import Path
 
-from _trees import alternate, commit, load
-
-ROOT = Path(__file__).resolve().parent.parent
+from _trees import alternate, main, same
 
 PRIMES = (2, 3, 5)
 SEED = 0
@@ -87,17 +68,14 @@ def _counted(rswan, char, samples) -> dict:
     }
 
 
-def measure(srcs: list[str]) -> dict:
-    trees = [load(src, index) for index, src in enumerate(srcs)]
+def measure(trees) -> dict:
     cells = [_cells(tree) for tree in trees]
+    same("the catalogs' reciprocity tasks", [list(c) for c in cells])
     keys = list(cells[0])
-    if any(list(c) != keys for c in cells):
-        raise SystemExit("the trees' catalogs hold different reciprocity tasks")
     counts = {}
     for key in keys:
         counts[key] = [_counted(tree, *c[key]) for tree, c in zip(trees, cells)]
-        if any(c["report"] != counts[key][0]["report"] for c in counts[key]):
-            raise SystemExit(f"cell {key}: reports differ between trees")
+        same(f"reports of cell {key}", [c["report"] for c in counts[key]])
     calls = {
         key: [
             (lambda tree=tree, cell=c[key]: tree.verify_rsw_characterization(*cell, seed=SEED))
@@ -118,31 +96,10 @@ def measure(srcs: list[str]) -> dict:
         })
     totals = [sum(seconds[key][index] for key in keys) * 1e3 for index in range(len(trees))]
     return {
-        "trees": [{"commit": commit(src)} for src in srcs],
         "totals_ms": [round(t, 1) for t in totals],
         "cells": rows,
     }
 
 
-def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 bench/symbols.py OUT [SRC ...]", file=sys.stderr)
-        return 2
-    out_path = Path(argv[0])
-    srcs = argv[1:] or [str(ROOT / "src")]
-    result = {
-        "bench": "symbols",
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
-        "seed": SEED,
-        "passes": PASSES,
-        **measure(srcs),
-    }
-    text = json.dumps(result, indent=2)
-    out_path.write_text(text + "\n")
-    print(text)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(__file__, measure, {"seed": SEED, "passes": PASSES}))

@@ -1,22 +1,11 @@
 """Layer bench: Witt-vector combination (``witt_combine``) over the ``witt`` workload cells.
 
-    python3 bench/witt_combine.py OUT [SRC ...]
-
-Run it from the repository root; it uses only the standard library.  Each
-``SRC`` is a ``src`` directory holding an ``rswan`` package (default: this
-checkout's ``src``); pass the ``src`` of another checkout to put its figures
-beside these.  All trees are imported into this one process, each under its
-own package name, and timed in alternation: every pass times each cell for
-every tree before moving on, and the tree order flips from pass to pass, so
-machine drift falls on all trees alike.  Results must be equal across trees
-(checked by exponents, raw scalars and the ceiling at every level: series
-of two loaded packages do not compare with ``==``).
-
 The inputs are the same for every tree: for every ``(p, k, s, d)`` cell of
 the ``witt`` workload and the three-variable cell ``(2, 1, 2, 3)``,
 ``VECTORS`` fixed seeded exact characters with 0..4 monomials per component,
 top exponents in -4..2 and lower ones in -2..2, the shape the workload
-draws.  Per cell, one figure per tree in the order of ``trees``:
+draws.  Results must be equal across trees (checked).  Per cell, one
+figure per tree:
 
 * ``us_per_sum``: the mean time of one two-vector sum ``a + b`` over the
   ``VECTORS - 1`` consecutive pairs;
@@ -26,25 +15,16 @@ draws.  Per cell, one figure per tree in the order of ``trees``:
 * ``us_per_reduce_combine``: the mean time of one of those combinations,
   replayed on its recorded arguments (null when there is none).
 
-Each time is the median over ``PASSES`` passes, each timing a batch of
-whole passes of about ``BATCH_SECONDS``.  The JSON written to ``OUT``
-(required, so that no run overwrites a committed ``BENCH_<n>.json`` by
-default) records each tree's commit (``git describe --always --dirty``),
-the Python version and the machine.
+Each time comes from ``PASSES`` alternating passes, each timing a batch of
+whole passes of about ``BATCH_SECONDS`` (``bench/_trees.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import random
 import sys
-from pathlib import Path
 
-from _trees import alternate, commit, load
-
-ROOT = Path(__file__).resolve().parent.parent
+from _trees import alternate, main, same
 
 # The cells of perfbench's ``witt`` workload, (p, k, s, d), and one
 # three-variable cell, where the flat maps take two inner digits.
@@ -55,7 +35,7 @@ CELLS = tuple(
 ) + ((2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (3, 1, 3, 1), (2, 1, 4, 1), (2, 2, 4, 1),
      (2, 1, 2, 3))
 VECTORS = 40
-PASSES = 7
+PASSES = 15
 BATCH_SECONDS = 0.05  # each timing covers a batch of passes of about this length
 
 
@@ -103,14 +83,6 @@ def _reduce_combines(rswan, vectors) -> list:
     return made
 
 
-def _form(a):
-    """A tree-independent form of a series: the ceiling, exponents and raw
-    scalars at every level."""
-    if a.level == 1:
-        return a.ceiling, sorted(a.coeffs.items())
-    return a.ceiling, [(e, _form(c)) for e, c in sorted(a.coeffs.items())]
-
-
 def _sums(rswan, vectors):
     combine, p = rswan.witt.witt_combine, vectors[0].tower.p
     return [combine([a.comps, b.comps], [1, 1], p) for a, b in zip(vectors, vectors[1:])]
@@ -121,14 +93,7 @@ def _replay(rswan, made, p):
     return [combine(comps_list, ints, p) for comps_list, ints in made]
 
 
-def _same(cell, what, results):
-    forms = [[tuple(_form(c) for c in comps) for comps in out] for out in results]
-    if any(f != forms[0] for f in forms):
-        raise SystemExit(f"{what} of cell {cell}: results differ between trees")
-
-
-def measure(srcs: list[str]) -> dict:
-    trees = [load(src, index) for index, src in enumerate(srcs)]
+def measure(trees) -> dict:
     calls = {}
     counts = {}
     for cell in CELLS:
@@ -140,12 +105,13 @@ def measure(srcs: list[str]) -> dict:
             (lambda tree=tree, vecs=vecs: _sums(tree, vecs))
             for tree, vecs in zip(trees, vectors)
         ]
-        _same(cell, "sums", [fn() for fn in calls["sum", cell]])
+        same(f"sums of cell {cell}", [fn() for fn in calls["sum", cell]])
         if counts[cell][0]:
             calls["reduce", cell] = [
                 (lambda tree=tree, m=m: _replay(tree, m, p)) for tree, m in zip(trees, made)
             ]
-            _same(cell, "reduction combinations", [fn() for fn in calls["reduce", cell]])
+            same(f"reduction combinations of cell {cell}",
+                 [fn() for fn in calls["reduce", cell]])
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
     rows = []
     for cell in CELLS:
@@ -159,28 +125,8 @@ def measure(srcs: list[str]) -> dict:
                 round(t * 1e6 / n, 1) for t, n in zip(reduce, counts[cell])
             ],
         })
-    return {"trees": [{"commit": commit(src)} for src in srcs], "cells": rows}
-
-
-def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 bench/witt_combine.py OUT [SRC ...]", file=sys.stderr)
-        return 2
-    out_path = Path(argv[0])
-    srcs = argv[1:] or [str(ROOT / "src")]
-    result = {
-        "bench": "witt_combine",
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
-        "vectors_per_cell": VECTORS,
-        "passes": PASSES,
-        **measure(srcs),
-    }
-    text = json.dumps(result, indent=2)
-    out_path.write_text(text + "\n")
-    print(text)
-    return 0
+    return {"cells": rows}
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(__file__, measure, {"vectors_per_cell": VECTORS, "passes": PASSES}))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ZeroInput
+from .errors import InconsistentValue, TowerMismatch, ZeroInput
 
 __all__ = [
     "DEFINING_POLYNOMIALS",
@@ -84,7 +84,7 @@ class _QuotientDomain:
     def from_coeffs(self, coeffs) -> int | tuple:
         cs = [c % self.modulus for c in coeffs]
         if len(cs) > self.k:
-            raise ValueError("too many coefficients")
+            raise InconsistentValue("too many coefficients")
         cs += [0] * (self.k - len(cs))
         return cs[0] if self.k == 1 else tuple(cs)
 
@@ -186,7 +186,7 @@ class _QuotientDomain:
     def pth_root(self, x):
         """Unique p-th root in F_q (s = 1; F_q is perfect)."""
         if self.s != 1:
-            raise ValueError("p-th roots are a residue-field operation")
+            raise TowerMismatch("p-th roots are a residue-field operation")
         if self.k == 1:
             return x
         return self.pow(x, self.p ** (self.k - 1))

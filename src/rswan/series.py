@@ -540,7 +540,7 @@ class NestedSeries:
 
     def __init__(self, level: int, domain, coeffs: dict, ceiling: int | None = None):
         if level < 1:
-            raise ValueError("series level must be >= 1")
+            raise TowerMismatch("series level must be >= 1")
         if level > 1:
             for c in coeffs.values():
                 if not isinstance(c, NestedSeries) or c.level != level - 1:

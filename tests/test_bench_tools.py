@@ -1,0 +1,79 @@
+"""The layer-bench harness, ``bench/_trees.py``: its entry point, its
+cross-tree series form, its equality check and its alternation rule.
+
+Nothing here is timed: ``alternate`` runs on a fake clock.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import itertools
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rswan
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+_spec = importlib.util.spec_from_file_location("_trees", BENCH / "_trees.py")
+trees = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trees)
+
+
+def _series(rswan, inner_ceiling):
+    """``t^-1 (1 + u^2 + O(u^inner_ceiling)) + t^3 u + O(t^6)`` over ``F_2``."""
+    dom = rswan.scalars.fq_domain(2, 1)
+    inner = rswan.NestedSeries(1, dom, {0: 1, 2: 1}, inner_ceiling)
+    return rswan.NestedSeries(2, dom, {-1: inner, 3: rswan.NestedSeries(1, dom, {1: 1})}, 6)
+
+
+def test_the_form_compares_series_of_two_loaded_packages():
+    first, second = (trees.load(str(ROOT / "src"), index) for index in (900, 901))
+    assert first.NestedSeries is not second.NestedSeries
+    a, b = _series(first, 5), _series(second, 5)
+    assert trees.form([(a, "ZeroInput")]) == trees.form([(b, "ZeroInput")])
+    assert trees.form(a) != trees.form(_series(second, 4))
+    assert trees.form({"x": a}) != trees.form({"x": _series(second, 4)})
+
+
+def test_the_equality_check_refuses_a_mismatch():
+    trees.same("sums", [[_series(rswan, 5)], [_series(rswan, 5)]])
+    with pytest.raises(SystemExit, match="sums of cell 1: results differ between trees 0 and 2"):
+        trees.same("sums of cell 1", [[_series(rswan, 5)], [_series(rswan, 5)],
+                                      [_series(rswan, 4)]])
+    with pytest.raises(SystemExit):
+        trees.same("errors", ["ZeroInput", "PrecisionExhausted"])
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in BENCH.glob("[!_]*.py")))
+def test_a_bench_without_out_prints_its_usage_and_exits_2(script):
+    done = subprocess.run([sys.executable, str(BENCH / script)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == f"usage: python3 bench/{script} OUT [SRC ...]\n"
+    assert done.stdout == ""
+
+
+def test_alternate_gives_every_tree_of_a_key_one_batch_count(monkeypatch):
+    clock = [0.0]
+    log = []
+    monkeypatch.setattr(trees, "perf_counter", lambda: clock[0])
+
+    def tree(index, cost):
+        def call():
+            clock[0] += cost
+            log.append(index)
+
+        return call
+
+    seconds = trees.alternate({"key": [tree(0, 0.001), tree(1, 0.004)]}, 3, 0.01)
+    # The passes run the trees in the orders 0 1 | 1 0 | 0 1.
+    runs = [len(list(group)) for _, group in itertools.groupby(log)]
+    batch = runs[-1]
+    assert runs[-4:] == [batch, 2 * batch, 2 * batch, batch]
+    assert batch * 0.001 >= 0.01  # the faster tree's count, which the slower one runs too
+    assert seconds["key"] == pytest.approx([0.001, 0.004])

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from rswan.errors import NoPthRoot, ZeroInput
+from rswan.errors import InconsistentValue, NoPthRoot, TowerMismatch, ZeroInput
 from rswan.scalars import fq_domain, galois_ring_domain
 
 
@@ -212,6 +212,16 @@ def test_lift_trace_reduces_to_field_trace(p, k, s):
         a = small.random(rng)
         t_big = big.trace(big.lift_from_field(a))
         assert t_big % p == small.trace(a)
+
+
+def test_quotient_domain_misuse_raises_typed_errors():
+    """Too many coefficients for the extension degree, and a p-th root in a
+    lift ring, are refused with the library's own errors."""
+    with pytest.raises(InconsistentValue, match="too many coefficients"):
+        fq_domain(3, 2).from_coeffs([1, 2, 1])
+    big = galois_ring_domain(3, 1, 2)
+    with pytest.raises(TowerMismatch, match="residue-field operation"):
+        big.pth_root(big.one())
 
 
 def test_domains_are_cached():

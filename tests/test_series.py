@@ -1036,6 +1036,11 @@ def test_the_exponent_floor_error_is_typed():
     assert isinstance(caught.value, RswanError) and isinstance(caught.value, ValueError)
 
 
+def test_a_series_below_level_one_is_a_tower_mismatch():
+    with pytest.raises(TowerMismatch, match="level must be >= 1"):
+        NestedSeries(0, F2, {})
+
+
 def test_linear_combination_refuses_mixed_rings_and_the_exponent_floor(monkeypatch):
     z4 = galois_ring_domain(2, 1, 2)
     with pytest.raises(TowerMismatch):
