@@ -5,7 +5,8 @@ workload over ``F_p((u))((t))`` (d = 2, p = 2 widths 1..6 and p = 3 widths
 1..5), plus p = 5 widths 1..5 and the d = 3 tower ``F_2((v))((u))((t))``
 with widths 1..2.  ``split`` is the degree pair ``(i, j)``.  Per cell:
 
-* ``rows``: the Gram size, the same for every tree (checked);
+* ``rows``: the Gram size; every row's ``{column: entry}`` is checked
+  equal across the trees (``_trees.same``) before anything is timed;
 * ``ms_per_matrix``: one figure per tree: the mean builder time over the
   windows ``(m + a, m)`` for m = 0..3 with the minimal ``b``, from
   ``PASSES`` alternating passes, each timing a batch of builds of all four
@@ -37,8 +38,9 @@ VARIABLES = ("v", "u", "t")
 
 
 def _calls(rswan, p: int, d: int, a: int, i: int):
-    """A call that builds the Gram matrices of the cell's windows and
-    returns their sizes, and a call that decides their invertibility."""
+    """The Gram matrices of the cell's windows, a call that builds them
+    again and returns their sizes, and a call that decides their
+    invertibility."""
     tower = rswan.FieldTower(p, 1, 1, VARIABLES[3 - d:])
     b = rswan.logdiff.minimal_b(p, a)
 
@@ -53,21 +55,18 @@ def _calls(rswan, p: int, d: int, a: int, i: int):
             for rows in built
         ]
 
-    return (lambda: [len(rows) for rows in build()]), gram
+    return built, (lambda: [len(rows) for rows in build()]), gram
 
 
 def measure(trees) -> dict:
     keys = [(p, d, a, i) for p, d, a in CELLS for i in range(d + 1)]
-    calls, grams = {}, {}
+    calls, grams, sizes = {}, {}, {}
     for key in keys:
-        calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
-    sizes = {}
-    for key, builders in calls.items():
-        rows = [build() for build in builders]
-        same(f"Gram sizes of cell {key}", rows)
+        built, calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
+        same(f"Gram rows of cell {key}", built)
         if not all(all(gram()) for gram in grams[key]):
             raise SystemExit(f"cell {key}: a Gram matrix is singular")
-        sizes[key] = rows[0][-1]
+        sizes[key] = len(built[0][-1])
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
     gram_seconds = alternate(grams, PASSES, BATCH_SECONDS)
     cells = []

@@ -14,6 +14,31 @@ the Gram matrix of the pairing ``(x, y) -> r_b(x ^ y)`` on twisted monomial
 bases as sparse ``{column: entry}`` rows (one pairing per dlog key and
 residue monomial), with exact sparse elimination over a column index to
 decide invertibility.
+
+Construction
+------------
+The public constructor ``LogForm(...)`` validates: the degree lies in
+``0..level``, every basis key is a sorted tuple of distinct levels of the
+right length, and every coefficient is a series over the form's ring.  An
+operation on valid forms cannot break any of that, so ``+``, ``-``,
+``scale``, ``mul_int``, ``wedge``, ``d``, ``dlog``, ``cartier``,
+``residue_step``, ``scale_windowed`` and the representative of a
+:class:`WindowedForm` build their results through ``_form``, which only
+drops exactly zero coefficients (a coefficient zero only within a window
+stays, as in ``series._make``); the series they build go through
+``series._make`` for the same reason.  A windowed form whose representative
+already lies in its window and is exact there (a basis monomial, a scaled
+representative) is stored without truncating it again.
+
+The Gram elimination checks every pivot (a pivot zero only within its
+window raises), but inverts one only when another remaining row holds its
+column.  Over a field (the tower's coefficient field, ``F_p(x)``, or nested
+Laurent series over either) a nonzero entry is a unit, so a pivot that no
+row is reduced by decides nothing beyond being nonzero, and a
+partner-matched Gram (one entry per row, in distinct columns) is decided
+without any inverse.  Over a lift ring ``Z/p^s`` with ``s > 1`` a nonzero
+entry need not be a unit, so every pivot is still inverted there, which
+raises on a non-unit.
 """
 
 from __future__ import annotations
@@ -31,7 +56,7 @@ from .errors import (
     WindowTooWide,
     ZeroInput,
 )
-from .series import NestedSeries
+from .series import NestedSeries, _make, _new, _set
 
 __all__ = [
     "LogForm",
@@ -64,7 +89,20 @@ def log_derivative(sr: NestedSeries, var_level: int) -> NestedSeries:
             out = {e: c.mul_int(e) for e, c in sr.coeffs.items()}
     else:
         out = {e: log_derivative(c, var_level) for e, c in sr.coeffs.items()}
-    return NestedSeries(sr.level, sr.domain, out, sr.ceiling)
+    return _make(sr.level, sr.domain, out, sr.ceiling)
+
+
+def _form(level: int, domain, degree: int, coeffs: dict) -> "LogForm":
+    """Trusted constructor for the result of an operation on valid forms
+    (module docstring, "Construction"): ``coeffs`` maps sorted key tuples to
+    series over the form's ring, and only its exactly zero coefficients are
+    dropped."""
+    out = _new(LogForm)
+    _set(out, "level", level)
+    _set(out, "domain", domain)
+    _set(out, "degree", degree)
+    _set(out, "coeffs", {k: c for k, c in coeffs.items() if not c.is_exact_zero()})
+    return out
 
 
 class LogForm:
@@ -85,10 +123,10 @@ class LogForm:
             if c.is_exact_zero():
                 continue
             clean[key] = c
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
+        _set(self, "level", level)
+        _set(self, "domain", domain)
+        _set(self, "degree", degree)
+        _set(self, "coeffs", clean)
 
     def __setattr__(self, *a):
         raise AttributeError("forms are immutable")
@@ -108,8 +146,8 @@ class LogForm:
         return cls(level, domain, len(key), {key: NestedSeries.one(level, domain)})
 
     def coefficient(self, key) -> NestedSeries:
-        key = tuple(key)
-        return self.coeffs.get(key, NestedSeries.zero(self.level, self.domain))
+        c = self.coeffs.get(tuple(key))
+        return NestedSeries.zero(self.level, self.domain) if c is None else c
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
@@ -127,24 +165,22 @@ class LogForm:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out[key] + c if key in out else c
-        return LogForm(self.level, self.domain, self.degree, out)
+        return _form(self.level, self.domain, self.degree, out)
 
     def __neg__(self):
-        return LogForm(
-            self.level, self.domain, self.degree, {k: -c for k, c in self.coeffs.items()}
-        )
+        return _form(self.level, self.domain, self.degree, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, sr: NestedSeries) -> "LogForm":
         """Multiply every coefficient by the series ``sr``."""
-        return LogForm(
+        return _form(
             self.level, self.domain, self.degree, {k: c * sr for k, c in self.coeffs.items()}
         )
 
     def mul_int(self, n: int) -> "LogForm":
-        return LogForm(
+        return _form(
             self.level, self.domain, self.degree, {k: c.mul_int(n) for k, c in self.coeffs.items()}
         )
 
@@ -198,13 +234,13 @@ def wedge(alpha: LogForm, beta: LogForm) -> LogForm:
                 continue
             term = (ca * cb).mul_int(sign)
             out[key] = out[key] + term if key in out else term
-    return LogForm(alpha.level, alpha.domain, degree, out)
+    return _form(alpha.level, alpha.domain, degree, out)
 
 
 def d(omega) -> LogForm:
     """Exterior derivative; accepts a series (degree-0 form) or a LogForm."""
     if isinstance(omega, NestedSeries):
-        omega = LogForm.from_series(omega)
+        omega = _form(omega.level, omega.domain, 0, {(): omega})
     if omega.degree >= omega.level:
         raise DegreeOverflow("the derivative of a top-degree form leaves the module")
     out: dict = {}
@@ -218,7 +254,7 @@ def d(omega) -> LogForm:
             sign, new_key = _merge_sign((i,), key)
             term = dc.mul_int(sign)
             out[new_key] = out[new_key] + term if new_key in out else term
-    return LogForm(omega.level, omega.domain, omega.degree + 1, out)
+    return _form(omega.level, omega.domain, omega.degree + 1, out)
 
 
 def dlog(f: NestedSeries, precision: int | None = None) -> LogForm:
@@ -226,11 +262,8 @@ def dlog(f: NestedSeries, precision: int | None = None) -> LogForm:
     if f.is_zero():
         raise ZeroInput("dlog of zero")
     f_inv = f.inv(precision)
-    out = {}
-    for i in range(1, f.level + 1):
-        c = log_derivative(f, i) * f_inv
-        out[(i,)] = c
-    return LogForm(f.level, f.domain, 1, out)
+    out = {(i,): log_derivative(f, i) * f_inv for i in range(1, f.level + 1)}
+    return _form(f.level, f.domain, 1, out)
 
 
 # ------------------------------------------------------------------ Cartier
@@ -243,10 +276,8 @@ def cartier(omega: LogForm) -> LogForm:
         )
     key = tuple(range(1, omega.level + 1))
     c = omega.coeffs.get(key)
-    if c is None:
-        return LogForm.zero(omega.level, omega.domain, omega.degree)
-    root = c.pth_root(skip_prime_to_p=True)
-    return LogForm(omega.level, omega.domain, omega.degree, {key: root})
+    coeffs = {} if c is None else {key: c.pth_root(skip_prime_to_p=True)}
+    return _form(omega.level, omega.domain, omega.degree, coeffs)
 
 
 # ------------------------------------------------------------------ residues
@@ -265,9 +296,8 @@ def residue_step(omega: LogForm):
         if c is None:
             return omega.domain.zero()
         return c.coefficient(0)
-    if c is None:
-        return LogForm.zero(level - 1, omega.domain, level - 1)
-    return LogForm(level - 1, omega.domain, level - 1, {key[:-1]: c.coefficient(0)})
+    coeffs = {} if c is None else {key[:-1]: c.coefficient(0)}
+    return _form(level - 1, omega.domain, level - 1, coeffs)
 
 
 def residue_to_prime_field(omega, domain=None) -> int:
@@ -302,7 +332,9 @@ def _window_truncate(sr: NestedSeries, upper: int, lower: int) -> NestedSeries:
         raise InconsistentValue(
             f"representative has a term of order {min(sr.coeffs)} below the window floor {lower}"
         )
-    return NestedSeries(sr.level, sr.domain, {e: c for e, c in sr.coeffs.items() if e < upper}, None)
+    # a subset of a valid series' terms, with no ceiling left to cut at
+    return _make(sr.level, sr.domain, {e: c for e, c in sr.coeffs.items() if e < upper}, None,
+                 clean=True)
 
 
 class WindowedForm:
@@ -318,9 +350,7 @@ class WindowedForm:
         if n <= m:
             raise InconsistentValue(f"window needs n > m, got ({n}, {m})")
         coeffs = {k: _window_truncate(c, -m, -n) for k, c in form.coeffs.items()}
-        object.__setattr__(self, "form", LogForm(form.level, form.domain, form.degree, coeffs))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        _windowed(_form(form.level, form.domain, form.degree, coeffs), n, m, self)
 
     def __setattr__(self, *a):
         raise AttributeError("windowed forms are immutable")
@@ -341,18 +371,25 @@ class WindowedForm:
         return f"<windowed ({self.n},{self.m}) {self.form!r}>"
 
 
+def _windowed(form: LogForm, n: int, m: int, out=None) -> WindowedForm:
+    """Trusted constructor: ``form`` is already a representative of the
+    window ``(n, m)``, exact with top exponents in ``[-n, -m)``."""
+    if out is None:
+        out = _new(WindowedForm)
+    _set(out, "form", form)
+    _set(out, "n", n)
+    _set(out, "m", m)
+    return out
+
+
 def scale_windowed(x: WindowedForm, c_raw, power: int = 1) -> WindowedForm:
     """Act by the residue constant c through the degree-``p^power`` twist:
     multiply the representative by the constant c^(p^power)."""
-    domain = x.form.domain
-    scalar = domain.pow(c_raw, domain.p**power)
-    form = LogForm(
-        x.form.level,
-        x.form.domain,
-        x.form.degree,
-        {k: s.scalar_mul(scalar) for k, s in x.form.coeffs.items()},
-    )
-    return WindowedForm(form, x.n, x.m)
+    form = x.form
+    scalar = form.domain.pow(c_raw, form.domain.p**power)
+    # a constant multiple of the representative is still one
+    coeffs = {k: s.scalar_mul(scalar) for k, s in form.coeffs.items()}
+    return _windowed(_form(form.level, form.domain, form.degree, coeffs), x.n, x.m)
 
 
 def wedge_windowed(x: WindowedForm, y: WindowedForm) -> WindowedForm:
@@ -414,8 +451,12 @@ def _basis_monomials(level: int, degree: int, n: int, m: int, lower_bound: int):
 
 
 def _basis_form(level: int, domain, key, exps, n: int, m: int) -> WindowedForm:
-    mono = NestedSeries.from_monomials(level, domain, [(exps, domain.one())])
-    return WindowedForm(LogForm(level, domain, len(key), {key: mono}), n, m)
+    """The basis form ``T^exps dlog_key``; its top exponent lies in
+    ``[-n, -m)`` (:func:`_basis_monomials`), so it is its own representative."""
+    mono = domain.one()
+    for lvl, e in enumerate(exps, 1):
+        mono = _make(lvl, domain, {e: mono}, None, clean=True)
+    return _windowed(_form(level, domain, len(key), {key: mono}), n, m)
 
 
 def window_basis(level: int, domain, degree: int, n: int, m: int, b: int):
@@ -506,7 +547,10 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
 
     A pivot candidate or a factor that is zero within a finite window (but
     not exactly zero) raises :class:`PrecisionExhausted` rather than
-    guessing.
+    guessing.  A pivot is inverted only when another remaining row holds
+    its column, unless the entries lie in a lift ring ``Z/p^s`` with
+    ``s > 1``, where every pivot is inverted (module docstring,
+    "Construction").
     """
     size = len(rows)
     if size == 0:
@@ -515,6 +559,7 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     if first is None:
         return False
     if isinstance(first, NestedSeries):
+        ring = first.domain
         exact_zero = NestedSeries.is_exact_zero
 
         def known(v):
@@ -530,12 +575,15 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     elif domain is None:
         raise TowerMismatch("raw-scalar matrices need their domain")
     else:
+        ring = domain
         exact_zero = domain.is_zero
         inv, mul, sub, neg = domain.inv, domain.mul, domain.sub, domain.neg
 
         def known(v):
             return v
 
+    # over a field a nonzero entry is a unit (module docstring, "Construction")
+    over_field = getattr(ring, "s", 1) == 1
     work = []
     holders = [set() for _ in range(size)]
     for r, row in enumerate(rows):
@@ -555,7 +603,10 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
         pivot = work[pivot_row]
         for c in pivot:
             holders[c].discard(pivot_row)
-        pivot_inv = inv(known(pivot[col]))
+        pivot_entry = known(pivot[col])
+        if over_field and not holders[col]:
+            continue
+        pivot_inv = inv(pivot_entry)
         for r in holders[col]:
             row = work[r]
             quot = mul(known(row.pop(col)), pivot_inv)

@@ -325,7 +325,7 @@ def render_form(value, tower: FieldTower | None = None) -> str:
             tower = value.character.tower
         value = value.window
     if tower is None:
-        raise ValueError("render_form needs the tower for variable names")
+        raise TowerMismatch("render_form needs the tower for variable names")
     form = value.form
     parts = []
     for key in sorted(form.coeffs):

@@ -145,7 +145,7 @@ __all__ = [
 
 _ORD_FLOOR = -10_000
 _new = object.__new__
-_set = object.__setattr__  # series are immutable: their own __setattr__ raises
+_set = object.__setattr__  # series and forms are immutable: their own __setattr__ raises
 
 
 def _min_ceiling(*cs):
@@ -860,7 +860,7 @@ class NestedSeries:
             if root.coeffs or not skip_non_powers:
                 out[e // p] = root
         ceiling = None if self.ceiling is None else (self.ceiling - 1) // p + 1
-        return NestedSeries(self.level, self.domain, out, ceiling)
+        return _make(self.level, self.domain, out, ceiling)
 
     def is_pth_power(self) -> bool:
         """Whether :meth:`pth_root` succeeds."""

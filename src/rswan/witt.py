@@ -82,11 +82,20 @@ to 0).  With ``E`` nonzero only in standard slot ``j``, ``E - F(E)`` lies in
 ``V^j W``: adding it leaves ``x_0, ..., x_{j-1}`` alone, adds ``U - U^p`` to
 ``x_j`` and carries only into lighter slots.  So a slot is first reduced as
 one series, ``x <- x - u^p + u`` for each removable term, collecting ``U``,
-then takes one combination ``comps - F(E) + E``, after which slot ``j`` must
-agree with the series-level result and each finished slot with its old value
-(on the common window: a windowed combination may narrow it).  The weight-1
-slot (internal 0) carries into nothing and takes the series-level result
-directly, so at ``s = 1`` no combination runs.
+then takes one combination ``a - F(E) + E``, after which slot ``j`` must
+agree with the series-level result.  That combination runs on the moved
+slots alone: write ``a = (a_<j, a_>=j)`` and ``E = V^j(e)`` with ``e`` the
+length-``(s - j)`` tail of ``E``.  For any ``b``, ``(a_<j, 0) + V^j(b) =
+(a_<j, b)`` (a Witt vector is ``sum_n V^n [x_n]``), and ``V^j`` is additive
+and commutes with ``F`` in characteristic ``p``, so
+
+    ``a - F(E) + E = (a_<j, 0) + V^j(a_>=j - F(e) + e) = (a_<j, a_>=j - F(e) + e)``:
+
+the heavier slots are kept as they are, and the moved ones are the
+length-``(s - j)`` combination of the tails (internal ``comps[:i + 1]`` for
+``i = s - 1 - j``).  So the windows of the heavier slots never narrow the
+tail's.  The weight-1 slot (internal 0) carries into nothing and takes the
+series-level result directly, so at ``s = 1`` no combination runs.
 
 The series-level reduction (``_reduce_slot``) is one ascending sweep over a
 heap of the negative exponents divisible by ``p``.  The term ``c_e T^e`` is
@@ -530,12 +539,13 @@ def asw_reduce_components(comps, p: int):
         if i == 0 or total is None:
             comps = comps[:i] + (reduced,) + comps[i + 1:]
             continue
+        # the length-(i + 1) tail e of E, with E = V^j(e): only the slots E moves
         zero = NestedSeries.zero(total.level, total.domain)
-        e_vec = tuple(total if j == i else zero for j in range(len(comps)))
-        combined = witt_combine([comps, witt_frobenius(e_vec), e_vec], [1, -1, 1], p)
-        if not all(a.agrees_with(b) for a, b in zip(combined[i:], (reduced,) + comps[i + 1:])):
+        e = (zero,) * i + (total,)
+        moved = witt_combine([comps[:i + 1], witt_frobenius(e), e], [1, -1, 1], p)
+        if not moved[i].agrees_with(reduced):
             raise RswanError("a coboundary moved a slot unpredictably (internal error)")
-        comps = combined
+        comps = moved + comps[i + 1:]
         _check_windows_cover_polar_part(comps)
     return comps
 

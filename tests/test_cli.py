@@ -56,6 +56,13 @@ def test_render_form_pinned_literals():
     assert render_form(zero, K2) == "0 | window(4,2)"
 
 
+def test_render_form_without_a_tower_is_a_tower_mismatch():
+    """A bare windowed form carries no variable names."""
+    zero = WindowedForm(LogForm.zero(1, K2.field_domain, 1), 4, 2)
+    with pytest.raises(TowerMismatch, match="needs the tower"):
+        render_form(zero)
+
+
 def test_form_literal_round_trips():
     for text, tower in [
         ("2*t^-2 dlog(t) | window(2,0)", K3),

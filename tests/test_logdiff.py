@@ -11,6 +11,8 @@ Oracles used here:
 
 import operator
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -23,8 +25,10 @@ from rswan.errors import (
     NoPthRoot,
     NotTopDegree,
     PrecisionExhausted,
+    RswanError,
     TowerMismatch,
     WindowTooWide,
+    ZeroInput,
 )
 from rswan.logdiff import (
     LogForm,
@@ -46,7 +50,7 @@ from rswan.logdiff import (
 )
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
-from rswan.scalars import fq_domain
+from rswan.scalars import fq_domain, galois_ring_domain
 from rswan.series import NestedSeries, series_substitute
 from rswan.tower import FieldTower
 
@@ -72,6 +76,90 @@ def random_series(rng, level, domain, lo=-4, hi=5, terms=4):
         exps = tuple(rng.randint(lo, hi) for _ in range(level))
         monos.append((exps, domain.random_nonzero(rng)))
     return NestedSeries.from_monomials(level, domain, monos)
+
+
+# ------------------------------------------------------------ construction
+
+def random_form(rng, level, domain, degree, lo=-4, hi=5):
+    keys = list(combinations(range(1, level + 1), degree))
+    chosen = rng.sample(keys, rng.randint(1, len(keys)))
+    return LogForm(level, domain, degree,
+                   {key: random_series(rng, level, domain, lo, hi, terms=3) for key in chosen})
+
+
+def test_trusted_construction_builds_only_valid_forms():
+    """Every form an operation builds through the trusted constructor is the
+    form the validating one builds from the same data: valid keys and
+    coefficients, and no exactly zero coefficient kept.  The draws include
+    cancellations (``x - x``, ``x ^ x``, ``d(d f)``, ``mul_int(0)``, scaling
+    by zero, Cartier of prime-to-p exponents, residues of absent slots)."""
+    rng = random.Random(107)
+    z4 = galois_ring_domain(2, 1, 2)
+    domains = (F2, fq_domain(3, 2), z4, rat_func_domain(3))
+    checked = Counter()
+
+    def check(name, fn, *args):
+        try:
+            r = fn(*args)
+        except RswanError:  # a non-unit to invert, a coefficient with no p-th root
+            return
+        valid(name, r)
+
+    def valid(name, r):
+        if isinstance(r, WindowedForm):
+            assert r == WindowedForm(r.form, r.n, r.m), name
+            r = r.form
+        if not isinstance(r, LogForm):  # a level-1 residue is a raw scalar
+            return
+        assert r == LogForm(r.level, r.domain, r.degree, r.coeffs), name
+        checked[name] += 1
+
+    for domain in domains:
+        zero_scalar = domain.zero()
+        for level in (1, 2, 3):
+            zero = NestedSeries.zero(level, domain)
+            for _ in range(3):
+                deg = rng.randint(0, level)
+                x = random_form(rng, level, domain, deg)
+                y = random_form(rng, level, domain, deg)
+                f = random_series(rng, level, domain, terms=3)
+                check("+", operator.add, x, y)
+                check("+", operator.add, x, -x)
+                check("-", operator.sub, x, y)
+                check("-", operator.sub, x, x)
+                check("scale", x.scale, f)
+                check("scale", x.scale, zero)
+                for n in (0, 1, 2, domain.p):
+                    check("mul_int", x.mul_int, n)
+                if deg + 1 <= level:
+                    one = random_form(rng, level, domain, 1)
+                    check("wedge", wedge, x, one)
+                    check("wedge", wedge, one, one)
+                if deg < level:
+                    check("d", d, x)
+                check("d", d, f)
+                if level >= 2:
+                    check("d", d, d(f))
+                check("dlog", dlog, f, 6)
+                top = random_form(rng, level, domain, level)
+                if getattr(domain, "s", 1) == 1:  # Cartier is a characteristic-p operation
+                    check("cartier", cartier, top)
+                    check("cartier", cartier, top.mul_int(0))
+                check("residue_step", residue_step, top)
+                check("residue_step", residue_step, top.mul_int(0))
+                n, m = 3, rng.randint(-2, 1)
+                w = random_form(rng, level, domain, deg, lo=-n, hi=2)
+                check("WindowedForm", WindowedForm, w, n, m)
+                check("WindowedForm", WindowedForm, w - w, n, m)
+                xw = WindowedForm(w, n, m)
+                check("scale_windowed", scale_windowed, xw, domain.random_nonzero(rng))
+                check("scale_windowed", scale_windowed, xw, zero_scalar)
+            for deg in range(level + 1):
+                for r in window_basis(level, domain, deg, 2, 0, 1):
+                    valid("window_basis", r)
+    names = ("+", "-", "scale", "mul_int", "wedge", "d", "dlog", "cartier", "residue_step",
+             "WindowedForm", "scale_windowed", "window_basis")
+    assert all(checked[name] >= 6 for name in names), checked
 
 
 # ------------------------------------------------------------- derivations
@@ -737,3 +825,62 @@ def test_singular_matrix_detected():
     assert not gram_is_invertible(rows)
     zero_row = [{0: F2.zero(), 1: F2.zero()}, {0: F2.one(), 1: F2.one()}]
     assert not gram_is_invertible(zero_row, domain=F2)
+
+
+def counted_inverses(monkeypatch, domain_class=None):
+    """Record the entries the elimination inverts: through series ``inv``,
+    or through a raw domain's ``inv`` when its class is given."""
+    calls = []
+    owner = domain_class or NestedSeries
+    inner = owner.inv
+
+    def counting(self, *args):
+        calls.append(args[0] if domain_class else self)
+        return inner(self, *args)
+
+    monkeypatch.setattr(owner, "inv", counting)
+    return calls
+
+
+def test_partner_matched_workload_grams_take_no_inverse(monkeypatch):
+    """On the windows of the benchmark's duality workload every split's Gram
+    is decided invertible without inverting a single pivot: each pivot's
+    column is held by no other row."""
+    grams = [
+        (K, duality_matrix(m + width, m, minimal_b(K.p, width), K, i, K.d - i))
+        for K, widths in ((KD, range(1, 7)), (KD3, range(1, 6)))
+        for width in widths
+        for m in range(4)
+        for i in range(K.d + 1)
+    ]
+    calls = counted_inverses(monkeypatch)
+    for K, rows in grams:
+        assert gram_is_invertible(rows, domain=K.field_domain, precision=K.precision)
+    assert len(grams) == 132 and calls == []
+
+
+def test_pivots_are_inverted_only_for_rows_that_hold_their_column(monkeypatch):
+    """A pivot another row holds is inverted once; one no other row holds
+    is only checked: a window-zero one still raises."""
+    one, t = NestedSeries.one(1, F2), mono(1, F2, (1,))
+    calls = counted_inverses(monkeypatch)
+    assert gram_is_invertible([{0: t, 1: one}, {0: one}], precision=8)
+    assert calls == [t]
+    calls.clear()
+    assert gram_is_invertible([{0: one}, {1: t}])
+    assert calls == []
+    with pytest.raises(PrecisionExhausted, match="pivot is zero within its window"):
+        gram_is_invertible([{0: one}, {1: NestedSeries.zero(1, F2, 3)}])
+    assert calls == []
+    raw_calls = counted_inverses(monkeypatch, type(F3))
+    assert gram_is_invertible([{0: 1, 1: 2}, {0: 1, 1: 1}], domain=F3)
+    assert raw_calls == [1]  # the second pivot, 1 - 2 = 2, has no row below it
+
+
+def test_every_pivot_over_a_lift_ring_is_inverted():
+    """Over Z/4 a nonzero entry need not be a unit: the lone pivot 2 is
+    still inverted, which refuses it."""
+    z4 = galois_ring_domain(2, 1, 2)
+    with pytest.raises(ZeroInput):
+        gram_is_invertible([{0: 2}], domain=z4)
+    assert gram_is_invertible([{0: 3}], domain=z4)

@@ -828,15 +828,24 @@ def test_embed_reproducers_have_pinned_conductors(p, printed, image, sws, target
             swan_oracle(pulled)
 
 
-def test_windowed_repro_still_runs_out_of_precision():
-    """The combination for x_0 narrows the finished windows below the polar
-    part; that is PrecisionExhausted, not an internal error."""
+def test_windowed_repro_reduces_exactly():
+    """Each slot's combination runs on the slots it moves, so the heavier
+    slots' windows no longer narrow the tail below its polar part: at
+    window 3 the vector reduces, with the conductor of its exact and
+    window-12 forms, and its components agree with theirs on the common
+    window."""
     K = FieldTower(2, 1, 4, ("t",))
-    v = WittVector.from_print_order(
-        K, [parse_series(c, K).truncate(3) for c in ("t^-1", "t", "t^-2", "0")]
-    )
-    with pytest.raises(PrecisionExhausted):
-        asw_reduce(v)
+
+    def reduced(window):
+        series = [parse_series(c, K) for c in ("t^-1", "t", "t^-2", "0")]
+        if window is not None:
+            series = [c.truncate(window) for c in series]
+        return asw_reduce(WittVector.from_print_order(K, series))
+
+    exact, wide, narrow = reduced(None), reduced(12), reduced(3)
+    assert [swan_conductor(chi) for chi in (exact, wide, narrow)] == [8, 8, 8]
+    for other in (exact, wide):
+        assert all(a.agrees_with(b) for a, b in zip(narrow.vector.comps, other.vector.comps))
 
 
 def test_one_combination_per_slot_at_most(monkeypatch):
@@ -860,6 +869,41 @@ def test_one_combination_per_slot_at_most(monkeypatch):
     reduced = asw_reduce_components([f], 3)
     assert calls == []
     assert reduced[0] != f
+
+
+# The s >= 3 cells (p, k, s, d) of the benchmark's witt workload.
+TAIL_CELLS = (
+    (2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (3, 1, 3, 1), (2, 1, 4, 1), (2, 2, 4, 1),
+)
+
+
+@pytest.mark.parametrize("cell", TAIL_CELLS)
+def test_slot_reduction_tail_combination_equals_the_full_one(cell):
+    """For E nonzero only in internal slot i, ``a - F(E) + E`` is the
+    combination of the length-(i + 1) tails followed by a's heavier slots
+    (module docstring, "Reduction"), on exact inputs."""
+    p, k, s, d = cell
+    tower = FieldTower(p, k, s, ("u", "t")[2 - d:])
+    dom = tower.field_domain
+    rng = random.Random(f"tail:{cell}")
+
+    def draw(terms):
+        return NestedSeries.from_monomials(d, dom, [
+            (tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(-6, 2),),
+             dom.random_nonzero(rng))
+            for _ in range(terms)
+        ])
+
+    zero = NestedSeries.zero(d, dom)
+    for _ in range(4):
+        a = tuple(draw(rng.randint(0, 3)) for _ in range(s))
+        for i in range(1, s):
+            total = draw(rng.randint(1, 2))
+            full = tuple(total if j == i else zero for j in range(s))
+            tail = full[:i + 1]
+            want = witt_combine([a, witt_frobenius(full), full], [1, -1, 1], p)
+            got = witt_combine([a[:i + 1], witt_frobenius(tail), tail], [1, -1, 1], p)
+            assert got + a[i + 1:] == want
 
 
 def test_internal_check_fires_when_a_finished_slot_moves(monkeypatch):
