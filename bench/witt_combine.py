@@ -1,11 +1,12 @@
-"""Layer bench: Witt-vector combination (``witt_combine``) over the ``witt`` workload cells.
+"""Layer bench: Witt-vector combination (``witt_combine``) and character
+reduction (``asw_reduce``) over the ``witt`` workload cells.
 
 The inputs are the same for every tree: for every ``(p, k, s, d)`` cell of
 the ``witt`` workload and the three-variable cell ``(2, 1, 2, 3)``,
 ``VECTORS`` fixed seeded exact characters with 0..4 monomials per component,
 top exponents in -4..2 and lower ones in -2..2, the shape the workload
-draws.  Results must be equal across trees (checked).  Per cell, one
-figure per tree:
+draws.  Sums and reduction combinations must be equal across trees
+(checked).  Per cell, one figure per tree:
 
 * ``us_per_sum``: the mean time of one two-vector sum ``a + b`` over the
   ``VECTORS - 1`` consecutive pairs;
@@ -13,16 +14,24 @@ figure per tree:
   ``[comps, F(E), E]`` with ``[1, -1, 1]`` the reductions of the vectors and
   of their coboundary shifts ``a + (F(b) - b)`` make (none at ``s = 1``);
 * ``us_per_reduce_combine``: the mean time of one of those combinations,
-  replayed on its recorded arguments (null when there is none).
+  replayed on its recorded arguments (null when there is none);
+* ``answered`` and ``errors``: reductions of the vectors that returned, and
+  the failures by kind (not compared across trees);
+* ``us_per_reduce``: the mean time of one whole ``asw_reduce`` call over
+  the vectors, failures included.
 
 Each time comes from ``PASSES`` alternating passes, each timing a batch of
-whole passes of about ``BATCH_SECONDS`` (``bench/_trees.py``).
+whole passes of about ``BATCH_SECONDS`` (``bench/_trees.py``).  With two or
+more trees, ``ratios`` gives for each time the median over the cells of
+tree ``i`` / tree 0 and the cells outside ``1 +- OUTSIDE``.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import sys
+from collections import Counter
 
 from _trees import alternate, main, same
 
@@ -37,6 +46,8 @@ CELLS = tuple(
 VECTORS = 40
 PASSES = 15
 BATCH_SECONDS = 0.05  # each timing covers a batch of passes of about this length
+OUTSIDE = 0.05  # a cell whose ratio is off 1 by more than this is listed
+TIMES = ("us_per_sum", "us_per_reduce_combine", "us_per_reduce")
 
 
 def _vectors(rswan, cell):
@@ -83,6 +94,15 @@ def _reduce_combines(rswan, vectors) -> list:
     return made
 
 
+def _reduce(rswan, vec):
+    """The error kind of one ``asw_reduce`` call, or None when it returns."""
+    try:
+        rswan.asw_reduce(vec)
+    except rswan.RswanError as exc:
+        return type(exc).__name__
+    return None
+
+
 def _sums(rswan, vectors):
     combine, p = rswan.witt.witt_combine, vectors[0].tower.p
     return [combine([a.comps, b.comps], [1, 1], p) for a, b in zip(vectors, vectors[1:])]
@@ -106,6 +126,10 @@ def measure(trees) -> dict:
             for tree, vecs in zip(trees, vectors)
         ]
         same(f"sums of cell {cell}", [fn() for fn in calls["sum", cell]])
+        calls["asw_reduce", cell] = [
+            (lambda tree=tree, vecs=vecs: [_reduce(tree, v) for v in vecs])
+            for tree, vecs in zip(trees, vectors)
+        ]
         if counts[cell][0]:
             calls["reduce", cell] = [
                 (lambda tree=tree, m=m: _replay(tree, m, p)) for tree, m in zip(trees, made)
@@ -117,6 +141,7 @@ def measure(trees) -> dict:
     for cell in CELLS:
         p, k, s, d = cell
         reduce = seconds.get(("reduce", cell))
+        errors = [Counter(kind for kind in fn() if kind) for fn in calls["asw_reduce", cell]]
         rows.append({
             "p": p, "k": k, "s": s, "d": d,
             "us_per_sum": [round(t * 1e6 / (VECTORS - 1), 1) for t in seconds["sum", cell]],
@@ -124,8 +149,30 @@ def measure(trees) -> dict:
             "us_per_reduce_combine": None if reduce is None else [
                 round(t * 1e6 / n, 1) for t, n in zip(reduce, counts[cell])
             ],
+            "answered": [VECTORS - sum(e.values()) for e in errors],
+            "errors": [dict(sorted(e.items())) for e in errors],
+            "us_per_reduce": [round(t * 1e6 / VECTORS, 1) for t in seconds["asw_reduce", cell]],
         })
-    return {"cells": rows}
+    return {"cells": rows, "ratios": _ratios(rows, len(trees))}
+
+
+def _ratios(rows, count: int) -> dict:
+    """Per time, per tree ``i > 0``: the median over the cells of tree ``i``
+    / tree 0, and the cells off 1 by more than ``OUTSIDE``."""
+    out = {}
+    for field in TIMES:
+        per_tree = []
+        for i in range(1, count):
+            cells = [(row, row[field][i] / row[field][0]) for row in rows if row[field]]
+            per_tree.append({
+                "median": round(statistics.median(r for _, r in cells), 3),
+                "outside": [
+                    {"cell": "({p}, {k}, {s}, {d})".format(**row), "ratio": round(r, 3)}
+                    for row, r in cells if abs(r - 1) > OUTSIDE
+                ],
+            })
+        out[field] = per_tree
+    return out
 
 
 if __name__ == "__main__":

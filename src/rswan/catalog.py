@@ -9,6 +9,7 @@ user-supplied config file.
 
 from __future__ import annotations
 
+from .errors import ConfigError
 from .tower import FieldTower
 
 __all__ = ["catalog_characters", "canned_config", "CATALOG_PRIMES"]
@@ -133,7 +134,7 @@ def catalog_characters(p: int):
 def canned_config(p: int) -> dict:
     """The check-all run configuration for one prime."""
     if p not in CATALOG_PRIMES:
-        raise ValueError(f"no canned catalog for p = {p}")
+        raise ConfigError(f"no canned catalog for p = {p}")
     towers = {
         name: _tower_dict(params)
         for name, params in _TOWERS[p].items()

@@ -29,7 +29,7 @@ from .extensions import (
 from .logdiff import duality_matrix, gram_is_invertible, minimal_b
 from .parser import parse_rat_func, parse_series, parse_windowed_form, render_form, render_series
 from .ratfunc import rat_func_domain
-from .reciprocity import check_exp_congruences, verify_rsw_characterization
+from .reciprocity import FP_EMBEDDING, check_exp_congruences, verify_rsw_characterization
 from .rsw import rsw_char_p, rsw_is_closed, sw_from_rsw
 from .series import NestedSeries
 from .tower import FieldTower
@@ -61,12 +61,13 @@ CONVENTIONS = {
         "character components are written in print order (a_{s-1}, ..., a_0): "
         "the weight-p^(s-1) component first, the weight-1 component last"
     ),
-    "fp_embedding": "F_p -> Z/p^s, 1 |-> p^(s-1)",
+    "fp_embedding": FP_EMBEDDING,
 }
 
 _FAILING_STATUSES = ("FAIL", "ERROR")
 MAX_SAMPLES = 10_000  # reciprocity samples per task: 100 times the default
 _THMB_T_VALUES = (3, 5, 7)  # thmB's family exponents when a task gives none
+_THMC_EXPONENTS = (2, 4, 8)  # thmC's curve exponents when a task gives none
 
 
 # ------------------------------------------------------------- configuration
@@ -324,10 +325,6 @@ def _task_seed(seed: int, index: int) -> int:
     return seed * 100003 + index
 
 
-def _frac(f: Fraction) -> str:
-    return str(f)
-
-
 def _record(task: dict, status: str, values: dict, precision: int | None, **extra):
     inputs = {k: v for k, v in task.items() if k != "task"}
     rec = {"task": task["task"], "inputs": inputs, "status": status, "values": values}
@@ -446,7 +443,7 @@ def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
     out = perfect_residue_ratios(chi, family)
     n = out["sw_source"]
     rows = [
-        {"e": r["e"], "sw_target": r["sw_target"], "ratio": _frac(r["ratio"])}
+        {"e": r["e"], "sw_target": r["sw_target"], "ratio": str(r["ratio"])}
         for r in out["rows"]
     ]
     ok = out["all_bounded"]
@@ -462,7 +459,7 @@ def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
         "c_is_unit": out["c_is_unit"],
         "residual_units": {str(k): v for k, v in out["residual_units"].items()},
         "rows": rows,
-        "max_ratio": _frac(out["max_ratio"]),
+        "max_ratio": str(out["max_ratio"]),
         "all_bounded": out["all_bounded"],
     }
     return [_record(task, "PASS" if ok else "FAIL", values, None)]
@@ -470,10 +467,10 @@ def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
 
 def _run_thmC(config: RunConfig, task: dict, task_seed: int) -> list:
     f = config.curves[tuple(task["f"].items())]
-    exponents = tuple(task.get("exponents", (2, 4, 8)))
+    exponents = tuple(task.get("exponents", _THMC_EXPONENTS))
     out = curve_restriction_ratios(config.main_tower.p, f, task.get("x0", 0), exponents)
     rows = [
-        {"e": r["e"], "sw": r["sw"], "ratio": _frac(r["ratio"])} for r in out["rows"]
+        {"e": r["e"], "sw": r["sw"], "ratio": str(r["ratio"])} for r in out["rows"]
     ]
     ok = out["all_bounded"]
     if "expect_ratios" in task:

@@ -99,4 +99,5 @@ class ZeroEntry(RswanError):
 
 
 class ConfigError(RswanError):
-    """A run configuration is malformed or references undefined identifiers."""
+    """A run configuration or a tower descriptor is malformed, or references
+    undefined identifiers."""

@@ -284,7 +284,7 @@ def conductor_change(ext: ExtensionMap, char: Character | WittVector) -> Conduct
 
 # ------------------------------------------------- imperfect-residue ratios
 
-def imperfect_residue_family(p: int = 2, t_values=(3, 5, 7)):
+def imperfect_residue_family(p: int, t_values):
     """The canned family ``u -> v^p + w, t -> w^t`` (t prime to p) together
     with its test character chi = (u t^-2) over F_p((u))((t))."""
     source = FieldTower(p, 1, 1, ("u", "t"))
@@ -354,7 +354,7 @@ def _eval_poly_at(series_base: NestedSeries, coeffs, domain) -> NestedSeries:
     return acc
 
 
-def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents=(2, 4, 8)):
+def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents):
     """Restrict a character over F_p(x)((t)) to curves t -> u^e, x -> x0 + u.
 
     ``f`` is a length-one component with coefficients in F_p(x) (the

@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NoPthRoot, RswanError, ZeroInput
+from .scalars import power, render_poly
 
 __all__ = ["RatFuncDomain", "rat_func_domain", "poly_from_coeffs"]
 
@@ -161,14 +162,7 @@ class RatFuncDomain:
     def pow(self, x, n: int):
         if n < 0:
             x, n = self.inv(x), -n
-        out = self.one()
-        base = x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return power(x, n, self.mul) if n else self.one()
 
     # ------------------------------------------------------------ p-th roots
     def is_pth_power(self, x) -> bool:
@@ -202,28 +196,13 @@ class RatFuncDomain:
 
     def render(self, x) -> str:
         num, den = x
-        num_s = self._render_poly(num)
+        num_s = render_poly(num, "x")
         if den == (1,):
             return num_s
-        den_s = self._render_poly(den)
+        den_s = render_poly(den, "x")
         num_wrapped = f"({num_s})" if " " in num_s else num_s
         den_wrapped = f"({den_s})" if " " in den_s else den_s
         return f"{num_wrapped}/{den_wrapped}"
-
-    @staticmethod
-    def _render_poly(t) -> str:
-        if not t:
-            return "0"
-        parts = []
-        for i, c in enumerate(t):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                parts.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(parts)
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,12 @@ where ``theta(f) = sum_i p^(s-1-i) f~_i^(p^i)`` (internal component order,
 any coefficientwise lift) and Res_P is the iterated T^0-dlog-coefficient
 extraction followed by the trace to Z/p^s.  The characterizing identity
 
-    chi(E(alpha)) = Res_F(R_b(alpha ^ Rsw(chi)))     (F_p -> Z/p^s, 1 |-> p^(s-1))
+    chi(E(alpha)) = Res_F(R_b(Rsw(chi) ^ alpha))     (F_p -> Z/p^s, 1 |-> p^(s-1))
 
 is verified sample-by-sample: the left side through symbols {E(x), y, ...}
 built from the monomials of alpha, the right side through the window
-collapse r_b and the residue-plus-trace map.
+collapse r_b and the residue-plus-trace map (the orientation is derived in
+:func:`verify_rsw_characterization`).
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ __all__ = [
 ]
 
 _MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0}
+
+# How a pairing value in F_p is read in Z/p^s, in every report.
+FP_EMBEDDING = "F_p -> Z/p^s, 1 |-> p^(s-1)"
 
 
 # ------------------------------------------------------------ truncated exp
@@ -128,7 +132,7 @@ class ExpCongruenceReport:
         return all(self.results.values())
 
 
-def check_exp_congruences(p: int, bound: int | None = None) -> ExpCongruenceReport:
+def check_exp_congruences(p: int) -> ExpCongruenceReport:
     """Verify the three defining congruences of E by exact rational arithmetic.
 
     (1) E(T1+T2) = E(T1)E(T2) modulo total degree p (and the tail is
@@ -139,7 +143,6 @@ def check_exp_congruences(p: int, bound: int | None = None) -> ExpCongruenceRepo
     """
     if p not in (2, 3, 5):
         raise InconsistentValue(f"p = {p} is outside the supported set {{2, 3, 5}}")
-    bound = bound if bound is not None else p
     E = {i: Fraction(1, factorial(i)) for i in range(p)}
     results = {}
 
@@ -167,7 +170,7 @@ def check_exp_congruences(p: int, bound: int | None = None) -> ExpCongruenceRepo
     prod = {0: Fraction(1)}
     for i in range(1, p):
         alpha = Fraction(-_MOBIUS[i], i)
-        prod = _poly_mul(prod, _binomial_series(alpha, i, bound - 1), bound - 1)
+        prod = _poly_mul(prod, _binomial_series(alpha, i, p - 1), p - 1)
     ok2 = all(prod.get(i, Fraction(0)) == E.get(i, Fraction(0)) for i in range(p))
     results["moebius_product_mod_Tp"] = ok2
 
@@ -273,7 +276,7 @@ class CharacterizationReport:
     samples: int
     agreements: int
     schmid_checked: int
-    embedding: str = "F_p -> Z/p^s, 1 |-> p^(s-1)"
+    embedding: str = FP_EMBEDDING
     mismatches: tuple = ()
 
     @property
@@ -298,12 +301,38 @@ def _random_window_terms(tower, rng, m: int, n: int):
 def verify_rsw_characterization(
     char: Character | WittVector, samples: int, seed: int = 0
 ) -> CharacterizationReport:
-    """Check chi(E(alpha)) = Res_F(R_b(alpha ^ Rsw(chi))) on random alpha.
+    """Check chi(E(alpha)) = Res_F(R_b(Rsw(chi) ^ alpha)) on random alpha.
 
     alpha runs over the window m^(m+1)/m^(n+1) of degree-(d-1) forms, as a
     random small sum of monomial terms; the left side goes through symbols
     {E(x), T_lambda}, the right side through r_b with the minimal b such
     that p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1).
+
+    The orientation, for alpha = x dlog T_lambda (no dlog at d = 1) with
+    ord x >= m + 1:
+
+    * congruence (3) of :func:`check_exp_congruences` gives
+      ``dlog E(x) = dx - x^(p-1) dx / ((p-1)! E(x))``.  The second term, the
+      truncated exponential's higher part, has order at least
+      ``p(m + 1) > n`` (``m = n // p``): it lies past the window
+      ``m^(m+1)/m^(n+1)`` that both sides read, so there ``dlog E(x) = dx``;
+    * the left side is ``Res(theta dlog E(x) ^ dlog T_lambda)``, and the
+      residue of an exact form is 0, so
+      ``Res(theta dx ^ dlog T_lambda) = -Res(x dtheta ^ dlog T_lambda)``;
+    * at d = 1 this reads ``chi(E(x)) = -Res(x dtheta)``, which the Schmid
+      oracle pins and which equals ``Res(x Rsw(chi))``: on the window
+      ``Rsw(chi)`` acts as ``-dtheta``;
+    * at d = 2 the same step gives ``Res(-dtheta ^ x dlog T_lambda)``.
+
+    So for every d
+
+        chi(E(alpha)) = Res(Rsw(chi) ^ alpha) = (-1)^(d-1) Res(alpha ^ Rsw(chi)),
+
+    and the right side pairs ``Rsw(chi) ^ alpha``; the two orders differ at
+    d = 2 by a sign that only odd p can see.  The symbol and the refined
+    Swan conductor are those of the paper (rswan, arXiv 1809.01324) and of
+    K. Kato, "Swan conductors for characters of degree one in the imperfect
+    residue field case", Contemp. Math. 83 (1989).
 
     Both sides are additive in alpha.  The left side is a sum of symbols
     by definition; on the right each map is additive:
@@ -365,10 +394,10 @@ def verify_rsw_characterization(
                         {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}
                     )
                 schmid_checked += 1
-        # Right side: each new term x dlog T_key wedged against the invariant.
+        # Right side: the invariant wedged with each new term x dlog T_key.
         for term, x in fresh:
             alpha = WindowedForm(LogForm(tower.d, domain, tower.d - 1, {term[2]: x}), -m - 1, -n - 1)
-            res_val = residue_to_prime_field(r_b(wedge_windowed(alpha, value.window), b), domain)
+            res_val = residue_to_prime_field(r_b(wedge_windowed(value.window, alpha), b), domain)
             known[term][2] = (res_val * p ** (s - 1)) % modulus
         rhs = sum(known[term][2] for term in terms) % modulus
         if lhs == rhs:

@@ -91,7 +91,7 @@ def rsw_char_p(char: Character) -> RswValue:
     with :class:`UnramifiedCharacter`.
     """
     if not isinstance(char, Character):
-        raise TypeError("expected a Character (wrap the vector and reduce it first)")
+        raise InconsistentValue("expected a Character (wrap the vector and reduce it first)")
     if not char.reduced:
         raise InconsistentValue(
             "the refined invariant needs a reduced character; reduce it first"

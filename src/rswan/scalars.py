@@ -1,25 +1,26 @@
 """Coefficient arithmetic: F_q and its unramified Z/p^s lift.
 
-Both rings are quotients (Z/p^s)[x]/(f) for a fixed monic polynomial f from
-a published table (s = 1 gives the field).  s runs over 1..4, the lift
-lengths a tower accepts; Witt arithmetic runs in the tower's own lift ring
-(see :mod:`rswan.witt`), so no longer ring is built.  For speed the domains
-operate on *raw* values: a plain int when k == 1, a length-k tuple of ints
-otherwise.
+One class is the ring W_s(F_q) = (Z/p^s)[g]/(f) for a fixed monic
+polynomial f from a published table; F_q is its length-1 case (s = 1).
+s runs over 1..4, the lift lengths a tower accepts; Witt arithmetic runs in
+the tower's own lift ring (see :mod:`rswan.witt`), so no longer ring is
+built.  For speed the domain operates on *raw* values: a plain int when
+k == 1, a length-k tuple of ints otherwise.  :func:`power` and
+:func:`render_poly` serve every coefficient layer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InconsistentValue, TowerMismatch, ZeroInput
+from .errors import ConfigError, InconsistentValue, TowerMismatch, ZeroInput
 
 __all__ = [
     "DEFINING_POLYNOMIALS",
-    "FqDomain",
-    "GaloisRingDomain",
     "fq_domain",
     "galois_ring_domain",
+    "power",
+    "render_poly",
 ]
 
 # Conway polynomials for F_{p^k}, coefficients ascending, monic.
@@ -41,16 +42,44 @@ DEFINING_POLYNOMIALS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
+def power(x, n: int, mul):
+    """``x ** n`` for ``n >= 1`` by square-and-multiply over ``mul``: low bits
+    first, the accumulator on the left, no squaring past the top bit."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = x if acc is None else mul(acc, x)
+        n >>= 1
+        if not n:
+            return acc
+        x = mul(x, x)
+
+
+def render_poly(coeffs, var: str) -> str:
+    """``c_0 + c_1*var + c_2*var^2 + ...`` without the zero terms; ``"0"``
+    when every coefficient is zero."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            mono = var if i == 1 else f"{var}^{i}"
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(parts) if parts else "0"
+
+
 class _QuotientDomain:
-    """Shared arithmetic for (Z/m)[x]/(f), m = p^s, f monic of degree k."""
+    """Arithmetic of (Z/m)[x]/(f), m = p^s, f monic of degree k (F_q at s = 1)."""
 
     __slots__ = ("p", "k", "s", "modulus", "poly", "_red_rows")
 
     def __init__(self, p: int, k: int, s: int):
         if (p, k) not in DEFINING_POLYNOMIALS:
-            raise ValueError(f"no defining polynomial on file for (p, k) = ({p}, {k})")
+            raise ConfigError(f"no defining polynomial on file for (p, k) = ({p}, {k})")
         if not 1 <= s <= 4:
-            raise ValueError(f"lift length s = {s} out of the supported range 1..4")
+            raise ConfigError(f"lift length s = {s} out of the supported range 1..4")
         self.p = p
         self.k = k
         self.s = s
@@ -149,14 +178,7 @@ class _QuotientDomain:
     def pow(self, x, n: int):
         if n < 0:
             return self.pow(self.inv(x), -n)
-        acc = self.one()
-        base = x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
+        return power(x, n, self.mul) if n else self.one()
 
     def inv(self, x):
         if self.is_zero(x):
@@ -183,6 +205,12 @@ class _QuotientDomain:
         """x ** p (used in characteristic p only)."""
         return self.pow(x, self.p)
 
+    def is_pth_power(self, x) -> bool:
+        """True: F_q is perfect (s = 1 only, as for :meth:`pth_root`)."""
+        if self.s != 1:
+            raise TowerMismatch("p-th roots are a residue-field operation")
+        return True
+
     def pth_root(self, x):
         """Unique p-th root in F_q (s = 1; F_q is perfect)."""
         if self.s != 1:
@@ -196,22 +224,11 @@ class _QuotientDomain:
         if self.k == 1:
             return x
         total = 0
-        basis = self.one()
+        basis, g = self.one(), self.generator()
         for i in range(self.k):
             total += self.mul(x, basis)[i]
-            basis = self._mul_by_x(basis)
+            basis = self.mul(basis, g)
         return total % self.modulus
-
-    def _mul_by_x(self, v):
-        m = self.modulus
-        shifted = [0] + list(v[:-1])
-        top = v[-1]
-        if top:
-            row = self._red_rows[0]
-            shifted = [(shifted[i] + top * row[i]) % m for i in range(self.k)]
-        else:
-            shifted = [c % m for c in shifted]
-        return tuple(shifted)
 
     # -- lift / reduce -----------------------------------------------------
     def reduce_mod_p(self, x):
@@ -237,39 +254,14 @@ class _QuotientDomain:
 
     def render(self, x) -> str:
         """Human-readable form (polynomial in g)."""
-        cs = self.coeffs(x)
-        parts = []
-        for j, c in enumerate(cs):
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            elif j == 1:
-                parts.append("g" if c == 1 else f"{c}*g")
-            else:
-                parts.append(f"g^{j}" if c == 1 else f"{c}*g^{j}")
-        return " + ".join(parts) if parts else "0"
+        return render_poly(self.coeffs(x), "g")
 
 
-class FqDomain(_QuotientDomain):
-    """Arithmetic of F_q, q = p^k, on raw int/tuple values."""
-
-    def __init__(self, p: int, k: int):
-        super().__init__(p, k, 1)
-
-    def is_pth_power(self, x) -> bool:  # F_q is perfect
-        return True
-
-
-class GaloisRingDomain(_QuotientDomain):
-    """Arithmetic of the unramified extension of Z/p^s defined by the same table."""
+def fq_domain(p: int, k: int) -> _QuotientDomain:
+    """F_q, q = p^k: the length-1 Galois ring."""
+    return galois_ring_domain(p, k, 1)
 
 
 @lru_cache(maxsize=None)
-def fq_domain(p: int, k: int) -> FqDomain:
-    return FqDomain(p, k)
-
-
-@lru_cache(maxsize=None)
-def galois_ring_domain(p: int, k: int, s: int) -> GaloisRingDomain:
-    return GaloisRingDomain(p, k, s)
+def galois_ring_domain(p: int, k: int, s: int) -> _QuotientDomain:
+    return _QuotientDomain(p, k, s)

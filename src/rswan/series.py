@@ -135,7 +135,7 @@ import sys
 from array import array
 
 from .errors import ExponentOutOfRange, NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
-from .scalars import _QuotientDomain
+from .scalars import _QuotientDomain, power
 
 __all__ = [
     "NestedSeries",
@@ -745,14 +745,7 @@ class NestedSeries:
     def pow(self, n: int, precision: int | None = None) -> "NestedSeries":
         if n < 0:
             return self.inv(precision).pow(-n)
-        acc = None
-        base = self
-        while n:
-            if n & 1:
-                acc = base if acc is None else acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return NestedSeries.one(self.level, self.domain) if acc is None else acc
+        return power(self, n, operator.mul) if n else NestedSeries.one(self.level, self.domain)
 
     def inv(self, precision: int | None = None) -> "NestedSeries":
         """Multiplicative inverse in the top variable (module docstring,
@@ -1049,8 +1042,8 @@ def _substitute(a, images, powers, out_level, domain, precision):
     if q is None:
         q = NestedSeries.zero(out_level, domain)
     elif last:
-        power = _exact_power(img, table, abs(last))
-        q = q * (power if last > 0 else power.inv(precision))
+        last_power = _exact_power(img, table, abs(last))
+        q = q * (last_power if last > 0 else last_power.inv(precision))
     if a.ceiling is None:
         return q
     if img.is_exact_zero() and a.ceiling >= 1:

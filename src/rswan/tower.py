@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TowerMismatch
+from .errors import ConfigError, TowerMismatch
 from .scalars import fq_domain, galois_ring_domain
 
 __all__ = ["FieldTower"]
@@ -44,14 +44,14 @@ class FieldTower:
         # checks the lift length and looks up the table entry for (p, k)
         galois_ring_domain(self.p, self.k, self.s)
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError("tower variables must be distinct")
+            raise ConfigError("tower variables must be distinct")
         for v in self.variables:
             if not v.isidentifier() or v == "g":
-                raise ValueError(f"bad variable name {v!r}")
+                raise ConfigError(f"bad variable name {v!r}")
         if self.precision < 4:
-            raise ValueError("precision budget too small to be useful")
+            raise ConfigError("precision budget too small to be useful")
         if self.precision > MAX_PRECISION:
-            raise ValueError(f"precision budget {self.precision} above the cap {MAX_PRECISION}")
+            raise ConfigError(f"precision budget {self.precision} above the cap {MAX_PRECISION}")
 
     # -- structure ----------------------------------------------------------
     @property
@@ -65,7 +65,7 @@ class FieldTower:
     @property
     def uniformizer(self) -> str:
         if not self.variables:
-            raise ValueError("a zero-dimensional tower has no uniformizer")
+            raise TowerMismatch("a zero-dimensional tower has no uniformizer")
         return self.variables[-1]
 
     def level_of(self, name: str) -> int:

@@ -122,7 +122,7 @@ from .errors import (
     TowerMismatch,
     ZeroInput,
 )
-from .scalars import galois_ring_domain
+from .scalars import galois_ring_domain, power
 from .series import (
     NestedSeries,
     _flatten,
@@ -348,14 +348,7 @@ def _flat_components(kept, s: int, p: int, level: int):
 def _raw_pow(domain, x: dict, n: int) -> dict:
     """``x^n`` for ``n >= 1`` by square-and-multiply over
     :func:`~rswan.series._level_one_mul` (exact: no ceiling)."""
-    acc = None
-    while True:
-        if n & 1:
-            acc = x if acc is None else _level_one_mul(domain, acc, x, None)
-        n >>= 1
-        if not n:
-            return acc
-        x = _level_one_mul(domain, x, x, None)
+    return power(x, n, lambda a, b: _level_one_mul(domain, a, b, None))
 
 
 def _flat_combine(flat, s: int, p: int, level: int, lift, field):
@@ -367,11 +360,11 @@ def _flat_combine(flat, s: int, p: int, level: int, lift, field):
 
     def powers(terms):
         """``(c mod p^s, x^e)`` for the terms with ``c`` nonzero mod ``p^s``
-        and ``x`` not exactly zero."""
+        and ``x`` not exactly zero (``x^1`` is ``x`` itself)."""
         for c, x, e in terms:
             c %= m
             if c and x:
-                yield c, _raw_pow(lift, x, e)
+                yield c, x if e == 1 else _raw_pow(lift, x, e)
 
     def ghost_sum(terms, q):
         acc: dict = {}

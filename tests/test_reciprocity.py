@@ -361,7 +361,7 @@ def uncached_characterization_oracle(char, samples, seed=0):
         alpha = WindowedForm(
             LogForm(tower.d, tower.field_domain, tower.d - 1, form_coeffs), -m - 1, -n - 1
         )
-        collapsed = r_b(wedge_windowed(alpha, value.window), b)
+        collapsed = r_b(wedge_windowed(value.window, alpha), b)
         if isinstance(collapsed, LogForm):
             res_val = residue_to_prime_field(collapsed)
         else:
@@ -458,17 +458,14 @@ def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
 # ----------------------------------------- additivity beyond the catalog
 
 # Towers that no catalog reciprocity cell reaches: F_4 residues (k = 2, one
-# and two variables), lift length 3, and p = 5 over two variables.  The flag
-# says whether the identity holds there: over two variables at odd p every
-# mismatch the checker records has lhs = -rhs, a sign that p = 2 cannot see.
-# The check here is that the library's report equals the oracle's, either way.
+# and two variables), lift length 3, and p = 5 over two variables.
 ADDITIVITY_CELLS = [
-    (FieldTower(2, 2, 1, ("t",)), ["g*t^-3 + t^-1"], True),
-    (FieldTower(2, 2, 1, ("u", "t")), ["g*u*t^-3"], True),
-    (FieldTower(2, 1, 3, ("t",)), ["t^-1", "0", "t^-3"], True),
-    (FieldTower(3, 1, 3, ("t",)), ["t^-1", "0", "t^-2"], True),
-    (FieldTower(5, 1, 1, ("u", "t")), ["u*t^-2"], False),
-    (FieldTower(5, 1, 1, ("u", "t")), ["u^-1*t^-3 + t^-1"], False),
+    (FieldTower(2, 2, 1, ("t",)), ["g*t^-3 + t^-1"]),
+    (FieldTower(2, 2, 1, ("u", "t")), ["g*u*t^-3"]),
+    (FieldTower(2, 1, 3, ("t",)), ["t^-1", "0", "t^-3"]),
+    (FieldTower(3, 1, 3, ("t",)), ["t^-1", "0", "t^-2"]),
+    (FieldTower(5, 1, 1, ("u", "t")), ["u*t^-2"]),
+    (FieldTower(5, 1, 1, ("u", "t")), ["u^-1*t^-3 + t^-1"]),
 ]
 
 
@@ -491,10 +488,10 @@ def _repeating_and_cancelling(draw):
 
 
 @pytest.mark.parametrize(
-    "tower,texts,holds", ADDITIVITY_CELLS,
+    "tower,texts", ADDITIVITY_CELLS,
     ids=["F4", "F4d2", "p2s3", "p3s3", "p5d2", "p5d2pole"],
 )
-def test_characterization_is_additive_beyond_the_catalog(tower, texts, holds, monkeypatch):
+def test_characterization_is_additive_beyond_the_catalog(tower, texts, monkeypatch):
     """Per-term pairings summed equal the pairing of the summed alpha, on
     towers the catalog does not sample, with repeated dlog keys, repeated
     terms and terms that cancel in alpha."""
@@ -508,4 +505,20 @@ def test_characterization_is_additive_beyond_the_catalog(tower, texts, holds, mo
         for seed in range(3):
             report = verify_rsw_characterization(chi, 30, seed=seed)
             assert report == uncached_characterization_oracle(chi, 30, seed), (forced, seed)
-            assert report.all_equal or not holds, (forced, seed)
+            assert report.all_equal, (forced, seed)
+
+
+# ------------------------------------------------ the orientation at d = 2
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("s", (1, 2))
+def test_characterization_holds_over_two_variables_at_odd_p(p, s):
+    """chi(E(alpha)) = Res(Rsw(chi) ^ alpha) (docstring of
+    ``verify_rsw_characterization``): at d = 2 the order of the wedge is a
+    sign, which odd p sees.  Each character sits in the weight-1 slot."""
+    tower = FieldTower(p, 1, s, ("u", "t"))
+    for text in ("u*t^-2", "u^-1*t^-3 + t^-1", "t^-2 + u^2*t^-1", "u*t^-4"):
+        chi = char_of(tower, ["0"] * (s - 1) + [text])
+        for seed in range(3):
+            report = verify_rsw_characterization(chi, 60, seed=seed)
+            assert report.all_equal, (text, seed, report.mismatches)

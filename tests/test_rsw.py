@@ -212,7 +212,7 @@ def test_windowed_form_is_the_untruncated_form(cell):
 
 def test_rsw_needs_a_character():
     vec = WittVector.from_print_order(K2, (mono(K2, (-3,)),))
-    with pytest.raises(TypeError):
+    with pytest.raises(InconsistentValue, match="expected a Character"):
         rsw_char_p(vec)
 
 

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from rswan.errors import InconsistentValue, NoPthRoot, TowerMismatch, ZeroInput
-from rswan.scalars import fq_domain, galois_ring_domain
+from rswan.errors import ConfigError, InconsistentValue, NoPthRoot, TowerMismatch, ZeroInput
+from rswan.ratfunc import rat_func_domain
+from rswan.scalars import DEFINING_POLYNOMIALS, fq_domain, galois_ring_domain, power, render_poly
 
 
 def all_elements(dom):
@@ -227,3 +228,65 @@ def test_quotient_domain_misuse_raises_typed_errors():
 def test_domains_are_cached():
     assert fq_domain(2, 3) is fq_domain(2, 3)
     assert galois_ring_domain(3, 1, 2) is galois_ring_domain(3, 1, 2)
+
+
+def test_the_field_is_the_length_one_lift_ring():
+    """One class and one cache: F_q is the length-1 Galois ring."""
+    for p, k in DEFINING_POLYNOMIALS:
+        assert fq_domain(p, k) is galois_ring_domain(p, k, 1)
+        assert fq_domain(p, k).is_pth_power(fq_domain(p, k).generator())
+        for s in (2, 3, 4):
+            big = galois_ring_domain(p, k, s)
+            with pytest.raises(TowerMismatch, match="residue-field operation"):
+                big.is_pth_power(big.one())
+
+
+def test_unknown_rings_are_config_errors():
+    with pytest.raises(ConfigError, match="no defining polynomial"):
+        galois_ring_domain(7, 1, 1)
+    with pytest.raises(ConfigError, match="no defining polynomial"):
+        fq_domain(2, 5)
+    with pytest.raises(ConfigError, match="out of the supported range"):
+        galois_ring_domain(2, 1, 5)
+
+
+POWER_DOMAINS = {
+    "F_9": fq_domain(3, 2), "Z/16": galois_ring_domain(2, 1, 4),
+    "(Z/16)[g]": galois_ring_domain(2, 2, 4), "F_3(x)": rat_func_domain(3),
+}
+
+
+def random_unit(dom, rng):
+    while True:
+        x = dom.random_nonzero(rng)
+        try:
+            dom.inv(x)
+        except ZeroInput:
+            continue
+        return x
+
+
+@pytest.mark.parametrize("name", POWER_DOMAINS)
+def test_power_is_repeated_multiplication(name):
+    """``power`` and each domain's ``pow`` against n - 1 products, n = 1..40."""
+    dom = POWER_DOMAINS[name]
+    rng = random.Random(name)
+    for _ in range(3):
+        x = random_unit(dom, rng)
+        acc = x
+        for n in range(1, 41):
+            if n > 1:
+                acc = dom.mul(acc, x)
+            assert power(x, n, dom.mul) == acc, n
+            assert dom.pow(x, n) == acc, n
+        assert dom.pow(x, 0) == dom.one()
+        assert dom.mul(dom.pow(x, -3), dom.pow(x, 3)) == dom.one()
+
+
+def test_polynomials_render_alike_in_every_domain():
+    assert render_poly((0, 1, 0, 2), "g") == "g + 2*g^3"
+    assert render_poly((3, 0, 1), "x") == "3 + x^2"
+    assert render_poly((0, 0), "g") == "0" == render_poly((), "x")
+    assert galois_ring_domain(2, 2, 4).render((3, 1)) == "3 + g"
+    fx = rat_func_domain(3)
+    assert fx.render(fx.from_polys((1, 0, 2), (0, 1))) == "(1 + 2*x^2)/x"

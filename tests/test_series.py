@@ -325,6 +325,30 @@ def test_nested_inverse_matches_the_newton_oracle(name, domain):
 
 # ----------------------------------------------------------- window algebra
 
+def power_cases():
+    """Exact and windowed series at levels 1 and 2 over F_2 and F_9, the
+    level-2 windowed one with an inner window."""
+    for dom in (F2, F9):
+        g = dom.generator()
+        inner = NestedSeries(1, dom, {0: dom.one(), 1: g}, 3)
+        yield NestedSeries(1, dom, {0: dom.one(), 1: g})
+        yield NestedSeries(1, dom, {-1: g, 0: dom.one(), 2: g}, 3)
+        yield NestedSeries(2, dom, {-1: mono(1, dom, (1,)), 1: mono(1, dom, (-1,), g)})
+        yield NestedSeries(2, dom, {0: inner, 1: mono(1, dom, (-1,))}, 4)
+
+
+def test_series_power_is_repeated_multiplication():
+    """``pow`` (square-and-multiply) equals n - 1 products for n = 1..40,
+    ceilings at every level included."""
+    for x in power_cases():
+        acc = x
+        for n in range(1, 41):
+            if n > 1:
+                acc = acc * x
+            assert x.pow(n) == acc, (x, n)
+        assert x.pow(0) == NestedSeries.one(x.level, x.domain)
+
+
 def test_mul_ceiling_rule():
     """ceiling(a*b) = min(ceil_a + low_b, ceil_b + low_a)."""
     a = (mono(1, F2, (2,)) + mono(1, F2, (4,))).truncate(6)

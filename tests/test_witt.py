@@ -35,7 +35,7 @@ from rswan.extensions import ExtensionMap, conductor_change, pullback_series
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
 from rswan.reciprocity import _symbol_value, theta_lift
-from rswan.scalars import DEFINING_POLYNOMIALS, GaloisRingDomain, fq_domain, galois_ring_domain
+from rswan.scalars import DEFINING_POLYNOMIALS, _QuotientDomain, fq_domain, galois_ring_domain
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
 from rswan.witt import (
@@ -178,7 +178,7 @@ def test_mismatched_lengths_refused():
 
 # ------------------------------------------------- double-length ghost oracle
 
-class _DoubleLengthRing(GaloisRingDomain):
+class _DoubleLengthRing(_QuotientDomain):
     """``(Z/p^m)[g]/(f)`` for any ``m``, ``k <= 2``: the lift rings are capped at
     length 4, and the oracle below needs length ``2s``."""
 
@@ -906,13 +906,23 @@ def test_slot_reduction_tail_combination_equals_the_full_one(cell):
             assert got + a[i + 1:] == want
 
 
-def test_internal_check_fires_when_a_finished_slot_moves(monkeypatch):
-    """The per-slot check is live: a combination that disturbs the finished
-    slot x_0 is an internal error."""
+def test_internal_check_fires_when_the_reduced_slot_moves(monkeypatch):
+    """The per-slot check is live.  The combination for internal slot i
+    receives only the slots it moves, ``comps[:i + 1]`` (the finished,
+    heavier slots never reach it), so the patch below disturbs its last
+    slot, the one being reduced, and the slot-i agreement check fires."""
+    received = []
+
     def disturbing(comps_list, ints, p):
+        received.append(comps_list)
         out = witt_combine(comps_list, ints, p)
         return out[:-1] + (out[-1] + NestedSeries.constant(1, out[-1].domain, 1),)
 
+    vector = vec(K2s3, "t^-1", "t^-4", "0")
     monkeypatch.setattr(witt, "witt_combine", disturbing)
     with pytest.raises(RswanError, match="internal error"):
-        asw_reduce(vec(K2s3, "t^-1", "t^-4", "0"))
+        asw_reduce(vector)
+    # x_0 = t^-1 needs no step; x_1 = t^-4 is internal slot 1, the first to move
+    assert len(received) == 1
+    assert [len(comps) for comps in received[0]] == [2, 2, 2]
+    assert received[0][0] == vector.comps[:2]
