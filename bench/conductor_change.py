@@ -1,7 +1,8 @@
 """Layer bench: the conductor-change path (inversion, reduction, the formula).
 
-Results must be equal across trees (checked), error kinds by name.  Three
-sections, with one figure per tree:
+Results must be equal across trees (checked), errors by kind, message and
+exponent, so that a refusal one tree raises early is the refusal another
+raises late.  Three sections, with one figure per tree:
 
 * ``inv``: ``NestedSeries.inv`` over ``F_2``, ``F_9`` and ``Z/16``;
   ``inv_us`` per tree.  At level 1, an exact series with ``terms`` stored
@@ -141,21 +142,21 @@ def _reduce(rswan, vec):
     try:
         return rswan.asw_reduce(vec)
     except rswan.RswanError as exc:
-        return type(exc).__name__
+        return exc
 
 
 def _change(rswan, ext, vec):
     try:
         return rswan.extensions.conductor_change(ext, vec)
     except rswan.RswanError as exc:
-        return type(exc).__name__
+        return exc
 
 
 def _outcome(result):
-    """What the trees must agree on: an error kind, a reduced character's
-    components or a report's fields."""
-    if isinstance(result, str):
-        return result
+    """What the trees must agree on: an error's kind, message and exponent,
+    a reduced character's components or a report's fields."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result), getattr(result, "exponent", None)
     if hasattr(result, "vector"):
         return result.vector.comps
     return (result.e, result.delta, result.sw_source, result.sw_target, result.status)
@@ -182,13 +183,14 @@ def _embed_section(trees):
     reduce_rows, change_rows = [], []
     for cell in EMBED_CELLS:
         p, s = cell
-        outcomes = [[_outcome(_change(tree, *u)) for u in us]
-                    for tree, us in zip(trees, units[cell])]
-        same(f"conductor-change reports of cell {cell}", outcomes)
+        results = [[_change(tree, *u) for u in us] for tree, us in zip(trees, units[cell])]
+        same(f"conductor-change reports of cell {cell}",
+             [[_outcome(r) for r in rs] for rs in results])
         errors: dict = {}
-        for o in outcomes[0]:
-            if isinstance(o, str):
-                errors[o] = errors.get(o, 0) + 1
+        for r in results[0]:
+            if isinstance(r, Exception):
+                kind = type(r).__name__
+                errors[kind] = errors.get(kind, 0) + 1
         reduce_rows.append({
             "p": p, "s": s, "pulled_back": len(pulled[cell][0]),
             "us_per_reduce": [round(t * 1e6 / len(pulled[cell][0]), 1)

@@ -255,6 +255,12 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 ext_name in extensions,
                 f"task #{idx} (conductor-change) references undefined extension {ext_name!r}",
             )
+            source = extensions[ext_name].source
+            _require(
+                source.d == 1,
+                f"task #{idx} (conductor-change) needs a one-variable source field; "
+                f"extension {ext_name!r} has {source.d} source variables",
+            )
         if kind == "duality":
             tower_name = task.get("tower", "main")
             _require(

@@ -14,6 +14,26 @@ ramification hypothesis ``Sw > (p/(p-1)) * delta/e`` the target conductor is
 ``e*Sw - delta``; :func:`conductor_change` reports both sides and a
 PASS/FAIL/NOT_APPLICABLE verdict.
 
+What conductor change computes
+------------------------------
+:func:`conductor_change` reads one integer of the torsion report and one
+verdict of the target reduction, and computes only those where the image
+allows it.  For a one-variable source and target and an exact image ``phi``
+of order ``e``, the one dlog coefficient is ``T phi' / phi`` in a field,
+so ``delta = ord(T phi') - e`` with no inverse; an exactly zero derivative,
+a windowed image or a larger tower goes through :func:`delta_tor`.  The
+pullback of an exact source component whose deepest pole is ``T^-L``
+through an exact image of order ``e`` with at least two terms is known
+below ``precision - e L`` (the Horner part has order 0 and the inverse of
+``phi^L`` is known below ``-e L + precision``; ``rswan.series``,
+"Substitution").  :func:`pullback_character` plans these ceilings for
+every component first and raises the target reduction's refusal of the
+first one ``<= 0`` before any substitution.  It plans nothing when the
+character is not over the source tower, the source has more than one
+variable, the image is a monomial, windowed or over a larger tower, a
+component is windowed, or some ``-e L`` lies below the exponent floor (the
+substitution raises ``ExponentOutOfRange`` there).
+
 Two ratio experiments live here as well: the imperfect-residue family
 ``u -> v^p + w, t -> w^t`` (ratios 2 - 1/t) and curve restriction over
 F_p(x)((t)) (generic conductor vs. per-curve conductors, ratios like
@@ -31,13 +51,14 @@ from .errors import (
     PrecisionExhausted,
     TowerMismatch,
 )
-from .logdiff import dlog
+from .logdiff import dlog, log_derivative
 from .ratfunc import RatFuncDomain
-from .series import NestedSeries, series_substitute
+from .series import _ORD_FLOOR, NestedSeries, series_substitute
 from .tower import FieldTower
 from .witt import (
     Character,
     WittVector,
+    _uncovered_polar_part,
     asw_reduce,
     asw_reduce_components,
     swan_conductor,
@@ -91,7 +112,8 @@ class ExtensionMap:
                 raise NonEmbedding(f"image of {name!r} is zero")
             if img.is_zero():
                 raise PrecisionExhausted(
-                    f"image of {name!r} is zero within its window; cannot certify an embedding"
+                    f"image of {name!r} is zero within its window; cannot certify an embedding",
+                    exponent=img.ceiling,
                 )
             is_top = idx == len(source.variables) - 1
             if is_top:
@@ -139,10 +161,37 @@ def pullback_series(ext: ExtensionMap, sr: NestedSeries) -> NestedSeries:
     return series_substitute(sr, images, ext.target.precision)
 
 
+def _planned_ceilings(ext: ExtensionMap, char: Character):
+    """The pullback ceiling of each component of the reduced ``char``, None
+    for an exact pullback; None when they are not all planned (module
+    docstring, "What conductor change computes")."""
+    img = ext.images[ext.source.variables[-1]]
+    if (char.tower != ext.source or ext.source.d != 1 or img.level != 1
+            or img.ceiling is not None or len(img.coeffs) < 2):
+        return None
+    e = img.ord()
+    ceilings = []
+    for c in char.vector.comps:
+        if c.ceiling is not None:
+            return None
+        poles = -min(c.coeffs, default=0)
+        if poles <= 0:
+            ceilings.append(None)
+        elif -e * poles < _ORD_FLOOR:
+            return None  # its substitution raises ExponentOutOfRange
+        else:
+            ceilings.append(ext.target.precision - e * poles)
+    return ceilings
+
+
 def pullback_character(ext: ExtensionMap, char: Character | WittVector) -> Character:
     """Reduce over the source, pull each component back, re-reduce over the
-    target."""
+    target; a refusal of the target reduction that the planned windows
+    decide is raised before any substitution (module docstring)."""
     char = asw_reduce(char)
+    for i, ceiling in enumerate(_planned_ceilings(ext, char) or ()):
+        if ceiling is not None and ceiling <= 0:
+            raise _uncovered_polar_part(i, ceiling)
     comps = tuple(pullback_series(ext, c) for c in char.vector.comps)
     return asw_reduce(Character(WittVector(ext.target, comps)))
 
@@ -181,6 +230,17 @@ class TorsionReport:
     coefficients: dict
 
 
+def _torsion_depth(ext: ExtensionMap) -> int:
+    """``delta_tor(ext).delta``, from orders where the image allows it
+    (module docstring, "What conductor change computes")."""
+    img = ext.images[ext.source.variables[-1]]
+    if ext.source.d == 1 and img.level == 1 and img.ceiling is None and -img.ord() >= _ORD_FLOOR:
+        derivative = log_derivative(img, 1)
+        if derivative.coeffs:
+            return derivative.ord() - img.ord()
+    return delta_tor(ext).delta
+
+
 def delta_tor(ext: ExtensionMap) -> TorsionReport:
     """Torsion depth of the embedding (one-variable source fields only).
 
@@ -213,7 +273,8 @@ def delta_tor(ext: ExtensionMap) -> TorsionReport:
         if c.is_zero():
             raise PrecisionExhausted(
                 "a dlog coefficient is zero within its window; "
-                "the torsion depth cannot be certified"
+                "the torsion depth cannot be certified",
+                exponent=c.ceiling,
             )
         coefficients[slot] = c
         depths.append(c.ord())
@@ -256,7 +317,7 @@ def conductor_change(ext: ExtensionMap, char: Character | WittVector) -> Conduct
     char = asw_reduce(char)
     p = ext.source.p
     e = ramification_index(ext)
-    delta = delta_tor(ext).delta
+    delta = _torsion_depth(ext)
     sw_source = swan_conductor(char)
     sw_target = swan_conductor(pullback_character(ext, char))
     predicted = e * sw_source - delta

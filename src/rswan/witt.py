@@ -468,21 +468,27 @@ def swan_of_components(comps, p: int) -> int:
     sw_known = max(0, -known) if known is not None else 0
     if bound is not None and -bound > sw_known:
         raise PrecisionExhausted(
-            "window tails could carry deeper polar terms than the stored data"
+            "window tails could carry deeper polar terms than the stored data",
+            exponent=bound,
         )
     return sw_known
 
 
 # ----------------------------------------------------------- reduction loop
 
+def _uncovered_polar_part(index: int, ceiling: int) -> PrecisionExhausted:
+    """The refusal of a component ``index`` known only below ``ceiling <= 0``."""
+    return PrecisionExhausted(
+        f"component {index} is only known below order {ceiling}; "
+        "its polar part cannot be certified",
+        exponent=ceiling,
+    )
+
+
 def _check_windows_cover_polar_part(comps):
     for i, c in enumerate(comps):
         if c.ceiling is not None and c.ceiling <= 0:
-            raise PrecisionExhausted(
-                f"component {i} is only known below order {c.ceiling}; "
-                "its polar part cannot be certified",
-                exponent=c.ceiling,
-            )
+            raise _uncovered_polar_part(i, c.ceiling)
 
 
 def _reduce_slot(x: NestedSeries):

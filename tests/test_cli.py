@@ -260,6 +260,26 @@ def test_extension_validation_is_a_config_error():
         load_config(doc)
 
 
+def test_conductor_change_needs_a_one_variable_source(tmp_path, capsys):
+    """The torsion depth is defined over a one-variable source field, so a
+    conductor-change task along a two-variable source is refused at load
+    time, naming the task and the extension."""
+    doc = config_doc(
+        tower={"p": 2, "k": 1, "s": 1, "variables": ["u", "t"]},
+        towers={"L": {"p": 2, "k": 1, "s": 1, "variables": ["v", "w"]}},
+        characters={"X": ["u*t^-3"]},
+        extensions={"phi": {"target": "L", "images": {"u": "v^2 + w", "t": "w^3"}}},
+        tasks=[{"task": "conductor-change", "character": "X", "extension": "phi"}],
+    )
+    message = (r"task #0 \(conductor-change\) needs a one-variable source field; "
+               r"extension 'phi' has 2 source variables")
+    with pytest.raises(ConfigError, match=message):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    assert "extension 'phi' has 2 source variables" in capsys.readouterr().err
+    load_config({**doc, "tasks": []})  # the extension itself stays valid
+
+
 def test_load_config_rejects_lift_length_above_four(tmp_path, capsys):
     doc = config_doc(tower={"p": 2, "s": 5, "variables": ["t"]})
     with pytest.raises(ConfigError, match="lift length s = 5"):
@@ -463,6 +483,40 @@ def test_error_records_keep_the_exponent():
     assert rec["status"] == "ERROR"
     assert rec["error"]["type"] == "PrecisionExhausted"
     assert rec["error"]["exponent"] == 0
+
+
+def test_conductor_change_error_records_keep_the_exponent():
+    """u^2 + u^4 is a square over F_2: 0 * (u^2 + u^4)^-1 is zero within
+    the window -2 + 64 of the inverse.  Along u^2 + u^3 at budget 8, t^-5
+    pulls back known below 8 - 2 * 5."""
+    doc = config_doc(
+        towers={
+            "L": {"p": 2, "k": 1, "s": 1, "variables": ["u"]},
+            "L8": {"p": 2, "k": 1, "s": 1, "variables": ["u"], "precision": 8},
+        },
+        characters={"X": ["t^-5"]},
+        extensions={
+            "square": {"target": "L", "images": {"t": "u^2 + u^4"}},
+            "narrow": {"target": "L8", "images": {"t": "u^2 + u^3"}},
+        },
+        tasks=[
+            {"task": "conductor-change", "character": "X", "extension": "square"},
+            {"task": "conductor-change", "character": "X", "extension": "narrow"},
+        ],
+    )
+    square, narrow = run(load_config(doc))["tasks"]
+    assert square["error"] == {
+        "type": "PrecisionExhausted",
+        "message": "a dlog coefficient is zero within its window; "
+                   "the torsion depth cannot be certified",
+        "exponent": 62,
+    }
+    assert narrow["error"] == {
+        "type": "PrecisionExhausted",
+        "message": "component 0 is only known below order -2; "
+                   "its polar part cannot be certified",
+        "exponent": -2,
+    }
 
 
 def test_rsw_task_checks_expected_literal():

@@ -15,15 +15,20 @@ from fractions import Fraction
 
 import pytest
 
+from rswan import extensions
 from rswan.errors import (
+    ExponentOutOfRange,
     NonEmbedding,
     NonPerfectBase,
     PrecisionExhausted,
+    RswanError,
     TowerMismatch,
 )
 from rswan.extensions import (
     ConductorChangeReport,
     ExtensionMap,
+    _planned_ceilings,
+    _torsion_depth,
     conductor_change,
     curve_restriction_ratios,
     delta_tor,
@@ -106,8 +111,9 @@ def test_extension_rejects_bad_orders():
 def test_extension_rejects_zero_and_window_zero_images():
     with pytest.raises(NonEmbedding):
         ExtensionMap(K2, L2, {"t": NestedSeries.zero(1, L2.field_domain)})
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted) as info:
         ExtensionMap(K2, L2, {"t": parse_series("u", L2).truncate(0)})
+    assert info.value.exponent == 0
     # zero only within an inner window: unknown, not zero
     dom = LD.field_domain
     with pytest.raises(PrecisionExhausted):
@@ -230,10 +236,12 @@ def test_delta_needs_one_variable_source():
 
 
 def test_delta_window_zero_coefficient_is_ambiguous():
+    """(u^2 + O(u^9))^-1 is known below 5, and 0 + O(u^9) times it below 7."""
     img = parse_series("u^2", L2) + NestedSeries.zero(1, L2.field_domain, 9)
     ext = ExtensionMap(K2, L2, {"t": img})
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted) as info:
         delta_tor(ext)
+    assert info.value.exponent == 7
     # w (1 + O(v^3)): the db(v) coefficient is zero only within an inner window
     dom = LD.field_domain
     unit = NestedSeries.one(1, dom).truncate(3)
@@ -317,6 +325,192 @@ def test_rsw_functoriality_on_the_guaranteed_window():
     assert WindowedForm(value_l.window.form, n_prime, m_floor) == WindowedForm(
         pulled, n_prime, m_floor
     )
+
+
+# ------------------------------------------- conductor change, computed lean
+
+# F_2, F_3, F_5 and F_9, as (p, k).
+FIELDS = ((2, 1), (3, 1), (5, 1), (3, 2))
+
+
+def embed_unit(rng, p, k, s, precision=64):
+    """A unit drawn as the ``embed`` workload draws it: an image u^e (1 + ...)
+    with e in 2..6, never a p-th power, and 0..4 monomials per component at
+    exponents -12..2."""
+    source = FieldTower(p, k, s, ("t",))
+    target = FieldTower(p, k, s, ("u",), precision)
+    dom = target.field_domain
+    e = rng.randint(2, 6)
+    terms = [((e,), dom.random_nonzero(rng))]
+    terms += [((e + j,), dom.random_nonzero(rng)) for j in range(1, 4) if rng.random() < 0.5]
+    if all(x % p == 0 for (x,), _ in terms):
+        x = next(x for x in range(e + 1, e + p + 1) if x % p)
+        terms.append(((x,), dom.random_nonzero(rng)))
+    comps = tuple(
+        NestedSeries.from_monomials(
+            1, dom, [((rng.randint(-12, 2),), dom.random_nonzero(rng))
+                     for _ in range(rng.randint(0, 4))])
+        for _ in range(s)
+    )
+    ext = ExtensionMap(source, target, {"t": NestedSeries.from_monomials(1, dom, terms)})
+    return ext, WittVector(source, comps)
+
+
+def random_unit(rng, p, k, s):
+    """Any exact d = 1 unit: 1..4 image terms at exponents 1..12 (p-th
+    powers and monomials included), poles down to -30, budgets 4..64."""
+    source = FieldTower(p, k, s, ("t",))
+    target = FieldTower(p, k, s, ("u",), rng.choice((4, 7, 16, 64)))
+    dom = target.field_domain
+    image = NestedSeries.from_monomials(
+        1, dom, [((rng.randint(1, 12),), dom.random_nonzero(rng))
+                 for _ in range(rng.randint(1, 4))])
+    if image.is_zero():
+        image = NestedSeries.variable(1, dom, 1)
+    comps = tuple(
+        NestedSeries.from_monomials(
+            1, dom, [((rng.randint(-30, 3),), dom.random_nonzero(rng))
+                     for _ in range(rng.randint(0, 3))])
+        for _ in range(s)
+    )
+    return ExtensionMap(source, target, {"t": image}), WittVector(source, comps)
+
+
+def outcome(fn):
+    """``fn()``, or the type, message and exponent of the error it raises."""
+    try:
+        return fn()
+    except RswanError as exc:
+        return type(exc), str(exc), getattr(exc, "exponent", None)
+
+
+def full_pullback(ext, char):
+    """Every component pulled back, then the target reduction: the path
+    without planning."""
+    comps = tuple(pullback_series(ext, c) for c in char.vector.comps)
+    return asw_reduce(Character(WittVector(ext.target, comps))).vector.comps
+
+
+def test_planned_ceilings_are_the_pullback_ceilings():
+    rng = random.Random(21)
+    planned = refused = 0
+    for p, k in FIELDS:
+        for s in (1, 2):
+            for draw in (embed_unit, random_unit):
+                for _ in range(25):
+                    if draw is embed_unit:
+                        ext, vec = embed_unit(rng, p, k, s, rng.choice((8, 16, 64)))
+                    else:
+                        ext, vec = random_unit(rng, p, k, s)
+                    char = asw_reduce(vec)
+                    ceilings = _planned_ceilings(ext, char)
+                    if ceilings is None:
+                        assert len(ext.images["t"].coeffs) == 1  # exact, above the floor
+                        continue
+                    for c, ceiling in zip(char.vector.comps, ceilings):
+                        assert ceiling == pullback_series(ext, c).ceiling
+                        planned += ceiling is not None
+                        refused += ceiling is not None and ceiling <= 0
+    assert planned >= 200 and refused >= 20
+
+
+def test_torsion_depth_from_orders_is_delta_tor():
+    """Tame, monomial, p-th-power and windowed images included: the same
+    depth, or the same error in type, message and exponent."""
+    fixed = [("u^2*(1+u)", None), ("u^3", None), ("u", None), ("u^5 + u^6", None),
+             ("u^2", None), ("u^2 + u^4", None), ("u^4*(1+u^2)", None),
+             ("u^2 + u^3", 5), ("u^2", 3)]
+    exts = [ExtensionMap(K2, L2, {"t": parse_series(text, L2).truncate(ceiling)})
+            for text, ceiling in fixed]
+    rng = random.Random(22)
+    for p, k in FIELDS:
+        for _ in range(40):
+            exts.append(random_unit(rng, p, k, 1)[0])
+    exts.append(imperfect_residue_family(2, (3,))[1][0])
+    kinds = set()
+    for ext in exts:
+        want = outcome(lambda: delta_tor(ext).delta)
+        assert outcome(lambda: _torsion_depth(ext)) == want
+        kinds.add(want[0] if isinstance(want, tuple) else int)
+    assert kinds == {int, NonEmbedding, PrecisionExhausted, NonPerfectBase}
+
+
+def test_conductor_change_reads_the_depth_without_delta_tor(monkeypatch):
+    def refuse(ext):
+        raise AssertionError("delta_tor was called")
+
+    monkeypatch.setattr(extensions, "delta_tor", refuse)
+    rep = conductor_change(wild_map(), char_of(K2, ["t^-3"]))
+    assert (rep.delta, rep.status) == (1, "PASS")
+    assert conductor_change(tame_map(), char_of(K2, ["t^-2"])).delta == 0
+
+
+def test_pth_power_image_raises_the_same_non_embedding():
+    ext = ExtensionMap(K2, L2, {"t": parse_series("u^2", L2)})
+    want = outcome(lambda: delta_tor(ext))
+    assert want[0] is NonEmbedding
+    assert outcome(lambda: conductor_change(ext, char_of(K2, ["t^-3"]))) == want
+
+
+def test_early_refusal_is_the_target_reductions_refusal():
+    rng = random.Random(23)
+    refusals = 0
+    for p, k in FIELDS:
+        for s in (1, 2):
+            for _ in range(25):
+                ext, vec = embed_unit(rng, p, k, s, rng.choice((8, 16, 64)))
+                char = asw_reduce(vec)
+                want = outcome(lambda: full_pullback(ext, char))
+                assert outcome(lambda: pullback_character(ext, char).vector.comps) == want
+                refusals += want[0] is PrecisionExhausted
+    assert refusals >= 20
+
+
+def test_early_refusal_computes_no_pullback(monkeypatch):
+    """t^-5 along u^2 + u^3 at budget 8 is known below 8 - 10 = -2."""
+    l8 = FieldTower(2, 1, 1, ("u",), precision=8)
+    ext = ExtensionMap(K2, l8, {"t": parse_series("u^2 + u^3", l8)})
+    chi = char_of(K2, ["t^-5"])
+    want = outcome(lambda: full_pullback(ext, chi))
+    assert want == (PrecisionExhausted,
+                    "component 0 is only known below order -2; "
+                    "its polar part cannot be certified", -2)
+
+    def refuse(ext, sr):
+        raise AssertionError("a pullback was computed")
+
+    monkeypatch.setattr(extensions, "pullback_series", refuse)
+    assert outcome(lambda: pullback_character(ext, chi)) == want
+    assert outcome(lambda: conductor_change(ext, chi)) == want
+
+
+def test_windowed_first_component_stops_the_planning():
+    """t^-3 + O(t) leaves the weight-1 pullback's window to the
+    substitution; the weight-2 t^-7 alone would be refused at -6."""
+    l8 = FieldTower(2, 1, 2, ("u",), precision=8)
+    ext = ExtensionMap(K2s2, l8, {"t": parse_series("u^2 + u^3", l8)})
+    dom = K2s2.field_domain
+    first = parse_series("t^-3", K2s2).truncate(1)
+    chi = asw_reduce(WittVector(K2s2, (first, parse_series("t^-7", K2s2))))
+    assert _planned_ceilings(ext, chi) is None
+    want = outcome(lambda: full_pullback(ext, chi))
+    assert want[2] == -6
+    assert outcome(lambda: pullback_character(ext, chi).vector.comps) == want
+    exact = asw_reduce(WittVector(K2s2, (NestedSeries.zero(1, dom), parse_series("t^-7", K2s2))))
+    assert _planned_ceilings(ext, exact) == [None, -6]
+
+
+def test_substitution_past_the_floor_still_raises_exponent_out_of_range():
+    """Along u^2000 + u^2001, t^-1 alone would be refused early, but the
+    weight-2 t^-7 needs the exponent -14000, below the floor."""
+    ext = ExtensionMap(K2s2, L2s2, {"t": parse_series("u^2000 + u^2001", L2s2)})
+    chi = char_of(K2s2, ["t^-7", "t^-1"])
+    assert _planned_ceilings(ext, chi) is None
+    with pytest.raises(ExponentOutOfRange):
+        full_pullback(ext, chi)
+    with pytest.raises(ExponentOutOfRange):
+        pullback_character(ext, chi)
+    assert _planned_ceilings(ext, char_of(K2s2, ["t^-5", "t^-1"])) == [64 - 2000, 64 - 10000]
 
 
 # ------------------------------------------------------------- ratio families

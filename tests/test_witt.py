@@ -44,6 +44,7 @@ from rswan.witt import (
     asw_reduce,
     asw_reduce_components,
     swan_conductor,
+    swan_of_components,
     witt_combine,
     witt_frobenius,
     witt_ord_of,
@@ -544,6 +545,17 @@ def test_weighted_order_window_guard():
     known = parse_series("t^-3", K2s2)
     with pytest.raises(PrecisionExhausted):
         witt_ord_of((known, unknown), 2)
+
+
+def test_swan_window_guard_names_the_weighted_bound():
+    """A tail at or above min_i p^i * ceiling_i could carry a deeper pole
+    than the stored t^-3: the refusal names that bound, 2 * -5."""
+    dom = K2s2.field_domain
+    unknown = NestedSeries.zero(1, dom, ceiling=-5)
+    known = parse_series("t^-3", K2s2)
+    with pytest.raises(PrecisionExhausted) as info:
+        swan_of_components((known, unknown), 2)
+    assert info.value.exponent == -10
 
 
 # ---------------------------------------------------------------- reduction
