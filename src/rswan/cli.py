@@ -240,6 +240,13 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 label in characters,
                 f"task #{idx} ({kind}) references undefined character {label!r}",
             )
+        if kind == "reciprocity":
+            d = characters[label].tower.d
+            _require(
+                d in (1, 2),
+                f"task #{idx} (reciprocity) checks the identity over one or two variables; "
+                f"character {label!r} is over {d} variables",
+            )
         if kind == "reciprocity" and "samples" in task:
             _require(
                 _is_int(task["samples"]) and task["samples"] > 0,

@@ -8,12 +8,14 @@ forms are plain series under the empty key.
 Implemented here: the exterior derivative ``d`` (in the log basis), wedge
 products, the Cartier operator on top-degree forms, the one-step residue
 ``Res`` (coefficient of ``T_d^0 dlog T_d``), the full residue-plus-trace map
-to the prime field, windowed forms (classes modulo a power of the maximal
-ideal of the top variable), the window collapse ``r_b = C^b(omega_0)``, and
-the Gram matrix of the pairing ``(x, y) -> r_b(x ^ y)`` on twisted monomial
-bases as sparse ``{column: entry}`` rows (one pairing per dlog key and
-residue monomial), with exact sparse elimination over a column index to
-decide invertibility.
+to the prime field (also of a form scaled by a series, without the
+product: :func:`residue_of_product`), windowed forms (classes modulo a
+power of the maximal ideal of the top variable), the window collapse
+``r_b = C^b(omega_0)``, and the Gram matrix of the pairing
+``(x, y) -> r_b(x ^ y)`` on twisted monomial bases as sparse
+``{column: entry}`` rows (one pairing per dlog key and residue monomial),
+with exact sparse elimination over a column index to decide
+invertibility.
 
 Construction
 ------------
@@ -56,7 +58,8 @@ from .errors import (
     WindowTooWide,
     ZeroInput,
 )
-from .series import NestedSeries, _make, _new, _set
+from .scalars import _QuotientDomain
+from .series import _ORD_FLOOR, NestedSeries, _make, _new, _set
 
 __all__ = [
     "LogForm",
@@ -68,6 +71,7 @@ __all__ = [
     "cartier",
     "residue_step",
     "residue_to_prime_field",
+    "residue_of_product",
     "r_b",
     "minimal_b",
     "wedge_windowed",
@@ -240,7 +244,9 @@ def wedge(alpha: LogForm, beta: LogForm) -> LogForm:
 def d(omega) -> LogForm:
     """Exterior derivative; accepts a series (degree-0 form) or a LogForm."""
     if isinstance(omega, NestedSeries):
-        omega = _form(omega.level, omega.domain, 0, {(): omega})
+        # d f = sum_i (T_i df/dT_i) dlog T_i, keys (i,) and signs +1
+        out = {(i,): log_derivative(omega, i) for i in range(1, omega.level + 1)}
+        return _form(omega.level, omega.domain, 1, out)
     if omega.degree >= omega.level:
         raise DegreeOverflow("the derivative of a top-degree form leaves the module")
     out: dict = {}
@@ -317,6 +323,79 @@ def residue_to_prime_field(omega, domain=None) -> int:
             raise TowerMismatch("a raw scalar needs its domain")
         raw = omega
     return domain.trace(raw) % domain.modulus
+
+
+def residue_of_product(omega: LogForm, g: NestedSeries) -> int:
+    """``residue_to_prime_field(omega.scale(g))``, without the product.
+
+    The residue reads one coefficient at each level: the ``T_l^0`` slot of
+    a sum of products ``a_j b_j`` is the sum of the products of the slots
+    whose exponents cancel, ``a_j[e] b_j[-e]``.  So the pairs are followed
+    down the tower from ``(c, g)``, with ``c`` the top coefficient of
+    ``omega``, and only the last level's scalars are multiplied.
+
+    The refusals are those of the product.  At each level the slot's sum
+    has the least ceiling of its products, and a product ``a b`` has the
+    ceiling ``min(ceil(a) + low(b), ceil(b) + low(a))`` (``NestedSeries``
+    multiplication); a ceiling at or below 0 raises the
+    :class:`PrecisionExhausted` of ``coefficient(0)``.  A slot that the
+    product drops as an exact zero has only exact pairs below it, so
+    following them changes no refusal.  Anything else goes through the
+    product itself: a form that is not top-degree, a ``g`` over another
+    ring, and exponent sums that could reach below the supported range
+    (where the product raises :class:`ExponentOutOfRange`).
+    """
+    c = omega.coeffs.get(tuple(range(1, omega.level + 1)))
+    if (c is None or omega.degree != omega.level or not isinstance(g, NestedSeries)
+            or g.level != omega.level or g.domain is not omega.domain
+            or _may_leave_the_floor(c, g)):
+        return residue_to_prime_field(omega.scale(g))
+    domain = omega.domain
+    pairs = [(c, g)]
+    for level in range(omega.level, 0, -1):
+        least = None
+        for a, b in pairs:
+            for ceiling in (None if a.ceiling is None else a.ceiling + b.low(),
+                            None if b.ceiling is None else b.ceiling + a.low()):
+                if ceiling is not None and (least is None or ceiling < least):
+                    least = ceiling
+        if least is not None and least <= 0:
+            raise PrecisionExhausted(
+                f"coefficient at exponent 0 is beyond the window ceiling {least}", exponent=0
+            )
+        if level > 1:
+            pairs = [(a.coeffs[e], b.coeffs[-e]) for a, b in pairs for e in a.coeffs
+                     if -e in b.coeffs]
+    if isinstance(domain, _QuotientDomain) and domain.k == 1:
+        raw = sum(x * b.coeffs[-e] for a, b in pairs for e, x in a.coeffs.items()
+                  if -e in b.coeffs) % domain.modulus
+    else:
+        raw = domain.zero()
+        for a, b in pairs:
+            for e, x in a.coeffs.items():
+                if -e in b.coeffs:
+                    raw = domain.add(raw, domain.mul(x, b.coeffs[-e]))
+    return domain.trace(raw) % domain.modulus
+
+
+def _may_leave_the_floor(a: NestedSeries, b: NestedSeries) -> bool:
+    """Whether some level's least exponents of ``a`` and ``b`` sum below the
+    supported range, so that their product may raise."""
+    lows_a, lows_b = _level_lows(a, {}), _level_lows(b, {})
+    return any(lows_a[level] + lows_b[level] < _ORD_FLOOR
+               for level in lows_a.keys() & lows_b.keys())
+
+
+def _level_lows(sr: NestedSeries, lows: dict) -> dict:
+    """``{level: least stored exponent}`` over every level of ``sr``."""
+    if sr.coeffs:
+        low = min(sr.coeffs)
+        if sr.level not in lows or low < lows[sr.level]:
+            lows[sr.level] = low
+        if sr.level > 1:
+            for c in sr.coeffs.values():
+                _level_lows(c, lows)
+    return lows
 
 
 # ------------------------------------------------------------------ windows
@@ -565,7 +644,9 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
         def known(v):
             # exact zeros are never stored, so a zero here is one within a window
             if v.is_zero():
-                raise PrecisionExhausted("pivot is zero within its window; rank is ambiguous")
+                raise PrecisionExhausted(
+                    "pivot is zero within its window; rank is ambiguous", exponent=v.low()
+                )
             return v
 
         def inv(v):

@@ -16,6 +16,36 @@ is verified sample-by-sample: the left side through symbols {E(x), y, ...}
 built from the monomials of alpha, the right side through the window
 collapse r_b and the residue-plus-trace map (the orientation is derived in
 :func:`verify_rsw_characterization`).
+
+Symbols
+-------
+Since ``dlog y = dy y^-1``,
+
+    Res(theta ^ dlog y~_1 ^ ... ^ dlog y~_d)
+        = Res((theta ^ dy~_1 ^ ... ^ dy~_d) * prod_i y~_i^-1),
+
+so a symbol builds the small form ``omega = theta ^ dy~_1 ^ ... ^ dy~_d``
+and ``g = prod_i y~_i^-1``, every entry by the same rule, and reads the
+residue through :func:`logdiff.residue_of_product`, whose value and
+refusals are those of ``residue_to_prime_field(omega.scale(g))``; the wide
+product ``omega * g``, and the ``dlog`` forms with it, are never built.
+The windows of the two routes differ.  An exactly zero derivative is an
+exact zero here, where ``dlog`` left ``0 * y~^-1`` zero only within the
+inverse's window, so some symbols the ``dlog`` forms refused now answer.
+The other way, a window of ``theta`` can meet terms that cancel only
+inside the full ``dlog y~``; what the product-free residue refuses at both
+widths therefore goes through the ``dlog`` forms, so every symbol the
+``dlog`` forms answer still answers, with the same value.
+:func:`schmid_symbol` stays on the ``dlog`` forms: it is an independent
+oracle for the one-variable, length-1 symbols of the check.
+
+The terms of a sample are drawn by :func:`_below`, CPython's rejection
+sampling on ``getrandbits`` (``Random._randbelow_with_getrandbits``), with
+the widths, the order and the redraws of ``randint`` and
+``random_nonzero``: a coefficient of ``F_p`` is redrawn while it is 0 or at
+least p, one of ``F_q`` (``k > 1``) while all its coordinates are 0.  So
+each seed draws the same terms from the same bits, and leaves the
+generator in the same state, as those calls do.
 """
 
 from __future__ import annotations
@@ -35,9 +65,11 @@ from .errors import (
 from .logdiff import (
     LogForm,
     WindowedForm,
+    d,
     dlog,
     minimal_b,
     r_b,
+    residue_of_product,
     residue_to_prime_field,
     wedge,
     wedge_windowed,
@@ -80,12 +112,13 @@ def truncated_exp(x: NestedSeries) -> NestedSeries:
         )
     if x.ceiling is not None and x.ceiling < 1:
         raise PrecisionExhausted(
-            "argument is zero within a window that does not certify positive order"
+            "argument is zero within a window that does not certify positive order",
+            exponent=x.ceiling,
         )
     domain = x.domain
-    acc = NestedSeries.one(x.level, domain)
-    power = NestedSeries.one(x.level, domain)
-    for i in range(1, domain.p):
+    acc = NestedSeries.one(x.level, domain) + x  # the terms x^0 / 0! and x^1 / 1!
+    power = x
+    for i in range(2, domain.p):
         power = power * x
         coeff = domain.inv(domain.from_int(factorial(i)))
         acc = acc + power.scalar_mul(coeff)
@@ -223,29 +256,55 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
         if y.is_exact_zero():
             raise ZeroEntry("symbol entries must be nonzero")
         if y.is_zero():
-            raise PrecisionExhausted("symbol entry is zero within its window")
+            raise PrecisionExhausted("symbol entry is zero within its window", exponent=y.low())
     return _symbol_value(theta_lift(char.vector), tower, ys)
 
 
 def _symbol_value(theta: NestedSeries, tower, ys) -> int:
     """Res of ``theta ^_i dlog y~_i``, traced to Z/p^s.
 
-    Res reads nothing above T^0, so the dlog windows open at the width the
-    lowest exponent of ``theta`` (at any level) needs, capped by the tower
-    budget.  Lower-level poles of the entries can make that width too
-    small; the residue is then computed once more at the cap.
+    Res reads nothing above T^0, so the inverses of the entries open at the
+    width the lowest exponent of ``theta`` (at any level) needs, capped by
+    the tower budget.  Lower-level poles of the entries can make that width
+    too small; the residue is then computed once more at the cap.  What the
+    product-free residue refuses at both widths goes through the ``dlog``
+    forms at both (module docstring, "Symbols"); when neither answers, the
+    refusal names the width the symbol opens and the budget.
     """
     low = min((min(exps) for exps, _ in theta.iter_monomials()), default=0)
-    width = min(max(1, 1 - low), tower.precision)
-    try:
-        return _residue_of_symbol(theta, tower, ys, width)
-    except PrecisionExhausted:
-        if width == tower.precision:
-            raise
-        return _residue_of_symbol(theta, tower, ys, tower.precision)
+    opened, budget = max(1, 1 - low), tower.precision
+    widths = sorted({min(opened, budget), budget})
+    for residue in (_residue_of_symbol, _residue_through_dlog):
+        for width in widths:
+            try:
+                return residue(theta, tower, ys, width)
+            except PrecisionExhausted as exc:
+                cause = exc
+    raise PrecisionExhausted(
+        f"the symbol opens windows of width {opened}; its residue is not certified "
+        f"within the budget {budget}",
+        exponent=0,
+    ) from cause
 
 
 def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int) -> int:
+    """``Res(theta ^ dy~_1 ^ ... ^ dy~_d * prod_i y~_i^-1)``: the symbol's
+    residue with ``dlog y = dy y^-1`` and each inverse at ``width``
+    (module docstring, "Symbols")."""
+    big = tower.lift_domain
+    omega = LogForm.from_series(theta)
+    g = None
+    for y in ys:
+        y = lift_series(y, big)
+        omega = wedge(omega, d(y))
+        inv = y.inv(width)
+        g = inv if g is None else g * inv
+    return residue_of_product(omega, g)
+
+
+def _residue_through_dlog(theta: NestedSeries, tower, ys, width: int) -> int:
+    """``Res(theta ^ dlog y~_1 ^ ... ^ dlog y~_d)`` with each ``dlog`` form
+    built in full at ``width`` (module docstring, "Symbols")."""
     big = tower.lift_domain
     omega = LogForm.from_series(theta)
     for y in ys:
@@ -284,17 +343,46 @@ class CharacterizationReport:
         return self.agreements == self.samples and not self.mismatches
 
 
+def _below(getrandbits, width: int) -> int:
+    """A draw from ``range(width)`` taking the bits ``rng.randrange(width)``
+    takes: ``width.bit_length()`` bits, redrawn while ``>= width`` (so a
+    width of 1 still takes a bit)."""
+    bits = width.bit_length()
+    r = getrandbits(bits)
+    while r >= width:
+        r = getrandbits(bits)
+    return r
+
+
 def _random_window_terms(tower, rng, m: int, n: int):
     """1..3 random raw terms ``(exps, c, key)``, each standing for the form
-    c * (lower monomial) * t^i dlog T_key with i in [m+1, n]; degree d - 1."""
+    c * (lower monomial) * t^i dlog T_key with i in [m+1, n]; degree d - 1.
+
+    The draws are those of ``rng.randint(1, 3)`` for the count, then per
+    term ``rng.randint(m + 1, n)``, ``field_domain.random_nonzero(rng)``,
+    ``rng.randint(-2, 2)`` per lower variable and ``rng.randint(1, d)``,
+    made through :func:`_below` from the same bits (module docstring,
+    "Symbols")."""
+    bits = rng.getrandbits
     d_level = tower.d
+    p, k = tower.p, tower.k
+    p_bits = p.bit_length()
     terms = []
-    for _ in range(rng.randint(1, 3)):
-        i = rng.randint(m + 1, n)
-        c = tower.field_domain.random_nonzero(rng)
-        lower = tuple(rng.randint(-2, 2) for _ in range(d_level - 1))
-        key = () if d_level == 1 else (rng.randint(1, d_level),)
-        terms.append((lower + (i,), c, key))
+    for _ in range(1 + _below(bits, 3)):
+        i = m + 1 + _below(bits, n - m)
+        if k == 1:
+            c = bits(p_bits)
+            while not 0 < c < p:
+                c = bits(p_bits)
+        else:
+            c = tuple([_below(bits, p) for _ in range(k)])
+            while not any(c):
+                c = tuple([_below(bits, p) for _ in range(k)])
+        if d_level == 1:
+            terms.append(((i,), c, ()))
+        else:
+            lower = tuple([_below(bits, 5) - 2 for _ in range(d_level - 1)])
+            terms.append((lower + (i,), c, (1 + _below(bits, d_level),)))
     return terms
 
 
@@ -370,6 +458,7 @@ def verify_rsw_characterization(
     modulus = p**s
     schmid = s == 1 and tower.d == 1
     known: dict = {}  # raw term -> [symbol value, Schmid oracle value or None, pairing]
+    variables = {lam: NestedSeries.variable(tower.d, domain, lam) for lam in range(1, tower.d + 1)}
     for idx in range(samples):
         terms = _random_window_terms(tower, rng, m, n)
         # Left side: sum over terms of the symbol {E(x), T_lambda}.
@@ -379,9 +468,7 @@ def verify_rsw_characterization(
             if term not in known:
                 exps, c, key = term
                 x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
-                ys = [truncated_exp(x)]
-                for lam in key:
-                    ys.append(NestedSeries.variable(tower.d, domain, lam))
+                ys = [truncated_exp(x)] + [variables[lam] for lam in key]
                 val = _symbol_value(theta, tower, ys)
                 oracle = schmid_symbol(char.vector.comps[0], ys[0]) if schmid else None
                 known[term] = [val, oracle, None]

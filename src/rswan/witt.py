@@ -165,6 +165,8 @@ def lift_series(a: NestedSeries, lift_domain) -> NestedSeries:
     """Coefficientwise lift of a residue-field series into a lift ring: the
     raw residues of ``F_q`` are already residues of ``Z/p^s``, so only the
     domain changes."""
+    if a.domain is lift_domain:
+        return a
     if a.level == 1:
         return _make(1, lift_domain, a.coeffs, a.ceiling, clean=True)
     coeffs = {e: lift_series(c, lift_domain) for e, c in a.coeffs.items()}

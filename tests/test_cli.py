@@ -26,6 +26,7 @@ from rswan.logdiff import LogForm, WindowedForm, d, wedge
 from rswan.parser import parse_rat_func, parse_series, parse_windowed_form, render_form
 from rswan.ratfunc import rat_func_domain
 from rswan.rsw import rsw_char_p, rsw_form_at
+from rswan.scalars import DEFINING_POLYNOMIALS
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
 from rswan.witt import WittVector, asw_reduce, swan_conductor
@@ -280,6 +281,25 @@ def test_conductor_change_needs_a_one_variable_source(tmp_path, capsys):
     load_config({**doc, "tasks": []})  # the extension itself stays valid
 
 
+def test_reciprocity_needs_one_or_two_variables(tmp_path, capsys):
+    """The characterization check covers one- and two-variable towers, so a
+    reciprocity task over three variables is refused at load time, naming
+    the task, the character and the tower's number of variables."""
+    doc = config_doc(
+        tower={"p": 2, "k": 1, "s": 1, "variables": ["v", "u", "t"]},
+        characters={"X": ["v*t^-3"]},
+        tasks=[{"task": "swan", "character": "X"},
+               {"task": "reciprocity", "character": "X", "samples": 5}],
+    )
+    message = (r"task #1 \(reciprocity\) checks the identity over one or two variables; "
+               r"character 'X' is over 3 variables")
+    with pytest.raises(ConfigError, match=message):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    assert "character 'X' is over 3 variables" in capsys.readouterr().err
+    load_config({**doc, "tasks": doc["tasks"][:1]})  # the character itself stays valid
+
+
 def test_load_config_rejects_lift_length_above_four(tmp_path, capsys):
     doc = config_doc(tower={"p": 2, "s": 5, "variables": ["t"]})
     with pytest.raises(ConfigError, match="lift length s = 5"):
@@ -473,16 +493,34 @@ def test_task_errors_become_records_and_never_abort():
     assert second["status"] == "PASS"
 
 
+# Sw = 125: the weight-p^3 slot of a length-4 character over F_5((t)).
+SW125 = config_doc(
+    tower={"p": 5, "k": 1, "s": 4, "variables": ["t"]},
+    characters={"X": ["t^-1", "0", "0", "0"]},
+    tasks=[{"task": "reciprocity", "character": "X", "samples": 3}],
+)
+
+
 def test_error_records_keep_the_exponent():
-    doc = config_doc(
-        tower={**MAIN2, "precision": 4},
-        characters={"X": ["t^-5 + t^-2"]},
-        tasks=[{"task": "reciprocity", "character": "X", "samples": 3}],
-    )
-    (rec,) = run(load_config(doc))["tasks"]
+    (rec,) = run(load_config(SW125))["tasks"]
     assert rec["status"] == "ERROR"
     assert rec["error"]["type"] == "PrecisionExhausted"
     assert rec["error"]["exponent"] == 0
+
+
+def test_symbol_refusal_names_the_width_that_would_answer():
+    """theta = t^-125 opens windows of width 126; at the default budget 64
+    the record says so, and at budget 126 the same task passes."""
+    (rec,) = run(load_config(SW125))["tasks"]
+    assert rec["error"] == {
+        "type": "PrecisionExhausted",
+        "message": "the symbol opens windows of width 126; "
+                   "its residue is not certified within the budget 64",
+        "exponent": 0,
+    }
+    (rec,) = run(load_config(SW125, precision=126))["tasks"]
+    assert rec["status"] == "PASS", rec
+    assert rec["values"]["n"] == 125 and rec["precision"] == 126
 
 
 def test_conductor_change_error_records_keep_the_exponent():
@@ -629,3 +667,40 @@ def test_main_check_all_smoke(capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "summary:" in printed and "FAIL" in printed  # the counter line mentions FAIL count
+
+
+# ------------------------------------------------------ every accepted ring
+
+def sweep_config(p, k, s, d):
+    """swan, rsw, reciprocity (20 samples), duality (n = 4, m = 1) and, over
+    one variable, a conductor change along t -> w^2 + w^3, for a character
+    with poles t^-3 and t^-1 in its weight-1 slot (a u in front of t^-3
+    over two variables) and, for s > 1, a pole-free t in its heaviest slot,
+    so that Sw <= 3 fits the default budget at every p and s."""
+    variables = ["t"] if d == 1 else ["u", "t"]
+    pole = "t^-3 + t^-1" if d == 1 else "u*t^-3 + t^-1"
+    tower = {"p": p, "k": k, "s": s, "variables": variables}
+    tasks = [{"task": "swan", "character": "X"}, {"task": "rsw", "character": "X"},
+             {"task": "reciprocity", "character": "X", "samples": 20},
+             {"task": "duality", "n": 4, "m": 1}]
+    doc = config_doc(tower=tower, characters={"X": ["t"][:s - 1] + ["0"] * (s - 2) + [pole]},
+                     tasks=tasks)
+    if d == 1:
+        doc["towers"] = {"L": {**tower, "variables": ["w"]}}
+        doc["extensions"] = {"phi": {"target": "L", "images": {"t": "w^2 + w^3"}}}
+        tasks.append({"task": "conductor-change", "character": "X", "extension": "phi"})
+    return doc
+
+
+def test_every_accepted_ring_runs_end_to_end():
+    """Every (p, k) with a defining polynomial, s = 1..4 and d = 1, 2: each
+    record is PASS or NOT_APPLICABLE, so the symbol residues run on all 48
+    coefficient rings."""
+    records = 0
+    for p, k in DEFINING_POLYNOMIALS:
+        for s in (1, 2, 3, 4):
+            for d in (1, 2):
+                for rec in run(load_config(sweep_config(p, k, s, d)))["tasks"]:
+                    assert rec["status"] in ("PASS", "NOT_APPLICABLE"), (p, k, s, d, rec)
+                    records += 1
+    assert records == 48 * 2 * 4 + 48

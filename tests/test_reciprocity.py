@@ -13,7 +13,11 @@ Oracles used here:
     the nose and serve as representation-independent oracles;
   * the characterization checker is compared with its own loop without the
     per-call dict of terms, which pairs each sample's whole summed alpha
-    (``uncached_characterization_oracle``): a check of additivity.
+    (``uncached_characterization_oracle``): a check of additivity;
+  * symbol values are compared with the residue through full ``dlog``
+    forms (``dlog_route_symbol``) and with that route on exact completions
+    at a wide budget, and the term draws with the ``randint`` draws they
+    replace (``randint_draw_oracle``).
 """
 
 import random
@@ -25,15 +29,18 @@ from rswan.errors import (
     InconsistentValue,
     NotTopological,
     PrecisionExhausted,
+    RswanError,
     UnramifiedCharacter,
     ZeroEntry,
 )
 from rswan.logdiff import (
     LogForm,
     WindowedForm,
+    dlog,
     minimal_b,
     r_b,
     residue_to_prime_field,
+    wedge,
     wedge_windowed,
 )
 from rswan.parser import parse_series, render_series
@@ -50,7 +57,7 @@ from rswan.reciprocity import (
 from rswan.rsw import RswValue
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
-from rswan.witt import Character, WittVector, asw_reduce
+from rswan.witt import Character, WittVector, asw_reduce, lift_series
 
 K2 = FieldTower(2, 1, 1, ("t",))
 K3 = FieldTower(3, 1, 1, ("t",))
@@ -85,9 +92,12 @@ def test_truncated_exp_needs_positive_order():
 
 
 def test_truncated_exp_window_zero_argument():
-    x = parse_series("t", K2).truncate(0)  # window-zero, everything unknown
-    with pytest.raises(PrecisionExhausted):
-        truncated_exp(x)
+    """The refusal names the ceiling of the window-zero argument."""
+    for ceiling in (0, -3):
+        x = parse_series("t", K2).truncate(ceiling)  # window-zero, everything unknown
+        with pytest.raises(PrecisionExhausted) as err:
+            truncated_exp(x)
+        assert err.value.exponent == ceiling
 
 
 def test_truncated_exp_of_exact_zero_is_one():
@@ -168,8 +178,6 @@ def test_theta_is_additive_in_the_lift_ring(tower):
 
 def test_theta_of_frobenius_minus_one_has_zero_residue():
     """Coboundaries pair to zero: Res(theta((phi-1)E) dlog y) = 0."""
-    from rswan.logdiff import dlog, residue_to_prime_field
-
     rng = random.Random(5)
     dom = K2s2.field_domain
     for _ in range(20):
@@ -183,8 +191,6 @@ def test_theta_of_frobenius_minus_one_has_zero_residue():
         cob = e_vec.frobenius() - e_vec
         theta = theta_lift(cob)
         y = parse_series("t", K2s2)
-        from rswan.witt import lift_series
-
         omega = dlog(lift_series(y, K2s2.lift_domain), 32).scale(theta)
         assert residue_to_prime_field(omega) == 0
 
@@ -248,17 +254,20 @@ def test_symbol_entry_validation():
         eval_symbol(chi, [parse_series("t", K2), parse_series("t", K2)])
     with pytest.raises(ZeroEntry):
         eval_symbol(chi, [NestedSeries.zero(1, K2.field_domain)])
-    with pytest.raises(PrecisionExhausted):
-        eval_symbol(chi, [parse_series("t", K2).truncate(0)])
+    for ceiling in (0, -2):
+        with pytest.raises(PrecisionExhausted, match="zero within its window") as err:
+            eval_symbol(chi, [parse_series("t", K2).truncate(ceiling)])
+        assert err.value.exponent == ceiling
 
 
 def test_symbol_entry_zero_within_an_inner_window_is_not_a_zero_entry():
     """An entry whose only coefficient is zero within an inner window is
     unknown, not zero."""
     dom = KD.field_domain
-    y = NestedSeries(2, dom, {0: NestedSeries.zero(1, dom, 3)})
-    with pytest.raises(PrecisionExhausted):
+    y = NestedSeries(2, dom, {-1: NestedSeries.zero(1, dom, 3)})
+    with pytest.raises(PrecisionExhausted, match="zero within its window") as err:
         eval_symbol(char_of(KD, ["t^-1"]), [parse_series("t", KD), y])
+    assert err.value.exponent == -1  # the top exponent of the unknown coefficient
 
 
 def test_schmid_symbol_refusals():
@@ -271,6 +280,151 @@ def test_schmid_symbol_refusals():
 def test_symbol_accepts_raw_witt_vectors():
     vec = WittVector.from_print_order(K2, (parse_series("t^-1", K2),))
     assert eval_symbol(vec, [parse_series("1 + t", K2)]) == 1
+
+
+def test_symbol_refusal_names_the_width_it_opens_and_the_budget():
+    """Sw = 125 at p = 5, s = 4: theta = t^-125, so the symbol opens
+    windows of width 126, above the default budget 64; the refusal says
+    so, at the exponent the residue reads.  At budget 126 it answers
+    Res(t^-125 dlog(1 + t)) = (-1)^126 = 1."""
+    tower = FieldTower(5, 1, 4, ("t",))
+    chi = char_of(tower, ["t^-1", "0", "0", "0"])
+    y = parse_series("1 + t", tower)
+    with pytest.raises(PrecisionExhausted) as err:
+        eval_symbol(chi, [y])
+    assert str(err.value) == (
+        "the symbol opens windows of width 126; its residue is not certified within the budget 64"
+    )
+    assert err.value.exponent == 0
+    wide = FieldTower(5, 1, 4, ("t",), precision=126)
+    assert eval_symbol(char_of(wide, ["t^-1", "0", "0", "0"]), [parse_series("1 + t", wide)]) == 1
+
+
+# ------------------------------------- the symbol route against dlog forms
+
+def dlog_route_symbol(theta, tower, ys):
+    """The symbol through full windowed ``dlog`` forms and their wedges, as
+    the library computed it before ``logdiff.residue_of_product``: the same
+    widths (the width theta opens, then the budget), the same residue."""
+    low = min((min(exps) for exps, _ in theta.iter_monomials()), default=0)
+    width = min(max(1, 1 - low), tower.precision)
+
+    def residue(width):
+        omega = LogForm.from_series(theta)
+        for y in ys:
+            omega = wedge(omega, dlog(lift_series(y, tower.lift_domain), width))
+        return residue_to_prime_field(omega)
+
+    try:
+        return residue(width)
+    except PrecisionExhausted:
+        if width == tower.precision:
+            raise
+        return residue(tower.precision)
+
+
+def completed(sr):
+    """The exact series with the stored terms of ``sr`` at every level: one
+    completion of each of its windows."""
+    if sr.level == 1:
+        return NestedSeries(1, sr.domain, dict(sr.coeffs))
+    return NestedSeries(sr.level, sr.domain, {e: completed(c) for e, c in sr.coeffs.items()})
+
+
+def random_windowed(rng, level, domain, tops, windowed):
+    """1-3 monomials with top exponents in ``tops`` and lower ones in
+    [-2, 2]; when ``windowed``, cut at a top ceiling above the lowest one
+    half the time, and give an inner coefficient a window half the time."""
+    monos = [(tuple(rng.randint(-2, 2) for _ in range(level - 1)) + (rng.choice(tops),),
+              domain.random_nonzero(rng)) for _ in range(rng.randint(1, 3))]
+    sr = NestedSeries.from_monomials(level, domain, monos)
+    if not windowed or sr.is_zero():
+        return sr
+    if level > 1 and rng.random() < 0.5:
+        e = rng.choice(sorted(sr.coeffs))
+        inner = sr.coeffs[e].truncate(rng.randint(-1, 3))
+        sr = NestedSeries(level, domain, {**sr.coeffs, e: inner}, sr.ceiling)
+    if rng.random() < 0.5:
+        sr = sr.truncate(min(sr.coeffs) + rng.randint(1, 6))
+    return sr
+
+
+def random_entry(rng, tower, windowed):
+    """A symbol entry: E(x) of a monomial of positive order, a variable, or
+    a unit ``c T^v (1 + ...)``, possibly windowed."""
+    d, dom = tower.d, tower.field_domain
+    kind = rng.randrange(3)
+    if kind == 0:
+        exps = tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(1, 4),)
+        y = truncated_exp(NestedSeries.from_monomials(d, dom, [(exps, dom.random_nonzero(rng))]))
+    elif kind == 1:
+        y = NestedSeries.variable(d, dom, rng.randint(1, d))
+    else:
+        v = rng.randint(-2, 2)
+        lead = tuple(rng.randint(-1, 1) for _ in range(d - 1)) + (v,)
+        y = NestedSeries.from_monomials(d, dom, [(lead, dom.random_nonzero(rng))])
+        y = y + random_windowed(rng, d, dom, range(v + 1, v + 4), False)
+    if windowed and rng.random() < 0.5 and not y.is_zero():
+        y = y.truncate(min(y.coeffs) + rng.randint(1, 4))
+    return y
+
+
+def test_symbol_falls_back_to_dlog_forms_where_a_window_meets_a_cancellation():
+    """theta = (1 + O(u)) t^-5 on {1 + u^-1 t^3, t^-1 + t} over
+    F_2((u))((t)): in ``(theta dy~_1 ^ dy~_2) * prod_i y~_i^-1`` the window
+    O(u) multiplies terms that cancel only inside ``dlog y~ = dy~ y~^-1``,
+    so the product-free residue refuses at both widths.  The dlog forms
+    answer, with the value of the exact completion."""
+    dom = KD.lift_domain
+    theta = NestedSeries(2, dom, {-5: NestedSeries(1, dom, {0: 1}, 1)})
+    ys = [parse_series("1 + u^-1*t^3", KD), parse_series("t^-1 + t", KD)]
+    for width in (6, KD.precision):
+        with pytest.raises(PrecisionExhausted):
+            _residue_of_symbol(theta, KD, ys, width)
+    wide = FieldTower(2, 1, 1, ("u", "t"), precision=512)
+    assert reciprocity._symbol_value(theta, KD, ys) == 0
+    assert dlog_route_symbol(completed(theta), wide, ys) == 0
+
+
+SYMBOL_TOWER_CELLS = [
+    (p, k, s, d) for p in (2, 3, 5) for k in (1, 2) for s in (1, 2, 3) for d in (1, 2)
+]
+
+
+def symbol_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RswanError as exc:
+        return type(exc).__name__
+
+
+def test_symbol_route_answers_what_the_dlog_route_answers():
+    """Random symbols over p = 2, 3, 5, k = 1, 2, s = 1-3, d = 1, 2, exact
+    and windowed, at budgets 6, 12 and 64.  Wherever the dlog route
+    answers, ``_symbol_value`` (the product-free residue, then its dlog
+    fallback) gives the same value; every answer equals the dlog route's
+    on an exact completion of the inputs at budget 512, and some symbols
+    the dlog route refused now answer."""
+    rng = random.Random(2202)
+    seen = {"both": 0, "new only": 0, "refused": 0}
+    for idx in range(480):
+        p, k, s, d = SYMBOL_TOWER_CELLS[idx % len(SYMBOL_TOWER_CELLS)]
+        budget = rng.choice((6, 12, 64))
+        variables = ("t",) if d == 1 else ("u", "t")
+        tower = FieldTower(p, k, s, variables, precision=budget)
+        windowed = rng.random() < 0.5
+        theta = random_windowed(rng, d, tower.lift_domain, range(-8, 1), windowed)
+        ys = [random_entry(rng, tower, windowed) for _ in range(d)]
+        old = symbol_outcome(dlog_route_symbol, theta, tower, ys)
+        new = symbol_outcome(reciprocity._symbol_value, theta, tower, ys)
+        if isinstance(old, int):
+            assert new == old, (theta, ys, budget)
+        if isinstance(new, int):
+            wide = FieldTower(p, k, s, variables, precision=512)
+            assert dlog_route_symbol(completed(theta), wide, [completed(y) for y in ys]) == new
+        seen["both" if isinstance(old, int) else "new only" if isinstance(new, int)
+             else "refused"] += 1
+    assert seen["both"] > 200 and seen["new only"] > 0 and seen["refused"] > 50, seen
 
 
 # ----------------------------------------------- characterizing identity
@@ -313,6 +467,37 @@ def test_characterization_covers_low_dimensions_only():
     chi = char_of(K3d, ["t^-1"])
     with pytest.raises(InconsistentValue):
         verify_rsw_characterization(chi, samples=1)
+
+
+# ---------------------------------------------------------- the term draws
+
+def randint_draw_oracle(tower, rng, m, n):
+    """The term draw through ``randint`` and ``random_nonzero``, as the
+    library drew it before ``reciprocity._below``."""
+    d_level = tower.d
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(m + 1, n)
+        c = tower.field_domain.random_nonzero(rng)
+        lower = tuple(rng.randint(-2, 2) for _ in range(d_level - 1))
+        key = () if d_level == 1 else (rng.randint(1, d_level),)
+        terms.append((lower + (i,), c, key))
+    return terms
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_term_draws_take_the_bits_of_the_randint_draws(p):
+    """Same terms and the same generator state after every call, over 200
+    seeds, k = 1, 2, 3, d = 1, 2 and windows of width 1 (n - m = 1) up."""
+    for k in (1, 2, 3):
+        for variables in (("t",), ("u", "t")):
+            tower = FieldTower(p, k, 1, variables)
+            for seed in range(200):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for m, n in ((0, 1), (3, 4), (1, 5), (4, 40)):
+                    assert (reciprocity._random_window_terms(tower, ours, m, n)
+                            == randint_draw_oracle(tower, theirs, m, n)), (k, variables, seed)
+                    assert ours.getstate() == theirs.getstate(), (k, variables, seed, m, n)
 
 
 # ------------------------------------- the unmemoized characterization loop

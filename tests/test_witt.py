@@ -813,7 +813,7 @@ EMBED_REPRODUCERS = [
     (2, ("t^-9 + t^-2 + t^-1", "t^-12 + t + t^2"), "u^3 + u^5 + u^6", (18, 54), True),
     (3, ("2*t^-11 + 2*t^-6 + 2*t^-2", "2*t^-7 + t^-5 + t^-1"), "u^6 + 2*u^7 + 2*u^8 + 2*u^9",
      None, False),
-    (2, ("t^-10 + t^-8 + t^-1", "t^-11 + t^-2"), "u^6 + u^7", (10, 59), False),
+    (2, ("t^-10 + t^-8 + t^-1", "t^-11 + t^-2"), "u^6 + u^7", (10, 59), True),
 ]
 
 
