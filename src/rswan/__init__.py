@@ -36,7 +36,6 @@ from .witt import (
     asw_reduce,
     swan_conductor,
     witt_frobenius,
-    witt_verschiebung,
 )
 from .logdiff import (
     LogForm,
@@ -58,7 +57,6 @@ from .rsw import (
     rsw_decompose,
     rsw_form_at,
     rsw_is_closed,
-    rsw_leading_term,
     sw_from_rsw,
 )
 from .reciprocity import (
@@ -78,7 +76,6 @@ from .extensions import (
     imperfect_residue_family,
     perfect_residue_ratios,
     pullback_character,
-    pullback_form,
     pullback_series,
     ramification_index,
 )
@@ -121,7 +118,6 @@ __all__ = [
     "asw_reduce",
     "swan_conductor",
     "witt_frobenius",
-    "witt_verschiebung",
     # differential forms
     "LogForm",
     "WindowedForm",
@@ -141,7 +137,6 @@ __all__ = [
     "rsw_decompose",
     "rsw_form_at",
     "rsw_is_closed",
-    "rsw_leading_term",
     "sw_from_rsw",
     # reciprocity
     "check_exp_congruences",
@@ -161,7 +156,6 @@ __all__ = [
     "imperfect_residue_family",
     "perfect_residue_ratios",
     "pullback_character",
-    "pullback_form",
     "pullback_series",
     "ramification_index",
     # catalog and front-end

@@ -123,7 +123,11 @@ def _tower_dict(params):
 
 
 def catalog_characters(p: int):
-    """(label, FieldTower, print-order components, pinned Sw, pinned render)."""
+    """(label, FieldTower, print-order components, pinned Sw, pinned render).
+
+    The table read back as towers: the test suite checks the pinned values
+    through it, while ``check-all`` reads the same table as a config.
+    """
     rows = []
     for label, tower_name, comps, sw, rendered in _CHARACTERS[p]:
         tower = FieldTower(*_TOWERS[p][tower_name])

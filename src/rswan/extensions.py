@@ -7,32 +7,28 @@ reduced *before* pulling back, so tame coboundary junk never inflates the
 source conductor entering the comparison.
 
 ``delta_tor`` measures the torsion depth of the embedding for one-variable
-source fields: the minimum target-order of the coefficients of
-``dlog(image of the source uniformizer)`` in the basis
-``{db_lambda = T_lambda dlog T_lambda, dlog pi_L}``.  Under the strong-
+source fields: the minimum target-order of the coefficients of ``dlog phi``
+(``phi`` the image of the source uniformizer, of order ``e``) in the basis
+``{db_lambda = T_lambda dlog T_lambda, dlog pi_L}``.  In a field the
+coefficient of ``dlog T_lambda`` is ``T_lambda d_lambda phi / phi``, and the
+shift to ``db_lambda`` moves no top exponent, so the depth is ``min_lambda
+ord(T_lambda d_lambda phi) - e``, read without an inverse.  Under the strong-
 ramification hypothesis ``Sw > (p/(p-1)) * delta/e`` the target conductor is
 ``e*Sw - delta``; :func:`conductor_change` reports both sides and a
 PASS/FAIL/NOT_APPLICABLE verdict.
 
-What conductor change computes
-------------------------------
-:func:`conductor_change` reads one integer of the torsion report and one
-verdict of the target reduction, and computes only those where the image
-allows it.  For a one-variable source and target and an exact image ``phi``
-of order ``e``, the one dlog coefficient is ``T phi' / phi`` in a field,
-so ``delta = ord(T phi') - e`` with no inverse; an exactly zero derivative,
-a windowed image or a larger tower goes through :func:`delta_tor`.  The
-pullback of an exact source component whose deepest pole is ``T^-L``
+Planned pullbacks
+-----------------
+The pullback of an exact source component whose deepest pole is ``T^-L``
 through an exact image of order ``e`` with at least two terms is known
-below ``precision - e L`` (the Horner part has order 0 and the inverse of
-``phi^L`` is known below ``-e L + precision``; ``rswan.series``,
-"Substitution").  :func:`pullback_character` plans these ceilings for
-every component first and raises the target reduction's refusal of the
-first one ``<= 0`` before any substitution.  It plans nothing when the
-character is not over the source tower, the source has more than one
-variable, the image is a monomial, windowed or over a larger tower, a
-component is windowed, or some ``-e L`` lies below the exponent floor (the
-substitution raises ``ExponentOutOfRange`` there).
+below ``precision - e L`` (``rswan.series``, "Substitution").
+:func:`pullback_character` plans these ceilings for every component first
+and raises the target reduction's refusal of the first one ``<= 0`` before
+any substitution.  It plans nothing when the character is not over the
+source tower, the source has more than one variable, the image is a
+monomial, windowed or over a larger tower, a component is windowed, or some
+``-e L`` lies below the exponent floor (the substitution raises
+``ExponentOutOfRange`` there).
 
 Two ratio experiments live here as well: the imperfect-residue family
 ``u -> v^p + w, t -> w^t`` (ratios 2 - 1/t) and curve restriction over
@@ -51,7 +47,7 @@ from .errors import (
     PrecisionExhausted,
     TowerMismatch,
 )
-from .logdiff import dlog, log_derivative
+from .logdiff import log_derivative
 from .ratfunc import RatFuncDomain
 from .series import _ORD_FLOOR, NestedSeries, series_substitute
 from .tower import FieldTower
@@ -70,8 +66,6 @@ __all__ = [
     "ramification_index",
     "pullback_series",
     "pullback_character",
-    "pullback_form",
-    "TorsionReport",
     "delta_tor",
     "ConductorChangeReport",
     "conductor_change",
@@ -164,7 +158,7 @@ def pullback_series(ext: ExtensionMap, sr: NestedSeries) -> NestedSeries:
 def _planned_ceilings(ext: ExtensionMap, char: Character):
     """The pullback ceiling of each component of the reduced ``char``, None
     for an exact pullback; None when they are not all planned (module
-    docstring, "What conductor change computes")."""
+    docstring, "Planned pullbacks")."""
     img = ext.images[ext.source.variables[-1]]
     if (char.tower != ext.source or ext.source.d != 1 or img.level != 1
             or img.ceiling is not None or len(img.coeffs) < 2):
@@ -196,94 +190,41 @@ def pullback_character(ext: ExtensionMap, char: Character | WittVector) -> Chara
     return asw_reduce(Character(WittVector(ext.target, comps)))
 
 
-def pullback_form(ext: ExtensionMap, form):
-    """Image of a log form: coefficients pull back as series, each
-    ``dlog T_lambda`` maps to ``dlog(image of T_lambda)``."""
-    from .logdiff import LogForm, wedge
-
-    target = ext.target
-    domain = target.field_domain
-    dlog_images = {
-        idx + 1: dlog(ext.images[name], target.precision)
-        for idx, name in enumerate(ext.source.variables)
-    }
-    acc = LogForm.zero(target.d, domain, form.degree)
-    for key, c in form.coeffs.items():
-        term = LogForm.from_series(pullback_series(ext, c))
-        for lam in key:
-            term = wedge(term, dlog_images[lam])
-        acc = acc + term
-    return acc
-
-
-@dataclass(frozen=True)
-class TorsionReport:
-    """Torsion depth of an embedding plus the relation coefficients.
-
-    ``coefficients`` maps each basis slot of the target's integral log
-    differentials — ``db_lambda`` for lower variables, ``dlog pi`` for the
-    top one — to its coefficient in ``dlog(image of the source
-    uniformizer)``.  ``delta`` is the least target-top order among them.
-    """
-
-    delta: int
-    coefficients: dict
-
-
-def _torsion_depth(ext: ExtensionMap) -> int:
-    """``delta_tor(ext).delta``, from orders where the image allows it
-    (module docstring, "What conductor change computes")."""
-    img = ext.images[ext.source.variables[-1]]
-    if ext.source.d == 1 and img.level == 1 and img.ceiling is None and -img.ord() >= _ORD_FLOOR:
-        derivative = log_derivative(img, 1)
-        if derivative.coeffs:
-            return derivative.ord() - img.ord()
-    return delta_tor(ext).delta
-
-
-def delta_tor(ext: ExtensionMap) -> TorsionReport:
+def delta_tor(ext: ExtensionMap) -> int:
     """Torsion depth of the embedding (one-variable source fields only).
 
     The minimum target-top order of the coefficients of ``dlog(image of the
-    source uniformizer)`` in the basis ``{db_lambda, dlog pi_L}``.
+    source uniformizer)`` in the basis ``{db_lambda, dlog pi_L}``, read from
+    the orders of the image's derivatives (module docstring).  An exactly
+    zero derivative is skipped; a refusal names the exponent of the
+    ``dlog`` coefficient at which a window hides it (its ceiling, or with
+    an exact top the coefficient that is zero only within an inner window).
     """
     if ext.source.d != 1:
         raise NonPerfectBase(
             "the torsion depth is defined over a one-variable source field"
         )
-    target = ext.target
-    omega = dlog(ext.images[ext.source.variables[-1]], target.precision)
-    if not omega.coeffs:
-        raise NonEmbedding(
-            "dlog of the uniformizer image vanishes identically "
-            "(the image is a p-th power); the torsion depth is undefined"
-        )
+    img = ext.images[ext.source.variables[-1]]
+    shift = -img.ord()
     depths = []
-    coefficients = {}
-    for key, c in omega.coeffs.items():
-        lam = key[0]
-        name = target.variables[lam - 1]
-        if lam < target.d:
-            c = c.shift_at(lam, -1)  # dlog T_lambda = T_lambda^{-1} db_lambda
-            slot = f"db({name})"
-        else:
-            slot = f"dlog({name})"
+    for lam in range(1, img.level + 1):
+        # T_lambda d_lambda phi / T^e: the top exponents of the dlog coefficient
+        c = log_derivative(img, lam).shift(shift)
         if c.is_exact_zero():
             continue
         if c.is_zero():
             raise PrecisionExhausted(
                 "a dlog coefficient is zero within its window; "
                 "the torsion depth cannot be certified",
-                exponent=c.ceiling,
+                exponent=c.low() if c.ceiling is None else c.ceiling,
             )
-        coefficients[slot] = c
         depths.append(c.ord())
     if not depths:
         raise NonEmbedding(
             "dlog of the uniformizer image vanishes identically "
             "(the image is a p-th power); the torsion depth is undefined"
         )
-    return TorsionReport(delta=min(depths), coefficients=coefficients)
+    return min(depths)
 
 
 @dataclass(frozen=True)
@@ -298,14 +239,6 @@ class ConductorChangeReport:
     hypothesis_holds: bool
     status: str  # PASS | FAIL | NOT_APPLICABLE
 
-    def describe(self) -> str:
-        return (
-            f"e={self.e} delta={self.delta} Sw_source={self.sw_source} "
-            f"Sw_target={self.sw_target} predicted={self.predicted} "
-            f"hypothesis {self.hypothesis_lhs} > {self.hypothesis_rhs}: "
-            f"{'holds' if self.hypothesis_holds else 'fails'} -> {self.status}"
-        )
-
 
 def conductor_change(ext: ExtensionMap, char: Character | WittVector) -> ConductorChangeReport:
     """Compare the actual target conductor against ``e*Sw - delta``.
@@ -317,7 +250,7 @@ def conductor_change(ext: ExtensionMap, char: Character | WittVector) -> Conduct
     char = asw_reduce(char)
     p = ext.source.p
     e = ramification_index(ext)
-    delta = _torsion_depth(ext)
+    delta = delta_tor(ext)
     sw_source = swan_conductor(char)
     sw_target = swan_conductor(pullback_character(ext, char))
     predicted = e * sw_source - delta

@@ -144,11 +144,6 @@ class LogForm:
     def from_series(cls, sr: NestedSeries) -> "LogForm":
         return cls(sr.level, sr.domain, 0, {(): sr})
 
-    @classmethod
-    def basis(cls, level: int, domain, key) -> "LogForm":
-        key = tuple(sorted(key))
-        return cls(level, domain, len(key), {key: NestedSeries.one(level, domain)})
-
     def coefficient(self, key) -> NestedSeries:
         c = self.coeffs.get(tuple(key))
         return NestedSeries.zero(self.level, self.domain) if c is None else c

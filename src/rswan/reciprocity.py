@@ -65,6 +65,7 @@ from .errors import (
 from .logdiff import (
     LogForm,
     WindowedForm,
+    _level_lows,
     d,
     dlog,
     minimal_b,
@@ -160,10 +161,6 @@ class ExpCongruenceReport:
     results: dict
     notes: tuple = ()
 
-    @property
-    def all_pass(self) -> bool:
-        return all(self.results.values())
-
 
 def check_exp_congruences(p: int) -> ExpCongruenceReport:
     """Verify the three defining congruences of E by exact rational arithmetic.
@@ -245,7 +242,9 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
 
     Each ``y_i`` is a nonzero series over the residue tower; they are lifted
     coefficientwise and the residue of ``theta(f) ^_i dlog y~_i`` is traced
-    down to Z/p^s.
+    down to Z/p^s.  This is the paper's symbol map, kept as the public
+    entry that validates the entries before ``_symbol_value``, which the
+    characterization check calls directly.
     """
     char = asw_reduce(char)
     tower = char.tower
@@ -264,14 +263,15 @@ def _symbol_value(theta: NestedSeries, tower, ys) -> int:
     """Res of ``theta ^_i dlog y~_i``, traced to Z/p^s.
 
     Res reads nothing above T^0, so the inverses of the entries open at the
-    width the lowest exponent of ``theta`` (at any level) needs, capped by
-    the tower budget.  Lower-level poles of the entries can make that width
-    too small; the residue is then computed once more at the cap.  What the
+    width the lowest stored exponent of ``theta`` at any level needs (a
+    coefficient zero only within an inner window counts), capped by the
+    tower budget.  Lower-level poles of the entries can make that width too
+    small; the residue is then computed once more at the cap.  What the
     product-free residue refuses at both widths goes through the ``dlog``
     forms at both (module docstring, "Symbols"); when neither answers, the
     refusal names the width the symbol opens and the budget.
     """
-    low = min((min(exps) for exps, _ in theta.iter_monomials()), default=0)
+    low = min(_level_lows(theta, {}).values(), default=0)
     opened, budget = max(1, 1 - low), tower.precision
     widths = sorted({min(opened, budget), budget})
     for residue in (_residue_of_symbol, _residue_through_dlog):

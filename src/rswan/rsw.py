@@ -27,7 +27,6 @@ __all__ = [
     "RswDecomposition",
     "rsw_form_at",
     "rsw_char_p",
-    "rsw_leading_term",
     "rsw_is_closed",
     "sw_from_rsw",
     "rsw_decompose",
@@ -100,11 +99,6 @@ def rsw_char_p(char: Character) -> RswValue:
     if n == 0:
         raise UnramifiedCharacter("the character is unramified (conductor 0)")
     return RswValue(char, rsw_form_at(char.vector, n))
-
-
-def rsw_leading_term(value: RswValue) -> WindowedForm:
-    """The class restricted to the single order ``-n`` (window ``(n, n-1)``)."""
-    return WindowedForm(value.window.form, value.n, value.n - 1)
 
 
 def rsw_is_closed(value: RswValue) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ConfigError, InconsistentValue, TowerMismatch, ZeroInput
+from .errors import ConfigError, TowerMismatch, ZeroInput
 
 __all__ = [
     "DEFINING_POLYNOMIALS",
@@ -110,13 +110,6 @@ class _QuotientDomain:
         n %= self.modulus
         return n if self.k == 1 else (n,) + (0,) * (self.k - 1)
 
-    def from_coeffs(self, coeffs) -> int | tuple:
-        cs = [c % self.modulus for c in coeffs]
-        if len(cs) > self.k:
-            raise InconsistentValue("too many coefficients")
-        cs += [0] * (self.k - len(cs))
-        return cs[0] if self.k == 1 else tuple(cs)
-
     def coeffs(self, x) -> tuple[int, ...]:
         return (x,) if self.k == 1 else tuple(x)
 
@@ -202,7 +195,9 @@ class _QuotientDomain:
 
     # -- structure maps ----------------------------------------------------
     def frobenius(self, x):
-        """x ** p (used in characteristic p only)."""
+        """x ** p (used in characteristic p only).  Series Frobenius raises
+        its coefficients with ``pow``, so nothing in the package calls this;
+        it stays because the benchmark's tracer wraps it by name."""
         return self.pow(x, self.p)
 
     def is_pth_power(self, x) -> bool:

@@ -765,10 +765,8 @@ class NestedSeries:
             return self._inv_past_a_nilpotent_head(precision)
         lead_inv = self.domain.inv(lead) if self.level == 1 else lead.inv(precision)
         if len(self.coeffs) == 1:
-            out = NestedSeries(self.level, self.domain, {-v: lead_inv})
-            if self.ceiling is not None:
-                out = out.truncate(-v + (self.ceiling - v))
-            return out
+            ceiling = None if self.ceiling is None else -v + (self.ceiling - v)
+            return _make(self.level, self.domain, {-v: lead_inv}, ceiling)
         if self.ceiling is not None:
             width = self.ceiling - v
         elif precision is not None:
@@ -854,14 +852,6 @@ class NestedSeries:
                 out[e // p] = root
         ceiling = None if self.ceiling is None else (self.ceiling - 1) // p + 1
         return _make(self.level, self.domain, out, ceiling)
-
-    def is_pth_power(self) -> bool:
-        """Whether :meth:`pth_root` succeeds."""
-        try:
-            self.pth_root()
-        except NoPthRoot:
-            return False
-        return True
 
     # ------------------------------------------------------------- comparison
     def agrees_with(self, other: "NestedSeries") -> bool:

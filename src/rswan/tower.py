@@ -59,10 +59,6 @@ class FieldTower:
         return len(self.variables)
 
     @property
-    def q(self) -> int:
-        return self.p**self.k
-
-    @property
     def uniformizer(self) -> str:
         if not self.variables:
             raise TowerMismatch("a zero-dimensional tower has no uniformizer")
@@ -83,7 +79,3 @@ class FieldTower:
     @property
     def lift_domain(self):
         return galois_ring_domain(self.p, self.k, self.s)
-
-    def describe(self) -> str:
-        base = f"F_{self.q}"
-        return base + "".join(f"(({v}))" for v in self.variables)

@@ -120,7 +120,6 @@ from .errors import (
     PrecisionExhausted,
     RswanError,
     TowerMismatch,
-    ZeroInput,
 )
 from .scalars import galois_ring_domain, power
 from .series import (
@@ -141,8 +140,6 @@ __all__ = [
     "ghost_component",
     "witt_combine",
     "witt_frobenius",
-    "witt_verschiebung",
-    "witt_ord_of",
     "swan_of_components",
     "asw_reduce_components",
     "asw_reduce",
@@ -414,14 +411,6 @@ def witt_frobenius(comps):
     return tuple(c.frobenius() for c in comps)
 
 
-def witt_verschiebung(comps):
-    """Shift each slot one weight down, dropping the weight-1 component;
-    composed with Frobenius this is multiplication by p."""
-    s = len(comps)
-    zero = NestedSeries.zero(comps[0].level, comps[0].domain)
-    return tuple(list(comps[1:]) + [zero]) if s > 1 else (zero,)
-
-
 def _weighted_orders(comps, p: int):
     """``(known, bound)``: ``min_i p^i * ord(comps[i])`` over the stored
     data, and ``min_i p^i * ceiling_i`` over the finite windows (each None
@@ -437,26 +426,6 @@ def _weighted_orders(comps, p: int):
             b = w * c.ceiling
             bound = b if bound is None else min(bound, b)
     return known, bound
-
-
-def witt_ord_of(comps, p: int) -> int:
-    """min_i p^i * ord(comps[i]); ZeroInput when every component vanishes.
-
-    Raises :class:`PrecisionExhausted` when an unknown window tail could lie
-    below the stored minimum.
-    """
-    known, bound = _weighted_orders(comps, p)
-    if known is None:
-        if bound is not None:
-            raise PrecisionExhausted(
-                "vector is zero within its windows; its order is not determined"
-            )
-        raise ZeroInput("order of the zero Witt vector is undefined")
-    if bound is not None and bound < known:
-        raise PrecisionExhausted(
-            f"window tails (>= {bound}) could undercut the stored order {known}"
-        )
-    return known
 
 
 def swan_of_components(comps, p: int) -> int:
@@ -555,7 +524,12 @@ def asw_reduce_components(comps, p: int):
 
 @dataclass(frozen=True)
 class WittVector:
-    """A length-``tower.s`` Witt vector of series over ``tower``."""
+    """A length-``tower.s`` Witt vector of series over ``tower``.
+
+    ``zero``, ``is_zero`` and ``agrees_with`` are kept with ``+``, ``-``
+    and ``frobenius`` as the ring API of a public class, although inside
+    the package only the tests call them.
+    """
 
     tower: FieldTower
     comps: tuple[NestedSeries, ...]
@@ -580,11 +554,6 @@ class WittVector:
     def zero(cls, tower: FieldTower) -> "WittVector":
         z = NestedSeries.zero(tower.d, tower.field_domain)
         return cls(tower, (z,) * tower.s)
-
-    @classmethod
-    def teichmuller(cls, tower: FieldTower, series: NestedSeries) -> "WittVector":
-        z = NestedSeries.zero(tower.d, tower.field_domain)
-        return cls(tower, (z,) * (tower.s - 1) + (series,))
 
     # -- views ----------------------------------------------------------------
     @property
@@ -617,9 +586,6 @@ class WittVector:
 
     def frobenius(self) -> "WittVector":
         return WittVector(self.tower, witt_frobenius(self.comps))
-
-    def verschiebung(self) -> "WittVector":
-        return WittVector(self.tower, witt_verschiebung(self.comps))
 
     def agrees_with(self, other: "WittVector") -> bool:
         self._peer(other)

@@ -154,7 +154,8 @@ def test_random_refined_invariants_round_trip():
             forms = [value]
             if tower.d == 2:  # degree 2: d of the invariant (zero: it is closed) and wedges
                 forms.append(WindowedForm(d(value.form), n, value.m))
-                forms += [WindowedForm(wedge(value.form, LogForm.basis(2, dom, (lam,))), n, value.m)
+                one = NestedSeries.one(2, dom)
+                forms += [WindowedForm(wedge(value.form, LogForm(2, dom, 1, {(lam,): one})), n, value.m)
                           for lam in (1, 2)]
             for form in forms:
                 text = render_form(form, tower)
@@ -524,9 +525,9 @@ def test_symbol_refusal_names_the_width_that_would_answer():
 
 
 def test_conductor_change_error_records_keep_the_exponent():
-    """u^2 + u^4 is a square over F_2: 0 * (u^2 + u^4)^-1 is zero within
-    the window -2 + 64 of the inverse.  Along u^2 + u^3 at budget 8, t^-5
-    pulls back known below 8 - 2 * 5."""
+    """u^2 + u^4 is a square over F_2: its derivative is exactly zero, so
+    the depth is undefined and the record has no exponent.  Along u^2 + u^3
+    at budget 8, t^-5 pulls back known below 8 - 2 * 5."""
     doc = config_doc(
         towers={
             "L": {"p": 2, "k": 1, "s": 1, "variables": ["u"]},
@@ -544,10 +545,9 @@ def test_conductor_change_error_records_keep_the_exponent():
     )
     square, narrow = run(load_config(doc))["tasks"]
     assert square["error"] == {
-        "type": "PrecisionExhausted",
-        "message": "a dlog coefficient is zero within its window; "
-                   "the torsion depth cannot be certified",
-        "exponent": 62,
+        "type": "NonEmbedding",
+        "message": "dlog of the uniformizer image vanishes identically "
+                   "(the image is a p-th power); the torsion depth is undefined",
     }
     assert narrow["error"] == {
         "type": "PrecisionExhausted",

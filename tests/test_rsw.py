@@ -24,7 +24,6 @@ from rswan.rsw import (
     rsw_decompose,
     rsw_form_at,
     rsw_is_closed,
-    rsw_leading_term,
     sw_from_rsw,
 )
 from rswan.scalars import fq_domain
@@ -251,7 +250,7 @@ def test_catalog_conductor_recovery_and_closedness():
 def test_leading_term_window():
     chi = char_of(K2s2, ["t^-1", "t^-3"])
     value = rsw_char_p(chi)
-    lead = rsw_leading_term(value)
+    lead = WindowedForm(value.window.form, value.n, value.n - 1)
     assert (lead.n, lead.m) == (3, 2)
     # only the order -3 part survives the single-slot window
     assert lead.form.coefficient((1,)) == mono(K2s2, (-3,))

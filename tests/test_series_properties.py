@@ -36,7 +36,9 @@ def _scalar(domain, digits):
     """A raw scalar from small integers: coordinates over (Z/p^s)[g]/(f),
     a polynomial over F_p(x)."""
     if hasattr(domain, "k"):
-        return domain.from_coeffs(digits[: domain.k])
+        cs = [x % domain.modulus for x in digits[: domain.k]]
+        cs += [0] * (domain.k - len(cs))
+        return cs[0] if domain.k == 1 else tuple(cs)
     return domain.from_polys(digits)
 
 
