@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from rswan import extensions
+from rswan import extensions, logdiff
 from rswan.errors import (
     ExponentOutOfRange,
     NonEmbedding,
@@ -510,6 +510,50 @@ def test_delta_tor_agrees_with_the_dlog_oracle():
         kinds.add(depth[0] if isinstance(depth, tuple) else int)
     assert answers >= 150 and new_answers >= 1
     assert kinds == {int, NonEmbedding, PrecisionExhausted}
+
+
+def test_torsion_depth_from_orders_is_delta_tor():
+    """Tame, monomial, p-th-power, windowed and imperfect-residue images:
+    wherever ``dlog`` at the budget answers, the orders give the same depth,
+    and every refusal kind is reached."""
+    fixed = [("u^2*(1+u)", None), ("u^3", None), ("u", None), ("u^5 + u^6", None),
+             ("u^2", None), ("u^2 + u^4", None), ("u^4*(1+u^2)", None),
+             ("u^2 + u^3", 5), ("u^2", 3)]
+    exts = [ExtensionMap(K2, L2, {"t": parse_series(text, L2).truncate(ceiling)})
+            for text, ceiling in fixed]
+    rng = random.Random(22)
+    for p, k in FIELDS:
+        for _ in range(40):
+            exts.append(random_unit(rng, p, k, 1)[0])
+    exts.append(imperfect_residue_family(2, (3,))[1][0])
+    kinds = set()
+    compared = 0
+    for ext in exts:
+        depth = outcome(lambda: delta_tor(ext))
+        if len(ext.source.variables) == 1:
+            old = outcome(lambda: dlog_depth(ext, ext.target.precision))
+            if isinstance(old, int):
+                assert depth == old
+                compared += 1
+        kinds.add(depth[0] if isinstance(depth, tuple) else int)
+    assert compared >= 100
+    assert kinds == {int, NonEmbedding, PrecisionExhausted, NonPerfectBase}
+
+
+def test_conductor_change_reads_the_depth_without_delta_tor(monkeypatch):
+    """The depth ``conductor_change`` reports is read from orders: the
+    ``dlog`` computation that ``delta_tor`` once ran is never reached, and
+    the depth itself takes no inverse (the pullback of ``t^-3`` does)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dlog or an inverse was computed")
+
+    monkeypatch.setattr(logdiff, "dlog", refuse)
+    with monkeypatch.context() as inside:
+        inside.setattr(NestedSeries, "inv", refuse)
+        assert (delta_tor(wild_map()), delta_tor(tame_map())) == (1, 0)
+    rep = conductor_change(wild_map(), char_of(K2, ["t^-3"]))
+    assert (rep.delta, rep.status) == (1, "PASS")
+    assert conductor_change(tame_map(), char_of(K2, ["t^-2"])).delta == 0
 
 
 def test_pth_power_image_raises_the_same_non_embedding():
