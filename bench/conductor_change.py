@@ -21,7 +21,9 @@ raises late.  Three sections, with one figure per tree:
   ``pullback_character`` ends with.
 * ``conductor_change``: the same units; ``answered`` and ``errors`` (by
   kind) of ``extensions.conductor_change``, and ``us_per_change``, the
-  mean time of one call, failures included.
+  mean time of one call, failures included; ``us_per_answer`` and
+  ``us_per_refusal`` time the answered and the refused units apart (None
+  when a cell has none).
 
 Each time comes from ``PASSES`` alternating passes, each timing a batch of
 calls of about ``BATCH_SECONDS`` (``bench/_trees.py``).
@@ -167,39 +169,53 @@ def _embed_section(trees):
     pulled = {cell: [_pulled_back(tree, u) for tree, u in zip(trees, units[cell])]
               for cell in EMBED_CELLS}
     calls = {}
+    outcomes = {}
     for cell in EMBED_CELLS:
         same(f"reduced characters of cell {cell}",
              [[_outcome(_reduce(tree, v)) for v in vecs]
               for tree, vecs in zip(trees, pulled[cell])])
+        results = [[_change(tree, *u) for u in us] for tree, us in zip(trees, units[cell])]
+        same(f"conductor-change reports of cell {cell}",
+             [[_outcome(r) for r in rs] for rs in results])
+        outcomes[cell] = results[0]
+        refused = [isinstance(r, Exception) for r in results[0]]
         calls["asw_reduce", cell] = [
             (lambda tree=tree, vecs=vecs: [_reduce(tree, v) for v in vecs])
             for tree, vecs in zip(trees, pulled[cell])
         ]
-        calls["conductor_change", cell] = [
-            (lambda tree=tree, us=us: [_change(tree, *u) for u in us])
-            for tree, us in zip(trees, units[cell])
-        ]
+        for key, keep in (("conductor_change", None), ("answered", False), ("refused", True)):
+            picked = [[u for u, r in zip(us, refused) if keep is None or r == keep]
+                      for us in units[cell]]
+            if picked[0]:
+                calls[key, cell] = [
+                    (lambda tree=tree, us=us: [_change(tree, *u) for u in us])
+                    for tree, us in zip(trees, picked)
+                ]
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
+
+    def per_unit(key, cell, count):
+        if (key, cell) not in seconds:
+            return None
+        return [round(t * 1e6 / count, 1) for t in seconds[key, cell]]
+
     reduce_rows, change_rows = [], []
     for cell in EMBED_CELLS:
         p, s = cell
-        results = [[_change(tree, *u) for u in us] for tree, us in zip(trees, units[cell])]
-        same(f"conductor-change reports of cell {cell}",
-             [[_outcome(r) for r in rs] for rs in results])
         errors: dict = {}
-        for r in results[0]:
+        for r in outcomes[cell]:
             if isinstance(r, Exception):
                 kind = type(r).__name__
                 errors[kind] = errors.get(kind, 0) + 1
+        refusals = sum(errors.values())
         reduce_rows.append({
             "p": p, "s": s, "pulled_back": len(pulled[cell][0]),
-            "us_per_reduce": [round(t * 1e6 / len(pulled[cell][0]), 1)
-                              for t in seconds["asw_reduce", cell]],
+            "us_per_reduce": per_unit("asw_reduce", cell, len(pulled[cell][0])),
         })
         change_rows.append({
-            "p": p, "s": s, "answered": UNITS - sum(errors.values()), "errors": errors,
-            "us_per_change": [round(t * 1e6 / UNITS, 1)
-                              for t in seconds["conductor_change", cell]],
+            "p": p, "s": s, "answered": UNITS - refusals, "errors": errors,
+            "us_per_change": per_unit("conductor_change", cell, UNITS),
+            "us_per_answer": per_unit("answered", cell, UNITS - refusals),
+            "us_per_refusal": per_unit("refused", cell, refusals),
         })
     return reduce_rows, change_rows
 

@@ -59,7 +59,7 @@ from .errors import (
     ZeroInput,
 )
 from .scalars import _QuotientDomain
-from .series import _ORD_FLOOR, NestedSeries, _make, _new, _set
+from .series import _ORD_FLOOR, NestedSeries, _level_lows, _make, _new, _set
 
 __all__ = [
     "LogForm",
@@ -379,18 +379,6 @@ def _may_leave_the_floor(a: NestedSeries, b: NestedSeries) -> bool:
     lows_a, lows_b = _level_lows(a, {}), _level_lows(b, {})
     return any(lows_a[level] + lows_b[level] < _ORD_FLOOR
                for level in lows_a.keys() & lows_b.keys())
-
-
-def _level_lows(sr: NestedSeries, lows: dict) -> dict:
-    """``{level: least stored exponent}`` over every level of ``sr``."""
-    if sr.coeffs:
-        low = min(sr.coeffs)
-        if sr.level not in lows or low < lows[sr.level]:
-            lows[sr.level] = low
-        if sr.level > 1:
-            for c in sr.coeffs.values():
-                _level_lows(c, lows)
-    return lows
 
 
 # ------------------------------------------------------------------ windows

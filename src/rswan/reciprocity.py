@@ -65,7 +65,6 @@ from .errors import (
 from .logdiff import (
     LogForm,
     WindowedForm,
-    _level_lows,
     d,
     dlog,
     minimal_b,
@@ -76,7 +75,7 @@ from .logdiff import (
     wedge_windowed,
 )
 from .rsw import rsw_char_p
-from .series import NestedSeries
+from .series import NestedSeries, _level_lows
 from .witt import (
     Character,
     WittVector,
@@ -432,8 +431,9 @@ def verify_rsw_characterization(
     * 1 |-> p^(s-1) is a group homomorphism F_p -> Z/p^s.
 
     So each distinct drawn term, keyed by its raw monomial ``(exps, c,
-    key)``, has its series built and its symbol, its Schmid oracle value
-    (at s = 1, d = 1) and its own pairing evaluated once per call; a
+    key)``, has its symbol, its Schmid oracle value (at s = 1, d = 1) and
+    its own pairing evaluated once per call, and each distinct ``(exps,
+    c)`` its series ``x`` and ``E(x)`` built once, whatever its key; a
     sample's right side is the sum of its terms' pairings.  Within a
     sample the symbols come first, in draw order, then the new pairings,
     so an exception comes from the sample's first failing symbol.
@@ -458,6 +458,7 @@ def verify_rsw_characterization(
     modulus = p**s
     schmid = s == 1 and tower.d == 1
     known: dict = {}  # raw term -> [symbol value, Schmid oracle value or None, pairing]
+    exps_of: dict = {}  # (exps, c) -> (x, E(x)), shared by the terms' dlog keys
     variables = {lam: NestedSeries.variable(tower.d, domain, lam) for lam in range(1, tower.d + 1)}
     for idx in range(samples):
         terms = _random_window_terms(tower, rng, m, n)
@@ -467,8 +468,11 @@ def verify_rsw_characterization(
         for term in terms:
             if term not in known:
                 exps, c, key = term
-                x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
-                ys = [truncated_exp(x)] + [variables[lam] for lam in key]
+                if (exps, c) not in exps_of:
+                    x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
+                    exps_of[exps, c] = x, truncated_exp(x)
+                x, ex = exps_of[exps, c]
+                ys = [ex] + [variables[lam] for lam in key]
                 val = _symbol_value(theta, tower, ys)
                 oracle = schmid_symbol(char.vector.comps[0], ys[0]) if schmid else None
                 known[term] = [val, oracle, None]

@@ -335,6 +335,18 @@ def _g_reducer(domain, w: int):
     return reduce
 
 
+def _level_lows(sr: "NestedSeries", lows: dict) -> dict:
+    """``{level: least stored exponent}`` over every level of ``sr``."""
+    if sr.coeffs:
+        low = min(sr.coeffs)
+        if sr.level not in lows or low < lows[sr.level]:
+            lows[sr.level] = low
+        if sr.level > 1:
+            for c in sr.coeffs.values():
+                _level_lows(c, lows)
+    return lows
+
+
 def _inner_extent(coeffs: dict, level: int, lows: list, highs: list) -> bool:
     """Widen ``lows[l]``/``highs[l]`` to the level-``l`` exponents of a
     nested coefficient map at ``level >= 2``, for ``l < level``; ``False``

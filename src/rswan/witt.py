@@ -107,6 +107,44 @@ of ``x - u^p + u``.  A removal only adds at ``e/p > e``, so no exponent
 already passed becomes removable again: the sweep removes the same terms in
 the same order as rescanning from the deepest pole after each removal, and
 it ends, because every pushed exponent is larger and still negative.
+
+*A length-2 tail's refusal is planned.*  Internal slot 1 (``a``) moves
+and internal slot 0 (``b``) is the lighter one.  The combination gives
+``b`` the ceiling
+
+    ``K = min(ceil(b), (p - 1) low(a) + ceil(a))``,
+
+where ``low(a)`` is ``a``'s least stored top exponent.  At ghost index 1,
+``b``'s result is a linear combination of the terms below, divided by
+``p`` and reduced; the division and the reduction keep the least ceiling
+of the terms, so ``K`` is it:
+
+* ``lift(a)^p``: at every level the lead of ``lift(a)`` is a unit (or
+  zero only within a window, and then stored), so ``lift(a)^n`` has the
+  low ``n low(a)`` and, by the product rule ``min(ceil(x) + low(y),
+  ceil(y) + low(x))``, the ceiling ``(n - 1) low(a) + ceil(a)``;
+* ``p b``, with ceiling ``ceil(b)``;
+* the exact ``U``, ``U^p`` and ``U^(p^2)``; the zero slot-1 entries of
+  ``F(e)`` and ``e`` are skipped;
+* ``-z_0^p``: ``z_0`` combines ``a``, ``U^p`` and ``U``, whose top
+  exponents lie at or above ``low(a)`` (each exponent of ``U`` is ``e/p``
+  for a removed ``e >= low(a)``), and a power's low is at least that
+  multiple of the low, so ``ceil(z_0^p) >= (p - 1) low(z_0) + ceil(a)``
+  is at least the first term's ceiling.
+
+The check after the combination reads component 0 first, and component 1
+keeps ``ceil(a) > 0``, so ``K <= 0`` is that check's refusal
+``_uncovered_polar_part(0, K)``, which :func:`asw_reduce_components`
+raises without combining.  ``ceil(b) > 0`` already (the entry check, or
+the check after a heavier slot's combination), so ``K <= 0`` exactly when
+``(p - 1) low(a) + ceil(a) <= 0``, and ``K`` is then that term.  It plans
+only when ``a`` has a finite top ceiling and stored terms, and when ``p``
+times ``a``'s least exponent at every level stays within the supported
+range: the deepest exponent the combination forms is ``p`` times that one
+(see "The exponent floor"), so below it the combination runs and raises
+its :class:`~rswan.errors.ExponentOutOfRange`.  The argument holds at any
+length ``s`` of the vector, as the tail is combined over ``Z/p^2``
+whatever ``s`` is; longer tails still combine first.
 """
 
 from __future__ import annotations
@@ -123,9 +161,11 @@ from .errors import (
 )
 from .scalars import galois_ring_domain, power
 from .series import (
+    _ORD_FLOOR,
     NestedSeries,
     _flatten,
     _inner_extent,
+    _level_lows,
     _level_one_mul,
     _make,
     _refuse_below_floor,
@@ -500,6 +540,20 @@ def _reduce_slot(x: NestedSeries):
     return NestedSeries(level, domain, coeffs, x.ceiling), NestedSeries(level, domain, u_coeffs)
 
 
+def _planned_tail_ceiling(a: NestedSeries, p: int):
+    """``(p - 1) low(a) + ceil(a)``: when it is ``<= 0``, the ceiling that
+    the length-2 combination in which ``a`` moves gives the lighter slot,
+    whose own ceiling is above 0 (module docstring, "Reduction").  None
+    when nothing is planned: ``a`` is exact or has no stored term, or the
+    combination raises ExponentOutOfRange first."""
+    if a.ceiling is None or not a.coeffs:
+        return None
+    ceiling = (p - 1) * min(a.coeffs) + a.ceiling
+    if ceiling <= 0 and p * min(_level_lows(a, {}).values()) < _ORD_FLOOR:
+        return None  # the combination raises ExponentOutOfRange
+    return ceiling
+
+
 def asw_reduce_components(comps, p: int):
     """Remove every removable polar term, one slot at a time (module docstring)."""
     _check_windows_cover_polar_part(comps)
@@ -509,6 +563,10 @@ def asw_reduce_components(comps, p: int):
         if i == 0 or total is None:
             comps = comps[:i] + (reduced,) + comps[i + 1:]
             continue
+        if i == 1:
+            ceiling = _planned_tail_ceiling(comps[1], p)
+            if ceiling is not None and ceiling <= 0:
+                raise _uncovered_polar_part(0, ceiling)
         # the length-(i + 1) tail e of E, with E = V^j(e): only the slots E moves
         zero = NestedSeries.zero(total.level, total.domain)
         e = (zero,) * i + (total,)

@@ -660,6 +660,40 @@ def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
         assert calls["_symbol_value"] == calls["r_b"] == len(drawn) < samples, label
 
 
+
+def test_characterization_builds_each_exponential_once(monkeypatch):
+    """One ``E(x)`` per distinct ``(exps, c)``, shared by its dlog keys: on
+    the d = 2 catalog characters some monomial is drawn with both keys."""
+    drawn = set()
+    calls = []
+    draw, exp = reciprocity._random_window_terms, reciprocity.truncated_exp
+
+    def recording_draw(*args):
+        terms = draw(*args)
+        drawn.update(terms)
+        return terms
+
+    def counting_exp(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw)
+    monkeypatch.setattr(reciprocity, "truncated_exp", counting_exp)
+    shared = 0
+    for p in catalog.CATALOG_PRIMES:
+        for label, char, samples in catalog_reciprocity_cells(p):
+            if char.tower.d != 2:
+                continue
+            drawn.clear()
+            calls.clear()
+            report = verify_rsw_characterization(char, samples, seed=0)
+            assert report == uncached_characterization_oracle(char, samples, 0), label
+            monomials = {(exps, c) for exps, c, _ in drawn}
+            assert len(calls) == len(monomials), label
+            shared += len(drawn) - len(monomials)
+    assert shared > 0
+
+
 # ----------------------------------------- additivity beyond the catalog
 
 # Towers that no catalog reciprocity cell reaches: F_4 residues (k = 2, one

@@ -947,3 +947,151 @@ def test_internal_check_fires_when_the_reduced_slot_moves(monkeypatch):
     assert len(received) == 1
     assert [len(comps) for comps in received[0]] == [2, 2, 2]
     assert received[0][0] == vector.comps[:2]
+
+
+def always_combine_reduce_oracle(comps, p, combine=witt_combine):
+    """The reduction loop without the length-2 plan: every moved slot takes
+    its combination first, and the check after it refuses."""
+    witt._check_windows_cover_polar_part(comps)
+    comps = tuple(comps)
+    for i in reversed(range(len(comps))):
+        reduced, total = witt._reduce_slot(comps[i])
+        if i == 0 or total is None:
+            comps = comps[:i] + (reduced,) + comps[i + 1:]
+            continue
+        zero = NestedSeries.zero(total.level, total.domain)
+        e = (zero,) * i + (total,)
+        moved = combine([comps[:i + 1], witt_frobenius(e), e], [1, -1, 1], p)
+        if not moved[i].agrees_with(reduced):
+            raise RswanError("a coboundary moved a slot unpredictably (internal error)")
+        comps = moved + comps[i + 1:]
+        witt._check_windows_cover_polar_part(comps)
+    return comps
+
+
+def reduce_outcome(reduce, comps, p):
+    """The reduced components, or the refusal's (type, message, exponent)."""
+    try:
+        return reduce(comps, p)
+    except RswanError as exc:
+        return type(exc), str(exc), getattr(exc, "exponent", None)
+
+
+def planned_tail_ceiling(b, a, p):
+    """``K = min(ceil(b), (p - 1) low(a) + ceil(a))`` (``witt`` module
+    docstring, "Reduction"), recomputed here from the two slots."""
+    ceilings = [c for c in (b.ceiling,) if c is not None]
+    if a.ceiling is not None:
+        ceilings.append((p - 1) * min(a.coeffs) + a.ceiling)
+    return min(ceilings, default=None)
+
+
+def plan_sweep_slot(rng, level, dom, p, top=True):
+    """0..3 top terms (0..2 at level 2), poles at multiples of p (and of
+    p^2 for p < 5) among them, over inner series of 1..2 terms in
+    ``[-2, 2]``; a window three times in five, the top one above 0 and
+    reaching from just past the terms to past ``(1 - p) low``, where the
+    plan stops refusing."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 3 if level == 1 else 2) if top else rng.randint(1, 2)):
+        if top:
+            e = rng.choice((-rng.randint(1, 2) * p ** rng.randint(1, 2 if p < 5 else 1),
+                            -rng.randint(1, 6), rng.randint(0, 3)))
+        else:
+            e = rng.randint(-2, 2)
+        coeffs[e] = (dom.random_nonzero(rng) if level == 1
+                     else plan_sweep_slot(rng, level - 1, dom, p, top=False))
+    if rng.random() < 0.4:
+        return NestedSeries(level, dom, coeffs)
+    reach = (p - 1) * max(0, -min(coeffs, default=0)) + 2
+    ceiling = max(coeffs, default=0) + 1 + rng.randint(0, reach if top else 3)
+    return NestedSeries(level, dom, coeffs, max(ceiling, 1) if top else ceiling)
+
+
+PLAN_CELLS = [(p, k, s, d) for p in (2, 3, 5) for k in (1, 2) for s in (2, 3, 4) for d in (1, 2)]
+
+
+def test_the_length_two_plan_matches_the_always_combine_oracle():
+    """Every outcome equals the oracle's, by ``==`` (ceilings included) or
+    by the refusal's type, message and exponent; and every length-2
+    combination the oracle runs gives the lighter slot exactly the planned
+    ceiling, the refused ones (``K <= 0``) included.  The floor-edge cases
+    combine and keep the combination's ExponentOutOfRange."""
+    planned = {"answered": 0, "refused": 0}
+
+    def checking(comps_list, ints, p):
+        out = witt_combine(comps_list, ints, p)
+        if len(out) == 2:
+            b, a = comps_list[0]
+            k = planned_tail_ceiling(b, a, p)
+            assert out[0].ceiling == k
+            planned["answered" if k is None or k > 0 else "refused"] += 1
+        return out
+
+    cases = []
+    for p, k, s, d in PLAN_CELLS:
+        rng = random.Random(f"plan:{p}:{k}:{s}:{d}")
+        dom = fq_domain(p, k)
+        for _ in range(12 if s < 4 else 6):
+            cases.append((tuple(plan_sweep_slot(rng, d, dom, p) for _ in range(s)), p))
+    dom2 = fq_domain(2, 1)
+    at_floor = NestedSeries(1, dom2, {-5000: 1})
+    below_floor = at_floor.shift(-2)
+    edges = [
+        ((NestedSeries.zero(1, dom2), NestedSeries(1, dom2, {-6000: 1}, 100)), 2),
+        ((NestedSeries.zero(1, dom2), below_floor.truncate(3)), 2),
+        ((NestedSeries.zero(2, dom2), NestedSeries(2, dom2, {-4: below_floor}, 3)), 2),
+        ((NestedSeries.zero(2, dom2), NestedSeries(2, dom2, {-2: below_floor}, 1)), 2),
+    ]
+    outcomes = []
+    for comps, p in cases + edges:
+        want = reduce_outcome(
+            lambda c, q: always_combine_reduce_oracle(c, q, checking), comps, p)
+        got = reduce_outcome(asw_reduce_components, comps, p)
+        assert got == want
+        outcomes.append(got)
+    for got in outcomes[len(cases):]:
+        assert got[0] is ExponentOutOfRange
+    # at the floor itself the plan refuses, as the combination does
+    for comps in ((NestedSeries.zero(1, dom2), NestedSeries(1, dom2, {-5000: 1}, 3)),
+                  (NestedSeries.zero(2, dom2), NestedSeries(2, dom2, {-4: at_floor}, 3))):
+        want = reduce_outcome(always_combine_reduce_oracle, comps, 2)
+        assert want[0] is PrecisionExhausted
+        assert reduce_outcome(asw_reduce_components, comps, 2) == want
+    assert planned["answered"] > 30 and planned["refused"] > 30
+    assert any(isinstance(o, tuple) and o[0] is PrecisionExhausted for o in outcomes)
+
+
+def test_a_planned_refusal_runs_no_combination(monkeypatch):
+    """The first conductor change of the benchmark's embed workload (seed 0,
+    cycle 0) that the length-2 plan refuses: over F_5 with s = 2,
+    t -> u^3 + 2 u^4 pulls the reduced character back to a target vector
+    whose x_0 has the pole u^-24 and the window u^40, so the lighter slot's
+    planned ceiling is 4 * (-24) + 40 = -56.  The target reduction raises
+    the refusal the combination's check raises, with no call to
+    ``witt_combine``; so does a vector at the boundary ``K = 0``."""
+    source = FieldTower(5, 1, 2, ("t",))
+    target = FieldTower(5, 1, 2, ("u",))
+    ext = ExtensionMap(source, target, {"t": parse_series("u^3 + 2*u^4", target)})
+    char = asw_reduce(vec(source, "4*t^-8 + 2*t^-6", "3*t"))
+    pulled = tuple(pullback_series(ext, c) for c in char.vector.comps)
+    assert (min(pulled[1].coeffs), pulled[1].ceiling) == (-24, 40)
+    want = reduce_outcome(always_combine_reduce_oracle, pulled, 5)
+    assert want == (PrecisionExhausted, str(witt._uncovered_polar_part(0, -56)), -56)
+    # at the boundary K = 0: x_0 = t^-4 + O(t^4) over F_2
+    boundary = WittVector(K2s2, (NestedSeries.zero(1, K2s2.field_domain),
+                                 parse_series("t^-4", K2s2).truncate(4)))
+    at_zero = reduce_outcome(always_combine_reduce_oracle, boundary.comps, 2)
+    assert at_zero == (PrecisionExhausted, str(witt._uncovered_polar_part(0, 0)), 0)
+    calls = []
+
+    def counting(comps_list, ints, p):
+        calls.append(len(comps_list[0]))
+        return witt_combine(comps_list, ints, p)
+
+    monkeypatch.setattr(witt, "witt_combine", counting)
+    with pytest.raises(PrecisionExhausted) as refused:
+        asw_reduce(WittVector(target, pulled))
+    assert (type(refused.value), str(refused.value), refused.value.exponent) == want
+    assert reduce_outcome(asw_reduce_components, boundary.comps, 2) == at_zero
+    assert calls == []
