@@ -1,9 +1,12 @@
 """Layer bench: duality Gram matrices (``logdiff.duality_matrix``).
 
-The cells are ``(p, d, a, split)``: the windows of perfbench's ``duality``
-workload over ``F_p((u))((t))`` (d = 2, p = 2 widths 1..6 and p = 3 widths
-1..5), plus p = 5 widths 1..5 and the d = 3 tower ``F_2((v))((u))((t))``
-with widths 1..2.  ``split`` is the degree pair ``(i, j)``.  Per cell:
+The cells are ``(p, k, d, a, split)``: the windows of perfbench's
+``duality`` workload over ``F_p((u))((t))`` (k = 1, d = 2, p = 2 widths
+1..6 and p = 3 widths 1..5), plus p = 5 widths 1..5, the d = 3 tower
+``F_2((v))((u))((t))`` with widths 1..2, and the k = 2 towers
+``F_4((u))((t))`` with widths 1..3 and ``F_9((u))((t))`` with widths 1..2,
+whose entries are tuples.  ``split`` is the degree pair ``(i, j)``.  Per
+cell:
 
 * ``rows``: the Gram size; every row's ``{column: entry}`` is checked
   equal across the trees (``_trees.same``) before anything is timed;
@@ -15,8 +18,8 @@ with widths 1..2.  ``split`` is the degree pair ``(i, j)``.  Per cell:
   has just built for those windows (every answer must be ``True``).
 
 ``totals_ms`` and ``gram_totals_ms`` sum the builder and the elimination
-time over every workload window (d = 2, p = 2 and 3, 4 windows per cell)
-per tree.
+time over every workload window (k = 1, d = 2, p = 2 and 3, 4 windows per
+cell) per tree.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ from _trees import alternate, main, same
 
 WORKLOAD_WIDTHS = {2: range(1, 7), 3: range(1, 6)}  # perfbench's DUALITY_WIDTHS
 CELLS = tuple(
-    [(p, 2, a) for p, widths in WORKLOAD_WIDTHS.items() for a in widths]
-    + [(5, 2, a) for a in range(1, 6)]
-    + [(2, 3, a) for a in (1, 2)]
+    [(p, 1, 2, a) for p, widths in WORKLOAD_WIDTHS.items() for a in widths]
+    + [(5, 1, 2, a) for a in range(1, 6)]
+    + [(2, 1, 3, a) for a in (1, 2)]
+    + [(2, 2, 2, a) for a in (1, 2, 3)]
+    + [(3, 2, 2, a) for a in (1, 2)]
 )
 MS = range(4)
 PASSES = 5
@@ -37,11 +42,11 @@ BATCH_SECONDS = 0.02  # each timing covers a batch of calls of about this length
 VARIABLES = ("v", "u", "t")
 
 
-def _calls(rswan, p: int, d: int, a: int, i: int):
+def _calls(rswan, p: int, k: int, d: int, a: int, i: int):
     """The Gram matrices of the cell's windows, a call that builds them
     again and returns their sizes, and a call that decides their
     invertibility."""
-    tower = rswan.FieldTower(p, 1, 1, VARIABLES[3 - d:])
+    tower = rswan.FieldTower(p, k, 1, VARIABLES[3 - d:])
     b = rswan.logdiff.minimal_b(p, a)
 
     def build():
@@ -59,7 +64,7 @@ def _calls(rswan, p: int, d: int, a: int, i: int):
 
 
 def measure(trees) -> dict:
-    keys = [(p, d, a, i) for p, d, a in CELLS for i in range(d + 1)]
+    keys = [(p, k, d, a, i) for p, k, d, a in CELLS for i in range(d + 1)]
     calls, grams, sizes = {}, {}, {}
     for key in keys:
         built, calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
@@ -73,16 +78,16 @@ def measure(trees) -> dict:
     totals = [0.0 for _ in trees]
     gram_totals = [0.0 for _ in trees]
     for key in keys:
-        p, d, a, i = key
+        p, k, d, a, i = key
         per_matrix = [t * 1e3 / len(MS) for t in seconds[key]]
         gram_ms = [t * 1e3 / len(MS) for t in gram_seconds[key]]
         cells.append({
-            "p": p, "d": d, "a": a, "split": f"({i},{d - i})",
+            "p": p, "k": k, "d": d, "a": a, "split": f"({i},{d - i})",
             "rows": sizes[key],
             "ms_per_matrix": [round(ms, 3) for ms in per_matrix],
             "gram_ms": [round(ms, 3) for ms in gram_ms],
         })
-        if d == 2 and p in WORKLOAD_WIDTHS:
+        if k == 1 and d == 2 and p in WORKLOAD_WIDTHS:
             totals = [t + ms * len(MS) for t, ms in zip(totals, per_matrix)]
             gram_totals = [t + ms * len(MS) for t, ms in zip(gram_totals, gram_ms)]
     return {

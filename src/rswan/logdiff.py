@@ -13,9 +13,11 @@ product: :func:`residue_of_product`), windowed forms (classes modulo a
 power of the maximal ideal of the top variable), the window collapse
 ``r_b = C^b(omega_0)``, and the Gram matrix of the pairing
 ``(x, y) -> r_b(x ^ y)`` on twisted monomial bases as sparse
-``{column: entry}`` rows (one pairing per dlog key and residue monomial),
+``{column: entry}`` rows (one pairing per dlog key and residue monomial,
+each row and its partner column placed by arithmetic on basis positions),
 with exact sparse elimination over a column index to decide
-invertibility.
+invertibility.  ``r_b`` takes ``C^b`` of the residue slot as ``b``
+Cartier roots of its one coefficient and builds a single form.
 
 Construction
 ------------
@@ -478,7 +480,9 @@ def r_b(x: WindowedForm, b: int):
 
     Returns a top form one level down (a raw scalar over a one-variable
     ring).  Requires p^b >= a = n - m; otherwise the class admits no
-    well-defined collapse and :class:`WindowTooWide` is raised.
+    well-defined collapse and :class:`WindowTooWide` is raised.  ``C^b``
+    roots the residue slot's coefficient ``b`` times, as ``b`` calls of
+    :func:`cartier` would, and builds the form once.
     """
     if x.m != -1:
         raise InconsistentValue(
@@ -491,15 +495,20 @@ def r_b(x: WindowedForm, b: int):
     p = form.domain.p
     if b < 0 or p**b < a:
         raise WindowTooWide(f"p^{b} < {a}: the window is too wide for r_{b}")
-    omega0 = residue_step(form)
-    if isinstance(omega0, LogForm):
+    level = form.level
+    c = form.coeffs.get(tuple(range(1, level + 1)))
+    if level == 1:
+        raw = form.domain.zero() if c is None else c.coefficient(0)
         for _ in range(b):
-            omega0 = cartier(omega0)
-        return omega0
-    raw = omega0
-    for _ in range(b):
-        raw = form.domain.pth_root(raw)
-    return raw
+            raw = form.domain.pth_root(raw)
+        return raw
+    coeffs = {}
+    if c is not None:
+        slot = c.coefficient(0)
+        for _ in range(b):
+            slot = slot.pth_root(skip_prime_to_p=True)
+        coeffs[tuple(range(1, level))] = slot
+    return _form(level - 1, form.domain, level - 1, coeffs)
 
 
 # ---------------------------------------------------------------- duality
@@ -560,10 +569,21 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     * the sign of the wedge depends only on ``K`` and its complement;
     * the window ``(a-1, -1)`` and ``r_b`` read only the ``t^0`` slot.
 
-    So the pairing is evaluated once per ``(K, alpha)``, through
-    :func:`wedge_windowed` and :func:`r_b`, and its value is stored in the
-    partner column of each of the class's ``a = n - m`` rows, the row's
-    only entry.
+    So the loop runs over the keys ``K``, then the residue monomials
+    ``alpha``, then the top exponents ``e``: the pairing is evaluated once
+    per ``(K, alpha)``, through :func:`wedge_windowed` and :func:`r_b`, and
+    its value is stored in the partner column of each of the class's
+    ``a = n - m`` rows, the row's only entry.  Rows and columns are placed
+    by their position in :func:`window_basis` order, with ``P = p^(b(d-1))``
+    residue monomials per top exponent:
+
+    * row ``idx(K)·a·P + (e + n)·P + idx(alpha)``;
+    * column ``idx(K')·a·P + (-e - m - 1)·P + idx(beta)``;
+
+    where ``idx`` is the position in ``combinations`` order (keys) or
+    ``product`` order (residue monomials).  The complements list the
+    degree-``i`` keys in the reverse order of the degree-``j`` keys, so
+    ``idx(K') = comb(d, j) - 1 - idx(K)``.
     """
     level = K.d
     domain = K.field_domain
@@ -575,23 +595,27 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     if b < 0 or domain.p**b < a:
         raise WindowTooWide(f"p^{b} < {a}: the window is too wide for r_{b}")
     pb = domain.p**b
-    columns = {
-        monomial: col
-        for col, monomial in enumerate(_basis_monomials(level, i, -m - 1, -n - 1, pb))
-    }
+    block = pb ** (level - 1)  # residue monomials per top exponent
     res_key = tuple(range(1, level))
-    pairings = {}
-    rows = []
-    for key, exps in _basis_monomials(level, j, n, m, pb):
+    keys = list(combinations(range(1, level + 1), j))
+    rows = [None] * (len(keys) * a * block)
+    for key_pos, key in enumerate(keys):
         partner_key = tuple(v for v in range(1, level + 1) if v not in key)
-        partner_exps = tuple(-e % pb for e in exps[:-1]) + (-exps[-1],)
-        cls = key, exps[:-1]
-        if cls not in pairings:
-            x = _basis_form(level, domain, key, exps, n, m)
-            y = _basis_form(level, domain, partner_key, partner_exps, -m - 1, -n - 1)
+        row_base = key_pos * a * block
+        col_base = (len(keys) - 1 - key_pos) * a * block
+        for alpha_pos, alpha in enumerate(product(range(pb), repeat=level - 1)):
+            beta = tuple(-e % pb for e in alpha)
+            beta_pos = 0
+            for e in beta:
+                beta_pos = beta_pos * pb + e
+            x = _basis_form(level, domain, key, alpha + (-n,), n, m)
+            y = _basis_form(level, domain, partner_key, beta + (n,), -m - 1, -n - 1)
             val = r_b(wedge_windowed(x, y), b)
-            pairings[cls] = val.coefficient(res_key) if isinstance(val, LogForm) else val
-        rows.append({columns[partner_key, partner_exps]: pairings[cls]})
+            entry = val.coefficient(res_key) if isinstance(val, LogForm) else val
+            for e in range(-n, -m):
+                rows[row_base + (e + n) * block + alpha_pos] = {
+                    col_base + (-e - m - 1) * block + beta_pos: entry
+                }
     return rows
 
 
@@ -650,10 +674,11 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     over_field = getattr(ring, "s", 1) == 1
     work = []
     holders = [set() for _ in range(size)]
+    columns = range(size)
     for r, row in enumerate(rows):
         kept = {}
         for c, v in row.items():
-            if c not in range(size):
+            if c not in columns:
                 return False
             if not exact_zero(v):
                 kept[c] = v

@@ -597,6 +597,82 @@ def test_r_b_two_variables_returns_residue_form():
     assert out.coefficient((1,)) == mono(1, F2, (1,))
 
 
+def r_b_by_cartier_steps(x, b):
+    """The collapse as one residue step and then ``b`` calls of
+    :func:`cartier` (``b`` roots of the raw scalar over a one-variable
+    ring), each building its form: the oracle of the one-pass ``r_b``."""
+    if x.m != -1:
+        raise InconsistentValue(f"r_b needs a window of shape (a-1, -1); got ({x.n}, {x.m})")
+    form = x.form
+    if form.degree != form.level:
+        raise NotTopDegree("r_b needs a top-degree windowed form")
+    if b < 0 or form.domain.p**b < x.width:
+        raise WindowTooWide(f"p^{b} < {x.width}: the window is too wide for r_{b}")
+    omega0 = residue_step(form)
+    for _ in range(b):
+        omega0 = cartier(omega0) if isinstance(omega0, LogForm) else form.domain.pth_root(omega0)
+    return omega0
+
+
+R_B_DOMAINS = (F2, F3, F4, fq_domain(3, 2), galois_ring_domain(2, 1, 2), rat_func_domain(3))
+
+
+def random_slot(rng, level, domain):
+    """A level-``level`` coefficient: zero within a window, exactly zero,
+    or 1-3 monomials whose exponents are often divisible by a power of p,
+    a third of them with a ceiling above their stored terms."""
+    kind = rng.random()
+    if kind < 0.15:
+        return NestedSeries.zero(level, domain, rng.randint(-2, 6))
+    if kind < 0.25:
+        return NestedSeries.zero(level, domain)
+    p = domain.p
+    monos = [
+        (tuple(rng.randint(-3, 3) * p ** rng.randint(0, 3) for _ in range(level)),
+         domain.random_nonzero(rng))
+        for _ in range(rng.randint(1, 3))
+    ]
+    sr = NestedSeries.from_monomials(level, domain, monos)
+    if sr.coeffs and rng.random() < 0.33:
+        return sr.truncate(max(sr.coeffs) + rng.randint(1, 4))
+    return sr
+
+
+def test_r_b_one_pass_matches_the_cartier_steps():
+    """Seeded property: ``r_b`` equals one residue step and ``b`` Cartier
+    calls, values and refusals (type, message, exponent), on random top
+    forms in windows (a-1, -1) at levels 1-3 over F_q, Z/4 and F_3(x), for
+    b = 0..3; the residue slot is often zero within a window or exactly
+    zero, and the top key is sometimes absent."""
+    rng = random.Random(2501)
+    seen = Counter()
+    for _ in range(1500):
+        domain = rng.choice(R_B_DOMAINS)
+        level = rng.randint(1, 3)
+        a = rng.randint(1, 5)
+        top = {}
+        for e in rng.sample(range(1 - a, 1), rng.randint(0, a)):
+            if level == 1:
+                top[e] = domain.random_nonzero(rng)
+            else:
+                top[e] = random_slot(rng, level - 1, domain)
+        key = tuple(range(1, level + 1))
+        form = LogForm(level, domain, level, {key: NestedSeries(level, domain, top)})
+        x = WindowedForm(form, a - 1, -1)
+        for b in range(4):
+            want = outcome(r_b_by_cartier_steps, x, b)
+            assert outcome(r_b, x, b) == want, (x, b)
+            if isinstance(want, tuple) and isinstance(want[0], str):
+                seen[want[0]] += 1
+            elif isinstance(want, LogForm):
+                seen["zero form" if not want.coeffs else "form"] += 1
+            else:
+                seen["scalar"] += 1
+    assert min(seen[kind] for kind in (
+        "form", "zero form", "scalar", "WindowTooWide", "NoPthRoot", "TowerMismatch"
+    )) > 50, seen
+
+
 # ----------------------------------------------------------------- duality
 
 def test_window_basis_dimensions():
@@ -895,6 +971,23 @@ def test_duality_matrix_matches_dense_oracle_off_the_workload():
     # b above the minimal one: p^b = 4 and 9 for width 2
     assert_partner_matched(KD, 2, 0, 2)
     assert_partner_matched(KD3, 3, 1, 2)
+
+
+def test_duality_matrix_matches_dense_oracle_where_positions_matter():
+    """The cases the row and column arithmetic of ``duality_matrix`` turns
+    on: tuple entries with ``P = 3^b`` residue monomials (F_9((u))((t))),
+    three keys per split with ``b`` above the minimal one (``P = 16``), and
+    d = 2 windows with ``m < 0``, whose top exponents reach 0 and above."""
+    K9D = FieldTower(3, 2, 1, ("u", "t"))  # F_9((u))((t))
+    for width in (1, 2, 3):
+        for m in (0, 1, 2):
+            assert_partner_matched(K9D, m + width, m, minimal_b(3, width))
+    K3D = FieldTower(2, 1, 1, ("v", "u", "t"))  # F_2((v))((u))((t))
+    assert_partner_matched(K3D, 2, 0, 2)
+    for K in (KD, KD3):
+        for width in (1, 2, 3):
+            for m in (-3, -2, -1):
+                assert_partner_matched(K, m + width, m, minimal_b(K.p, width))
 
 
 def test_duality_wider_windows_are_invertible():
