@@ -496,12 +496,12 @@ def r_b(x: WindowedForm, b: int):
     if b < 0 or p**b < a:
         raise WindowTooWide(f"p^{b} < {a}: the window is too wide for r_{b}")
     level = form.level
-    c = form.coeffs.get(tuple(range(1, level + 1)))
     if level == 1:
-        raw = form.domain.zero() if c is None else c.coefficient(0)
+        raw = residue_step(form)
         for _ in range(b):
             raw = form.domain.pth_root(raw)
         return raw
+    c = form.coeffs.get(tuple(range(1, level + 1)))
     coeffs = {}
     if c is not None:
         slot = c.coefficient(0)
