@@ -15,7 +15,11 @@ cell:
   ``PASSES`` alternating passes, each timing a batch of builds of all four
   windows (``bench/_trees.py``);
 * ``gram_ms``: the same for ``gram_is_invertible`` on the rows each tree
-  has just built for those windows (every answer must be ``True``).
+  has just built for those windows (every answer must be ``True``);
+* ``pairing_us``: one class's pairing, as the builder runs it: the two
+  ``_basis_form`` calls, ``wedge_windowed`` and ``r_b``; the mean over the
+  classes of the window ``(a, 0)``, whose values are checked equal across
+  the trees.
 
 ``totals_ms`` and ``gram_totals_ms`` sum the builder and the elimination
 time over every workload window (k = 1, d = 2, p = 2 and 3, 4 windows per
@@ -25,6 +29,7 @@ cell) per tree.
 from __future__ import annotations
 
 import sys
+from itertools import combinations, product
 
 from _trees import alternate, main, same
 
@@ -63,17 +68,48 @@ def _calls(rswan, p: int, k: int, d: int, a: int, i: int):
     return built, (lambda: [len(rows) for rows in build()]), gram
 
 
+def _pairing(rswan, p: int, k: int, d: int, a: int, i: int):
+    """A call that pairs every class ``(K, alpha)`` of the window ``(a, 0)``
+    once, as ``duality_matrix`` does, and returns the values, and the
+    number of classes."""
+    logdiff = rswan.logdiff
+    domain = rswan.FieldTower(p, k, 1, VARIABLES[3 - d:]).field_domain
+    b = logdiff.minimal_b(p, a)
+    pb = p**b
+    classes = [
+        (key, alpha, tuple(v for v in range(1, d + 1) if v not in key),
+         tuple(-e % pb for e in alpha))
+        for key in combinations(range(1, d + 1), d - i)
+        for alpha in product(range(pb), repeat=d - 1)
+    ]
+
+    def pair():
+        values = []
+        for key, alpha, partner, beta in classes:
+            x = logdiff._basis_form(d, domain, key, alpha + (-a,), a, 0)
+            y = logdiff._basis_form(d, domain, partner, beta + (a,), -1, -a - 1)
+            val = logdiff.r_b(logdiff.wedge_windowed(x, y), b)
+            values.append(val.coeffs if d > 1 else val)
+        return values
+
+    return pair, len(classes)
+
+
 def measure(trees) -> dict:
     keys = [(p, k, d, a, i) for p, k, d, a in CELLS for i in range(d + 1)]
-    calls, grams, sizes = {}, {}, {}
+    calls, grams, pairings, sizes, classes = {}, {}, {}, {}, {}
     for key in keys:
         built, calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
         same(f"Gram rows of cell {key}", built)
         if not all(all(gram()) for gram in grams[key]):
             raise SystemExit(f"cell {key}: a Gram matrix is singular")
         sizes[key] = len(built[0][-1])
+        pairings[key], counts = zip(*(_pairing(tree, *key) for tree in trees))
+        same(f"pairings of cell {key}", [pair() for pair in pairings[key]])
+        classes[key] = counts[0]
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
     gram_seconds = alternate(grams, PASSES, BATCH_SECONDS)
+    pairing_seconds = alternate(pairings, PASSES, BATCH_SECONDS)
     cells = []
     totals = [0.0 for _ in trees]
     gram_totals = [0.0 for _ in trees]
@@ -86,6 +122,7 @@ def measure(trees) -> dict:
             "rows": sizes[key],
             "ms_per_matrix": [round(ms, 3) for ms in per_matrix],
             "gram_ms": [round(ms, 3) for ms in gram_ms],
+            "pairing_us": [round(t * 1e6 / classes[key], 2) for t in pairing_seconds[key]],
         })
         if k == 1 and d == 2 and p in WORKLOAD_WIDTHS:
             totals = [t + ms * len(MS) for t, ms in zip(totals, per_matrix)]

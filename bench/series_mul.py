@@ -22,6 +22,10 @@ per tree where a key ends in ``_us``:
   product per tree; ``flat_us`` and ``loop_us`` time the first tree's
   product with the flat path forced on and off through
   ``series._FLAT_MIN_PAIRS`` (so the first tree must have it).
+* ``squares``: ``x * x``, one operand in both places (as ``pow`` squares),
+  for dense level-1 operands at widths 16 and 64 over the ``products``
+  rings and for the layouts ``SQUARE_LAYOUTS`` over the ``nested`` rings,
+  exact and with a window; ``mul_us``.
 * ``flat_gate``: per top-level pair count, the median of ``loop_us /
   flat_us`` over the cells with that count, and the smallest count from
   which that median stays above 1; ``series._FLAT_MIN_PAIRS`` is that count.
@@ -55,6 +59,9 @@ LAYOUTS = (
     ((2, 1, 1), (2, 1, 1)), ((2, 2, 1), (2, 2, 1)), ((2, 2, 2), (2, 2, 2)),
     ((4, 2, 2), (4, 2, 2)), ((4, 4, 4), (4, 4, 4)),
 )
+# Square operands at levels 2 and 3: each takes the flat path and then
+# the Kronecker kernel.
+SQUARE_LAYOUTS = ((4, 4), (8, 8), (4, 4, 4))
 PASSES = 7
 BATCH_SECONDS = 0.02
 
@@ -220,6 +227,27 @@ def nested(trees) -> list:
     return rows
 
 
+def squares(trees) -> list:
+    def build(rswan):
+        rng = random.Random(9)
+        out = {}
+        for shape in ("exact", "window"):
+            for ring in CELLS:
+                dom = _domain(rswan, ring)
+                for width in WIDTHS:
+                    x = _dense(rswan, dom, rng, -3, width, width - 3 if shape == "window" else None)
+                    out[",".join(map(str, ring)), (width,), shape] = (x, x)
+            for name, ring in NESTED_RINGS.items():
+                dom = _domain(rswan, ring)
+                for layout in SQUARE_LAYOUTS:
+                    x = _nested(rswan, dom, rng, layout, None if shape == "exact" else 0)
+                    out[name, layout, shape] = (x, x)
+        return out
+    seconds = _time(trees, build)
+    return [{"ring": ring, "layout": list(layout), "shape": shape, "mul_us": _us(t)}
+            for (ring, layout, shape), t in seconds.items()]
+
+
 def flat_gate(rows, gate_in_code) -> dict:
     by_pairs: dict = {}
     for row in rows:
@@ -240,6 +268,7 @@ def measure(trees) -> dict:
         "small": small(trees),
         "crossover": crossover(trees[0]),
         "nested": nested_rows,
+        "squares": squares(trees),
         "flat_gate": flat_gate(nested_rows, trees[0].series._FLAT_MIN_PAIRS),
     }
 

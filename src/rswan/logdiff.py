@@ -17,7 +17,8 @@ power of the maximal ideal of the top variable), the window collapse
 each row and its partner column placed by arithmetic on basis positions),
 with exact sparse elimination over a column index to decide
 invertibility.  ``r_b`` takes ``C^b`` of the residue slot as ``b``
-Cartier roots of its one coefficient and builds a single form.
+Cartier roots of its one coefficient and builds a single form.  The
+pairing operators have a path for one-term operands (below).
 
 Construction
 ------------
@@ -34,6 +35,33 @@ stays, as in ``series._make``); the series they build go through
 already lies in its window and is exact there (a basis monomial, a scaled
 representative) is stored without truncating it again.
 
+The pairing ``(x, y) -> r_b(x ^ y)`` of two basis monomials takes a path
+for one-term operands at each step; anything else keeps the general code.
+
+* :func:`wedge` of two forms with one coefficient each, both an exact
+  single monomial at every level: one scalar product (times the sign of
+  :func:`_merge_sign` when it is -1), one exponent sum per level and one
+  monomial built level by level.  A repeated key or a product of scalars
+  that vanishes (over a lift ring) gives the zero form.  It declines a
+  coefficient with a window at any level (a top ceiling, or an inner
+  coefficient zero within a window) or with more than one term.
+* :func:`wedge_windowed` stores the product as it is when every
+  coefficient is top-exact with its top exponents in ``[1 - a, 1)``, the
+  window ``(a - 1, -1)``; a product of dual representatives is top-exact
+  and never reaches below ``1 - a``, so only a top exponent ``>= 1``
+  makes it cut the product through :class:`WindowedForm`.
+* :func:`r_b` over two or more variables roots a residue slot that is one
+  exact monomial in one walk: step ``j`` drops the monomial when ``p^j``
+  does not divide one of its exponents, and otherwise roots its scalar;
+  the exponents are divided once at the end.  It asks the domain whether
+  the scalar is a p-th power at each step that reaches it, as the steps
+  do, so a lift ring refuses there; a scalar that is not a p-th power
+  (``F_p(x)``) sends the slot through the ``b`` Cartier steps, which
+  raise at that step.  So the walk raises exactly where the steps raise,
+  also when an exponent is divisible by ``p`` but not by ``p^b``.
+* :func:`gram_is_invertible` decides a matrix with one stored entry per
+  row, in distinct columns, column by column (below).
+
 The Gram elimination checks every pivot (a pivot zero only within its
 window raises), but inverts one only when another remaining row holds its
 column.  Over a field (the tower's coefficient field, ``F_p(x)``, or nested
@@ -42,7 +70,13 @@ row is reduced by decides nothing beyond being nonzero, and a
 partner-matched Gram (one entry per row, in distinct columns) is decided
 without any inverse.  Over a lift ring ``Z/p^s`` with ``s > 1`` a nonzero
 entry need not be a unit, so every pivot is still inverted there, which
-raises on a non-unit.
+raises on a non-unit.  Such a monomial matrix needs no elimination at all:
+each column's pivot is the one entry that holds it, so its entries are
+checked in column order, as the elimination meets them, with no copy of
+the rows and no holder sets.  The answer and the first refusal are the
+elimination's: ``False`` at the first column whose entry is an exact zero,
+after the pivots of the columns before it were checked (and, over a lift
+ring, inverted).  A repeated column leaves the matrix to the elimination.
 """
 
 from __future__ import annotations
@@ -220,13 +254,53 @@ def _merge_sign(a: tuple, b: tuple):
     return (-1) ** inversions, tuple(sorted(a + b))
 
 
+def _monomial(sr: NestedSeries):
+    """``(exponents, raw)`` when ``sr`` is one exact monomial at every level
+    (exponents from level 1 up), else None."""
+    exps = ()
+    for _ in range(sr.level):
+        if sr.ceiling is not None or len(sr.coeffs) != 1:
+            return None
+        (e, sr), = sr.coeffs.items()
+        exps = (e,) + exps
+    return exps, sr
+
+
+def _monomial_series(domain, exps, raw) -> NestedSeries:
+    """The exact monomial ``raw T^exps`` (exponents from level 1 up, ``raw``
+    nonzero), built level by level."""
+    mono = raw
+    for lvl, e in enumerate(exps, 1):
+        mono = _make(lvl, domain, {e: mono}, None, clean=True)
+    return mono
+
+
 def wedge(alpha: LogForm, beta: LogForm) -> LogForm:
+    """Exterior product; two one-term forms with monomial coefficients take
+    one scalar product (module docstring, "Construction")."""
     alpha._peer(beta)
     degree = alpha.degree + beta.degree
     if degree > alpha.level:
         raise DegreeOverflow(
             f"wedge of degrees {alpha.degree} and {beta.degree} exceeds top degree {alpha.level}"
         )
+    if len(alpha.coeffs) == 1 == len(beta.coeffs):
+        (ka, ca), = alpha.coeffs.items()
+        (kb, cb), = beta.coeffs.items()
+        ma = _monomial(ca)
+        mb = None if ma is None else _monomial(cb)
+        if mb is not None:
+            domain = alpha.domain
+            sign, key = _merge_sign(ka, kb)
+            coeffs = {}
+            if sign is not None:
+                raw = domain.mul(ma[1], mb[1])
+                if sign != 1:
+                    raw = domain.mul(raw, domain.from_int(sign))
+                if not domain.is_zero(raw):
+                    exps = map(operator.add, ma[0], mb[0])
+                    coeffs[key] = _monomial_series(domain, exps, raw)
+            return _form(alpha.level, domain, degree, coeffs)
     out: dict = {}
     for ka, ca in alpha.coeffs.items():
         for kb, cb in beta.coeffs.items():
@@ -464,7 +538,11 @@ def wedge_windowed(x: WindowedForm, y: WindowedForm) -> WindowedForm:
             f"windows ({x.n},{x.m}) and ({y.n},{y.m}) are not dual to each other"
         )
     a = x.width
-    return WindowedForm(wedge(x.form, y.form), a - 1, -1)
+    product = wedge(x.form, y.form)
+    for c in product.coeffs.values():
+        if c.ceiling is not None or min(c.coeffs) < 1 - a or max(c.coeffs) >= 1:
+            return WindowedForm(product, a - 1, -1)
+    return _windowed(product, a - 1, -1)  # already its own representative
 
 
 def minimal_b(p: int, a: int) -> int:
@@ -505,10 +583,35 @@ def r_b(x: WindowedForm, b: int):
     coeffs = {}
     if c is not None:
         slot = c.coefficient(0)
-        for _ in range(b):
-            slot = slot.pth_root(skip_prime_to_p=True)
-        coeffs[tuple(range(1, level))] = slot
+        root = _monomial_root(slot, b)
+        if root is None:
+            root = slot
+            for _ in range(b):
+                root = root.pth_root(skip_prime_to_p=True)
+        coeffs[tuple(range(1, level))] = root
     return _form(level - 1, form.domain, level - 1, coeffs)
+
+
+def _monomial_root(slot: NestedSeries, b: int):
+    """``C^b`` of a slot that is one exact monomial at every level, in one
+    walk over its exponents; None for any other slot, and for a monomial
+    whose scalar is not a p-th power at a step that reaches it, where the
+    Cartier steps raise (module docstring, "Construction")."""
+    mono = _monomial(slot)
+    if mono is None:
+        return None
+    exps, raw = mono
+    domain = slot.domain
+    p, q = domain.p, 1
+    for _ in range(b):
+        q *= p
+        for e in exps:
+            if e % q:  # this step drops the monomial
+                return NestedSeries.zero(slot.level, domain)
+        if not domain.is_pth_power(raw):
+            return None
+        raw = domain.pth_root(raw)
+    return _monomial_series(domain, [e // q for e in exps], raw)
 
 
 # ---------------------------------------------------------------- duality
@@ -524,9 +627,7 @@ def _basis_monomials(level: int, degree: int, n: int, m: int, lower_bound: int):
 def _basis_form(level: int, domain, key, exps, n: int, m: int) -> WindowedForm:
     """The basis form ``T^exps dlog_key``; its top exponent lies in
     ``[-n, -m)`` (:func:`_basis_monomials`), so it is its own representative."""
-    mono = domain.one()
-    for lvl, e in enumerate(exps, 1):
-        mono = _make(lvl, domain, {e: mono}, None, clean=True)
+    mono = _monomial_series(domain, exps, domain.one())
     return _windowed(_form(level, domain, len(key), {key: mono}), n, m)
 
 
@@ -573,9 +674,16 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     ``alpha``, then the top exponents ``e``: the pairing is evaluated once
     per ``(K, alpha)``, through :func:`wedge_windowed` and :func:`r_b`, and
     its value is stored in the partner column of each of the class's
-    ``a = n - m`` rows, the row's only entry.  Rows and columns are placed
-    by their position in :func:`window_basis` order, with ``P = p^(b(d-1))``
-    residue monomials per top exponent:
+    ``a = n - m`` rows, the row's only entry.  Both operands are basis
+    monomials and their product lies in the window ``(a-1, -1)``, so the
+    pairing takes the one-term path of :func:`wedge`, of
+    :func:`wedge_windowed` and of :func:`r_b` (module docstring,
+    "Construction"); each entry is ``sgn(K, K') T^delta`` with
+    ``delta_l = 1`` exactly when ``alpha_l != 0``, which the tests keep as
+    an oracle.
+
+    Rows and columns are placed by their position in :func:`window_basis`
+    order, with ``P = p^(b(d-1))`` residue monomials per top exponent:
 
     * row ``idx(K)·a·P + (e + n)·P + idx(alpha)``;
     * column ``idx(K')·a·P + (-e - m - 1)·P + idx(beta)``;
@@ -622,6 +730,12 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
 def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     """Exact sparse elimination of sparse ``{column: entry}`` rows; entries
     are series or raw scalars.
+
+    A matrix with one stored entry per row, in distinct columns (as
+    :func:`duality_matrix` builds them), is decided column by column: each
+    column's one entry is checked as the elimination would check its pivot
+    (module docstring, "Construction"), with the same answer and the same
+    first refusal.  Any other matrix is eliminated.
 
     The rows are copied without their exact zeros, beside an index from
     each column to the remaining rows that hold it.  Columns are eliminated
@@ -672,9 +786,28 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
 
     # over a field a nonzero entry is a unit (module docstring, "Construction")
     over_field = getattr(ring, "s", 1) == 1
+    columns = range(size)
+    if all(len(row) == 1 for row in rows):
+        # a monomial matrix is decided column by column, as the elimination
+        # meets its pivots; a repeated column leaves it to the elimination
+        pivots = [None] * size
+        for row in rows:
+            (c, v), = row.items()
+            if c not in columns:
+                return False
+            if pivots[c] is not None:
+                break
+            pivots[c] = v
+        else:
+            for v in pivots:
+                if exact_zero(v):
+                    return False
+                known(v)
+                if not over_field:
+                    inv(v)
+            return True
     work = []
     holders = [set() for _ in range(size)]
-    columns = range(size)
     for r, row in enumerate(rows):
         kept = {}
         for c, v in row.items():

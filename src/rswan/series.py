@@ -31,7 +31,8 @@ and its lifts, ``k = deg f``) goes through a level-1 kernel.
   through the reduction rows of ``f`` column by column.  No slot carries
   into the next: a product slot sums at most ``min(len) * k`` products of
   two residues below ``p^s``, so a slot of ``min(len) * k * (p^s - 1)^2``
-  (rounded up to 1, 2, 4 or 8 bytes) holds it.
+  (rounded up to 1, 2, 4 or 8 bytes) holds it.  A square (``x * x``, as
+  ``pow`` runs it) packs its operand once and squares that int.
 * **The int loop** (``_int_mul``, the other products).  It runs over the
   term pairs and sums each exponent in plain ints, reduced once per
   exponent; at ``k > 1`` each coefficient is one int with a slot per power
@@ -46,8 +47,9 @@ and its lifts, ``k = deg f``) goes through a level-1 kernel.
   ``[0, span_a + span_b]``, below its radix, so no digit carries into the
   next and ``E`` determines every exponent; the top digit is
   ``floor(E / R_{d-1})``, so an outer ceiling ``c`` is the flat ceiling
-  ``c R_{d-1}``.  One level-1 product runs, and its terms are unpacked into
-  nested maps, each inner series built once.  The Witt layer's ghost
+  ``c R_{d-1}``.  One level-1 product runs (a square flattens its operand
+  once), and its terms are unpacked into nested maps, each inner series
+  built once.  The Witt layer's ghost
   recursion is the second user of this flattening (:mod:`rswan.witt`,
   "Arithmetic"): it writes its exact inputs once, with balanced digits
   sized for the whole recursion, and runs every product on level-1 maps.
@@ -394,7 +396,11 @@ def _flat_mul(level: int, domain, a: dict, b: dict, ceiling: int | None) -> dict
     lows_a = [0] + [sys.maxsize] * (level - 1) + [0]
     highs_a = [0] + [-sys.maxsize] * (level - 1) + [0]
     lows_b, highs_b = list(lows_a), list(highs_a)
-    if not (_inner_extent(a, level, lows_a, highs_a) and _inner_extent(b, level, lows_b, highs_b)):
+    if not _inner_extent(a, level, lows_a, highs_a):
+        return None
+    if a is b:  # a square: one extent, one flattening and one packing
+        lows_b, highs_b = lows_a, highs_a
+    elif not _inner_extent(b, level, lows_b, highs_b):
         return None
     # weights[l] is the place value of the level-l digit; each radix holds
     # the widest digit sum, so no digit carries into the next.
@@ -403,9 +409,11 @@ def _flat_mul(level: int, domain, a: dict, b: dict, ceiling: int | None) -> dict
         spans = highs_a[l] - lows_a[l] + highs_b[l] - lows_b[l]
         weights.append(weights[l] * (spans + 1))
     flat_a: dict = {}
-    flat_b: dict = {}
     _flatten(a, level, lows_a, weights, 0, flat_a)
-    _flatten(b, level, lows_b, weights, 0, flat_b)
+    flat_b = flat_a
+    if a is not b:
+        flat_b = {}
+        _flatten(b, level, lows_b, weights, 0, flat_b)
     top = weights[level]
     flat = _level_one_mul(domain, flat_a, flat_b, None if ceiling is None else ceiling * top)
     return _unflatten(level, domain, flat, weights, [x + y for x, y in zip(lows_a, lows_b)])
@@ -454,13 +462,16 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
     Same values as :func:`_schoolbook_mul` with the domain's ``mul`` and
     ``add`` (zeros dropped): both reduce the same integer sums mod ``p^s``.
     """
+    square = a is b  # packed once and squared
     la, lb = min(a), min(b)
     if ceiling is not None:
         if la + lb >= ceiling:
             return {}
         if max(a) + lb >= ceiling:
             a = {e: c for e, c in a.items() if e + lb < ceiling}
-        if max(b) + la >= ceiling:
+        if square:
+            b = a
+        elif max(b) + la >= ceiling:
             b = {e: c for e, c in b.items() if e + la < ceiling}
     k, m = domain.k, domain.modulus
     # A product slot sums at most min(len) * k products of two residues.
@@ -470,7 +481,8 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
         return _int_mul(domain, a, b, ceiling)
     code = _SLOT_CODES[size]
     ha, hb = max(a), max(b)
-    prod = _pack(a, la, ha, domain, code) * _pack(b, lb, hb, domain, code)
+    packed = _pack(a, la, ha, domain, code)
+    prod = packed * (packed if square else _pack(b, lb, hb, domain, code))
     stride = 2 * k - 1
     e0 = la + lb
     span = ha + hb - e0 + 1

@@ -14,7 +14,7 @@ Oracles used here:
 import operator
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -95,7 +95,9 @@ def test_trusted_construction_builds_only_valid_forms():
     form the validating one builds from the same data: valid keys and
     coefficients, and no exactly zero coefficient kept.  The draws include
     cancellations (``x - x``, ``x ^ x``, ``d(d f)``, ``mul_int(0)``, scaling
-    by zero, Cartier of prime-to-p exponents, residues of absent slots)."""
+    by zero, Cartier of prime-to-p exponents, residues of absent slots), and
+    the one-term paths: wedges of monomial forms, products of dual windows
+    stored without a cut, and ``r_b`` of them."""
     rng = random.Random(107)
     z4 = galois_ring_domain(2, 1, 2)
     domains = (F2, fq_domain(3, 2), z4, rat_func_domain(3))
@@ -157,11 +159,29 @@ def test_trusted_construction_builds_only_valid_forms():
                 xw = WindowedForm(w, n, m)
                 check("scale_windowed", scale_windowed, xw, domain.random_nonzero(rng))
                 check("scale_windowed", scale_windowed, xw, zero_scalar)
+                # the one-term paths: monomial wedges, in-window products, r_b walks
+                ka = tuple(sorted(rng.sample(range(1, level + 1), rng.randint(0, level))))
+                kb = tuple(v for v in range(1, level + 1) if v not in ka)
+                monos = [LogForm(level, domain, len(key), {key: mono(
+                    level, domain, [rng.randint(-2, 2) for _ in range(level)],
+                    domain.random_nonzero(rng))}) for key in (ka, kb)]
+                check("one-term wedge", wedge, *monos)
+                check("one-term wedge", wedge, monos[1], monos[0])
+                check("one-term wedge", wedge, monos[0], monos[0])
+                y = WindowedForm(random_form(rng, level, domain, level - deg, lo=m + 1, hi=n + 1),
+                                 -m - 1, -n - 1)
+                pairs = [(xw, y), (rng.choice(window_basis(level, domain, len(ka), n, m, 1)),
+                                   rng.choice(window_basis(level, domain, len(kb), -m - 1, -n - 1, 1)))]
+                for left, right in pairs:
+                    check("wedge_windowed", wedge_windowed, left, right)
+                    for b in range(minimal_b(domain.p, n - m), 3):
+                        check("r_b", lambda: r_b(wedge_windowed(left, right), b))
             for deg in range(level + 1):
                 for r in window_basis(level, domain, deg, 2, 0, 1):
                     valid("window_basis", r)
     names = ("+", "-", "scale", "mul_int", "wedge", "d", "dlog", "cartier", "residue_step",
-             "WindowedForm", "scale_windowed", "window_basis")
+             "WindowedForm", "scale_windowed", "window_basis", "one-term wedge",
+             "wedge_windowed", "r_b")
     assert all(checked[name] >= 6 for name in names), checked
 
 
@@ -289,6 +309,102 @@ def test_wedge_concrete_keys():
     assert out.coefficient((1, 2)) == mono(2, F2, (1, -2))
     swapped = wedge(beta, alpha)
     assert swapped.coefficient((1, 2)) == mono(2, F2, (1, -2)).mul_int(-1)
+
+
+def wedge_by_term_pairs(alpha, beta):
+    """The exterior product over every pair of terms, each product through
+    ``NestedSeries.__mul__`` and ``mul_int``: the oracle of the one-term
+    path of :func:`wedge`."""
+    if alpha.degree + beta.degree > alpha.level:
+        raise DegreeOverflow(f"wedge of degrees {alpha.degree} and {beta.degree} "
+                             f"exceeds top degree {alpha.level}")
+    out = {}
+    for ka, ca in alpha.coeffs.items():
+        for kb, cb in beta.coeffs.items():
+            if set(ka) & set(kb):
+                continue
+            sign = (-1) ** sum(x > y for x in ka for y in kb)
+            key = tuple(sorted(ka + kb))
+            term = (ca * cb).mul_int(sign)
+            out[key] = out[key] + term if key in out else term
+    return LogForm(alpha.level, alpha.domain, alpha.degree + beta.degree, out)
+
+
+ONE_TERM_DOMAINS = (F2, F3, F4, fq_domain(3, 2), galois_ring_domain(2, 1, 2),
+                    galois_ring_domain(2, 2, 2), rat_func_domain(3))
+
+
+def one_term_coefficient(rng, level, domain, kind, lo=-3, hi=3):
+    """A coefficient at ``level``: one exact monomial (``"monomial"``; over a
+    lift ring its scalar is a multiple of p half of the time), the same cut
+    at a top ceiling above it (``"windowed"``), an inner coefficient zero
+    within a window (``"inner"``, level >= 2), two monomials
+    (``"two-term"``), or a monomial near the exponent floor (``"deep"``)."""
+    def scalar():
+        c = domain.random_nonzero(rng)
+        if getattr(domain, "s", 1) > 1 and rng.random() < 0.5:
+            c = domain.mul_int(c, domain.p)
+        return c
+
+    def exps():
+        return tuple(rng.randint(lo, hi) for _ in range(level))
+
+    if kind == "deep":
+        return NestedSeries.from_monomials(level, domain, [((-5200,) * level, scalar())])
+    if kind == "inner" and level > 1:
+        inner = NestedSeries.zero(level - 1, domain, rng.randint(-2, 3))
+        return NestedSeries(level, domain, {rng.randint(lo, hi): inner})
+    monos = [(exps(), scalar()) for _ in range(2 if kind == "two-term" else 1)]
+    sr = NestedSeries.from_monomials(level, domain, monos)
+    if kind == "windowed" and sr.coeffs:
+        return sr.truncate(max(sr.coeffs) + rng.randint(1, 3))
+    return sr
+
+
+def test_one_term_wedge_matches_the_term_pair_loop():
+    """Seeded property: :func:`wedge` equals the loop over term pairs,
+    values and refusals (type, message, exponent), on one-term forms at
+    levels 1-3 over F_q, Z/4, (Z/4)[g] and F_3(x): exact monomials (the
+    one-term path), windowed, inner-window-zero and two-term coefficients
+    (which it declines), repeated keys, sign -1, lift-ring scalars whose
+    product is 0, and exponent sums below the supported range."""
+    rng = random.Random(2601)
+    kinds = ("monomial",) * 8 + ("windowed", "inner", "two-term", "deep", "deep")
+    seen = Counter()
+    for _ in range(2400):
+        domain = rng.choice(ONE_TERM_DOMAINS)
+        level = rng.randint(1, 3)
+        coeffs = [one_term_coefficient(rng, level, domain, rng.choice(kinds)) for _ in "ab"]
+        if any(c.is_exact_zero() for c in coeffs):
+            continue
+        ka = tuple(sorted(rng.sample(range(1, level + 1), rng.randint(0, level))))
+        rest = [v for v in range(1, level + 1) if v not in ka]
+        if rng.random() < 0.1:  # too many dlogs
+            kb = tuple(sorted(rng.sample(range(1, level + 1), min(level, len(rest) + 1))))
+        else:  # mostly dlogs that ka lacks, else repeated ones
+            pool = rest if rng.random() < 0.7 else range(1, level + 1)
+            kb = tuple(sorted(rng.sample(pool, rng.randint(0, len(rest)))))
+        alpha = LogForm(level, domain, len(ka), {ka: coeffs[0]})
+        beta = LogForm(level, domain, len(kb), {kb: coeffs[1]})
+        want = outcome(wedge_by_term_pairs, alpha, beta)
+        assert outcome(wedge, alpha, beta) == want, (alpha, beta)
+        # the one-term path takes exactly the exact single monomials
+        monomial = [c.is_exact() and len(list(c.iter_monomials())) == 1 for c in coeffs]
+        assert [logdiff._monomial(c) is not None for c in coeffs] == monomial
+        if isinstance(want, tuple):
+            seen[want[0]] += 1
+        elif not all(monomial):
+            seen["declined"] += 1
+        elif set(ka) & set(kb):
+            seen["repeated key"] += 1
+        elif not want.coeffs:
+            seen["zero product"] += 1
+        elif sum(x > y for x in ka for y in kb) % 2 and domain.p > 2:
+            seen["sign -1"] += 1
+        else:
+            seen["product"] += 1
+    assert min(seen[k] for k in ("declined", "repeated key", "zero product", "sign -1",
+                                 "product", "ExponentOutOfRange", "DegreeOverflow")) >= 20, seen
 
 
 # ----------------------------------------------------------------- Cartier
@@ -547,6 +663,58 @@ def test_wedge_windowed_duality_is_symmetric():
     assert a.form == -b.form or a.form == b.form  # antisymmetry up to sign
 
 
+def test_wedge_windowed_stores_an_in_window_product_as_it_is(monkeypatch):
+    """Seeded property: ``wedge_windowed`` equals the product of the
+    representatives cut to the window ``(a-1, -1)`` by the validating
+    ``WindowedForm``, on dual windows at levels 1-3 over F_q, Z/4 and
+    F_3(x), with one-term monomials and representatives of several terms
+    and inner windows; a product whose top exponents already lie in the
+    window is not cut again."""
+    cuts = []
+    cut = logdiff._window_truncate
+
+    def counting(*args):
+        cuts.append(1)
+        return cut(*args)
+
+    rng = random.Random(2603)
+    seen = Counter()
+    for _ in range(600):
+        domain = rng.choice(ONE_TERM_DOMAINS)
+        level = rng.randint(1, 3)
+        n = rng.randint(-2, 3)
+        m = n - rng.randint(1, 4)
+        i = rng.randint(0, level)
+        windowed = []
+        for (hi, lo), degree in (((n, m), i), ((-m - 1, -n - 1), level - i)):
+            keys = list(combinations(range(1, level + 1), degree))
+            coeffs = {}
+            for key in rng.sample(keys, 1 if rng.random() < 0.6 else rng.randint(1, len(keys))):
+                monos = []
+                for _ in range(1 if rng.random() < 0.6 else rng.randint(1, 3)):
+                    exps = tuple(rng.randint(-3, 3) for _ in range(level - 1))
+                    monos.append((exps + (rng.randint(-hi, -lo - 1),), domain.random_nonzero(rng)))
+                coeffs[key] = NestedSeries.from_monomials(level, domain, monos)
+                if level > 1 and rng.random() < 0.15:
+                    top = min(coeffs[key].coeffs or [-hi])
+                    coeffs[key] = coeffs[key] + NestedSeries(
+                        level, domain, {top: NestedSeries.zero(level - 1, domain, 2)})
+            windowed.append(WindowedForm(LogForm(level, domain, degree, coeffs), hi, lo))
+        x, y = windowed
+        want = WindowedForm(wedge_by_term_pairs(x.form, y.form), n - m - 1, -1)
+        monkeypatch.setattr(logdiff, "_window_truncate", counting)
+        cuts.clear()
+        got = wedge_windowed(x, y)
+        monkeypatch.setattr(logdiff, "_window_truncate", cut)
+        assert got == want, (x, y)
+        product = wedge(x.form, y.form)
+        inside = all(c.ceiling is None and -(n - m - 1) <= min(c.coeffs) and max(c.coeffs) < 1
+                     for c in product.coeffs.values())
+        assert (cuts == []) == inside
+        seen["stored" if inside else "cut"] += 1
+    assert seen["stored"] > 100 and seen["cut"] > 100, seen
+
+
 def test_scale_windowed_twist():
     x = WindowedForm(LogForm(1, F4, 1, {(1,): mono(1, F4, (-2,))}), 2, 0)
     g = F4.generator()
@@ -671,6 +839,52 @@ def test_r_b_one_pass_matches_the_cartier_steps():
     assert min(seen[kind] for kind in (
         "form", "zero form", "scalar", "WindowTooWide", "NoPthRoot", "TowerMismatch"
     )) > 50, seen
+
+
+def test_one_term_r_b_walk_matches_the_cartier_steps():
+    """Seeded property: on windows whose residue slot is one exact monomial,
+    ``r_b`` (one walk over the slot's exponents) equals one residue step
+    and ``b`` Cartier calls, values and refusals (type, message, exponent),
+    at levels 2 and 3 for b = 0..3.  The slot exponents are divisible by
+    ``p^j`` for j = 0..3, so the steps drop the monomial at every step or
+    root it through; the scalars include p-th powers and non-powers of
+    F_3(x) and lift-ring scalars (Z/4), which refuse at the first step that
+    reaches them, also when an exponent is divisible by p but not by
+    ``p^b``."""
+    rng = random.Random(2602)
+    seen = Counter()
+    for _ in range(1200):
+        domain = rng.choice(R_B_DOMAINS)
+        level = rng.randint(2, 3)
+        p = domain.p
+        a = rng.randint(1, 5)
+        exps = tuple(rng.randint(-3, 3) * p ** rng.randint(0, 3) for _ in range(level - 1))
+        raw = domain.random_nonzero(rng)
+        if isinstance(domain, type(rat_func_domain(3))) and rng.random() < 0.5:
+            raw = domain.pow(raw, p)
+        slot = mono(level - 1, domain, exps, raw)
+        top = {0: slot}
+        for e in rng.sample(range(1 - a, 0), rng.randint(0, a - 1)):
+            top[e] = random_slot(rng, level - 1, domain)
+        form = LogForm(level, domain, level, {tuple(range(1, level + 1)): NestedSeries(level, domain, top)})
+        x = WindowedForm(form, a - 1, -1)
+        assert logdiff._monomial(slot) is not None
+        for b in range(4):
+            want = outcome(r_b_by_cartier_steps, x, b)
+            assert outcome(r_b, x, b) == want, (x, b)
+            steps = min((v for v in range(4) if any(e % p ** (v + 1) for e in exps)), default=3)
+            if isinstance(want, tuple):
+                seen[want[0]] += 1
+                if want[0] != "WindowTooWide" and 0 < steps < b:
+                    seen["refused past a step that roots"] += 1
+            elif not want.coeffs:
+                seen["dropped after a root" if 0 < steps < b else "zero form"] += 1
+            else:
+                seen["form"] += 1
+    assert min(seen[kind] for kind in (
+        "form", "zero form", "dropped after a root", "refused past a step that roots",
+        "WindowTooWide", "NoPthRoot", "TowerMismatch"
+    )) > 20, seen
 
 
 # ----------------------------------------------------------------- duality
@@ -881,6 +1095,128 @@ def test_sparse_gram_matches_dense_oracle(seed):
     assert answered >= 15
 
 
+def gram_by_elimination(rows, domain=None, precision=None):
+    """The sparse elimination with holder sets for every matrix, the
+    column-by-column decision of monomial matrices left out: the oracle of
+    that decision in :func:`gram_is_invertible`."""
+    size = len(rows)
+    if size == 0:
+        return True
+    first = next((v for row in rows for v in row.values()), None)
+    if first is None:
+        return False
+    if isinstance(first, NestedSeries):
+        ring, exact_zero = first.domain, NestedSeries.is_exact_zero
+
+        def known(v):
+            if v.is_zero():
+                raise PrecisionExhausted(
+                    "pivot is zero within its window; rank is ambiguous", exponent=v.low()
+                )
+            return v
+
+        def inv(v):
+            return v.inv(precision)
+
+        mul, sub, neg = operator.mul, operator.sub, operator.neg
+    elif domain is None:
+        raise TowerMismatch("raw-scalar matrices need their domain")
+    else:
+        ring, exact_zero = domain, domain.is_zero
+        inv, mul, sub, neg = domain.inv, domain.mul, domain.sub, domain.neg
+
+        def known(v):
+            return v
+
+    over_field = getattr(ring, "s", 1) == 1
+    work, holders = [], [set() for _ in range(size)]
+    for r, row in enumerate(rows):
+        kept = {}
+        for c, v in row.items():
+            if c not in range(size):
+                return False
+            if not exact_zero(v):
+                kept[c] = v
+                holders[c].add(r)
+        work.append(kept)
+    for col in range(size):
+        if not holders[col]:
+            return False
+        pivot_row = min(holders[col])
+        pivot = work[pivot_row]
+        for c in pivot:
+            holders[c].discard(pivot_row)
+        pivot_entry = known(pivot[col])
+        if over_field and not holders[col]:
+            continue
+        pivot_inv = inv(pivot_entry)
+        for r in holders[col]:
+            row = work[r]
+            quot = mul(known(row.pop(col)), pivot_inv)
+            for c, v in pivot.items():
+                if c == col:
+                    continue
+                term = mul(v, quot)
+                new = sub(row[c], term) if c in row else neg(term)
+                if exact_zero(new):
+                    row.pop(c, None)
+                    holders[c].discard(r)
+                else:
+                    row[c] = new
+                    holders[c].add(r)
+    return True
+
+
+def test_monomial_grams_are_decided_as_the_elimination_decides():
+    """Seeded property: matrices with one stored entry per row are decided
+    as the full elimination decides them, answers and refusals (type,
+    message, exponent): raw scalars over F_3, F_4 and Z/4 and series at
+    levels 1 and 2 over F_2, F_3 and Z/4, as permutations and with
+    duplicate and out-of-range columns, exact zeros, entries zero within a
+    window, lift-ring non-units and, for the elimination itself, a second
+    entry in some row."""
+    rng = random.Random(2604)
+    z4 = galois_ring_domain(2, 1, 2)
+    seen = Counter()
+    for _ in range(1500):
+        domain = rng.choice((F2, F3, F4, z4))
+        level = rng.choice((0, 1, 2)) if domain is not F2 else rng.choice((1, 2))
+        size = rng.randint(1, 8)
+
+        def entry():
+            c = domain.random_nonzero(rng)
+            if domain is z4 and rng.random() < 0.2:
+                c = 2  # a non-unit
+            if level == 0:
+                return c
+            kind = rng.random()
+            if kind < 0.05:
+                return NestedSeries.zero(level, domain, rng.randint(-2, 3))
+            if kind < 0.1 and level == 2:
+                return NestedSeries(2, domain, {rng.randint(-2, 2): NestedSeries.zero(1, domain, 1)})
+            return mono(level, domain, [rng.randint(-2, 2) for _ in range(level)], c)
+
+        perm = rng.sample(range(size), size)
+        rows = [{perm[r]: entry()} for r in range(size)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            r = rng.randrange(size)
+            change = rng.choice(("duplicate", "outside", "zero", "second"))
+            c, v = next(iter(rows[r].items()))
+            if change == "duplicate":
+                rows[r] = {rng.randrange(size): v}
+            elif change == "outside":
+                rows[r] = {rng.choice((-1, size, size + 2)): v}
+            elif change == "zero":
+                rows[r] = {c: domain.zero() if level == 0 else NestedSeries.zero(level, domain)}
+            else:
+                rows[r] = {c: v, rng.randrange(size): entry()}
+        kw = {"domain": domain} if level == 0 else {"precision": 8}
+        want = outcome(lambda: gram_by_elimination(rows, **kw))
+        assert outcome(lambda: gram_is_invertible(rows, **kw)) == want, rows
+        seen[want if isinstance(want, bool) else want[0]] += 1
+    assert min(seen[k] for k in (True, False, "PrecisionExhausted", "ZeroInput")) > 50, seen
+
+
 def dense_duality_oracle(n, m, b, K, i, j):
     """The N^2 builder: r_b(x ^ y) evaluated on every pair of basis forms."""
     level = K.d
@@ -988,6 +1324,52 @@ def test_duality_matrix_matches_dense_oracle_where_positions_matter():
         for width in (1, 2, 3):
             for m in (-3, -2, -1):
                 assert_partner_matched(K, m + width, m, minimal_b(K.p, width))
+
+
+def closed_form_gram(n, m, b, K, i, j):
+    """The Gram matrix from the closed form of its entries: the row of
+    ``x = T^alpha t^e dlog_K`` holds ``sgn(K, K') T^delta`` in the column of
+    ``y = T^beta t^-e dlog_K'``, with ``K'`` the complement of ``K``,
+    ``beta_l = -alpha_l mod p^b``, ``sgn`` the parity of sorting ``K``
+    followed by ``K'`` and ``delta_l = 1`` exactly when ``alpha_l != 0``
+    (``(alpha_l + beta_l) / p^b``, after ``C^b`` roots the coefficient 1);
+    a raw +-1 when the tower has one variable.  Rows and columns follow
+    :func:`window_basis` order."""
+    d, dom = K.d, K.field_domain
+    pb = K.p**b
+
+    def basis(degree, hi, lo):
+        return [(key, lower, top) for key in combinations(range(1, d + 1), degree)
+                for top in range(-hi, -lo) for lower in product(range(pb), repeat=d - 1)]
+
+    column = {monomial: c for c, monomial in enumerate(basis(i, -m - 1, -n - 1))}
+    rows = []
+    for key, alpha, e in basis(j, n, m):
+        partner = tuple(v for v in range(1, d + 1) if v not in key)
+        sign = dom.from_int((-1) ** sum(x > y for x in key for y in partner))
+        delta = tuple(1 if a else 0 for a in alpha)
+        entry = sign if d == 1 else NestedSeries.from_monomials(d - 1, dom, [(delta, sign)])
+        rows.append({column[partner, tuple(-a % pb for a in alpha), -e]: entry})
+    return rows
+
+
+def test_duality_matrix_matches_the_closed_form():
+    """Every split of 368 cells equals :func:`closed_form_gram`: p = 2, 3,
+    5; k = 1, 2; d = 1-3 (no d = 3 at p = 5); widths 1-4; m = 0, 1; the
+    minimal ``b``."""
+    cells = 0
+    for p in (2, 3, 5):
+        for k in (1, 2):
+            for d in (1, 2, 3) if p < 5 else (1, 2):
+                K = FieldTower(p, k, 1, ("v", "u", "t")[3 - d:])
+                for width in range(1, 5):
+                    b = minimal_b(p, width)
+                    for m in (0, 1):
+                        for i in range(d + 1):
+                            want = closed_form_gram(m + width, m, b, K, i, d - i)
+                            assert duality_matrix(m + width, m, b, K, i, d - i) == want
+                            cells += 1
+    assert cells == 368
 
 
 def test_duality_wider_windows_are_invertible():

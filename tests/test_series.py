@@ -20,6 +20,8 @@ Oracles used here:
 
 import operator
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -834,6 +836,55 @@ def test_kronecker_cancellation_and_full_square():
     # (sum of t^i, i < 16)^2 over F_2 keeps only the even exponents
     ones = NestedSeries(1, F2, {e: 1 for e in range(16)})
     assert ones * ones == NestedSeries(1, F2, {e: 1 for e in range(0, 31, 2)})
+
+
+def test_a_square_is_packed_and_flattened_once(monkeypatch):
+    """``x * x`` packs its operand once for the Kronecker kernel (and, at
+    levels 2 and 3, flattens it once) and equals the product with a copy of
+    ``x`` held in another dict, which packs and flattens both; the kernel
+    called on one dict at ceilings that trim it packs it once too.  Over
+    F_2, F_4 and (Z/16)[g]."""
+    packs, flattens = [], []
+    pack, flatten = rswan.series._pack, rswan.series._flatten
+
+    def counting_pack(*args):
+        packs.append(1)
+        return pack(*args)
+
+    def counting_flatten(coeffs, level, *args):
+        flattens.append(level)
+        return flatten(coeffs, level, *args)
+
+    monkeypatch.setattr(rswan.series, "_pack", counting_pack)
+    monkeypatch.setattr(rswan.series, "_flatten", counting_flatten)
+    rng = random.Random(26)
+    seen = Counter()
+    for domain in (F2, F4, galois_ring_domain(2, 2, 4)):
+        squares = [random_window(rng, domain, 20) for _ in range(3)]
+        for level, n in ((2, 4), (3, 3)):
+            grid = NestedSeries.from_monomials(level, domain, [
+                (exps, domain.random_nonzero(rng)) for exps in product(range(-1, n - 1), repeat=level)
+            ])
+            squares += [grid, grid.truncate(n - 2), random_nested(rng, level, domain, 4, 3)]
+        for x in squares:
+            copy = NestedSeries(x.level, x.domain, dict(x.coeffs), x.ceiling)
+            packs.clear()
+            flattens.clear()
+            want = x * copy
+            counts = len(packs), flattens.count(x.level)
+            packs.clear()
+            flattens.clear()
+            assert x * x == want == schoolbook(x, x)
+            assert (len(packs), flattens.count(x.level)) == tuple((n + 1) // 2 for n in counts)
+            seen[x.level, counts] += 1
+        a = random_window(rng, domain, 20).coeffs
+        for ceiling in (None, 2 * min(a) + 5, min(a) + max(a)):
+            packs.clear()
+            got = _kronecker_mul(domain, a, a, ceiling)
+            assert len(packs) == 1
+            assert got == _kronecker_mul(domain, a, dict(a), ceiling)
+    # the kernel ran on squares at every level
+    assert seen[1, (2, 0)] >= 9 and seen[2, (2, 2)] >= 6 and seen[3, (2, 2)] >= 6, seen
 
 
 def test_sparse_and_rational_function_products_keep_the_dict_loop():
