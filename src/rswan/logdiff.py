@@ -583,7 +583,7 @@ def r_b(x: WindowedForm, b: int):
     coeffs = {}
     if c is not None:
         slot = c.coefficient(0)
-        root = _monomial_root(slot, b)
+        root = _monomial_root(slot, b) if b else slot
         if root is None:
             root = slot
             for _ in range(b):
