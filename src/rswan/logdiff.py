@@ -134,14 +134,18 @@ def log_derivative(sr: NestedSeries, var_level: int) -> NestedSeries:
 
 def _form(level: int, domain, degree: int, coeffs: dict) -> "LogForm":
     """Trusted constructor for the result of an operation on valid forms
-    (module docstring, "Construction"): ``coeffs`` maps sorted key tuples to
-    series over the form's ring, and only its exactly zero coefficients are
-    dropped."""
+    (module docstring, "Construction"): ``coeffs`` is a new map from sorted
+    key tuples to series over the form's ring, which the form keeps when
+    none of them is exactly zero; otherwise only those are dropped."""
+    for c in coeffs.values():
+        if c.is_exact_zero():
+            coeffs = {k: c for k, c in coeffs.items() if not c.is_exact_zero()}
+            break
     out = _new(LogForm)
     _set(out, "level", level)
     _set(out, "domain", domain)
     _set(out, "degree", degree)
-    _set(out, "coeffs", {k: c for k, c in coeffs.items() if not c.is_exact_zero()})
+    _set(out, "coeffs", coeffs)
     return out
 
 
