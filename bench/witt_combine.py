@@ -18,7 +18,19 @@ draws.  Sums and reduction combinations must be equal across trees
 * ``answered`` and ``errors``: reductions of the vectors that returned, and
   the failures by kind (not compared across trees);
 * ``us_per_reduce``: the mean time of one whole ``asw_reduce`` call over
-  the vectors, failures included.
+  the vectors, failures included;
+* ``us_per_theta``: the mean time of one ``theta_lift`` of a vector (the
+  symbol's last ghost component over the lift ring).
+
+``heavy`` holds the cells no workload reaches (ROADMAP item 9): ``p = 5``
+at ``s = 3`` and 4, ``k = 3`` and 4, ``d = 2``, each a fixed seeded sum
+``a + b`` of the one-input shape (``b``'s standard slot 0 is zero, so
+``a``'s ``x_0`` alone fills it), and the length-4 reduction over
+``F_25((v))((t))`` that refuses at order -604, the vector ROADMAP item 9
+cites with its ``v^-50`` shrunk to ``v^-25``.  Each is sized so that the
+parent of the merged ghost terms takes a few seconds a call, and is timed
+over ``HEAVY_PASSES`` passes of one call; the results (the refusal's kind
+and message) must be equal across trees.
 
 Each time comes from ``PASSES`` alternating passes, each timing a batch of
 whole passes of about ``BATCH_SECONDS`` (``bench/_trees.py``).  With two or
@@ -47,7 +59,16 @@ VECTORS = 40
 PASSES = 15
 BATCH_SECONDS = 0.05  # each timing covers a batch of passes of about this length
 OUTSIDE = 0.05  # a cell whose ratio is off 1 by more than this is listed
-TIMES = ("us_per_sum", "us_per_reduce_combine", "us_per_reduce")
+TIMES = ("us_per_sum", "us_per_reduce_combine", "us_per_reduce", "us_per_theta")
+# (p, k, s, d), monomials per component, the inner exponent bound R (inner
+# exponents in -R..R) and the least top exponent L (top ones in L..2).
+HEAVY = (
+    ((5, 1, 3, 2), 5, 10, -12),
+    ((5, 1, 4, 2), 3, 3, -4),
+    ((5, 3, 3, 2), 6, 6, -8),
+    ((5, 4, 3, 2), 5, 6, -8),
+)
+HEAVY_PASSES = 3
 
 
 def _vectors(rswan, cell):
@@ -108,6 +129,72 @@ def _sums(rswan, vectors):
     return [combine([a.comps, b.comps], [1, 1], p) for a, b in zip(vectors, vectors[1:])]
 
 
+def _one_input_sum(rswan, cell, terms, bound, least):
+    """The seeded components ``[a, b]`` of a ``heavy`` sum, internal order."""
+    p, k, s, d = cell
+    tower = rswan.FieldTower(p, k, s, ("v", "u", "t")[3 - d:])
+    dom = tower.field_domain
+    rng = random.Random(f"witt_combine heavy:{cell}")
+
+    def comp():
+        return rswan.NestedSeries.from_monomials(d, dom, [
+            (tuple(rng.randint(-bound, bound) for _ in range(d - 1)) + (rng.randint(least, 2),),
+             dom.random_nonzero(rng))
+            for _ in range(terms)
+        ])
+
+    a = tuple(comp() for _ in range(s))
+    b = tuple(comp() for _ in range(s - 1)) + (rswan.NestedSeries.zero(d, dom),)
+    return [a, b]
+
+
+def _f25_refusal(rswan):
+    """The length-4 vector over ``F_25((v))((t))`` whose reduction refuses at
+    order -604 after combining its whole tail."""
+    tower = rswan.FieldTower(5, 2, 4, ("v", "t"))
+    dom = tower.field_domain
+    exact = rswan.NestedSeries.from_monomials(
+        2, dom, [((-25, -5), (1, 4)), ((-4, -5), (3, 3)), ((-2, -5), (1, 2))]
+    )
+    x0 = rswan.NestedSeries(2, dom, dict(exact.coeffs), 16)
+    zero = rswan.NestedSeries.zero(2, dom)
+    return rswan.WittVector.from_print_order(tower, (x0, zero, zero, zero))
+
+
+def _refusal(rswan, vec):
+    """``(kind, message)`` of the reduction's refusal, or None."""
+    try:
+        rswan.asw_reduce(vec)
+    except rswan.RswanError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _heavy(trees) -> list:
+    calls = {}
+    for cell, terms, bound, least in HEAVY:
+        sums = [_one_input_sum(tree, cell, terms, bound, least) for tree in trees]
+        calls["one-input sum", cell] = [
+            (lambda tree=tree, c=c: tree.witt.witt_combine(c, [1, 1], cell[0]))
+            for tree, c in zip(trees, sums)
+        ]
+    vectors = [_f25_refusal(tree) for tree in trees]
+    calls["length-4 refusal", (5, 2, 4, 2)] = [
+        (lambda tree=tree, v=v: _refusal(tree, v)) for tree, v in zip(trees, vectors)
+    ]
+    rows = []
+    for (shape, cell), fns in calls.items():
+        same(f"{shape} of cell {cell}", [fn() for fn in fns])
+        seconds = alternate({cell: fns}, HEAVY_PASSES, 0)[cell]
+        p, k, s, d = cell
+        rows.append({
+            "p": p, "k": k, "s": s, "d": d, "shape": shape,
+            "us_per_call": [round(t * 1e6, 1) for t in seconds],
+            "ratios": [round(t / seconds[0], 4) for t in seconds[1:]],
+        })
+    return rows
+
+
 def _replay(rswan, made, p):
     combine = rswan.witt.witt_combine
     return [combine(comps_list, ints, p) for comps_list, ints in made]
@@ -130,6 +217,11 @@ def measure(trees) -> dict:
             (lambda tree=tree, vecs=vecs: [_reduce(tree, v) for v in vecs])
             for tree, vecs in zip(trees, vectors)
         ]
+        calls["theta", cell] = [
+            (lambda tree=tree, vecs=vecs: [tree.reciprocity.theta_lift(v) for v in vecs])
+            for tree, vecs in zip(trees, vectors)
+        ]
+        same(f"theta lifts of cell {cell}", [fn() for fn in calls["theta", cell]])
         if counts[cell][0]:
             calls["reduce", cell] = [
                 (lambda tree=tree, m=m: _replay(tree, m, p)) for tree, m in zip(trees, made)
@@ -152,8 +244,9 @@ def measure(trees) -> dict:
             "answered": [VECTORS - sum(e.values()) for e in errors],
             "errors": [dict(sorted(e.items())) for e in errors],
             "us_per_reduce": [round(t * 1e6 / VECTORS, 1) for t in seconds["asw_reduce", cell]],
+            "us_per_theta": [round(t * 1e6 / VECTORS, 1) for t in seconds["theta", cell]],
         })
-    return {"cells": rows, "ratios": _ratios(rows, len(trees))}
+    return {"cells": rows, "ratios": _ratios(rows, len(trees)), "heavy": _heavy(trees)}
 
 
 def _ratios(rows, count: int) -> dict:
@@ -176,4 +269,5 @@ def _ratios(rows, count: int) -> dict:
 
 
 if __name__ == "__main__":
-    sys.exit(main(__file__, measure, {"vectors_per_cell": VECTORS, "passes": PASSES}))
+    sys.exit(main(__file__, measure, {"vectors_per_cell": VECTORS, "passes": PASSES,
+                                      "heavy_passes": HEAVY_PASSES}))

@@ -79,8 +79,8 @@ from .series import NestedSeries, _level_lows
 from .witt import (
     Character,
     WittVector,
+    _last_ghost_component,
     asw_reduce,
-    ghost_component,
     lift_series,
     swan_conductor,
 )
@@ -227,13 +227,17 @@ def check_exp_congruences(p: int) -> ExpCongruenceReport:
 
 def theta_lift(vec: WittVector | Character) -> NestedSeries:
     """The last ghost component of the coefficientwise lift over the length-s
-    lift ring: ``sum_i p^(s-1-i) * lift(a_i)^(p^i)`` in internal order."""
+    lift ring: ``sum_i p^(s-1-i) * lift(a_i)^(p^i)`` in internal order.
+
+    An exact vector takes one ghost sum on the flat raw maps of the Witt
+    engine, over the lift ring, with no division; a windowed one, or one
+    whose last ghost power leaves the exponent range, takes the series
+    path, which raises what it raises (``witt`` module docstring, "The
+    last ghost component")."""
     if isinstance(vec, Character):
         vec = vec.vector
     tower = vec.tower
-    lift = tower.lift_domain
-    xs = [lift_series(x, lift) for x in vec.print_order]
-    return ghost_component(xs, tower.s - 1, tower.p, NestedSeries.zero(tower.d, lift))
+    return _last_ghost_component(vec.print_order, tower.p, tower.lift_domain)
 
 
 def eval_symbol(char: Character | WittVector, ys) -> int:

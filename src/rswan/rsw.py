@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentValue, UnramifiedCharacter
-from .logdiff import LogForm, WindowedForm, d
+from .logdiff import WindowedForm, _form, d
 from .series import NestedSeries
 from .witt import Character, WittVector, swan_conductor
 
@@ -59,14 +59,19 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
     Only the window is computed: every term of ``a_i^(p^i-1) d(a_i)`` that
     uses a term of ``a_i`` at ``e >= -m - (p^i - 1) v`` (``v`` the lowest
     stored exponent of ``a_i``) has order ``>= -m``, so ``a_i`` is cut there
-    before the power, and a component cut to nothing is left out.
+    before the power, and a component cut to nothing is left out.  The
+    terms ``d(-a_0)`` and ``d(a_i) * (-a_i^(p^i-1))`` are added into one
+    coefficient map, key by key in the order the keys first appear (a sum
+    that is exactly zero is dropped and its key may come back later), and
+    the map is windowed once: nothing is multiplied by the constant 1 and
+    no pass negates the total.
     """
     tower = vec.tower
     p = tower.p
     if n < 1:
         raise UnramifiedCharacter("the invariant lives at conductor >= 1")
     m = n // p
-    total = LogForm.zero(tower.d, tower.field_domain, 1)
+    coeffs: dict = {}
     for i, a_i in enumerate(vec.comps):
         if a_i.is_zero():
             continue
@@ -75,10 +80,16 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
         if cut <= v:
             continue
         a_i = a_i.truncate(cut)
-        weight = a_i.pow(p**i - 1)
-        total = total + d(a_i).scale(weight)
-    total = -total
-    return WindowedForm(total, n, m)
+        if i == 0:
+            terms = d(-a_i).coeffs
+        else:
+            weight = -a_i.pow(p**i - 1)
+            terms = {key: c * weight for key, c in d(a_i).coeffs.items()}
+        for key, c in terms.items():
+            coeffs[key] = coeffs[key] + c if key in coeffs else c
+            if coeffs[key].is_exact_zero():
+                del coeffs[key]
+    return WindowedForm(_form(tower.d, tower.field_domain, 1, coeffs), n, m)
 
 
 def rsw_char_p(char: Character) -> RswValue:

@@ -270,6 +270,7 @@ def _int_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
     (:func:`_pack_g`), so one int product convolves two coefficients; an
     exponent sums at most ``min(len)`` pairs, which sets the slot width
     (:func:`_g_width`), and :func:`_g_reducer` folds and reduces each sum.
+    A square (``a is b``) packs its coefficients once.
     """
     cut = sys.maxsize if ceiling is None else ceiling
     k, m = domain.k, domain.modulus
@@ -288,8 +289,8 @@ def _int_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
         return out
     w = _g_width(domain, min(len(a), len(b)))
     packed_b = [(eb, _pack_g(cb, w)) for eb, cb in b.items()]
-    for ea, ca in a.items():
-        x = _pack_g(ca, w)
+    packed_a = packed_b if a is b else [(ea, _pack_g(ca, w)) for ea, ca in a.items()]
+    for ea, x in packed_a:
         for eb, y in packed_b:
             e = ea + eb
             if e < cut:

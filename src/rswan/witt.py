@@ -27,10 +27,34 @@ exactly by ``p^n``; a remainder is an internal error.  The results are
 reduced mod p.  Length ``s`` is enough: ``z_n mod p`` needs ``W_n mod
 p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p (mod p^(k+1))``, so
 ``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on ``z_i mod p``.
-The last ghost component ``W_{s-1}`` of a vector is the paper's ``theta``
-(:func:`rswan.reciprocity.theta_lift`).  Length-1 vectors are one linear
-combination of their components, which also serves coefficient domains
-without a stored lift ring (rational-function scalars).
+Length-1 vectors are one linear combination of their components, which
+also serves coefficient domains without a stored lift ring
+(rational-function scalars).
+
+*Merged ghost terms.*  Once ``z_i`` is known, the slot-``i`` terms (``c_j
+x_{j,i}`` of each kept input and ``-z_i``) recur at every later ghost
+index with the power ``p^(n-i)``, and ``c x^e + c' x^e = (c + c') x^e``.
+So ``_merge_slot`` sums the multipliers of equal exact terms into the
+first of them, in the order the terms are summed, and drops a term whose
+multiplier times ``p^i`` vanishes mod ``p^s``.  When one kept input with
+multiplier 1 alone fills a slot, ``z_i`` equals its component and the
+two cancel: ``a + b`` with ``b``'s ``x_0`` zero raises no power of
+``x_0``.  A slot is compared only when two of its terms can merge (one
+kept input beside ``z_i``) or when its last power ``p^(s-1-i)`` is at
+least ``p^2``; a reduction's combination ``[comps, F(E), E]`` holds three
+inputs in slot 0, so at ``s = 2`` nothing is compared there.  Only exact
+terms merge, and on the series path only those whose last power stays
+within the exponent range: the merge drops no window and skips no
+:class:`~rswan.errors.ExponentOutOfRange`, as every power it leaves out
+could not raise and the others are formed in the same order.
+
+*The last ghost component.*  ``W_{s-1}`` of a vector is the paper's
+``theta`` (:func:`rswan.reciprocity.theta_lift`).  ``_last_ghost_component``
+forms it as one ghost sum of the flat engine below, with no division and
+no reduction, decoded over the lift ring (``W_0 = lift(x_0)`` at ``s =
+1``); a vector with a window, or one the flat floor check refuses, takes
+:func:`ghost_component` over its lifted components, which raises what it
+raises.
 
 The recursion runs on one of two representations of its series.
 
@@ -154,6 +178,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import (
+    ExponentOutOfRange,
     InconsistentValue,
     PrecisionExhausted,
     RswanError,
@@ -241,21 +266,51 @@ def ghost_component(xs, n: int, p: int, zero: NestedSeries) -> NestedSeries:
     return _series_ghost_sum(zero.level, zero.domain, [(1, zero, 1)] + _ghost_terms(xs, n, p, 1))
 
 
-def _ghost_recursion(vectors, s: int, p: int, ghost_sum) -> list:
+def _ghost_recursion(vectors, s: int, p: int, ghost_sum, mergeable) -> list:
     """``[z_0, ..., z_{s-1}]`` for ``(c_j, xs_j)`` pairs of multipliers and
     standard-order components: ``z_n = (sum_j c_j W_n(xs_j) - sum_{i<n} p^i
     z_i^(p^(n-i))) / p^n`` (module docstring, "Arithmetic").
     ``ghost_sum(terms, q)`` sums the ``(c, x, e)`` terms ``c x^e`` of one
-    representation (series or flat raw maps) and divides the sum by ``q``.
+    representation (series or flat raw maps) and divides the sum by ``q``;
+    ``mergeable(x, q)`` says whether a slot term ``x`` whose last power is
+    ``x^q`` may be merged with an equal one (:func:`_merge_slot`).
     """
     z: list = []
+    # one multiplier per slot for each input and for z; a merged term has 0
+    owners = [([cj] * s, xs) for cj, xs in vectors] + [([-1] * s, z)]
     for n in range(s):
-        terms: list = []
-        for cj, xs in vectors:
-            terms += _ghost_terms(xs, n, p, cj)
-        terms += _ghost_terms(z, n, p, -1)
+        terms = [
+            (c * p**i, x, p ** (n - i))
+            for cs, xs in owners
+            for i, (c, x) in enumerate(zip(cs, xs[: n + 1]))
+            if c
+        ]
         z.append(ghost_sum(terms, p**n))
+        if n < s - 1:
+            _merge_slot(owners, n, s, p, mergeable)
     return z
+
+
+def _merge_slot(owners, i: int, s: int, p: int, mergeable):
+    """Once ``z_i`` is known, sum the multipliers of equal slot-``i`` terms
+    into the first of them, in the order the terms are summed, and drop a
+    term whose multiplier ``c p^i`` vanishes mod ``p^s`` (module docstring,
+    "Arithmetic").  Only the terms ``mergeable`` accepts are compared, and
+    only in a slot where two of them can merge (one kept input beside
+    ``z_i``) or whose last power is at least ``p^2``."""
+    q = p ** (s - 1 - i)  # the power slot i reaches at the last ghost index
+    held = [(cs, xs[i]) for cs, xs in owners if cs[i] and mergeable(xs[i], q)]
+    if len(held) < 2 or (len(held) > 2 and q < p * p):
+        return
+    for a, (cs, x) in enumerate(held):
+        if not cs[i]:
+            continue
+        for other, y in held[a + 1:]:
+            if other[i] and x == y:
+                cs[i] += other[i]
+                other[i] = 0
+        if cs[i] * p**i % p**s == 0:
+            cs[i] = 0
 
 
 def witt_combine(comps_list, ints, p: int):
@@ -297,8 +352,16 @@ def witt_combine(comps_list, ints, p: int):
     z = _ghost_recursion(
         vectors, s, p,
         lambda terms, q: _divide_by_int(_series_ghost_sum(level, lift, terms), q),
+        _exact_within_floor,
     )
     return tuple(reversed([reduce_series(zi, domain) for zi in z]))
+
+
+def _exact_within_floor(x: NestedSeries, q: int) -> bool:
+    """Whether the series term ``x`` is exact and not zero, and ``x^q``
+    stays within the supported exponent range at every level, so that
+    leaving out its powers neither drops a window nor skips a refusal."""
+    return bool(x.coeffs) and x.is_exact() and q * min(_level_lows(x, {}).values()) >= _ORD_FLOOR
 
 
 def _divide_by_int(a: NestedSeries, n: int) -> NestedSeries:
@@ -390,60 +453,95 @@ def _raw_pow(domain, x: dict, n: int) -> dict:
     return power(x, n, lambda a, b: _level_one_mul(domain, a, b, None))
 
 
-def _flat_combine(flat, s: int, p: int, level: int, lift, field):
-    """:func:`witt_combine` of exact components, the ghost recursion run on
-    the flat raw maps of :func:`_flat_components`; each result series is
-    built once."""
-    vectors, weights, lows = flat
+def _flat_ghost_sum(lift, terms, q: int) -> dict:
+    """``sum c * x^e`` over ``(c, x, e)`` terms of flat raw maps, reduced
+    mod ``p^s`` and divided exactly by ``q``; a term with ``c`` zero mod
+    ``p^s`` or ``x`` exactly zero is skipped (``x^1`` is ``x`` itself)."""
     m, k = lift.modulus, lift.k
 
-    def powers(terms):
-        """``(c mod p^s, x^e)`` for the terms with ``c`` nonzero mod ``p^s``
-        and ``x`` not exactly zero (``x^1`` is ``x`` itself)."""
+    def powers():
         for c, x, e in terms:
             c %= m
             if c and x:
                 yield c, x if e == 1 else _raw_pow(lift, x, e)
 
-    def ghost_sum(terms, q):
-        acc: dict = {}
-        out = {}
-        if k == 1:
-            for c, power in powers(terms):
-                for ex, v in power.items():
-                    acc[ex] = acc[ex] + c * v if ex in acc else c * v
-            for ex, v in acc.items():
-                v %= m
-                if v:
-                    if v % q:
-                        raise _not_divisible(q)
-                    out[ex] = v // q
-            return out
-        for c, power in powers(terms):  # one int per g-coordinate
+    acc: dict = {}
+    out = {}
+    if k == 1:
+        for c, power in powers():
             for ex, v in power.items():
-                if ex in acc:
-                    acc[ex] = [a + c * b for a, b in zip(acc[ex], v)]
-                else:
-                    acc[ex] = [c * b for b in v]
+                acc[ex] = acc[ex] + c * v if ex in acc else c * v
         for ex, v in acc.items():
-            v = [a % m for a in v]
-            if any(v):
-                if any(a % q for a in v):
+            v %= m
+            if v:
+                if v % q:
                     raise _not_divisible(q)
-                out[ex] = tuple([a // q for a in v])
+                out[ex] = v // q
         return out
+    for c, power in powers():  # one int per g-coordinate
+        for ex, v in power.items():
+            if ex in acc:
+                acc[ex] = [a + c * b for a, b in zip(acc[ex], v)]
+            else:
+                acc[ex] = [c * b for b in v]
+    for ex, v in acc.items():
+        v = [a % m for a in v]
+        if any(v):
+            if any(a % q for a in v):
+                raise _not_divisible(q)
+            out[ex] = tuple([a // q for a in v])
+    return out
 
+
+def _flat_series(level: int, domain, flat_map: dict, weights, lows) -> NestedSeries:
+    """The exact series over ``domain`` whose flat raw map is ``flat_map``:
+    add ``sum_l B_l W_l``, then read the digits (module docstring,
+    "Arithmetic")."""
+    if level == 1:
+        return _make(1, domain, flat_map, None, clean=True)
+    half = sum(-lo * w for lo, w in zip(lows[1:level], weights[1:level]))
+    coeffs = _unflatten(level, domain, {ex + half: v for ex, v in flat_map.items()}, weights, lows)
+    return _make(level, domain, coeffs, None, clean=True)
+
+
+def _flat_combine(flat, s: int, p: int, level: int, lift, field):
+    """:func:`witt_combine` of exact components, the ghost recursion run on
+    the flat raw maps of :func:`_flat_components`; each result series is
+    built once."""
+    vectors, weights, lows = flat
+    z = _ghost_recursion(
+        vectors, s, p, lambda terms, q: _flat_ghost_sum(lift, terms, q), lambda x, q: bool(x)
+    )
     results = []
-    half = 0 if level == 1 else sum(-lo * w for lo, w in zip(lows[1:level], weights[1:level]))
-    for zi in reversed(_ghost_recursion(vectors, s, p, ghost_sum)):
-        if k == 1:
-            reduced = {ex + half: r for ex, v in zi.items() if (r := v % p)}
+    for zi in reversed(z):
+        if lift.k == 1:
+            reduced = {ex: r for ex, v in zi.items() if (r := v % p)}
         else:
-            reduced = {ex + half: r for ex, v in zi.items() if any(r := tuple([a % p for a in v]))}
-        if level > 1:
-            reduced = _unflatten(level, field, reduced, weights, lows)
-        results.append(_make(level, field, reduced, None, clean=True))
+            reduced = {ex: r for ex, v in zi.items() if any(r := tuple([a % p for a in v]))}
+        results.append(_flat_series(level, field, reduced, weights, lows))
     return tuple(results)
+
+
+def _last_ghost_component(xs, p: int, lift) -> NestedSeries:
+    """``W_{s-1} = sum_i p^i lift(x_i)^(p^(s-1-i))`` over the length-``s``
+    lift ring, for the standard-order components ``xs`` of a vector over a
+    finite field: one ghost sum on the flat raw maps when every component
+    is exact and the flat floor check passes, else
+    :func:`ghost_component` over the lifted components, so that every
+    refusal is the series path's (module docstring, "Arithmetic")."""
+    s, level = len(xs), xs[0].level
+    if s == 1:
+        return lift_series(xs[0], lift)
+    try:
+        flat = _flat_components([(1, xs)], s, p, level)
+    except ExponentOutOfRange:
+        flat = None
+    if flat is None:
+        lifted = [lift_series(x, lift) for x in xs]
+        return ghost_component(lifted, s - 1, p, NestedSeries.zero(level, lift))
+    [(_, flats)], weights, lows = flat
+    theta = _flat_ghost_sum(lift, _ghost_terms(flats, s - 1, p, 1), 1)
+    return _flat_series(level, lift, theta, weights, lows)
 
 
 def witt_frobenius(comps):

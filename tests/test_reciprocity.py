@@ -21,10 +21,12 @@ Oracles used here:
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from rswan import catalog, cli, reciprocity
+import rswan.series
+from rswan import catalog, cli, reciprocity, witt
 from rswan.errors import (
     InconsistentValue,
     NotTopological,
@@ -66,6 +68,7 @@ K2s2 = FieldTower(2, 1, 2, ("t",))
 K2s3 = FieldTower(2, 1, 3, ("t",))
 K3s2 = FieldTower(3, 1, 2, ("t",))
 KD = FieldTower(2, 1, 1, ("u", "t"))
+FLOOR = rswan.series._ORD_FLOOR
 
 
 def char_of(tower, texts):
@@ -194,6 +197,101 @@ def test_theta_of_frobenius_minus_one_has_zero_residue():
         y = parse_series("t", K2s2)
         omega = dlog(lift_series(y, K2s2.lift_domain), 32).scale(theta)
         assert residue_to_prime_field(omega) == 0
+
+
+def theta_by_series_oracle(vec):
+    """The series path: :func:`witt.ghost_component` over the lifted
+    components."""
+    tower = vec.tower
+    lift = tower.lift_domain
+    xs = [lift_series(x, lift) for x in vec.print_order]
+    return witt.ghost_component(xs, tower.s - 1, tower.p, NestedSeries.zero(tower.d, lift))
+
+
+def theta_vector(rng, tower, kind):
+    """0..3 monomials per component with inner exponents in -2..2 and top
+    ones in -4..2.  ``windowed``: a top window, inner windows, or both, some
+    coefficients zero within theirs.  ``floor``: at one random level of
+    some components, a monomial whose exponent times the component's last
+    ghost power lands one below, at or one above the exponent floor."""
+    p, s, d = tower.p, tower.s, tower.d
+    dom = tower.field_domain
+    comps = []
+    for i in range(s):  # internal slot i enters theta as a_i^(p^i)
+        monos = [
+            (tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(-4, 2),),
+             dom.random_nonzero(rng))
+            for _ in range(rng.randint(0, 3))
+        ]
+        if kind == "floor" and rng.random() < 0.6:
+            q = p**i
+            edge = -(-FLOOR // q)  # the least e with q e >= FLOOR
+            exps = [rng.randint(-2, 2) for _ in range(d)]
+            exps[rng.randrange(d)] = edge + rng.choice((0, 1) if q == 1 else (-1, 0, 1))
+            monos.append((tuple(exps), dom.random_nonzero(rng)))
+        x = NestedSeries.from_monomials(d, dom, monos)
+        if kind == "windowed":
+            coeffs = x.coeffs
+            if d > 1 and rng.random() < 0.6:
+                coeffs = {e: c.truncate(rng.randint(-2, 3)) if rng.random() < 0.5 else c
+                          for e, c in coeffs.items()}
+            ceiling = rng.choice((None, rng.randint(-3, 4)))
+            x = NestedSeries(d, dom, {e: c for e, c in coeffs.items()
+                                      if ceiling is None or e < ceiling}, ceiling)
+        comps.append(x)
+    return WittVector(tower, tuple(comps))
+
+
+def theta_outcome(fn, vec):
+    try:
+        return fn(vec)
+    except RswanError as exc:
+        return type(exc), str(exc), getattr(exc, "exponent", None)
+
+
+# (p, s) where a draw is cheap, for every k in 1, 2 and d in 1..3
+THETA_CELLS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+def test_theta_matches_the_series_path(monkeypatch):
+    """``theta_lift`` equals the series-path oracle on random exact,
+    windowed and near-floor vectors, by value or by (type, message,
+    exponent), ExponentOutOfRange included; an exact vector within the
+    floor runs no series ghost sum at ``s > 1``."""
+    series_sums = []
+    ghost_component = witt.ghost_component
+
+    def counting(*args):
+        series_sums.append(1)
+        return ghost_component(*args)
+
+    monkeypatch.setattr(witt, "ghost_component", counting)
+    rng = random.Random("theta flat")
+    seen = Counter()
+    for p, s in THETA_CELLS:
+        for k in (1, 2):
+            for d in (1, 2, 3):
+                tower = FieldTower(p, k, s, ("v", "u", "t")[3 - d:])
+                for kind in ("exact", "windowed", "floor"):
+                    for _ in range(3 if d == 3 and p ** (s - 1) > 4 else 6):
+                        vec = theta_vector(rng, tower, kind)
+                        series_sums.clear()
+                        got = theta_outcome(theta_lift, vec)
+                        ran_series = bool(series_sums)
+                        assert got == theta_outcome(theta_by_series_oracle, vec), (tower, kind, vec)
+                        if isinstance(got, tuple):
+                            seen["refused", got[0].__name__] += 1
+                            continue
+                        assert got.domain is tower.lift_domain
+                        exact = all(c.is_exact() for c in vec.comps)
+                        if exact and s > 1:
+                            assert not ran_series
+                        seen["answered", kind, exact] += 1
+    assert seen["refused", "ExponentOutOfRange"] >= 20, seen
+    assert set(seen) == {("refused", "ExponentOutOfRange"), ("answered", "exact", True),
+                         ("answered", "windowed", False), ("answered", "windowed", True),
+                         ("answered", "floor", True)}, seen
+    assert min(seen.values()) >= 20, seen
 
 
 # ------------------------------------------------------------------ symbols
@@ -475,6 +573,75 @@ def test_characterization_is_seed_deterministic():
     a = verify_rsw_characterization(chi, samples=10, seed=42)
     b = verify_rsw_characterization(chi, samples=10, seed=42)
     assert a == b
+
+
+def partner_sampler(value, drawn):
+    """A stand-in for ``reciprocity._random_window_terms`` that draws one
+    term per sample, appended to ``drawn``, from the partners of the
+    monomials of ``Rsw(chi)``, by the partner rule of ``duality_matrix``:
+    the monomial ``c u^a t^e dlog_K`` of the invariant pairs with ``c' u^-a
+    t^-e dlog_K'``, ``K'`` the complement of ``K`` and ``c'`` a random
+    nonzero scalar.  The product is ``c c'`` times ``u^0 t^0 dlog u ^ dlog
+    t`` up to sign, which ``r_b`` and the residue read; every other monomial
+    of the invariant leaves the ``u^0 t^0`` slot."""
+    domain = value.window.form.domain
+    monomials = [
+        (key, exps)
+        for key, coeff in sorted(value.window.form.coeffs.items())
+        for exps, _ in coeff.iter_monomials()
+    ]
+
+    def draw(tower, rng, m, n):
+        (lam,), (a, e) = rng.choice(monomials)
+        drawn.append(((-a, -e), domain.random_nonzero(rng), (3 - lam,)))
+        return drawn[-1:]
+
+    return draw
+
+
+PARTNER_CELLS = [(p, s) for p in (3, 5) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("p,s", PARTNER_CELLS)
+def test_partner_sampled_identity_checks_are_nonzero(monkeypatch, p, s):
+    """The characterizing identity over F_p((u))((t)) on terms drawn from
+    the partners of ``Rsw(chi)``'s monomials: every sample agrees, and more
+    than 90% of the samples check a nonzero value (the catalog sampler
+    checks a nonzero value on 4 of its 50 distinct d = 2 terms)."""
+    tower = FieldTower(p, 1, s, ("u", "t"))
+    dom = tower.field_domain
+    rng = random.Random(f"partners:{p}:{s}")
+    values = []
+    symbol_value = reciprocity._symbol_value
+
+    def recording(theta, tower, ys):
+        values.append(symbol_value(theta, tower, ys))
+        return values[-1]
+
+    monkeypatch.setattr(reciprocity, "_symbol_value", recording)
+    checks = []  # the symbol value of each sample's one term
+    while len(checks) < 200:
+        printed = [
+            NestedSeries.from_monomials(2, dom, [
+                ((rng.randint(-2, 2), rng.randint(-4, 1)), dom.random_nonzero(rng))
+                for _ in range(rng.randint(1, 3))
+            ])
+            for _ in range(s)
+        ]
+        chi = asw_reduce(WittVector.from_print_order(tower, printed))
+        if witt.swan_conductor(chi) == 0:
+            continue
+        drawn = []
+        values.clear()
+        monkeypatch.setattr(reciprocity, "_random_window_terms",
+                            partner_sampler(reciprocity.rsw_char_p(chi), drawn))
+        report = verify_rsw_characterization(chi, 40, seed=len(checks))
+        assert report.all_equal, report
+        # each distinct term's symbol is evaluated once, at its first draw
+        value_of = dict(zip(dict.fromkeys(drawn), values))
+        checks += [value_of[term] for term in drawn]
+    nonzero = sum(v != 0 for v in checks)
+    assert nonzero > 0.9 * len(checks), (nonzero, len(checks))
 
 
 def test_characterization_refuses_unramified():

@@ -11,12 +11,13 @@ Oracles used here:
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from rswan.catalog import catalog_characters
 from rswan.parser import render_form
-from rswan.errors import InconsistentValue, UnramifiedCharacter
+from rswan.errors import InconsistentValue, PrecisionExhausted, RswanError, UnramifiedCharacter
 from rswan.logdiff import LogForm, WindowedForm, d
 from rswan.rsw import (
     RswValue,
@@ -205,6 +206,79 @@ def test_windowed_form_is_the_untruncated_form(cell):
             assert rsw_form_at(vec, n) == untruncated_form_at(vec, n)
         checked += 1
     assert checked
+
+
+def summed_then_negated_form_at(vec, n):
+    """``rsw_form_at`` as one ``LogForm`` sum: each cut component's
+    ``d(a_i)`` scaled by ``a_i^(p^i-1)`` (by the constant 1 at ``i = 0``),
+    the total negated, then windowed."""
+    tower = vec.tower
+    p = tower.p
+    m = n // p
+    total = LogForm.zero(tower.d, tower.field_domain, 1)
+    for i, a_i in enumerate(vec.comps):
+        if a_i.is_zero():
+            continue
+        v = a_i.low()
+        cut = -m - (p**i - 1) * v
+        if cut <= v:
+            continue
+        a_i = a_i.truncate(cut)
+        total = total + d(a_i).scale(a_i.pow(p**i - 1))
+    return WindowedForm(-total, n, m)
+
+
+def form_outcome(fn, vec, n):
+    try:
+        return fn(vec, n)
+    except RswanError as exc:
+        return type(exc), str(exc), getattr(exc, "exponent", None)
+
+
+def windowed_component(rng, tower, low):
+    """0..4 monomials, top exponents in ``low..2``; a top window, inner
+    windows (some coefficients zero within theirs), both or none."""
+    dd, dom = tower.d, tower.field_domain
+    x = NestedSeries.from_monomials(dd, dom, [
+        (tuple(rng.randint(-2, 2) for _ in range(dd - 1)) + (rng.randint(low, 2),),
+         dom.random_nonzero(rng))
+        for _ in range(rng.randint(0, 4))
+    ])
+    coeffs = x.coeffs
+    if dd > 1 and rng.random() < 0.5:
+        coeffs = {e: c.truncate(rng.randint(-2, 3)) if rng.random() < 0.5 else c
+                  for e, c in coeffs.items()}
+    ceiling = rng.choice((None, rng.randint(low, 2)))
+    return NestedSeries(dd, dom, {e: c for e, c in coeffs.items()
+                                  if ceiling is None or e < ceiling}, ceiling)
+
+
+def test_one_coefficient_map_matches_the_summed_form():
+    """On random windowed vectors at random depths over the witt workload
+    cells, ``rsw_form_at`` equals the summed-then-negated formula by value
+    (coefficient order included) or by (type, message, exponent); its
+    answers equal ``untruncated_form_at`` and its refusals are of the same
+    type."""
+    seen = Counter()
+    for p, k, s, dd in WITT_CELLS:
+        tower = FieldTower(p, k, s, ("u", "t")[2 - dd:])
+        rng = random.Random(f"one map:{(p, k, s, dd)}")
+        for _ in range(40):
+            vec = WittVector(tower, tuple(windowed_component(rng, tower, -6) for _ in range(s)))
+            n = rng.randint(1, 6)
+            got = form_outcome(rsw_form_at, vec, n)
+            assert got == form_outcome(summed_then_negated_form_at, vec, n), (vec, n)
+            whole = form_outcome(untruncated_form_at, vec, n)
+            if isinstance(got, tuple):
+                # the cut components carry windows the whole ones lack, so
+                # the first refusing key, and with it the message, can differ
+                assert isinstance(whole, tuple) and whole[0] is got[0], (vec, n)
+                seen[got[0]] += 1
+            else:
+                assert got == whole, (vec, n)
+                assert list(got.form.coeffs) == list(summed_then_negated_form_at(vec, n).form.coeffs)
+                seen["answered"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 # ------------------------------------------------------------------ refusals

@@ -887,6 +887,35 @@ def test_a_square_is_packed_and_flattened_once(monkeypatch):
     assert seen[1, (2, 0)] >= 9 and seen[2, (2, 2)] >= 6 and seen[3, (2, 2)] >= 6, seen
 
 
+def test_a_square_below_the_kronecker_cut_packs_each_coefficient_once(monkeypatch):
+    """``x * x`` of a 6-term series over F_4 (36 term pairs, below the
+    Kronecker cut-off) packs each of its 6 coefficients once in the int
+    loop; the product with a copy of ``x`` held in another dict packs 12.
+    Both equal the schoolbook product, at ceilings too, and over
+    (Z/16)[g]."""
+    packs = []
+    pack_g = rswan.series._pack_g
+
+    def counting_pack_g(*args):
+        packs.append(1)
+        return pack_g(*args)
+
+    monkeypatch.setattr(rswan.series, "_pack_g", counting_pack_g)
+    rng = random.Random(27)
+    for domain in (F4, galois_ring_domain(2, 2, 4)):
+        for ceiling in (None, 4):
+            x = NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in range(-3, 3)}, ceiling)
+            assert len(x.coeffs) ** 2 < _KRONECKER_MIN_PAIRS
+            copy = NestedSeries(1, domain, dict(x.coeffs), ceiling)
+            rows = len(domain._red_rows)  # the reducer packs each row of f once
+            packs.clear()
+            want = x * copy
+            assert len(packs) == 12 + rows
+            packs.clear()
+            assert x * x == want == schoolbook(x, x)
+            assert len(packs) == 6 + rows
+
+
 def test_sparse_and_rational_function_products_keep_the_dict_loop():
     sparse = NestedSeries(1, F3, {e: 1 for e in range(0, 8000, 1000)})
     assert len(sparse.coeffs) ** 2 >= _KRONECKER_MIN_PAIRS

@@ -1095,3 +1095,104 @@ def test_a_planned_refusal_runs_no_combination(monkeypatch):
     assert (type(refused.value), str(refused.value), refused.value.exponent) == want
     assert reduce_outcome(asw_reduce_components, boundary.comps, 2) == at_zero
     assert calls == []
+
+
+# ------------------------------------------------------ merged ghost terms
+
+def unmerged_ghost_recursion(vectors, s, p, ghost_sum, mergeable):
+    """The ghost recursion with every term summed as it comes: no equal
+    terms merged (``mergeable`` is not consulted)."""
+    z = []
+    for n in range(s):
+        terms = []
+        for cj, xs in vectors:
+            terms += [(cj * p**i, x, p ** (n - i)) for i, x in enumerate(xs[: n + 1])]
+        terms += [(-(p**i), x, p ** (n - i)) for i, x in enumerate(z[: n + 1])]
+        z.append(ghost_sum(terms, p**n))
+    return z
+
+
+def unmerged_combine(comps_list, ints, p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witt, "_ghost_recursion", unmerged_ghost_recursion)
+        return witt_combine(comps_list, ints, p)
+
+
+def one_input_sum(tower, rng, terms=3):
+    """``a + b`` where ``b``'s standard slot 0 is zero, so that ``a``'s
+    ``x_0`` alone fills it."""
+    dom, d = tower.field_domain, tower.d
+
+    def comp():
+        return NestedSeries.from_monomials(d, dom, [
+            (tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(-4, 2),),
+             dom.random_nonzero(rng))
+            for _ in range(terms)
+        ])
+
+    a = tuple(comp() for _ in range(tower.s))
+    b = tuple(comp() for _ in range(tower.s - 1)) + (NestedSeries.zero(d, dom),)
+    return [a, b]
+
+
+def test_a_one_input_slot_cancels_against_z_before_any_power(monkeypatch):
+    """When one input alone fills standard slot 0, ``+x_0^(p^n)`` and
+    ``-z_0^(p^n)`` merge to nothing: on the flat engine four powers fewer at
+    ``s = 3`` (``x_0^p``, ``z_0^p``, ``x_0^(p^2)``, ``z_0^(p^2)``), and on the
+    series path (a window in another slot) no ``p^2``-th power, which only
+    slot 0 reaches; the sums equal the unmerged recursion's."""
+    raw_pows, series_pows = [], []
+    raw_pow, series_pow = witt._raw_pow, NestedSeries.pow
+
+    def counting_raw_pow(domain, x, n):
+        raw_pows.append(n)
+        return raw_pow(domain, x, n)
+
+    def counting_series_pow(self, n, precision=None):
+        series_pows.append((self.ceiling, n))
+        return series_pow(self, n, precision)
+
+    monkeypatch.setattr(witt, "_raw_pow", counting_raw_pow)
+    monkeypatch.setattr(NestedSeries, "pow", counting_series_pow)
+    rng = random.Random("one input")
+    for p, k, d in ((2, 1, 1), (3, 2, 2), (5, 1, 2)):
+        tower = FieldTower(p, k, 3, ("u", "t")[2 - d:])
+        comps_list = one_input_sum(tower, rng)
+        raw_pows.clear()
+        want = unmerged_combine(comps_list, [1, 1], p)
+        unmerged = len(raw_pows)
+        raw_pows.clear()
+        assert witt_combine(comps_list, [1, 1], p) == want
+        assert len(raw_pows) == unmerged - 4
+        # a window in b's last standard slot sends the sum to the series path
+        a, b = comps_list
+        windowed = [a, (b[0].truncate(6),) + b[1:]]
+        want = unmerged_combine(windowed, [1, 1], p)
+        series_pows.clear()
+        assert witt_combine(windowed, [1, 1], p) == want
+        assert all(n < p**2 for _, n in series_pows), series_pows
+
+
+def test_a_merge_skips_no_refusal(monkeypatch):
+    """On the series path, a one-input slot whose last ghost power would
+    leave the exponent range is not merged: the combination refuses with the
+    unmerged recursion's ExponentOutOfRange, message and exponent."""
+    monkeypatch.setattr(rswan.series, "_ORD_FLOOR", -20)
+    monkeypatch.setattr(witt, "_ORD_FLOOR", -20)
+    tower = FieldTower(2, 1, 3, ("t",))
+    dom = tower.field_domain
+    x0 = NestedSeries.from_monomials(1, dom, [((-6,), 1), ((1,), 1)])  # x0^4 reaches -24
+    x1 = NestedSeries(1, dom, {-1: 1}, 5)
+    zero = NestedSeries.zero(1, dom)
+    comps_list = [(x1, x1, x0), (x1, x1, zero)]
+    got = combine_or_error(witt_combine, comps_list, [1, 1], 2)
+    assert got is ExponentOutOfRange
+    with pytest.raises(ExponentOutOfRange) as merged:
+        witt_combine(comps_list, [1, 1], 2)
+    with pytest.raises(ExponentOutOfRange) as unmerged:
+        unmerged_combine(comps_list, [1, 1], 2)
+    assert str(merged.value) == str(unmerged.value)
+    # within the range the slot merges and the sum still equals the unmerged one
+    monkeypatch.setattr(witt, "_ORD_FLOOR", -30)
+    monkeypatch.setattr(rswan.series, "_ORD_FLOOR", -30)
+    assert witt_combine(comps_list, [1, 1], 2) == unmerged_combine(comps_list, [1, 1], 2)
