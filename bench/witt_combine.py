@@ -28,9 +28,10 @@ at ``s = 3`` and 4, ``k = 3`` and 4, ``d = 2``, each a fixed seeded sum
 ``a``'s ``x_0`` alone fills it), and the length-4 reduction over
 ``F_25((v))((t))`` that refuses at order -604, the vector ROADMAP item 9
 cites with its ``v^-50`` shrunk to ``v^-25``.  Each is sized so that the
-parent of the merged ghost terms takes a few seconds a call, and is timed
-over ``HEAVY_PASSES`` passes of one call; the results (the refusal's kind
-and message) must be equal across trees.
+ghost recursion without merged terms takes a few seconds a call, and is
+timed over ``HEAVY_PASSES`` passes of one call; the results (the refusal's
+kind and message) must be equal across trees, and ``ratios`` gives tree
+``i`` / tree 0 per cell.
 
 Each time comes from ``PASSES`` alternating passes, each timing a batch of
 whole passes of about ``BATCH_SECONDS`` (``bench/_trees.py``).  With two or
@@ -60,12 +61,12 @@ PASSES = 15
 BATCH_SECONDS = 0.05  # each timing covers a batch of passes of about this length
 OUTSIDE = 0.05  # a cell whose ratio is off 1 by more than this is listed
 TIMES = ("us_per_sum", "us_per_reduce_combine", "us_per_reduce", "us_per_theta")
-# (p, k, s, d), monomials per component, the inner exponent bound R (inner
+# (p, k, s, d), monomials of a's x_0, the inner exponent bound R (inner
 # exponents in -R..R) and the least top exponent L (top ones in L..2).
 HEAVY = (
-    ((5, 1, 3, 2), 5, 10, -12),
+    ((5, 1, 3, 2), 8, 16, -16),
     ((5, 1, 4, 2), 3, 3, -4),
-    ((5, 3, 3, 2), 6, 6, -8),
+    ((5, 3, 3, 2), 7, 6, -8),
     ((5, 4, 3, 2), 5, 6, -8),
 )
 HEAVY_PASSES = 3
@@ -130,21 +131,24 @@ def _sums(rswan, vectors):
 
 
 def _one_input_sum(rswan, cell, terms, bound, least):
-    """The seeded components ``[a, b]`` of a ``heavy`` sum, internal order."""
+    """The seeded components ``[a, b]`` of a ``heavy`` sum, internal order:
+    ``a``'s ``x_0`` has ``terms`` monomials and every other component but
+    ``b``'s zero ``x_0`` has 2, as in the sum ROADMAP item 9 measured, where
+    the powers of ``x_0`` took nearly all the time."""
     p, k, s, d = cell
     tower = rswan.FieldTower(p, k, s, ("v", "u", "t")[3 - d:])
     dom = tower.field_domain
     rng = random.Random(f"witt_combine heavy:{cell}")
 
-    def comp():
+    def comp(count):
         return rswan.NestedSeries.from_monomials(d, dom, [
             (tuple(rng.randint(-bound, bound) for _ in range(d - 1)) + (rng.randint(least, 2),),
              dom.random_nonzero(rng))
-            for _ in range(terms)
+            for _ in range(count)
         ])
 
-    a = tuple(comp() for _ in range(s))
-    b = tuple(comp() for _ in range(s - 1)) + (rswan.NestedSeries.zero(d, dom),)
+    a = tuple(comp(2) for _ in range(s - 1)) + (comp(terms),)
+    b = tuple(comp(2) for _ in range(s - 1)) + (rswan.NestedSeries.zero(d, dom),)
     return [a, b]
 
 

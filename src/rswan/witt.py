@@ -35,14 +35,15 @@ also serves coefficient domains without a stored lift ring
 x_{j,i}`` of each kept input and ``-z_i``) recur at every later ghost
 index with the power ``p^(n-i)``, and ``c x^e + c' x^e = (c + c') x^e``.
 So ``_merge_slot`` sums the multipliers of equal exact terms into the
-first of them, in the order the terms are summed, and drops a term whose
-multiplier times ``p^i`` vanishes mod ``p^s``.  When one kept input with
+first of them, in the order the terms are summed, and a term whose
+multiplier sums to 0 is left out.  When one kept input with
 multiplier 1 alone fills a slot, ``z_i`` equals its component and the
 two cancel: ``a + b`` with ``b``'s ``x_0`` zero raises no power of
-``x_0``.  A slot is compared only when two of its terms can merge (one
-kept input beside ``z_i``) or when its last power ``p^(s-1-i)`` is at
-least ``p^2``; a reduction's combination ``[comps, F(E), E]`` holds three
-inputs in slot 0, so at ``s = 2`` nothing is compared there.  Only exact
+``x_0``.  A slot is compared only when its last power ``p^(s-1-i)`` is
+at least ``p^2``, or when the combination has at most two inputs and two
+of the slot's terms can merge (one kept input beside ``z_i``); so a
+reduction's combination ``[comps, F(E), E]`` looks at no slot whose last
+power is ``p``, and at ``s = 2`` at none.  Only exact
 terms merge, and on the series path only those whose last power stays
 within the exponent range: the merge drops no window and skips no
 :class:`~rswan.errors.ExponentOutOfRange`, as every power it leaves out
@@ -279,25 +280,22 @@ def _ghost_recursion(vectors, s: int, p: int, ghost_sum, mergeable) -> list:
     # one multiplier per slot for each input and for z; a merged term has 0
     owners = [([cj] * s, xs) for cj, xs in vectors] + [([-1] * s, z)]
     for n in range(s):
-        terms = [
-            (c * p**i, x, p ** (n - i))
-            for cs, xs in owners
-            for i, (c, x) in enumerate(zip(cs, xs[: n + 1]))
-            if c
-        ]
+        terms: list = []
+        for cs, xs in owners:
+            terms += [(cs[i] * p**i, x, p ** (n - i)) for i, x in enumerate(xs[: n + 1]) if cs[i]]
         z.append(ghost_sum(terms, p**n))
-        if n < s - 1:
+        if n < s - 1 and (len(vectors) <= 2 or s - 1 - n >= 2):
             _merge_slot(owners, n, s, p, mergeable)
     return z
 
 
 def _merge_slot(owners, i: int, s: int, p: int, mergeable):
     """Once ``z_i`` is known, sum the multipliers of equal slot-``i`` terms
-    into the first of them, in the order the terms are summed, and drop a
-    term whose multiplier ``c p^i`` vanishes mod ``p^s`` (module docstring,
-    "Arithmetic").  Only the terms ``mergeable`` accepts are compared, and
-    only in a slot where two of them can merge (one kept input beside
-    ``z_i``) or whose last power is at least ``p^2``."""
+    into the first of them, in the order the terms are summed; a term whose
+    multiplier is 0 is left out (module docstring, "Arithmetic").  Only the
+    terms ``mergeable`` accepts are compared, and only when two of them can
+    merge (one kept input beside ``z_i``) or when the slot's last power is
+    at least ``p^2``."""
     q = p ** (s - 1 - i)  # the power slot i reaches at the last ghost index
     held = [(cs, xs[i]) for cs, xs in owners if cs[i] and mergeable(xs[i], q)]
     if len(held) < 2 or (len(held) > 2 and q < p * p):
@@ -309,8 +307,6 @@ def _merge_slot(owners, i: int, s: int, p: int, mergeable):
             if other[i] and x == y:
                 cs[i] += other[i]
                 other[i] = 0
-        if cs[i] * p**i % p**s == 0:
-            cs[i] = 0
 
 
 def witt_combine(comps_list, ints, p: int):
@@ -493,15 +489,20 @@ def _flat_ghost_sum(lift, terms, q: int) -> dict:
     return out
 
 
-def _flat_series(level: int, domain, flat_map: dict, weights, lows) -> NestedSeries:
-    """The exact series over ``domain`` whose flat raw map is ``flat_map``:
-    add ``sum_l B_l W_l``, then read the digits (module docstring,
-    "Arithmetic")."""
+def _digit_offset(level: int, weights, lows) -> int:
+    """``sum_l B_l W_l``: added to a flat exponent, it makes every balanced
+    digit a plain one (module docstring, "Arithmetic"); 0 at ``d = 1``."""
     if level == 1:
-        return _make(1, domain, flat_map, None, clean=True)
-    half = sum(-lo * w for lo, w in zip(lows[1:level], weights[1:level]))
-    coeffs = _unflatten(level, domain, {ex + half: v for ex, v in flat_map.items()}, weights, lows)
-    return _make(level, domain, coeffs, None, clean=True)
+        return 0
+    return sum(-lo * w for lo, w in zip(lows[1:level], weights[1:level]))
+
+
+def _flat_series(level: int, domain, flat_map: dict, weights, lows) -> NestedSeries:
+    """The exact series over ``domain`` whose flat raw map, with
+    :func:`_digit_offset` added to every exponent, is ``flat_map``."""
+    if level > 1:
+        flat_map = _unflatten(level, domain, flat_map, weights, lows)
+    return _make(level, domain, flat_map, None, clean=True)
 
 
 def _flat_combine(flat, s: int, p: int, level: int, lift, field):
@@ -513,11 +514,12 @@ def _flat_combine(flat, s: int, p: int, level: int, lift, field):
         vectors, s, p, lambda terms, q: _flat_ghost_sum(lift, terms, q), lambda x, q: bool(x)
     )
     results = []
+    half = _digit_offset(level, weights, lows)
     for zi in reversed(z):
         if lift.k == 1:
-            reduced = {ex: r for ex, v in zi.items() if (r := v % p)}
+            reduced = {ex + half: r for ex, v in zi.items() if (r := v % p)}
         else:
-            reduced = {ex: r for ex, v in zi.items() if any(r := tuple([a % p for a in v]))}
+            reduced = {ex + half: r for ex, v in zi.items() if any(r := tuple([a % p for a in v]))}
         results.append(_flat_series(level, field, reduced, weights, lows))
     return tuple(results)
 
@@ -541,6 +543,9 @@ def _last_ghost_component(xs, p: int, lift) -> NestedSeries:
         return ghost_component(lifted, s - 1, p, NestedSeries.zero(level, lift))
     [(_, flats)], weights, lows = flat
     theta = _flat_ghost_sum(lift, _ghost_terms(flats, s - 1, p, 1), 1)
+    half = _digit_offset(level, weights, lows)
+    if half:
+        theta = {ex + half: v for ex, v in theta.items()}
     return _flat_series(level, lift, theta, weights, lows)
 
 

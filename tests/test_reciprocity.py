@@ -213,7 +213,9 @@ def theta_vector(rng, tower, kind):
     ones in -4..2.  ``windowed``: a top window, inner windows, or both, some
     coefficients zero within theirs.  ``floor``: at one random level of
     some components, a monomial whose exponent times the component's last
-    ghost power lands one below, at or one above the exponent floor."""
+    ghost power ``q`` lands one below, at or one above the exponent floor,
+    or (``q >= p^2``) whose ``q / p``-th power is already below it, so that
+    the series path refuses at a partial power."""
     p, s, d = tower.p, tower.s, tower.d
     dom = tower.field_domain
     comps = []
@@ -227,7 +229,10 @@ def theta_vector(rng, tower, kind):
             q = p**i
             edge = -(-FLOOR // q)  # the least e with q e >= FLOOR
             exps = [rng.randint(-2, 2) for _ in range(d)]
-            exps[rng.randrange(d)] = edge + rng.choice((0, 1) if q == 1 else (-1, 0, 1))
+            steps = (0, 1) if q == 1 else (-1, 0, 1)
+            if q >= p * p:
+                steps += (-(-FLOOR // (q // p)) - 1 - edge,)
+            exps[rng.randrange(d)] = edge + rng.choice(steps)
             monos.append((tuple(exps), dom.random_nonzero(rng)))
         x = NestedSeries.from_monomials(d, dom, monos)
         if kind == "windowed":
