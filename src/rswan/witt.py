@@ -284,6 +284,8 @@ def _ghost_recursion(vectors, s: int, p: int, ghost_sum, mergeable) -> list:
         for cs, xs in owners:
             terms += [(cs[i] * p**i, x, p ** (n - i)) for i, x in enumerate(xs[: n + 1]) if cs[i]]
         z.append(ghost_sum(terms, p**n))
+        # a combination of three or more inputs, as a reduction's, compares
+        # only the slots whose last power is at least p^2
         if n < s - 1 and (len(vectors) <= 2 or s - 1 - n >= 2):
             _merge_slot(owners, n, s, p, mergeable)
     return z
@@ -293,9 +295,9 @@ def _merge_slot(owners, i: int, s: int, p: int, mergeable):
     """Once ``z_i`` is known, sum the multipliers of equal slot-``i`` terms
     into the first of them, in the order the terms are summed; a term whose
     multiplier is 0 is left out (module docstring, "Arithmetic").  Only the
-    terms ``mergeable`` accepts are compared, and only when two of them can
-    merge (one kept input beside ``z_i``) or when the slot's last power is
-    at least ``p^2``."""
+    terms ``mergeable`` accepts are compared, and only when just two of
+    them can merge (one kept input beside ``z_i``) or when the slot's last
+    power is at least ``p^2``."""
     q = p ** (s - 1 - i)  # the power slot i reaches at the last ghost index
     held = [(cs, xs[i]) for cs, xs in owners if cs[i] and mergeable(xs[i], q)]
     if len(held) < 2 or (len(held) > 2 and q < p * p):

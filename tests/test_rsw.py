@@ -17,7 +17,7 @@ import pytest
 
 from rswan.catalog import catalog_characters
 from rswan.parser import render_form
-from rswan.errors import InconsistentValue, PrecisionExhausted, RswanError, UnramifiedCharacter
+from rswan.errors import InconsistentValue, RswanError, UnramifiedCharacter
 from rswan.logdiff import LogForm, WindowedForm, d
 from rswan.rsw import (
     RswValue,
