@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentValue, UnramifiedCharacter
-from .logdiff import WindowedForm, _form, d
+from .logdiff import LogForm, WindowedForm, d
 from .series import NestedSeries
 from .witt import Character, WittVector, swan_conductor
 
@@ -60,18 +60,15 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
     uses a term of ``a_i`` at ``e >= -m - (p^i - 1) v`` (``v`` the lowest
     stored exponent of ``a_i``) has order ``>= -m``, so ``a_i`` is cut there
     before the power, and a component cut to nothing is left out.  The
-    terms ``d(-a_0)`` and ``d(a_i) * (-a_i^(p^i-1))`` are added into one
-    coefficient map, key by key in the order the keys first appear (a sum
-    that is exactly zero is dropped and its key may come back later), and
-    the map is windowed once: nothing is multiplied by the constant 1 and
-    no pass negates the total.
+    sum is of ``d(-a_0)`` and ``d(a_i) * (-a_i^(p^i-1))``: nothing is
+    multiplied by the constant 1 and no pass negates the total.
     """
     tower = vec.tower
     p = tower.p
     if n < 1:
         raise UnramifiedCharacter("the invariant lives at conductor >= 1")
     m = n // p
-    coeffs: dict = {}
+    total = LogForm.zero(tower.d, tower.field_domain, 1)
     for i, a_i in enumerate(vec.comps):
         if a_i.is_zero():
             continue
@@ -80,16 +77,8 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
         if cut <= v:
             continue
         a_i = a_i.truncate(cut)
-        if i == 0:
-            terms = d(-a_i).coeffs
-        else:
-            weight = -a_i.pow(p**i - 1)
-            terms = {key: c * weight for key, c in d(a_i).coeffs.items()}
-        for key, c in terms.items():
-            coeffs[key] = coeffs[key] + c if key in coeffs else c
-            if coeffs[key].is_exact_zero():
-                del coeffs[key]
-    return WindowedForm(_form(tower.d, tower.field_domain, 1, coeffs), n, m)
+        total = total + (d(-a_i) if i == 0 else d(a_i).scale(-a_i.pow(p**i - 1)))
+    return WindowedForm(total, n, m)
 
 
 def rsw_char_p(char: Character) -> RswValue:

@@ -34,20 +34,16 @@ also serves coefficient domains without a stored lift ring
 *Merged ghost terms.*  Once ``z_i`` is known, the slot-``i`` terms (``c_j
 x_{j,i}`` of each kept input and ``-z_i``) recur at every later ghost
 index with the power ``p^(n-i)``, and ``c x^e + c' x^e = (c + c') x^e``.
-So ``_merge_slot`` sums the multipliers of equal exact terms into the
-first of them, in the order the terms are summed, and a term whose
-multiplier sums to 0 is left out.  When one kept input with
-multiplier 1 alone fills a slot, ``z_i`` equals its component and the
-two cancel: ``a + b`` with ``b``'s ``x_0`` zero raises no power of
+So on the flat engine ``_merge_slot`` sums the multipliers of equal
+slot terms into the first of them, in the order the terms are summed,
+and a term whose multiplier sums to 0 is left out.  When one kept input
+with multiplier 1 alone fills a slot, ``z_i`` equals its component and
+the two cancel: ``a + b`` with ``b``'s ``x_0`` zero raises no power of
 ``x_0``.  A slot is compared only when its last power ``p^(s-1-i)`` is
-at least ``p^2``, or when the combination has at most two inputs and two
-of the slot's terms can merge (one kept input beside ``z_i``); so a
-reduction's combination ``[comps, F(E), E]`` looks at no slot whose last
-power is ``p``, and at ``s = 2`` at none.  Only exact
-terms merge, and on the series path only those whose last power stays
-within the exponent range: the merge drops no window and skips no
-:class:`~rswan.errors.ExponentOutOfRange`, as every power it leaves out
-could not raise and the others are formed in the same order.
+at least ``p^2``, or when the combination has at most two inputs and
+just two of the slot's terms can merge (one kept input beside ``z_i``):
+a reduction's combination ``[comps, F(E), E]`` pays nothing at a slot
+whose last power is ``p``.  The series path merges nothing.
 
 *The last ghost component.*  ``W_{s-1}`` of a vector is the paper's
 ``theta`` (:func:`rswan.reciprocity.theta_lift`).  ``_last_ghost_component``
@@ -267,14 +263,14 @@ def ghost_component(xs, n: int, p: int, zero: NestedSeries) -> NestedSeries:
     return _series_ghost_sum(zero.level, zero.domain, [(1, zero, 1)] + _ghost_terms(xs, n, p, 1))
 
 
-def _ghost_recursion(vectors, s: int, p: int, ghost_sum, mergeable) -> list:
+def _ghost_recursion(vectors, s: int, p: int, ghost_sum, merge: bool) -> list:
     """``[z_0, ..., z_{s-1}]`` for ``(c_j, xs_j)`` pairs of multipliers and
     standard-order components: ``z_n = (sum_j c_j W_n(xs_j) - sum_{i<n} p^i
     z_i^(p^(n-i))) / p^n`` (module docstring, "Arithmetic").
     ``ghost_sum(terms, q)`` sums the ``(c, x, e)`` terms ``c x^e`` of one
     representation (series or flat raw maps) and divides the sum by ``q``;
-    ``mergeable(x, q)`` says whether a slot term ``x`` whose last power is
-    ``x^q`` may be merged with an equal one (:func:`_merge_slot`).
+    with ``merge``, equal slot terms of flat raw maps are merged
+    (:func:`_merge_slot`).
     """
     z: list = []
     # one multiplier per slot for each input and for z; a merged term has 0
@@ -284,23 +280,23 @@ def _ghost_recursion(vectors, s: int, p: int, ghost_sum, mergeable) -> list:
         for cs, xs in owners:
             terms += [(cs[i] * p**i, x, p ** (n - i)) for i, x in enumerate(xs[: n + 1]) if cs[i]]
         z.append(ghost_sum(terms, p**n))
-        # a combination of three or more inputs, as a reduction's, compares
-        # only the slots whose last power is at least p^2
-        if n < s - 1 and (len(vectors) <= 2 or s - 1 - n >= 2):
-            _merge_slot(owners, n, s, p, mergeable)
+        if merge and n < s - 1:
+            _merge_slot(owners, n, s, p)
     return z
 
 
-def _merge_slot(owners, i: int, s: int, p: int, mergeable):
-    """Once ``z_i`` is known, sum the multipliers of equal slot-``i`` terms
-    into the first of them, in the order the terms are summed; a term whose
-    multiplier is 0 is left out (module docstring, "Arithmetic").  Only the
-    terms ``mergeable`` accepts are compared, and only when just two of
-    them can merge (one kept input beside ``z_i``) or when the slot's last
-    power is at least ``p^2``."""
+def _merge_slot(owners, i: int, s: int, p: int):
+    """Once ``z_i`` is known, sum the multipliers of equal nonzero flat
+    slot-``i`` terms into the first of them, in the order the terms are
+    summed; a term whose multiplier is 0 is left out.  The slot is compared
+    only when its last power ``q`` is at least ``p^2``, or when the
+    combination has at most two inputs and just two of its terms can merge
+    (module docstring, "Arithmetic")."""
     q = p ** (s - 1 - i)  # the power slot i reaches at the last ghost index
-    held = [(cs, xs[i]) for cs, xs in owners if cs[i] and mergeable(xs[i], q)]
-    if len(held) < 2 or (len(held) > 2 and q < p * p):
+    if q < p * p and len(owners) > 3:
+        return
+    held = [(cs, xs[i]) for cs, xs in owners if cs[i] and xs[i]]
+    if len(held) < 2 or (q < p * p and len(held) > 2):
         return
     for a, (cs, x) in enumerate(held):
         if not cs[i]:
@@ -350,16 +346,9 @@ def witt_combine(comps_list, ints, p: int):
     z = _ghost_recursion(
         vectors, s, p,
         lambda terms, q: _divide_by_int(_series_ghost_sum(level, lift, terms), q),
-        _exact_within_floor,
+        merge=False,
     )
     return tuple(reversed([reduce_series(zi, domain) for zi in z]))
-
-
-def _exact_within_floor(x: NestedSeries, q: int) -> bool:
-    """Whether the series term ``x`` is exact and not zero, and ``x^q``
-    stays within the supported exponent range at every level, so that
-    leaving out its powers neither drops a window nor skips a refusal."""
-    return bool(x.coeffs) and x.is_exact() and q * min(_level_lows(x, {}).values()) >= _ORD_FLOOR
 
 
 def _divide_by_int(a: NestedSeries, n: int) -> NestedSeries:
@@ -513,7 +502,7 @@ def _flat_combine(flat, s: int, p: int, level: int, lift, field):
     built once."""
     vectors, weights, lows = flat
     z = _ghost_recursion(
-        vectors, s, p, lambda terms, q: _flat_ghost_sum(lift, terms, q), lambda x, q: bool(x)
+        vectors, s, p, lambda terms, q: _flat_ghost_sum(lift, terms, q), merge=True
     )
     results = []
     half = _digit_offset(level, weights, lows)

@@ -253,7 +253,7 @@ def windowed_component(rng, tower, low):
                                   if ceiling is None or e < ceiling}, ceiling)
 
 
-def test_one_coefficient_map_matches_the_summed_form():
+def test_rsw_form_matches_the_summed_then_negated_form():
     """On random windowed vectors at random depths over the witt workload
     cells, ``rsw_form_at`` equals the summed-then-negated formula by value
     (coefficient order included) or by (type, message, exponent); its
