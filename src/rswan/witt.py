@@ -293,7 +293,7 @@ def _merge_slot(owners, i: int, s: int, p: int):
     combination has at most two inputs and just two of its terms can merge
     (module docstring, "Arithmetic")."""
     q = p ** (s - 1 - i)  # the power slot i reaches at the last ghost index
-    if q < p * p and len(owners) > 3:
+    if q < p * p and len(owners) > 3:  # more than two inputs beside z
         return
     held = [(cs, xs[i]) for cs, xs in owners if cs[i] and xs[i]]
     if len(held) < 2 or (q < p * p and len(held) > 2):
