@@ -33,7 +33,12 @@ drops exactly zero coefficients (a coefficient zero only within a window
 stays, as in ``series._make``); the series they build go through
 ``series._make`` for the same reason.  A windowed form whose representative
 already lies in its window and is exact there (a basis monomial, a scaled
-representative) is stored without truncating it again.
+representative) is stored through ``_windowed`` without truncating it
+again.  Like ``series._make``, ``_form`` and ``_windowed`` fill a private
+draft twin of their class (the same ``__slots__``, plain stores) and then
+assign it the public class, so every form they return is a ``LogForm`` or
+``WindowedForm`` whose ``__setattr__`` raises; the validating ``__init__``s
+store through ``object.__setattr__`` as before.
 
 The pairing ``(x, y) -> r_b(x ^ y)`` of two basis monomials takes a path
 for one-term operands at each step; anything else keeps the general code.
@@ -95,7 +100,7 @@ from .errors import (
     ZeroInput,
 )
 from .scalars import _QuotientDomain
-from .series import _ORD_FLOOR, NestedSeries, _level_lows, _make, _new, _set
+from .series import _ORD_FLOOR, NestedSeries, _level_lows, _make, _set
 
 __all__ = [
     "LogForm",
@@ -141,11 +146,12 @@ def _form(level: int, domain, degree: int, coeffs: dict) -> "LogForm":
         if c.is_exact_zero():
             coeffs = {k: c for k, c in coeffs.items() if not c.is_exact_zero()}
             break
-    out = _new(LogForm)
-    _set(out, "level", level)
-    _set(out, "domain", domain)
-    _set(out, "degree", degree)
-    _set(out, "coeffs", coeffs)
+    out = _FormDraft()
+    out.level = level
+    out.domain = domain
+    out.degree = degree
+    out.coeffs = coeffs
+    out.__class__ = LogForm
     return out
 
 
@@ -248,6 +254,12 @@ class LogForm:
     def __repr__(self):
         bits = [f"[{','.join(map(str, k))}]: {c!r}" for k, c in sorted(self.coeffs.items())]
         return f"<form deg {self.degree} L{self.level}: " + ("; ".join(bits) or "0") + ">"
+
+
+class _FormDraft:
+    """What ``_form`` fills before the result becomes a ``LogForm``."""
+
+    __slots__ = LogForm.__slots__
 
 
 def _merge_sign(a: tuple, b: tuple):
@@ -513,14 +525,25 @@ class WindowedForm:
         return f"<windowed ({self.n},{self.m}) {self.form!r}>"
 
 
+class _WindowedDraft:
+    """What ``_windowed`` fills before the result becomes a ``WindowedForm``."""
+
+    __slots__ = WindowedForm.__slots__
+
+
 def _windowed(form: LogForm, n: int, m: int, out=None) -> WindowedForm:
     """Trusted constructor: ``form`` is already a representative of the
     window ``(n, m)``, exact with top exponents in ``[-n, -m)``."""
-    if out is None:
-        out = _new(WindowedForm)
-    _set(out, "form", form)
-    _set(out, "n", n)
-    _set(out, "m", m)
+    if out is not None:
+        _set(out, "form", form)
+        _set(out, "n", n)
+        _set(out, "m", m)
+        return out
+    out = _WindowedDraft()
+    out.form = form
+    out.n = n
+    out.m = m
+    out.__class__ = WindowedForm
     return out
 
 

@@ -60,11 +60,18 @@ reference: single-pair products; products at levels >= 2 with fewer than
 BENCH_11.json) or with an inner coefficient that has a window; and
 ``F_p(x)`` coefficients.  Results of ring operations are built by
 ``_make``, which skips the per-entry checks of ``__init__`` but still drops
-zeros, cuts at the ceiling and refuses exponents below the supported range;
-the kernels and :func:`linear_combination` return maps that are already
-clean, which it takes as they are (``clean=True``), and the Witt layer
-builds its lifts, reductions and divisions through it as well.  It never
+zeros, cuts at the ceiling and refuses exponents below the supported range
+before it builds anything; the kernels and :func:`linear_combination` return
+maps that are already clean, which it takes as they are (``clean=True``),
+and the Witt layer builds its lifts, reductions and divisions through it as
+well.  It never
 stores an exactly zero inner coefficient (``is_exact_zero`` relies on it).
+It fills a private draft twin of ``NestedSeries`` (the same ``__slots__``,
+no ``__setattr__``) with plain stores and then assigns the public class to
+the object, which CPython allows between classes of one layout; the result
+is a ``NestedSeries`` whose ``__setattr__`` raises like any other.  Four
+stores through ``object.__setattr__`` cost about twice as much, and only
+``__init__`` (which ``_make`` fills through ``out``) still pays them.
 
 Linear combinations
 -------------------
@@ -146,8 +153,10 @@ __all__ = [
 ]
 
 _ORD_FLOOR = -10_000
-_new = object.__new__
-_set = object.__setattr__  # series and forms are immutable: their own __setattr__ raises
+# Series and forms are immutable: their own __setattr__ raises, so the
+# validating __init__s store through this.  The trusted constructors build
+# a draft twin instead (module docstring, "Multiplication").
+_set = object.__setattr__
 
 
 def _min_ceiling(*cs):
@@ -192,12 +201,18 @@ def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None, *,
         coeffs = kept
     if coeffs and min(coeffs) < _ORD_FLOOR:
         _refuse_below_floor(min(coeffs))
-    if out is None:
-        out = _new(NestedSeries)
-    _set(out, "level", level)
-    _set(out, "domain", domain)
-    _set(out, "coeffs", coeffs)
-    _set(out, "ceiling", ceiling)
+    if out is not None:
+        _set(out, "level", level)
+        _set(out, "domain", domain)
+        _set(out, "coeffs", coeffs)
+        _set(out, "ceiling", ceiling)
+        return out
+    out = _SeriesDraft()
+    out.level = level
+    out.domain = domain
+    out.coeffs = coeffs
+    out.ceiling = ceiling
+    out.__class__ = NestedSeries
     return out
 
 
@@ -929,6 +944,12 @@ class NestedSeries:
                 bits.append(c._repr_body(mono) if c.is_exact() else f"({c._repr_body()}){mono}")
         body = " + ".join(bits) or "0"
         return body if self.ceiling is None else f"{body} + O(T{self.level}^{self.ceiling})"
+
+
+class _SeriesDraft:
+    """What ``_make`` fills before the result becomes a ``NestedSeries``."""
+
+    __slots__ = NestedSeries.__slots__
 
 
 # ---------------------------------------------------------------- module ops
