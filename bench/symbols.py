@@ -7,6 +7,8 @@ cell, one figure per tree:
 
 * ``symbols_evaluated`` and ``pairings_evaluated``: the calls of
   ``reciprocity._symbol_value`` and of ``r_b`` in one check;
+* ``inverses``: the calls of ``NestedSeries.inv`` in one check, inner
+  levels and the invariant's set-up included;
 * ``ms_per_check``: the time of one call, from ``PASSES`` alternating
   passes, each timing a batch of calls (``bench/_trees.py``).
 
@@ -53,18 +55,29 @@ def _counted(rswan, char, samples) -> dict:
 
         return call
 
+    series_class = rswan.series.NestedSeries
+    inv = series_class.inv
+    inverses = []
+
+    def counting_inv(*args):
+        inverses.append(None)
+        return inv(*args)
+
     for name in patched:
         setattr(reciprocity, name, recording(name))
+    series_class.inv = counting_inv
     try:
         report = reciprocity.verify_rsw_characterization(char, samples, seed=SEED)
     finally:
         for name, fn in originals.items():
             setattr(reciprocity, name, fn)
+        series_class.inv = inv
     return {
         "report": dataclasses.asdict(report),
         "terms": sum(len(terms) for terms in patched["_random_window_terms"]),
         "symbols_evaluated": len(patched["_symbol_value"]),
         "pairings_evaluated": len(patched["r_b"]),
+        "inverses": len(inverses),
     }
 
 
@@ -92,6 +105,7 @@ def measure(trees) -> dict:
             "terms": counts[key][0]["terms"],
             "symbols_evaluated": [c["symbols_evaluated"] for c in counts[key]],
             "pairings_evaluated": [c["pairings_evaluated"] for c in counts[key]],
+            "inverses": [c["inverses"] for c in counts[key]],
             "ms_per_check": [round(t * 1e3, 3) for t in seconds[key]],
         })
     totals = [sum(seconds[key][index] for key in keys) * 1e3 for index in range(len(trees))]

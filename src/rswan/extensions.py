@@ -135,6 +135,9 @@ class ExtensionMap:
     def __setattr__(self, *a):
         raise AttributeError("extension maps are immutable")
 
+    def __delattr__(self, *a):
+        raise AttributeError("extension maps are immutable")
+
 
 def ramification_index(ext: ExtensionMap) -> int:
     """Target order of the image of the source uniformizer."""

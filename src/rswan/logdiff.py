@@ -37,8 +37,8 @@ representative) is stored through ``_windowed`` without truncating it
 again.  Like ``series._make``, ``_form`` and ``_windowed`` fill a private
 draft twin of their class (the same ``__slots__``, plain stores) and then
 assign it the public class, so every form they return is a ``LogForm`` or
-``WindowedForm`` whose ``__setattr__`` raises; the validating ``__init__``s
-store through ``object.__setattr__`` as before.
+``WindowedForm`` whose ``__setattr__`` and ``__delattr__`` raise; the
+validating ``__init__``s store through ``object.__setattr__`` as before.
 
 The pairing ``(x, y) -> r_b(x ^ y)`` of two basis monomials takes a path
 for one-term operands at each step; anything else keeps the general code.
@@ -179,6 +179,9 @@ class LogForm:
         _set(self, "coeffs", clean)
 
     def __setattr__(self, *a):
+        raise AttributeError("forms are immutable")
+
+    def __delattr__(self, *a):
         raise AttributeError("forms are immutable")
 
     # ------------------------------------------------------------------
@@ -507,6 +510,9 @@ class WindowedForm:
         _windowed(_form(form.level, form.domain, form.degree, coeffs), n, m, self)
 
     def __setattr__(self, *a):
+        raise AttributeError("windowed forms are immutable")
+
+    def __delattr__(self, *a):
         raise AttributeError("windowed forms are immutable")
 
     @property

@@ -95,6 +95,9 @@ class RatFuncDomain:
     def __setattr__(self, *a):
         raise AttributeError("domain objects are immutable")
 
+    def __delattr__(self, *a):
+        raise AttributeError("domain objects are immutable")
+
     # ------------------------------------------------------------- building
     def _make(self, num, den):
         p = self.p

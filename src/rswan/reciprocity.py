@@ -25,10 +25,10 @@ Since ``dlog y = dy y^-1``,
         = Res((theta ^ dy~_1 ^ ... ^ dy~_d) * prod_i y~_i^-1),
 
 so a symbol builds the small form ``omega = theta ^ dy~_1 ^ ... ^ dy~_d``
-and ``g = prod_i y~_i^-1``, every entry by the same rule, and reads the
-residue through :func:`logdiff.residue_of_product`, whose value and
-refusals are those of ``residue_to_prime_field(omega.scale(g))``; the wide
-product ``omega * g``, and the ``dlog`` forms with it, are never built.
+and ``g = prod_i y~_i^-1`` and reads the residue through
+:func:`logdiff.residue_of_product`, whose value and refusals are those of
+``residue_to_prime_field(omega.scale(g))``; the wide product ``omega * g``,
+and the ``dlog`` forms with it, are never built.
 The windows of the two routes differ.  An exactly zero derivative is an
 exact zero here, where ``dlog`` left ``0 * y~^-1`` zero only within the
 inverse's window, so some symbols the ``dlog`` forms refused now answer.
@@ -39,13 +39,33 @@ widths therefore goes through the ``dlog`` forms, so every symbol the
 :func:`schmid_symbol` stays on the ``dlog`` forms: it is an independent
 oracle for the one-variable, length-1 symbols of the check.
 
-The terms of a sample are drawn by :func:`_below`, CPython's rejection
-sampling on ``getrandbits`` (``Random._randbelow_with_getrandbits``), with
-the widths, the order and the redraws of ``randint`` and
-``random_nonzero``: a coefficient of ``F_p`` is redrawn while it is 0 or at
-least p, one of ``F_q`` (``k > 1``) while all its coordinates are 0.  So
-each seed draws the same terms from the same bits, and leaves the
-generator in the same state, as those calls do.
+An entry that is one exact monomial ``c T^e`` (``c`` a unit of the lift
+ring, as every nonzero residue is) has the exact ``dlog y~ = sum_i e_i
+dlog T_i``: ``omega`` takes that form, as integer multiples of its
+coefficients, and ``g`` nothing, so the entry is never lifted,
+differentiated or inverted.  ``dy~ y~^-1`` would multiply by ``c T^e`` and
+by its exact inverse, which moves every exponent and every window ceiling
+by ``e`` and back, so the residue and the refusals are the same; only an
+exponent that the shift would carry below the supported range no longer
+raises.
+
+The symbols of one characterization check share one
+:class:`_SymbolEntries`.  ``theta`` is fixed for the check, so the widths
+it opens are found once, and each entry that is not a monomial has its
+``d y~``, its wedge ``theta ^ d y~`` and its inverse at each width built
+once, however many symbols hold it.  The entries are known by identity,
+and the shared state keeps each one alive.  At d = 2 the symbols
+``{E(x), T_1}`` and ``{E(x), T_2}`` of one monomial share ``E(x)``.
+
+The terms of a sample are rejection-sampled inline on ``rng.getrandbits``
+as CPython's ``Random._randbelow_with_getrandbits`` samples
+``randrange(w)``: ``w.bit_length()`` bits, redrawn while at least ``w``
+(so a width of 1 still takes a bit).  The widths, the order and the
+redraws are those of ``randint`` and ``random_nonzero``: a coefficient of
+``F_p`` is redrawn while it is 0 or at least p, one of ``F_q`` (``k > 1``)
+while all its coordinates are 0.  So each seed draws the same terms from
+the same bits, and leaves the generator in the same state, as those calls
+do.
 """
 
 from __future__ import annotations
@@ -56,6 +76,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import (
+    DegreeOverflow,
     InconsistentValue,
     NotTopological,
     PrecisionExhausted,
@@ -65,6 +86,9 @@ from .errors import (
 from .logdiff import (
     LogForm,
     WindowedForm,
+    _form,
+    _merge_sign,
+    _monomial,
     d,
     dlog,
     minimal_b,
@@ -75,7 +99,7 @@ from .logdiff import (
     wedge_windowed,
 )
 from .rsw import rsw_char_p
-from .series import NestedSeries, _level_lows
+from .series import NestedSeries, _is_lift_non_unit, _level_lows
 from .witt import (
     Character,
     WittVector,
@@ -262,7 +286,7 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
     return _symbol_value(theta_lift(char.vector), tower, ys)
 
 
-def _symbol_value(theta: NestedSeries, tower, ys) -> int:
+def _symbol_value(theta: NestedSeries, tower, ys, entries=None) -> int:
     """Res of ``theta ^_i dlog y~_i``, traced to Z/p^s.
 
     Res reads nothing above T^0, so the inverses of the entries open at the
@@ -272,36 +296,125 @@ def _symbol_value(theta: NestedSeries, tower, ys) -> int:
     small; the residue is then computed once more at the cap.  What the
     product-free residue refuses at both widths goes through the ``dlog``
     forms at both (module docstring, "Symbols"); when neither answers, the
-    refusal names the width the symbol opens and the budget.
+    refusal names the width the symbol opens and the budget.  ``entries``
+    is the :class:`_SymbolEntries` of ``theta`` that the symbols of one
+    check share; without it the symbol builds its own.
     """
-    low = min(_level_lows(theta, {}).values(), default=0)
-    opened, budget = max(1, 1 - low), tower.precision
-    widths = sorted({min(opened, budget), budget})
-    for residue in (_residue_of_symbol, _residue_through_dlog):
-        for width in widths:
-            try:
-                return residue(theta, tower, ys, width)
-            except PrecisionExhausted as exc:
-                cause = exc
+    if entries is None:
+        entries = _SymbolEntries(theta, tower)
+    for width in entries.widths:
+        try:
+            return _residue_of_symbol(theta, tower, ys, width, entries)
+        except PrecisionExhausted as exc:
+            cause = exc
+    for width in entries.widths:
+        try:
+            return _residue_through_dlog(theta, tower, ys, width)
+        except PrecisionExhausted as exc:
+            cause = exc
     raise PrecisionExhausted(
-        f"the symbol opens windows of width {opened}; its residue is not certified "
-        f"within the budget {budget}",
+        f"the symbol opens windows of width {entries.opened}; its residue is not "
+        f"certified within the budget {entries.budget}",
         exponent=0,
     ) from cause
 
 
-def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int) -> int:
+class _SymbolEntries:
+    """What the symbols of one check share, ``theta`` being fixed (module
+    docstring, "Symbols"): the widths ``theta`` opens, and per entry, by
+    ``id``, its :class:`_Entry`, which keeps the entry alive, so that the
+    ``id`` names it for as long as this object lives."""
+
+    __slots__ = ("opened", "budget", "widths", "lift_domain", "theta_form", "by_id")
+
+    def __init__(self, theta: NestedSeries, tower):
+        low = min(_level_lows(theta, {}).values(), default=0)
+        self.opened, self.budget = max(1, 1 - low), tower.precision
+        self.widths = sorted({min(self.opened, self.budget), self.budget})
+        self.lift_domain = tower.lift_domain
+        self.theta_form = LogForm.from_series(theta)
+        self.by_id: dict = {}
+
+    def entry(self, y: NestedSeries) -> "_Entry":
+        found = self.by_id.get(id(y))
+        if found is None:
+            found = self.by_id[id(y)] = _Entry(y, self.lift_domain)
+        return found
+
+
+class _Entry:
+    """One symbol entry ``y``, kept alive with what is built from it.  For
+    an exact monomial ``c T^e`` with ``c`` a unit of the lift ring:
+    ``dlogs``, the pairs ``(i, e_i)`` of its exact ``dlog y~ = sum_i e_i
+    dlog T_i`` with ``e_i`` nonzero in the lift ring.  Otherwise ``dlogs``
+    is None, and it holds its lift ``y~``, ``d y~``, the wedge ``theta ^ d
+    y~`` once asked for, and ``y~^-1`` by width."""
+
+    __slots__ = ("y", "dlogs", "lifted", "dy", "theta_dy", "inverses")
+
+    def __init__(self, y: NestedSeries, big):
+        self.y = y
+        mono = _monomial(y)
+        if mono is None or _is_lift_non_unit(big, mono[1]):
+            self.dlogs = None
+            self.lifted = lift_series(y, big)
+            self.dy = d(self.lifted)
+            self.theta_dy = None
+            self.inverses: dict = {}
+        else:
+            self.dlogs = [(i, e) for i, e in enumerate(mono[0], 1)
+                          if not big.is_zero(big.from_int(e))]
+
+    def inverse(self, width: int) -> NestedSeries:
+        inv = self.inverses.get(width)
+        if inv is None:
+            inv = self.inverses[width] = self.lifted.inv(width)
+        return inv
+
+
+def _wedge_exact_dlog(omega: LogForm, dlogs) -> LogForm:
+    """``omega ^ sum_i e_i dlog T_i`` for the pairs ``(i, e_i)`` of
+    ``dlogs``: what :func:`wedge` with the form of those coefficients
+    returns, each term an integer multiple of a coefficient of ``omega``."""
+    if omega.degree >= omega.level:
+        raise DegreeOverflow(
+            f"wedge of degrees {omega.degree} and 1 exceeds top degree {omega.level}"
+        )
+    out: dict = {}
+    for key, c in omega.coeffs.items():
+        for i, e in dlogs:
+            sign, new_key = _merge_sign(key, (i,))
+            if sign is None:
+                continue
+            term = c.mul_int(sign * e)
+            out[new_key] = out[new_key] + term if new_key in out else term
+    return _form(omega.level, omega.domain, omega.degree + 1, out)
+
+
+def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int, entries=None) -> int:
     """``Res(theta ^ dy~_1 ^ ... ^ dy~_d * prod_i y~_i^-1)``: the symbol's
-    residue with ``dlog y = dy y^-1`` and each inverse at ``width``
-    (module docstring, "Symbols")."""
-    big = tower.lift_domain
-    omega = LogForm.from_series(theta)
+    residue with ``dlog y = dy y^-1``, each inverse at ``width``, and the
+    exact ``dlog`` of an exact monomial entry (module docstring,
+    "Symbols").  ``entries`` is as for :func:`_symbol_value`."""
+    if entries is None:
+        entries = _SymbolEntries(theta, tower)
+    omega = entries.theta_form
     g = None
     for y in ys:
-        y = lift_series(y, big)
-        omega = wedge(omega, d(y))
-        inv = y.inv(width)
+        entry = entries.entry(y)
+        if entry.dlogs is not None:
+            omega = _wedge_exact_dlog(omega, entry.dlogs)
+            continue
+        if omega is entries.theta_form:
+            if entry.theta_dy is None:
+                entry.theta_dy = wedge(omega, entry.dy)
+            omega = entry.theta_dy
+        else:
+            omega = wedge(omega, entry.dy)
+        inv = entry.inverse(width)
         g = inv if g is None else g * inv
+    if g is None:
+        g = NestedSeries.one(omega.level, omega.domain)
     return residue_of_product(omega, g)
 
 
@@ -346,17 +459,6 @@ class CharacterizationReport:
         return self.agreements == self.samples and not self.mismatches
 
 
-def _below(getrandbits, width: int) -> int:
-    """A draw from ``range(width)`` taking the bits ``rng.randrange(width)``
-    takes: ``width.bit_length()`` bits, redrawn while ``>= width`` (so a
-    width of 1 still takes a bit)."""
-    bits = width.bit_length()
-    r = getrandbits(bits)
-    while r >= width:
-        r = getrandbits(bits)
-    return r
-
-
 def _random_window_terms(tower, rng, m: int, n: int):
     """1..3 random raw terms ``(exps, c, key)``, each standing for the form
     c * (lower monomial) * t^i dlog T_key with i in [m+1, n]; degree d - 1.
@@ -364,28 +466,51 @@ def _random_window_terms(tower, rng, m: int, n: int):
     The draws are those of ``rng.randint(1, 3)`` for the count, then per
     term ``rng.randint(m + 1, n)``, ``field_domain.random_nonzero(rng)``,
     ``rng.randint(-2, 2)`` per lower variable and ``rng.randint(1, d)``,
-    made through :func:`_below` from the same bits (module docstring,
+    each rejection-sampled here on the same bits (module docstring,
     "Symbols")."""
     bits = rng.getrandbits
     d_level = tower.d
     p, k = tower.p, tower.k
     p_bits = p.bit_length()
+    span = n - m
+    span_bits = span.bit_length()
+    key_bits = d_level.bit_length()
     terms = []
-    for _ in range(1 + _below(bits, 3)):
-        i = m + 1 + _below(bits, n - m)
+    count = bits(2)
+    while count >= 3:
+        count = bits(2)
+    for _ in range(count + 1):
+        i = bits(span_bits)
+        while i >= span:
+            i = bits(span_bits)
         if k == 1:
             c = bits(p_bits)
             while not 0 < c < p:
                 c = bits(p_bits)
         else:
-            c = tuple([_below(bits, p) for _ in range(k)])
+            c = ()
             while not any(c):
-                c = tuple([_below(bits, p) for _ in range(k)])
+                digits = []
+                for _ in range(k):
+                    r = bits(p_bits)
+                    while r >= p:
+                        r = bits(p_bits)
+                    digits.append(r)
+                c = tuple(digits)
         if d_level == 1:
-            terms.append(((i,), c, ()))
-        else:
-            lower = tuple([_below(bits, 5) - 2 for _ in range(d_level - 1)])
-            terms.append((lower + (i,), c, (1 + _below(bits, d_level),)))
+            terms.append(((m + 1 + i,), c, ()))
+            continue
+        exps = []
+        for _ in range(d_level - 1):
+            r = bits(3)
+            while r >= 5:
+                r = bits(3)
+            exps.append(r - 2)
+        exps.append(m + 1 + i)
+        key = bits(key_bits)
+        while key >= d_level:
+            key = bits(key_bits)
+        terms.append((tuple(exps), c, (1 + key,)))
     return terms
 
 
@@ -437,8 +562,11 @@ def verify_rsw_characterization(
     So each distinct drawn term, keyed by its raw monomial ``(exps, c,
     key)``, has its symbol, its Schmid oracle value (at s = 1, d = 1) and
     its own pairing evaluated once per call, and each distinct ``(exps,
-    c)`` its series ``x`` and ``E(x)`` built once, whatever its key; a
-    sample's right side is the sum of its terms' pairings.  Within a
+    c)`` its series ``x`` and ``E(x)`` built once, whatever its key; the
+    symbols share their entries (module docstring, "Symbols"), so each
+    ``E(x)`` is differentiated, wedged with ``theta`` and inverted once per
+    width tried, and ``T_lambda`` takes its exact ``dlog``.  A sample's
+    right side is the sum of its terms' pairings.  Within a
     sample the symbols come first, in draw order, then the new pairings,
     so an exception comes from the sample's first failing symbol.
     """
@@ -464,26 +592,28 @@ def verify_rsw_characterization(
     known: dict = {}  # raw term -> [symbol value, Schmid oracle value or None, pairing]
     exps_of: dict = {}  # (exps, c) -> (x, E(x)), shared by the terms' dlog keys
     variables = {lam: NestedSeries.variable(tower.d, domain, lam) for lam in range(1, tower.d + 1)}
+    entries = _SymbolEntries(theta, tower)
     for idx in range(samples):
         terms = _random_window_terms(tower, rng, m, n)
         # Left side: sum over terms of the symbol {E(x), T_lambda}.
         fresh = []
-        lhs = 0
+        records = []
         for term in terms:
-            if term not in known:
+            record = known.get(term)
+            if record is None:
                 exps, c, key = term
                 if (exps, c) not in exps_of:
                     x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
                     exps_of[exps, c] = x, truncated_exp(x)
                 x, ex = exps_of[exps, c]
                 ys = [ex] + [variables[lam] for lam in key]
-                val = _symbol_value(theta, tower, ys)
+                val = _symbol_value(theta, tower, ys, entries)
                 oracle = schmid_symbol(char.vector.comps[0], ys[0]) if schmid else None
-                known[term] = [val, oracle, None]
+                record = known[term] = [val, oracle, None]
                 fresh.append((term, x))
-            val, oracle, _ = known[term]
-            lhs = (lhs + val) % modulus
+            records.append(record)
             if schmid:
+                val, oracle, _ = record
                 if oracle % modulus != val % modulus:
                     mismatches.append(
                         {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}
@@ -494,7 +624,8 @@ def verify_rsw_characterization(
             alpha = WindowedForm(LogForm(tower.d, domain, tower.d - 1, {term[2]: x}), -m - 1, -n - 1)
             res_val = residue_to_prime_field(r_b(wedge_windowed(value.window, alpha), b), domain)
             known[term][2] = (res_val * p ** (s - 1)) % modulus
-        rhs = sum(known[term][2] for term in terms) % modulus
+        lhs = sum([record[0] for record in records]) % modulus
+        rhs = sum([record[2] for record in records]) % modulus
         if lhs == rhs:
             agreements += 1
         else:

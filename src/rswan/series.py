@@ -67,11 +67,12 @@ and the Witt layer builds its lifts, reductions and divisions through it as
 well.  It never
 stores an exactly zero inner coefficient (``is_exact_zero`` relies on it).
 It fills a private draft twin of ``NestedSeries`` (the same ``__slots__``,
-no ``__setattr__``) with plain stores and then assigns the public class to
-the object, which CPython allows between classes of one layout; the result
-is a ``NestedSeries`` whose ``__setattr__`` raises like any other.  Four
-stores through ``object.__setattr__`` cost about twice as much, and only
-``__init__`` (which ``_make`` fills through ``out``) still pays them.
+no ``__setattr__`` or ``__delattr__``) with plain stores and then assigns
+the public class to the object, which CPython allows between classes of
+one layout; the result is a ``NestedSeries`` whose ``__setattr__`` and
+``__delattr__`` raise like any other's.  Four stores through
+``object.__setattr__`` cost about twice as much, and only ``__init__``
+(which ``_make`` fills through ``out``) still pays them.
 
 Linear combinations
 -------------------
@@ -588,6 +589,9 @@ class NestedSeries:
         _make(level, domain, coeffs, ceiling, self)
 
     def __setattr__(self, *a):
+        raise AttributeError("series are immutable")
+
+    def __delattr__(self, *a):
         raise AttributeError("series are immutable")
 
     # ------------------------------------------------------------------ build

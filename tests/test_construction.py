@@ -4,8 +4,9 @@ The trusted constructors (``series._make``, ``logdiff._form``,
 ``logdiff._windowed``) fill a private draft class with the public class's
 ``__slots__`` and then give the object the public class.  These tests pin
 what that relies on: every object that leaves a constructor or an
-operation is of the public type and refuses every store, no draft is left
-alive, and a refusal below the exponent floor builds nothing.
+operation is of the public type and refuses every store and every
+deletion, no draft is left alive, and a refusal below the exponent floor
+builds nothing.
 """
 
 import gc
@@ -14,6 +15,7 @@ import pytest
 
 from rswan import logdiff, series
 from rswan.errors import ExponentOutOfRange
+from rswan.extensions import ExtensionMap
 from rswan.logdiff import (
     LogForm,
     WindowedForm,
@@ -25,6 +27,7 @@ from rswan.logdiff import (
     window_basis,
 )
 from rswan.parser import parse_series
+from rswan.ratfunc import rat_func_domain
 from rswan.reciprocity import theta_lift
 from rswan.series import _ORD_FLOOR, NestedSeries, _make, linear_combination
 from rswan.tower import FieldTower
@@ -126,6 +129,9 @@ def test_every_route_returns_an_immutable_object_of_the_public_class():
                 with pytest.raises(AttributeError):
                     setattr(x, slot, before)
                 assert getattr(x, slot) is before
+                with pytest.raises(AttributeError):
+                    delattr(x, slot)
+                assert getattr(x, slot) is before
             with pytest.raises(AttributeError):
                 x.extra = 1
     assert seen == {NestedSeries, LogForm, WindowedForm}
@@ -155,4 +161,20 @@ def test_each_draft_has_its_public_class_slots():
     for draft, public in DRAFTS.items():
         assert draft.__slots__ == public.__slots__
         assert draft.__bases__ == public.__bases__ == (object,)
-        assert "__setattr__" not in vars(draft) and "__setattr__" in vars(public)
+        for name in ("__setattr__", "__delattr__"):
+            assert name not in vars(draft) and name in vars(public)
+
+
+def test_the_other_immutable_classes_refuse_stores_and_deletions():
+    """``ExtensionMap`` and ``RatFuncDomain`` refuse ``del`` as they refuse
+    stores, and keep every attribute."""
+    ext = ExtensionMap(K1, K1, {"t": parse_series("t^2 + t^3", K1)})
+    domain = rat_func_domain(3)
+    for obj, names in ((ext, ("source", "target", "images")), (domain, ("p",))):
+        for name in names:
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, before)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is before

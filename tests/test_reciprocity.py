@@ -38,9 +38,12 @@ from rswan.errors import (
 from rswan.logdiff import (
     LogForm,
     WindowedForm,
+    _monomial,
+    d,
     dlog,
     minimal_b,
     r_b,
+    residue_of_product,
     residue_to_prime_field,
     wedge,
     wedge_windowed,
@@ -500,9 +503,9 @@ def test_symbol_width_reads_window_zero_coefficients(monkeypatch):
         _residue_of_symbol(theta, KD, ys, 1)
     widths = []
 
-    def recording(theta, tower, ys, width):
+    def recording(theta, tower, ys, width, *entries):
         widths.append(width)
-        return _residue_of_symbol(theta, tower, ys, width)
+        return _residue_of_symbol(theta, tower, ys, width, *entries)
 
     monkeypatch.setattr(reciprocity, "_residue_of_symbol", recording)
     assert reciprocity._symbol_value(theta, KD, ys) == 0
@@ -548,6 +551,70 @@ def test_symbol_route_answers_what_the_dlog_route_answers():
         seen["both" if isinstance(old, int) else "new only" if isinstance(new, int)
              else "refused"] += 1
     assert seen["both"] > 200 and seen["new only"] > 0 and seen["refused"] > 50, seen
+
+
+# ------------------------------------------ monomial entries, exact dlog
+
+def parent_residue_of_symbol(theta, tower, ys, width):
+    """The product-free symbol residue as the library computed it before a
+    monomial entry took its exact ``dlog``: every entry lifted,
+    differentiated and inverted at ``width``."""
+    big = tower.lift_domain
+    omega = LogForm.from_series(theta)
+    g = None
+    for y in ys:
+        y = lift_series(y, big)
+        omega = wedge(omega, d(y))
+        inv = y.inv(width)
+        g = inv if g is None else g * inv
+    return residue_of_product(omega, g)
+
+
+def refusal_outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type, message and exponent of
+    what it raised."""
+    try:
+        return fn(*args)
+    except RswanError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "exponent", None)
+
+
+def random_monomial_entry(rng, tower):
+    """One exact ``c u^a t^e`` (a zero or p-divisible exponent included), or
+    a bare variable ``T_lambda``."""
+    d_level, dom = tower.d, tower.field_domain
+    if rng.random() < 0.3:
+        return NestedSeries.variable(d_level, dom, rng.randint(1, d_level))
+    exps = tuple(rng.randint(-3, 3) for _ in range(d_level - 1)) + (rng.randint(-4, 4),)
+    return NestedSeries.from_monomials(d_level, dom, [(exps, dom.random_nonzero(rng))])
+
+
+def test_monomial_entries_take_the_outcome_of_their_inverse():
+    """Random exact and windowed theta over p = 2, 3, 5, k = 1, 2, s = 1-3,
+    d = 1, 2, with at least one monomial entry per symbol: the residue
+    through the exact ``dlog`` of each monomial entry equals the residue
+    through its derivative and inverse, at the width theta opens and at the
+    budget, and so does every refusal, by type, message and exponent."""
+    rng = random.Random(2901)
+    seen = Counter()
+    for idx in range(540):
+        p, k, s, d_level = SYMBOL_TOWER_CELLS[idx % len(SYMBOL_TOWER_CELLS)]
+        variables = ("t",) if d_level == 1 else ("u", "t")
+        tower = FieldTower(p, k, s, variables, precision=rng.choice((6, 12)))
+        windowed = rng.random() < 0.5
+        theta = random_windowed(rng, d_level, tower.lift_domain, range(-8, 1), windowed)
+        ys = [random_monomial_entry(rng, tower)]
+        if d_level == 2:
+            other = rng.choice((random_monomial_entry, lambda r, t: random_entry(r, t, windowed)))
+            ys.append(other(rng, tower))
+            rng.shuffle(ys)
+        assert any(_monomial(y) is not None for y in ys)
+        for width in sorted({max(1, 1 - min(theta.coeffs, default=0)), tower.precision}):
+            new = refusal_outcome(reciprocity._residue_of_symbol, theta, tower, ys, width)
+            old = refusal_outcome(parent_residue_of_symbol, theta, tower, ys, width)
+            assert new == old, (theta, ys, width)
+            seen["answered" if isinstance(new, int) else new[0]] += 1
+    assert seen["answered"] > 500 and seen["PrecisionExhausted"] > 50, seen
 
 
 # ----------------------------------------------- characterizing identity
@@ -619,8 +686,8 @@ def test_partner_sampled_identity_checks_are_nonzero(monkeypatch, p, s):
     values = []
     symbol_value = reciprocity._symbol_value
 
-    def recording(theta, tower, ys):
-        values.append(symbol_value(theta, tower, ys))
+    def recording(*args):
+        values.append(symbol_value(*args))
         return values[-1]
 
     monkeypatch.setattr(reciprocity, "_symbol_value", recording)
@@ -831,6 +898,57 @@ def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
         verify_rsw_characterization(char, samples, seed=3)
         assert calls["_symbol_value"] == calls["r_b"] == len(drawn) < samples, label
 
+
+
+@pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
+def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch):
+    """On the catalog cell of most variables and samples at p, over seeds
+    0-29: inside the symbols, each distinct ``E(x)`` is inverted once per
+    width tried (every catalog symbol answers at the first width, so once),
+    no monomial entry is inverted, and the report equals the unmemoized
+    loop's."""
+    label, char, samples = max(
+        catalog_reciprocity_cells(p), key=lambda cell: (cell[1].tower.d, cell[2])
+    )
+    big = char.tower.lift_domain
+    symbol_value, inv = reciprocity._symbol_value, NestedSeries.inv
+    state = {"recording": False, "inside": False, "depth": 0}
+    exponentials = {}  # id -> E(x), the first entry of each evaluated symbol
+    inverted = []  # (series, width) of each outermost inverse inside a symbol
+
+    def recording_symbol(theta, tower, ys, *entries):
+        if not state["recording"]:
+            return symbol_value(theta, tower, ys, *entries)
+        exponentials[id(ys[0])] = ys[0]
+        state["inside"] = True
+        try:
+            return symbol_value(theta, tower, ys, *entries)
+        finally:
+            state["inside"] = False
+
+    def recording_inv(self, precision=None):
+        if state["inside"] and state["depth"] == 0:
+            inverted.append((self, precision))
+        state["depth"] += 1
+        try:
+            return inv(self, precision)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(reciprocity, "_symbol_value", recording_symbol)
+    monkeypatch.setattr(NestedSeries, "inv", recording_inv)
+    for seed in range(30):
+        exponentials.clear()
+        inverted.clear()
+        state["recording"] = True
+        report = verify_rsw_characterization(char, samples, seed=seed)
+        state["recording"] = False
+        assert all(_monomial(y) is None for y, _ in inverted), (label, seed)
+        assert len(set(inverted)) == len(inverted), (label, seed)
+        lifted = {lift_series(e, big) for e in exponentials.values()}
+        assert len(lifted) == len(exponentials) == len(inverted), (label, seed)
+        assert {y for y, _ in inverted} == lifted, (label, seed)
+        assert report == uncached_characterization_oracle(char, samples, seed), (label, seed)
 
 
 def test_characterization_builds_each_exponential_once(monkeypatch):
