@@ -7,8 +7,9 @@ cell, one figure per tree:
 
 * ``symbols_evaluated`` and ``pairings_evaluated``: the calls of
   ``reciprocity._symbol_value`` and of ``r_b`` in one check;
-* ``inverses``: the calls of ``NestedSeries.inv`` in one check, inner
-  levels and the invariant's set-up included;
+* ``inverses``: the calls of ``NestedSeries.inv`` in one check, counting
+  the inner-level calls an inverse makes and those of the Schmid oracle
+  (s = 1, d = 1);
 * ``ms_per_check``: the time of one call, from ``PASSES`` alternating
   passes, each timing a batch of calls (``bench/_trees.py``).
 
