@@ -21,7 +21,7 @@ cell:
   classes of the window ``(a, 0)``, whose values are checked equal across
   the trees.
 
-``totals_ms`` and ``gram_totals_ms`` sum the builder and the elimination
+``totals_ms`` and ``gram_totals_ms`` sum the builder and the Gram decision
 time over every workload window (k = 1, d = 2, p = 2 and 3, 4 windows per
 cell) per tree.
 """

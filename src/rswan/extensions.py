@@ -52,6 +52,7 @@ from .errors import (
 )
 from .logdiff import log_derivative
 from .ratfunc import RatFuncDomain
+from .scalars import _Frozen
 from .series import _ORD_FLOOR, NestedSeries, series_substitute
 from .tower import FieldTower
 from .witt import (
@@ -78,7 +79,7 @@ __all__ = [
 ]
 
 
-class ExtensionMap:
+class ExtensionMap(_Frozen):
     """An embedding of the source tower's field into the target tower's.
 
     ``images`` maps every source variable name to its image series.  The top
@@ -131,12 +132,6 @@ class ExtensionMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", resolved)
-
-    def __setattr__(self, *a):
-        raise AttributeError("extension maps are immutable")
-
-    def __delattr__(self, *a):
-        raise AttributeError("extension maps are immutable")
 
 
 def ramification_index(ext: ExtensionMap) -> int:

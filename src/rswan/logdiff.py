@@ -15,10 +15,9 @@ power of the maximal ideal of the top variable), the window collapse
 ``(x, y) -> r_b(x ^ y)`` on twisted monomial bases as sparse
 ``{column: entry}`` rows (one pairing per dlog key and residue monomial,
 each row and its partner column placed by arithmetic on basis positions),
-with exact sparse elimination over a column index to decide
-invertibility.  ``r_b`` takes ``C^b`` of the residue slot as ``b``
-Cartier roots of its one coefficient and builds a single form.  The
-pairing operators have a path for one-term operands (below).
+whose invertibility is decided column by column.  ``r_b`` takes ``C^b`` of
+the residue slot as ``b`` Cartier roots of its one coefficient and builds a
+single form.  The pairing operators have a path for one-term operands.
 
 Construction
 ------------
@@ -37,8 +36,9 @@ representative) is stored through ``_windowed`` without truncating it
 again.  Like ``series._make``, ``_form`` and ``_windowed`` fill a private
 draft twin of their class (the same ``__slots__``, plain stores) and then
 assign it the public class, so every form they return is a ``LogForm`` or
-``WindowedForm`` whose ``__setattr__`` and ``__delattr__`` raise; the
-validating ``__init__``s store through ``object.__setattr__`` as before.
+``WindowedForm`` whose ``__setattr__`` and ``__delattr__`` raise
+(``scalars._Frozen``); the validating ``__init__``s store through
+``object.__setattr__``.
 
 The pairing ``(x, y) -> r_b(x ^ y)`` of two basis monomials takes a path
 for one-term operands at each step; anything else keeps the general code.
@@ -64,24 +64,23 @@ for one-term operands at each step; anything else keeps the general code.
   (``F_p(x)``) sends the slot through the ``b`` Cartier steps, which
   raise at that step.  So the walk raises exactly where the steps raise,
   also when an exponent is divisible by ``p`` but not by ``p^b``.
-* :func:`gram_is_invertible` decides a matrix with one stored entry per
-  row, in distinct columns, column by column (below).
 
-The Gram elimination checks every pivot (a pivot zero only within its
-window raises), but inverts one only when another remaining row holds its
-column.  Over a field (the tower's coefficient field, ``F_p(x)``, or nested
-Laurent series over either) a nonzero entry is a unit, so a pivot that no
-row is reduced by decides nothing beyond being nonzero, and a
-partner-matched Gram (one entry per row, in distinct columns) is decided
-without any inverse.  Over a lift ring ``Z/p^s`` with ``s > 1`` a nonzero
-entry need not be a unit, so every pivot is still inverted there, which
-raises on a non-unit.  Such a monomial matrix needs no elimination at all:
-each column's pivot is the one entry that holds it, so its entries are
-checked in column order, as the elimination meets them, with no copy of
-the rows and no holder sets.  The answer and the first refusal are the
-elimination's: ``False`` at the first column whose entry is an exact zero,
-after the pivots of the columns before it were checked (and, over a lift
-ring, inverted).  A repeated column leaves the matrix to the elimination.
+Gram matrices
+-------------
+:func:`duality_matrix` pairs each basis class with its one partner, so its
+Gram matrix holds one entry per row, in distinct columns: a monomial
+matrix, invertible exactly when each column's one entry is a unit.
+:func:`gram_is_invertible` decides only that shape and refuses any other
+with :class:`InconsistentValue`.  It checks the columns in order and
+answers ``False`` at the first one that no row holds or whose entry is an
+exact zero; an entry zero only within its window raises
+:class:`PrecisionExhausted`, since its unknown tail decides.  Over a field
+(the tower's coefficient field, ``F_p(x)``, or nested Laurent series over
+either) a nonzero entry is a unit and nothing is inverted.  Over a lift
+ring ``Z/p^s`` with ``s > 1`` a nonzero entry need not be a unit, so each
+entry is inverted, which raises on a non-unit.  The general elimination
+that decided any sparse matrix stays in the tests as the reference
+(``tests/test_logdiff.py::gram_by_elimination``).
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ from .errors import (
     WindowTooWide,
     ZeroInput,
 )
-from .scalars import _QuotientDomain
+from .scalars import _Frozen, _QuotientDomain, _draft_of
 from .series import _ORD_FLOOR, NestedSeries, _level_lows, _make, _set
 
 __all__ = [
@@ -155,7 +154,7 @@ def _form(level: int, domain, degree: int, coeffs: dict) -> "LogForm":
     return out
 
 
-class LogForm:
+class LogForm(_Frozen):
     __slots__ = ("level", "domain", "degree", "coeffs")
 
     def __init__(self, level: int, domain, degree: int, coeffs: dict):
@@ -177,12 +176,6 @@ class LogForm:
         _set(self, "domain", domain)
         _set(self, "degree", degree)
         _set(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("forms are immutable")
-
-    def __delattr__(self, *a):
-        raise AttributeError("forms are immutable")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -259,10 +252,7 @@ class LogForm:
         return f"<form deg {self.degree} L{self.level}: " + ("; ".join(bits) or "0") + ">"
 
 
-class _FormDraft:
-    """What ``_form`` fills before the result becomes a ``LogForm``."""
-
-    __slots__ = LogForm.__slots__
+_FormDraft = _draft_of(LogForm)
 
 
 def _merge_sign(a: tuple, b: tuple):
@@ -494,7 +484,7 @@ def _window_truncate(sr: NestedSeries, upper: int, lower: int) -> NestedSeries:
                  clean=True)
 
 
-class WindowedForm:
+class WindowedForm(_Frozen):
     """A class in m^{-n}/m^{-m} tensor (degree-``r`` log forms).
 
     ``m`` is the ideal of the top variable; stored representatives keep the
@@ -508,12 +498,6 @@ class WindowedForm:
             raise InconsistentValue(f"window needs n > m, got ({n}, {m})")
         coeffs = {k: _window_truncate(c, -m, -n) for k, c in form.coeffs.items()}
         _windowed(_form(form.level, form.domain, form.degree, coeffs), n, m, self)
-
-    def __setattr__(self, *a):
-        raise AttributeError("windowed forms are immutable")
-
-    def __delattr__(self, *a):
-        raise AttributeError("windowed forms are immutable")
 
     @property
     def width(self) -> int:
@@ -531,10 +515,7 @@ class WindowedForm:
         return f"<windowed ({self.n},{self.m}) {self.form!r}>"
 
 
-class _WindowedDraft:
-    """What ``_windowed`` fills before the result becomes a ``WindowedForm``."""
-
-    __slots__ = WindowedForm.__slots__
+_WindowedDraft = _draft_of(WindowedForm)
 
 
 def _windowed(form: LogForm, n: int, m: int, out=None) -> WindowedForm:
@@ -761,29 +742,16 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
 
 
 def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
-    """Exact sparse elimination of sparse ``{column: entry}`` rows; entries
-    are series or raw scalars.
+    """Whether a Gram matrix of sparse ``{column: entry}`` rows is
+    invertible; entries are series, or raw scalars of ``domain``.
 
-    A matrix with one stored entry per row, in distinct columns (as
-    :func:`duality_matrix` builds them), is decided column by column: each
-    column's one entry is checked as the elimination would check its pivot
-    (module docstring, "Construction"), with the same answer and the same
-    first refusal.  Any other matrix is eliminated.
-
-    The rows are copied without their exact zeros, beside an index from
-    each column to the remaining rows that hold it.  Columns are eliminated
-    in order: the pivot is the lowest-index remaining row holding the
-    column, and only the other rows holding it are reduced, so the cost
-    follows the stored entries, not the square of the size.  A column that
-    no remaining row holds makes the matrix singular, and so does a column
-    outside ``range(len(rows))``.
-
-    A pivot candidate or a factor that is zero within a finite window (but
-    not exactly zero) raises :class:`PrecisionExhausted` rather than
-    guessing.  A pivot is inverted only when another remaining row holds
-    its column, unless the entries lie in a lift ring ``Z/p^s`` with
-    ``s > 1``, where every pivot is inverted (module docstring,
-    "Construction").
+    Each row holds at most one stored entry, and no two rows hold one
+    column: the shape :func:`duality_matrix` builds.  Any other shape
+    raises :class:`InconsistentValue`.  The columns are checked in order
+    (module docstring, "Gram matrices"): a column that no row holds, an
+    exactly zero entry or a column outside ``range(len(rows))`` gives
+    ``False``; an entry zero only within its window raises
+    :class:`PrecisionExhausted`; over a lift ring each entry is inverted.
     """
     size = len(rows)
     if size == 0:
@@ -791,89 +759,40 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
     first = next((v for row in rows for v in row.values()), None)
     if first is None:
         return False
-    if isinstance(first, NestedSeries):
-        ring = first.domain
-        exact_zero = NestedSeries.is_exact_zero
-
-        def known(v):
-            # exact zeros are never stored, so a zero here is one within a window
+    series = isinstance(first, NestedSeries)
+    if not series and domain is None:
+        raise TowerMismatch("raw-scalar matrices need their domain")
+    # over a field a nonzero entry is a unit (module docstring, "Gram matrices")
+    lift = getattr(first.domain if series else domain, "s", 1) > 1
+    columns = range(size)
+    pivots = [None] * size
+    outside = False
+    for row in rows:
+        if len(row) > 1:
+            raise InconsistentValue("a Gram row holds more than one entry")
+        for c, v in row.items():
+            if c not in columns:
+                outside = True
+            elif pivots[c] is not None:
+                raise InconsistentValue(f"two Gram rows hold column {c}")
+            else:
+                pivots[c] = v
+    if outside:
+        return False
+    for v in pivots:
+        if v is None:
+            return False
+        if series:
+            if v.is_exact_zero():
+                return False
             if v.is_zero():
                 raise PrecisionExhausted(
                     "pivot is zero within its window; rank is ambiguous", exponent=v.low()
                 )
-            return v
-
-        def inv(v):
-            return v.inv(precision)
-
-        mul, sub, neg = operator.mul, operator.sub, operator.neg
-    elif domain is None:
-        raise TowerMismatch("raw-scalar matrices need their domain")
-    else:
-        ring = domain
-        exact_zero = domain.is_zero
-        inv, mul, sub, neg = domain.inv, domain.mul, domain.sub, domain.neg
-
-        def known(v):
-            return v
-
-    # over a field a nonzero entry is a unit (module docstring, "Construction")
-    over_field = getattr(ring, "s", 1) == 1
-    columns = range(size)
-    if all(len(row) == 1 for row in rows):
-        # a monomial matrix is decided column by column, as the elimination
-        # meets its pivots; a repeated column leaves it to the elimination
-        pivots = [None] * size
-        for row in rows:
-            (c, v), = row.items()
-            if c not in columns:
-                return False
-            if pivots[c] is not None:
-                break
-            pivots[c] = v
-        else:
-            for v in pivots:
-                if exact_zero(v):
-                    return False
-                known(v)
-                if not over_field:
-                    inv(v)
-            return True
-    work = []
-    holders = [set() for _ in range(size)]
-    for r, row in enumerate(rows):
-        kept = {}
-        for c, v in row.items():
-            if c not in columns:
-                return False
-            if not exact_zero(v):
-                kept[c] = v
-                holders[c].add(r)
-        work.append(kept)
-
-    for col in range(size):
-        if not holders[col]:
+            if lift:
+                v.inv(precision)
+        elif domain.is_zero(v):
             return False
-        pivot_row = min(holders[col])
-        pivot = work[pivot_row]
-        for c in pivot:
-            holders[c].discard(pivot_row)
-        pivot_entry = known(pivot[col])
-        if over_field and not holders[col]:
-            continue
-        pivot_inv = inv(pivot_entry)
-        for r in holders[col]:
-            row = work[r]
-            quot = mul(known(row.pop(col)), pivot_inv)
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                term = mul(v, quot)
-                new = sub(row[c], term) if c in row else neg(term)
-                if exact_zero(new):
-                    row.pop(c, None)
-                    holders[c].discard(r)
-                else:
-                    row[c] = new
-                    holders[c].add(r)
+        elif lift:
+            domain.inv(v)
     return True

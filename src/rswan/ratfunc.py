@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NoPthRoot, RswanError, ZeroInput
-from .scalars import power, render_poly
+from .scalars import _Frozen, power, render_poly
 
 __all__ = ["RatFuncDomain", "rat_func_domain", "poly_from_coeffs"]
 
@@ -82,7 +82,7 @@ def _pgcd(a, b, p):
     return a
 
 
-class RatFuncDomain:
+class RatFuncDomain(_Frozen):
     """The field F_p(x), one transcendental over the prime field."""
 
     __slots__ = ("p",)
@@ -91,12 +91,6 @@ class RatFuncDomain:
         if p not in (2, 3, 5):
             raise RswanError(f"p = {p} is outside the supported set {{2, 3, 5}}")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("domain objects are immutable")
-
-    def __delattr__(self, *a):
-        raise AttributeError("domain objects are immutable")
 
     # ------------------------------------------------------------- building
     def _make(self, num, den):

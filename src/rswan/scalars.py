@@ -70,6 +70,31 @@ def render_poly(coeffs, var: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+class _Frozen:
+    """Base of the immutable classes: a store or a deletion raises
+    ``AttributeError``.  It adds no slot, so a subclass keeps the layout of
+    its own ``__slots__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+
+def _draft_of(cls):
+    """A private twin of the ``_Frozen`` subclass ``cls`` with the same
+    ``__slots__`` and plain stores, which a trusted constructor fills before
+    it assigns the object the class ``cls`` (``series``, "Multiplication")."""
+    return type(f"_{cls.__name__}Draft", (_Frozen,), {
+        "__slots__": cls.__slots__,
+        "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__,
+    })
+
+
 class _QuotientDomain:
     """Arithmetic of (Z/m)[x]/(f), m = p^s, f monic of degree k (F_q at s = 1)."""
 
@@ -112,6 +137,23 @@ class _QuotientDomain:
 
     def coeffs(self, x) -> tuple[int, ...]:
         return (x,) if self.k == 1 else tuple(x)
+
+    def are_reduced(self, xs) -> bool:
+        """Whether every ``x`` in ``xs`` is a raw value as the operations
+        return one: an int in ``[0, p^s)`` when k == 1, a length-k tuple of
+        such ints otherwise."""
+        m, k = self.modulus, self.k
+        for x in xs:
+            if k == 1:
+                if type(x) is not int or not 0 <= x < m:
+                    return False
+            elif type(x) is not tuple or len(x) != k:
+                return False
+            else:
+                for c in x:
+                    if type(c) is not int or not 0 <= c < m:
+                        return False
+        return True
 
     def generator(self):
         """The residue class of x (for k = 1: the root of the degree-1 polynomial)."""

@@ -66,13 +66,15 @@ maps that are already clean, which it takes as they are (``clean=True``),
 and the Witt layer builds its lifts, reductions and divisions through it as
 well.  It never
 stores an exactly zero inner coefficient (``is_exact_zero`` relies on it).
-It fills a private draft twin of ``NestedSeries`` (the same ``__slots__``,
-no ``__setattr__`` or ``__delattr__``) with plain stores and then assigns
-the public class to the object, which CPython allows between classes of
-one layout; the result is a ``NestedSeries`` whose ``__setattr__`` and
-``__delattr__`` raise like any other's.  Four stores through
+It fills a private draft twin of ``NestedSeries`` (``scalars._draft_of``:
+the same ``__slots__``, plain stores) and then assigns the public class to
+the object, which CPython allows between classes of one layout; the result
+is a ``NestedSeries`` whose ``__setattr__`` and ``__delattr__`` raise like
+any other's (``scalars._Frozen``).  Four stores through
 ``object.__setattr__`` cost about twice as much, and only ``__init__``
-(which ``_make`` fills through ``out``) still pays them.
+(which ``_make`` fills through ``out``) still pays them.  It is the one
+route that validates: int exponents and ceiling, inner series over the same
+domain, reduced raws over ``(Z/p^s)[g]/(f)`` (``F_p(x)`` raws unchecked).
 
 Linear combinations
 -------------------
@@ -115,8 +117,9 @@ the same series.  At every level and over every domain, ``inv`` runs
 power-series division by recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
 ``d_0 = c^-1`` and ``d_n = -sum_{i <= n} b_i d_{n-i}`` over the stored
 terms of ``[v, v + w)``, ``O(w * terms)`` coefficient operations.  At
-level 1 over ``(Z/p^s)[g]/(f)`` each ``d_n`` is summed in plain ints (one
-int per coefficient at ``k > 1``, as in the int loop) and reduced once.  At
+level 1 over ``Z/p^s`` (``k = 1``) each ``d_n`` is summed in plain ints and
+reduced once; ``k > 1`` tuples and ``F_p(x)`` coefficients go through their
+domain's operations, one per term pair, with no packing.  At
 levels >= 2 the coefficients are level-``(l-1)`` series, ``c^-1`` is the
 inverse of ``c`` at its own level, and the sum skips only an *exactly* zero
 ``d_{n-i}``: one that is zero within a window still carries that window
@@ -145,7 +148,7 @@ import sys
 from array import array
 
 from .errors import ExponentOutOfRange, NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
-from .scalars import _QuotientDomain, power
+from .scalars import _Frozen, _QuotientDomain, _draft_of, power
 
 __all__ = [
     "NestedSeries",
@@ -154,9 +157,9 @@ __all__ = [
 ]
 
 _ORD_FLOOR = -10_000
-# Series and forms are immutable: their own __setattr__ raises, so the
-# validating __init__s store through this.  The trusted constructors build
-# a draft twin instead (module docstring, "Multiplication").
+# Series and forms are immutable (scalars._Frozen), so the validating
+# __init__s store through this.  The trusted constructors build a draft
+# twin instead (module docstring, "Multiplication").
 _set = object.__setattr__
 
 
@@ -523,11 +526,11 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
 
     ``lead_inv`` is ``c^-1`` and ``tail`` lists ``(i, c * b_i)`` for
     ``0 < i < width`` in ascending ``i``; ``d_0 = c^-1`` and
-    ``d_n = -sum_{i <= n} b_i d_{n-i}``.  Over raw scalars of
-    ``(Z/p^s)[g]/(f)`` each ``d_n`` is summed as plain ints, packed by
-    :func:`_pack_g` at ``k > 1``, and reduced once.  Over series
-    coefficients (levels >= 2) only an exactly zero ``d_{n-i}`` is skipped:
-    a window-zero one still carries its window.
+    ``d_n = -sum_{i <= n} b_i d_{n-i}``.  Over raw ints of ``Z/p^s``
+    (``k = 1``) each ``d_n`` is summed as plain ints and reduced once; every
+    other coefficient (``k > 1`` tuples, ``F_p(x)``, series at levels >= 2)
+    goes through its domain's operations, skipping only an exactly zero
+    ``d_{n-i}``: a window-zero one still carries its window.
     """
     nested = isinstance(lead_inv, NestedSeries)
     if nested:
@@ -549,20 +552,6 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
                     break
                 acc += b * d[n - i]
             d.append(acc % m)
-    elif not nested and isinstance(domain, _QuotientDomain):
-        w = _g_width(domain, len(steps))
-        reduce = _g_reducer(domain, w)
-        packed_steps = [(i, _pack_g(b, w)) for i, b in steps]
-        packed = [_pack_g(lead_inv, w)]
-        for n in range(1, width):
-            acc = 0
-            for i, b in packed_steps:
-                if i > n:
-                    break
-                acc += b * packed[n - i]
-            x = reduce(acc)
-            d.append(x)
-            packed.append(_pack_g(x, w))
     else:
         for n in range(1, width):
             acc = zero
@@ -576,23 +565,26 @@ def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
     return d
 
 
-class NestedSeries:
+class NestedSeries(_Frozen):
     __slots__ = ("level", "domain", "coeffs", "ceiling")
 
     def __init__(self, level: int, domain, coeffs: dict, ceiling: int | None = None):
         if level < 1:
             raise TowerMismatch("series level must be >= 1")
+        if ceiling is not None and type(ceiling) is not int:
+            raise TowerMismatch(f"ceiling {ceiling!r} is not an int")
+        for e in coeffs:
+            if type(e) is not int:
+                raise TowerMismatch(f"exponent {e!r} is not an int")
         if level > 1:
             for c in coeffs.values():
                 if not isinstance(c, NestedSeries) or c.level != level - 1:
                     raise TowerMismatch("coefficient level does not match series level")
+                if c.domain is not domain:
+                    raise TowerMismatch("coefficient ring does not match the series' ring")
+        elif isinstance(domain, _QuotientDomain) and not domain.are_reduced(coeffs.values()):
+            raise TowerMismatch("a coefficient is not a reduced raw scalar of the ring")
         _make(level, domain, coeffs, ceiling, self)
-
-    def __setattr__(self, *a):
-        raise AttributeError("series are immutable")
-
-    def __delattr__(self, *a):
-        raise AttributeError("series are immutable")
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -950,10 +942,7 @@ class NestedSeries:
         return body if self.ceiling is None else f"{body} + O(T{self.level}^{self.ceiling})"
 
 
-class _SeriesDraft:
-    """What ``_make`` fills before the result becomes a ``NestedSeries``."""
-
-    __slots__ = NestedSeries.__slots__
+_SeriesDraft = _draft_of(NestedSeries)
 
 
 # ---------------------------------------------------------------- module ops

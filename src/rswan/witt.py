@@ -631,7 +631,7 @@ def _reduce_slot(x: NestedSeries):
                 heapq.heappush(heap, f)
     if not u_coeffs:
         return x, None
-    return NestedSeries(level, domain, coeffs, x.ceiling), NestedSeries(level, domain, u_coeffs)
+    return _make(level, domain, coeffs, x.ceiling), _make(level, domain, u_coeffs, None)
 
 
 def _planned_tail_ceiling(a: NestedSeries, p: int):

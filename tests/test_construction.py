@@ -1,12 +1,13 @@
 """Series and forms are immutable, whichever route built them.
 
 The trusted constructors (``series._make``, ``logdiff._form``,
-``logdiff._windowed``) fill a private draft class with the public class's
-``__slots__`` and then give the object the public class.  These tests pin
-what that relies on: every object that leaves a constructor or an
-operation is of the public type and refuses every store and every
-deletion, no draft is left alive, and a refusal below the exponent floor
-builds nothing.
+``logdiff._windowed``) fill a private draft class made by
+``scalars._draft_of`` (the public class's base and ``__slots__``, plain
+stores) and then give the object the public class.  These tests pin what
+that relies on: every object that leaves a constructor or an operation is
+of the public type and refuses every store and every deletion, no draft is
+left alive, and a refusal below the exponent floor builds nothing.  The
+one guard is ``scalars._Frozen``, the base of every immutable class.
 """
 
 import gc
@@ -28,7 +29,9 @@ from rswan.logdiff import (
 )
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
+from rswan.ratfunc import RatFuncDomain
 from rswan.reciprocity import theta_lift
+from rswan.scalars import _Frozen
 from rswan.series import _ORD_FLOOR, NestedSeries, _make, linear_combination
 from rswan.tower import FieldTower
 from rswan.witt import WittVector, witt_combine
@@ -158,11 +161,30 @@ def test_make_below_the_floor_raises_and_builds_nothing(clean):
 
 
 def test_each_draft_has_its_public_class_slots():
+    """A draft shares its public class's base and slots, so ``__class__``
+    assignment is legal, and takes ``object``'s stores; the public class
+    takes ``_Frozen``'s guard and defines none of its own."""
     for draft, public in DRAFTS.items():
         assert draft.__slots__ == public.__slots__
-        assert draft.__bases__ == public.__bases__ == (object,)
+        assert draft.__bases__ == public.__bases__ == (_Frozen,)
+        assert vars(draft)["__setattr__"] is object.__setattr__
+        assert vars(draft)["__delattr__"] is object.__delattr__
         for name in ("__setattr__", "__delattr__"):
-            assert name not in vars(draft) and name in vars(public)
+            assert name not in vars(public)
+            assert getattr(public, name) is getattr(_Frozen, name)
+
+
+def test_one_guard_serves_every_immutable_class():
+    """The five immutable classes take their guard from ``_Frozen``, whose
+    refusal names the class, and none keeps an instance ``__dict__``."""
+    for cls in (NestedSeries, LogForm, WindowedForm, ExtensionMap, RatFuncDomain):
+        assert cls.__bases__ == (_Frozen,)
+        assert not {"__setattr__", "__delattr__", "__dict__"} & set(vars(cls))
+    series = NestedSeries.one(1, F2)
+    with pytest.raises(AttributeError, match="NestedSeries objects are immutable"):
+        series.ceiling = 3
+    with pytest.raises(AttributeError, match="RatFuncDomain objects are immutable"):
+        del rat_func_domain(2).p
 
 
 def test_the_other_immutable_classes_refuse_stores_and_deletions():

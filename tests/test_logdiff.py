@@ -911,23 +911,33 @@ def test_duality_two_variables_small():
 
 
 def test_gram_elimination_rules():
-    """One elimination for series and raw-scalar entries; a pivot candidate
-    that is zero only within a window, and a raw matrix without its domain,
-    are refused."""
+    """One decision for series and raw-scalar entries, one entry per row in
+    distinct columns; an entry that is zero only within a window, a raw
+    matrix without its domain, a row with two entries and two rows in one
+    column are refused."""
     def s(text):
         return parse_series(text, K3)
 
-    assert gram_is_invertible([{0: s("t"), 1: s("1")}, {0: s("1"), 1: s("0")}],
-                              precision=K3.precision)
-    assert not gram_is_invertible([{0: s("t"), 1: s("1 + t")}, {0: s("t^2"), 1: s("t + t^2")}],
-                                  precision=K3.precision)
-    assert not gram_is_invertible([{0: 1, 1: 2}, {0: 2, 1: 1}], domain=F3)
-    assert gram_is_invertible([{0: 1, 1: 2}, {0: 1, 1: 1}], domain=F3)
+    assert gram_is_invertible([{1: s("t")}, {0: s("1 + t")}], precision=K3.precision)
+    assert not gram_is_invertible([{1: s("t")}, {0: s("0")}], precision=K3.precision)
+    assert gram_is_invertible([{1: 2}, {0: 1}], domain=F3)
+    assert not gram_is_invertible([{0: 0}, {1: 1}], domain=F3)
     with pytest.raises(PrecisionExhausted, match="pivot is zero within its window") as err:
-        gram_is_invertible([{0: s("t^2").truncate(1), 1: s("1")}, {0: s("1")}])
-    assert err.value.exponent == 1  # the pivot's ceiling
+        gram_is_invertible([{0: s("t^2").truncate(1)}, {1: s("1")}])
+    assert err.value.exponent == 1  # the entry's ceiling
     with pytest.raises(TowerMismatch, match="need their domain"):
         gram_is_invertible([{0: 1}])
+    for rows in (
+        [{0: s("t"), 1: s("1")}, {0: s("1"), 1: s("0")}],
+        [{0: 1, 1: 2}, {0: 1, 1: 1}],
+        [{0: 1}, {1: 0, 0: 1}],
+    ):
+        with pytest.raises(InconsistentValue, match="more than one entry"):
+            gram_is_invertible(rows, domain=F3)
+    with pytest.raises(InconsistentValue, match="two Gram rows hold column 0"):
+        gram_is_invertible([{0: 1}, {0: 2}], domain=F3)
+    with pytest.raises(InconsistentValue, match="two Gram rows hold column 1"):
+        gram_is_invertible([{1: s("t")}, {1: s("0")}])
 
 
 def test_gram_entry_zero_within_an_inner_window_is_not_dropped():
@@ -942,12 +952,17 @@ def test_gram_entry_zero_within_an_inner_window_is_not_dropped():
 
 def test_gram_columns_outside_the_matrix_and_empty_rows():
     """A column outside ``range(len(rows))`` makes the matrix singular, as
-    a wrong-length dense row did; a matrix with no stored entry is singular
-    without a domain, and the empty matrix is invertible."""
+    a wrong-length dense row did, and so does an empty row; a matrix with
+    no stored entry is singular without a domain, and the empty matrix is
+    invertible.  A row with two entries is refused even beside a column
+    outside the matrix."""
     assert not gram_is_invertible([{0: 1}, {2: 1}], domain=F3)
-    assert not gram_is_invertible([{0: 1}, {-1: 1, 1: 1}], domain=F3)
+    assert not gram_is_invertible([{0: 1}, {-1: 1}], domain=F3)
+    assert not gram_is_invertible([{0: 1}, {}], domain=F3)
     assert not gram_is_invertible([{}, {}])
     assert gram_is_invertible([])
+    with pytest.raises(InconsistentValue, match="more than one entry"):
+        gram_is_invertible([{2: 1}, {-1: 1, 1: 1}], domain=F3)
 
 
 def to_dense(rows, zero):
@@ -1000,11 +1015,19 @@ def dense_gram_oracle(rows, domain=None, precision=None):
 
 def random_gram(rng, size, shape, entry):
     """Sparse rows of a square matrix of the given zero pattern; ``entry()``
-    draws a nonzero entry.  ``rank-deficient`` duplicates a row or empties
-    a column."""
-    if shape == "monomial":
+    draws a nonzero entry.  ``monomial`` is a permutation pattern and
+    ``partial`` one with some rows emptied (singular); ``repeated`` moves a
+    row into another row's column, and ``banded`` and ``dense`` hold several
+    entries per row, the shapes :func:`gram_is_invertible` refuses."""
+    if shape in ("monomial", "partial", "repeated"):
         perm = rng.sample(range(size), size)
         rows = [{perm[r]: entry()} for r in range(size)]
+        if shape == "partial":
+            for r in rng.sample(range(size), rng.randint(1, size)):
+                rows[r] = {}
+        elif shape == "repeated" and size > 1:
+            src, dst = rng.sample(range(size), 2)
+            rows[dst] = {next(iter(rows[src])): entry()}
     elif shape == "banded":
         width = rng.randint(0, 2)
         rows = [
@@ -1013,15 +1036,14 @@ def random_gram(rng, size, shape, entry):
         ]
     else:
         rows = [{c: entry() for c in range(size) if rng.random() < 0.7} for _ in range(size)]
-    if shape == "rank-deficient":
-        if size > 1 and rng.random() < 0.5:
-            src, dst = rng.sample(range(size), 2)
-            rows[dst] = dict(rows[src])
-        else:
-            col = rng.randrange(size)
-            for row in rows:
-                row.pop(col, None)
     return rows
+
+
+def monomial_shape(rows):
+    """Whether every row holds at most one entry and no two rows hold one
+    column of the matrix: the shape :func:`gram_is_invertible` decides."""
+    held = [c for row in rows for c in row if c in range(len(rows))]
+    return all(len(row) <= 1 for row in rows) and len(held) == len(set(held))
 
 
 def graded(rng, raw, K):
@@ -1054,10 +1076,12 @@ GRAM_TOWERS = (
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_gram_matches_dense_oracle(seed):
-    """Seeded property: the sparse elimination decides as the dense oracle
-    on random square matrices of sizes 1..10 (monomial, banded, dense and
-    rank-deficient patterns) over F_2, F_3, F_4 as raw scalars, and over
-    exact one- and two-variable series.
+    """Seeded property: on random square matrices of sizes 1..10 with one
+    entry per row (permutation and partial patterns) over F_2, F_3, F_4 as
+    raw scalars, and over exact one- and two-variable series, the decision
+    agrees with the dense oracle; every matrix with a repeated column or
+    several entries in a row (repeated, banded and dense patterns) is
+    refused with :class:`InconsistentValue`.
 
     On graded series (see :func:`graded`) both stay exact and must agree.
     On general series the two pivot orders may meet a zero-within-window
@@ -1065,20 +1089,26 @@ def test_sparse_gram_matches_dense_oracle(seed):
     :class:`PrecisionExhausted`; the two never return different answers.
     """
     rng = random.Random(seed)
-    shapes = ("monomial", "banded", "dense", "rank-deficient")
-    answered = 0
+    answered, refused = 0, 0
     for _ in range(30):
         K = rng.choice(GRAM_TOWERS)
         dom = K.field_domain
-        shape = rng.choice(shapes)
+        zero = NestedSeries.zero(K.d, dom)
+        shape = rng.choice(("repeated", "banded", "dense"))
+        size = rng.randint(2, 10)
+        raw = random_gram(rng, size, shape, lambda: dom.random_nonzero(rng))
+        if not monomial_shape(raw):
+            refused += 1
+            for rows, kw in ((raw, {"domain": dom}), (graded(rng, raw, K), {})):
+                with pytest.raises(InconsistentValue):
+                    gram_is_invertible(rows, **kw)
+
+        shape = rng.choice(("monomial", "partial"))
         size = rng.randint(1, 10)
         raw = random_gram(rng, size, shape, lambda: dom.random_nonzero(rng))
         want = dense_gram_oracle(to_dense(raw, dom.zero()), domain=dom)
-        assert gram_is_invertible(raw, domain=dom) == want, (shape, raw)
-        if shape == "rank-deficient":
-            assert not want
+        assert gram_is_invertible(raw, domain=dom) == want == (shape == "monomial"), raw
         series = graded(rng, raw, K)
-        zero = NestedSeries.zero(K.d, dom)
         assert gram_is_invertible(series, precision=K.precision) == want
         assert dense_gram_oracle(to_dense(series, zero), precision=K.precision) == want
 
@@ -1092,13 +1122,15 @@ def test_sparse_gram_matches_dense_oracle(seed):
         if "exhausted" not in (got, oracle):
             assert got == oracle, (shape, rows)
             answered += 1
-    assert answered >= 15
+    assert answered >= 15 and refused >= 15, (answered, refused)
 
 
 def gram_by_elimination(rows, domain=None, precision=None):
-    """The sparse elimination with holder sets for every matrix, the
-    column-by-column decision of monomial matrices left out: the oracle of
-    that decision in :func:`gram_is_invertible`."""
+    """The sparse elimination with holder sets, for any matrix: the oracle
+    of the column-by-column decision in :func:`gram_is_invertible`.  Each
+    pivot is checked (one zero within its window raises), and inverted
+    only when another remaining row holds its column or, over a lift ring,
+    always."""
     size = len(rows)
     if size == 0:
         return True
@@ -1168,13 +1200,14 @@ def gram_by_elimination(rows, domain=None, precision=None):
 
 
 def test_monomial_grams_are_decided_as_the_elimination_decides():
-    """Seeded property: matrices with one stored entry per row are decided
-    as the full elimination decides them, answers and refusals (type,
-    message, exponent): raw scalars over F_3, F_4 and Z/4 and series at
-    levels 1 and 2 over F_2, F_3 and Z/4, as permutations and with
-    duplicate and out-of-range columns, exact zeros, entries zero within a
-    window, lift-ring non-units and, for the elimination itself, a second
-    entry in some row."""
+    """Seeded property: matrices with one stored entry per row, in distinct
+    columns, are decided as the full elimination decides them, answers and
+    refusals (type, message, exponent): raw scalars over F_3, F_4 and Z/4
+    and series at levels 1 and 2 over F_2, F_3 and Z/4, as permutations and
+    with empty rows, out-of-range columns, exact zeros, entries zero within
+    a window and lift-ring non-units.  A row moved into another row's
+    column, or given a second entry, is refused with
+    :class:`InconsistentValue`."""
     rng = random.Random(2604)
     z4 = galois_ring_domain(2, 1, 2)
     seen = Counter()
@@ -1200,21 +1233,28 @@ def test_monomial_grams_are_decided_as_the_elimination_decides():
         rows = [{perm[r]: entry()} for r in range(size)]
         for _ in range(rng.choice((0, 0, 1, 2))):
             r = rng.randrange(size)
-            change = rng.choice(("duplicate", "outside", "zero", "second"))
-            c, v = next(iter(rows[r].items()))
+            change = rng.choice(("duplicate", "outside", "zero", "second", "empty"))
+            c, v = next(iter(rows[r].items()), (rng.randrange(size), None))
+            v = entry() if v is None else v
             if change == "duplicate":
                 rows[r] = {rng.randrange(size): v}
             elif change == "outside":
                 rows[r] = {rng.choice((-1, size, size + 2)): v}
             elif change == "zero":
                 rows[r] = {c: domain.zero() if level == 0 else NestedSeries.zero(level, domain)}
+            elif change == "empty":
+                rows[r] = {}
             else:
                 rows[r] = {c: v, rng.randrange(size): entry()}
         kw = {"domain": domain} if level == 0 else {"precision": 8}
-        want = outcome(lambda: gram_by_elimination(rows, **kw))
-        assert outcome(lambda: gram_is_invertible(rows, **kw)) == want, rows
-        seen[want if isinstance(want, bool) else want[0]] += 1
-    assert min(seen[k] for k in (True, False, "PrecisionExhausted", "ZeroInput")) > 50, seen
+        got = outcome(lambda: gram_is_invertible(rows, **kw))
+        if monomial_shape(rows):
+            assert got == outcome(lambda: gram_by_elimination(rows, **kw)), rows
+        else:
+            assert got[0] == "InconsistentValue", rows
+        seen[got if isinstance(got, bool) else got[0]] += 1
+    kinds = (True, False, "PrecisionExhausted", "ZeroInput", "InconsistentValue")
+    assert min(seen[k] for k in kinds) > 50, seen
 
 
 def dense_duality_oracle(n, m, b, K, i, j):
@@ -1394,22 +1434,26 @@ def test_duality_rejects_wrong_degrees():
 
 
 def test_singular_matrix_detected():
+    """A column that no row holds or whose entry is an exact zero makes the
+    matrix singular; a repeated column is refused."""
     one = NestedSeries.one(1, F2)
-    rows = [{0: one, 1: one}, {0: one, 1: one}]
-    assert not gram_is_invertible(rows)
-    zero_row = [{0: F2.zero(), 1: F2.zero()}, {0: F2.one(), 1: F2.one()}]
-    assert not gram_is_invertible(zero_row, domain=F2)
+    assert not gram_is_invertible([{0: one}, {}])
+    with pytest.raises(InconsistentValue):
+        gram_is_invertible([{0: one}, {0: one}])
+    zero_entry = [{0: F2.zero()}, {1: F2.one()}]
+    assert not gram_is_invertible(zero_entry, domain=F2)
 
 
 def counted_inverses(monkeypatch, domain_class=None):
-    """Record the entries the elimination inverts: through series ``inv``,
-    or through a raw domain's ``inv`` when its class is given."""
+    """Record the entries the Gram decision inverts: through series ``inv``,
+    or, as ``(domain, entry)``, through a raw domain's ``inv`` when its
+    class is given."""
     calls = []
     owner = domain_class or NestedSeries
     inner = owner.inv
 
     def counting(self, *args):
-        calls.append(args[0] if domain_class else self)
+        calls.append((self, args[0]) if domain_class else self)
         return inner(self, *args)
 
     monkeypatch.setattr(owner, "inv", counting)
@@ -1418,8 +1462,8 @@ def counted_inverses(monkeypatch, domain_class=None):
 
 def test_partner_matched_workload_grams_take_no_inverse(monkeypatch):
     """On the windows of the benchmark's duality workload every split's Gram
-    is decided invertible without inverting a single pivot: each pivot's
-    column is held by no other row."""
+    is decided invertible without inverting a single entry: over a field a
+    nonzero entry is a unit."""
     grams = [
         (K, duality_matrix(m + width, m, minimal_b(K.p, width), K, i, K.d - i))
         for K, widths in ((KD, range(1, 7)), (KD3, range(1, 6)))
@@ -1433,22 +1477,26 @@ def test_partner_matched_workload_grams_take_no_inverse(monkeypatch):
     assert len(grams) == 132 and calls == []
 
 
-def test_pivots_are_inverted_only_for_rows_that_hold_their_column(monkeypatch):
-    """A pivot another row holds is inverted once; one no other row holds
-    is only checked: a window-zero one still raises."""
+def test_gram_entries_are_inverted_only_over_a_lift_ring(monkeypatch):
+    """Over a field no entry is inverted, only checked: a window-zero one
+    still raises.  Over Z/4 each entry is inverted once, in column order,
+    as series and as raw scalars."""
     one, t = NestedSeries.one(1, F2), mono(1, F2, (1,))
     calls = counted_inverses(monkeypatch)
-    assert gram_is_invertible([{0: t, 1: one}, {0: one}], precision=8)
-    assert calls == [t]
-    calls.clear()
-    assert gram_is_invertible([{0: one}, {1: t}])
+    assert gram_is_invertible([{1: t}, {0: one}], precision=8)
     assert calls == []
     with pytest.raises(PrecisionExhausted, match="pivot is zero within its window"):
         gram_is_invertible([{0: one}, {1: NestedSeries.zero(1, F2, 3)}])
     assert calls == []
+    z4 = galois_ring_domain(2, 1, 2)
+    one4, t4 = NestedSeries.one(1, z4), mono(1, z4, (1,), 3)
+    assert gram_is_invertible([{1: t4}, {0: one4}], precision=8)
+    assert calls == [one4, t4]
     raw_calls = counted_inverses(monkeypatch, type(F3))
-    assert gram_is_invertible([{0: 1, 1: 2}, {0: 1, 1: 1}], domain=F3)
-    assert raw_calls == [1]  # the second pivot, 1 - 2 = 2, has no row below it
+    assert gram_is_invertible([{1: 2}, {0: 1}], domain=F3)
+    assert raw_calls == []
+    assert gram_is_invertible([{1: 3}, {0: 1}, {2: 3}], domain=z4)
+    assert [x for dom, x in raw_calls if dom is z4] == [1, 3, 3]
 
 
 def test_every_pivot_over_a_lift_ring_is_inverted():

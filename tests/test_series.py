@@ -234,6 +234,7 @@ def newton_inverse_oracle(a, precision=None):
 
 F9 = fq_domain(3, 2)
 Z16 = galois_ring_domain(2, 1, 4)
+Z16G = galois_ring_domain(2, 2, 4)
 FX = rat_func_domain(3)
 
 
@@ -286,7 +287,7 @@ def random_invertible(rng, domain, width, terms, windowed):
     windowed at ``v + width``, or exact with terms past the window too."""
     v = rng.randint(-12, 12)
     lead = domain.random_nonzero(rng)
-    while domain is Z16 and lead % 2 == 0:
+    while domain in (Z16, Z16G) and domain.is_zero(domain.reduce_mod_p(lead)):
         lead = domain.random_nonzero(rng)
     coeffs = {v: lead}
     for e in rng.sample(range(v + 1, v + width), terms - 1):
@@ -300,9 +301,13 @@ def random_invertible(rng, domain, width, terms, windowed):
 
 @pytest.mark.parametrize("name,domain,widths", [
     ("F_2", F2, (1, 80)), ("F_9", F9, (1, 80)), ("Z/16", Z16, (1, 80)), ("F_3(x)", FX, (1, 10)),
+    ("(Z/16)[g]", Z16G, (1, 80)),
 ])
 def test_level_one_inverse_matches_the_newton_oracle(name, domain, widths):
-    """Equal, window and values, from one term to a full window."""
+    """Equal, window and values, from one term to a full window.  Every
+    coefficient ring but ``Z/p^s`` at ``k = 1`` runs the recurrence on its
+    domain's operations: ``F_9``, ``(Z/16)[g]`` (k = 2, s = 4) and
+    ``F_3(x)``."""
     rng = random.Random(f"inverse:{name}")
     cases = [(w, t) for w in (1, 2, widths[1]) for t in (1, w)]
     cases += [(w, rng.randint(1, w)) for w in (rng.randint(*widths) for _ in range(36))]
@@ -1184,6 +1189,35 @@ def test_the_exponent_floor_error_is_typed():
 def test_a_series_below_level_one_is_a_tower_mismatch():
     with pytest.raises(TowerMismatch, match="level must be >= 1"):
         NestedSeries(0, F2, {})
+
+
+def test_the_constructor_refuses_coefficients_outside_its_ring():
+    """``NestedSeries(...)`` refuses a raw that its ring does not reduce to
+    (the inverse of ``{0: 2}`` over F_2 came back as a unit), an inner series
+    over another ring, and an exponent or a ceiling that is not an int;
+    ``F_p(x)`` raws are not checked."""
+    not_reduced = [
+        (F2, {0: 2}), (F2, {0: -1}), (F2, {0: True}), (F2, {0: 1.0}), (F2, {0: (1,)}),
+        (Z16, {3: 16}), (F4, {0: 1}), (F4, {0: (1,)}), (F4, {0: (1, 2)}), (F4, {0: [1, 0]}),
+        (F4, {0: (1, True)}), (Z16G, {0: (15, 16)}),
+    ]
+    for domain, coeffs in not_reduced:
+        with pytest.raises(TowerMismatch, match="not a reduced raw scalar"):
+            NestedSeries(1, domain, coeffs)
+    assert NestedSeries(1, Z16, {3: 15, 4: 0}).coeffs == {3: 15}
+    assert NestedSeries(1, Z16G, {0: (15, 1)}).coeffs == {0: (15, 1)}
+    with pytest.raises(TowerMismatch, match="ring does not match"):
+        NestedSeries(2, F2, {-1: mono(1, F4, (1,))})
+    with pytest.raises(TowerMismatch, match="ring does not match"):
+        NestedSeries(3, F2, {0: NestedSeries(2, F4, {})})
+    for exponent in (1.5, True, 2.0):
+        with pytest.raises(TowerMismatch, match="is not an int"):
+            NestedSeries(1, F2, {exponent: 1})
+        with pytest.raises(TowerMismatch, match="is not an int"):
+            NestedSeries(2, F2, {exponent: mono(1, F2, (0,))})
+        with pytest.raises(TowerMismatch, match="is not an int"):
+            NestedSeries(1, F2, {0: 1}, exponent)
+    assert NestedSeries(1, FX, {0: FX.from_polys([1, 2])}).coeffs
 
 
 def test_linear_combination_refuses_mixed_rings_and_the_exponent_floor(monkeypatch):

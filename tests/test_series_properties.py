@@ -7,7 +7,8 @@ windowed at ``-v + w`` unless ``a`` is one exact term.  At level 1,
 ``a.pow(-n, w)`` is ``a.inv(w).pow(n)``.  Any product of two level-2
 series, exact or cut at either level, equals the schoolbook dict product,
 and any integer combination of level-2 series equals the fold of ``+`` and
-``mul_int``.
+``mul_int``.  The public constructor accepts exactly the inputs that lie in
+its ring, and builds what the trusted ``_make`` builds from them.
 """
 
 import operator
@@ -21,7 +22,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rswan.ratfunc import rat_func_domain  # noqa: E402
 from rswan.scalars import fq_domain, galois_ring_domain  # noqa: E402
-from rswan.series import NestedSeries, _schoolbook_mul, linear_combination  # noqa: E402
+from rswan.errors import ExponentOutOfRange, TowerMismatch  # noqa: E402
+from rswan.series import (  # noqa: E402
+    _ORD_FLOOR,
+    NestedSeries,
+    _make,
+    _schoolbook_mul,
+    linear_combination,
+)
 
 DOMAINS = {
     "F_2": fq_domain(2, 1),
@@ -172,3 +180,74 @@ def test_level_two_combination_is_the_fold(case):
     for n, x in pairs:
         acc = acc + x.mul_int(n)
     assert linear_combination(2, domain, pairs) == acc
+
+
+CONSTRUCTOR_DOMAINS = {
+    "F_2": fq_domain(2, 1),
+    "F_4": fq_domain(2, 2),
+    "Z/16": galois_ring_domain(2, 1, 4),
+    "(Z/16)[g]": galois_ring_domain(2, 2, 4),
+}
+
+
+def _in_ring(level, domain, c):
+    """Whether ``c`` may stand as a coefficient of a level-``level`` series
+    over ``domain``: an inner series one level down over ``domain``, or at
+    level 1 an int in ``[0, p^s)`` (a ``k``-tuple of them when ``k > 1``)."""
+    if level > 1:
+        return isinstance(c, NestedSeries) and c.level == level - 1 and c.domain is domain
+    parts = (c,) if domain.k == 1 else c if type(c) is tuple and len(c) == domain.k else None
+    return parts is not None and all(type(x) is int and 0 <= x < domain.modulus for x in parts)
+
+
+@st.composite
+def constructor_input(draw):
+    """A level, a domain and a small coefficient map and ceiling, with
+    entries in and out of the ring: unreduced and negative ints, bools,
+    floats, short and long tuples, inner series over another ring or at
+    another level, non-int exponents and exponents below the floor."""
+    level = draw(st.integers(1, 2))
+    domain = CONSTRUCTOR_DOMAINS[draw(st.sampled_from(sorted(CONSTRUCTOR_DOMAINS)))]
+    ints = st.integers(-2, 17)
+    digit = st.integers(0, domain.modulus - 1)
+    reduced = digit if domain.k == 1 else st.tuples(*[digit] * domain.k)
+    raws = st.one_of(reduced, ints, st.booleans(), st.just(1.0),
+                     st.lists(ints, min_size=1, max_size=3).map(tuple))
+    if level == 1:
+        values = st.one_of(reduced, raws)
+    else:
+        inner = st.sampled_from(sorted(CONSTRUCTOR_DOMAINS)).flatmap(
+            lambda name: st.builds(
+                lambda coeffs, d=CONSTRUCTOR_DOMAINS[name]: _make(1, d, coeffs, None),
+                st.dictionaries(st.integers(-3, 3), st.integers(0, 15).map(
+                    lambda x, d=CONSTRUCTOR_DOMAINS[name]: d.from_int(x)), max_size=3)))
+        own = st.dictionaries(st.integers(-3, 3), reduced, max_size=3).map(
+            lambda coeffs: _make(1, domain, coeffs, None))
+        values = st.one_of(own, inner, raws, st.just(NestedSeries.one(2, domain)))
+    exponents = st.one_of(st.integers(-5, 5), st.integers(_ORD_FLOOR - 3, _ORD_FLOOR + 1),
+                          st.booleans(), st.just(0.5))
+    coeffs = draw(st.dictionaries(exponents, values, max_size=4))
+    ceiling = draw(st.one_of(st.none(), st.integers(-5, 6), st.booleans(), st.just(2.0)))
+    return level, domain, coeffs, ceiling
+
+
+@settings(max_examples=400, deadline=None)
+@given(constructor_input())
+def test_the_constructor_builds_what_make_builds_or_refuses(case):
+    level, domain, coeffs, ceiling = case
+    valid = (
+        (ceiling is None or type(ceiling) is int)
+        and all(type(e) is int for e in coeffs)
+        and all(_in_ring(level, domain, c) for c in coeffs.values())
+    )
+    if not valid:
+        with pytest.raises(TowerMismatch):
+            NestedSeries(level, domain, coeffs, ceiling)
+        return
+    kept = [e for e, c in coeffs.items() if (ceiling is None or e < ceiling)
+            and not (c == domain.zero() if level == 1 else c.is_exact_zero())]
+    if kept and min(kept) < _ORD_FLOOR:
+        with pytest.raises(ExponentOutOfRange):
+            NestedSeries(level, domain, coeffs, ceiling)
+        return
+    assert NestedSeries(level, domain, coeffs, ceiling) == _make(level, domain, coeffs, ceiling)
