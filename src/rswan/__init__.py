@@ -49,7 +49,6 @@ from .logdiff import (
     residue_to_prime_field,
     wedge,
     wedge_windowed,
-    window_basis,
 )
 from .rsw import (
     RswValue,
@@ -130,7 +129,6 @@ __all__ = [
     "residue_to_prime_field",
     "wedge",
     "wedge_windowed",
-    "window_basis",
     # refined conductor
     "RswValue",
     "rsw_char_p",

@@ -123,6 +123,13 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _require_reference(owner: str, kind: str, name, defined: dict):
+    """``name`` names an entry of ``defined``; one that is not a string is
+    refused before the lookup, which would hash it."""
+    _require(isinstance(name, str), f"{owner} needs a {kind} name, got {name!r}")
+    _require(name in defined, f"{owner} references undefined {kind} {name!r}")
+
+
 def _is_int(value) -> bool:
     return type(value) is int  # bools are ints to isinstance
 
@@ -173,10 +180,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             comps = desc.get("components")
         else:
             tower_name, comps = "main", desc
-        _require(
-            tower_name in towers,
-            f"character {label!r} references undefined tower {tower_name!r}",
-        )
+        _require_reference(f"character {label!r}", "tower", tower_name, towers)
         tower = towers[tower_name]
         _require(
             isinstance(comps, list) and all(isinstance(c, str) for c in comps),
@@ -202,18 +206,12 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         _require(not extra, f"extension {name!r} has unknown fields {sorted(extra)}")
         source_name = desc.get("source", "main")
         target_name = desc.get("target")
-        _require(
-            source_name in towers,
-            f"extension {name!r} references undefined tower {source_name!r}",
-        )
-        _require(
-            target_name in towers,
-            f"extension {name!r} references undefined tower {target_name!r}",
-        )
+        _require_reference(f"extension {name!r}", "tower", source_name, towers)
+        _require_reference(f"extension {name!r}", "tower", target_name, towers)
         images_doc = desc.get("images")
         _require(
-            isinstance(images_doc, dict),
-            f"extension {name!r} needs an 'images' object",
+            isinstance(images_doc, dict) and all(isinstance(v, str) for v in images_doc.values()),
+            f"extension {name!r} needs an 'images' object of series literals",
         )
         target = towers[target_name]
         try:
@@ -236,10 +234,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         )
         if kind in ("swan", "rsw", "reciprocity", "conductor-change"):
             label = task.get("character")
-            _require(
-                label in characters,
-                f"task #{idx} ({kind}) references undefined character {label!r}",
-            )
+            _require_reference(f"task #{idx} ({kind})", "character", label, characters)
         if kind == "reciprocity":
             d = characters[label].tower.d
             _require(
@@ -258,10 +253,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             )
         if kind == "conductor-change":
             ext_name = task.get("extension")
-            _require(
-                ext_name in extensions,
-                f"task #{idx} (conductor-change) references undefined extension {ext_name!r}",
-            )
+            _require_reference(f"task #{idx} (conductor-change)", "extension", ext_name, extensions)
             source = extensions[ext_name].source
             _require(
                 source.d == 1,
@@ -270,10 +262,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             )
         if kind == "duality":
             tower_name = task.get("tower", "main")
-            _require(
-                tower_name in towers,
-                f"task #{idx} (duality) references undefined tower {tower_name!r}",
-            )
+            _require_reference(f"task #{idx} (duality)", "tower", tower_name, towers)
             _require(
                 _is_int(task.get("n")) and _is_int(task.get("m")),
                 f"task #{idx} (duality) needs integer window bounds 'n' and 'm'",

@@ -26,16 +26,16 @@ The public constructor ``LogForm(...)`` validates: the degree lies in
 right length, and every coefficient is a series over the form's ring.  An
 operation on valid forms cannot break any of that, so ``+``, ``-``,
 ``scale``, ``mul_int``, ``wedge``, ``d``, ``dlog``, ``cartier``,
-``residue_step``, ``scale_windowed`` and the representative of a
-:class:`WindowedForm` build their results through ``_form``, which only
-drops exactly zero coefficients (a coefficient zero only within a window
-stays, as in ``series._make``); the series they build go through
-``series._make`` for the same reason.  A windowed form whose representative
-already lies in its window and is exact there (a basis monomial, a scaled
-representative) is stored through ``_windowed`` without truncating it
-again.  Like ``series._make``, ``_form`` and ``_windowed`` fill a private
-draft twin of their class (the same ``__slots__``, plain stores) and then
-assign it the public class, so every form they return is a ``LogForm`` or
+``residue_step`` and the representative of a :class:`WindowedForm` build
+their results through ``_form``, which only drops exactly zero
+coefficients (a coefficient zero only within a window stays, as in
+``series._make``); the series they build go through ``series._make`` for
+the same reason.  A windowed form whose representative already lies in its
+window and is exact there (a basis monomial, a product of dual basis
+monomials) is stored through ``_windowed`` without truncating it again.
+Like ``series._make``, ``_form`` and ``_windowed`` fill a private draft
+twin of their class (the same ``__slots__``, plain stores) and then assign
+it the public class, so every form they return is a ``LogForm`` or
 ``WindowedForm`` whose ``__setattr__`` and ``__delattr__`` raise
 (``scalars._Frozen``); the validating ``__init__``s store through
 ``object.__setattr__``.
@@ -115,10 +115,8 @@ __all__ = [
     "r_b",
     "minimal_b",
     "wedge_windowed",
-    "scale_windowed",
     "duality_matrix",
     "gram_is_invertible",
-    "window_basis",
 ]
 
 
@@ -224,15 +222,6 @@ class LogForm(_Frozen):
         return _form(
             self.level, self.domain, self.degree, {k: c.mul_int(n) for k, c in self.coeffs.items()}
         )
-
-    def agrees_with(self, other: "LogForm") -> bool:
-        self._peer(other)
-        if other.degree != self.degree:
-            return False
-        for key in set(self.coeffs) | set(other.coeffs):
-            if not self.coefficient(key).agrees_with(other.coefficient(key)):
-                return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, LogForm):
@@ -534,16 +523,6 @@ def _windowed(form: LogForm, n: int, m: int, out=None) -> WindowedForm:
     return out
 
 
-def scale_windowed(x: WindowedForm, c_raw, power: int = 1) -> WindowedForm:
-    """Act by the residue constant c through the degree-``p^power`` twist:
-    multiply the representative by the constant c^(p^power)."""
-    form = x.form
-    scalar = form.domain.pow(c_raw, form.domain.p**power)
-    # a constant multiple of the representative is still one
-    coeffs = {k: s.scalar_mul(scalar) for k, s in form.coeffs.items()}
-    return _windowed(_form(form.level, form.domain, form.degree, coeffs), x.n, x.m)
-
-
 def wedge_windowed(x: WindowedForm, y: WindowedForm) -> WindowedForm:
     """Pairing-side wedge: x in m^{-n}/m^{-m}, y in m^{m+1}/m^{n+1} (windows
     (n, m) and (-m-1, -n-1)) land in m^{1-a}/m, window (a-1, -1)."""
@@ -630,30 +609,11 @@ def _monomial_root(slot: NestedSeries, b: int):
 
 # ---------------------------------------------------------------- duality
 
-def _basis_monomials(level: int, degree: int, n: int, m: int, lower_bound: int):
-    """The ``(key, exponents)`` of :func:`window_basis`, in its order."""
-    for key in combinations(range(1, level + 1), degree):
-        for top_e in range(-n, -m):
-            for lower in product(range(lower_bound), repeat=level - 1):
-                yield key, lower + (top_e,)
-
-
 def _basis_form(level: int, domain, key, exps, n: int, m: int) -> WindowedForm:
     """The basis form ``T^exps dlog_key``; its top exponent lies in
-    ``[-n, -m)`` (:func:`_basis_monomials`), so it is its own representative."""
+    ``[-n, -m)``, so it is its own representative."""
     mono = _monomial_series(domain, exps, domain.one())
     return _windowed(_form(level, domain, len(key), {key: mono}), n, m)
-
-
-def window_basis(level: int, domain, degree: int, n: int, m: int, b: int):
-    """Monomial basis of m^{-n}/m^{-m} tensor degree-``degree`` forms, as a
-    twisted vector space over the residue ring: top exponents -n..-m-1,
-    one dlog key per sorted subset, residue monomials with exponents
-    0..p^b-1 in each lower variable."""
-    return [
-        _basis_form(level, domain, key, exps, n, m)
-        for key, exps in _basis_monomials(level, degree, n, m, domain.p**b)
-    ]
 
 
 def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
@@ -663,8 +623,11 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     window (-m-1, -n-1) in degree ``i``; ``i + j`` must be the top degree.
     Entries are the coefficient series of the resulting top form over the
     residue ring (raw scalars when the tower has one variable).  The matrix
-    is a list of sparse ``{column: entry}`` rows, columns numbered in
-    :func:`window_basis` order of the dual window.
+    is a list of sparse ``{column: entry}`` rows.  Rows number the basis of
+    the window and columns that of the dual window, each in one order: the
+    dlog keys (sorted subsets) in ``combinations`` order, then the top
+    exponent, lowest first, then the lower exponents, each in
+    ``range(p^b)``, in ``product`` order.
 
     Zero pattern: each row has exactly one nonzero entry, and the rows'
     entries sit in distinct columns.  For ``x = u^alpha t^e dlog_K`` the
@@ -696,8 +659,8 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     ``delta_l = 1`` exactly when ``alpha_l != 0``, which the tests keep as
     an oracle.
 
-    Rows and columns are placed by their position in :func:`window_basis`
-    order, with ``P = p^(b(d-1))`` residue monomials per top exponent:
+    Rows and columns are placed by their position in that order, with
+    ``P = p^(b(d-1))`` residue monomials per top exponent:
 
     * row ``idx(K)·a·P + (e + n)·P + idx(alpha)``;
     * column ``idx(K')·a·P + (-e - m - 1)·P + idx(beta)``;

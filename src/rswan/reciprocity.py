@@ -304,7 +304,7 @@ def _symbol_value(theta: NestedSeries, tower, ys, entries=None) -> int:
         entries = _SymbolEntries(theta, tower)
     for width in entries.widths:
         try:
-            return _residue_of_symbol(theta, tower, ys, width, entries)
+            return _residue_of_symbol(ys, width, entries)
         except PrecisionExhausted as exc:
             cause = exc
     for width in entries.widths:
@@ -391,13 +391,11 @@ def _wedge_exact_dlog(omega: LogForm, dlogs) -> LogForm:
     return _form(omega.level, omega.domain, omega.degree + 1, out)
 
 
-def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int, entries=None) -> int:
+def _residue_of_symbol(ys, width: int, entries: _SymbolEntries) -> int:
     """``Res(theta ^ dy~_1 ^ ... ^ dy~_d * prod_i y~_i^-1)``: the symbol's
     residue with ``dlog y = dy y^-1``, each inverse at ``width``, and the
     exact ``dlog`` of an exact monomial entry (module docstring,
-    "Symbols").  ``entries`` is as for :func:`_symbol_value`."""
-    if entries is None:
-        entries = _SymbolEntries(theta, tower)
+    "Symbols"), ``theta`` being that of ``entries``."""
     omega = entries.theta_form
     g = None
     for y in ys:

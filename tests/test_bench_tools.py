@@ -1,5 +1,6 @@
 """The layer-bench harness, ``bench/_trees.py``: its entry point, its
-cross-tree series form, its equality check and its alternation rule.
+cross-tree series form, its equality check and its alternation rule; and
+the reach map's collector, ``bench/reach.py``, on a throwaway module.
 
 Nothing here is timed: ``alternate`` runs on a fake clock.
 """
@@ -22,6 +23,12 @@ BENCH = ROOT / "bench"
 _spec = importlib.util.spec_from_file_location("_trees", BENCH / "_trees.py")
 trees = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trees)
+_spec = importlib.util.spec_from_file_location("reach", BENCH / "reach.py")
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+# script -> its arguments after OUT, where they are not the layer benches' SRC ...
+ARGUMENTS = {"reach.py": "[SRC]"}  # the reach map traces one tree
 
 
 def _series(rswan, inner_ceiling):
@@ -54,7 +61,7 @@ def test_a_bench_without_out_prints_its_usage_and_exits_2(script):
     done = subprocess.run([sys.executable, str(BENCH / script)], cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
-    assert done.stderr == f"usage: python3 bench/{script} OUT [SRC ...]\n"
+    assert done.stderr == f"usage: python3 bench/{script} OUT {ARGUMENTS.get(script, '[SRC ...]')}\n"
     assert done.stdout == ""
 
 
@@ -77,3 +84,53 @@ def test_alternate_gives_every_tree_of_a_key_one_batch_count(monkeypatch):
     assert runs[-4:] == [batch, 2 * batch, 2 * batch, batch]
     assert batch * 0.001 >= 0.01  # the faster tree's count, which the slower one runs too
     assert seconds["key"] == pytest.approx([0.001, 0.004])
+
+
+TOY = '''
+def called(n):
+    """A docstring, which is not a statement."""
+    total = 0
+    for i in range(n):
+        total += i
+    return total
+
+
+def uncalled(x):
+    y = x + 1
+    if y:
+        return y
+    return -y
+
+
+def outer(x):
+    def inner(y):
+        return y * 2
+    return x
+'''
+
+
+def test_the_reach_map_counts_each_function_apart(tmp_path):
+    package = tmp_path / "toy"
+    package.mkdir()
+    path = (package / "mod.py").resolve()
+    path.write_text(TOY)
+
+    def run():
+        spec = importlib.util.spec_from_file_location("toy_mod", path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        mod.called(3)
+        mod.outer(1)
+
+    result = reach.collect(package, run)
+    functions = {f["qualname"]: f for f in result["functions"]}
+    assert set(functions) == {"called", "uncalled", "outer", "outer.<locals>.inner"}
+    assert all(f["module"] == "toy.mod" for f in functions.values())
+    assert functions["called"]["statements"] == 4 and functions["called"]["unreached"] == []
+    uncalled = functions["uncalled"]
+    assert uncalled["statements"] == 4 and uncalled["unreached"] == [11, 12, 13, 14]
+    assert functions["outer"]["statements"] == 2 and functions["outer"]["unreached"] == []
+    inner = functions["outer.<locals>.inner"]
+    assert (inner["line"], inner["statements"], inner["unreached"]) == (18, 1, [19])
+    assert result["totals"] == {"functions": 4, "statements": 11, "reached": 6, "never_run": 2}
+    assert result["never_run"] == ["toy.mod.uncalled", "toy.mod.outer.<locals>.inner"]

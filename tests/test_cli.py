@@ -6,11 +6,13 @@ checked for structure, determinism (byte-identical bodies at equal seeds),
 and the exit-code contract (nonzero on any FAIL or ERROR record).
 """
 
+import copy
 import json
 import random
 
 import pytest
 
+from rswan.catalog import canned_config
 from rswan.cli import (
     CONVENTIONS,
     MAX_SAMPLES,
@@ -401,6 +403,40 @@ def assert_config_error(tmp_path, capsys, doc, message):
         load_config(doc)
     assert main(["run", write_config(tmp_path, doc)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _first_task(doc, kind):
+    return next(task for task in doc["tasks"] if task["task"] == kind)
+
+
+# name -> where in the canned p = 2 configuration: (the object, its key)
+WRONG_TYPE_SITES = {
+    "character tower": lambda doc: (doc["characters"]["Y_13"], "tower"),
+    "extension source": lambda doc: (doc["extensions"]["phi_wild"], "source"),
+    "extension target": lambda doc: (doc["extensions"]["phi_wild"], "target"),
+    "task character": lambda doc: (_first_task(doc, "swan"), "character"),
+    "task extension": lambda doc: (_first_task(doc, "conductor-change"), "extension"),
+    "task tower": lambda doc: (_first_task(doc, "duality"), "tower"),
+    "extension image": lambda doc: (doc["extensions"]["phi_wild"]["images"], "t"),
+}
+WRONG_TYPES = [pytest.param(site, value, id=f"{site} {json.dumps(value)}")
+               for site in WRONG_TYPE_SITES
+               for value in ((7, 1.5, True, None, ["x"], {"a": 1}) if site == "extension image"
+                             else (["x"], {"a": 1}))]
+
+
+@pytest.mark.parametrize("site,value", WRONG_TYPES)
+def test_a_name_or_literal_that_is_not_a_string_exits_two(tmp_path, capsys, site, value):
+    """A name is looked up, and a literal parsed, only once it is a string."""
+    doc = copy.deepcopy(canned_config(2))
+    holder, key = WRONG_TYPE_SITES[site](doc)
+    holder[key] = value
+    with pytest.raises(ConfigError):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and "Traceback" not in err
 
 
 def test_expect_ratios_are_checked_at_load_time(tmp_path, capsys):

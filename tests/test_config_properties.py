@@ -1,0 +1,66 @@
+"""Property test of the configuration boundary (skipped without
+Hypothesis).
+
+A canned ``check-all`` configuration with one or two of its leaves replaced
+by arbitrary JSON values (``null``, bools, ints, floats, strings, among
+them tower, character and extension names and series literals, and lists
+and objects of these) either loads or raises :class:`ConfigError`: no other
+exception leaves ``load_config``.
+"""
+
+import copy
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from rswan.catalog import CATALOG_PRIMES, canned_config  # noqa: E402
+from rswan.cli import load_config  # noqa: E402
+from rswan.errors import ConfigError  # noqa: E402
+
+
+def leaf_paths(doc, path=()):
+    """The key paths of the leaves of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in leaf_paths(value, path + (key,))]
+
+
+CONFIGS = {p: canned_config(p) for p in CATALOG_PRIMES}
+LEAVES = {p: leaf_paths(doc) for p, doc in CONFIGS.items()}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8)
+    | st.sampled_from(["main", "L", "Ks2", "Kd2", "X_t2", "phi_wild", "t^-3", "u^2*(1+u)"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def edited_config(draw):
+    p = draw(st.sampled_from(CATALOG_PRIMES))
+    doc = copy.deepcopy(CONFIGS[p])
+    for path in draw(st.lists(st.sampled_from(LEAVES[p]), min_size=1, max_size=2, unique=True)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_config())
+def test_load_config_loads_or_raises_a_config_error(doc):
+    try:
+        load_config(doc)
+    except ConfigError:
+        pass

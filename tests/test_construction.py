@@ -25,7 +25,6 @@ from rswan.logdiff import (
     r_b,
     wedge,
     wedge_windowed,
-    window_basis,
 )
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
@@ -35,6 +34,7 @@ from rswan.scalars import _Frozen
 from rswan.series import _ORD_FLOOR, NestedSeries, _make, linear_combination
 from rswan.tower import FieldTower
 from rswan.witt import WittVector, witt_combine
+from test_logdiff import window_basis
 
 K1 = FieldTower(2, 1, 1, ("t",))
 K2 = FieldTower(2, 1, 1, ("u", "t"))

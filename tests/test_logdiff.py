@@ -46,10 +46,8 @@ from rswan.logdiff import (
     residue_of_product,
     residue_step,
     residue_to_prime_field,
-    scale_windowed,
     wedge,
     wedge_windowed,
-    window_basis,
 )
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
@@ -90,6 +88,27 @@ def random_form(rng, level, domain, degree, lo=-4, hi=5):
                    {key: random_series(rng, level, domain, lo, hi, terms=3) for key in chosen})
 
 
+def window_basis(level, domain, degree, n, m, b):
+    """The twisted monomial basis of the window ``(n, m)`` in degree
+    ``degree``, in the order that numbers the rows and columns of
+    ``duality_matrix``: dlog keys in ``combinations`` order, then the top
+    exponents ``-n .. -m-1``, then the residue monomials (exponents in
+    ``range(p^b)`` per lower variable) in ``product`` order."""
+    pb = domain.p**b
+    return [logdiff._basis_form(level, domain, key, lower + (top,), n, m)
+            for key in combinations(range(1, level + 1), degree)
+            for top in range(-n, -m)
+            for lower in product(range(pb), repeat=level - 1)]
+
+
+def forms_agree(alpha, beta):
+    """Whether two forms of one degree agree key by key, each pair of
+    coefficients within both windows (``NestedSeries.agrees_with``)."""
+    return alpha.degree == beta.degree and all(
+        alpha.coefficient(key).agrees_with(beta.coefficient(key))
+        for key in set(alpha.coeffs) | set(beta.coeffs))
+
+
 def test_trusted_construction_builds_only_valid_forms():
     """Every form an operation builds through the trusted constructor is the
     form the validating one builds from the same data: valid keys and
@@ -120,7 +139,6 @@ def test_trusted_construction_builds_only_valid_forms():
         checked[name] += 1
 
     for domain in domains:
-        zero_scalar = domain.zero()
         for level in (1, 2, 3):
             zero = NestedSeries.zero(level, domain)
             for _ in range(3):
@@ -157,8 +175,6 @@ def test_trusted_construction_builds_only_valid_forms():
                 check("WindowedForm", WindowedForm, w, n, m)
                 check("WindowedForm", WindowedForm, w - w, n, m)
                 xw = WindowedForm(w, n, m)
-                check("scale_windowed", scale_windowed, xw, domain.random_nonzero(rng))
-                check("scale_windowed", scale_windowed, xw, zero_scalar)
                 # the one-term paths: monomial wedges, in-window products, r_b walks
                 ka = tuple(sorted(rng.sample(range(1, level + 1), rng.randint(0, level))))
                 kb = tuple(v for v in range(1, level + 1) if v not in ka)
@@ -180,7 +196,7 @@ def test_trusted_construction_builds_only_valid_forms():
                 for r in window_basis(level, domain, deg, 2, 0, 1):
                     valid("window_basis", r)
     names = ("+", "-", "scale", "mul_int", "wedge", "d", "dlog", "cartier", "residue_step",
-             "WindowedForm", "scale_windowed", "window_basis", "one-term wedge",
+             "WindowedForm", "window_basis", "one-term wedge",
              "wedge_windowed", "r_b")
     assert all(checked[name] >= 6 for name in names), checked
 
@@ -262,7 +278,7 @@ def test_dlog_is_logarithmic():
             f = random_series(rng, level, domain)
             if f.is_zero():
                 continue
-            assert dlog(f, 32).scale(f).agrees_with(d(f))
+            assert forms_agree(dlog(f, 32).scale(f), d(f))
 
 
 def test_dlog_of_product():
@@ -273,7 +289,7 @@ def test_dlog_of_product():
             g = random_series(rng, level, domain)
             if f.is_zero() or g.is_zero():
                 continue
-            assert dlog(f * g, 24).agrees_with(dlog(f, 24) + dlog(g, 24))
+            assert forms_agree(dlog(f * g, 24), dlog(f, 24) + dlog(g, 24))
 
 
 def test_dlog_of_uniformizer_and_powers():
@@ -295,10 +311,8 @@ def test_wedge_antisymmetry_and_square_zero():
             continue
         a = dlog(f, 16)
         b = dlog(g, 16)
-        assert wedge(a, b).agrees_with(-wedge(b, a))
-        assert wedge(a, a).is_zero() or wedge(a, a).agrees_with(
-            LogForm.zero(2, F3, 2)
-        )
+        assert forms_agree(wedge(a, b), -wedge(b, a))
+        assert wedge(a, a).is_zero() or forms_agree(wedge(a, a), LogForm.zero(2, F3, 2))
 
 
 def test_wedge_concrete_keys():
@@ -713,13 +727,6 @@ def test_wedge_windowed_stores_an_in_window_product_as_it_is(monkeypatch):
         assert (cuts == []) == inside
         seen["stored" if inside else "cut"] += 1
     assert seen["stored"] > 100 and seen["cut"] > 100, seen
-
-
-def test_scale_windowed_twist():
-    x = WindowedForm(LogForm(1, F4, 1, {(1,): mono(1, F4, (-2,))}), 2, 0)
-    g = F4.generator()
-    out = scale_windowed(x, g, power=1)
-    assert out.form.coefficient((1,)) == mono(1, F4, (-2,), F4.pow(g, 2))
 
 
 # --------------------------------------------------------------------- r_b

@@ -52,6 +52,7 @@ from rswan.parser import parse_series, render_series
 from rswan.reciprocity import (
     CharacterizationReport,
     _residue_of_symbol,
+    _SymbolEntries,
     check_exp_congruences,
     eval_symbol,
     schmid_symbol,
@@ -331,8 +332,9 @@ def test_symbol_widens_to_the_budget_when_lower_poles_need_it():
     the first entry pushes the residue past them; the budget answers."""
     chi = char_of(KD, ["u^-1*t^-2"])
     ys = [parse_series("1 + u + u^-2*t", KD), parse_series("t", KD)]
+    entries = _SymbolEntries(theta_lift(chi), KD)
     with pytest.raises(PrecisionExhausted):
-        _residue_of_symbol(theta_lift(chi), KD, ys, 3)
+        _residue_of_symbol(ys, 3, entries)
     assert eval_symbol(chi, ys) == 1
 
 
@@ -487,7 +489,7 @@ def test_symbol_falls_back_to_dlog_forms_where_a_window_meets_a_cancellation():
     ys = [parse_series("1 + u^-1*t^3", KD), parse_series("t^-1 + t", KD)]
     for width in (6, KD.precision):
         with pytest.raises(PrecisionExhausted):
-            _residue_of_symbol(theta, KD, ys, width)
+            _residue_of_symbol(ys, width, _SymbolEntries(theta, KD))
     wide = FieldTower(2, 1, 1, ("u", "t"), precision=512)
     assert reciprocity._symbol_value(theta, KD, ys) == 0
     assert dlog_route_symbol(completed(theta), wide, ys) == 0
@@ -500,12 +502,12 @@ def test_symbol_width_reads_window_zero_coefficients(monkeypatch):
     theta = NestedSeries(2, dom, {-2: NestedSeries.zero(1, dom, 2)})
     ys = [parse_series("1 + u*t", KD), parse_series("t", KD)]
     with pytest.raises(PrecisionExhausted):
-        _residue_of_symbol(theta, KD, ys, 1)
+        _residue_of_symbol(ys, 1, _SymbolEntries(theta, KD))
     widths = []
 
-    def recording(theta, tower, ys, width, *entries):
+    def recording(ys, width, entries):
         widths.append(width)
-        return _residue_of_symbol(theta, tower, ys, width, *entries)
+        return _residue_of_symbol(ys, width, entries)
 
     monkeypatch.setattr(reciprocity, "_residue_of_symbol", recording)
     assert reciprocity._symbol_value(theta, KD, ys) == 0
@@ -610,7 +612,8 @@ def test_monomial_entries_take_the_outcome_of_their_inverse():
             rng.shuffle(ys)
         assert any(_monomial(y) is not None for y in ys)
         for width in sorted({max(1, 1 - min(theta.coeffs, default=0)), tower.precision}):
-            new = refusal_outcome(reciprocity._residue_of_symbol, theta, tower, ys, width)
+            new = refusal_outcome(
+                reciprocity._residue_of_symbol, ys, width, _SymbolEntries(theta, tower))
             old = refusal_outcome(parent_residue_of_symbol, theta, tower, ys, width)
             assert new == old, (theta, ys, width)
             seen["answered" if isinstance(new, int) else new[0]] += 1
