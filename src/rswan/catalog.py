@@ -9,6 +9,8 @@ user-supplied config file.
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 from .errors import ConfigError
 from .tower import FieldTower
 
@@ -136,7 +138,7 @@ def catalog_characters(p: int):
 
 
 def canned_config(p: int) -> dict:
-    """The check-all run configuration for one prime."""
+    """The check-all run configuration for one prime, of fresh objects."""
     if p not in CATALOG_PRIMES:
         raise ConfigError(f"no canned catalog for p = {p}")
     towers = {
@@ -168,13 +170,13 @@ def canned_config(p: int) -> dict:
             task["expect_sw"] = expect_sw
         tasks.append(task)
     if p in _THMB:
-        tasks.append({"task": "thmB", **_THMB[p]})
-    tasks.append({"task": "thmC", "f": {"-3": "x"}, "x0": 0, **_CURVES[p]})
+        tasks.append({"task": "thmB", **deepcopy(_THMB[p])})
+    tasks.append({"task": "thmC", "f": {"-3": "x"}, "x0": 0, **deepcopy(_CURVES[p])})
     return {
         "version": 1,
         "tower": _tower_dict(_TOWERS[p]["main"]),
         "towers": towers,
         "characters": characters,
-        "extensions": dict(_EXTENSIONS[p]),
+        "extensions": deepcopy(_EXTENSIONS[p]),
         "tasks": tasks,
     }

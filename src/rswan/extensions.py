@@ -29,8 +29,7 @@ source tower, the source has more than one variable, the image is a
 monomial, windowed or over a larger tower, a component is windowed, or some
 ``-e L`` lies below the exponent floor (the substitution raises
 ``ExponentOutOfRange`` there).  Past this source-side plan, the target
-reduction plans its own refusal: a length-2 tail whose lighter slot the
-combination would leave uncovered is refused before that combination runs
+reduction refuses an uncovered Witt tail of any length before combining it
 (:mod:`rswan.witt`, "Reduction").
 
 Two ratio experiments live here as well: the imperfect-residue family

@@ -617,11 +617,11 @@ class NestedSeries(_Frozen):
         grouped: dict[int, list] = {}
         for exps, raw in monomials:
             grouped.setdefault(exps[-1], []).append((exps[:-1], raw))
-        return cls(
-            level,
-            domain,
-            {e: cls.from_monomials(level - 1, domain, ms) for e, ms in grouped.items()},
-        )
+        coeffs = {e: cls.from_monomials(level - 1, domain, ms) for e, ms in grouped.items()}
+        for e in coeffs:
+            if type(e) is not int:
+                raise TowerMismatch(f"exponent {e!r} is not an int")
+        return _make(level, domain, coeffs, None)
 
     @classmethod
     def variable(cls, level: int, domain, var_level: int) -> "NestedSeries":

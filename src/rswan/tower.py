@@ -46,7 +46,8 @@ class FieldTower:
         if len(set(self.variables)) != len(self.variables):
             raise ConfigError("tower variables must be distinct")
         for v in self.variables:
-            if not v.isidentifier() or v == "g":
+            # a NAME of the literal grammar (rswan.parser) that is not one of its words
+            if not (v.isascii() and v.isidentifier()) or v in ("g", "dlog"):
                 raise ConfigError(f"bad variable name {v!r}")
         if self.precision < 4:
             raise ConfigError("precision budget too small to be useful")

@@ -129,43 +129,34 @@ already passed becomes removable again: the sweep removes the same terms in
 the same order as rescanning from the deepest pole after each removal, and
 it ends, because every pushed exponent is larger and still negative.
 
-*A length-2 tail's refusal is planned.*  Internal slot 1 (``a``) moves
-and internal slot 0 (``b``) is the lighter one.  The combination gives
-``b`` the ceiling
+*The ceiling plan.*  A window puts the combination of a moved tail of
+length ``L`` with ``F(e)`` and ``e`` on the series path.  There ``z_n`` is
+one linear combination divided by ``p^n`` and reduced, so its ceiling is
+its terms' least (no multiplier ``p^i``, ``i < L``, vanishes mod ``p^L``),
+and a product has the ceiling ``min(ceil(x) + low(y), ceil(y) + low(x))``,
+so ``y^q`` has ``(q - 1) low(y) + ceil(y)`` if ``low(y^j) = j low(y)``,
+and at least that if ``low(y^j) >= j low(y)``.  :func:`_refuse_if_planned`
+bounds each standard output slot ``n`` first, ``LB_n <= ceil(z_n) <= UB_n``:
 
-    ``K = min(ceil(b), (p - 1) low(a) + ceil(a))``,
+* ``UB_n`` is the least ceiling of the input terms ``x^(p^(n-i))``, over
+  the windowed components ``x`` of slots ``i <= n``; it is exact, as the
+  lead of a lifted field coefficient is a unit at every level (or zero
+  only within a window, and then stored).  ``e`` and ``F(e)`` are exact.
+* ``LB_n = min(UB_n, (p^(n-k) - 1) L_k + LB_k)`` over ``k < n`` bounds the
+  terms ``z_k^(p^(n-k))``: by the weight argument of "The exponent floor",
+  ``L_k = min(LB_k, p^(k-i) low(x))``, over the components ``x`` of slots
+  ``i <= k`` that are not exactly zero, bounds ``low(z_k)`` (``LB_k`` for a
+  ``z_k`` zero within its window).  Cancellation in ``z_k`` or a non-unit
+  lead raises those ceilings, so ``UB_n`` alone can be too high.
 
-where ``low(a)`` is ``a``'s least stored top exponent.  At ghost index 1,
-``b``'s result is a linear combination of the terms below, divided by
-``p`` and reduced; the division and the reduction keep the least ceiling
-of the terms, so ``K`` is it:
-
-* ``lift(a)^p``: at every level the lead of ``lift(a)`` is a unit (or
-  zero only within a window, and then stored), so ``lift(a)^n`` has the
-  low ``n low(a)`` and, by the product rule ``min(ceil(x) + low(y),
-  ceil(y) + low(x))``, the ceiling ``(n - 1) low(a) + ceil(a)``;
-* ``p b``, with ceiling ``ceil(b)``;
-* the exact ``U``, ``U^p`` and ``U^(p^2)``; the zero slot-1 entries of
-  ``F(e)`` and ``e`` are skipped;
-* ``-z_0^p``: ``z_0`` combines ``a``, ``U^p`` and ``U``, whose top
-  exponents lie at or above ``low(a)`` (each exponent of ``U`` is ``e/p``
-  for a removed ``e >= low(a)``), and a power's low is at least that
-  multiple of the low, so ``ceil(z_0^p) >= (p - 1) low(z_0) + ceil(a)``
-  is at least the first term's ceiling.
-
-The check after the combination reads component 0 first, and component 1
-keeps ``ceil(a) > 0``, so ``K <= 0`` is that check's refusal
-``_uncovered_polar_part(0, K)``, which :func:`asw_reduce_components`
-raises without combining.  ``ceil(b) > 0`` already (the entry check, or
-the check after a heavier slot's combination), so ``K <= 0`` exactly when
-``(p - 1) low(a) + ceil(a) <= 0``, and ``K`` is then that term.  It plans
-only when ``a`` has a finite top ceiling and stored terms, and when ``p``
-times ``a``'s least exponent at every level stays within the supported
-range: the deepest exponent the combination forms is ``p`` times that one
-(see "The exponent floor"), so below it the combination runs and raises
-its :class:`~rswan.errors.ExponentOutOfRange`.  The argument holds at any
-length ``s`` of the vector, as the tail is combined over ``Z/p^2``
-whatever ``s`` is; longer tails still combine first.
+In the check's order, internal slot 0 first, a slot with ``LB_n > 0``
+passes, and one with ``LB_n = UB_n <= 0`` is the check's refusal
+``_uncovered_polar_part(index, UB_n)``, raised without combining; any other
+slot leaves the decision to the combination.  Nothing is planned over
+``F_p(x)`` (the combination refuses it), when no input has a top ceiling
+(inner windows never make one), or when ``p^(L-1-i)`` times a component's
+least exponent at some level is below the supported range: the combination
+raises its :class:`~rswan.errors.ExponentOutOfRange` ("The exponent floor").
 """
 
 from __future__ import annotations
@@ -634,18 +625,28 @@ def _reduce_slot(x: NestedSeries):
     return _make(level, domain, coeffs, x.ceiling), _make(level, domain, u_coeffs, None)
 
 
-def _planned_tail_ceiling(a: NestedSeries, p: int):
-    """``(p - 1) low(a) + ceil(a)``: when it is ``<= 0``, the ceiling that
-    the length-2 combination in which ``a`` moves gives the lighter slot,
-    whose own ceiling is above 0 (module docstring, "Reduction").  None
-    when nothing is planned: ``a`` is exact or has no stored term, or the
-    combination raises ExponentOutOfRange first."""
-    if a.ceiling is None or not a.coeffs:
-        return None
-    ceiling = (p - 1) * min(a.coeffs) + a.ceiling
-    if ceiling <= 0 and p * min(_level_lows(a, {}).values()) < _ORD_FLOOR:
-        return None  # the combination raises ExponentOutOfRange
-    return ceiling
+def _refuse_if_planned(comps_list, p: int):
+    """Raise the refusal that the check after the reduction combination
+    ``witt_combine(comps_list, [1, -1, 1], p)`` raises, when the output
+    slots' ceiling intervals decide it (module docstring, "Reduction")."""
+    if not hasattr(comps_list[0][0].domain, "k") or all(
+            x.ceiling is None for comps in comps_list for x in comps):
+        return  # F_p(x) coefficients, which witt_combine refuses, or no window
+    inputs = [comps[::-1] for comps in comps_list]  # standard order
+    length, upper, lower, low = len(inputs[0]), [], [], []
+    for n in range(length):
+        slots = [(p ** (n - i), x) for xs in inputs for i, x in enumerate(xs[:n + 1])]
+        upper.append(min([(q - 1) * x.low() + x.ceiling for q, x in slots
+                          if x.ceiling is not None], default=float("inf")))
+        lower.append(min([upper[n]] + [(p ** (n - k) - 1) * low[k] + lower[k] for k in range(n)]))
+        low.append(min([lower[n]] + [q * x.low() for q, x in slots if not x.is_exact_zero()]))
+    for index, n in enumerate(reversed(range(length))):  # the check's order
+        if lower[n] <= 0:
+            if lower[n] != upper[n] or min(
+                    p ** (length - 1 - i) * min(_level_lows(x, {}).values())
+                    for xs in inputs for i, x in enumerate(xs) if x.coeffs) < _ORD_FLOOR:
+                return  # undecided, or the combination raises ExponentOutOfRange
+            raise _uncovered_polar_part(index, upper[n])
 
 
 def asw_reduce_components(comps, p: int):
@@ -657,14 +658,11 @@ def asw_reduce_components(comps, p: int):
         if i == 0 or total is None:
             comps = comps[:i] + (reduced,) + comps[i + 1:]
             continue
-        if i == 1:
-            ceiling = _planned_tail_ceiling(comps[1], p)
-            if ceiling is not None and ceiling <= 0:
-                raise _uncovered_polar_part(0, ceiling)
         # the length-(i + 1) tail e of E, with E = V^j(e): only the slots E moves
-        zero = NestedSeries.zero(total.level, total.domain)
-        e = (zero,) * i + (total,)
-        moved = witt_combine([comps[:i + 1], witt_frobenius(e), e], [1, -1, 1], p)
+        e = (NestedSeries.zero(total.level, total.domain),) * i + (total,)
+        combination = [comps[:i + 1], witt_frobenius(e), e]
+        _refuse_if_planned(combination, p)
+        moved = witt_combine(combination, [1, -1, 1], p)
         if not moved[i].agrees_with(reduced):
             raise RswanError("a coboundary moved a slot unpredictably (internal error)")
         comps = moved + comps[i + 1:]

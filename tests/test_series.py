@@ -1220,6 +1220,20 @@ def test_the_constructor_refuses_coefficients_outside_its_ring():
     assert NestedSeries(1, FX, {0: FX.from_polys([1, 2])}).coeffs
 
 
+def test_from_monomials_refuses_an_exponent_that_is_not_an_int():
+    """``from_monomials`` builds its outer levels through the trusted
+    ``_make`` once their exponents are checked: a ``float`` or ``bool``
+    exponent at any level raises the constructor's message, and monomials
+    that cancel leave no inner coefficient."""
+    for exponent in (1.5, True, 2.0):
+        for exps in ((0, exponent), (exponent, 0), (0, 0, exponent)):
+            with pytest.raises(TowerMismatch, match=f"exponent {exponent!r} is not an int"):
+                NestedSeries.from_monomials(len(exps), F2, [(exps, 1)])
+    built = NestedSeries.from_monomials(2, F2, [((1, -2), 1), ((0, -2), 1), ((3, 4), 1), ((3, 4), 1)])
+    assert built == NestedSeries(2, F2, {-2: NestedSeries(1, F2, {0: 1, 1: 1})})
+    assert built.coeffs.keys() == {-2}
+
+
 def test_linear_combination_refuses_mixed_rings_and_the_exponent_floor(monkeypatch):
     z4 = galois_ring_domain(2, 1, 2)
     with pytest.raises(TowerMismatch):

@@ -950,7 +950,7 @@ def test_internal_check_fires_when_the_reduced_slot_moves(monkeypatch):
 
 
 def always_combine_reduce_oracle(comps, p, combine=witt_combine):
-    """The reduction loop without the length-2 plan: every moved slot takes
+    """The reduction loop without the ceiling plan: every moved slot takes
     its combination first, and the check after it refuses."""
     witt._check_windows_cover_polar_part(comps)
     comps = tuple(comps)
@@ -975,15 +975,6 @@ def reduce_outcome(reduce, comps, p):
         return reduce(comps, p)
     except RswanError as exc:
         return type(exc), str(exc), getattr(exc, "exponent", None)
-
-
-def planned_tail_ceiling(b, a, p):
-    """``K = min(ceil(b), (p - 1) low(a) + ceil(a))`` (``witt`` module
-    docstring, "Reduction"), recomputed here from the two slots."""
-    ceilings = [c for c in (b.ceiling,) if c is not None]
-    if a.ceiling is not None:
-        ceilings.append((p - 1) * min(a.coeffs) + a.ceiling)
-    return min(ceilings, default=None)
 
 
 def plan_sweep_slot(rng, level, dom, p, top=True):
@@ -1011,21 +1002,43 @@ def plan_sweep_slot(rng, level, dom, p, top=True):
 PLAN_CELLS = [(p, k, s, d) for p in (2, 3, 5) for k in (1, 2) for s in (2, 3, 4) for d in (1, 2)]
 
 
-def test_the_length_two_plan_matches_the_always_combine_oracle():
+def counting_combinations(monkeypatch):
+    """Patch ``witt.witt_combine`` to record the tail length of each
+    combination the reduction runs; returns the record."""
+    calls = []
+
+    def counting(comps_list, ints, p):
+        calls.append(len(comps_list[0]))
+        return witt_combine(comps_list, ints, p)
+
+    monkeypatch.setattr(witt, "witt_combine", counting)
+    return calls
+
+
+def test_the_ceiling_plan_matches_the_always_combine_oracle(monkeypatch):
     """Every outcome equals the oracle's, by ``==`` (ceilings included) or
-    by the refusal's type, message and exponent; and every length-2
-    combination the oracle runs gives the lighter slot exactly the planned
-    ceiling, the refused ones (``K <= 0``) included.  The floor-edge cases
-    combine and keep the combination's ExponentOutOfRange."""
-    planned = {"answered": 0, "refused": 0}
+    by the refusal's type, message and exponent.  On every combination the
+    oracle runs, a refusal the plan decides is the one the check after the
+    combination raises, and the plan decides none where the check passes.
+    Planned refusals occur at every length, and the reduction then runs one
+    combination fewer than the oracle.  The floor-edge cases combine and
+    keep the combination's ExponentOutOfRange, and so does a combination
+    over F_p(x), which refuses its coefficients."""
+    decided = {"refused": 0, "planned": 0}
+    oracle_calls = []
 
     def checking(comps_list, ints, p):
+        oracle_calls.append(len(comps_list[0]))
         out = witt_combine(comps_list, ints, p)
-        if len(out) == 2:
-            b, a = comps_list[0]
-            k = planned_tail_ceiling(b, a, p)
-            assert out[0].ceiling == k
-            planned["answered" if k is None or k > 0 else "refused"] += 1
+        plan = reduce_outcome(witt._refuse_if_planned, comps_list, p)
+        check = reduce_outcome(lambda c, q: witt._check_windows_cover_polar_part(c), out, p)
+        if check is None:
+            assert plan is None
+        else:
+            decided["refused"] += 1
+            if plan is not None:
+                decided["planned"] += 1
+                assert plan == check
         return out
 
     cases = []
@@ -1042,14 +1055,22 @@ def test_the_length_two_plan_matches_the_always_combine_oracle():
         ((NestedSeries.zero(1, dom2), below_floor.truncate(3)), 2),
         ((NestedSeries.zero(2, dom2), NestedSeries(2, dom2, {-4: below_floor}, 3)), 2),
         ((NestedSeries.zero(2, dom2), NestedSeries(2, dom2, {-2: below_floor}, 1)), 2),
+        ((NestedSeries.zero(1, dom2),) * 2 + (below_floor.truncate(3),), 2),
     ]
+    calls = counting_combinations(monkeypatch)
     outcomes = []
+    planned_at = set()
     for comps, p in cases + edges:
+        oracle_calls.clear()
         want = reduce_outcome(
             lambda c, q: always_combine_reduce_oracle(c, q, checking), comps, p)
+        calls.clear()
         got = reduce_outcome(asw_reduce_components, comps, p)
         assert got == want
         outcomes.append(got)
+        assert len(calls) in (len(oracle_calls), len(oracle_calls) - 1)
+        if len(calls) < len(oracle_calls):
+            planned_at.add(len(comps))
     for got in outcomes[len(cases):]:
         assert got[0] is ExponentOutOfRange
     # at the floor itself the plan refuses, as the combination does
@@ -1057,19 +1078,28 @@ def test_the_length_two_plan_matches_the_always_combine_oracle():
                   (NestedSeries.zero(2, dom2), NestedSeries(2, dom2, {-4: at_floor}, 3))):
         want = reduce_outcome(always_combine_reduce_oracle, comps, 2)
         assert want[0] is PrecisionExhausted
+        calls.clear()
         assert reduce_outcome(asw_reduce_components, comps, 2) == want
-    assert planned["answered"] > 30 and planned["refused"] > 30
+        assert calls == []
+    # over F_p(x) the combination refuses the coefficients; the plan leaves that to it
+    fx = rat_func_domain(3)
+    comps = (NestedSeries(1, fx, {}, 1), NestedSeries(1, fx, {-9: fx.one()}, 2))
+    want = reduce_outcome(always_combine_reduce_oracle, comps, 3)
+    assert want[0] is TowerMismatch
+    assert reduce_outcome(asw_reduce_components, comps, 3) == want
+    assert planned_at == {2, 3, 4}
+    assert decided["refused"] > 50 and decided["planned"] > decided["refused"] // 2
     assert any(isinstance(o, tuple) and o[0] is PrecisionExhausted for o in outcomes)
 
 
 def test_a_planned_refusal_runs_no_combination(monkeypatch):
     """The first conductor change of the benchmark's embed workload (seed 0,
-    cycle 0) that the length-2 plan refuses: over F_5 with s = 2,
-    t -> u^3 + 2 u^4 pulls the reduced character back to a target vector
-    whose x_0 has the pole u^-24 and the window u^40, so the lighter slot's
-    planned ceiling is 4 * (-24) + 40 = -56.  The target reduction raises
-    the refusal the combination's check raises, with no call to
-    ``witt_combine``; so does a vector at the boundary ``K = 0``."""
+    cycle 0) that the plan refuses: over F_5 with s = 2, t -> u^3 + 2 u^4
+    pulls the reduced character back to a target vector whose x_0 has the
+    pole u^-24 and the window u^40, so the lighter slot's ceiling is
+    4 * (-24) + 40 = -56.  The target reduction raises the refusal the
+    combination's check raises, with no call to ``witt_combine``; so does a
+    vector at the boundary ``K = 0``."""
     source = FieldTower(5, 1, 2, ("t",))
     target = FieldTower(5, 1, 2, ("u",))
     ext = ExtensionMap(source, target, {"t": parse_series("u^3 + 2*u^4", target)})
@@ -1083,18 +1113,46 @@ def test_a_planned_refusal_runs_no_combination(monkeypatch):
                                  parse_series("t^-4", K2s2).truncate(4)))
     at_zero = reduce_outcome(always_combine_reduce_oracle, boundary.comps, 2)
     assert at_zero == (PrecisionExhausted, str(witt._uncovered_polar_part(0, 0)), 0)
-    calls = []
-
-    def counting(comps_list, ints, p):
-        calls.append(len(comps_list[0]))
-        return witt_combine(comps_list, ints, p)
-
-    monkeypatch.setattr(witt, "witt_combine", counting)
+    calls = counting_combinations(monkeypatch)
     with pytest.raises(PrecisionExhausted) as refused:
         asw_reduce(WittVector(target, pulled))
     assert (type(refused.value), str(refused.value), refused.value.exponent) == want
     assert reduce_outcome(asw_reduce_components, boundary.comps, 2) == at_zero
     assert calls == []
+
+
+def test_a_length_four_refusal_is_planned(monkeypatch):
+    """The length-4 vector of ``bench/witt_combine.py`` over
+    ``F_25((v))((t))``: x_0 has the pole t^-5 and the window t^16, so x_0's
+    last ghost power x_0^(5^3) gives the lightest slot the ceiling
+    (5^3 - 1) * (-5) + 16 = -604.  The reduction refuses there with no
+    call to ``witt_combine``, as the oracle's combination does."""
+    tower = FieldTower(5, 2, 4, ("v", "t"))
+    dom = tower.field_domain
+    exact = NestedSeries.from_monomials(
+        2, dom, [((-25, -5), (1, 4)), ((-4, -5), (3, 3)), ((-2, -5), (1, 2))])
+    zero = NestedSeries.zero(2, dom)
+    vector = WittVector.from_print_order(
+        tower, (NestedSeries(2, dom, dict(exact.coeffs), 16), zero, zero, zero))
+    want = (PrecisionExhausted, str(witt._uncovered_polar_part(0, -604)), -604)
+    calls = counting_combinations(monkeypatch)
+    assert reduce_outcome(asw_reduce_components, vector.comps, 5) == want
+    assert calls == []
+
+
+def test_an_undercut_ceiling_is_left_to_the_combination(monkeypatch):
+    """Over F_2((t)) with s = 3 and print order ``(t^-4, t^-1 + O(t),
+    t^-4)``, the input terms alone give the lightest slot the ceiling
+    ``(2 - 1) * (-1) + 1 = 0``, but ``z_1``'s power undercuts it: the
+    combination refuses at -5.  The plan's interval does not decide that
+    slot, so the reduction runs the combination and raises its refusal."""
+    vector = vec(K2s3, "t^-4", "t^-1", "t^-4")
+    comps = (vector.comps[0], vector.comps[1].truncate(1), vector.comps[2])
+    want = reduce_outcome(always_combine_reduce_oracle, comps, 2)
+    assert want == (PrecisionExhausted, str(witt._uncovered_polar_part(0, -5)), -5)
+    calls = counting_combinations(monkeypatch)
+    assert reduce_outcome(asw_reduce_components, comps, 2) == want
+    assert calls == [3]
 
 
 # ------------------------------------------------------ merged ghost terms
