@@ -1,14 +1,18 @@
 """Layer bench: substitution (``series_substitute``) on the shapes the ``embed`` workload pulls back.
 
-Results must be equal across trees (checked), error kinds by name.  Two
+Results must be equal across trees (checked), error kinds by name.  Three
 sections, with one figure per tree:
 
-* ``embed``: per cell ``(p, e)``, ``p`` in 2, 3, 5 and ``e`` in 2..6,
-  ``SOURCES`` seeded exact series over ``F_p`` with 1..4 monomials at
-  exponents -12..2 (the components the ``embed`` workload draws), each
-  substituted through its own seeded image ``u^e (c + ...)`` drawn as that
-  workload draws it, at the target's precision budget; ``us_per_substitution``
-  is the mean time of one call.
+* ``embed``: per cell ``(p, k, e)``, ``F_{p^k}`` one of ``F_2``, ``F_3``,
+  ``F_5``, ``F_4`` and ``F_9`` and ``e`` in 2..6, ``SOURCES`` seeded exact
+  series over ``F_{p^k}`` with 1..4 monomials at exponents -12..2 (the
+  components the ``embed`` workload draws over ``F_p``), each substituted
+  through its own seeded image ``u^e (c + ...)`` drawn as that workload
+  draws it, at the target's precision budget; ``us_per_substitution`` is
+  the mean time of one call.
+* ``deep_poles``: the same per cell ``(p, k, e)`` for ``e`` in 2, 4, 6,
+  with exponents -40..2, so that a pole order has several base-``p``
+  digits.
 * ``imperfect_residue``: per ``p`` in 2, 3, 5, the canned family
   ``u -> v^p + w, t -> w^t`` (``t`` in ``T_VALUES``, prime to ``p``) and its
   character's component over ``F_p((u))((t))``; ``us_per_substitution`` is
@@ -25,7 +29,9 @@ import sys
 
 from _trees import alternate, main, same
 
-EMBED_CELLS = tuple((p, e) for p in (2, 3, 5) for e in range(2, 7))
+FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
+EMBED_CELLS = tuple((p, k, e) for p, k in FIELDS for e in range(2, 7))
+DEEP_CELLS = tuple((p, k, e) for p, k in FIELDS for e in (2, 4, 6))
 SOURCES = 24
 T_VALUES = (3, 4, 5, 7, 8, 11)  # each family takes the first three prime to p
 PASSES = 7
@@ -44,15 +50,18 @@ def _image(rswan, dom, rng, p, e):
     return rswan.NestedSeries.from_monomials(1, dom, terms)
 
 
-def _embed_inputs(rswan, cell):
-    """``(source, images, precision)`` triples of one ``embed`` cell."""
-    p, e = cell
-    target = rswan.FieldTower(p, 1, 1, ("u",))
+def _embed_inputs(rswan, cell, deepest=-12):
+    """``(source, images, precision)`` triples of one ``embed`` cell, or of a
+    ``deep_poles`` cell at ``deepest = -40``."""
+    p, k, e = cell
+    target = rswan.FieldTower(p, k, 1, ("u",))
     dom = target.field_domain
-    rng = random.Random(f"substitute:{cell}")
+    # the F_p cells of the embed section keep their seeds from before k was a key
+    key = (p, e) if k == 1 and deepest == -12 else (*cell, deepest)
+    rng = random.Random(f"substitute:{key}")
     out = []
     for _ in range(SOURCES):
-        monos = [((rng.randint(-12, 2),), dom.random_nonzero(rng))
+        monos = [((rng.randint(deepest, 2),), dom.random_nonzero(rng))
                  for _ in range(rng.randint(1, 4))]
         source = rswan.NestedSeries.from_monomials(1, dom, monos)
         out.append((source, {1: _image(rswan, dom, rng, p, e)}, target.precision))
@@ -84,6 +93,8 @@ def _substitute_all(rswan, inputs):
 def measure(trees) -> dict:
     inputs = {("embed", cell): [_embed_inputs(tree, cell) for tree in trees]
               for cell in EMBED_CELLS}
+    inputs.update({("deep_poles", cell): [_embed_inputs(tree, cell, -40) for tree in trees]
+                   for cell in DEEP_CELLS})
     inputs.update({("imperfect_residue", p): [_family_inputs(tree, p) for tree in trees]
                    for p in (2, 3, 5)})
     calls = {}
@@ -97,8 +108,11 @@ def measure(trees) -> dict:
         return [round(t * 1e6 / len(inputs[key][0]), 1) for t in seconds[key]]
 
     return {
-        "embed": [{"p": p, "e": e, "us_per_substitution": us(("embed", (p, e)))}
-                  for p, e in EMBED_CELLS],
+        "embed": [{"p": p, "k": k, "e": e, "us_per_substitution": us(("embed", (p, k, e)))}
+                  for p, k, e in EMBED_CELLS],
+        "deep_poles": [{"p": p, "k": k, "e": e,
+                        "us_per_substitution": us(("deep_poles", (p, k, e)))}
+                       for p, k, e in DEEP_CELLS],
         "imperfect_residue": [{"p": p, "members": len(inputs["imperfect_residue", p][0]),
                                "us_per_substitution": us(("imperfect_residue", p))}
                               for p in (2, 3, 5)],

@@ -28,7 +28,8 @@ from .errors import (
     ZeroInput,
 )
 from .tower import FieldTower
-from .series import NestedSeries, series_substitute
+from .series import NestedSeries
+from .substitution import series_substitute
 from .parser import parse_series, parse_windowed_form, render_form, render_series
 from .witt import (
     Character,

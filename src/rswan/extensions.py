@@ -21,7 +21,7 @@ Planned pullbacks
 -----------------
 The pullback of an exact source component whose deepest pole is ``T^-L``
 through an exact image of order ``e`` with at least two terms is known
-below ``precision - e L`` (``rswan.series``, "Substitution").
+below ``precision - e L`` (:mod:`rswan.substitution`).
 :func:`pullback_character` plans these ceilings for every component first
 and raises the target reduction's refusal of the first one ``<= 0`` before
 any substitution.  It plans nothing when the character is not over the
@@ -52,7 +52,8 @@ from .errors import (
 from .logdiff import log_derivative
 from .ratfunc import RatFuncDomain
 from .scalars import _Frozen
-from .series import _ORD_FLOOR, NestedSeries, series_substitute
+from .series import _ORD_FLOOR, NestedSeries
+from .substitution import series_substitute
 from .tower import FieldTower
 from .witt import (
     Character,
@@ -142,7 +143,7 @@ def pullback_series(ext: ExtensionMap, sr: NestedSeries) -> NestedSeries:
     """Image of a source series under the embedding.
 
     Coefficients are shared constants; each source variable is replaced by
-    its image (see :func:`~rswan.series.series_substitute`).  A finite
+    its image (see :func:`~rswan.substitution.series_substitute`).  A finite
     source window propagates to the target window at ``ceiling * e``; a
     window on a lower-variable coefficient raises
     :class:`PrecisionExhausted`, since lower variables map to units.

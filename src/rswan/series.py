@@ -92,44 +92,39 @@ those of folding ``acc + x.mul_int(n)``, which the tests keep as the
 reference; ``__add__`` itself still makes one domain call per colliding
 entry.
 
-Substitution
-------------
-:func:`series_substitute` evaluates ``sum_e a_e T^e`` at ``T = img`` by
-Horner's rule (Knuth, TAOCP vol. 2, sec. 4.6.4) over the stored exponents
-in descending order, ``q <- q * img^(e' - e) + a_e``, with exact gap powers
-kept per level (at levels >= 2 each ``a_e`` is substituted first); then
-``q * img^e_min``, or ``q * (img^n).inv(precision)`` for ``e_min = -n``:
-one exact power of the short image and one inverse at any depth of poles.
-For an exact image of order ``m`` that inverse is known below
-``-n m + precision``, as ``inv(img)^n`` is.  The poles are evaluated apart
-from the other exponents, so that the inverse's inner windows stay off
-the exact polynomial part.  The unknown tail of a source with ceiling
-``c`` cuts the result at ``c * low(img)``, or at ``c * ord(img)`` when
-``c < 0`` (a negative power needs the order itself); an image of order
-below 1 raises ``PrecisionExhausted``, but an exactly zero one passes
-when ``c >= 1``, as every tail term is then zero.
-
-Inversion
----------
-Write ``a = c T^v (1 + sum_i b_i T^i)``.  Its inverse on the window
-``[-v, -v + w)`` is unique, so every method that computes it exactly gives
-the same series.  At every level and over every domain, ``inv`` runs
-power-series division by recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
-``d_0 = c^-1`` and ``d_n = -sum_{i <= n} b_i d_{n-i}`` over the stored
-terms of ``[v, v + w)``, ``O(w * terms)`` coefficient operations.  At
-level 1 over ``Z/p^s`` (``k = 1``) each ``d_n`` is summed in plain ints and
-reduced once; ``k > 1`` tuples and ``F_p(x)`` coefficients go through their
-domain's operations, one per term pair, with no packing.  At
-levels >= 2 the coefficients are level-``(l-1)`` series, ``c^-1`` is the
-inverse of ``c`` at its own level, and the sum skips only an *exactly* zero
+Division
+--------
+Write ``f = c T^v (1 + sum_i b_i T^i)``.  A quotient ``a / f`` on a window
+of width ``w`` is unique, so every method that computes it exactly gives
+the same series.  One recurrence computes it, power-series division
+(Knuth, TAOCP vol. 2, sec. 4.7): with ``a`` read from its least exponent,
+``d_n = c^-1 a_n - sum_{0 < i <= n} b_i d_{n-i}`` over the stored terms of
+``[v, v + w)``, ``O(w * terms)`` coefficient operations.  At level 1 over
+``Z/p^s`` (``k = 1``) each ``d_n`` is summed in plain ints and reduced
+once; ``k > 1`` tuples and ``F_p(x)`` coefficients go through their
+domain's operations, one per term pair, with no packing.  At levels >= 2
+the coefficients are level-``(l-1)`` series, ``c^-1`` is the inverse of
+``c`` at its own level, and the sum skips only an *exactly* zero
 ``d_{n-i}``: one that is zero within a window still carries that window
-into ``d_n``, and skipping it would claim knowledge the window lacks.  The cost is paid on
-every exponent of the window even when the inverse is sparse, so Newton's
-iteration is faster on level-1 inputs of two to four terms at width 1024
-(bench/conductor_change.py); the workloads invert at widths up to 64.  A
-zero input raises ``ZeroInput``, an exact input of several terms with no
-width raises ``PrecisionExhausted``, and a single exact term inverts
-exactly.
+into ``d_n``, and skipping it would claim knowledge the window lacks.  A
+product of factors is divided by one factor after the other, on the same
+``w`` coefficients, each pass starting at the factor's least exponent gap;
+the product of the ``c^-1`` scales ``a`` once.  The recurrence has two
+callers.
+
+* **Inversion** divides ``1``: ``inv`` is known on ``[-v, -v + w)``, with
+  ``w`` the input's own width, or ``precision`` for an exact input.  The
+  cost is paid on every exponent of the window even when the inverse is
+  sparse, so Newton's iteration is faster on level-1 inputs of two to four
+  terms at width 1024 (bench/conductor_change.py); the workloads invert at
+  widths up to 64.  A zero input raises ``ZeroInput``, an exact input of
+  several terms with no width raises ``PrecisionExhausted``, and a single
+  exact term inverts exactly.
+* **Substitution** (:mod:`rswan.substitution`) divides the Horner sum of
+  the poles by ``img^n`` without forming that power: in characteristic
+  ``p``, with ``n = sum_j d_j p^j``, ``img^n`` is the product of the
+  Frobenius twists ``F^j(img^(d_j))``, each as short as ``img^(d_j)``, one
+  factor per nonzero digit.
 
 Over a lift ring ``(Z/p^s)[g]/(f)`` a level-1 series is a unit as soon as
 one coefficient is, even when the lowest is not.  Split ``a = N + H``: ``H``
@@ -153,7 +148,6 @@ from .scalars import _Frozen, _QuotientDomain, _draft_of, power
 __all__ = [
     "NestedSeries",
     "linear_combination",
-    "series_substitute",
 ]
 
 _ORD_FLOOR = -10_000
@@ -521,48 +515,71 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
     return {e0 + j: coeff for j, coeff in enumerate(reduced) if any(coeff)}
 
 
-def _inverse_by_recurrence(domain, lead_inv, tail: list, width: int) -> list:
-    """``[d_0, ..., d_{width-1}]``, the inverse of ``c * (1 + sum b_i T^i)``.
+def _divide_by_recurrence(domain, factors: list, width: int, low: int,
+                          num: dict | None = None) -> dict:
+    """``{low + n: d_n}`` over the ``d_n`` that are not exactly zero, for
+    ``[d_0, ..., d_{width-1}]`` the quotient of ``sum_n a_n T^n`` by the
+    product of the factors ``c * (1 + sum b_i T^i)`` (module docstring,
+    "Division"), ready for ``_make(..., clean=True)``.
 
-    ``lead_inv`` is ``c^-1`` and ``tail`` lists ``(i, c * b_i)`` for
-    ``0 < i < width`` in ascending ``i``; ``d_0 = c^-1`` and
-    ``d_n = -sum_{i <= n} b_i d_{n-i}``.  Over raw ints of ``Z/p^s``
-    (``k = 1``) each ``d_n`` is summed as plain ints and reduced once; every
-    other coefficient (``k > 1`` tuples, ``F_p(x)``, series at levels >= 2)
-    goes through its domain's operations, skipping only an exactly zero
-    ``d_{n-i}``: a window-zero one still carries its window.
+    ``num`` maps ``n >= 0`` to ``a_n`` (an ``n >= width`` is ignored), or is
+    None for ``a = 1`` (the inverse).  Each factor is ``(c^-1, tail)``, with
+    ``tail`` listing ``(i, c * b_i)`` for ``0 < i < width`` in ascending
+    ``i``.  The product of the ``c^-1`` scales ``a`` first; then each factor
+    in turn replaces ``d`` by its quotient, ``d_n <- d_n - sum_{0 < i <= n}
+    b_i d_{n-i}`` for ``n`` from its least ``i`` up.  Over raw ints of
+    ``Z/p^s`` (``k = 1``) each ``d_n`` is summed as plain ints and reduced
+    once; every other coefficient (``k > 1`` tuples, ``F_p(x)``, series at
+    levels >= 2) goes through its domain's operations, skipping only an
+    exactly zero ``d_{n-i}``: a window-zero one still carries its window.
     """
-    nested = isinstance(lead_inv, NestedSeries)
+    scale = factors[0][0]
+    nested = isinstance(scale, NestedSeries)
     if nested:
         mul, add, neg = operator.mul, operator.add, operator.neg
-        zero = NestedSeries.zero(lead_inv.level, domain)
+        zero = NestedSeries.zero(scale.level, domain)
         is_zero = NestedSeries.is_exact_zero
     else:
         mul, add, neg = domain.mul, domain.add, domain.neg
         is_zero, zero = domain.is_zero, domain.zero()
-    d = [lead_inv]
-    neg_lead_inv = neg(lead_inv)
-    steps = [(i, mul(neg_lead_inv, c)) for i, c in tail]
-    if not nested and isinstance(domain, _QuotientDomain) and domain.k == 1:
-        m = domain.modulus
-        for n in range(1, width):
-            acc = 0
-            for i, b in steps:
-                if i > n:
-                    break
-                acc += b * d[n - i]
-            d.append(acc % m)
+    if len(factors) > 1:
+        for lead_inv, _ in factors[1:]:
+            scale = mul(scale, lead_inv)
+    d = [zero] * width
+    if num is None:
+        if width > 0:
+            d[0] = scale
     else:
-        for n in range(1, width):
-            acc = zero
-            for i, b in steps:
-                if i > n:
-                    break
-                x = d[n - i]
-                if not is_zero(x):
-                    acc = add(acc, mul(b, x))
-            d.append(acc)
-    return d
+        for n, a in num.items():
+            if n < width:
+                d[n] = mul(scale, a)
+    plain = not nested and isinstance(domain, _QuotientDomain) and domain.k == 1
+    for lead_inv, tail in factors:
+        neg_lead_inv = neg(lead_inv)
+        steps = [(i, mul(neg_lead_inv, c)) for i, c in tail]
+        start = steps[0][0] if steps else width
+        if plain:
+            m = domain.modulus
+            for n in range(start, width):
+                acc = d[n]
+                for i, b in steps:
+                    if i > n:
+                        break
+                    acc += b * d[n - i]
+                d[n] = acc % m
+        else:
+            for n in range(start, width):
+                acc = d[n]
+                for i, b in steps:
+                    if i > n:
+                        break
+                    x = d[n - i]
+                    if not is_zero(x):
+                        acc = add(acc, mul(b, x))
+                d[n] = acc
+    if nested or not isinstance(domain, _QuotientDomain):
+        return {low + n: x for n, x in enumerate(d) if not is_zero(x)}
+    return {low + n: x for n, x in enumerate(d) if x != zero}  # raw ints and tuples
 
 
 class NestedSeries(_Frozen):
@@ -785,7 +802,7 @@ class NestedSeries(_Frozen):
 
     def inv(self, precision: int | None = None) -> "NestedSeries":
         """Multiplicative inverse in the top variable (module docstring,
-        "Inversion").
+        "Division").
 
         The result window is exactly what the input window supports: for an
         input known on [v, v + w) the inverse is known on [-v, -v + w).  An
@@ -813,13 +830,14 @@ class NestedSeries(_Frozen):
                 exponent=-v,
             )
         tail = sorted((e - v, c) for e, c in self.coeffs.items() if v < e < v + width)
-        d = _inverse_by_recurrence(self.domain, lead_inv, tail, width)
-        return _make(self.level, self.domain, {n - v: x for n, x in enumerate(d)}, -v + width)
+        return _make(self.level, self.domain,
+                     _divide_by_recurrence(self.domain, [(lead_inv, tail)], width, -v), -v + width,
+                     clean=True)
 
     def _inv_past_a_nilpotent_head(self, precision: int | None) -> "NestedSeries":
         """Inverse at level 1 over a lift ring ``(Z/p^s)[g]/(f)`` whose
         lowest stored coefficient is not a unit (module docstring,
-        "Inversion")."""
+        "Division")."""
         domain = self.domain
         split = next((e for e in sorted(self.coeffs)
                       if not _is_lift_non_unit(domain, self.coeffs[e])), None)
@@ -1034,60 +1052,3 @@ def _combination(level: int, domain, terms: list, ceiling: int | None) -> Nested
         if any(coeff):
             out[e] = coeff
     return _make(1, domain, out, ceiling, clean=True)
-
-
-def series_substitute(a: NestedSeries, images: dict[int, NestedSeries],
-                      precision: int | None = None) -> NestedSeries:
-    """Evaluate ``a`` with each level-``j`` variable replaced by ``images[j]``,
-    series of one common level and domain (module docstring, "Substitution")."""
-    targets = list(images.values())
-    if not targets:
-        raise TowerMismatch("no images supplied")
-    out_level, domain = targets[0].level, targets[0].domain
-    for img in targets:
-        if img.level != out_level or img.domain is not domain:
-            raise TowerMismatch("substitution images live in different targets")
-    return _substitute(a, images, {level: {} for level in images}, out_level, domain, precision)
-
-
-def _substitute(a, images, powers, out_level, domain, precision):
-    img = images.get(a.level)
-    if img is None:
-        raise TowerMismatch(f"no image supplied for level {a.level}")
-    poles = {e: c for e, c in a.coeffs.items() if e < 0}
-    if poles and len(poles) < len(a.coeffs):  # keeps the inverse's windows off the rest
-        rest = _make(a.level, a.domain, {e: c for e, c in a.coeffs.items() if e >= 0}, a.ceiling,
-                     clean=True)
-        return (_substitute(rest, images, powers, out_level, domain, precision)
-                + _substitute(_make(a.level, a.domain, poles, None, clean=True),
-                              images, powers, out_level, domain, precision))
-    table = powers[a.level]
-    q = None
-    for e, c in sorted(a.coeffs.items(), reverse=True):
-        piece = (NestedSeries.constant(out_level, domain, c) if a.level == 1
-                 else _substitute(c, images, powers, out_level, domain, precision))
-        q = piece if q is None else q * _exact_power(img, table, last - e) + piece
-        last = e
-    if q is None:
-        q = NestedSeries.zero(out_level, domain)
-    elif last:
-        last_power = _exact_power(img, table, abs(last))
-        q = q * (last_power if last > 0 else last_power.inv(precision))
-    if a.ceiling is None:
-        return q
-    if img.is_exact_zero() and a.ceiling >= 1:
-        return q  # each tail term is a multiple of 0^e = 0
-    m = img.low() if a.ceiling >= 0 or img.is_exact_zero() else img.ord()  # c < 0: the order
-    if m < 1:
-        raise PrecisionExhausted(
-            "cannot bound the unknown tail of a windowed series through an image of order < 1",
-            exponent=a.ceiling,
-        )
-    return q.truncate(m * a.ceiling)
-
-
-def _exact_power(img: NestedSeries, table: dict, n: int) -> NestedSeries:
-    """``img^n`` for ``n >= 1``, kept in the power table of its level."""
-    if n not in table:
-        table[n] = img.pow(n)
-    return table[n]

@@ -41,7 +41,8 @@ from rswan.logdiff import LogForm, WindowedForm, dlog, log_derivative, wedge
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
 from rswan.rsw import rsw_char_p
-from rswan.series import NestedSeries, series_substitute
+from rswan.series import NestedSeries
+from rswan.substitution import series_substitute
 from rswan.tower import FieldTower
 from rswan.witt import Character, WittVector, asw_reduce, swan_conductor
 

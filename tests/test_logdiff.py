@@ -52,7 +52,8 @@ from rswan.logdiff import (
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
 from rswan.scalars import fq_domain, galois_ring_domain
-from rswan.series import NestedSeries, series_substitute
+from rswan.series import NestedSeries
+from rswan.substitution import series_substitute
 from rswan.tower import FieldTower
 
 F2 = fq_domain(2, 1)

@@ -4,7 +4,10 @@ Oracles used here:
   * the inverse of 1 - t is compared against the geometric sum 1 + t + ...;
   * substitution is checked against hand-expanded polynomials, and on a
     seeded grid against the table of powers (``power_table_substitute_oracle``),
-    which stays as the reference;
+    which stays as the reference; the division of its poles is checked
+    against the product with the inverse of the exact power
+    (``inverse_product_substitute_oracle``), which stays as the reference
+    too;
   * random-series arithmetic identities certify the ring structure;
   * window propagation rules are asserted with exact expected ceilings;
   * the product kernels (Kronecker, the plain-int loop and the flat
@@ -54,8 +57,8 @@ from rswan.series import (
     _kronecker_mul,
     _schoolbook_mul,
     linear_combination,
-    series_substitute,
 )
+from rswan.substitution import series_substitute
 from rswan.tower import FieldTower
 
 F2 = fq_domain(2, 1)
@@ -634,6 +637,145 @@ def test_substitution_matches_the_power_table_oracle(d_src, d_tgt):
     assert answered >= 40
 
 
+def inverse_product_substitute_oracle(a, images, precision=None):
+    """``series_substitute`` with the poles' step ``q * (img^n).inv(precision)``:
+    the product with the inverse of one exact power, which the division
+    replaced, stays as the reference.  Horner's rule, the split of the poles
+    from the rest and the bound on the tail are the library's."""
+    img = images[a.level]
+    poles = {e: c for e, c in a.coeffs.items() if e < 0}
+    if poles and len(poles) < len(a.coeffs):
+        rest = NestedSeries(a.level, a.domain, {e: c for e, c in a.coeffs.items() if e >= 0},
+                            a.ceiling)
+        return (inverse_product_substitute_oracle(rest, images, precision)
+                + inverse_product_substitute_oracle(NestedSeries(a.level, a.domain, poles),
+                                                    images, precision))
+    q = NestedSeries.zero(img.level, img.domain)
+    last = None
+    for e, c in sorted(a.coeffs.items(), reverse=True):
+        piece = (NestedSeries.constant(img.level, img.domain, c) if a.level == 1
+                 else inverse_product_substitute_oracle(c, images, precision))
+        q = piece if last is None else q * img.pow(last - e) + piece
+        last = e
+    if last is not None and last > 0:
+        q = q * img.pow(last)
+    elif last is not None and last < 0:
+        q = q * img.pow(-last).inv(precision)
+    if a.ceiling is None or (img.is_exact_zero() and a.ceiling >= 1):
+        return q
+    m = img.low() if a.ceiling >= 0 or img.is_exact_zero() else img.ord()
+    if m < 1:
+        raise PrecisionExhausted("tail through an image of order < 1", exponent=a.ceiling)
+    return q.truncate(m * a.ceiling)
+
+
+def refusal_or_series(fn, *args):
+    """The series ``fn`` returns, or the kind, message and exponent of the
+    library error it raises."""
+    try:
+        return fn(*args)
+    except RswanError as exc:
+        return type(exc), str(exc), getattr(exc, "exponent", None)
+
+
+# F_2, F_3, F_5, F_4, F_9, F_3(x) and the lift ring Z/9.
+F3X = rat_func_domain(3)
+Z9 = galois_ring_domain(3, 1, 2)
+DIVISION_DOMAINS = (F2, F3, fq_domain(5, 1), F4, fq_domain(3, 2), F3X, Z9)
+
+
+def division_cell(rng, domain):
+    """``(source, images, precision)``: a level-1 source with a deepest pole
+    of order 1..40 (up to 12 over F_3(x), whose coefficients grow with every
+    power) and up to four more exponents in -40..5, exact or windowed,
+    through an exact, windowed or monomial image of order 1..5; over Z/9 the
+    image's other terms are sometimes multiples of 3, so that its power can
+    be one term.  Sometimes a level-2 source goes through a unit image of
+    ``T1`` into the same level-1 target, which makes the Horner sum
+    windowed.  The width is 1..128 (1..16 over F_3(x)), or None."""
+    fpx = domain is F3X
+    order = rng.randint(1, 5)
+    kind = rng.choice(("exact", "windowed", "monomial"))
+    terms = {order: domain.random_nonzero(rng)}
+    if kind != "monomial":
+        for e in rng.sample(range(order + 1, order + 9), rng.randint(1, 3)):
+            c = domain.random_nonzero(rng)
+            terms[e] = domain.mul_int(c, 3) if domain is Z9 and rng.random() < 0.5 else c
+    img = NestedSeries(1, domain, terms)
+    if kind == "windowed" or rng.random() < 0.2:
+        img = img.truncate(order + rng.randint(1, 12))
+    deepest = rng.randint(1, 12 if fpx else 40)
+    exps = {-deepest, *rng.sample(range(-deepest, 6), rng.randint(0, 4))}
+    source = NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in exps})
+    if rng.random() < 0.3:
+        source = source.truncate(max(source.coeffs) + rng.randint(-1, 4))
+    images = {1: img}
+    if not fpx and rng.random() < 0.15:
+        inner = {e: NestedSeries(1, domain, {rng.randint(-3, 2): domain.random_nonzero(rng)})
+                 for e in exps}
+        source = NestedSeries(2, domain, inner)
+        images = {1: NestedSeries(1, domain, {0: domain.one(), 1: domain.random_nonzero(rng)}),
+                  2: img}
+    precision = None if rng.random() < 0.1 else rng.randint(1, 16 if fpx else 128)
+    return source, images, precision
+
+
+def test_substitution_divides_as_the_inverse_product_and_the_power_table_did():
+    """The division of the poles against two oracles: every outcome equals
+    the product with the inverse of the exact power (series with ``==``,
+    refusals by kind, message and exponent); and a level-1 source over a
+    field gives the power table's outcome with ``==`` (its refusals by
+    kind), while over Z/9 a series that both give agrees on the common
+    window (one power of the image can be a single exact term)."""
+    rng = random.Random("substitution against two oracles")
+    seen = Counter()
+    for i in range(420):
+        domain = DIVISION_DOMAINS[i % len(DIVISION_DOMAINS)]
+        source, images, precision = division_cell(rng, domain)
+        got = refusal_or_series(series_substitute, source, images, precision)
+        assert got == refusal_or_series(inverse_product_substitute_oracle, source, images,
+                                        precision), (source, images, precision)
+        table = substitution_outcome(power_table_substitute_oracle, source, images, precision)
+        if isinstance(got, NestedSeries):
+            seen["answered", images[1].ceiling is None, len(images[1].coeffs) == 1] += 1
+            if source.level == 1 and domain is not Z9:
+                assert got == table, (source, images, precision)
+            elif isinstance(table, NestedSeries):
+                assert got.agrees_with(table), (source, images, precision)
+        else:
+            seen["refused"] += 1
+            if source.level == 1 and domain is not Z9:
+                assert got[0] is table, (source, images, precision)
+    # answers through exact, windowed and monomial images, and refusals
+    assert min(seen.values()) >= 10, seen
+
+
+def test_poles_past_the_exponent_floor_refuse_as_the_inverse_product_did():
+    """Deep poles through images of order 5 and of negative order, at widths
+    that keep or drop the inverse's lowest term, over F_2, F_5, F_4 and Z/9,
+    from level-1 sources and from ``T1 T2^-3000`` with ``T1 -> t``, whose
+    Horner sum starts at ``t``: every refusal (``ExponentOutOfRange`` at
+    ``-n m`` or inside the power) and every answer equals the product with
+    the inverse."""
+    seen = Counter()
+    for domain in (F2, fq_domain(5, 1), F4, Z9):
+        t = NestedSeries.variable(1, domain, 1)
+        sources = [NestedSeries(1, domain, {e: domain.one() for e in poles})
+                   for poles in ((-3000,), (-2500, -2499, 3), (-9999,))]
+        sources.append(NestedSeries(2, domain, {-3000: t}))
+        for source in sources:
+            for exps, ceiling in (((5, 6), None), ((5, 6), 9), ((5,), None), ((-3, -2), None),
+                                  ((-2, 0, 1), None)):
+                img = NestedSeries(1, domain, {e: domain.one() for e in exps}, ceiling)
+                images = {1: img} if source.level == 1 else {1: t, 2: img}
+                for precision in (None, -3, 0, 1, 64):
+                    got = refusal_or_series(series_substitute, source, images, precision)
+                    assert got == refusal_or_series(inverse_product_substitute_oracle, source,
+                                                    images, precision), (source, img, precision)
+                    seen[got[0] if isinstance(got, tuple) else "answered"] += 1
+    assert seen[ExponentOutOfRange] and seen["answered"], seen
+
+
 def test_substitution_tail_through_zero_images():
     """The unknown tail of a windowed source is bounded through a zero image
     too: a window-zero image bounds it by its own ceiling, and an exactly
@@ -829,6 +971,35 @@ def test_kronecker_worst_case_slot_sums(p):
                         continue
                     x = NestedSeries(1, domain, {e: top for e in range(-width, 0)})
                     assert x * x == schoolbook(x, x)
+
+
+def test_a_product_too_wide_for_every_slot_goes_through_the_int_loop(monkeypatch):
+    """With only one-byte slots on offer, a dense 8-term by 8-term product
+    over Z/16 needs ``(8 * 15^2).bit_length() = 11`` bits a slot, so the
+    Kronecker kernel hands it to the int loop, which gives the schoolbook
+    product."""
+    domain = galois_ring_domain(2, 1, 4)
+    calls = []
+    int_mul = rswan.series._int_mul
+
+    def counting_int_mul(*args):
+        calls.append(1)
+        return int_mul(*args)
+
+    monkeypatch.setattr(rswan.series, "_SLOT_CODES", {1: "B"})
+    monkeypatch.setattr(rswan.series, "_int_mul", counting_int_mul)
+    rng = random.Random(31)
+    x = NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in range(8)})
+    y = NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in range(-3, 5)})
+    assert len(x.coeffs) * len(y.coeffs) >= _KRONECKER_MIN_PAIRS and uses_kernel(x, y)
+    for ceiling in (None, 6):
+        got = _kronecker_mul(domain, x.coeffs, y.coeffs, ceiling)
+        assert calls == [1]
+        assert got == {e: c for e, c in _schoolbook_mul(x.coeffs, y.coeffs, ceiling, domain.mul,
+                                                        domain.add).items() if c}
+        calls.clear()
+    assert x * y == schoolbook(x, y)
+    assert calls == [1]
 
 
 def test_kronecker_cancellation_and_full_square():
