@@ -1,6 +1,6 @@
 """Layer bench: substitution (``series_substitute``) on the shapes the ``embed`` workload pulls back.
 
-Results must be equal across trees (checked), error kinds by name.  Three
+Results must be equal across trees (checked), error kinds by name.  Four
 sections, with one figure per tree:
 
 * ``embed``: per cell ``(p, k, e)``, ``F_{p^k}`` one of ``F_2``, ``F_3``,
@@ -13,6 +13,11 @@ sections, with one figure per tree:
 * ``deep_poles``: the same per cell ``(p, k, e)`` for ``e`` in 2, 4, 6,
   with exponents -40..2, so that a pole order has several base-``p``
   digits.
+* ``lift``: the same per cell ``(p, s, e)`` over the lift rings ``Z/4``,
+  ``Z/9`` and ``Z/8`` (``Z/p^s``, the ring of a length-``s`` tower) and
+  ``e`` in 2..6, with exponents -12..2, each image drawn as ``embed``
+  draws it, so that its lead is a unit (divided by ``img^n`` itself) or,
+  in about a third of the draws, not (the product with the inverse).
 * ``imperfect_residue``: per ``p`` in 2, 3, 5, the canned family
   ``u -> v^p + w, t -> w^t`` (``t`` in ``T_VALUES``, prime to ``p``) and its
   character's component over ``F_p((u))((t))``; ``us_per_substitution`` is
@@ -32,6 +37,8 @@ from _trees import alternate, main, same
 FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
 EMBED_CELLS = tuple((p, k, e) for p, k in FIELDS for e in range(2, 7))
 DEEP_CELLS = tuple((p, k, e) for p, k in FIELDS for e in (2, 4, 6))
+LIFTS = ((2, 2), (3, 2), (2, 3))
+LIFT_CELLS = tuple((p, s, e) for p, s in LIFTS for e in range(2, 7))
 SOURCES = 24
 T_VALUES = (3, 4, 5, 7, 8, 11)  # each family takes the first three prime to p
 PASSES = 7
@@ -50,14 +57,21 @@ def _image(rswan, dom, rng, p, e):
     return rswan.NestedSeries.from_monomials(1, dom, terms)
 
 
-def _embed_inputs(rswan, cell, deepest=-12):
-    """``(source, images, precision)`` triples of one ``embed`` cell, or of a
-    ``deep_poles`` cell at ``deepest = -40``."""
-    p, k, e = cell
-    target = rswan.FieldTower(p, k, 1, ("u",))
-    dom = target.field_domain
-    # the F_p cells of the embed section keep their seeds from before k was a key
-    key = (p, e) if k == 1 and deepest == -12 else (*cell, deepest)
+def _embed_inputs(rswan, cell, deepest=-12, lift=False):
+    """``(source, images, precision)`` triples of one ``embed`` cell, of a
+    ``deep_poles`` cell at ``deepest = -40``, or of a ``lift`` cell
+    ``(p, s, e)``."""
+    if lift:
+        p, s, e = cell
+        target = rswan.FieldTower(p, 1, s, ("u",))
+        dom = target.lift_domain
+        key = ("lift", *cell)
+    else:
+        p, k, e = cell
+        target = rswan.FieldTower(p, k, 1, ("u",))
+        dom = target.field_domain
+        # the F_p cells of the embed section keep their seeds from before k was a key
+        key = (p, e) if k == 1 and deepest == -12 else (*cell, deepest)
     rng = random.Random(f"substitute:{key}")
     out = []
     for _ in range(SOURCES):
@@ -95,6 +109,8 @@ def measure(trees) -> dict:
               for cell in EMBED_CELLS}
     inputs.update({("deep_poles", cell): [_embed_inputs(tree, cell, -40) for tree in trees]
                    for cell in DEEP_CELLS})
+    inputs.update({("lift", cell): [_embed_inputs(tree, cell, lift=True) for tree in trees]
+                   for cell in LIFT_CELLS})
     inputs.update({("imperfect_residue", p): [_family_inputs(tree, p) for tree in trees]
                    for p in (2, 3, 5)})
     calls = {}
@@ -113,6 +129,8 @@ def measure(trees) -> dict:
         "deep_poles": [{"p": p, "k": k, "e": e,
                         "us_per_substitution": us(("deep_poles", (p, k, e)))}
                        for p, k, e in DEEP_CELLS],
+        "lift": [{"p": p, "s": s, "e": e, "us_per_substitution": us(("lift", (p, s, e)))}
+                 for p, s, e in LIFT_CELLS],
         "imperfect_residue": [{"p": p, "members": len(inputs["imperfect_residue", p][0]),
                                "us_per_substitution": us(("imperfect_residue", p))}
                               for p in (2, 3, 5)],

@@ -52,7 +52,7 @@ from .errors import (
 from .logdiff import log_derivative
 from .ratfunc import RatFuncDomain
 from .scalars import _Frozen
-from .series import _ORD_FLOOR, NestedSeries
+from .series import _ORD_FLOOR, NestedSeries, _divide_by_power
 from .substitution import series_substitute
 from .tower import FieldTower
 from .witt import (
@@ -380,10 +380,7 @@ def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents):
                     f"coefficient denominator vanishes at x = {x0}; the curve "
                     "meets a pole of the character"
                 )
-            coeff = num_s
-            if den_s != NestedSeries.one(1, fd):
-                coeff = num_s * den_s.inv(target.precision)
-            acc = acc + coeff.shift(e * te)
+            acc = acc + _divide_by_power(num_s, den_s, 1, target.precision).shift(e * te)
         chi_e = asw_reduce(Character(WittVector(target, (acc,))))
         sw_e = swan_conductor(chi_e)
         rows.append({"e": e, "sw": sw_e, "ratio": Fraction(sw_e, e)})

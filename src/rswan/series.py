@@ -109,22 +109,44 @@ the coefficients are level-``(l-1)`` series, ``c^-1`` is the inverse of
 into ``d_n``, and skipping it would claim knowledge the window lacks.  A
 product of factors is divided by one factor after the other, on the same
 ``w`` coefficients, each pass starting at the factor's least exponent gap;
-the product of the ``c^-1`` scales ``a`` once.  The recurrence has two
-callers.
+the product of the ``c^-1`` scales ``a`` once.  The cost is paid on every
+exponent of the window even when the quotient is sparse, so Newton's
+iteration is faster on level-1 inverses of two to four terms at width 1024
+(bench/conductor_change.py); the workloads invert at widths up to 64.
 
-* **Inversion** divides ``1``: ``inv`` is known on ``[-v, -v + w)``, with
-  ``w`` the input's own width, or ``precision`` for an exact input.  The
-  cost is paid on every exponent of the window even when the inverse is
-  sparse, so Newton's iteration is faster on level-1 inputs of two to four
-  terms at width 1024 (bench/conductor_change.py); the workloads invert at
-  widths up to 64.  A zero input raises ``ZeroInput``, an exact input of
-  several terms with no width raises ``PrecisionExhausted``, and a single
-  exact term inverts exactly.
-* **Substitution** (:mod:`rswan.substitution`) divides the Horner sum of
-  the poles by ``img^n`` without forming that power: in characteristic
-  ``p``, with ``n = sum_j d_j p^j``, ``img^n`` is the product of the
-  Frobenius twists ``F^j(img^(d_j))``, each as short as ``img^(d_j)``, one
-  factor per nonzero digit.
+One routine, ``_divide_by_power``, decides every quotient ``q / x^n``
+(``n >= 1``): ``inv`` is its case ``q = 1, n = 1``; a substitution
+(:mod:`rswan.substitution`) divides the Horner sum of its poles by
+``img^n``; and the curve restriction of :mod:`rswan.extensions` divides
+by a denominator.  It computes ``q / x^n`` on the window that ``q *
+(x^n).inv(precision)`` has.  With ``v = n ord(x)`` and ``w`` the width of
+``x^n`` (its own window, or ``precision`` when it is exact), the quotient
+is known below ``min(ceil(q), low(q) + w) - v``.  A zero ``x`` raises
+``ZeroInput``; an exact ``x^n`` of several terms with no ``precision``
+raises ``PrecisionExhausted`` at ``-v``; ``-v`` below the supported
+range raises ``ExponentOutOfRange`` unless ``w <= 0``; a one-term
+``x^n`` scales and shifts ``q``, exact where ``q`` is.  The factors:
+
+* **Characteristic p** (``F_q`` and ``F_p(x)``).  With ``n = sum_j d_j
+  p^j``, ``(1 + h)^(p^j) = 1 + F^j(h)``, where ``F^j`` raises each
+  coefficient to the ``p^j`` and multiplies each exponent by ``p^j``; so
+  ``x^n`` is the product of the twists ``F^j(x^(d_j))``, one per nonzero
+  digit, each with the few terms of ``x^(d_j)``, and ``x^n`` is never
+  formed.  Over ``F_{p^k}`` a coefficient's ``p^j``-th power is its
+  ``p^(j mod k)``-th, so over ``F_p`` a twist only spreads the exponents.
+  A twist of a windowed ``x^(d_j)`` is known on ``p^j (w - 1) + 1 >= w``
+  coefficients.
+* **A lift ring** ``Z/p^s`` (``s > 1``) has characteristic ``p^s``, where
+  ``(1 + h)^p`` keeps the cross terms, so the one factor is ``x^n``
+  itself; when that power is one term, the quotient is exact, as the
+  inverse was.
+* **A product with the inverse** stays in two cases.  A lift ``x`` whose
+  lowest coefficient is not a unit gives ``q * (x^n)^-1``: ``x^-1`` is
+  taken past the nilpotent head as the next paragraph says, and ``x^n``
+  by ``inv``.  At levels >= 2 the routine divides only ``1 / x``: a
+  quotient there would take its inner windows from the division, not
+  from the inverted inner leads of ``(x^n)^-1``, so a substitution
+  through a level-2 image keeps that product.
 
 Over a lift ring ``(Z/p^s)[g]/(f)`` a level-1 series is a unit as soon as
 one coefficient is, even when the lowest is not.  Split ``a = N + H``: ``H``
@@ -577,9 +599,92 @@ def _divide_by_recurrence(domain, factors: list, width: int, low: int,
                     if not is_zero(x):
                         acc = add(acc, mul(b, x))
                 d[n] = acc
-    if nested or not isinstance(domain, _QuotientDomain):
+    if nested:
         return {low + n: x for n, x in enumerate(d) if not is_zero(x)}
-    return {low + n: x for n, x in enumerate(d) if x != zero}  # raw ints and tuples
+    return {low + n: x for n, x in enumerate(d) if x != zero}  # raw scalars: a zero is == zero
+
+
+def _divide_by_power(q, x, n, precision, powers=None):
+    """``q / x^n`` for ``n >= 1``, or ``1 / x^n`` for ``q = None``, on the
+    window of ``q * (x^n).inv(precision)`` (module docstring, "Division").
+
+    ``powers[d]`` is the exact power ``x^d`` (``n = 1`` looks up none), from
+    a table the caller keeps.  At levels >= 2 only ``1 / x`` is divided.
+    """
+    if not x.coeffs:
+        raise ZeroInput("cannot invert a (window-)zero series")
+    domain = x.domain
+    m = x.ord() if x.level > 1 else min(x.coeffs)
+    lead = x.coeffs[m]
+    if x.level == 1 and _is_lift_non_unit(domain, lead):  # inverted past the nilpotent head
+        inverse = (x._inv_past_a_nilpotent_head if n == 1 else powers[n].inv)(precision)
+        return inverse if q is None else q * inverse
+    v, shape, twists = n * m, x, None
+    if n > 1:
+        if isinstance(domain, _QuotientDomain) and domain.s > 1:
+            shape = powers[n]  # characteristic p^s keeps the cross terms: one divisor x^n
+        else:
+            if v < _ORD_FLOOR:  # a negative order: x^n raises where it leaves the range
+                powers[n]
+            twists, j, rest = [], 0, n
+            while rest:
+                rest, digit = divmod(rest, domain.p)
+                if digit:
+                    twists.append((powers[digit], j))
+                j += 1
+    if x.level > 1:  # an inner lead refuses before the width does
+        lead_inv = lead.inv(precision)
+    elif not twists:  # the one divisor's lead
+        lead_inv = domain.inv(shape.coeffs[v])
+    if shape.ceiling is not None:
+        width = shape.ceiling - min(shape.coeffs)
+    elif len(shape.coeffs) == 1:
+        width = None
+    elif precision is None:
+        raise PrecisionExhausted(
+            "the inverse of an exact series with several terms needs a width",
+            exponent=-v,
+        )
+    else:
+        width = precision
+    low, ceiling = -v, None
+    if q is not None:  # 1 / x^n refuses in _make, where its lead lands
+        if width is None or width > 0:
+            _refuse_below_floor(-v)
+        low, ceiling = q.low() - v, None if q.ceiling is None else q.ceiling - v
+    if width is not None and (ceiling is None or low + width < ceiling):
+        ceiling = low + width
+    if len(shape.coeffs) == 1:  # a monomial x^n: the quotient is exact where q is
+        scale = domain.inv(domain.pow(lead, n)) if twists else lead_inv
+        return _make(x.level, domain, {-v: scale} if q is None else
+                     {e - v: domain.mul(c, scale) for e, c in q.coeffs.items()}, ceiling)
+    size = ceiling - low
+    if twists is None:  # the one divisor, its lead at v and inverted above at any level
+        tail = sorted((e - v, c) for e, c in shape.coeffs.items() if v < e < v + size)
+        factors = [(lead_inv, tail)]
+    else:
+        factors = [_twisted_factor(y, j, size) for y, j in twists]
+    quotient = _divide_by_recurrence(domain, factors, size, low, None if q is None else
+                                     {e - v - low: c for e, c in q.coeffs.items()})
+    return _make(x.level, domain, quotient, ceiling, clean=True)
+
+
+def _twisted_factor(x, j, size):
+    """``(c^-1, tail)`` for ``F^j(x) = c T^w (1 + sum b_i T^i)``, with
+    ``tail`` listing ``(i, c b_i)`` for ``0 < i < size``: the factor
+    :func:`_divide_by_recurrence` takes.  Over ``F_{p^k}`` a coefficient's
+    ``p^j``-th power is its ``p^(j mod k)``-th."""
+    domain = x.domain
+    spread = domain.p**j
+    raise_to = domain.p ** (j % domain.k) if isinstance(domain, _QuotientDomain) else spread
+    low = min(x.coeffs)
+    tail = []
+    for e, c in sorted(x.coeffs.items()):
+        i = (e - low) * spread
+        if tail and i >= size:
+            break
+        tail.append((i, c if raise_to == 1 else domain.pow(c, raise_to)))
+    return domain.inv(tail[0][1]), tail[1:]
 
 
 class NestedSeries(_Frozen):
@@ -810,31 +915,9 @@ class NestedSeries(_Frozen):
         bounds a fresh window, and without it the inverse raises
         :class:`PrecisionExhausted`.
         """
-        if not self.coeffs:
-            raise ZeroInput("cannot invert a (window-)zero series")
-        v = self.ord()
-        lead = self.coeffs[v]
-        if self.level == 1 and _is_lift_non_unit(self.domain, lead):
-            return self._inv_past_a_nilpotent_head(precision)
-        lead_inv = self.domain.inv(lead) if self.level == 1 else lead.inv(precision)
-        if len(self.coeffs) == 1:
-            ceiling = None if self.ceiling is None else -v + (self.ceiling - v)
-            return _make(self.level, self.domain, {-v: lead_inv}, ceiling)
-        if self.ceiling is not None:
-            width = self.ceiling - v
-        elif precision is not None:
-            width = precision
-        else:
-            raise PrecisionExhausted(
-                "the inverse of an exact series with several terms needs a width",
-                exponent=-v,
-            )
-        tail = sorted((e - v, c) for e, c in self.coeffs.items() if v < e < v + width)
-        return _make(self.level, self.domain,
-                     _divide_by_recurrence(self.domain, [(lead_inv, tail)], width, -v), -v + width,
-                     clean=True)
+        return _divide_by_power(None, self, 1, precision)
 
-    def _inv_past_a_nilpotent_head(self, precision: int | None) -> "NestedSeries":
+    def _inv_past_a_nilpotent_head(self, precision):
         """Inverse at level 1 over a lift ring ``(Z/p^s)[g]/(f)`` whose
         lowest stored coefficient is not a unit (module docstring,
         "Division")."""
@@ -851,9 +934,7 @@ class NestedSeries(_Frozen):
             )
         head = _make(1, domain, {e: c for e, c in self.coeffs.items() if e < split}, None,
                      clean=True)
-        rest = _make(1, domain, {e: c for e, c in self.coeffs.items() if e >= split},
-                     self.ceiling, clean=True)
-        rest_inv = rest.inv(precision)
+        rest_inv = (self - head).inv(precision)
         step = -(head * rest_inv)
         total = term = NestedSeries.one(1, domain)
         for _ in range(1, domain.s):
@@ -1013,17 +1094,12 @@ def _combination(level: int, domain, terms: list, ceiling: int | None) -> Nested
             if not c.is_exact_zero():
                 out[e] = c
         return _make(level, domain, out, ceiling, clean=True)
-    acc: dict = {}
     if not isinstance(domain, _QuotientDomain):
-        mul_int, add, is_zero = domain.mul_int, domain.add, domain.is_zero
+        acc = NestedSeries.zero(1, domain, ceiling)
         for n, x in terms:
-            for e, c in x.coeffs.items():
-                if e < cut:
-                    if n != 1:
-                        c = mul_int(c, n)
-                    acc[e] = add(acc[e], c) if e in acc else c
-        out = {e: c for e, c in acc.items() if not is_zero(c)}
-        return _make(1, domain, out, ceiling, clean=True)
+            acc = acc + x.mul_int(n)
+        return acc
+    acc: dict = {}
     m = domain.modulus
     out = {}
     if domain.k == 1:

@@ -14,49 +14,18 @@ zero one passes when ``c >= 1``, as every tail term is then zero.
 
 Poles
 -----
-Write ``img = c T^m (1 + h)``.  The quotient ``q / img^n`` is computed on
-the window that ``q * (img^n).inv(precision)`` has, and a quotient on a
-window is unique, so the two give the same series.  With ``w`` the width
-of ``img^n``'s inverse (``img``'s own width when it has a window,
-``precision`` when it is exact), the result is known below
-``min(ceil(q), low(q) + w) - n m``.  An exact image of one term gives an
-exact quotient, a scaled and shifted ``q``; an exact image of several terms
-with no ``precision`` raises ``PrecisionExhausted`` at ``-n m``.
-
-* **Characteristic p** (``F_q`` and ``F_p(x)``).  With ``n = sum_j d_j
-  p^j``, ``(1 + h)^(p^j) = 1 + F^j(h)``, where ``F^j`` raises each
-  coefficient to the ``p^j`` and multiplies each exponent by ``p^j``; so
-  ``img^n`` is the product of the factors ``F^j(img^(d_j))``, each with the
-  few terms of ``img^(d_j)``.  The division recurrence
-  (:mod:`rswan.series`, "Division") divides ``q`` by one factor after the
-  other, ``O(w * terms)`` each on the same ``w`` coefficients, and
-  ``img^n`` is never formed.  Over ``F_{p^k}`` a coefficient's ``p^j``-th
-  power is its ``p^(j mod k)``-th, so over ``F_p`` a twist only spreads
-  the exponents.  A twist of a windowed ``img^(d_j)`` is known on
-  ``p^j (w - 1) + 1 >= w`` coefficients.
-* **A lift ring** ``Z/p^s`` (``s > 1``) has characteristic ``p^s``, where
-  ``(1 + h)^p`` keeps the cross terms, so ``q`` is divided by ``img^n``
-  itself; when that power is one term, the quotient is exact, as the
-  inverse was.
-* **Kept as a product with the inverse**, ``q * (img^n).inv(precision)``:
-  an image at level >= 2, whose inverse takes inner windows from inverting
-  inner leads that a division would not take in the same way; and a lift
-  ring image whose lowest coefficient is not a unit, which ``inv`` inverts
-  past that nilpotent head.
+The quotient ``q / img^n`` is the one division routine of
+:mod:`rswan.series` ("Division"): on the window that ``q *
+(img^n).inv(precision)`` has, by the Frobenius twists of ``img`` in
+characteristic p and by ``img^n`` over a lift ring, with the gap powers'
+table lending it the powers ``img^d`` it takes.  An image at level >= 2
+keeps the product ``q * (img^n).inv(precision)``.
 """
 
 from __future__ import annotations
 
-from .errors import PrecisionExhausted, TowerMismatch, ZeroInput
-from .scalars import _QuotientDomain
-from .series import (
-    _ORD_FLOOR,
-    NestedSeries,
-    _divide_by_recurrence,
-    _is_lift_non_unit,
-    _make,
-    _refuse_below_floor,
-)
+from .errors import PrecisionExhausted, TowerMismatch
+from .series import NestedSeries, _divide_by_power, _make
 
 __all__ = ["series_substitute"]
 
@@ -72,7 +41,8 @@ def series_substitute(a: NestedSeries, images: dict[int, NestedSeries],
     for img in targets:
         if img.level != out_level or img.domain is not domain:
             raise TowerMismatch("substitution images live in different targets")
-    return _substitute(a, images, {level: {} for level in images}, out_level, domain, precision)
+    tables = {level: _PowerTable({1: img}) for level, img in images.items()}
+    return _substitute(a, images, tables, out_level, domain, precision)
 
 
 def _substitute(a, images, powers, out_level, domain, precision):
@@ -91,14 +61,16 @@ def _substitute(a, images, powers, out_level, domain, precision):
     for e, c in sorted(a.coeffs.items(), reverse=True):
         piece = (NestedSeries.constant(out_level, domain, c) if a.level == 1
                  else _substitute(c, images, powers, out_level, domain, precision))
-        q = piece if q is None else q * _exact_power(img, table, last - e) + piece
+        q = piece if q is None else q * table[last - e] + piece
         last = e
     if q is None:
         q = NestedSeries.zero(out_level, domain)
     elif last > 0:
-        q = q * _exact_power(img, table, last)
+        q = q * table[last]
+    elif last and img.level > 1:  # inner windows from inverted inner leads (module docstring)
+        q = q * table[-last].inv(precision)
     elif last:
-        q = _divide_by_power(q, img, table, -last, precision)
+        q = _divide_by_power(q, img, -last, precision, table)
     if a.ceiling is None:
         return q
     if img.is_exact_zero() and a.ceiling >= 1:
@@ -112,80 +84,10 @@ def _substitute(a, images, powers, out_level, domain, precision):
     return q.truncate(m * a.ceiling)
 
 
-def _exact_power(img: NestedSeries, table: dict, n: int) -> NestedSeries:
-    """``img^n`` for ``n >= 1``, kept in the power table of its level."""
-    if n not in table:
-        table[n] = img.pow(n)
-    return table[n]
+class _PowerTable(dict):
+    """``{n: img^n}``, made as ``_PowerTable({1: img})``: each exact power of
+    the image is formed on its first lookup and kept."""
 
-
-def _divide_by_power(q: NestedSeries, img: NestedSeries, table: dict, n: int,
-                     precision: int | None) -> NestedSeries:
-    """``q / img^n`` for ``n >= 1``, on the window of
-    ``q * (img^n).inv(precision)`` (module docstring, "Poles")."""
-    domain = img.domain
-    lift = isinstance(domain, _QuotientDomain) and domain.s > 1
-    if img.level > 1 or (lift and img.coeffs
-                         and _is_lift_non_unit(domain, img.coeffs[min(img.coeffs)])):
-        return q * _exact_power(img, table, n).inv(precision)
-    if not img.coeffs:
-        raise ZeroInput("cannot invert a (window-)zero series")
-    v = n * min(img.coeffs)
-    if lift:  # characteristic p^s: no Frobenius split, the one divisor img^n
-        twists = [(_exact_power(img, table, n), 0)]
-        shape = twists[0][0]
-    else:
-        if v < _ORD_FLOOR:  # an image of negative order: the power raises where it leaves the range
-            _exact_power(img, table, n)
-        twists, j, rest = [], 0, n
-        while rest:
-            rest, digit = divmod(rest, domain.p)
-            if digit:
-                twists.append((_exact_power(img, table, digit), j))
-            j += 1
-        shape = img
-    if shape.ceiling is not None:
-        width = shape.ceiling - min(shape.coeffs)
-    elif len(shape.coeffs) == 1:
-        width = None
-    elif precision is None:
-        raise PrecisionExhausted(
-            "the inverse of an exact series with several terms needs a width",
-            exponent=-v,
-        )
-    else:
-        width = precision
-    if width is None or width > 0:
-        _refuse_below_floor(-v)
-    ceiling = None if q.ceiling is None else q.ceiling - v
-    if width is None:  # a monomial img^n: the quotient is exact where q is
-        lead = shape.coeffs[min(shape.coeffs)]
-        scale = domain.inv(lead if lift else domain.pow(lead, n))
-        return _make(1, domain, {e - v: domain.mul(c, scale) for e, c in q.coeffs.items()},
-                     ceiling)
-    low = q.low() - v
-    if ceiling is None or low + width < ceiling:
-        ceiling = low + width
-    size = ceiling - low
-    factors = [_twisted_factor(x, j, size) for x, j in twists]
-    quotient = _divide_by_recurrence(domain, factors, size, low,
-                                     {e - v - low: c for e, c in q.coeffs.items()})
-    return _make(1, domain, quotient, ceiling, clean=True)
-
-
-def _twisted_factor(x: NestedSeries, j: int, size: int) -> tuple:
-    """``(c^-1, tail)`` for ``F^j(x) = c T^w (1 + sum b_i T^i)``, with
-    ``tail`` listing ``(i, c b_i)`` for ``0 < i < size``: the factor
-    :func:`rswan.series._divide_by_recurrence` takes.  Over ``F_{p^k}`` a
-    coefficient's ``p^j``-th power is its ``p^(j mod k)``-th."""
-    domain = x.domain
-    spread = domain.p**j
-    raise_to = domain.p ** (j % domain.k) if isinstance(domain, _QuotientDomain) else spread
-    low = min(x.coeffs)
-    tail = []
-    for e, c in sorted(x.coeffs.items()):
-        i = (e - low) * spread
-        if tail and i >= size:
-            break
-        tail.append((i, c if raise_to == 1 else domain.pow(c, raise_to)))
-    return domain.inv(tail[0][1]), tail[1:]
+    def __missing__(self, n: int) -> NestedSeries:
+        self[n] = power = self[1].pow(n)
+        return power

@@ -1,14 +1,15 @@
 """Public names: every exported name must resolve, so a deletion cannot
 leave a stale entry in an ``__all__`` list; only the operations that
 have no tower to read a budget from take a ``precision`` width; every
-precision refusal names its exponent; and every name the benchmark's
-tracer wraps still exists."""
+precision refusal names its exponent; every name the benchmark's tracer
+wraps still exists; and no module reaches the parser's token step."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,18 @@ def test_every_traced_name_resolves():
         if owner is None or meth not in vars(owner):
             missing.append(f"{mod}.{cls}.{meth}")
     assert missing == []
+
+
+# CPython 3.11's parser doubles its token array at this many tokens and
+# allocates the new tokens at once, so compiling a module past it raises the
+# process's peak memory by about 0.5 MB (perfbench's peak_rss_mb when the
+# package is compiled at import).
+PARSER_TOKEN_STEP = 8192
+SKIPPED_TOKENS = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_module_stays_below_the_parser_token_step(path):
+    with path.open("rb") as f:
+        tokens = sum(1 for tok in tokenize.tokenize(f.readline) if tok.type not in SKIPPED_TOKENS)
+    assert tokens < PARSER_TOKEN_STEP

@@ -4,7 +4,9 @@ Hypothesis).
 For a random level-1 or level-2 series ``a`` of order ``v`` and a width
 ``w``: ``a * a.inv(w)`` agrees with 1 below ``T^w``; ``a.inv(w)`` is
 windowed at ``-v + w`` unless ``a`` is one exact term.  At level 1,
-``a.pow(-n, w)`` is ``a.inv(w).pow(n)``.  Any product of two level-2
+``a.pow(-n, w)`` is ``a.inv(w).pow(n)``, and the one division routine
+gives ``q / x^n`` as ``q * (x^n).inv(w)``, on the window its rule states,
+or refuses as that product does.  Any product of two level-2
 series, exact or cut at either level, equals the schoolbook dict product,
 and any integer combination of level-2 series equals the fold of ``+`` and
 ``mul_int``.  The public constructor accepts exactly the inputs that lie in
@@ -22,10 +24,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rswan.ratfunc import rat_func_domain  # noqa: E402
 from rswan.scalars import fq_domain, galois_ring_domain  # noqa: E402
-from rswan.errors import ExponentOutOfRange, TowerMismatch  # noqa: E402
+from rswan.substitution import _PowerTable  # noqa: E402
+from rswan.errors import ExponentOutOfRange, RswanError, TowerMismatch  # noqa: E402
 from rswan.series import (  # noqa: E402
     _ORD_FLOOR,
     NestedSeries,
+    _divide_by_power,
+    _is_lift_non_unit,
     _make,
     _schoolbook_mul,
     linear_combination,
@@ -111,6 +116,62 @@ def test_inverse_window_is_the_input_window(case):
 def test_negative_power_is_the_power_of_the_inverse(case, n):
     a, width = case
     assert a.pow(-n, width) == a.inv(width).pow(n)
+
+
+@st.composite
+def quotient_case(draw):
+    """``(q, x, n, w)`` at level 1 over one ring of ``DOMAINS``: ``q`` exact,
+    windowed or zero; ``x`` exact or windowed, of several terms or one, of
+    negative order too, now and then shifted far enough that ``x^n`` or its
+    inverse leaves the exponent range, and over Z/16 now and then with a
+    lowest coefficient that is not a unit; ``n`` up to ``2p + 1``, so that
+    several base-``p`` digits occur; ``w`` a width from -2 up, or none."""
+    name = draw(st.sampled_from(sorted(DOMAINS)))
+    domain = DOMAINS[name]
+    q = draw(st.one_of(level_one_series(name, 24).map(lambda case: case[0]),
+                       st.sampled_from([None, -3, 4]).map(
+                           lambda c: NestedSeries.zero(1, domain, c))))
+    x, _ = draw(level_one_series(name, 12))
+    v = min(x.coeffs)
+    terms = dict(x.coeffs)
+    if draw(st.integers(0, 3)) == 0:
+        terms = {v: terms[v]}
+    elif len(terms) == 1:
+        terms[v + draw(st.integers(1, 12))] = domain.one()
+    if name == "Z/16" and draw(st.integers(0, 3)) == 0:
+        terms[v] = 2 * terms[v] % 16
+    x = NestedSeries(1, domain, {e: c for e, c in terms.items()
+                                 if x.ceiling is None or e < x.ceiling}, x.ceiling)
+    x = x.shift(draw(st.sampled_from([0, 0, 0, 0, 2_100, -2_100])))
+    n = draw(st.integers(1, 2 * domain.p + 1))
+    w = draw(st.one_of(st.none(), st.integers(-2, 24)))
+    return q, x, n, w
+
+
+def _outcome(fn):
+    """The series ``fn()`` returns, or the refusal it raises by kind, message
+    and exponent."""
+    try:
+        return fn()
+    except RswanError as exc:
+        return type(exc), str(exc), getattr(exc, "exponent", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_case())
+def test_the_quotient_is_the_product_with_the_inverse(case):
+    q, x, n, w = case
+    got = _outcome(lambda: _divide_by_power(q, x, n, w, _PowerTable({1: x})))
+    assert got == _outcome(lambda: q * x.pow(n).inv(w))
+    if isinstance(got, NestedSeries) and not _is_lift_non_unit(x.domain, x.coeffs[min(x.coeffs)]):
+        # the window by its rule, apart from inv's: x^n's width w_n, or w
+        # when x^n is exact and not one term, cuts q's window shifted by -v
+        xn = x.pow(n)
+        v = xn.ord()
+        w_n = xn.ceiling - v if xn.ceiling is not None else None if len(xn.coeffs) == 1 else w
+        bounds = [c - v for c in (q.ceiling, None if w_n is None else q.low() + w_n)
+                  if c is not None]
+        assert got.ceiling == (min(bounds) if bounds else None)
 
 
 LEVEL_TWO_DOMAINS = {
