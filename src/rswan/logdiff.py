@@ -21,7 +21,9 @@ single form.  The pairing operators have a path for one-term operands.
 
 Construction
 ------------
-The public constructor ``LogForm(...)`` validates: the degree lies in
+Forms, ``log_derivative`` and ``dlog`` take ``(Z/p^s)[g]/(f)`` scalars:
+over ``F_p(x)`` they raise ``TowerMismatch`` (:mod:`rswan.ratfunc`).  The
+public constructor ``LogForm(...)`` validates: the degree lies in
 ``0..level``, every basis key is a sorted tuple of distinct levels of the
 right length, and every coefficient is a series over the form's ring.  An
 operation on valid forms cannot break any of that, so ``+``, ``-``,
@@ -58,12 +60,10 @@ for one-term operands at each step; anything else keeps the general code.
 * :func:`r_b` over two or more variables roots a residue slot that is one
   exact monomial in one walk: step ``j`` drops the monomial when ``p^j``
   does not divide one of its exponents, and otherwise roots its scalar;
-  the exponents are divided once at the end.  It asks the domain whether
-  the scalar is a p-th power at each step that reaches it, as the steps
-  do, so a lift ring refuses there; a scalar that is not a p-th power
-  (``F_p(x)``) sends the slot through the ``b`` Cartier steps, which
-  raise at that step.  So the walk raises exactly where the steps raise,
-  also when an exponent is divisible by ``p`` but not by ``p^b``.
+  the exponents are divided once at the end.  It roots the scalar at each
+  step that reaches it, as the steps do, so a lift ring refuses there; so
+  the walk raises exactly where the steps raise, also when an exponent is
+  divisible by ``p`` but not by ``p^b``.
 
 Gram matrices
 -------------
@@ -75,10 +75,10 @@ with :class:`InconsistentValue`.  It checks the columns in order and
 answers ``False`` at the first one that no row holds or whose entry is an
 exact zero; an entry zero only within its window raises
 :class:`PrecisionExhausted`, since its unknown tail decides.  Over a field
-(the tower's coefficient field, ``F_p(x)``, or nested Laurent series over
-either) a nonzero entry is a unit and nothing is inverted.  Over a lift
-ring ``Z/p^s`` with ``s > 1`` a nonzero entry need not be a unit, so each
-entry is inverted, which raises on a non-unit.  The general elimination
+(the tower's coefficient field, or nested Laurent series over it) a nonzero
+entry is a unit and nothing is inverted.  Over a lift ring ``Z/p^s`` with
+``s > 1`` a nonzero entry need not be a unit, so each entry is inverted,
+which raises on a non-unit.  The general elimination
 that decided any sparse matrix stays in the tests as the reference
 (``tests/test_logdiff.py::gram_by_elimination``).
 """
@@ -98,6 +98,7 @@ from .errors import (
     WindowTooWide,
     ZeroInput,
 )
+from .ratfunc import _algebra_refused
 from .scalars import _Frozen, _QuotientDomain, _draft_of
 from .series import _ORD_FLOOR, NestedSeries, _level_lows, _make, _set
 
@@ -124,13 +125,19 @@ def log_derivative(sr: NestedSeries, var_level: int) -> NestedSeries:
     """T d/dT in the level-``var_level`` variable: T^e -> e T^e monomialwise."""
     if var_level < 1 or var_level > sr.level:
         raise TowerMismatch(f"no variable at level {var_level}")
+    if not isinstance(sr.domain, _QuotientDomain):
+        raise _algebra_refused()
+    return _log_derivative(sr, var_level)
+
+
+def _log_derivative(sr: NestedSeries, var_level: int) -> NestedSeries:
     if sr.level == var_level:
         if sr.level == 1:
             out = {e: sr.domain.mul_int(c, e) for e, c in sr.coeffs.items()}
         else:
             out = {e: c.mul_int(e) for e, c in sr.coeffs.items()}
     else:
-        out = {e: log_derivative(c, var_level) for e, c in sr.coeffs.items()}
+        out = {e: _log_derivative(c, var_level) for e, c in sr.coeffs.items()}
     return _make(sr.level, sr.domain, out, sr.ceiling)
 
 
@@ -156,6 +163,8 @@ class LogForm(_Frozen):
     __slots__ = ("level", "domain", "degree", "coeffs")
 
     def __init__(self, level: int, domain, degree: int, coeffs: dict):
+        if not isinstance(domain, _QuotientDomain):
+            raise _algebra_refused()
         if degree < 0 or degree > level:
             raise DegreeOverflow(f"degree {degree} outside 0..{level}")
         clean = {}
@@ -435,7 +444,7 @@ def residue_of_product(omega: LogForm, g: NestedSeries) -> int:
         if level > 1:
             pairs = [(a.coeffs[e], b.coeffs[-e]) for a, b in pairs for e in a.coeffs
                      if -e in b.coeffs]
-    if isinstance(domain, _QuotientDomain) and domain.k == 1:
+    if domain.k == 1:
         raw = sum(x * b.coeffs[-e] for a, b in pairs for e, x in a.coeffs.items()
                   if -e in b.coeffs) % domain.modulus
     else:
@@ -587,9 +596,8 @@ def r_b(x: WindowedForm, b: int):
 
 def _monomial_root(slot: NestedSeries, b: int):
     """``C^b`` of a slot that is one exact monomial at every level, in one
-    walk over its exponents; None for any other slot, and for a monomial
-    whose scalar is not a p-th power at a step that reaches it, where the
-    Cartier steps raise (module docstring, "Construction")."""
+    walk over its exponents; None for any other slot (module docstring,
+    "Construction")."""
     mono = _monomial(slot)
     if mono is None:
         return None
@@ -601,8 +609,6 @@ def _monomial_root(slot: NestedSeries, b: int):
         for e in exps:
             if e % q:  # this step drops the monomial
                 return NestedSeries.zero(slot.level, domain)
-        if not domain.is_pth_power(raw):
-            return None
         raw = domain.pth_root(raw)
     return _monomial_series(domain, [e // q for e in exps], raw)
 

@@ -2,19 +2,21 @@
 
 Raw values are pairs ``(num, den)`` of coefficient tuples over F_p
 (low degree first, no trailing zeros), kept in lowest terms with a monic
-denominator; zero is ``((), (1,))``.  The domain implements the arithmetic
-protocol the series layer consumes (add/mul/pow/inv/p-th roots/...), which
-is what the curve-restriction experiment needs: Witt vectors of length one
-over F_p(x)((t)) with exact reduction and conductor computation.  There is
-no residue/trace structure here — forms over this domain are out of scope.
+denominator; zero is ``((), (1,))``.  F_p(x) serves the curve-restriction
+experiment (:func:`rswan.extensions.curve_restriction_ratios`): parsing
+``f``, its reduction at ``s = 1`` and level 1 (``is_zero``,
+``is_pth_power``, ``pth_root``, ``zero`` and ``add``) and its Swan
+conductor.  Every other series, form or Witt operation over it, whose
+coefficients grow with every factor, raises the one ``TowerMismatch`` of
+:func:`_algebra_refused`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NoPthRoot, RswanError, ZeroInput
-from .scalars import _Frozen, power, render_poly
+from .errors import NoPthRoot, RswanError, TowerMismatch, ZeroInput
+from .scalars import _Frozen, power
 
 __all__ = ["RatFuncDomain", "rat_func_domain", "poly_from_coeffs"]
 
@@ -29,6 +31,14 @@ def _strip(t):
 def poly_from_coeffs(coeffs, p: int):
     """Normalize an integer coefficient iterable (low degree first) mod p."""
     return _strip(c % p for c in coeffs)
+
+
+def _algebra_refused() -> TowerMismatch:
+    """The refusal of every operation over F_p(x) past parsing, the
+    reduction at ``s = 1`` and the Swan conductor (module docstring)."""
+    return TowerMismatch(
+        "over F_p(x) only parsing, the reduction at s = 1 and the Swan conductor are supported"
+    )
 
 
 def _padd(a, b, p):
@@ -117,8 +127,8 @@ class RatFuncDomain(_Frozen):
         return ((1,), (1,))
 
     def from_int(self, n: int):
-        n %= self.p
-        return (((n,) if n else ()), (1,))
+        """Refused: an integer multiple of a series over F_p(x) reads it."""
+        raise _algebra_refused()
 
     def from_polys(self, num, den=(1,)):
         """Build num/den from integer coefficient iterables (low degree first)."""
@@ -177,29 +187,7 @@ class RatFuncDomain(_Frozen):
         return (num, den)
 
     def trace(self, x) -> int:
-        raise RswanError("F_p(x) carries no residue/trace structure here")
-
-    # -------------------------------------------------------------- utility
-    def random(self, rng):
-        num = tuple(rng.randrange(self.p) for _ in range(rng.randint(1, 3)))
-        den_tail = tuple(rng.randrange(self.p) for _ in range(rng.randint(0, 1)))
-        return self._make(num, den_tail + (1,))
-
-    def random_nonzero(self, rng):
-        while True:
-            x = self.random(rng)
-            if x[0]:
-                return x
-
-    def render(self, x) -> str:
-        num, den = x
-        num_s = render_poly(num, "x")
-        if den == (1,):
-            return num_s
-        den_s = render_poly(den, "x")
-        num_wrapped = f"({num_s})" if " " in num_s else num_s
-        den_wrapped = f"({den_s})" if " " in den_s else den_s
-        return f"{num_wrapped}/{den_wrapped}"
+        raise _algebra_refused()
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ An element of F_q((T_1))...((T_d)) is stored recursively: a series at level
 ``l`` is a sparse map ``exponent -> coefficient`` in the level-``l`` variable,
 whose coefficients are series at level ``l - 1`` (raw scalars at level 1).
 The same container carries lift-ring series (Galois-ring scalars) and the
-rational-function-coefficient series used by the curve experiments; the
-``domain`` object decides the scalar arithmetic.
+curve experiment's series over ``F_p(x)``, whose products, powers,
+quotients and linear combinations raise ``TowerMismatch``
+(:mod:`rswan.ratfunc`); the ``domain`` object decides the scalar arithmetic.
 
 Precision model
 ---------------
@@ -57,14 +58,13 @@ and its lifts, ``k = deg f``) goes through a level-1 kernel.
 What falls back to the dict loop ``_schoolbook_mul``, which stays as the
 reference: single-pair products; products at levels >= 2 with fewer than
 ``_FLAT_MIN_PAIRS`` term pairs (``bench/series_mul.py`` measures the gate,
-BENCH_11.json) or with an inner coefficient that has a window; and
-``F_p(x)`` coefficients.  Results of ring operations are built by
-``_make``, which skips the per-entry checks of ``__init__`` but still drops
-zeros, cuts at the ceiling and refuses exponents below the supported range
-before it builds anything; the kernels and :func:`linear_combination` return
-maps that are already clean, which it takes as they are (``clean=True``),
-and the Witt layer builds its lifts, reductions and divisions through it as
-well.  It never
+BENCH_11.json) or with an inner coefficient that has a window.  Results of
+ring operations are built by ``_make``, which skips the per-entry checks of
+``__init__`` but still drops zeros, cuts at the ceiling and refuses exponents
+below the supported range before it builds anything; the kernels and
+:func:`linear_combination` return maps that are already clean, which it
+takes as they are (``clean=True``), and the Witt layer builds its lifts,
+reductions and divisions through it as well.  It never
 stores an exactly zero inner coefficient (``is_exact_zero`` relies on it).
 It fills a private draft twin of ``NestedSeries`` (``scalars._draft_of``:
 the same ``__slots__``, plain stores) and then assigns the public class to
@@ -80,17 +80,14 @@ Linear combinations
 -------------------
 :func:`linear_combination` computes ``sum_j n_j x_j`` in one pass.  It takes
 the least ceiling of all the ``x_j`` and cuts at it.  A multiplier that
-vanishes in the ring (mod ``p^s``, or mod ``p`` over ``F_p(x)``) adds only
-that ceiling, as ``x.mul_int(n)`` does.  At level 1 over
-``(Z/p^s)[g]/(f)`` every exponent is summed in plain ints (one int per
-``g``-coordinate at ``k > 1``) and reduced once; over ``F_p(x)`` the
-domain's ``mul_int`` and ``add`` run in the same single pass.  At levels
->= 2 the terms are grouped by top exponent and each group is combined one
-level down, with the least inner ceiling of the group; an inner result is
-dropped only when it is exactly zero.  The value and every ceiling equal
-those of folding ``acc + x.mul_int(n)``, which the tests keep as the
-reference; ``__add__`` itself still makes one domain call per colliding
-entry.
+vanishes mod ``p^s`` adds only that ceiling, as ``x.mul_int(n)`` does.  At
+level 1 every exponent is summed in plain ints (one int per ``g``-coordinate
+at ``k > 1``) and reduced once.  At levels >= 2 the terms are grouped by top
+exponent and each group is combined one level down, with the least inner
+ceiling of the group; an inner result is dropped only when it is exactly
+zero.  The value and every ceiling equal those of folding ``acc +
+x.mul_int(n)``, which the tests keep as the reference; ``__add__`` itself
+still makes one domain call per colliding entry.
 
 Division
 --------
@@ -101,13 +98,12 @@ the same series.  One recurrence computes it, power-series division
 ``d_n = c^-1 a_n - sum_{0 < i <= n} b_i d_{n-i}`` over the stored terms of
 ``[v, v + w)``, ``O(w * terms)`` coefficient operations.  At level 1 over
 ``Z/p^s`` (``k = 1``) each ``d_n`` is summed in plain ints and reduced
-once; ``k > 1`` tuples and ``F_p(x)`` coefficients go through their
-domain's operations, one per term pair, with no packing.  At levels >= 2
-the coefficients are level-``(l-1)`` series, ``c^-1`` is the inverse of
-``c`` at its own level, and the sum skips only an *exactly* zero
-``d_{n-i}``: one that is zero within a window still carries that window
-into ``d_n``, and skipping it would claim knowledge the window lacks.  A
-product of factors is divided by one factor after the other, on the same
+once; ``k > 1`` tuples go through their domain's operations, one per term
+pair, with no packing.  At levels >= 2 the coefficients are level-``(l-1)``
+series, ``c^-1`` is the inverse of ``c`` at its own level, and the sum skips
+only an *exactly* zero ``d_{n-i}``: one that is zero within a window still
+carries that window into ``d_n``, and skipping it would claim knowledge the
+window lacks.  A product of factors is divided by one factor after the other, on the same
 ``w`` coefficients, each pass starting at the factor's least exponent gap;
 the product of the ``c^-1`` scales ``a`` once.  The cost is paid on every
 exponent of the window even when the quotient is sparse, so Newton's
@@ -127,7 +123,7 @@ raises ``PrecisionExhausted`` at ``-v``; ``-v`` below the supported
 range raises ``ExponentOutOfRange`` unless ``w <= 0``; a one-term
 ``x^n`` scales and shifts ``q``, exact where ``q`` is.  The factors:
 
-* **Characteristic p** (``F_q`` and ``F_p(x)``).  With ``n = sum_j d_j
+* **Characteristic p** (``F_q``).  With ``n = sum_j d_j
   p^j``, ``(1 + h)^(p^j) = 1 + F^j(h)``, where ``F^j`` raises each
   coefficient to the ``p^j`` and multiplies each exponent by ``p^j``; so
   ``x^n`` is the product of the twists ``F^j(x^(d_j))``, one per nonzero
@@ -165,6 +161,7 @@ import sys
 from array import array
 
 from .errors import ExponentOutOfRange, NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
+from .ratfunc import _algebra_refused
 from .scalars import _Frozen, _QuotientDomain, _draft_of, power
 
 __all__ = [
@@ -239,8 +236,7 @@ def _make(level: int, domain, coeffs: dict, ceiling: int | None, out=None, *,
 def _is_lift_non_unit(domain, c) -> bool:
     """Whether the raw scalar ``c`` lies in ``p (Z/p^s)[g]/(f)`` for a lift
     ring (``s > 1``): a non-unit, nilpotent since ``p^s = 0``."""
-    return (isinstance(domain, _QuotientDomain) and domain.s > 1
-            and domain.is_zero(domain.reduce_mod_p(c)))
+    return domain.s > 1 and domain.is_zero(domain.reduce_mod_p(c))
 
 
 def _refuse_below_floor(e: int):
@@ -278,14 +274,10 @@ def _kronecker_applies(domain, a: dict, b: dict) -> bool:
     """Whether a level-1 product with enough term pairs goes through
     :func:`_kronecker_mul`.
 
-    It needs ``(Z/p^s)[x]/(f)`` scalars and a dense enough support: the
-    kernel touches every exponent slot of the product, the dict loop every
-    term pair.
+    It needs a dense enough support: the kernel touches every exponent slot
+    of the product, the dict loop every term pair.
     """
-    return (
-        isinstance(domain, _QuotientDomain)
-        and max(a) - min(a) + max(b) - min(b) < len(a) * len(b)
-    )
+    return max(a) - min(a) + max(b) - min(b) < len(a) * len(b)
 
 
 def _level_one_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
@@ -551,9 +543,9 @@ def _divide_by_recurrence(domain, factors: list, width: int, low: int,
     in turn replaces ``d`` by its quotient, ``d_n <- d_n - sum_{0 < i <= n}
     b_i d_{n-i}`` for ``n`` from its least ``i`` up.  Over raw ints of
     ``Z/p^s`` (``k = 1``) each ``d_n`` is summed as plain ints and reduced
-    once; every other coefficient (``k > 1`` tuples, ``F_p(x)``, series at
-    levels >= 2) goes through its domain's operations, skipping only an
-    exactly zero ``d_{n-i}``: a window-zero one still carries its window.
+    once; every other coefficient (``k > 1`` tuples, series at levels >= 2)
+    goes through its domain's operations, skipping only an exactly zero
+    ``d_{n-i}``: a window-zero one still carries its window.
     """
     scale = factors[0][0]
     nested = isinstance(scale, NestedSeries)
@@ -575,7 +567,7 @@ def _divide_by_recurrence(domain, factors: list, width: int, low: int,
         for n, a in num.items():
             if n < width:
                 d[n] = mul(scale, a)
-    plain = not nested and isinstance(domain, _QuotientDomain) and domain.k == 1
+    plain = not nested and domain.k == 1
     for lead_inv, tail in factors:
         neg_lead_inv = neg(lead_inv)
         steps = [(i, mul(neg_lead_inv, c)) for i, c in tail]
@@ -611,9 +603,11 @@ def _divide_by_power(q, x, n, precision, powers=None):
     ``powers[d]`` is the exact power ``x^d`` (``n = 1`` looks up none), from
     a table the caller keeps.  At levels >= 2 only ``1 / x`` is divided.
     """
+    domain = x.domain
+    if not isinstance(domain, _QuotientDomain):
+        raise _algebra_refused()
     if not x.coeffs:
         raise ZeroInput("cannot invert a (window-)zero series")
-    domain = x.domain
     m = x.ord() if x.level > 1 else min(x.coeffs)
     lead = x.coeffs[m]
     if x.level == 1 and _is_lift_non_unit(domain, lead):  # inverted past the nilpotent head
@@ -621,7 +615,7 @@ def _divide_by_power(q, x, n, precision, powers=None):
         return inverse if q is None else q * inverse
     v, shape, twists = n * m, x, None
     if n > 1:
-        if isinstance(domain, _QuotientDomain) and domain.s > 1:
+        if domain.s > 1:
             shape = powers[n]  # characteristic p^s keeps the cross terms: one divisor x^n
         else:
             if v < _ORD_FLOOR:  # a negative order: x^n raises where it leaves the range
@@ -676,7 +670,7 @@ def _twisted_factor(x, j, size):
     ``p^j``-th power is its ``p^(j mod k)``-th."""
     domain = x.domain
     spread = domain.p**j
-    raise_to = domain.p ** (j % domain.k) if isinstance(domain, _QuotientDomain) else spread
+    raise_to = domain.p ** (j % domain.k)
     low = min(x.coeffs)
     tail = []
     for e, c in sorted(x.coeffs.items()):
@@ -845,8 +839,10 @@ class NestedSeries(_Frozen):
             None if other.ceiling is None else other.ceiling + self.low(),
         )
         a, b, domain, level = self.coeffs, other.coeffs, self.domain, self.level
+        if not isinstance(domain, _QuotientDomain):
+            raise _algebra_refused()
         pairs = len(a) * len(b)
-        if pairs > 1 and isinstance(domain, _QuotientDomain):
+        if pairs > 1:
             if level == 1:
                 return _make(1, domain, _level_one_mul(domain, a, b, ceiling), ceiling, clean=True)
             if pairs >= _FLAT_MIN_PAIRS:
@@ -901,6 +897,8 @@ class NestedSeries(_Frozen):
         return _make(self.level, self.domain, self.coeffs, new)
 
     def pow(self, n: int, precision: int | None = None) -> "NestedSeries":
+        if not isinstance(self.domain, _QuotientDomain):
+            raise _algebra_refused()  # x^0 and x^1 as well, though they take no product
         if n < 0:
             return self.inv(precision).pow(-n)
         return power(self, n, operator.mul) if n else NestedSeries.one(self.level, self.domain)
@@ -1050,12 +1048,12 @@ def linear_combination(level: int, domain, pairs) -> NestedSeries:
     """``sum_j n_j * x_j`` over ``(n_j, x_j)`` pairs of ints and series at
     ``level`` over ``domain``, in one pass (module docstring, "Linear
     combinations"); the empty sum is the exact zero."""
+    if not isinstance(domain, _QuotientDomain):
+        raise _algebra_refused()
     for _, x in pairs:
         if not isinstance(x, NestedSeries) or x.level != level or x.domain is not domain:
             raise TowerMismatch("combined series belong to different towers or coefficient rings")
-    # F_p(x) has characteristic p; a multiplier that vanishes there adds
-    # only its ceiling.
-    m = domain.modulus if isinstance(domain, _QuotientDomain) else domain.p
+    m = domain.modulus
     terms = [(n % m, x) for n, x in pairs if n % m]
     return _combination(level, domain, terms, _least_ceiling(pairs))
 
@@ -1094,11 +1092,6 @@ def _combination(level: int, domain, terms: list, ceiling: int | None) -> Nested
             if not c.is_exact_zero():
                 out[e] = c
         return _make(level, domain, out, ceiling, clean=True)
-    if not isinstance(domain, _QuotientDomain):
-        acc = NestedSeries.zero(1, domain, ceiling)
-        for n, x in terms:
-            acc = acc + x.mul_int(n)
-        return acc
     acc: dict = {}
     m = domain.modulus
     out = {}

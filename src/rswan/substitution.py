@@ -10,7 +10,9 @@ quotient's window stays off the exact polynomial part.  The unknown tail of
 a source with ceiling ``c`` cuts the result at ``c * low(img)``, or at
 ``c * ord(img)`` when ``c < 0`` (a negative power needs the order itself);
 an image of order below 1 raises ``PrecisionExhausted``, but an exactly
-zero one passes when ``c >= 1``, as every tail term is then zero.
+zero one passes when ``c >= 1``, as every tail term is then zero.  A
+source or images over ``F_p(x)`` raise ``TowerMismatch`` before any
+power is formed (:mod:`rswan.ratfunc`).
 
 Poles
 -----
@@ -25,6 +27,8 @@ keeps the product ``q * (img^n).inv(precision)``.
 from __future__ import annotations
 
 from .errors import PrecisionExhausted, TowerMismatch
+from .ratfunc import _algebra_refused
+from .scalars import _QuotientDomain
 from .series import NestedSeries, _divide_by_power, _make
 
 __all__ = ["series_substitute"]
@@ -41,6 +45,8 @@ def series_substitute(a: NestedSeries, images: dict[int, NestedSeries],
     for img in targets:
         if img.level != out_level or img.domain is not domain:
             raise TowerMismatch("substitution images live in different targets")
+    if not (isinstance(domain, _QuotientDomain) and isinstance(a.domain, _QuotientDomain)):
+        raise _algebra_refused()
     tables = {level: _PowerTable({1: img}) for level, img in images.items()}
     return _substitute(a, images, tables, out_level, domain, precision)
 

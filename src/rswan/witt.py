@@ -27,9 +27,8 @@ exactly by ``p^n``; a remainder is an internal error.  The results are
 reduced mod p.  Length ``s`` is enough: ``z_n mod p`` needs ``W_n mod
 p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p (mod p^(k+1))``, so
 ``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on ``z_i mod p``.
-Length-1 vectors are one linear combination of their components, which
-also serves coefficient domains without a stored lift ring
-(rational-function scalars).
+Length-1 vectors are one linear combination of their components.  Over
+``F_p(x)`` every combination raises ``TowerMismatch`` (:mod:`rswan.ratfunc`).
 
 *Merged ghost terms.*  Once ``z_i`` is known, the slot-``i`` terms (``c_j
 x_{j,i}`` of each kept input and ``-z_i``) recur at every later ghost
@@ -152,9 +151,10 @@ bounds each standard output slot ``n`` first, ``LB_n <= ceil(z_n) <= UB_n``:
 In the check's order, internal slot 0 first, a slot with ``LB_n > 0``
 passes, and one with ``LB_n = UB_n <= 0`` is the check's refusal
 ``_uncovered_polar_part(index, UB_n)``, raised without combining; any other
-slot leaves the decision to the combination.  Nothing is planned over
-``F_p(x)`` (the combination refuses it), when no input has a top ceiling
-(inner windows never make one), or when ``p^(L-1-i)`` times a component's
+slot leaves the decision to the combination.  Over ``F_p(x)`` the plan
+raises the combination's ``TowerMismatch`` first.  Nothing is planned when
+no input has a top ceiling (inner windows never make one), or when
+``p^(L-1-i)`` times a component's
 least exponent at some level is below the supported range: the combination
 raises its :class:`~rswan.errors.ExponentOutOfRange` ("The exponent floor").
 """
@@ -172,7 +172,8 @@ from .errors import (
     RswanError,
     TowerMismatch,
 )
-from .scalars import galois_ring_domain, power
+from .ratfunc import _algebra_refused
+from .scalars import _QuotientDomain, galois_ring_domain, power
 from .series import (
     _ORD_FLOOR,
     NestedSeries,
@@ -306,7 +307,8 @@ def witt_combine(comps_list, ints, p: int):
     linear combination of the components; longer vectors go through the
     ghost recursion over the length-``s`` lift ring and need finite-field
     coefficients: on flat raw maps when every component is exact, else on
-    series (module docstring, "Arithmetic").
+    series (module docstring, "Arithmetic").  ``F_p(x)`` coefficients raise
+    ``TowerMismatch`` at any length.
     """
     if not comps_list:
         raise InconsistentValue("nothing to combine")
@@ -322,10 +324,10 @@ def witt_combine(comps_list, ints, p: int):
     if s == 1:
         pairs = [(n, comp) for n, (comp,) in zip(ints, comps_list)]
         return (linear_combination(level, domain, pairs),)
-    if not hasattr(domain, "k") or getattr(domain, "s", 1) != 1:
-        raise TowerMismatch(
-            "length-s Witt arithmetic needs finite-field coefficients"
-        )
+    if not isinstance(domain, _QuotientDomain):
+        raise _algebra_refused()
+    if domain.s != 1:
+        raise TowerMismatch("length-s Witt arithmetic needs finite-field coefficients")
     lift = galois_ring_domain(p, domain.k, s)
     # standard order (x_0 first); an input whose multiplier vanishes mod p^s
     # takes no part
@@ -629,9 +631,10 @@ def _refuse_if_planned(comps_list, p: int):
     """Raise the refusal that the check after the reduction combination
     ``witt_combine(comps_list, [1, -1, 1], p)`` raises, when the output
     slots' ceiling intervals decide it (module docstring, "Reduction")."""
-    if not hasattr(comps_list[0][0].domain, "k") or all(
-            x.ceiling is None for comps in comps_list for x in comps):
-        return  # F_p(x) coefficients, which witt_combine refuses, or no window
+    if not isinstance(comps_list[0][0].domain, _QuotientDomain):
+        raise _algebra_refused()  # the refusal of witt_combine, before any plan
+    if all(x.ceiling is None for comps in comps_list for x in comps):
+        return
     inputs = [comps[::-1] for comps in comps_list]  # standard order
     length, upper, lower, low = len(inputs[0]), [], [], []
     for n in range(length):

@@ -19,6 +19,7 @@ from rswan.extensions import (
     delta_tor,
     imperfect_residue_family,
     perfect_residue_ratios,
+    pullback_series,
 )
 from rswan.logdiff import duality_matrix, gram_is_invertible
 from rswan.parser import parse_series
@@ -252,12 +253,55 @@ def test_criterion_06_conductor_change(capsys):
             ok = False
         confirmed += 1
     ok = ok and confirmed == 50
+    windowed = windowed_conductor_changes(K, L, random.Random(2034), 300)
+    ok = ok and windowed["wrong"] == 0 and windowed["answered"] >= 20 and windowed["refused"] >= 20
     conclude(
         capsys, 6,
         f"anchor case gives delta=1, Sw=5 twice over; {confirmed} randomized "
-        "hypothesis-satisfied cases all PASS",
+        f"hypothesis-satisfied cases all PASS; through windowed images {windowed}",
         ok, time.perf_counter() - t0, budget=60.0,
     )
+
+
+def windowed_conductor_changes(K, L, rng, cases):
+    """Conductor changes of ``t^-sw`` through windowed images ``u^e (1 +
+    ...) + O(u^c)``, counted as answered, refused or wrong.  The pullback of
+    ``t^-sw`` is known below ``-sw e + c - e``, the window of ``img^-sw``
+    (``series``, "Division"), and agrees there with its pullback through each
+    of 4 random exact completions of the image past ``c``.  An answered
+    conductor change equals the one along each completion; a refusal is a
+    ``PrecisionExhausted`` (any other exception propagates)."""
+    dom = L.field_domain
+    seen = {"answered": 0, "refused": 0, "wrong": 0}
+    for _ in range(cases):
+        e = rng.randint(1, 5)
+        c = e + rng.randint(1, 8)
+        terms = {e: dom.one(), **{j: dom.one() for j in range(e + 1, c) if rng.random() < 0.5}}
+        sw = rng.choice([1, 3, 5, 7, 9])
+        pole = parse_series(f"t^-{sw}", K)
+        chi = asw_reduce(WittVector.from_print_order(K, (pole,)))
+        completions = [
+            ExtensionMap(K, L, {"t": NestedSeries(1, dom, {**terms, **{
+                j: dom.one() for j in range(c, c + 8) if rng.random() < 0.5}})})
+            for _ in range(4)
+        ]
+        ext = ExtensionMap(K, L, {"t": NestedSeries(1, dom, terms, c)})
+        pulled = pullback_series(ext, pole)
+        if pulled.ceiling != -sw * e + c - e or not all(
+                pulled.agrees_with(pullback_series(full, pole)) for full in completions):
+            seen["wrong"] += 1
+        try:
+            report = conductor_change(ext, chi)
+        except PrecisionExhausted:
+            seen["refused"] += 1
+            continue
+        seen["answered"] += 1
+        got = (report.e, report.delta, report.sw_target, report.status)
+        for full in completions:
+            other = conductor_change(full, chi)
+            if (other.e, other.delta, other.sw_target, other.status) != got:
+                seen["wrong"] += 1
+    return seen
 
 
 def test_criterion_07_imperfect_residue_ratios(capsys):

@@ -1,6 +1,7 @@
 """The layer-bench harness, ``bench/_trees.py``: its entry point, its
-cross-tree series form, its equality check and its alternation rule; and
-the reach map's collector, ``bench/reach.py``, on a throwaway module.
+cross-tree series form, its equality check and its alternation rule; the
+reach map's collector, ``bench/reach.py``, on a throwaway module; and the
+equality gate, ``bench/identity.py``, on two copies of this tree.
 
 Nothing here is timed: ``alternate`` runs on a fake clock.
 """
@@ -134,3 +135,32 @@ def test_the_reach_map_counts_each_function_apart(tmp_path):
     assert (inner["line"], inner["statements"], inner["unreached"]) == (18, 1, [19])
     assert result["totals"] == {"functions": 4, "statements": 11, "reached": 6, "never_run": 2}
     assert result["never_run"] == ["toy.mod.uncalled", "toy.mod.outer.<locals>.inner"]
+
+
+def test_the_equality_gate_compares_reports_and_embed_outcomes(monkeypatch):
+    """At one seed and one cycle: two copies of this tree give the pinned
+    seed-0 report digests and the same 14 ``embed`` outcomes; a changed
+    report body or a changed answer stops the gate, naming it."""
+    monkeypatch.setitem(sys.modules, "_trees", trees)
+    spec = importlib.util.spec_from_file_location("identity", BENCH / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    monkeypatch.setattr(identity, "CHECK_ALL_SEEDS", range(1))
+    monkeypatch.setattr(identity, "EMBED_SEEDS", (0,))
+    monkeypatch.setattr(identity, "CYCLES", 1)
+    first, second = (trees.load(str(ROOT / "src"), index) for index in (910, 911))
+    result = identity.measure([first, second])
+    workloads = identity.workloads_for(first)
+    assert {p: d for p, (d,) in result["check_all"].items()} == workloads.CATALOG_DIGESTS
+    assert result["embed"]["units"] == len(result["embed"]["outcomes"]) == 14
+    assert result["embed"]["answered"] + sum(result["embed"]["refusals"].values()) == 14
+
+    def refused(*args):
+        raise second.errors.PrecisionExhausted("planted", exponent=-1)
+
+    monkeypatch.setattr(second.extensions, "curve_restriction_ratios", refused)
+    with pytest.raises(SystemExit, match="embed unit 13 .*curve-restriction"):
+        identity.measure([first, second])
+    monkeypatch.setattr(second, "report_body_bytes", lambda report: b"planted")
+    with pytest.raises(SystemExit, match="check-all p = 2 seed 0: results differ"):
+        identity.measure([first, second])

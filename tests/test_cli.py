@@ -26,7 +26,7 @@ from rswan.cli import (
 from rswan.errors import ConfigError, ParseError, TowerMismatch
 from rswan.logdiff import LogForm, WindowedForm, d, wedge
 from rswan.parser import parse_rat_func, parse_series, parse_windowed_form, render_form
-from rswan.ratfunc import rat_func_domain
+from rswan.ratfunc import RatFuncDomain, rat_func_domain
 from rswan.rsw import rsw_char_p, rsw_form_at
 from rswan.scalars import DEFINING_POLYNOMIALS
 from rswan.series import NestedSeries
@@ -181,7 +181,7 @@ def test_parse_rat_func_pins():
     assert parse_rat_func("(1 + x)/x", dom) == dom.from_polys([1, 1], [0, 1])
     assert parse_rat_func("1 - x", dom) == dom.from_polys([1, 2])
     assert parse_rat_func("2*x + x^2", dom) == dom.from_polys([0, 2, 1])
-    assert parse_rat_func("4", dom) == dom.from_int(1)
+    assert parse_rat_func("4", dom) == dom.one()
 
 
 def test_parse_rat_func_errors():
@@ -456,6 +456,24 @@ def test_thmB_t_values_must_be_prime_to_p(tmp_path, capsys):
                         "prime to p = 3")
     good = config_doc(tower=MAIN3, tasks=[{"task": "thmB", "t_values": [2, 5]}])
     assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS"]
+
+
+def test_thmC_reduces_by_adding_rational_functions(monkeypatch):
+    """``f = x t^-3 + x^2 t^-2 + x t^-1`` over F_2(x): the root ``x t^-1``
+    of ``x^2 t^-2`` lands on the stored ``x t^-1``, so the reduction at
+    s = 1 adds two rational functions, which no canned task does.  The
+    generic conductor is 3; the curves ``x -> 1 + u, t -> u^e`` give 5/2
+    and 11/4."""
+    added = []
+    add = RatFuncDomain.add
+    monkeypatch.setattr(RatFuncDomain, "add", lambda self, x, y: added.append(1) or add(self, x, y))
+    doc = config_doc(tasks=[{"task": "thmC", "f": {"-3": "x", "-2": "x^2", "-1": "x"},
+                             "x0": 1, "exponents": [2, 4]}])
+    (record,) = run(load_config(doc))["tasks"]
+    assert record["status"] == "PASS"
+    assert record["values"]["sw_generic"] == 3
+    assert [row["ratio"] for row in record["values"]["rows"]] == ["5/2", "11/4"]
+    assert added
 
 
 def test_exp_congruences_p_is_checked_at_load_time(tmp_path, capsys):

@@ -5,7 +5,9 @@ A canned ``check-all`` configuration with one or two of its leaves replaced
 by arbitrary JSON values (``null``, bools, ints, floats, strings, among
 them tower, character and extension names and series literals, and lists
 and objects of these) either loads or raises :class:`ConfigError`: no other
-exception leaves ``load_config``.
+exception leaves ``load_config``.  A configuration that loads runs: ``run``
+raises nothing and writes only PASS, FAIL, NOT_APPLICABLE and ERROR
+records.
 """
 
 import copy
@@ -18,7 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rswan.catalog import CATALOG_PRIMES, canned_config  # noqa: E402
-from rswan.cli import load_config  # noqa: E402
+from rswan.cli import load_config, run  # noqa: E402
 from rswan.errors import ConfigError  # noqa: E402
 
 
@@ -64,3 +66,23 @@ def test_load_config_loads_or_raises_a_config_error(doc):
         load_config(doc)
     except ConfigError:
         pass
+
+
+STATUSES = {"PASS", "FAIL", "NOT_APPLICABLE", "ERROR"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_config())
+def test_run_emits_only_the_four_statuses(doc):
+    """Every edited configuration that loads runs to a report: no exception
+    leaves ``run``, every record has one of the four statuses, and every
+    ERROR record names the exception's type and message."""
+    try:
+        config = load_config(doc)
+    except ConfigError:
+        return
+    records = run(config)["tasks"]
+    assert {record["status"] for record in records} <= STATUSES
+    for record in records:
+        if record["status"] == "ERROR":
+            assert {"type", "message"} <= record["error"].keys(), record

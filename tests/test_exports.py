@@ -2,7 +2,8 @@
 leave a stale entry in an ``__all__`` list; only the operations that
 have no tower to read a budget from take a ``precision`` width; every
 precision refusal names its exponent; every name the benchmark's tracer
-wraps still exists; and no module reaches the parser's token step."""
+wraps still resolves where the tracer looks it up; and no module reaches
+the parser's token step."""
 
 import ast
 import importlib
@@ -83,20 +84,21 @@ TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
 
 
 def test_every_traced_name_resolves():
-    """The benchmark's tracer wraps these names by attribute lookup; one
-    that no longer resolves would break a traced run."""
-    if not TRACING.is_file():
-        pytest.skip("no perfbench/tracing.py next to the package")
+    """The benchmark's tracer wraps these names by lookup in their module's
+    or class's ``__dict__`` (``vars(cls)[meth]``), so a name that only an
+    import or a base class provides, or that is gone, breaks a traced run
+    (``perfbench/run.py --trace 1``).  ``tracing.py`` is loaded, not edited."""
+    assert TRACING.is_file()
     spec = importlib.util.spec_from_file_location("perfbench_tracing_names", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     missing = [f"{mod}.{attr}" for mod, attr in tracing.FUNCTIONS.values()
-               if not hasattr(importlib.import_module(mod), attr)]
+               if attr not in vars(importlib.import_module(mod))]
     methods = [(mod, cls, meth) for mod, cls, meth in tracing.METHODS.values()]
     methods += [(mod, cls, meth) for mod, cls, names in tracing.DOMAIN_CLASSES.values()
                 for meth in names]
     for mod, cls, meth in methods:
-        owner = getattr(importlib.import_module(mod), cls, None)
+        owner = vars(importlib.import_module(mod)).get(cls)
         if owner is None or meth not in vars(owner):
             missing.append(f"{mod}.{cls}.{meth}")
     assert missing == []

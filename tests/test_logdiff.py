@@ -120,7 +120,7 @@ def test_trusted_construction_builds_only_valid_forms():
     stored without a cut, and ``r_b`` of them."""
     rng = random.Random(107)
     z4 = galois_ring_domain(2, 1, 2)
-    domains = (F2, fq_domain(3, 2), z4, rat_func_domain(3))
+    domains = (F2, fq_domain(3, 2), z4)
     checked = Counter()
 
     def check(name, fn, *args):
@@ -346,7 +346,7 @@ def wedge_by_term_pairs(alpha, beta):
 
 
 ONE_TERM_DOMAINS = (F2, F3, F4, fq_domain(3, 2), galois_ring_domain(2, 1, 2),
-                    galois_ring_domain(2, 2, 2), rat_func_domain(3))
+                    galois_ring_domain(2, 2, 2))
 
 
 def one_term_coefficient(rng, level, domain, kind, lo=-3, hi=3):
@@ -379,7 +379,7 @@ def one_term_coefficient(rng, level, domain, kind, lo=-3, hi=3):
 def test_one_term_wedge_matches_the_term_pair_loop():
     """Seeded property: :func:`wedge` equals the loop over term pairs,
     values and refusals (type, message, exponent), on one-term forms at
-    levels 1-3 over F_q, Z/4, (Z/4)[g] and F_3(x): exact monomials (the
+    levels 1-3 over F_q, Z/4 and (Z/4)[g]: exact monomials (the
     one-term path), windowed, inner-window-zero and two-term coefficients
     (which it declines), repeated keys, sign -1, lift-ring scalars whose
     product is 0, and exponent sums below the supported range."""
@@ -476,12 +476,16 @@ def test_cartier_needs_top_degree():
 
 
 def test_cartier_no_root_over_imperfect_scalars():
-    """Over F_p(x) the scalar x has no p-th root: the operator must refuse."""
+    """Over F_p(x) the scalar x has no p-th root: the coefficient's root
+    refuses, and forms over F_p(x), Cartier's among them, are refused at
+    construction."""
     dom = rat_func_domain(2)
     x = dom.variable()
-    omega = LogForm(1, dom, 1, {(1,): mono(1, dom, (2,), x)})
+    coefficient = mono(1, dom, (2,), x)
     with pytest.raises(NoPthRoot):
-        cartier(omega)
+        coefficient.pth_root(skip_prime_to_p=True)
+    with pytest.raises(TowerMismatch, match="only parsing"):
+        LogForm(1, dom, 1, {(1,): coefficient})
 
 
 # ---------------------------------------------------------------- residues
@@ -681,8 +685,8 @@ def test_wedge_windowed_duality_is_symmetric():
 def test_wedge_windowed_stores_an_in_window_product_as_it_is(monkeypatch):
     """Seeded property: ``wedge_windowed`` equals the product of the
     representatives cut to the window ``(a-1, -1)`` by the validating
-    ``WindowedForm``, on dual windows at levels 1-3 over F_q, Z/4 and
-    F_3(x), with one-term monomials and representatives of several terms
+    ``WindowedForm``, on dual windows at levels 1-3 over F_q and Z/4, with
+    one-term monomials and representatives of several terms
     and inner windows; a product whose top exponents already lie in the
     window is not cut again."""
     cuts = []
@@ -790,7 +794,7 @@ def r_b_by_cartier_steps(x, b):
     return omega0
 
 
-R_B_DOMAINS = (F2, F3, F4, fq_domain(3, 2), galois_ring_domain(2, 1, 2), rat_func_domain(3))
+R_B_DOMAINS = (F2, F3, F4, fq_domain(3, 2), galois_ring_domain(2, 1, 2))
 
 
 def random_slot(rng, level, domain):
@@ -817,7 +821,7 @@ def random_slot(rng, level, domain):
 def test_r_b_one_pass_matches_the_cartier_steps():
     """Seeded property: ``r_b`` equals one residue step and ``b`` Cartier
     calls, values and refusals (type, message, exponent), on random top
-    forms in windows (a-1, -1) at levels 1-3 over F_q, Z/4 and F_3(x), for
+    forms in windows (a-1, -1) at levels 1-3 over F_q and Z/4, for
     b = 0..3; the residue slot is often zero within a window or exactly
     zero, and the top key is sometimes absent."""
     rng = random.Random(2501)
@@ -845,7 +849,7 @@ def test_r_b_one_pass_matches_the_cartier_steps():
             else:
                 seen["scalar"] += 1
     assert min(seen[kind] for kind in (
-        "form", "zero form", "scalar", "WindowTooWide", "NoPthRoot", "TowerMismatch"
+        "form", "zero form", "scalar", "WindowTooWide", "TowerMismatch"
     )) > 50, seen
 
 
@@ -855,10 +859,9 @@ def test_one_term_r_b_walk_matches_the_cartier_steps():
     and ``b`` Cartier calls, values and refusals (type, message, exponent),
     at levels 2 and 3 for b = 0..3.  The slot exponents are divisible by
     ``p^j`` for j = 0..3, so the steps drop the monomial at every step or
-    root it through; the scalars include p-th powers and non-powers of
-    F_3(x) and lift-ring scalars (Z/4), which refuse at the first step that
-    reaches them, also when an exponent is divisible by p but not by
-    ``p^b``."""
+    root it through; the scalars include lift-ring scalars (Z/4), which
+    refuse at the first step that reaches them, also when an exponent is
+    divisible by p but not by ``p^b``."""
     rng = random.Random(2602)
     seen = Counter()
     for _ in range(1200):
@@ -868,8 +871,6 @@ def test_one_term_r_b_walk_matches_the_cartier_steps():
         a = rng.randint(1, 5)
         exps = tuple(rng.randint(-3, 3) * p ** rng.randint(0, 3) for _ in range(level - 1))
         raw = domain.random_nonzero(rng)
-        if isinstance(domain, type(rat_func_domain(3))) and rng.random() < 0.5:
-            raw = domain.pow(raw, p)
         slot = mono(level - 1, domain, exps, raw)
         top = {0: slot}
         for e in rng.sample(range(1 - a, 0), rng.randint(0, a - 1)):
@@ -891,7 +892,7 @@ def test_one_term_r_b_walk_matches_the_cartier_steps():
                 seen["form"] += 1
     assert min(seen[kind] for kind in (
         "form", "zero form", "dropped after a root", "refused past a step that roots",
-        "WindowTooWide", "NoPthRoot", "TowerMismatch"
+        "WindowTooWide", "TowerMismatch"
     )) > 20, seen
 
 

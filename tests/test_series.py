@@ -238,7 +238,7 @@ def newton_inverse_oracle(a, precision=None):
 F9 = fq_domain(3, 2)
 Z16 = galois_ring_domain(2, 1, 4)
 Z16G = galois_ring_domain(2, 2, 4)
-FX = rat_func_domain(3)
+FX = rat_func_domain(3)  # a series over F_p(x) is built, added and read, and refuses the rest
 
 
 def unit_coefficient(rng, domain, level, inner_window):
@@ -303,14 +303,13 @@ def random_invertible(rng, domain, width, terms, windowed):
 
 
 @pytest.mark.parametrize("name,domain,widths", [
-    ("F_2", F2, (1, 80)), ("F_9", F9, (1, 80)), ("Z/16", Z16, (1, 80)), ("F_3(x)", FX, (1, 10)),
+    ("F_2", F2, (1, 80)), ("F_9", F9, (1, 80)), ("Z/16", Z16, (1, 80)),
     ("(Z/16)[g]", Z16G, (1, 80)),
 ])
 def test_level_one_inverse_matches_the_newton_oracle(name, domain, widths):
     """Equal, window and values, from one term to a full window.  Every
     coefficient ring but ``Z/p^s`` at ``k = 1`` runs the recurrence on its
-    domain's operations: ``F_9``, ``(Z/16)[g]`` (k = 2, s = 4) and
-    ``F_3(x)``."""
+    domain's operations: ``F_9`` and ``(Z/16)[g]`` (k = 2, s = 4)."""
     rng = random.Random(f"inverse:{name}")
     cases = [(w, t) for w in (1, 2, widths[1]) for t in (1, w)]
     cases += [(w, rng.randint(1, w)) for w in (rng.randint(*widths) for _ in range(36))]
@@ -357,11 +356,11 @@ def inverse_or_error(invert, a, precision):
         return type(exc)
 
 
-@pytest.mark.parametrize("name,domain", [("F_2", F2), ("F_9", F9), ("Z/16", Z16), ("F_3(x)", FX)])
+@pytest.mark.parametrize("name,domain", [("F_2", F2), ("F_9", F9), ("Z/16", Z16)])
 def test_nested_inverse_matches_the_newton_oracle(name, domain):
     """Levels 2 and 3: equal values and ceilings at every level, or the
     same error, over exact and windowed inner and top levels, at precisions
-    4-16 (4-8 over F_3(x), where rational-function degrees grow)."""
+    4-16."""
     rng = random.Random(f"nested inverse:{name}")
     seen = set()
     for level in (2, 3):
@@ -369,7 +368,7 @@ def test_nested_inverse_matches_the_newton_oracle(name, domain):
             for top_windowed in (False, True):
                 for _ in range(5):
                     a = random_nested_unit(rng, level, domain, inner_windowed, top_windowed)
-                    precision = rng.randint(4, 8 if domain is FX else 16)
+                    precision = rng.randint(4, 16)
                     got = inverse_or_error(NestedSeries.inv, a, precision)
                     assert got == inverse_or_error(newton_inverse_oracle, a, precision)
                     seen.add(got if isinstance(got, type) else (level, got.is_exact()))
@@ -678,22 +677,19 @@ def refusal_or_series(fn, *args):
         return type(exc), str(exc), getattr(exc, "exponent", None)
 
 
-# F_2, F_3, F_5, F_4, F_9, F_3(x) and the lift ring Z/9.
-F3X = rat_func_domain(3)
+# F_2, F_3, F_5, F_4, F_9 and the lift ring Z/9.
 Z9 = galois_ring_domain(3, 1, 2)
-DIVISION_DOMAINS = (F2, F3, fq_domain(5, 1), F4, fq_domain(3, 2), F3X, Z9)
+DIVISION_DOMAINS = (F2, F3, fq_domain(5, 1), F4, fq_domain(3, 2), Z9)
 
 
 def division_cell(rng, domain):
     """``(source, images, precision)``: a level-1 source with a deepest pole
-    of order 1..40 (up to 12 over F_3(x), whose coefficients grow with every
-    power) and up to four more exponents in -40..5, exact or windowed,
+    of order 1..40 and up to four more exponents in -40..5, exact or windowed,
     through an exact, windowed or monomial image of order 1..5; over Z/9 the
     image's other terms are sometimes multiples of 3, so that its power can
     be one term.  Sometimes a level-2 source goes through a unit image of
     ``T1`` into the same level-1 target, which makes the Horner sum
-    windowed.  The width is 1..128 (1..16 over F_3(x)), or None."""
-    fpx = domain is F3X
+    windowed.  The width is 1..128, or None."""
     order = rng.randint(1, 5)
     kind = rng.choice(("exact", "windowed", "monomial"))
     terms = {order: domain.random_nonzero(rng)}
@@ -704,19 +700,19 @@ def division_cell(rng, domain):
     img = NestedSeries(1, domain, terms)
     if kind == "windowed" or rng.random() < 0.2:
         img = img.truncate(order + rng.randint(1, 12))
-    deepest = rng.randint(1, 12 if fpx else 40)
+    deepest = rng.randint(1, 40)
     exps = {-deepest, *rng.sample(range(-deepest, 6), rng.randint(0, 4))}
     source = NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in exps})
     if rng.random() < 0.3:
         source = source.truncate(max(source.coeffs) + rng.randint(-1, 4))
     images = {1: img}
-    if not fpx and rng.random() < 0.15:
+    if rng.random() < 0.15:
         inner = {e: NestedSeries(1, domain, {rng.randint(-3, 2): domain.random_nonzero(rng)})
                  for e in exps}
         source = NestedSeries(2, domain, inner)
         images = {1: NestedSeries(1, domain, {0: domain.one(), 1: domain.random_nonzero(rng)}),
                   2: img}
-    precision = None if rng.random() < 0.1 else rng.randint(1, 16 if fpx else 128)
+    precision = None if rng.random() < 0.1 else rng.randint(1, 128)
     return source, images, precision
 
 
@@ -1093,15 +1089,15 @@ def test_a_square_below_the_kronecker_cut_packs_each_coefficient_once(monkeypatc
 
 
 def test_sparse_and_rational_function_products_keep_the_dict_loop():
+    """A sparse product keeps the dict loop.  F_p(x) products, which it
+    alone served, refuse before any loop runs."""
     sparse = NestedSeries(1, F3, {e: 1 for e in range(0, 8000, 1000)})
     assert len(sparse.coeffs) ** 2 >= _KRONECKER_MIN_PAIRS
     assert not uses_kernel(sparse, sparse)
     assert sparse * sparse == schoolbook(sparse, sparse)
-    dom = rat_func_domain(3)
-    rng = random.Random(11)
-    x = NestedSeries(1, dom, {e: dom.random_nonzero(rng) for e in range(-6, 6)}, 6)
-    assert not uses_kernel(x, x)
-    assert x * x == schoolbook(x, x)
+    x = NestedSeries(1, FX, {e: FX.from_polys([1, e % 3], [e % 2, 1]) for e in range(-6, 6)}, 6)
+    with pytest.raises(TowerMismatch, match="only parsing"):
+        x * x
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -1209,7 +1205,8 @@ def test_nested_inner_sums_that_cancel_leave_no_entry():
 
 
 def test_nested_fallbacks_give_the_oracle_product():
-    """Inner windows and F_p(x) coefficients keep the loop over term pairs."""
+    """Inner windows keep the loop over term pairs; F_p(x) coefficients
+    refuse the product at every level."""
     rng = random.Random(17)
     for domain in (F2, F4, galois_ring_domain(2, 2, 4)):
         for _ in range(10):
@@ -1221,11 +1218,9 @@ def test_nested_fallbacks_give_the_oracle_product():
             assert _flat_mul(2, domain, x.coeffs, y.coeffs, None) is None
             assert x * y == schoolbook(x, y)
             assert y * x == schoolbook(y, x)
-    dom = rat_func_domain(3)
-    for _ in range(5):
-        x = random_nested(rng, 2, dom, 3, 2, ceiling=True)
-        y = random_nested(rng, 2, dom, 3, 2)
-        assert x * y == schoolbook(x, y)
+    x = NestedSeries(2, FX, {-1: NestedSeries(1, FX, {0: FX.variable()}, 2)}, 3)
+    with pytest.raises(TowerMismatch, match="only parsing"):
+        x * x
 
 
 def test_trusted_results_store_no_zero_and_nothing_at_the_ceiling():
@@ -1270,7 +1265,7 @@ def fold_combination_oracle(level, domain, pairs):
 
 COMBINATION_RINGS = {
     "F_2": F2, "F_9": F9, "Z/4": galois_ring_domain(2, 1, 2),
-    "Z/27": galois_ring_domain(3, 1, 3), "(Z/16)[g]": galois_ring_domain(2, 2, 4), "F_3(x)": FX,
+    "Z/27": galois_ring_domain(3, 1, 3), "(Z/16)[g]": galois_ring_domain(2, 2, 4),
 }
 
 
@@ -1305,10 +1300,10 @@ def test_linear_combination_matches_the_fold_oracle(ring, level):
     exponent range (so that entries collide), multipliers that are negative
     or vanish in the ring: equal values and ceilings at every level."""
     domain = COMBINATION_RINGS[ring]
-    modulus = domain.modulus if hasattr(domain, "modulus") else domain.p
+    modulus = domain.modulus
     rng = random.Random(f"combination:{ring}:{level}")
     seen = {"window_zero_inner": 0, "windowed": 0}
-    for _ in range(60 if ring != "F_3(x)" or level < 3 else 20):
+    for _ in range(60):
         xs = [random_windowed(rng, level, domain) for _ in range(rng.randint(1, 5))]
         pairs = [(multiplier(rng, modulus), x) for x in xs]
         if rng.random() < 0.3:  # exact cancellation of a random pair

@@ -22,7 +22,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rswan.ratfunc import rat_func_domain  # noqa: E402
 from rswan.scalars import fq_domain, galois_ring_domain  # noqa: E402
 from rswan.substitution import _PowerTable  # noqa: E402
 from rswan.errors import ExponentOutOfRange, RswanError, TowerMismatch  # noqa: E402
@@ -40,30 +39,25 @@ DOMAINS = {
     "F_2": fq_domain(2, 1),
     "F_9": fq_domain(3, 2),
     "Z/16": galois_ring_domain(2, 1, 4),
-    "F_3(x)": rat_func_domain(3),
 }
-MAX_WIDTH = {"F_3(x)": 8}
 
 
 def _scalar(domain, digits):
-    """A raw scalar from small integers: coordinates over (Z/p^s)[g]/(f),
-    a polynomial over F_p(x)."""
-    if hasattr(domain, "k"):
-        cs = [x % domain.modulus for x in digits[: domain.k]]
-        cs += [0] * (domain.k - len(cs))
-        return cs[0] if domain.k == 1 else tuple(cs)
-    return domain.from_polys(digits)
+    """A raw scalar from small integers: coordinates over (Z/p^s)[g]/(f)."""
+    cs = [x % domain.modulus for x in digits[: domain.k]]
+    cs += [0] * (domain.k - len(cs))
+    return cs[0] if domain.k == 1 else tuple(cs)
 
 
 @st.composite
 def level_one_series(draw, name=None, max_width=64):
     name = name or draw(st.sampled_from(sorted(DOMAINS)))
     domain = DOMAINS[name]
-    width = draw(st.integers(1, min(max_width, MAX_WIDTH.get(name, 64))))
+    width = draw(st.integers(1, max_width))
     v = draw(st.integers(-20, 20))
     digits = st.lists(st.integers(0, 15), min_size=1, max_size=3)
     lead = _scalar(domain, draw(digits))
-    if domain.is_zero(domain.reduce_mod_p(lead) if hasattr(domain, "k") else lead):
+    if domain.is_zero(domain.reduce_mod_p(lead)):
         lead = domain.add(lead, domain.one())  # a unit
     offsets = draw(st.dictionaries(st.integers(1, width + 4), digits, max_size=6))
     coeffs = {v: lead, **{v + i: _scalar(domain, d) for i, d in offsets.items()}}
@@ -80,7 +74,7 @@ def level_two_unit_series(draw):
     ``T^v``, and up to 4 more above it, each exact or windowed; the top level
     windowed at ``v + w``, or exact with terms past it."""
     name = draw(st.sampled_from(sorted(DOMAINS)))
-    width = draw(st.integers(1, 4 if name == "F_3(x)" else 12))
+    width = draw(st.integers(1, 12))
     v = draw(st.integers(-6, 6))
     offsets = draw(st.lists(st.integers(1, width + 2), max_size=4, unique=True))
     coeffs = {v + i: draw(level_one_series(name, 8))[0] for i in [0, *offsets]}
@@ -179,7 +173,6 @@ LEVEL_TWO_DOMAINS = {
     "F_4": fq_domain(2, 2),
     "Z/4": galois_ring_domain(2, 1, 2),
     "(Z/16)[g]": galois_ring_domain(2, 2, 4),
-    "F_3(x)": rat_func_domain(3),
 }
 
 

@@ -47,6 +47,7 @@ from rswan.witt import (
     witt_combine,
     witt_frobenius,
 )
+from test_ratfunc import random_nonzero_rat_func
 
 K2s2 = FieldTower(2, 1, 2, ("t",))
 K2s3 = FieldTower(2, 1, 3, ("t",))
@@ -607,7 +608,10 @@ def rescan_reduce_slot_oracle(x):
 
 def _random_scalar(rng, domain, p):
     """A nonzero scalar; over F_p(x) a p-th power half of the time."""
-    c = domain.random_nonzero(rng)
+    if isinstance(domain, _QuotientDomain):
+        c = domain.random_nonzero(rng)
+    else:
+        c = random_nonzero_rat_func(domain, rng)
     return domain.pow(c, p) if rng.random() < 0.5 else c
 
 
@@ -1022,8 +1026,8 @@ def test_the_ceiling_plan_matches_the_always_combine_oracle(monkeypatch):
     combination raises, and the plan decides none where the check passes.
     Planned refusals occur at every length, and the reduction then runs one
     combination fewer than the oracle.  The floor-edge cases combine and
-    keep the combination's ExponentOutOfRange, and so does a combination
-    over F_p(x), which refuses its coefficients."""
+    keep the combination's ExponentOutOfRange; over F_p(x) the plan raises
+    the refusal the combination raises."""
     decided = {"refused": 0, "planned": 0}
     oracle_calls = []
 
@@ -1081,7 +1085,7 @@ def test_the_ceiling_plan_matches_the_always_combine_oracle(monkeypatch):
         calls.clear()
         assert reduce_outcome(asw_reduce_components, comps, 2) == want
         assert calls == []
-    # over F_p(x) the combination refuses the coefficients; the plan leaves that to it
+    # over F_p(x) the plan raises the combination's refusal of the coefficients
     fx = rat_func_domain(3)
     comps = (NestedSeries(1, fx, {}, 1), NestedSeries(1, fx, {-9: fx.one()}, 2))
     want = reduce_outcome(always_combine_reduce_oracle, comps, 3)
