@@ -3,10 +3,11 @@
 The cells are ``(p, k, d, a, split)``: the windows of perfbench's
 ``duality`` workload over ``F_p((u))((t))`` (k = 1, d = 2, p = 2 widths
 1..6 and p = 3 widths 1..5), plus p = 5 widths 1..5, the d = 3 tower
-``F_2((v))((u))((t))`` with widths 1..2, and the k = 2 towers
+``F_2((v))((u))((t))`` with widths 1..2, the k = 2 towers
 ``F_4((u))((t))`` with widths 1..3 and ``F_9((u))((t))`` with widths 1..2,
-whose entries are tuples.  ``split`` is the degree pair ``(i, j)``.  Per
-cell:
+whose entries are tuples, and the one-variable towers ``F_2((t))`` and
+``F_3((t))`` with the workload's widths, whose entries are raw scalars.
+``split`` is the degree pair ``(i, j)``.  Per cell:
 
 * ``rows``: the Gram size; every row's ``{column: entry}`` is checked
   equal across the trees (``_trees.same``) before anything is timed;
@@ -15,11 +16,7 @@ cell:
   ``PASSES`` alternating passes, each timing a batch of builds of all four
   windows (``bench/_trees.py``);
 * ``gram_ms``: the same for ``gram_is_invertible`` on the rows each tree
-  has just built for those windows (every answer must be ``True``);
-* ``pairing_us``: one class's pairing, as the builder runs it: the two
-  ``_basis_form`` calls, ``wedge_windowed`` and ``r_b``; the mean over the
-  classes of the window ``(a, 0)``, whose values are checked equal across
-  the trees.
+  has just built for those windows (every answer must be ``True``).
 
 ``totals_ms`` and ``gram_totals_ms`` sum the builder and the Gram decision
 time over every workload window (k = 1, d = 2, p = 2 and 3, 4 windows per
@@ -29,7 +26,6 @@ cell) per tree.
 from __future__ import annotations
 
 import sys
-from itertools import combinations, product
 
 from _trees import alternate, main, same
 
@@ -40,6 +36,7 @@ CELLS = tuple(
     + [(2, 1, 3, a) for a in (1, 2)]
     + [(2, 2, 2, a) for a in (1, 2, 3)]
     + [(3, 2, 2, a) for a in (1, 2)]
+    + [(p, 1, 1, a) for p, widths in WORKLOAD_WIDTHS.items() for a in widths]
 )
 MS = range(4)
 PASSES = 5
@@ -68,48 +65,17 @@ def _calls(rswan, p: int, k: int, d: int, a: int, i: int):
     return built, (lambda: [len(rows) for rows in build()]), gram
 
 
-def _pairing(rswan, p: int, k: int, d: int, a: int, i: int):
-    """A call that pairs every class ``(K, alpha)`` of the window ``(a, 0)``
-    once, as ``duality_matrix`` does, and returns the values, and the
-    number of classes."""
-    logdiff = rswan.logdiff
-    domain = rswan.FieldTower(p, k, 1, VARIABLES[3 - d:]).field_domain
-    b = logdiff.minimal_b(p, a)
-    pb = p**b
-    classes = [
-        (key, alpha, tuple(v for v in range(1, d + 1) if v not in key),
-         tuple(-e % pb for e in alpha))
-        for key in combinations(range(1, d + 1), d - i)
-        for alpha in product(range(pb), repeat=d - 1)
-    ]
-
-    def pair():
-        values = []
-        for key, alpha, partner, beta in classes:
-            x = logdiff._basis_form(d, domain, key, alpha + (-a,), a, 0)
-            y = logdiff._basis_form(d, domain, partner, beta + (a,), -1, -a - 1)
-            val = logdiff.r_b(logdiff.wedge_windowed(x, y), b)
-            values.append(val.coeffs if d > 1 else val)
-        return values
-
-    return pair, len(classes)
-
-
 def measure(trees) -> dict:
     keys = [(p, k, d, a, i) for p, k, d, a in CELLS for i in range(d + 1)]
-    calls, grams, pairings, sizes, classes = {}, {}, {}, {}, {}
+    calls, grams, sizes = {}, {}, {}
     for key in keys:
         built, calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
         same(f"Gram rows of cell {key}", built)
         if not all(all(gram()) for gram in grams[key]):
             raise SystemExit(f"cell {key}: a Gram matrix is singular")
         sizes[key] = len(built[0][-1])
-        pairings[key], counts = zip(*(_pairing(tree, *key) for tree in trees))
-        same(f"pairings of cell {key}", [pair() for pair in pairings[key]])
-        classes[key] = counts[0]
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
     gram_seconds = alternate(grams, PASSES, BATCH_SECONDS)
-    pairing_seconds = alternate(pairings, PASSES, BATCH_SECONDS)
     cells = []
     totals = [0.0 for _ in trees]
     gram_totals = [0.0 for _ in trees]
@@ -122,7 +88,6 @@ def measure(trees) -> dict:
             "rows": sizes[key],
             "ms_per_matrix": [round(ms, 3) for ms in per_matrix],
             "gram_ms": [round(ms, 3) for ms in gram_ms],
-            "pairing_us": [round(t * 1e6 / classes[key], 2) for t in pairing_seconds[key]],
         })
         if k == 1 and d == 2 and p in WORKLOAD_WIDTHS:
             totals = [t + ms * len(MS) for t, ms in zip(totals, per_matrix)]

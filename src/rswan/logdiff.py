@@ -13,11 +13,12 @@ product: :func:`residue_of_product`), windowed forms (classes modulo a
 power of the maximal ideal of the top variable), the window collapse
 ``r_b = C^b(omega_0)``, and the Gram matrix of the pairing
 ``(x, y) -> r_b(x ^ y)`` on twisted monomial bases as sparse
-``{column: entry}`` rows (one pairing per dlog key and residue monomial,
-each row and its partner column placed by arithmetic on basis positions),
-whose invertibility is decided column by column.  ``r_b`` takes ``C^b`` of
-the residue slot as ``b`` Cartier roots of its one coefficient and builds a
-single form.  The pairing operators have a path for one-term operands.
+``{column: entry}`` rows (one entry per dlog key and residue monomial,
+computed from raw exponents and scalars, each row and its partner column
+placed by arithmetic on basis positions), whose invertibility is decided
+column by column.  ``r_b`` takes ``C^b`` of the residue slot as ``b``
+Cartier roots of its one coefficient and builds a single form.  The
+pairing operators have a path for one-term operands.
 
 Construction
 ------------
@@ -33,8 +34,8 @@ their results through ``_form``, which only drops exactly zero
 coefficients (a coefficient zero only within a window stays, as in
 ``series._make``); the series they build go through ``series._make`` for
 the same reason.  A windowed form whose representative already lies in its
-window and is exact there (a basis monomial, a product of dual basis
-monomials) is stored through ``_windowed`` without truncating it again.
+window and is exact there (a product of dual basis monomials) is stored
+through ``_windowed`` without truncating it again.
 Like ``series._make``, ``_form`` and ``_windowed`` fill a private draft
 twin of their class (the same ``__slots__``, plain stores) and then assign
 it the public class, so every form they return is a ``LogForm`` or
@@ -57,18 +58,23 @@ for one-term operands at each step; anything else keeps the general code.
   window ``(a - 1, -1)``; a product of dual representatives is top-exact
   and never reaches below ``1 - a``, so only a top exponent ``>= 1``
   makes it cut the product through :class:`WindowedForm`.
-* :func:`r_b` over two or more variables roots a residue slot that is one
-  exact monomial in one walk: step ``j`` drops the monomial when ``p^j``
-  does not divide one of its exponents, and otherwise roots its scalar;
-  the exponents are divided once at the end.  It roots the scalar at each
-  step that reaches it, as the steps do, so a lift ring refuses there; so
-  the walk raises exactly where the steps raise, also when an exponent is
-  divisible by ``p`` but not by ``p^b``.
+* :func:`r_b` roots a residue slot that is one exact monomial in one
+  walk, ``_monomial_root`` over its exponents and raw scalar (no exponents
+  over one variable, where the slot is a raw scalar): step ``j`` drops the
+  monomial when ``p^j`` does not divide one of its exponents, and
+  otherwise roots its scalar; the exponents are divided once at the end.
+  It roots the scalar at each step that reaches it, as the steps do, so a
+  lift ring refuses there; so the walk raises exactly where the steps
+  raise, also when an exponent is divisible by ``p`` but not by ``p^b``.
+  :func:`duality_matrix` runs the same walk on raw exponent sums.
 
 Gram matrices
 -------------
 :func:`duality_matrix` pairs each basis class with its one partner, so its
-Gram matrix holds one entry per row, in distinct columns: a monomial
+Gram matrix holds one entry per row, in distinct columns.  It computes each
+class's entry from the raw sign, exponents and scalar through the ``C^b``
+walk, and builds no basis form, wedge or ``r_b`` form; acceptance
+criterion 4 checks the entries against the operators.  It is a monomial
 matrix, invertible exactly when each column's one entry is a unit.
 :func:`gram_is_invertible` decides only that shape and refuses any other
 with :class:`InconsistentValue`.  It checks the columns in order and
@@ -577,50 +583,38 @@ def r_b(x: WindowedForm, b: int):
         raise WindowTooWide(f"p^{b} < {a}: the window is too wide for r_{b}")
     level = form.level
     if level == 1:
-        raw = residue_step(form)
-        for _ in range(b):
-            raw = form.domain.pth_root(raw)
-        return raw
+        return _monomial_root(form.domain, (), residue_step(form), b)
     c = form.coeffs.get(tuple(range(1, level + 1)))
     coeffs = {}
     if c is not None:
-        slot = c.coefficient(0)
-        root = _monomial_root(slot, b) if b else slot
-        if root is None:
-            root = slot
+        root = slot = c.coefficient(0)
+        mono = _monomial(slot) if b else None
+        if mono is not None:
+            root = _monomial_root(form.domain, *mono, b)
+        else:
             for _ in range(b):
                 root = root.pth_root(skip_prime_to_p=True)
         coeffs[tuple(range(1, level))] = root
     return _form(level - 1, form.domain, level - 1, coeffs)
 
 
-def _monomial_root(slot: NestedSeries, b: int):
-    """``C^b`` of a slot that is one exact monomial at every level, in one
-    walk over its exponents; None for any other slot (module docstring,
-    "Construction")."""
-    mono = _monomial(slot)
-    if mono is None:
-        return None
-    exps, raw = mono
-    domain = slot.domain
+def _monomial_root(domain, exps, raw, b: int):
+    """``C^b`` of the exact monomial ``raw T^exps`` (exponents from level 1
+    up) in one walk: the rooted raw scalar when ``exps`` is empty, else a
+    series (module docstring, "Construction")."""
     p, q = domain.p, 1
     for _ in range(b):
         q *= p
         for e in exps:
             if e % q:  # this step drops the monomial
-                return NestedSeries.zero(slot.level, domain)
+                return NestedSeries.zero(len(exps), domain)
         raw = domain.pth_root(raw)
+    if not exps:
+        return raw
     return _monomial_series(domain, [e // q for e in exps], raw)
 
 
 # ---------------------------------------------------------------- duality
-
-def _basis_form(level: int, domain, key, exps, n: int, m: int) -> WindowedForm:
-    """The basis form ``T^exps dlog_key``; its top exponent lies in
-    ``[-n, -m)``, so it is its own representative."""
-    mono = _monomial_series(domain, exps, domain.one())
-    return _windowed(_form(level, domain, len(key), {key: mono}), n, m)
-
 
 def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     """Gram matrix of (x, y) -> r_b(x ^ y) on the twisted monomial bases.
@@ -654,14 +648,17 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     * the window ``(a-1, -1)`` and ``r_b`` read only the ``t^0`` slot.
 
     So the loop runs over the keys ``K``, then the residue monomials
-    ``alpha``, then the top exponents ``e``: the pairing is evaluated once
-    per ``(K, alpha)``, through :func:`wedge_windowed` and :func:`r_b`, and
-    its value is stored in the partner column of each of the class's
-    ``a = n - m`` rows, the row's only entry.  Both operands are basis
-    monomials and their product lies in the window ``(a-1, -1)``, so the
-    pairing takes the one-term path of :func:`wedge`, of
-    :func:`wedge_windowed` and of :func:`r_b` (module docstring,
-    "Construction"); each entry is ``sgn(K, K') T^delta`` with
+    ``alpha``, then the top exponents ``e``: the entry is computed once per
+    ``(K, alpha)`` and stored in the partner column of each of the class's
+    ``a = n - m`` rows, the row's only entry.  No form is built: the sign
+    ``sgn(K, K')`` of :func:`_merge_sign` becomes a raw scalar once per
+    key, and each class runs the exponent sums ``alpha_l + beta_l`` and
+    that scalar through the ``C^b`` walk of :func:`r_b`'s one-term path
+    (module docstring, "Construction").  That is the value of
+    ``r_b(wedge_windowed(x, y), b)``: ``K.field_domain`` is always ``F_q``,
+    so the one-term wedge's product of scalars, which can vanish over a
+    lift ring, is ``sgn(K, K')``, and ``r_b``'s refusal to root over a
+    lift ring cannot arise.  Each entry is ``sgn(K, K') T^delta`` with
     ``delta_l = 1`` exactly when ``alpha_l != 0``, which the tests keep as
     an oracle.
 
@@ -687,11 +684,12 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
         raise WindowTooWide(f"p^{b} < {a}: the window is too wide for r_{b}")
     pb = domain.p**b
     block = pb ** (level - 1)  # residue monomials per top exponent
-    res_key = tuple(range(1, level))
     keys = list(combinations(range(1, level + 1), j))
     rows = [None] * (len(keys) * a * block)
     for key_pos, key in enumerate(keys):
         partner_key = tuple(v for v in range(1, level + 1) if v not in key)
+        sign = _merge_sign(key, partner_key)[0]
+        raw = domain.one() if sign == 1 else domain.from_int(sign)
         row_base = key_pos * a * block
         col_base = (len(keys) - 1 - key_pos) * a * block
         for alpha_pos, alpha in enumerate(product(range(pb), repeat=level - 1)):
@@ -699,10 +697,7 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
             beta_pos = 0
             for e in beta:
                 beta_pos = beta_pos * pb + e
-            x = _basis_form(level, domain, key, alpha + (-n,), n, m)
-            y = _basis_form(level, domain, partner_key, beta + (n,), -m - 1, -n - 1)
-            val = r_b(wedge_windowed(x, y), b)
-            entry = val.coefficient(res_key) if isinstance(val, LogForm) else val
+            entry = _monomial_root(domain, tuple(map(operator.add, alpha, beta)), raw, b)
             for e in range(-n, -m):
                 rows[row_base + (e + n) * block + alpha_pos] = {
                     col_base + (-e - m - 1) * block + beta_pos: entry

@@ -8,7 +8,11 @@ pytest's capture so a plain ``pytest -v`` run shows all ten verdicts.
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, product
 
+import pytest
+
+from rswan import reciprocity
 from rswan.catalog import catalog_characters, canned_config, CATALOG_PRIMES
 from rswan.cli import load_config, report_body_bytes, run
 from rswan.errors import NonEmbedding, PrecisionExhausted
@@ -21,7 +25,15 @@ from rswan.extensions import (
     perfect_residue_ratios,
     pullback_series,
 )
-from rswan.logdiff import duality_matrix, gram_is_invertible
+from rswan.logdiff import (
+    LogForm,
+    WindowedForm,
+    duality_matrix,
+    gram_is_invertible,
+    minimal_b,
+    r_b,
+    wedge_windowed,
+)
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
 from rswan.reciprocity import check_exp_congruences, theta_lift, verify_rsw_characterization
@@ -154,66 +166,148 @@ def test_criterion_03_closedness_and_conductor_recovery(capsys):
     )
 
 
+# Criterion 4's towers F_(p^k)((...))((t)) with d variables, and its windows
+# (n, m), each paired with the minimal b.
+DUALITY_TOWERS = [(p, k, d) for p in (2, 3, 5) for k in (1, 2) for d in (1, 2, 3)]
+DUALITY_WINDOWS = ((2, 1), (3, 1), (4, 2), (4, 1))
+DENSE_ROWS = 40  # Gram matrices up to this size also have every other pair checked
+
+
+def basis_forms(tower, degree, n, m, b):
+    """The twisted monomial basis of the window (n, m) in degree ``degree``,
+    built through the public constructors, in the order that numbers the
+    rows (the columns, for the dual window) of ``duality_matrix``."""
+    d, dom = tower.d, tower.field_domain
+    return [
+        WindowedForm(LogForm(d, dom, degree, {
+            key: NestedSeries.from_monomials(d, dom, [(lower + (top,), dom.one())])
+        }), n, m)
+        for key in combinations(range(1, d + 1), degree)
+        for top in range(-n, -m)
+        for lower in product(range(tower.p**b), repeat=d - 1)
+    ]
+
+
+def pairing(x, y, b):
+    """``r_b(x ^ y)`` through the operators, read as a Gram entry: the
+    residue coefficient series, or a raw scalar over one variable."""
+    val = r_b(wedge_windowed(x, y), b)
+    return val.coefficient(tuple(range(1, x.form.level))) if isinstance(val, LogForm) else val
+
+
 def test_criterion_04_window_duality(capsys):
+    """Every split of every window's Gram matrix is invertible, each row's
+    one entry is ``r_b(x ^ y)`` of its basis form ``x`` and the dual basis
+    form ``y`` of its column, and on matrices of at most ``DENSE_ROWS`` rows
+    every other pair pairs to zero."""
     t0 = time.perf_counter()
-    tower = FieldTower(2, 1, 1, ("u", "t"))
     ok = True
-    checked = []
-    for n, m in ((2, 1), (3, 1), (4, 2)):
-        b = 0
-        while tower.p**b < n - m:
-            b += 1
-        for i in range(tower.d + 1):
-            j = tower.d - i
-            rows = duality_matrix(n, m, b, tower, i, j)
-            if not gram_is_invertible(
-                rows, domain=tower.field_domain, precision=tower.precision
-            ):
-                ok = False
-        checked.append(f"({n},{m})")
+    matrices = dense = 0
+    for p, k, d in DUALITY_TOWERS:
+        tower = FieldTower(p, k, 1, ("v", "u", "t")[3 - d:])
+        dom = tower.field_domain
+
+        def is_zero(v):
+            return v.is_zero() if d > 1 else dom.is_zero(v)
+
+        for n, m in DUALITY_WINDOWS:
+            b = minimal_b(p, n - m)
+            for i in range(d + 1):
+                rows = duality_matrix(n, m, b, tower, i, d - i)
+                xs = basis_forms(tower, d - i, n, m, b)
+                ys = basis_forms(tower, i, -m - 1, -n - 1, b)
+                ok = ok and len(rows) == len(xs) == len(ys) and all(len(row) == 1 for row in rows)
+                ok = ok and gram_is_invertible(rows, domain=dom, precision=tower.precision)
+                ok = ok and all(
+                    entry == pairing(x, ys[c], b)
+                    for x, row in zip(xs, rows) for c, entry in row.items()
+                )
+                if len(rows) <= DENSE_ROWS:
+                    ok = ok and all(
+                        is_zero(pairing(x, y, b))
+                        for x, row in zip(xs, rows) for c, y in enumerate(ys) if c not in row
+                    )
+                    dense += 1
+                matrices += 1
     conclude(
         capsys, 4,
-        f"residue-pairing Gram matrices invertible over F_2((u))((t)) at {', '.join(checked)}",
+        f"{matrices} residue-pairing Gram matrices (p = 2, 3, 5; k = 1, 2; d = 1-3) "
+        f"invertible, each entry r_b(x ^ y) of its pair, {dense} zero off the pairs",
         ok, time.perf_counter() - t0, budget=30.0,
     )
 
 
+# d = 2 characters at odd p, where the sign of the pairing shows: (p, the
+# components in print order) over F_p((u))((t)).  The catalog's p = 3 "Z_ut2"
+# is the first.
+ODD_D2_CHARACTERS = (
+    (3, ["u*t^-2"]),
+    (3, ["2*u^2*t^-5 + u*t^-2"]),
+    (5, ["u*t^-2"]),
+    (5, ["3*u*t^-4 + u^-2*t^-1"]),
+)
+
+
+def criterion_05_reports():
+    """``(tower, report)`` per character that criterion 5 checks, each on
+    100 samples at seed 2026 with the library's draws: the catalog's d = 1
+    cells with s = 1, 2 at p = 2, 3, its d = 2 cells with s = 1 at p = 2,
+    then :data:`ODD_D2_CHARACTERS`."""
+    chars = [
+        (tower, comps)
+        for p in (2, 3)
+        for label, tower, comps, sw, rendered in catalog_characters(p)
+        if (tower.d == 1 and tower.s in (1, 2)) or (tower.d == 2 and tower.s == 1 and p == 2)
+    ]
+    chars += [(FieldTower(p, 1, 1, ("u", "t")), comps) for p, comps in ODD_D2_CHARACTERS]
+    reports = []
+    for tower, comps in chars:
+        chi = asw_reduce(
+            WittVector.from_print_order(tower, tuple(parse_series(c, tower) for c in comps))
+        )
+        reports.append((tower, verify_rsw_characterization(chi, 100, seed=2026)))
+    return reports
+
+
 def test_criterion_05_reciprocity_characterization(capsys):
     """chi(E(alpha)) equals the residue pairing against the refined invariant
-    on 100 sampled alpha per eligible catalog character; the one-variable
-    depth-1 cells are additionally checked against the f*dlog(y) residue
-    oracle."""
+    on 100 sampled alpha per eligible character; the one-variable depth-1
+    cells are additionally checked against the f*dlog(y) residue oracle,
+    and the d = 2 characters at p = 3 and 5 see the sign of the pairing."""
     t0 = time.perf_counter()
-    ok = True
-    chars = 0
+    reports = criterion_05_reports()
+    ok = all(report.all_equal for _, report in reports)
     schmid_cells = 0
-    for p in (2, 3):
-        for label, tower, comps, sw, rendered in catalog_characters(p):
-            if tower.d == 1 and tower.s in (1, 2):
-                pass  # d = 1 cells for p in {2, 3}
-            elif tower.d == 2 and tower.s == 1 and p == 2:
-                pass  # the two-variable cell
-            else:
-                continue
-            chi = asw_reduce(
-                WittVector.from_print_order(
-                    tower, tuple(parse_series(c, tower) for c in comps)
-                )
-            )
-            report = verify_rsw_characterization(chi, 100, seed=2026)
-            if not report.all_equal:
-                ok = False
-            if tower.s == 1 and tower.d == 1:
-                if report.schmid_checked == 0:
-                    ok = False
-                schmid_cells += 1
-            chars += 1
+    for tower, report in reports:
+        if tower.s == 1 and tower.d == 1:
+            ok = ok and report.schmid_checked > 0
+            schmid_cells += 1
     conclude(
         capsys, 5,
-        f"identity holds on 100 samples x {chars} characters "
-        f"({schmid_cells} also against the residue oracle)",
+        f"identity holds on 100 samples x {len(reports)} characters "
+        f"({schmid_cells} also against the residue oracle, "
+        f"{len(ODD_D2_CHARACTERS)} of d = 2 at p = 3, 5)",
         ok, time.perf_counter() - t0, budget=120.0,
     )
+
+
+@pytest.mark.parametrize("factor", (-1, 0), ids=("negated", "zero"))
+def test_criterion_05_sees_a_wrong_d2_right_side(monkeypatch, factor):
+    """A d = 2 right side planted negated, or forced to 0, fails criterion
+    5's check on every d = 2 character at p = 3 and 5.  At p = 2 the
+    negation cannot show; the plant leaves d = 1 (a raw scalar) alone."""
+    r_b_of = reciprocity.r_b
+
+    def planted(x, b):
+        value = r_b_of(x, b)
+        return value.mul_int(factor) if isinstance(value, LogForm) else value
+
+    monkeypatch.setattr(reciprocity, "r_b", planted)
+    reports = criterion_05_reports()
+    assert not all(report.all_equal for _, report in reports)
+    odd = [report for tower, report in reports if tower.d == 2 and tower.p > 2]
+    assert len(odd) == len(ODD_D2_CHARACTERS)
+    assert not any(report.all_equal for report in odd)
 
 
 def test_criterion_06_conductor_change(capsys):

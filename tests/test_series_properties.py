@@ -9,7 +9,12 @@ gives ``q / x^n`` as ``q * (x^n).inv(w)``, on the window its rule states,
 or refuses as that product does.  Any product of two level-2
 series, exact or cut at either level, equals the schoolbook dict product,
 and any integer combination of level-2 series equals the fold of ``+`` and
-``mul_int``.  The public constructor accepts exactly the inputs that lie in
+``mul_int``.  On windowed series at levels 1 and 2 the product is
+commutative and associative and distributes over ``+``, within both
+windows; over a field the two sides of the first two have one window, and
+``x * (y + z)`` a window at least as high as ``x * y + x * z`` (``y + z``
+may cancel), except where a factor is an exact zero: such a product keeps a
+window (the strict ``xfail`` below).  The public constructor accepts exactly the inputs that lie in
 its ring, and builds what the trusted ``_make`` builds from them.
 """
 
@@ -234,6 +239,83 @@ def test_level_two_combination_is_the_fold(case):
     for n, x in pairs:
         acc = acc + x.mul_int(n)
     assert linear_combination(2, domain, pairs) == acc
+
+
+@st.composite
+def level_one_windowed(draw, domain):
+    """Up to 5 terms with exponents in ``[-6, 6]``, now and then none, and
+    a random ceiling or none."""
+    digits = st.lists(st.integers(0, 15), min_size=1, max_size=3)
+    terms = draw(st.dictionaries(st.integers(-6, 6), digits, max_size=5))
+    cut = draw(st.one_of(st.none(), st.integers(-6, 7)))
+    return NestedSeries(1, domain, {e: _scalar(domain, d) for e, d in terms.items()
+                                    if cut is None or e < cut}, cut)
+
+
+@st.composite
+def windowed_triple(draw):
+    """Whether the ring is a field, and three series over it at level 1 or
+    2, each exact or windowed, zero now and then."""
+    name = draw(st.sampled_from(sorted(LEVEL_TWO_DOMAINS)))
+    domain = LEVEL_TWO_DOMAINS[name]
+    series = draw(st.sampled_from((level_one_windowed, level_two_series)))(domain)
+    return domain.s == 1, draw(series), draw(series), draw(series)
+
+
+def _at_least(c, floor):
+    """Whether the ceiling ``c`` is at least ``floor`` (``None`` is exact)."""
+    return c is None or floor is not None and c >= floor
+
+
+def _windows_compare(field, *factors):
+    """Whether the windows of both sides are compared: over a field, when no
+    factor is an exact zero (``test_a_product_with_an_exact_zero_is_an_exact_zero``)."""
+    return field and not any(f.is_exact_zero() for f in factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_triple())
+def test_products_commute(case):
+    field, x, y, z = case
+    assert (x * y).agrees_with(y * x)
+    if field:
+        assert (x * y).ceiling == (y * x).ceiling
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_triple())
+def test_products_associate(case):
+    field, x, y, z = case
+    left, right = (x * y) * z, x * (y * z)
+    assert left.agrees_with(right)
+    if _windows_compare(field, x, y, z):
+        assert left.ceiling == right.ceiling
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_triple())
+def test_products_distribute_over_sums(case):
+    field, x, y, z = case
+    left, right = x * (y + z), x * y + x * z
+    assert left.agrees_with(right)
+    if _windows_compare(field, x, y, z, y + z):
+        assert _at_least(left.ceiling, right.ceiling)
+
+
+@pytest.mark.xfail(strict=True, reason="a product with an exact zero keeps a window")
+@pytest.mark.parametrize("level", (1, 2))
+def test_a_product_with_an_exact_zero_is_an_exact_zero(level):
+    """A product with an exact zero should be the exact zero.  It is
+    windowed instead, at the other factor's ceiling plus 0 (``low()`` of
+    an exact zero), so the window of a product over a field depends on
+    the order of the factors: ``(O(T^7) * y) * 0`` and ``O(T^7) * (y * 0)``
+    are zero below ``T^1`` and ``T^9`` for ``y = T^-6 + O(T^2)``."""
+    domain = LEVEL_TWO_DOMAINS["F_4"]
+    x = NestedSeries.zero(level, domain, 7)
+    y = NestedSeries.from_monomials(level, domain, [((-6,) * level, domain.one())]).truncate(2)
+    zero = NestedSeries.zero(level, domain)
+    assert ((x * y) * zero).ceiling == (x * (y * zero)).ceiling
+    assert all(product.is_exact_zero() for product in (x * zero, zero * x, (x * y) * zero))
 
 
 CONSTRUCTOR_DOMAINS = {
