@@ -11,8 +11,10 @@ per tree where a key ends in ``_us``:
 * ``crossover`` (first tree only): ``n x n`` dense products for ``n`` in
   2..12, exact and cut at exponent ``n``, the plain-int loop over the
   Kronecker kernel, and the smallest term-pair count from which the median
-  of that ratio over the cells stays above 1;
-  ``series._KRONECKER_MIN_PAIRS`` is that cut-off.
+  of that ratio over the cells stays above 1; ``_KRONECKER_MIN_PAIRS`` is
+  that cut-off.  The kernels and the cut-off are read from ``rswan._kernels``,
+  or from ``rswan.series`` in a tree that has no kernel module, so trees
+  from before and after the move run side by side in either order.
 * ``nested``: level-2 and level-3 products over ``F_2``, ``F_4``, ``Z/4``
   and ``(Z/16)[g]``, exact and with an outer window (operands cut just
   above their last top exponent).  ``layout`` gives each
@@ -127,7 +129,7 @@ def small(trees) -> list:
 
 
 def crossover(tree) -> dict:
-    series = tree.series
+    kernels = getattr(tree, "_kernels", tree.series)
     table = []
     for n in CROSSOVER_SIZES:
         calls = {}
@@ -138,8 +140,8 @@ def crossover(tree) -> dict:
                 a = _dense(tree, dom, rng, 0, n, ceiling).coeffs
                 b = _dense(tree, dom, rng, 0, n, ceiling).coeffs
                 calls[f"{p},{k},{s} {shape}"] = [
-                    lambda a=a, b=b, dom=dom, c=ceiling: series._int_mul(dom, a, b, c),
-                    lambda a=a, b=b, dom=dom, c=ceiling: series._kronecker_mul(dom, a, b, c),
+                    lambda a=a, b=b, dom=dom, c=ceiling: kernels._int_mul(dom, a, b, c),
+                    lambda a=a, b=b, dom=dom, c=ceiling: kernels._kronecker_mul(dom, a, b, c),
                 ]
         seconds = alternate(calls, PASSES, BATCH_SECONDS)
         row = {"n": n, "pairs": n * n}
@@ -151,7 +153,7 @@ def crossover(tree) -> dict:
     return {
         "loop_over_kernel": table,
         "kernel_wins_from_pairs": _wins_from(medians),
-        "cutoff_in_code": series._KRONECKER_MIN_PAIRS,
+        "cutoff_in_code": kernels._KRONECKER_MIN_PAIRS,
     }
 
 

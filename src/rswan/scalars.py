@@ -87,7 +87,7 @@ class _Frozen:
 def _draft_of(cls):
     """A private twin of the ``_Frozen`` subclass ``cls`` with the same
     ``__slots__`` and plain stores, which a trusted constructor fills before
-    it assigns the object the class ``cls`` (``series``, "Multiplication")."""
+    it assigns the object the class ``cls`` (``series``, "Construction")."""
     return type(f"_{cls.__name__}Draft", (_Frozen,), {
         "__slots__": cls.__slots__,
         "__setattr__": object.__setattr__,

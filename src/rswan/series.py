@@ -20,51 +20,19 @@ window intersection.  Operations that cannot certify a result raise
 
 Multiplication
 --------------
-Every product with more than one term pair over ``(Z/p^s)[g]/(f)`` (``F_q``
-and its lifts, ``k = deg f``) goes through a level-1 kernel.
+Products, and the division recurrence below, run on the raw coefficient
+maps of :mod:`rswan._kernels`, whose docstring gives the kernels and the
+choice among them.  A product at level >= 2 takes the flat kernel when it
+has at least ``_FLAT_MIN_PAIRS`` top-level term pairs.
 
-* **Kronecker** (at least ``_KRONECKER_MIN_PAIRS`` term pairs, and no more
-  exponent slots than term pairs).  Each operand, trimmed to the exponents
-  the result ceiling can use, is packed into one Python int with one slot
-  per exponent (``2k - 1`` sub-slots, one per power of ``g``, when
-  ``k > 1``); the two ints are multiplied once, and the slots of the
-  product are read back, reduced mod ``p^s`` and, for ``k > 1``, folded
-  through the reduction rows of ``f`` column by column.  No slot carries
-  into the next: a product slot sums at most ``min(len) * k`` products of
-  two residues below ``p^s``, so a slot of ``min(len) * k * (p^s - 1)^2``
-  (rounded up to 1, 2, 4 or 8 bytes) holds it.  A square (``x * x``, as
-  ``pow`` runs it) packs its operand once and squares that int.
-* **The int loop** (``_int_mul``, the other products).  It runs over the
-  term pairs and sums each exponent in plain ints, reduced once per
-  exponent; at ``k > 1`` each coefficient is one int with a slot per power
-  of ``g``, so a pair costs one int product.
-* **Flat products at levels >= 2** (``_flat_mul``), when both operands have
-  exact inner coefficients and there are at least ``_FLAT_MIN_PAIRS`` term
-  pairs.  Each operand is written once as a level-1 map with mixed-radix
-  exponents ``E = e_d R_{d-1} + sum_{j<d} (e_j - lo_j) R_{j-1}``, where
-  ``lo_j`` is the operand's least level-``j`` exponent, ``R_0 = 1`` and
-  ``R_j = R_{j-1} (span_a + span_b + 1)`` with the two operands' level-``j``
-  exponent spans.  A product digit ``e_j + e'_j - lo_j - lo'_j`` lies in
-  ``[0, span_a + span_b]``, below its radix, so no digit carries into the
-  next and ``E`` determines every exponent; the top digit is
-  ``floor(E / R_{d-1})``, so an outer ceiling ``c`` is the flat ceiling
-  ``c R_{d-1}``.  One level-1 product runs (a square flattens its operand
-  once), and its terms are unpacked into nested maps, each inner series
-  built once.  The Witt layer's ghost
-  recursion is the second user of this flattening (:mod:`rswan.witt`,
-  "Arithmetic"): it writes its exact inputs once, with balanced digits
-  sized for the whole recursion, and runs every product on level-1 maps.
-
-What falls back to the dict loop ``_schoolbook_mul``, which stays as the
-reference: single-pair products; products at levels >= 2 with fewer than
-``_FLAT_MIN_PAIRS`` term pairs (``bench/series_mul.py`` measures the gate,
-BENCH_11.json) or with an inner coefficient that has a window.  Results of
-ring operations are built by ``_make``, which skips the per-entry checks of
-``__init__`` but still drops zeros, cuts at the ceiling and refuses exponents
-below the supported range before it builds anything; the kernels and
-:func:`linear_combination` return maps that are already clean, which it
-takes as they are (``clean=True``), and the Witt layer builds its lifts,
-reductions and divisions through it as well.  It never
+Construction
+------------
+Results of ring operations are built by ``_make``, which skips the
+per-entry checks of ``__init__`` but still drops zeros, cuts at the ceiling
+and refuses exponents below the supported range before it builds anything;
+the kernels and :func:`linear_combination` return maps that are already
+clean, which it takes as they are (``clean=True``), and the Witt layer
+builds its lifts, reductions and divisions through it as well.  It never
 stores an exactly zero inner coefficient (``is_exact_zero`` relies on it).
 It fills a private draft twin of ``NestedSeries`` (``scalars._draft_of``:
 the same ``__slots__``, plain stores) and then assigns the public class to
@@ -91,29 +59,11 @@ still makes one domain call per colliding entry.
 
 Division
 --------
-Write ``f = c T^v (1 + sum_i b_i T^i)``.  A quotient ``a / f`` on a window
-of width ``w`` is unique, so every method that computes it exactly gives
-the same series.  One recurrence computes it, power-series division
-(Knuth, TAOCP vol. 2, sec. 4.7): with ``a`` read from its least exponent,
-``d_n = c^-1 a_n - sum_{0 < i <= n} b_i d_{n-i}`` over the stored terms of
-``[v, v + w)``, ``O(w * terms)`` coefficient operations.  At level 1 over
-``Z/p^s`` (``k = 1``) each ``d_n`` is summed in plain ints and reduced
-once; ``k > 1`` tuples go through their domain's operations, one per term
-pair, with no packing.  At levels >= 2 the coefficients are level-``(l-1)``
-series, ``c^-1`` is the inverse of ``c`` at its own level, and the sum skips
-only an *exactly* zero ``d_{n-i}``: one that is zero within a window still
-carries that window into ``d_n``, and skipping it would claim knowledge the
-window lacks.  A product of factors is divided by one factor after the other, on the same
-``w`` coefficients, each pass starting at the factor's least exponent gap;
-the product of the ``c^-1`` scales ``a`` once.  The cost is paid on every
-exponent of the window even when the quotient is sparse, so Newton's
-iteration is faster on level-1 inverses of two to four terms at width 1024
-(bench/conductor_change.py); the workloads invert at widths up to 64.
-
 One routine, ``_divide_by_power``, decides every quotient ``q / x^n``
-(``n >= 1``): ``inv`` is its case ``q = 1, n = 1``; a substitution
-(:mod:`rswan.substitution`) divides the Horner sum of its poles by
-``img^n``; and the curve restriction of :mod:`rswan.extensions` divides
+(``n >= 1``) and hands its factors to the power-series division
+recurrence of :mod:`rswan._kernels` ("Division"): ``inv`` is its case
+``q = 1, n = 1``; a substitution (:mod:`rswan.substitution`) divides the
+Horner sum of its poles by ``img^n``; and the curve restriction of :mod:`rswan.extensions` divides
 by a denominator.  It computes ``q / x^n`` on the window that ``q *
 (x^n).inv(precision)`` has.  With ``v = n ord(x)`` and ``w`` the width of
 ``x^n`` (its own window, or ``precision`` when it is exact), the quotient
@@ -158,8 +108,8 @@ from __future__ import annotations
 
 import operator
 import sys
-from array import array
 
+from ._kernels import _divide_by_recurrence, _flat_mul, _level_one_mul, _schoolbook_mul
 from .errors import ExponentOutOfRange, NoPthRoot, PrecisionExhausted, TowerMismatch, ZeroInput
 from .ratfunc import _algebra_refused
 from .scalars import _Frozen, _QuotientDomain, _draft_of, power
@@ -172,7 +122,7 @@ __all__ = [
 _ORD_FLOOR = -10_000
 # Series and forms are immutable (scalars._Frozen), so the validating
 # __init__s store through this.  The trusted constructors build a draft
-# twin instead (module docstring, "Multiplication").
+# twin instead (module docstring, "Construction").
 _set = object.__setattr__
 
 
@@ -246,123 +196,9 @@ def _refuse_below_floor(e: int):
         raise ExponentOutOfRange(f"exponent {e} below the supported range (>{_ORD_FLOOR})")
 
 
-# Below this many term pairs the int loop is as fast as packing or faster;
-# measured with bench/series_mul.py (BENCH_11.json: the median over the
-# crossover cells turns at 64 pairs; windowed k = 1 cells turn near 100).
-_KRONECKER_MIN_PAIRS = 64
 # Below this many term pairs a product at level >= 2 keeps the loop over
 # them; measured with bench/series_mul.py (BENCH_11.json).
 _FLAT_MIN_PAIRS = 4
-# Slot sizes in bytes -> array typecode of that item size.
-_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
-
-
-def _schoolbook_mul(a: dict, b: dict, ceiling: int | None, mul, add) -> dict:
-    """Coefficient map of a product, term pair by term pair (zeros kept)."""
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if ceiling is not None and e >= ceiling:
-                continue
-            prod = mul(ca, cb)
-            out[e] = add(out[e], prod) if e in out else prod
-    return out
-
-
-def _kronecker_applies(domain, a: dict, b: dict) -> bool:
-    """Whether a level-1 product with enough term pairs goes through
-    :func:`_kronecker_mul`.
-
-    It needs a dense enough support: the kernel touches every exponent slot
-    of the product, the dict loop every term pair.
-    """
-    return max(a) - min(a) + max(b) - min(b) < len(a) * len(b)
-
-
-def _level_one_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
-    """Coefficient map of a level-1 product over ``(Z/p^s)[g]/(f)``, by the
-    kernel that suits it (zeros dropped)."""
-    if len(a) * len(b) >= _KRONECKER_MIN_PAIRS and _kronecker_applies(domain, a, b):
-        return _kronecker_mul(domain, a, b, ceiling)
-    return _int_mul(domain, a, b, ceiling)
-
-
-def _int_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
-    """Coefficient map of a level-1 product over ``(Z/p^s)[g]/(f)``, term
-    pair by term pair, each exponent summed in plain ints and reduced once
-    (zeros dropped).
-
-    At ``k > 1`` a coefficient is one int with a slot per power of ``g``
-    (:func:`_pack_g`), so one int product convolves two coefficients; an
-    exponent sums at most ``min(len)`` pairs, which sets the slot width
-    (:func:`_g_width`), and :func:`_g_reducer` folds and reduces each sum.
-    A square (``a is b``) packs its coefficients once.
-    """
-    cut = sys.maxsize if ceiling is None else ceiling
-    k, m = domain.k, domain.modulus
-    acc: dict = {}
-    if k == 1:
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                if e < cut:
-                    acc[e] = acc[e] + ca * cb if e in acc else ca * cb
-        out = {}
-        for e, v in acc.items():
-            v %= m
-            if v:
-                out[e] = v
-        return out
-    w = _g_width(domain, min(len(a), len(b)))
-    packed_b = [(eb, _pack_g(cb, w)) for eb, cb in b.items()]
-    packed_a = packed_b if a is b else [(ea, _pack_g(ca, w)) for ea, ca in a.items()]
-    for ea, x in packed_a:
-        for eb, y in packed_b:
-            e = ea + eb
-            if e < cut:
-                acc[e] = acc[e] + x * y if e in acc else x * y
-    reduce = _g_reducer(domain, w)
-    out = {}
-    for e, v in acc.items():
-        coeff = reduce(v)
-        if any(coeff):
-            out[e] = coeff
-    return out
-
-
-def _pack_g(coeff, w: int) -> int:
-    """``sum_i coeff[i] 2^(i w)``: a raw coefficient in ``w``-bit slots."""
-    v = 0
-    for x in reversed(coeff):
-        v = (v << w) | x
-    return v
-
-
-def _g_width(domain, terms: int) -> int:
-    """Slot width for a sum of ``terms`` products of reduced coefficients
-    packed by :func:`_pack_g`, folded through the rows of ``f``: a product
-    slot sums at most ``k`` products below ``m^2``, and the fold adds
-    ``k - 1`` slots times a row entry below ``m``, so no slot carries."""
-    k, m = domain.k, domain.modulus
-    return (max(terms, 1) * k * (m - 1) ** 2 * (1 + (k - 1) * (m - 1))).bit_length()
-
-
-def _g_reducer(domain, w: int):
-    """The map from such a packed sum (slots ``0 .. 2k - 2``) to its raw
-    value in ``(Z/p^s)[g]/(f)``, ``k > 1``."""
-    k, m = domain.k, domain.modulus
-    mask, low = (1 << w) - 1, (1 << (k * w)) - 1
-    rows = [(d * w, _pack_g(row, w)) for d, row in enumerate(domain._red_rows, k)]
-    shifts = range(0, k * w, w)
-
-    def reduce(v: int) -> tuple:
-        r = v & low
-        for shift, row in rows:
-            r += ((v >> shift) & mask) * row
-        return tuple([((r >> j) & mask) % m for j in shifts])
-
-    return reduce
 
 
 def _level_lows(sr: "NestedSeries", lows: dict) -> dict:
@@ -377,36 +213,6 @@ def _level_lows(sr: "NestedSeries", lows: dict) -> dict:
     return lows
 
 
-def _inner_extent(coeffs: dict, level: int, lows: list, highs: list) -> bool:
-    """Widen ``lows[l]``/``highs[l]`` to the level-``l`` exponents of a
-    nested coefficient map at ``level >= 2``, for ``l < level``; ``False``
-    when an inner coefficient has a window."""
-    for c in coeffs.values():
-        if c.ceiling is not None:
-            return False
-        inner = c.coeffs
-        lo, hi = min(inner), max(inner)
-        if lo < lows[level - 1]:
-            lows[level - 1] = lo
-        if hi > highs[level - 1]:
-            highs[level - 1] = hi
-        if level > 2 and not _inner_extent(inner, level - 1, lows, highs):
-            return False
-    return True
-
-
-def _flatten(coeffs: dict, level: int, lows: list, weights: list, base: int, out: dict):
-    """Write the monomials of a nested coefficient map into the level-1 map
-    ``out`` at the exponents ``base + sum_l (e_l - lows[l]) * weights[l]``."""
-    w, lo = weights[level], lows[level]
-    if level == 1:
-        for e, c in coeffs.items():
-            out[base + e - lo] = c
-    else:
-        for e, c in coeffs.items():
-            _flatten(c.coeffs, level - 1, lows, weights, base + (e - lo) * w, out)
-
-
 def _build(level: int, domain, nested: dict) -> dict:
     """Coefficient map at ``level`` of exact inner series from nested dicts."""
     if level == 2:
@@ -414,186 +220,6 @@ def _build(level: int, domain, nested: dict) -> dict:
     return {e: _make(level - 1, domain, _build(level - 1, domain, inner), None, clean=True)
             for e, inner in nested.items()}
 
-
-def _flat_mul(level: int, domain, a: dict, b: dict, ceiling: int | None) -> dict | None:
-    """Coefficient map of a product at ``level >= 2`` through one level-1
-    product (module docstring, "Multiplication"); ``None`` when an inner
-    coefficient has a window."""
-    # lows[l], highs[l]: level-l exponent range for 0 < l < level; the top
-    # exponent keeps offset 0, so that a ceiling c reads c * weights[level].
-    lows_a = [0] + [sys.maxsize] * (level - 1) + [0]
-    highs_a = [0] + [-sys.maxsize] * (level - 1) + [0]
-    lows_b, highs_b = list(lows_a), list(highs_a)
-    if not _inner_extent(a, level, lows_a, highs_a):
-        return None
-    if a is b:  # a square: one extent, one flattening and one packing
-        lows_b, highs_b = lows_a, highs_a
-    elif not _inner_extent(b, level, lows_b, highs_b):
-        return None
-    # weights[l] is the place value of the level-l digit; each radix holds
-    # the widest digit sum, so no digit carries into the next.
-    weights = [0, 1]
-    for l in range(1, level):
-        spans = highs_a[l] - lows_a[l] + highs_b[l] - lows_b[l]
-        weights.append(weights[l] * (spans + 1))
-    flat_a: dict = {}
-    _flatten(a, level, lows_a, weights, 0, flat_a)
-    flat_b = flat_a
-    if a is not b:
-        flat_b = {}
-        _flatten(b, level, lows_b, weights, 0, flat_b)
-    top = weights[level]
-    flat = _level_one_mul(domain, flat_a, flat_b, None if ceiling is None else ceiling * top)
-    return _unflatten(level, domain, flat, weights, [x + y for x, y in zip(lows_a, lows_b)])
-
-
-def _unflatten(level: int, domain, flat: dict, weights: list, lows: list) -> dict:
-    """Coefficient map at ``level >= 2`` of exact inner series from a flat
-    level-1 map whose exponents are ``sum_l (e_l - lows[l]) * weights[l]``
-    with every lower digit in ``[0, weights[l+1] / weights[l])``."""
-    nested: dict = {}
-    for e, c in flat.items():
-        node = nested
-        for l in range(level, 1, -1):
-            digit, e = divmod(e, weights[l])
-            key = digit + lows[l]
-            child = node.get(key)
-            if child is None:
-                child = node[key] = {}
-            node = child
-        node[e + lows[1]] = c
-    return _build(level, domain, nested)
-
-
-def _pack(coeffs: dict, low: int, high: int, domain, code: str) -> int:
-    """One int holding ``coeffs`` in slots of ``code``'s width from ``low``.
-
-    Exponent ``e`` takes ``2k - 1`` consecutive slots, the first ``k`` for
-    the ``g``-power coordinates of its coefficient.
-    """
-    k, m = domain.k, domain.modulus
-    stride = 2 * k - 1
-    dense = [0] * ((high - low + 1) * stride)
-    if k == 1:
-        for e, c in coeffs.items():
-            dense[e - low] = c % m
-    else:
-        for e, c in coeffs.items():
-            i = (e - low) * stride
-            dense[i:i + k] = [x % m for x in c]
-    return int.from_bytes(array(code, dense).tobytes(), sys.byteorder)
-
-
-def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
-    """Coefficient map of a level-1 product by Kronecker substitution.
-
-    Same values as :func:`_schoolbook_mul` with the domain's ``mul`` and
-    ``add`` (zeros dropped): both reduce the same integer sums mod ``p^s``.
-    """
-    square = a is b  # packed once and squared
-    la, lb = min(a), min(b)
-    if ceiling is not None:
-        if la + lb >= ceiling:
-            return {}
-        if max(a) + lb >= ceiling:
-            a = {e: c for e, c in a.items() if e + lb < ceiling}
-        if square:
-            b = a
-        elif max(b) + la >= ceiling:
-            b = {e: c for e, c in b.items() if e + la < ceiling}
-    k, m = domain.k, domain.modulus
-    # A product slot sums at most min(len) * k products of two residues.
-    need = (min(len(a), len(b)) * k * (m - 1) ** 2).bit_length()
-    size = min((s for s in _SLOT_CODES if 8 * s >= need), default=None)
-    if size is None:  # wider than 8 bytes: more terms than any window holds
-        return _int_mul(domain, a, b, ceiling)
-    code = _SLOT_CODES[size]
-    ha, hb = max(a), max(b)
-    packed = _pack(a, la, ha, domain, code)
-    prod = packed * (packed if square else _pack(b, lb, hb, domain, code))
-    stride = 2 * k - 1
-    e0 = la + lb
-    span = ha + hb - e0 + 1
-    vals = memoryview(prod.to_bytes(span * stride * size, sys.byteorder)).cast(code)
-    top = span if ceiling is None else min(span, ceiling - e0)
-    if k == 1:
-        return {e0 + i: r for i, v in enumerate(vals[:top]) if (r := v % m)}
-    # Fold column by column: coordinate d of every exponent is vals[d::stride].
-    cols = [list(vals[d:top * stride:stride]) for d in range(stride)]
-    acc = cols[:k]
-    for d, row in enumerate(domain._red_rows, k):
-        for i, r in enumerate(row):
-            if r:
-                acc[i] = [x + r * y for x, y in zip(acc[i], cols[d])]
-    reduced = zip(*[[x % m for x in col] for col in acc])
-    return {e0 + j: coeff for j, coeff in enumerate(reduced) if any(coeff)}
-
-
-def _divide_by_recurrence(domain, factors: list, width: int, low: int,
-                          num: dict | None = None) -> dict:
-    """``{low + n: d_n}`` over the ``d_n`` that are not exactly zero, for
-    ``[d_0, ..., d_{width-1}]`` the quotient of ``sum_n a_n T^n`` by the
-    product of the factors ``c * (1 + sum b_i T^i)`` (module docstring,
-    "Division"), ready for ``_make(..., clean=True)``.
-
-    ``num`` maps ``n >= 0`` to ``a_n`` (an ``n >= width`` is ignored), or is
-    None for ``a = 1`` (the inverse).  Each factor is ``(c^-1, tail)``, with
-    ``tail`` listing ``(i, c * b_i)`` for ``0 < i < width`` in ascending
-    ``i``.  The product of the ``c^-1`` scales ``a`` first; then each factor
-    in turn replaces ``d`` by its quotient, ``d_n <- d_n - sum_{0 < i <= n}
-    b_i d_{n-i}`` for ``n`` from its least ``i`` up.  Over raw ints of
-    ``Z/p^s`` (``k = 1``) each ``d_n`` is summed as plain ints and reduced
-    once; every other coefficient (``k > 1`` tuples, series at levels >= 2)
-    goes through its domain's operations, skipping only an exactly zero
-    ``d_{n-i}``: a window-zero one still carries its window.
-    """
-    scale = factors[0][0]
-    nested = isinstance(scale, NestedSeries)
-    if nested:
-        mul, add, neg = operator.mul, operator.add, operator.neg
-        zero = NestedSeries.zero(scale.level, domain)
-        is_zero = NestedSeries.is_exact_zero
-    else:
-        mul, add, neg = domain.mul, domain.add, domain.neg
-        is_zero, zero = domain.is_zero, domain.zero()
-    if len(factors) > 1:
-        for lead_inv, _ in factors[1:]:
-            scale = mul(scale, lead_inv)
-    d = [zero] * width
-    if num is None:
-        if width > 0:
-            d[0] = scale
-    else:
-        for n, a in num.items():
-            if n < width:
-                d[n] = mul(scale, a)
-    plain = not nested and domain.k == 1
-    for lead_inv, tail in factors:
-        neg_lead_inv = neg(lead_inv)
-        steps = [(i, mul(neg_lead_inv, c)) for i, c in tail]
-        start = steps[0][0] if steps else width
-        if plain:
-            m = domain.modulus
-            for n in range(start, width):
-                acc = d[n]
-                for i, b in steps:
-                    if i > n:
-                        break
-                    acc += b * d[n - i]
-                d[n] = acc % m
-        else:
-            for n in range(start, width):
-                acc = d[n]
-                for i, b in steps:
-                    if i > n:
-                        break
-                    x = d[n - i]
-                    if not is_zero(x):
-                        acc = add(acc, mul(b, x))
-                d[n] = acc
-    if nested:
-        return {low + n: x for n, x in enumerate(d) if not is_zero(x)}
-    return {low + n: x for n, x in enumerate(d) if x != zero}  # raw scalars: a zero is == zero
 
 
 def _divide_by_power(q, x, n, precision, powers=None):
@@ -659,7 +285,7 @@ def _divide_by_power(q, x, n, precision, powers=None):
     else:
         factors = [_twisted_factor(y, j, size) for y, j in twists]
     quotient = _divide_by_recurrence(domain, factors, size, low, None if q is None else
-                                     {e - v - low: c for e, c in q.coeffs.items()})
+                                     {e - v - low: c for e, c in q.coeffs.items()}, x.level > 1)
     return _make(x.level, domain, quotient, ceiling, clean=True)
 
 
@@ -848,7 +474,7 @@ class NestedSeries(_Frozen):
             if pairs >= _FLAT_MIN_PAIRS:
                 out = _flat_mul(level, domain, a, b, ceiling)
                 if out is not None:
-                    return _make(level, domain, out, ceiling, clean=True)
+                    return _make(level, domain, _build(level, domain, out), ceiling, clean=True)
         if level == 1:
             out = _schoolbook_mul(a, b, ceiling, domain.mul, domain.add)
         else:

@@ -56,14 +56,14 @@ The recursion runs on one of two representations of its series.
 
 * **Flat raw maps** (``_flat_combine``), when every component of every
   kept input is exact at every level; this is the gate
-  :func:`rswan.series._flat_mul` applies.  Each component is written once
+  :func:`rswan._kernels._flat_mul` applies.  Each component is written once
   as a level-1 map of raw coefficients by the Kronecker substitution
   ``(e_1, ..., e_d) -> e_d W_d + sum_{l<d} e_l W_l`` with balanced digits:
   ``W_1 = 1``, ``W_{l+1} = W_l (2 B_l + 1)`` and ``B_l = max_{j,i}
   p^(s-1-i) max |e_l(x_{j,i})|`` over the kept inputs (standard index
   ``i``).  The map sends monomials to monomials multiplicatively, so it is
   a ring homomorphism and the recursion runs on its image: powers by
-  square-and-multiply over :func:`rswan.series._level_one_mul`, each ghost
+  square-and-multiply over :func:`rswan._kernels._level_one_mul`, each ghost
   index one sum in plain ints, reduced once.  The ``s`` results are
   reduced mod p, decoded (add ``sum_l B_l W_l``, then read the digits) and
   each result series is built once.  At ``d = 1`` the map is the identity.
@@ -172,18 +172,16 @@ from .errors import (
     RswanError,
     TowerMismatch,
 )
+from . import _kernels
 from .ratfunc import _algebra_refused
 from .scalars import _QuotientDomain, galois_ring_domain, power
 from .series import (
     _ORD_FLOOR,
     NestedSeries,
-    _flatten,
-    _inner_extent,
+    _build,
     _level_lows,
-    _level_one_mul,
     _make,
     _refuse_below_floor,
-    _unflatten,
     linear_combination,
 )
 from .tower import FieldTower
@@ -405,7 +403,7 @@ def _flat_components(kept, s: int, p: int, level: int):
             q = p ** (s - 1 - i)  # the exponent of x's last ghost power
             lows = [0] + [sys.maxsize] * (level - 1) + [min(x.coeffs)]
             highs = [0] + [-sys.maxsize] * level
-            if not _inner_extent(x.coeffs, level, lows, highs):
+            if not _kernels._inner_extent(x.coeffs, level, lows, highs):
                 return None
             for l in range(1, level):
                 bounds[l] = max(bounds[l], q * max(-lows[l], highs[l]))
@@ -421,7 +419,7 @@ def _flat_components(kept, s: int, p: int, level: int):
         flats = []
         for x in xs:
             out: dict = {}
-            _flatten(x.coeffs, level, zeros, weights, 0, out)
+            _kernels._flatten(x.coeffs, level, zeros, weights, 0, out)
             flats.append(out)
         vectors.append((cj, flats))
     return vectors, weights, [0] + [-b for b in bounds[1:]] + [0]
@@ -429,8 +427,8 @@ def _flat_components(kept, s: int, p: int, level: int):
 
 def _raw_pow(domain, x: dict, n: int) -> dict:
     """``x^n`` for ``n >= 1`` by square-and-multiply over
-    :func:`~rswan.series._level_one_mul` (exact: no ceiling)."""
-    return power(x, n, lambda a, b: _level_one_mul(domain, a, b, None))
+    :func:`~rswan._kernels._level_one_mul` (exact: no ceiling)."""
+    return power(x, n, lambda a, b: _kernels._level_one_mul(domain, a, b, None))
 
 
 def _flat_ghost_sum(lift, terms, q: int) -> dict:
@@ -485,7 +483,7 @@ def _flat_series(level: int, domain, flat_map: dict, weights, lows) -> NestedSer
     """The exact series over ``domain`` whose flat raw map, with
     :func:`_digit_offset` added to every exponent, is ``flat_map``."""
     if level > 1:
-        flat_map = _unflatten(level, domain, flat_map, weights, lows)
+        flat_map = _build(level, domain, _kernels._unflatten(level, flat_map, weights, lows))
     return _make(level, domain, flat_map, None, clean=True)
 
 

@@ -2,8 +2,9 @@
 leave a stale entry in an ``__all__`` list; only the operations that
 have no tower to read a budget from take a ``precision`` width; every
 precision refusal names its exponent; every name the benchmark's tracer
-wraps still resolves where the tracer looks it up; and no module reaches
-the parser's token step."""
+wraps still resolves where the tracer looks it up; the kernel constants,
+and the kernels the tests patch, are bound in ``rswan._kernels`` alone; and
+no module reaches the parser's token step."""
 
 import ast
 import importlib
@@ -102,6 +103,24 @@ def test_every_traced_name_resolves():
         if owner is None or meth not in vars(owner):
             missing.append(f"{mod}.{cls}.{meth}")
     assert missing == []
+
+
+# The kernels the tests monkeypatch on rswan._kernels.
+PATCHED_KERNELS = ("_int_mul", "_pack", "_pack_g", "_flatten")
+
+
+def test_kernel_constants_are_bound_in_one_module():
+    """Every upper-case constant of ``rswan._kernels``, and every kernel a
+    test patches there, is bound in no other module: a patch or a setting
+    on a second binding would miss the reads in ``rswan._kernels``."""
+    kernels = vars(importlib.import_module("rswan._kernels"))
+    constants = [name for name in kernels if name.lstrip("_").isupper()]
+    assert {"_KRONECKER_MIN_PAIRS", "_SLOT_CODES"} <= set(constants)
+    names = constants + [name for name in PATCHED_KERNELS if name in kernels]
+    assert len(names) == len(constants) + len(PATCHED_KERNELS)
+    twice = [f"{module}.{name}" for module in MODULES if module != "rswan._kernels"
+             for name in names if name in vars(importlib.import_module(module))]
+    assert twice == []
 
 
 # CPython 3.11's parser doubles its token array at this many tokens and

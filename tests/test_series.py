@@ -28,8 +28,20 @@ from itertools import product
 
 import pytest
 
+import rswan._kernels
 import rswan.series
 
+from rswan._kernels import (
+    _KRONECKER_MIN_PAIRS,
+    _flat_mul,
+    _g_reducer,
+    _g_width,
+    _int_mul,
+    _kronecker_applies,
+    _kronecker_mul,
+    _pack_g,
+    _schoolbook_mul,
+)
 from rswan.errors import (
     ExponentOutOfRange,
     InconsistentValue,
@@ -44,20 +56,7 @@ from rswan.errors import (
 from rswan.parser import parse_series, render_series
 from rswan.ratfunc import rat_func_domain
 from rswan.scalars import fq_domain, galois_ring_domain
-from rswan.series import (
-    _FLAT_MIN_PAIRS,
-    _KRONECKER_MIN_PAIRS,
-    NestedSeries,
-    _flat_mul,
-    _g_reducer,
-    _g_width,
-    _int_mul,
-    _pack_g,
-    _kronecker_applies,
-    _kronecker_mul,
-    _schoolbook_mul,
-    linear_combination,
-)
+from rswan.series import _FLAT_MIN_PAIRS, NestedSeries, linear_combination
 from rswan.substitution import series_substitute
 from rswan.tower import FieldTower
 
@@ -915,7 +914,7 @@ def schoolbook(x, y):
 
 def uses_kernel(x, y):
     pairs = len(x.coeffs) * len(y.coeffs)
-    return pairs >= _KRONECKER_MIN_PAIRS and _kronecker_applies(x.domain, x.coeffs, y.coeffs)
+    return pairs >= _KRONECKER_MIN_PAIRS and _kronecker_applies(x.coeffs, y.coeffs)
 
 
 def random_window(rng, domain, width, density=1.0):
@@ -976,14 +975,14 @@ def test_a_product_too_wide_for_every_slot_goes_through_the_int_loop(monkeypatch
     product."""
     domain = galois_ring_domain(2, 1, 4)
     calls = []
-    int_mul = rswan.series._int_mul
+    int_mul = rswan._kernels._int_mul
 
     def counting_int_mul(*args):
         calls.append(1)
         return int_mul(*args)
 
-    monkeypatch.setattr(rswan.series, "_SLOT_CODES", {1: "B"})
-    monkeypatch.setattr(rswan.series, "_int_mul", counting_int_mul)
+    monkeypatch.setattr(rswan._kernels, "_SLOT_CODES", {1: "B"})
+    monkeypatch.setattr(rswan._kernels, "_int_mul", counting_int_mul)
     rng = random.Random(31)
     x = NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in range(8)})
     y = NestedSeries(1, domain, {e: domain.random_nonzero(rng) for e in range(-3, 5)})
@@ -1017,7 +1016,7 @@ def test_a_square_is_packed_and_flattened_once(monkeypatch):
     called on one dict at ceilings that trim it packs it once too.  Over
     F_2, F_4 and (Z/16)[g]."""
     packs, flattens = [], []
-    pack, flatten = rswan.series._pack, rswan.series._flatten
+    pack, flatten = rswan._kernels._pack, rswan._kernels._flatten
 
     def counting_pack(*args):
         packs.append(1)
@@ -1027,8 +1026,8 @@ def test_a_square_is_packed_and_flattened_once(monkeypatch):
         flattens.append(level)
         return flatten(coeffs, level, *args)
 
-    monkeypatch.setattr(rswan.series, "_pack", counting_pack)
-    monkeypatch.setattr(rswan.series, "_flatten", counting_flatten)
+    monkeypatch.setattr(rswan._kernels, "_pack", counting_pack)
+    monkeypatch.setattr(rswan._kernels, "_flatten", counting_flatten)
     rng = random.Random(26)
     seen = Counter()
     for domain in (F2, F4, galois_ring_domain(2, 2, 4)):
@@ -1066,13 +1065,13 @@ def test_a_square_below_the_kronecker_cut_packs_each_coefficient_once(monkeypatc
     Both equal the schoolbook product, at ceilings too, and over
     (Z/16)[g]."""
     packs = []
-    pack_g = rswan.series._pack_g
+    pack_g = rswan._kernels._pack_g
 
     def counting_pack_g(*args):
         packs.append(1)
         return pack_g(*args)
 
-    monkeypatch.setattr(rswan.series, "_pack_g", counting_pack_g)
+    monkeypatch.setattr(rswan._kernels, "_pack_g", counting_pack_g)
     rng = random.Random(27)
     for domain in (F4, galois_ring_domain(2, 2, 4)):
         for ceiling in (None, 4):

@@ -29,6 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rswan.scalars import fq_domain, galois_ring_domain  # noqa: E402
 from rswan.substitution import _PowerTable  # noqa: E402
+from rswan._kernels import _schoolbook_mul  # noqa: E402
 from rswan.errors import ExponentOutOfRange, RswanError, TowerMismatch  # noqa: E402
 from rswan.series import (  # noqa: E402
     _ORD_FLOOR,
@@ -36,7 +37,6 @@ from rswan.series import (  # noqa: E402
     _divide_by_power,
     _is_lift_non_unit,
     _make,
-    _schoolbook_mul,
     linear_combination,
 )
 
