@@ -338,17 +338,16 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
 
 
 def _divide_by_recurrence(domain, factors: list, width: int, low: int,
-                          num: dict | None = None, nested: bool = False) -> dict:
+                          num: dict | None = None) -> dict:
     """``{low + n: d_n}`` over the ``d_n`` that are not exactly zero, for
     ``[d_0, ..., d_{width-1}]`` the quotient of ``sum_n a_n T^n`` by the
     product of the factors ``c * (1 + sum b_i T^i)`` (module docstring,
     "Division"), ready for ``series._make(..., clean=True)``.
 
     ``num`` maps ``n >= 0`` to ``a_n`` (an ``n >= width`` is ignored), or is
-    None for ``a = 1`` (the inverse); ``nested`` says that the coefficients
-    are series (levels >= 2), not raw scalars.  Each factor is ``(c^-1,
-    tail)``, with ``tail`` listing ``(i, c * b_i)`` for ``0 < i < width`` in
-    ascending ``i``.  The product of the ``c^-1`` scales ``a`` first; then each factor
+    None for ``a = 1`` (the inverse).  Each factor is ``(c^-1, tail)``, with
+    ``tail`` listing ``(i, c * b_i)`` for ``0 < i < width`` in ascending
+    ``i``.  The product of the ``c^-1`` scales ``a`` first; then each factor
     in turn replaces ``d`` by its quotient, ``d_n <- d_n - sum_{0 < i <= n}
     b_i d_{n-i}`` for ``n`` from its least ``i`` up.  Over raw ints of
     ``Z/p^s`` (``k = 1``) each ``d_n`` is summed as plain ints and reduced
@@ -357,11 +356,11 @@ def _divide_by_recurrence(domain, factors: list, width: int, low: int,
     ``d_{n-i}``: a window-zero one still carries its window.
     """
     scale = factors[0][0]
+    nested = not isinstance(scale, (int, tuple))  # a series, not a raw scalar
     if nested:
-        series = type(scale)
         mul, add, neg = operator.mul, operator.add, operator.neg
-        zero = series.zero(scale.level, domain)
-        is_zero = series.is_exact_zero
+        zero = type(scale).zero(scale.level, domain)
+        is_zero = type(scale).is_exact_zero
     else:
         mul, add, neg = domain.mul, domain.add, domain.neg
         is_zero, zero = domain.is_zero, domain.zero()

@@ -63,8 +63,8 @@ One routine, ``_divide_by_power``, decides every quotient ``q / x^n``
 (``n >= 1``) and hands its factors to the power-series division
 recurrence of :mod:`rswan._kernels` ("Division"): ``inv`` is its case
 ``q = 1, n = 1``; a substitution (:mod:`rswan.substitution`) divides the
-Horner sum of its poles by ``img^n``; and the curve restriction of :mod:`rswan.extensions` divides
-by a denominator.  It computes ``q / x^n`` on the window that ``q *
+Horner sum of its poles by ``img^n``; and the curve restriction of
+:mod:`rswan.extensions` divides by a denominator.  It computes ``q / x^n`` on the window that ``q *
 (x^n).inv(precision)`` has.  With ``v = n ord(x)`` and ``w`` the width of
 ``x^n`` (its own window, or ``precision`` when it is exact), the quotient
 is known below ``min(ceil(q), low(q) + w) - v``.  A zero ``x`` raises
@@ -285,7 +285,7 @@ def _divide_by_power(q, x, n, precision, powers=None):
     else:
         factors = [_twisted_factor(y, j, size) for y, j in twists]
     quotient = _divide_by_recurrence(domain, factors, size, low, None if q is None else
-                                     {e - v - low: c for e, c in q.coeffs.items()}, x.level > 1)
+                                     {e - v - low: c for e, c in q.coeffs.items()})
     return _make(x.level, domain, quotient, ceiling, clean=True)
 
 

@@ -442,9 +442,11 @@ def test_criterion_09_lift_additivity(capsys):
     t0 = time.perf_counter()
     ok = True
     total = 0
-    for p, s in ((2, 2), (2, 3), (3, 2)):
-        tower = FieldTower(p, 1, s, ("t",))
-        rng = random.Random(90_000 + 10 * p + s)
+    # F_4 and F_9 at s = 2 run the g-packed products and the flat ghost sum
+    # at k > 1.
+    for p, k, s in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)):
+        tower = FieldTower(p, k, s, ("t",))
+        rng = random.Random(90_000 + 100 * (k - 1) + 10 * p + s)
         for _ in range(1000):
             a = random_witt(tower, rng, min_ord=-5, max_ord=4)
             b = random_witt(tower, rng, min_ord=-5, max_ord=4)
