@@ -13,8 +13,8 @@ per tree where a key ends in ``_us``:
   Kronecker kernel, and the smallest term-pair count from which the median
   of that ratio over the cells stays above 1; ``_KRONECKER_MIN_PAIRS`` is
   that cut-off.  The kernels and the cut-off are read from ``rswan._kernels``,
-  or from ``rswan.series`` in a tree that has no kernel module, so trees
-  from before and after the move run side by side in either order.
+  or from ``rswan.series`` in a tree that has no kernel module, so a tree
+  with that module and one without run side by side in either order.
 * ``nested``: level-2 and level-3 products over ``F_2``, ``F_4``, ``Z/4``
   and ``(Z/16)[g]``, exact and with an outer window (operands cut just
   above their last top exponent).  ``layout`` gives each

@@ -20,10 +20,9 @@ window intersection.  Operations that cannot certify a result raise
 
 Multiplication
 --------------
-Products, and the division recurrence below, run on the raw coefficient
-maps of :mod:`rswan._kernels`, whose docstring gives the kernels and the
-choice among them.  A product at level >= 2 takes the flat kernel when it
-has at least ``_FLAT_MIN_PAIRS`` top-level term pairs.
+Products and the division recurrence run on the raw coefficient maps of
+:mod:`rswan._kernels`, whose docstring gives the kernels and the choice
+among them, ``_FLAT_MIN_PAIRS`` aside, which stays here with ``__mul__``.
 
 Construction
 ------------
@@ -60,18 +59,18 @@ still makes one domain call per colliding entry.
 Division
 --------
 One routine, ``_divide_by_power``, decides every quotient ``q / x^n``
-(``n >= 1``) and hands its factors to the power-series division
-recurrence of :mod:`rswan._kernels` ("Division"): ``inv`` is its case
-``q = 1, n = 1``; a substitution (:mod:`rswan.substitution`) divides the
-Horner sum of its poles by ``img^n``; and the curve restriction of
-:mod:`rswan.extensions` divides by a denominator.  It computes ``q / x^n`` on the window that ``q *
+(``n >= 1``) and hands its factors to the power-series division recurrence of
+:mod:`rswan._kernels` ("Division"): ``inv`` is its case ``q = 1, n = 1``; a
+substitution (:mod:`rswan.substitution`) divides the Horner sum of its poles
+by ``img^n``; and the curve restriction of :mod:`rswan.extensions` divides by
+a denominator.  It computes ``q / x^n`` on the window that ``q *
 (x^n).inv(precision)`` has.  With ``v = n ord(x)`` and ``w`` the width of
-``x^n`` (its own window, or ``precision`` when it is exact), the quotient
-is known below ``min(ceil(q), low(q) + w) - v``.  A zero ``x`` raises
-``ZeroInput``; an exact ``x^n`` of several terms with no ``precision``
-raises ``PrecisionExhausted`` at ``-v``; ``-v`` below the supported
-range raises ``ExponentOutOfRange`` unless ``w <= 0``; a one-term
-``x^n`` scales and shifts ``q``, exact where ``q`` is.  The factors:
+``x^n`` (its own window, or ``precision`` when it is exact), the quotient is
+known below ``min(ceil(q), low(q) + w) - v``.  A zero ``x`` raises
+``ZeroInput``; an exact ``x^n`` of several terms with no ``precision`` raises
+``PrecisionExhausted`` at ``-v``; ``-v`` below the supported range raises
+``ExponentOutOfRange`` unless ``w <= 0``; a one-term ``x^n`` scales and shifts
+``q``, exact where ``q`` is.  The factors:
 
 * **Characteristic p** (``F_q``).  With ``n = sum_j d_j
   p^j``, ``(1 + h)^(p^j) = 1 + F^j(h)``, where ``F^j`` raises each

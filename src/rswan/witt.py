@@ -165,6 +165,7 @@ import heapq
 import sys
 from dataclasses import dataclass
 
+from . import _kernels
 from .errors import (
     ExponentOutOfRange,
     InconsistentValue,
@@ -172,7 +173,6 @@ from .errors import (
     RswanError,
     TowerMismatch,
 )
-from . import _kernels
 from .ratfunc import _algebra_refused
 from .scalars import _QuotientDomain, galois_ring_domain, power
 from .series import (
