@@ -297,10 +297,14 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             )
         if kind == "thmC":
             f_doc = task.get("f")
+            # an exponent key is written as str(int) writes it (ASCII, no "-0",
+            # no leading zero), so no two keys name one exponent
             _require(
                 isinstance(f_doc, dict) and f_doc
-                and all(e.removeprefix("-").isdigit() and isinstance(v, str) for e, v in f_doc.items()),
-                f"task #{idx} (thmC) needs a nonempty 'f' object of exponent -> literal",
+                and all(e.isascii() and e.removeprefix("-").isdigit() and str(int(e)) == e
+                        and isinstance(v, str) for e, v in f_doc.items()),
+                f"task #{idx} (thmC) needs a nonempty 'f' object of exponent -> literal, "
+                "each exponent an integer in canonical ASCII form such as '-3'",
             )
             _require(_is_int(task.get("x0", 0)), f"task #{idx} (thmC) needs an integer 'x0'")
             domain = rat_func_domain(towers["main"].p)

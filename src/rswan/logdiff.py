@@ -17,8 +17,7 @@ power of the maximal ideal of the top variable), the window collapse
 computed from raw exponents and scalars, each row and its partner column
 placed by arithmetic on basis positions), whose invertibility is decided
 column by column.  ``r_b`` takes ``C^b`` of the residue slot as ``b``
-Cartier roots of its one coefficient and builds a single form.  The
-pairing operators have a path for one-term operands.
+Cartier roots of its one coefficient and builds a single form.
 
 Construction
 ------------
@@ -33,59 +32,39 @@ operation on valid forms cannot break any of that, so ``+``, ``-``,
 their results through ``_form``, which only drops exactly zero
 coefficients (a coefficient zero only within a window stays, as in
 ``series._make``); the series they build go through ``series._make`` for
-the same reason.  A windowed form whose representative already lies in its
-window and is exact there (a product of dual basis monomials) is stored
-through ``_windowed`` without truncating it again.
-Like ``series._make``, ``_form`` and ``_windowed`` fill a private draft
-twin of their class (the same ``__slots__``, plain stores) and then assign
-it the public class, so every form they return is a ``LogForm`` or
-``WindowedForm`` whose ``__setattr__`` and ``__delattr__`` raise
-(``scalars._Frozen``); the validating ``__init__``s store through
-``object.__setattr__``.
-
-The pairing ``(x, y) -> r_b(x ^ y)`` of two basis monomials takes a path
-for one-term operands at each step; anything else keeps the general code.
-
-* :func:`wedge` of two forms with one coefficient each, both an exact
-  single monomial at every level: one scalar product (times the sign of
-  :func:`_merge_sign` when it is -1), one exponent sum per level and one
-  monomial built level by level.  A repeated key or a product of scalars
-  that vanishes (over a lift ring) gives the zero form.  It declines a
-  coefficient with a window at any level (a top ceiling, or an inner
-  coefficient zero within a window) or with more than one term.
-* :func:`wedge_windowed` stores the product as it is when every
-  coefficient is top-exact with its top exponents in ``[1 - a, 1)``, the
-  window ``(a - 1, -1)``; a product of dual representatives is top-exact
-  and never reaches below ``1 - a``, so only a top exponent ``>= 1``
-  makes it cut the product through :class:`WindowedForm`.
-* :func:`r_b` roots a residue slot that is one exact monomial in one
-  walk, ``_monomial_root`` over its exponents and raw scalar (no exponents
-  over one variable, where the slot is a raw scalar): step ``j`` drops the
-  monomial when ``p^j`` does not divide one of its exponents, and
-  otherwise roots its scalar; the exponents are divided once at the end.
-  It roots the scalar at each step that reaches it, as the steps do, so a
-  lift ring refuses there; so the walk raises exactly where the steps
-  raise, also when an exponent is divisible by ``p`` but not by ``p^b``.
-  :func:`duality_matrix` runs the same walk on raw exponent sums.
+the same reason.  Like ``series._make``, ``_form`` fills a private draft
+twin of ``LogForm`` (the same ``__slots__``, plain stores) and then
+assigns it the public class, so every form it returns is a ``LogForm``
+whose ``__setattr__`` and ``__delattr__`` raise (``scalars._Frozen``); the
+validating ``__init__``s of ``LogForm`` and :class:`WindowedForm` store
+through ``object.__setattr__``.
 
 Gram matrices
 -------------
 :func:`duality_matrix` pairs each basis class with its one partner, so its
 Gram matrix holds one entry per row, in distinct columns.  It computes each
 class's entry from the raw sign, exponents and scalar through the ``C^b``
-walk, and builds no basis form, wedge or ``r_b`` form; acceptance
-criterion 4 checks the entries against the operators.  It is a monomial
-matrix, invertible exactly when each column's one entry is a unit.
-:func:`gram_is_invertible` decides only that shape and refuses any other
-with :class:`InconsistentValue`.  It checks the columns in order and
-answers ``False`` at the first one that no row holds or whose entry is an
-exact zero; an entry zero only within its window raises
-:class:`PrecisionExhausted`, since its unknown tail decides.  Over a field
-(the tower's coefficient field, or nested Laurent series over it) a nonzero
-entry is a unit and nothing is inverted.  Over a lift ring ``Z/p^s`` with
-``s > 1`` a nonzero entry need not be a unit, so each entry is inverted,
-which raises on a non-unit.  The general elimination
-that decided any sparse matrix stays in the tests as the reference
+walk ``_monomial_root``, and builds no basis form, wedge or ``r_b`` form;
+acceptance criterion 4 checks the entries against the operators.  The
+walk takes ``C^b`` of one exact monomial over its exponents and raw
+scalar (no exponents over one variable, where :func:`r_b` runs it on the
+residue, a raw scalar): step ``j`` drops the monomial when ``p^j`` does
+not divide one of its exponents, and otherwise roots its scalar; the
+exponents are divided once at the end.  It roots the scalar at each step
+that reaches it, as ``b`` Cartier steps do, so a lift ring refuses there,
+also when an exponent is divisible by ``p`` but not by ``p^b``.
+
+The Gram matrix is a monomial matrix, invertible exactly when each
+column's one entry is a unit.  :func:`gram_is_invertible` decides only
+that shape and refuses any other with :class:`InconsistentValue`.  It
+checks the columns in order and answers ``False`` at the first one that no
+row holds or whose entry is an exact zero; an entry zero only within its
+window raises :class:`PrecisionExhausted`, since its unknown tail decides.
+Over a field (the tower's coefficient field, or nested Laurent series over
+it) a nonzero entry is a unit and nothing is inverted.  Over a lift ring
+``Z/p^s`` with ``s > 1`` a nonzero entry need not be a unit, so each entry
+is inverted, which raises on a non-unit.  The general elimination that
+decided any sparse matrix stays in the tests as the reference
 (``tests/test_logdiff.py::gram_by_elimination``).
 """
 
@@ -267,53 +246,14 @@ def _merge_sign(a: tuple, b: tuple):
     return (-1) ** inversions, tuple(sorted(a + b))
 
 
-def _monomial(sr: NestedSeries):
-    """``(exponents, raw)`` when ``sr`` is one exact monomial at every level
-    (exponents from level 1 up), else None."""
-    exps = ()
-    for _ in range(sr.level):
-        if sr.ceiling is not None or len(sr.coeffs) != 1:
-            return None
-        (e, sr), = sr.coeffs.items()
-        exps = (e,) + exps
-    return exps, sr
-
-
-def _monomial_series(domain, exps, raw) -> NestedSeries:
-    """The exact monomial ``raw T^exps`` (exponents from level 1 up, ``raw``
-    nonzero), built level by level."""
-    mono = raw
-    for lvl, e in enumerate(exps, 1):
-        mono = _make(lvl, domain, {e: mono}, None, clean=True)
-    return mono
-
-
 def wedge(alpha: LogForm, beta: LogForm) -> LogForm:
-    """Exterior product; two one-term forms with monomial coefficients take
-    one scalar product (module docstring, "Construction")."""
+    """Exterior product."""
     alpha._peer(beta)
     degree = alpha.degree + beta.degree
     if degree > alpha.level:
         raise DegreeOverflow(
             f"wedge of degrees {alpha.degree} and {beta.degree} exceeds top degree {alpha.level}"
         )
-    if len(alpha.coeffs) == 1 == len(beta.coeffs):
-        (ka, ca), = alpha.coeffs.items()
-        (kb, cb), = beta.coeffs.items()
-        ma = _monomial(ca)
-        mb = None if ma is None else _monomial(cb)
-        if mb is not None:
-            domain = alpha.domain
-            sign, key = _merge_sign(ka, kb)
-            coeffs = {}
-            if sign is not None:
-                raw = domain.mul(ma[1], mb[1])
-                if sign != 1:
-                    raw = domain.mul(raw, domain.from_int(sign))
-                if not domain.is_zero(raw):
-                    exps = map(operator.add, ma[0], mb[0])
-                    coeffs[key] = _monomial_series(domain, exps, raw)
-            return _form(alpha.level, domain, degree, coeffs)
     out: dict = {}
     for ka, ca in alpha.coeffs.items():
         for kb, cb in beta.coeffs.items():
@@ -501,7 +441,9 @@ class WindowedForm(_Frozen):
         if n <= m:
             raise InconsistentValue(f"window needs n > m, got ({n}, {m})")
         coeffs = {k: _window_truncate(c, -m, -n) for k, c in form.coeffs.items()}
-        _windowed(_form(form.level, form.domain, form.degree, coeffs), n, m, self)
+        _set(self, "form", _form(form.level, form.domain, form.degree, coeffs))
+        _set(self, "n", n)
+        _set(self, "m", m)
 
     @property
     def width(self) -> int:
@@ -519,25 +461,6 @@ class WindowedForm(_Frozen):
         return f"<windowed ({self.n},{self.m}) {self.form!r}>"
 
 
-_WindowedDraft = _draft_of(WindowedForm)
-
-
-def _windowed(form: LogForm, n: int, m: int, out=None) -> WindowedForm:
-    """Trusted constructor: ``form`` is already a representative of the
-    window ``(n, m)``, exact with top exponents in ``[-n, -m)``."""
-    if out is not None:
-        _set(out, "form", form)
-        _set(out, "n", n)
-        _set(out, "m", m)
-        return out
-    out = _WindowedDraft()
-    out.form = form
-    out.n = n
-    out.m = m
-    out.__class__ = WindowedForm
-    return out
-
-
 def wedge_windowed(x: WindowedForm, y: WindowedForm) -> WindowedForm:
     """Pairing-side wedge: x in m^{-n}/m^{-m}, y in m^{m+1}/m^{n+1} (windows
     (n, m) and (-m-1, -n-1)) land in m^{1-a}/m, window (a-1, -1)."""
@@ -545,12 +468,7 @@ def wedge_windowed(x: WindowedForm, y: WindowedForm) -> WindowedForm:
         raise DegreeMismatch(
             f"windows ({x.n},{x.m}) and ({y.n},{y.m}) are not dual to each other"
         )
-    a = x.width
-    product = wedge(x.form, y.form)
-    for c in product.coeffs.values():
-        if c.ceiling is not None or min(c.coeffs) < 1 - a or max(c.coeffs) >= 1:
-            return WindowedForm(product, a - 1, -1)
-    return _windowed(product, a - 1, -1)  # already its own representative
+    return WindowedForm(wedge(x.form, y.form), x.width - 1, -1)
 
 
 def minimal_b(p: int, a: int) -> int:
@@ -587,13 +505,9 @@ def r_b(x: WindowedForm, b: int):
     c = form.coeffs.get(tuple(range(1, level + 1)))
     coeffs = {}
     if c is not None:
-        root = slot = c.coefficient(0)
-        mono = _monomial(slot) if b else None
-        if mono is not None:
-            root = _monomial_root(form.domain, *mono, b)
-        else:
-            for _ in range(b):
-                root = root.pth_root(skip_prime_to_p=True)
+        root = c.coefficient(0)
+        for _ in range(b):
+            root = root.pth_root(skip_prime_to_p=True)
         coeffs[tuple(range(1, level))] = root
     return _form(level - 1, form.domain, level - 1, coeffs)
 
@@ -601,7 +515,7 @@ def r_b(x: WindowedForm, b: int):
 def _monomial_root(domain, exps, raw, b: int):
     """``C^b`` of the exact monomial ``raw T^exps`` (exponents from level 1
     up) in one walk: the rooted raw scalar when ``exps`` is empty, else a
-    series (module docstring, "Construction")."""
+    series (module docstring, "Gram matrices")."""
     p, q = domain.p, 1
     for _ in range(b):
         q *= p
@@ -609,9 +523,9 @@ def _monomial_root(domain, exps, raw, b: int):
             if e % q:  # this step drops the monomial
                 return NestedSeries.zero(len(exps), domain)
         raw = domain.pth_root(raw)
-    if not exps:
-        return raw
-    return _monomial_series(domain, [e // q for e in exps], raw)
+    for lvl, e in enumerate(exps, 1):
+        raw = _make(lvl, domain, {e // q: raw}, None, clean=True)
+    return raw
 
 
 # ---------------------------------------------------------------- duality
@@ -653,12 +567,12 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     ``a = n - m`` rows, the row's only entry.  No form is built: the sign
     ``sgn(K, K')`` of :func:`_merge_sign` becomes a raw scalar once per
     key, and each class runs the exponent sums ``alpha_l + beta_l`` and
-    that scalar through the ``C^b`` walk of :func:`r_b`'s one-term path
-    (module docstring, "Construction").  That is the value of
-    ``r_b(wedge_windowed(x, y), b)``: ``K.field_domain`` is always ``F_q``,
-    so the one-term wedge's product of scalars, which can vanish over a
-    lift ring, is ``sgn(K, K')``, and ``r_b``'s refusal to root over a
-    lift ring cannot arise.  Each entry is ``sgn(K, K') T^delta`` with
+    that scalar through the ``C^b`` walk ``_monomial_root`` (module
+    docstring, "Gram matrices").  That is the value of
+    ``r_b(wedge_windowed(x, y), b)``: the wedge of the two basis monomials
+    has the residue slot ``sgn(K, K') T^(alpha + beta)``, and
+    ``K.field_domain`` is always ``F_q``, so no root refuses as it would
+    over a lift ring.  Each entry is ``sgn(K, K') T^delta`` with
     ``delta_l = 1`` exactly when ``alpha_l != 0``, which the tests keep as
     an oracle.
 

@@ -88,7 +88,6 @@ from .logdiff import (
     WindowedForm,
     _form,
     _merge_sign,
-    _monomial,
     d,
     dlog,
     minimal_b,
@@ -340,6 +339,18 @@ class _SymbolEntries:
         if found is None:
             found = self.by_id[id(y)] = _Entry(y, self.lift_domain)
         return found
+
+
+def _monomial(sr: NestedSeries):
+    """``(exponents, raw)`` when ``sr`` is one exact monomial at every level
+    (exponents from level 1 up), else None."""
+    exps = ()
+    for _ in range(sr.level):
+        if sr.ceiling is not None or len(sr.coeffs) != 1:
+            return None
+        (e, sr), = sr.coeffs.items()
+        exps = (e,) + exps
+    return exps, sr
 
 
 class _Entry:

@@ -375,6 +375,9 @@ def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
         ({"task": "thmC", "f": {"-3": "x/0"}}, "zero denominator"),
         ({"task": "thmC", "f": {"-3": "2 x"}}, "does not parse"),
         ({"task": "thmC", "f": {"x": "1"}}, "nonempty 'f'"),
+        ({"task": "thmC", "f": {"\u0663": "x"}}, "nonempty 'f'"),
+        ({"task": "thmC", "f": {"-3": "x", "-03": "1"}}, "nonempty 'f'"),
+        ({"task": "thmC", "f": {"-0": "x"}}, "nonempty 'f'"),
         ({"task": "thmC", "f": {"-3": "x"}, "exponents": [0]}, "'exponents'"),
         ({"task": "thmC", "f": {"-3": "x"}, "exponents": [-2]}, "'exponents'"),
         ({"task": "thmC", "f": {"-3": "x"}, "x0": "a"}, "integer 'x0'"),

@@ -1,13 +1,13 @@
 """Series and forms are immutable, whichever route built them.
 
-The trusted constructors (``series._make``, ``logdiff._form``,
-``logdiff._windowed``) fill a private draft class made by
-``scalars._draft_of`` (the public class's base and ``__slots__``, plain
-stores) and then give the object the public class.  These tests pin what
-that relies on: every object that leaves a constructor or an operation is
-of the public type and refuses every store and every deletion, no draft is
-left alive, and a refusal below the exponent floor builds nothing.  The
-one guard is ``scalars._Frozen``, the base of every immutable class.
+The trusted constructors (``series._make``, ``logdiff._form``) fill a
+private draft class made by ``scalars._draft_of`` (the public class's base
+and ``__slots__``, plain stores) and then give the object the public
+class.  These tests pin what that relies on: every object that leaves a
+constructor or an operation is of the public type and refuses every store
+and every deletion, no draft is left alive, and a refusal below the
+exponent floor builds nothing.  The one guard is ``scalars._Frozen``, the
+base of every immutable class.
 """
 
 import gc
@@ -21,7 +21,6 @@ from rswan.logdiff import (
     LogForm,
     WindowedForm,
     _form,
-    _windowed,
     r_b,
     wedge,
     wedge_windowed,
@@ -44,7 +43,6 @@ F2 = K1.field_domain
 DRAFTS = {
     series._SeriesDraft: NestedSeries,
     logdiff._FormDraft: LogForm,
-    logdiff._WindowedDraft: WindowedForm,
 }
 
 
@@ -80,7 +78,6 @@ def _routes():
     yield "_make", _make(1, F2, {0: 1, 3: 0}, None)
     yield "_make clean", _make(1, F2, {0: 1}, 2, clean=True)
     yield "_form", _form(1, F2, 1, {(1,): a})
-    yield "_windowed", _windowed(LogForm(1, F2, 1, {(1,): parse_series("t^-2", K1)}), 3, 0)
     yield "series +", a + b
     yield "series *", a * b
     yield "series * level 2", u * v

@@ -3,14 +3,16 @@ leave a stale entry in an ``__all__`` list; only the operations that
 have no tower to read a budget from take a ``precision`` width; every
 precision refusal names its exponent; every name the benchmark's tracer
 wraps still resolves where the tracer looks it up; the kernel constants,
-and the kernels the tests patch, are bound in ``rswan._kernels`` alone; and
-no module reaches the parser's token step."""
+and the kernels the tests patch, are bound in ``rswan._kernels`` alone;
+every private name and cross-reference target in the docs still resolves;
+and no module reaches the parser's token step."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import tokenize
 from pathlib import Path
 
@@ -121,6 +123,84 @@ def test_kernel_constants_are_bound_in_one_module():
              for name in constants + list(PATCHED_KERNELS)
              if name in vars(importlib.import_module(module))]
     assert twice == []
+
+
+# ``<rswan module>._name`` (``rswan.`` optional), and a Sphinx role's target.
+PRIVATE_REFERENCE = re.compile(r"(?<![\w.])((?:rswan\.)?\w+)\.(_\w+)")
+ROLE_TARGET = re.compile(r":(?:func|class|meth|mod):`~?([\w.]+)`")
+SHORT_NAMES = {name.removeprefix("rswan.") for name in MODULES}
+
+
+def _resolves(path: str, scope) -> bool:
+    """Whether the dotted ``path`` names an attribute of ``scope``, or of a
+    submodule of it when ``scope`` is a package."""
+    obj = scope
+    for part in path.split("."):
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            try:
+                obj = importlib.import_module(f"{obj.__name__}.{part}")
+                continue
+            except ImportError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def dangling_references(text: str, scopes) -> list:
+    """The references in ``text`` that name nothing: a ``module._name`` of an
+    ``rswan`` module that the module lacks, and a ``:func:``, ``:class:``,
+    ``:meth:`` or ``:mod:`` target that resolves in no scope of ``scopes``
+    nor from the ``rswan`` package.  A private name of another library
+    (``Random._randbelow_with_getrandbits``) is not checked."""
+    missing = []
+    for owner, name in PRIVATE_REFERENCE.findall(text):
+        short = owner.removeprefix("rswan.")
+        if short in SHORT_NAMES and not _resolves(name, importlib.import_module(
+                "rswan" if short == "rswan" else f"rswan.{short}")):
+            missing.append(f"{owner}.{name}")
+    for target in ROLE_TARGET.findall(text):
+        if not any(_resolves(target.removeprefix("rswan."), scope) for scope in scopes + [rswan]):
+            missing.append(target)
+    return missing
+
+
+def documented_texts():
+    """``(where, text, scopes)`` for every docstring of ``src/rswan`` (a
+    method's scopes are its class and then its module) and for README.md."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("rswan" if path.stem == "__init__" else f"rswan.{path.stem}")
+
+        def walk(node, scopes):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    doc = ast.get_docstring(child, clean=False)
+                    inner = scopes
+                    if isinstance(child, ast.ClassDef) and hasattr(scopes[0], child.name):
+                        inner = [getattr(scopes[0], child.name)] + scopes
+                    if doc:
+                        yield f"{path.name}:{child.lineno}", doc, inner
+                    yield from walk(child, inner)
+
+        tree = ast.parse(path.read_text(), str(path))
+        yield path.name, ast.get_docstring(tree, clean=False) or "", [module]
+        yield from walk(tree, [module])
+    readme = SRC.parents[1] / "README.md"
+    yield readme.name, readme.read_text(), []
+
+
+def test_every_documented_reference_resolves():
+    """A docstring or README.md that names a private ``module._name``, or a
+    role target, names something defined: a deleted name cannot stay in
+    the docs.  A planted reference to a deleted name is caught."""
+    dangling = [(where, ref) for where, text, scopes in documented_texts()
+                for ref in dangling_references(text, scopes)]
+    assert dangling == []
+    logdiff = [importlib.import_module("rswan.logdiff")]
+    planted = "``logdiff._windowed``, ``rswan.series._make``, :func:`_windowed`, :func:`r_b`"
+    assert dangling_references(planted, logdiff) == ["logdiff._windowed", "_windowed"]
+    assert dangling_references("``Random._randbelow_with_getrandbits``", logdiff) == []
 
 
 # CPython 3.11's parser doubles its token array at this many tokens and

@@ -51,6 +51,7 @@ from rswan.logdiff import (
 )
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
+from rswan.reciprocity import _monomial
 from rswan.scalars import fq_domain, galois_ring_domain
 from rswan.series import NestedSeries
 from rswan.substitution import series_substitute
@@ -98,9 +99,8 @@ def window_basis(level, domain, degree, n, m, b):
     pb = domain.p**b
 
     def basis_form(key, exps):
-        # its top exponent lies in [-n, -m), so it is its own representative
-        mono = logdiff._monomial_series(domain, exps, domain.one())
-        return logdiff._windowed(logdiff._form(level, domain, len(key), {key: mono}), n, m)
+        mono = NestedSeries.from_monomials(level, domain, [(exps, domain.one())])
+        return WindowedForm(LogForm(level, domain, len(key), {key: mono}), n, m)
 
     return [basis_form(key, lower + (top,))
             for key in combinations(range(1, level + 1), degree)
@@ -122,8 +122,8 @@ def test_trusted_construction_builds_only_valid_forms():
     coefficients, and no exactly zero coefficient kept.  The draws include
     cancellations (``x - x``, ``x ^ x``, ``d(d f)``, ``mul_int(0)``, scaling
     by zero, Cartier of prime-to-p exponents, residues of absent slots), and
-    the one-term paths: wedges of monomial forms, products of dual windows
-    stored without a cut, and ``r_b`` of them."""
+    the pairing on monomials: wedges of monomial forms, products of dual
+    windows, and ``r_b`` of them."""
     rng = random.Random(107)
     z4 = galois_ring_domain(2, 1, 2)
     domains = (F2, fq_domain(3, 2), z4)
@@ -182,7 +182,7 @@ def test_trusted_construction_builds_only_valid_forms():
                 check("WindowedForm", WindowedForm, w, n, m)
                 check("WindowedForm", WindowedForm, w - w, n, m)
                 xw = WindowedForm(w, n, m)
-                # the one-term paths: monomial wedges, in-window products, r_b walks
+                # the pairing on monomials: monomial wedges, dual-window products, r_b
                 ka = tuple(sorted(rng.sample(range(1, level + 1), rng.randint(0, level))))
                 kb = tuple(v for v in range(1, level + 1) if v not in ka)
                 monos = [LogForm(level, domain, len(key), {key: mono(
@@ -334,8 +334,8 @@ def test_wedge_concrete_keys():
 
 def wedge_by_term_pairs(alpha, beta):
     """The exterior product over every pair of terms, each product through
-    ``NestedSeries.__mul__`` and ``mul_int``: the oracle of the one-term
-    path of :func:`wedge`."""
+    ``NestedSeries.__mul__`` and ``mul_int``, with its own sign and key: the
+    oracle of :func:`wedge`."""
     if alpha.degree + beta.degree > alpha.level:
         raise DegreeOverflow(f"wedge of degrees {alpha.degree} and {beta.degree} "
                              f"exceeds top degree {alpha.level}")
@@ -383,12 +383,12 @@ def one_term_coefficient(rng, level, domain, kind, lo=-3, hi=3):
 
 
 def test_one_term_wedge_matches_the_term_pair_loop():
-    """Seeded property: :func:`wedge` equals the loop over term pairs,
-    values and refusals (type, message, exponent), on one-term forms at
-    levels 1-3 over F_q, Z/4 and (Z/4)[g]: exact monomials (the
-    one-term path), windowed, inner-window-zero and two-term coefficients
-    (which it declines), repeated keys, sign -1, lift-ring scalars whose
-    product is 0, and exponent sums below the supported range."""
+    """Seeded property: :func:`wedge` equals the oracle loop over term
+    pairs, values and refusals (type, message, exponent), on one-term forms
+    at levels 1-3 over F_q, Z/4 and (Z/4)[g]: exact monomials, windowed,
+    inner-window-zero and two-term coefficients, repeated keys, sign -1,
+    lift-ring scalars whose product is 0, and exponent sums below the
+    supported range."""
     rng = random.Random(2601)
     kinds = ("monomial",) * 8 + ("windowed", "inner", "two-term", "deep", "deep")
     seen = Counter()
@@ -409,13 +409,14 @@ def test_one_term_wedge_matches_the_term_pair_loop():
         beta = LogForm(level, domain, len(kb), {kb: coeffs[1]})
         want = outcome(wedge_by_term_pairs, alpha, beta)
         assert outcome(wedge, alpha, beta) == want, (alpha, beta)
-        # the one-term path takes exactly the exact single monomials
+        # reciprocity._monomial, which the symbol entries use, takes exactly
+        # the exact single monomials
         monomial = [c.is_exact() and len(list(c.iter_monomials())) == 1 for c in coeffs]
-        assert [logdiff._monomial(c) is not None for c in coeffs] == monomial
+        assert [_monomial(c) is not None for c in coeffs] == monomial
         if isinstance(want, tuple):
             seen[want[0]] += 1
         elif not all(monomial):
-            seen["declined"] += 1
+            seen["not monomials"] += 1
         elif set(ka) & set(kb):
             seen["repeated key"] += 1
         elif not want.coeffs:
@@ -424,7 +425,7 @@ def test_one_term_wedge_matches_the_term_pair_loop():
             seen["sign -1"] += 1
         else:
             seen["product"] += 1
-    assert min(seen[k] for k in ("declined", "repeated key", "zero product", "sign -1",
+    assert min(seen[k] for k in ("not monomials", "repeated key", "zero product", "sign -1",
                                  "product", "ExponentOutOfRange", "DegreeOverflow")) >= 20, seen
 
 
@@ -688,20 +689,14 @@ def test_wedge_windowed_duality_is_symmetric():
     assert a.form == -b.form or a.form == b.form  # antisymmetry up to sign
 
 
-def test_wedge_windowed_stores_an_in_window_product_as_it_is(monkeypatch):
-    """Seeded property: ``wedge_windowed`` equals the product of the
-    representatives cut to the window ``(a-1, -1)`` by the validating
-    ``WindowedForm``, on dual windows at levels 1-3 over F_q and Z/4, with
-    one-term monomials and representatives of several terms
-    and inner windows; a product whose top exponents already lie in the
-    window is not cut again."""
-    cuts = []
-    cut = logdiff._window_truncate
-
-    def counting(*args):
-        cuts.append(1)
-        return cut(*args)
-
+def test_wedge_windowed_is_the_oracle_product_cut_to_its_window():
+    """Seeded property: ``wedge_windowed`` equals the oracle product of the
+    representatives (:func:`wedge_by_term_pairs`) cut to the window
+    ``(a-1, -1)`` by the validating ``WindowedForm``, on dual windows at
+    levels 1-3 over F_q and Z/4, with one-term monomials and
+    representatives of several terms and inner windows; products whose top
+    exponents already lie in the window and products that it cuts are both
+    drawn."""
     rng = random.Random(2603)
     seen = Counter()
     for _ in range(600):
@@ -727,15 +722,10 @@ def test_wedge_windowed_stores_an_in_window_product_as_it_is(monkeypatch):
             windowed.append(WindowedForm(LogForm(level, domain, degree, coeffs), hi, lo))
         x, y = windowed
         want = WindowedForm(wedge_by_term_pairs(x.form, y.form), n - m - 1, -1)
-        monkeypatch.setattr(logdiff, "_window_truncate", counting)
-        cuts.clear()
-        got = wedge_windowed(x, y)
-        monkeypatch.setattr(logdiff, "_window_truncate", cut)
-        assert got == want, (x, y)
+        assert wedge_windowed(x, y) == want, (x, y)
         product = wedge(x.form, y.form)
         inside = all(c.ceiling is None and -(n - m - 1) <= min(c.coeffs) and max(c.coeffs) < 1
                      for c in product.coeffs.values())
-        assert (cuts == []) == inside
         seen["stored" if inside else "cut"] += 1
     assert seen["stored"] > 100 and seen["cut"] > 100, seen
 
@@ -861,9 +851,11 @@ def test_r_b_one_pass_matches_the_cartier_steps():
 
 def test_one_term_r_b_walk_matches_the_cartier_steps():
     """Seeded property: on windows whose residue slot is one exact monomial,
-    ``r_b`` (one walk over the slot's exponents) equals one residue step
-    and ``b`` Cartier calls, values and refusals (type, message, exponent),
-    at levels 2 and 3 for b = 0..3.  The slot exponents are divisible by
+    ``r_b`` (``b`` roots of the slot) and the ``C^b`` walk
+    ``_monomial_root`` over the slot's exponents and raw scalar, which
+    :func:`duality_matrix` runs, each equal one residue step and ``b``
+    Cartier calls, values and refusals (type, message, exponent), at
+    levels 2 and 3 for b = 0..3.  The slot exponents are divisible by
     ``p^j`` for j = 0..3, so the steps drop the monomial at every step or
     root it through; the scalars include lift-ring scalars (Z/4), which
     refuse at the first step that reaches them, also when an exponent is
@@ -883,10 +875,15 @@ def test_one_term_r_b_walk_matches_the_cartier_steps():
             top[e] = random_slot(rng, level - 1, domain)
         form = LogForm(level, domain, level, {tuple(range(1, level + 1)): NestedSeries(level, domain, top)})
         x = WindowedForm(form, a - 1, -1)
-        assert logdiff._monomial(slot) is not None
+        assert _monomial(slot) == (exps, raw)
         for b in range(4):
             want = outcome(r_b_by_cartier_steps, x, b)
             assert outcome(r_b, x, b) == want, (x, b)
+            walk = outcome(logdiff._monomial_root, domain, exps, raw, b)
+            if isinstance(want, LogForm):
+                assert walk == want.coefficient(tuple(range(1, level))), (x, b)
+            elif want[0] != "WindowTooWide":  # the walk reads no window
+                assert walk == want, (x, b)
             steps = min((v for v in range(4) if any(e % p ** (v + 1) for e in exps)), default=3)
             if isinstance(want, tuple):
                 seen[want[0]] += 1

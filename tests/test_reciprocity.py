@@ -38,7 +38,6 @@ from rswan.errors import (
 from rswan.logdiff import (
     LogForm,
     WindowedForm,
-    _monomial,
     d,
     dlog,
     minimal_b,
@@ -51,6 +50,7 @@ from rswan.logdiff import (
 from rswan.parser import parse_series, render_series
 from rswan.reciprocity import (
     CharacterizationReport,
+    _monomial,
     _residue_of_symbol,
     _SymbolEntries,
     check_exp_congruences,
