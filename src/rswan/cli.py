@@ -301,8 +301,8 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             # no leading zero), so no two keys name one exponent
             _require(
                 isinstance(f_doc, dict) and f_doc
-                and all(e.isascii() and e.removeprefix("-").isdigit() and str(int(e)) == e
-                        and isinstance(v, str) for e, v in f_doc.items()),
+                and all(isinstance(e, str) and e.isascii() and e.removeprefix("-").isdigit()
+                        and str(int(e)) == e and isinstance(v, str) for e, v in f_doc.items()),
                 f"task #{idx} (thmC) needs a nonempty 'f' object of exponent -> literal, "
                 "each exponent an integer in canonical ASCII form such as '-3'",
             )

@@ -394,6 +394,8 @@ def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
             load_config(doc)
         assert main(["run", write_config(tmp_path, doc)]) == 2
         assert message in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="nonempty 'f'"):  # JSON keys are strings; a dict's need not be
+        load_config(config_doc(tasks=[{"task": "thmC", "f": {-3: "x"}}]))
     good = config_doc(tasks=[
         {"task": "thmC", "f": {"-3": "x"}, "exponents": [2, 4], "x0": 1},
         {"task": "duality", "n": 2, "m": 0, "b": 1},
