@@ -2,7 +2,9 @@
 reduction (``asw_reduce``) over the ``witt`` workload cells.
 
 The inputs are the same for every tree: for every ``(p, k, s, d)`` cell of
-the ``witt`` workload and the three-variable cell ``(2, 1, 2, 3)``,
+the ``witt`` workload, the three-variable cell ``(2, 1, 2, 3)`` and the
+cells ``(2, 3, 3, 1)`` and ``(3, 4, 2, 1)`` over ``F_8`` and ``F_81``, whose
+packed ghost sums fold through rows of ``g^j mod f`` past ``j = 2k - 2``,
 ``VECTORS`` fixed seeded exact characters with 0..4 monomials per component,
 top exponents in -4..2 and lower ones in -2..2, the shape the workload
 draws.  Sums and reduction combinations must be equal across trees
@@ -48,14 +50,15 @@ from collections import Counter
 
 from _trees import alternate, main, same
 
-# The cells of perfbench's ``witt`` workload, (p, k, s, d), and one
-# three-variable cell, where the flat maps take two inner digits.
+# The cells of perfbench's ``witt`` workload, (p, k, s, d), one
+# three-variable cell, where the flat maps take two inner digits, and two
+# one-variable cells at k > 2.
 CELLS = tuple(
     (p, k, s, d)
     for p in (2, 3, 5) for k in (1, 2) for s in (1, 2) for d in (1, 2)
     if (p, k, s, d) != (5, 2, 2, 2)
 ) + ((2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (3, 1, 3, 1), (2, 1, 4, 1), (2, 2, 4, 1),
-     (2, 1, 2, 3))
+     (2, 1, 2, 3), (2, 3, 3, 1), (3, 4, 2, 1))
 VECTORS = 40
 PASSES = 15
 BATCH_SECONDS = 0.05  # each timing covers a batch of passes of about this length

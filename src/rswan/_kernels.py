@@ -48,6 +48,50 @@ reference: single-pair products; products at levels >= 2 with fewer than
 ``series._FLAT_MIN_PAIRS`` term pairs (``bench/series_mul.py`` measures the
 gate, BENCH_11.json) or with an inner coefficient that has a window.
 
+Ghost sums
+----------
+The flat Witt engine (:mod:`rswan.witt`, "Arithmetic") sums ``c x^e`` over
+flat level-1 maps ``x`` with powers ``e`` of ``p``, reduces the sum mod
+``p q`` (mod ``p^s`` for the last ghost component, ``q = 1``) and divides it
+exactly by ``q = p^n``.  ``_packed_ghost_sum`` forms that sum as one Python
+int, with one slot per exponent of the sum's span.  At ``k > 1`` the int has
+``G = e_max (k - 1) + 1`` rows of such slots, one per power of ``g`` up to
+the g-degree of ``x^e_max``, so that no power needs a reduction mod ``f``.
+Each term's map is packed once from its least exponent, ``X ** e`` runs in
+C, each power is shifted to the sum's least exponent, and the terms ``c X^e``
+are summed as ints.  The multipliers are taken mod ``p q`` and the raw ints
+are non-negative, so a slot of the sum is at most ``sum c (sum of x's raw
+ints)^e``, the sum's value at ``T = g = 1``.  At ``k > 1`` the rows of
+``g^d``, ``d >= k``, are then cut out and added, as ints, times the entries
+of cached rows of ``g^d mod f`` into the first ``k`` rows, which multiplies
+that bound by at most ``1 + (G - k)(p^s - 1)``.  Slots of that many bytes
+(rounded up to 1, 2, 4 or 8) never carry.  Each of the ``k`` rows is read
+back once (a ``memoryview`` cast at 1, 2, 4 or 8 bytes), reduced and
+divided; a remainder is reported to the caller, which raises its internal
+error.
+
+``_ghost_sum_packs`` decides once per combination, and once per last ghost
+component, from the inputs alone.  It packs level-1 maps when
+
+* the span of their exponents together with 0 is below four times their
+  terms.  Every monomial the recursion forms at ghost index ``n`` lies in
+  ``p^n`` times that span (the weight argument of :mod:`rswan.witt`, "No
+  digit carries"), so the packed width follows the terms;
+* the last ghost power ``P = p^(s-1)`` has ``P (P (k - 1) + 1)`` in
+  ``_GHOST_PACK_WIDTHS``: a slot grows as ``P`` and the rows of g-powers
+  as ``P (k - 1) + 1``.  Past 72 the dict loop, which reduces at every
+  product, wins: at ``(p, k, s) = (5, 1, 4)``, ``(5, 2, 3)`` and
+  ``(3, 2, 4)`` the packed recursion took 6 to 14 times as long.  Below 3,
+  at ``F_2`` and ``s = 2``, each power is one squaring of a few terms, and
+  packing cost 5 to 25% more (``bench/witt_combine.py``).
+
+Nearly every combination of the ``witt`` workload at ``d = 1`` passes.  At
+``d >= 2`` the digit weights spread the flat exponents, about one
+combination in ten would pass, and measuring the span costs those cells
+more than packing saves, so their sums stay on the dict loop.  So does a
+sum whose live powers are all 1.  The dict loop (``witt._flat_ghost_sum``)
+stays as the reference.
+
 Division
 --------
 Write ``f = c T^v (1 + sum_i b_i T^i)``.  A quotient ``a / f`` on a window
@@ -76,6 +120,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from functools import lru_cache
 
 # Below this many term pairs the int loop is as fast as packing or faster;
 # measured with bench/series_mul.py (BENCH_11.json: the median over the
@@ -83,6 +128,11 @@ from array import array
 _KRONECKER_MIN_PAIRS = 64
 # Slot sizes in bytes -> array typecode of that item size.
 _SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_LITTLE = sys.byteorder == "little"
+# The last ghost powers P that a packed ghost sum takes, counted as
+# P * (P (k - 1) + 1): its slots grow as P bits and its rows of g-powers as
+# P (k - 1) + 1 (module docstring, "Ghost sums").
+_GHOST_PACK_WIDTHS = range(3, 73)
 
 
 def _schoolbook_mul(a: dict, b: dict, ceiling: int | None, mul, add) -> dict:
@@ -335,6 +385,112 @@ def _kronecker_mul(domain, a: dict, b: dict, ceiling: int | None) -> dict:
                 acc[i] = [x + r * y for x, y in zip(acc[i], cols[d])]
     reduced = zip(*[[x % m for x in col] for col in acc])
     return {e0 + j: coeff for j, coeff in enumerate(reduced) if any(coeff)}
+
+
+def _ghost_sum_packs(level: int, maps, power: int, k: int) -> bool:
+    """Whether the ghost sums of a combination run through
+    :func:`_packed_ghost_sum` (module docstring, "Ghost sums"), from the
+    level of its series, its input flat raw ``maps``, its last ghost power
+    ``power`` and the degree ``k`` of ``(Z/p^s)[g]/(f)``."""
+    if level > 1 or power * (power * (k - 1) + 1) not in _GHOST_PACK_WIDTHS:
+        return False
+    exponents = [e for x in maps for e in x]
+    return not exponents or max(max(exponents), 0) - min(min(exponents), 0) < 4 * len(exponents)
+
+
+@lru_cache(maxsize=None)
+def _g_power_rows(domain, count: int) -> tuple:
+    """The raw tuples of ``g^k, ..., g^(k + count - 1)`` mod ``f`` over the
+    domain's ``Z/p^s`` (``k > 1``)."""
+    rows = list(domain._red_rows)
+    base, m = rows[0], domain.modulus
+    while len(rows) < count:
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple([((prev[i - 1] if i else 0) + top * b) % m for i, b in enumerate(base)]))
+    return tuple(rows[:count])
+
+
+def _read_slots(v: int, count: int, size: int):
+    """The ``count`` slots of ``size`` bytes of ``v``, lowest first."""
+    raw = v.to_bytes(count * size, "little")
+    if size <= 8 and _LITTLE:
+        return memoryview(raw).cast(_SLOT_CODES[size])
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _packed_ghost_sum(domain, terms, q: int, mod: int) -> dict | None:
+    """``sum c * x^e`` over ``(c, x, e)`` terms of level-1 raw maps over
+    ``(Z/p^s)[g]/(f)``, reduced mod ``mod`` (a multiple of ``q`` that divides
+    ``p^s``) and divided exactly by ``q``, through one packed int (module
+    docstring, "Ghost sums"); None when ``q`` leaves a remainder.  A term
+    with ``c`` zero mod ``mod`` or ``x`` empty is skipped."""
+    k = domain.k
+    live = []
+    bound = 0  # no slot of the sum exceeds sum c * (sum of x's raw ints)^e
+    top = 1
+    low = high = None
+    for c, x, e in terms:
+        c %= mod
+        if c and x:
+            lo = min(x)
+            live.append((c, x, e, lo))
+            lo, hi = e * lo, e * max(x)
+            bound += c * (sum(x.values()) if k == 1 else sum(map(sum, x.values()))) ** e
+            if e > top:
+                top = e
+            if low is None:
+                low, high = lo, hi
+            elif lo < low:
+                low = lo
+            if hi > high:
+                high = hi
+    if not live:
+        return {}
+    span = high - low + 1
+    sub = top * (k - 1) + 1  # powers of g: the g-degree of x^top, plus 1
+    if k > 1:  # the fold adds each g^d, d >= k, times entries below p^s
+        bound *= 1 + (sub - k) * (domain.modulus - 1)
+    need = (bound.bit_length() + 7) >> 3
+    size = need if need > 8 else 8 if need > 4 else 4 if need > 2 else need
+    bits = 8 * size
+    row = bits * span  # bits per power of g: one slot per exponent
+    total = 0
+    for c, x, e, lo in live:
+        packed = 0
+        if k == 1:
+            for ex, v in x.items():
+                packed |= v << ((ex - lo) * bits)
+        else:
+            for ex, coeff in x.items():
+                at = (ex - lo) * bits
+                for v in coeff:
+                    packed |= v << at
+                    at += row
+        total += (c * packed ** e) << ((e * lo - low) * bits)
+    if k == 1:
+        out = {low + i: r for i, v in enumerate(_read_slots(total, span, size)) if v and (r := v % mod)}
+        if q == 1:
+            return out
+        for r in out.values():
+            if r % q:
+                return None
+        return {ex: r // q for ex, r in out.items()}
+    # Fold the g^d rows, d >= k, into the first k through g^d mod f, as ints.
+    mask = (1 << row) - 1
+    rows = [(total >> (d * row)) & mask for d in range(sub)]
+    acc = rows[:k]
+    for d, reduction in enumerate(_g_power_rows(domain, sub - k), k):
+        for i, r in enumerate(reduction):
+            if r:
+                acc[i] += r * rows[d]
+    out = {}
+    for j, coeff in enumerate(zip(*[[a % mod for a in _read_slots(v, span, size)] for v in acc])):
+        if any(coeff):
+            if any(a % q for a in coeff):
+                return None
+            out[low + j] = tuple([a // q for a in coeff])
+    return out
 
 
 def _divide_by_recurrence(domain, factors: list, width: int, low: int,

@@ -134,6 +134,18 @@ def _is_int(value) -> bool:
     return type(value) is int  # bools are ints to isinstance
 
 
+# The task kinds that compare an 'expect' field with their answer: the check
+# the field must pass, and how a refusal names what it must be.
+_EXPECTATIONS = {
+    "swan": (_is_int, "an integer"),
+    "rsw": (lambda value: isinstance(value, str), "a form literal"),
+    "conductor-change": (
+        lambda value: isinstance(value, str) and value in ("PASS", "FAIL", "NOT_APPLICABLE"),
+        "one of 'PASS', 'FAIL', 'NOT_APPLICABLE'",
+    ),
+}
+
+
 def _positive_ints(value) -> bool:
     return isinstance(value, list) and bool(value) and all(_is_int(v) and v > 0 for v in value)
 
@@ -235,6 +247,18 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         if kind in ("swan", "rsw", "reciprocity", "conductor-change"):
             label = task.get("character")
             _require_reference(f"task #{idx} ({kind})", "character", label, characters)
+        if kind in _EXPECTATIONS and "expect" in task:
+            check, what = _EXPECTATIONS[kind]
+            _require(check(task["expect"]), f"task #{idx} ({kind}) needs 'expect' to be {what}")
+        if kind == "conductor-change" and "expect_sw" in task:
+            _require(
+                _is_int(task["expect_sw"]),
+                f"task #{idx} (conductor-change) needs 'expect_sw' to be an integer",
+            )
+            _require(
+                "expect" in task,
+                f"task #{idx} (conductor-change) has 'expect_sw' but no 'expect' to check it with",
+            )
         if kind == "reciprocity":
             d = characters[label].tower.d
             _require(

@@ -26,7 +26,10 @@ written once (``_ghost_recursion``): each ghost index ``n`` sums the terms
 exactly by ``p^n``; a remainder is an internal error.  The results are
 reduced mod p.  Length ``s`` is enough: ``z_n mod p`` needs ``W_n mod
 p^(n+1)``, and ``a = b (mod p^k)`` implies ``a^p = b^p (mod p^(k+1))``, so
-``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on ``z_i mod p``.
+``p^i z_i^(p^(n-i)) mod p^(n+1)`` depends only on ``z_i mod p``.  The flat
+engine therefore reduces each ``z_n`` mod p as it divides: its sum at index
+``n`` is reduced mod ``p^(n+1)`` and stays divisible by ``p^n``, as it
+differs from the exact one by a multiple of ``p^(n+1)``.
 Length-1 vectors are one linear combination of their components.  Over
 ``F_p(x)`` every combination raises ``TowerMismatch`` (:mod:`rswan.ratfunc`).
 
@@ -62,11 +65,18 @@ The recursion runs on one of two representations of its series.
   ``W_1 = 1``, ``W_{l+1} = W_l (2 B_l + 1)`` and ``B_l = max_{j,i}
   p^(s-1-i) max |e_l(x_{j,i})|`` over the kept inputs (standard index
   ``i``).  The map sends monomials to monomials multiplicatively, so it is
-  a ring homomorphism and the recursion runs on its image: powers by
-  square-and-multiply over :func:`rswan._kernels._level_one_mul`, each ghost
-  index one sum in plain ints, reduced once.  The ``s`` results are
-  reduced mod p, decoded (add ``sum_l B_l W_l``, then read the digits) and
-  each result series is built once.  At ``d = 1`` the map is the identity.
+  a ring homomorphism and the recursion runs on its image.  Each ghost
+  index is one sum (``_flat_ghost_sum``), reduced mod ``p^(n+1)`` and
+  divided by ``p^n``, so every ``z_n`` has coefficients below ``p``.  When
+  the combination's inputs pass :func:`rswan._kernels._ghost_sum_packs`,
+  decided once per combination (dense level-1 inputs and a last ghost power
+  the packing takes), a sum with a power above 1 is one packed int,
+  :func:`rswan._kernels._packed_ghost_sum`; every other sum is a dict loop,
+  with powers by square-and-multiply over
+  :func:`rswan._kernels._level_one_mul` and the sum in plain ints, reduced
+  once.  The ``s`` results are decoded (add ``sum_l B_l W_l``, then read
+  the digits) and each result series is built once.  At ``d = 1`` the map
+  is the identity.
 * **Series** otherwise (a window at any level): each ghost index is one
   :func:`rswan.series.linear_combination`, which sums every exponent in
   plain ints and reduces once; a term whose multiplier ``c_j p^i``
@@ -431,15 +441,25 @@ def _raw_pow(domain, x: dict, n: int) -> dict:
     return power(x, n, lambda a, b: _kernels._level_one_mul(domain, a, b, None))
 
 
-def _flat_ghost_sum(lift, terms, q: int) -> dict:
+def _flat_ghost_sum(lift, terms, q: int, mod: int, packed: bool) -> dict:
     """``sum c * x^e`` over ``(c, x, e)`` terms of flat raw maps, reduced
-    mod ``p^s`` and divided exactly by ``q``; a term with ``c`` zero mod
-    ``p^s`` or ``x`` exactly zero is skipped (``x^1`` is ``x`` itself)."""
-    m, k = lift.modulus, lift.k
+    mod ``mod`` (a multiple of ``q`` that divides ``p^s``) and divided
+    exactly by ``q``; a term with ``c`` zero mod ``mod`` or ``x`` exactly
+    zero is skipped (``x^1`` is ``x`` itself).  With ``packed`` (decided
+    once per combination by :func:`rswan._kernels._ghost_sum_packs`) a sum
+    with a power above 1 is one packed int
+    (:func:`rswan._kernels._packed_ghost_sum`); every other sum is the dict
+    loop below."""
+    if packed and any(e > 1 and x and c % mod for c, x, e in terms):
+        out = _kernels._packed_ghost_sum(lift, terms, q, mod)
+        if out is None:
+            raise _not_divisible(q)
+        return out
+    k = lift.k
 
     def powers():
         for c, x, e in terms:
-            c %= m
+            c %= mod
             if c and x:
                 yield c, x if e == 1 else _raw_pow(lift, x, e)
 
@@ -450,7 +470,7 @@ def _flat_ghost_sum(lift, terms, q: int) -> dict:
             for ex, v in power.items():
                 acc[ex] = acc[ex] + c * v if ex in acc else c * v
         for ex, v in acc.items():
-            v %= m
+            v %= mod
             if v:
                 if v % q:
                     raise _not_divisible(q)
@@ -463,7 +483,7 @@ def _flat_ghost_sum(lift, terms, q: int) -> dict:
             else:
                 acc[ex] = [c * b for b in v]
     for ex, v in acc.items():
-        v = [a % m for a in v]
+        v = [a % mod for a in v]
         if any(v):
             if any(a % q for a in v):
                 raise _not_divisible(q)
@@ -489,21 +509,21 @@ def _flat_series(level: int, domain, flat_map: dict, weights, lows) -> NestedSer
 
 def _flat_combine(flat, s: int, p: int, level: int, lift, field):
     """:func:`witt_combine` of exact components, the ghost recursion run on
-    the flat raw maps of :func:`_flat_components`; each result series is
-    built once."""
+    the flat raw maps of :func:`_flat_components` with each ``z_n`` reduced
+    mod p as it is divided; each result series is built once."""
     vectors, weights, lows = flat
+    maps = (x for _, xs in vectors for x in xs)
+    packed = _kernels._ghost_sum_packs(level, maps, p ** (s - 1), lift.k)
     z = _ghost_recursion(
-        vectors, s, p, lambda terms, q: _flat_ghost_sum(lift, terms, q), merge=True
+        vectors, s, p, lambda terms, q: _flat_ghost_sum(lift, terms, q, p * q, packed),
+        merge=True,
     )
-    results = []
     half = _digit_offset(level, weights, lows)
-    for zi in reversed(z):
-        if lift.k == 1:
-            reduced = {ex + half: r for ex, v in zi.items() if (r := v % p)}
-        else:
-            reduced = {ex + half: r for ex, v in zi.items() if any(r := tuple([a % p for a in v]))}
-        results.append(_flat_series(level, field, reduced, weights, lows))
-    return tuple(results)
+    return tuple(
+        _flat_series(level, field, {ex + half: v for ex, v in zi.items()} if half else zi,
+                     weights, lows)
+        for zi in reversed(z)
+    )
 
 
 def _last_ghost_component(xs, p: int, lift) -> NestedSeries:
@@ -524,7 +544,8 @@ def _last_ghost_component(xs, p: int, lift) -> NestedSeries:
         lifted = [lift_series(x, lift) for x in xs]
         return ghost_component(lifted, s - 1, p, NestedSeries.zero(level, lift))
     [(_, flats)], weights, lows = flat
-    theta = _flat_ghost_sum(lift, _ghost_terms(flats, s - 1, p, 1), 1)
+    theta = _flat_ghost_sum(lift, _ghost_terms(flats, s - 1, p, 1), 1, lift.modulus,
+                            _kernels._ghost_sum_packs(level, flats, p ** (s - 1), lift.k))
     half = _digit_offset(level, weights, lows)
     if half:
         theta = {ex + half: v for ex, v in theta.items()}

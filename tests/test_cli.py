@@ -370,6 +370,12 @@ def test_out_of_range_literal_exponents_exit_two(tmp_path, capsys):
 
 
 def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
+    fields = {
+        "towers": {"L": {"p": 2, "k": 1, "s": 1, "variables": ["u"]}},
+        "characters": {"X": ["t^-3"]},
+        "extensions": {"phi": {"target": "L", "images": {"t": "u^2 + u^3"}}},
+    }
+    change = {"task": "conductor-change", "character": "X", "extension": "phi"}
     bad_tasks = [
         ({"task": "thmC", "f": {"-20000": "x"}}, "below the supported range"),
         ({"task": "thmC", "f": {"-3": "x/0"}}, "zero denominator"),
@@ -387,20 +393,31 @@ def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
         ({"task": "duality", "n": 2, "m": 0, "b": "x"}, "non-negative integer 'b'"),
         ({"task": "duality", "n": 2, "m": 0, "b": True}, "non-negative integer 'b'"),
         ({"task": "duality", "n": True, "m": False}, "integer window bounds"),
+        # an expectation that could never be compared with the answer
+        ({"task": "swan", "character": "X", "expect": True}, "'expect' to be an integer"),
+        ({"task": "swan", "character": "X", "expect": 1.0}, "'expect' to be an integer"),
+        ({"task": "swan", "character": "X", "expect": "3"}, "'expect' to be an integer"),
+        ({"task": "rsw", "character": "X", "expect": 3}, "'expect' to be a form literal"),
+        ({**change, "expect": "pass"}, "'expect' to be one of 'PASS', 'FAIL', 'NOT_APPLICABLE'"),
+        ({**change, "expect": ["PASS"]}, "'expect' to be one of 'PASS', 'FAIL', 'NOT_APPLICABLE'"),
+        ({**change, "expect_sw": 99}, "has 'expect_sw' but no 'expect'"),
+        ({**change, "expect": "PASS", "expect_sw": "x"}, "'expect_sw' to be an integer"),
+        ({**change, "expect": "PASS", "expect_sw": True}, "'expect_sw' to be an integer"),
     ]
     for task, message in bad_tasks:
-        doc = config_doc(tasks=[task])
+        doc = config_doc(**fields, tasks=[task])
         with pytest.raises(ConfigError, match=message):
             load_config(doc)
         assert main(["run", write_config(tmp_path, doc)]) == 2
         assert message in capsys.readouterr().err
     with pytest.raises(ConfigError, match="nonempty 'f'"):  # JSON keys are strings; a dict's need not be
         load_config(config_doc(tasks=[{"task": "thmC", "f": {-3: "x"}}]))
-    good = config_doc(tasks=[
+    good = config_doc(**fields, tasks=[
         {"task": "thmC", "f": {"-3": "x"}, "exponents": [2, 4], "x0": 1},
         {"task": "duality", "n": 2, "m": 0, "b": 1},
+        {"task": "swan", "character": "X", "expect": 3},
     ])
-    assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS", "PASS"]
+    assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS"] * 3
 
 
 def assert_config_error(tmp_path, capsys, doc, message):

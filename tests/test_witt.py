@@ -21,7 +21,7 @@ from math import comb
 
 import pytest
 
-from rswan import witt
+from rswan import _kernels, witt
 import rswan.series
 from rswan.errors import (
     ExponentOutOfRange,
@@ -492,22 +492,23 @@ def test_the_flat_engine_refuses_what_the_series_path_refuses(monkeypatch):
 
 
 def test_the_flat_engine_checks_each_division(monkeypatch):
-    """A ghost power off by one at one exponent leaves a ghost sum that
-    ``p`` does not divide: an internal error, not a wrong answer."""
-    raw_pow = witt._raw_pow
+    """A dense ghost sum off by one at the lowest exponent of a ghost power
+    is a sum that ``p`` does not divide: the packed kernel reports it, and
+    the sum raises an internal error, not a wrong answer."""
+    packed_ghost_sum = _kernels._packed_ghost_sum
     perturbed = []
 
-    def off_by_one(domain, x, n):
-        out = raw_pow(domain, x, n)
-        if n > 1 and not perturbed:
-            e = min(out)
-            perturbed.append(e)
-            out = {**out, e: domain.add(out[e], domain.one())}
-        return out
+    def off_by_one(domain, terms, q, mod):
+        powered = [(x, e) for _, x, e in terms if e > 1 and x]
+        if powered and not perturbed:
+            x, e = powered[0]
+            perturbed.append(e * min(x))
+            terms = terms + [(1, {e * min(x): domain.one()}, 1)]
+        return packed_ghost_sum(domain, terms, q, mod)
 
-    monkeypatch.setattr(witt, "_raw_pow", off_by_one)
+    monkeypatch.setattr(_kernels, "_packed_ghost_sum", off_by_one)
     with pytest.raises(RswanError, match="not divisible"):
-        vec(K2s2, "t^-1", "t^-3") + vec(K2s2, "t^-2", "t^-1")
+        vec(K3s2, "t^-1", "t^-3") + vec(K3s2, "t^-2", "t^-1")
     assert perturbed
 
 
@@ -1199,33 +1200,38 @@ def one_input_sum(tower, rng, terms=3):
 
 def test_a_one_input_slot_cancels_against_z_before_any_power(monkeypatch):
     """When one input alone fills standard slot 0, ``+x_0^(p^n)`` and
-    ``-z_0^(p^n)`` merge to nothing: on the flat engine four powers fewer at
-    ``s = 3`` (``x_0^p``, ``z_0^p``, ``x_0^(p^2)``, ``z_0^(p^2)``); the
-    series path (a window in another slot) merges nothing and forms the
-    unmerged recursion's powers.  The sums equal the unmerged recursion's."""
-    raw_pows, series_pows = [], []
-    raw_pow, series_pow = witt._raw_pow, NestedSeries.pow
+    ``-z_0^(p^n)`` merge to nothing: on the flat engine four fewer terms
+    with a power above 1 reach the ghost sums at ``s = 3`` (``x_0^p``,
+    ``z_0^p``, ``x_0^(p^2)``, ``z_0^(p^2)``), on the packed kernel (dense
+    ``d = 1`` maps) and on the dict loop alike; the series path (a window
+    in another slot) merges nothing and forms the unmerged recursion's
+    powers.  The sums equal the unmerged recursion's."""
+    raw_pows, series_pows, gates = [], [], set()
+    flat_ghost_sum, series_pow = witt._flat_ghost_sum, NestedSeries.pow
 
-    def counting_raw_pow(domain, x, n):
-        raw_pows.append(n)
-        return raw_pow(domain, x, n)
+    def counting_flat_ghost_sum(lift, terms, q, mod, packed):
+        raw_pows.extend(e for c, x, e in terms if e > 1 and x and c % mod)
+        gates.add(packed)
+        return flat_ghost_sum(lift, terms, q, mod, packed)
 
     def counting_series_pow(self, n, precision=None):
         series_pows.append((self.ceiling, n))
         return series_pow(self, n, precision)
 
-    monkeypatch.setattr(witt, "_raw_pow", counting_raw_pow)
+    monkeypatch.setattr(witt, "_flat_ghost_sum", counting_flat_ghost_sum)
     monkeypatch.setattr(NestedSeries, "pow", counting_series_pow)
     rng = random.Random("one input")
     for p, k, d in ((2, 1, 1), (3, 2, 2), (5, 1, 2)):
         tower = FieldTower(p, k, 3, ("u", "t")[2 - d:])
         comps_list = one_input_sum(tower, rng)
         raw_pows.clear()
+        gates.clear()
         want = unmerged_combine(comps_list, [1, 1], p)
         unmerged = len(raw_pows)
         raw_pows.clear()
         assert witt_combine(comps_list, [1, 1], p) == want
         assert len(raw_pows) == unmerged - 4
+        assert gates == {d == 1}  # packed at d = 1, the dict loop at d = 2
         # a window in b's last standard slot sends the sum to the series path
         a, b = comps_list
         windowed = [a, (b[0].truncate(6),) + b[1:]]
