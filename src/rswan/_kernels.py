@@ -83,7 +83,7 @@ component, from the inputs alone.  It packs level-1 maps when
   product, wins: at ``(p, k, s) = (5, 1, 4)``, ``(5, 2, 3)`` and
   ``(3, 2, 4)`` the packed recursion took 6 to 14 times as long.  Below 3,
   at ``F_2`` and ``s = 2``, each power is one squaring of a few terms, and
-  packing cost 5 to 25% more (``bench/witt_combine.py``).
+  packing cost 5 to 27% more (``bench/witt_combine.py``).
 
 Nearly every combination of the ``witt`` workload at ``d = 1`` passes.  At
 ``d >= 2`` the digit weights spread the flat exponents, about one
@@ -128,6 +128,8 @@ from functools import lru_cache
 _KRONECKER_MIN_PAIRS = 64
 # Slot sizes in bytes -> array typecode of that item size.
 _SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+# Ghost sums place slots by significance, so they cast raw bytes to slots
+# only where the native order is little-endian.
 _LITTLE = sys.byteorder == "little"
 # The last ghost powers P that a packed ghost sum takes, counted as
 # P * (P (k - 1) + 1): its slots grow as P bits and its rows of g-powers as

@@ -119,18 +119,22 @@ def test_addition_commutes_and_subtraction_undoes_it(case):
 @st.composite
 def raw_map(draw, lift, dense):
     """0..6 raw terms over the lift ring: exponents in a band of 8 when
-    ``dense``, else spread over -150..150."""
+    ``dense``, else spread over -150..150; some maps have every raw int at
+    ``p^s - 1``, which fills the packed slots most."""
     k, m = lift.k, lift.modulus
     low = draw(st.integers(-12, 4))
     exps = st.integers(low, low + 7) if dense else st.integers(-150, 150)
-    coeff = st.integers(1, m - 1) if k == 1 else st.tuples(*[st.integers(0, m - 1)] * k).filter(any)
+    if draw(st.booleans()):
+        coeff = st.just(m - 1 if k == 1 else (m - 1,) * k)
+    else:
+        coeff = st.integers(1, m - 1) if k == 1 else st.tuples(*[st.integers(0, m - 1)] * k).filter(any)
     return draw(st.dictionaries(exps, coeff, max_size=6))
 
 
 @st.composite
 def ghost_sum(draw):
     """A lift ring, 1..5 ``(c, x, e)`` terms with ``e = 1`` or a power of p
-    that the packing takes, and ``(q, mod)`` as the recursion's ghost index
+    no wider than the packing takes, and ``(q, mod)`` as the recursion's ghost index
     ``n`` passes them, ``(p^n, p^(n+1))``, or as the last ghost component
     does, ``(1, p^s)``; every multiplier is ``q`` times a drawn one
     (negative, or zero mod ``mod`` too), so that ``q`` divides the sum."""
