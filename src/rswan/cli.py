@@ -45,16 +45,18 @@ __all__ = [
 
 REPORT_VERSION = 1
 
-TASK_NAMES = (
-    "swan",
-    "rsw",
-    "duality",
-    "reciprocity",
-    "conductor-change",
-    "thmB",
-    "thmC",
-    "exp-congruences",
-)
+# The fields each task kind reads beside 'task'; any other field is refused.
+_FIELDS = {
+    "swan": {"character", "expect"},
+    "rsw": {"character", "expect"},
+    "duality": {"tower", "n", "m", "b"},
+    "reciprocity": {"character", "samples"},
+    "conductor-change": {"character", "extension", "expect", "expect_sw"},
+    "thmB": {"t_values", "expect_ratios"},
+    "thmC": {"f", "x0", "exponents", "expect_ratios"},
+    "exp-congruences": {"p"},
+}
+TASK_NAMES = tuple(_FIELDS)
 
 CONVENTIONS = {
     "witt_order": (
@@ -244,6 +246,8 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
             kind in TASK_NAMES,
             f"task #{idx} has unknown kind {kind!r}; expected one of {list(TASK_NAMES)}",
         )
+        extra = set(task) - _FIELDS[kind] - {"task"}
+        _require(not extra, f"task #{idx} ({kind}) has unknown fields {sorted(extra)}")
         if kind in ("swan", "rsw", "reciprocity", "conductor-change"):
             label = task.get("character")
             _require_reference(f"task #{idx} ({kind})", "character", label, characters)

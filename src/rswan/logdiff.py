@@ -37,7 +37,10 @@ twin of ``LogForm`` (the same ``__slots__``, plain stores) and then
 assigns it the public class, so every form it returns is a ``LogForm``
 whose ``__setattr__`` and ``__delattr__`` raise (``scalars._Frozen``); the
 validating ``__init__``s of ``LogForm`` and :class:`WindowedForm` store
-through ``object.__setattr__``.
+through ``object.__setattr__``.  ``_windowed_form`` wraps, with no
+truncation pass, a form whose terms are exact and inside its window
+``(n, m)``, ``n > m``: that of the flat path of
+:func:`rswan.rsw.rsw_form_at`.
 
 Gram matrices
 -------------
@@ -459,6 +462,15 @@ class WindowedForm(_Frozen):
 
     def __repr__(self):
         return f"<windowed ({self.n},{self.m}) {self.form!r}>"
+
+
+def _windowed_form(form: LogForm, n: int, m: int) -> WindowedForm:
+    """Trusted constructor (module docstring, "Construction")."""
+    out = object.__new__(WindowedForm)
+    _set(out, "form", form)
+    _set(out, "n", n)
+    _set(out, "m", m)
+    return out
 
 
 def wedge_windowed(x: WindowedForm, y: WindowedForm) -> WindowedForm:

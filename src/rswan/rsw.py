@@ -11,16 +11,35 @@ reduced representative (this is checked by tests, not assumed), recovers
 ``n`` as minus the top order of the representative, and splits as
 ``pi^(-n) (sum_lambda a_lambda db_lambda + c dlog pi)`` for the
 conductor-change experiments.
+
+The flat path
+-------------
+An exact vector runs on the raw maps of :func:`rswan.witt._flat_components`
+(:mod:`rswan.witt`, "Arithmetic"), each component cut as on the series path.
+Their digit bounds ``B_l`` hold every product formed here, as each is a
+product of ``p^i`` monomials of ``a_i`` ("No digit carries"), so a top
+exponent is below ``-m`` exactly when the flat one is below ``-m W_d -
+sum_{l<d} B_l W_l``.  Per dlog key ``lambda``, ``D_lambda`` (each
+coefficient times minus its level-``lambda`` digit, mod ``p``) times ``P =
+a_i^(p^i-1)`` (``D_lambda`` alone at ``i = 0``) is cut there, summed in
+plain ints and reduced once; each key's series is built once, in the key
+order ``1 .. d`` of the series path.  A window, the ``ExponentOutOfRange``
+of ``_flat_components`` or a term below ``-n`` hands the call to the series
+path, which raises every refusal; an exact vector meets no
+``PrecisionExhausted`` there, as each product has the ceiling ``-m``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentValue, UnramifiedCharacter
-from .logdiff import LogForm, WindowedForm, d
-from .series import NestedSeries
-from .witt import Character, WittVector, swan_conductor
+from . import _kernels
+from .errors import ExponentOutOfRange, InconsistentValue, UnramifiedCharacter
+from .logdiff import LogForm, WindowedForm, _form, _windowed_form, d
+from .scalars import power
+from .series import NestedSeries, _make
+from .witt import (Character, WittVector, _digit_offset, _flat_components, _flat_series,
+                   swan_conductor)
 
 __all__ = [
     "RswValue",
@@ -59,15 +78,19 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
     Only the window is computed: every term of ``a_i^(p^i-1) d(a_i)`` that
     uses a term of ``a_i`` at ``e >= -m - (p^i - 1) v`` (``v`` the lowest
     stored exponent of ``a_i``) has order ``>= -m``, so ``a_i`` is cut there
-    before the power, and a component cut to nothing is left out.  The
-    sum is of ``d(-a_0)`` and ``d(a_i) * (-a_i^(p^i-1))``: nothing is
-    multiplied by the constant 1 and no pass negates the total.
+    before the power, and a component cut to nothing is left out.  An
+    exact vector takes the flat path (module docstring); on the series
+    path the sum is of ``d(-a_0)`` and ``d(a_i) * (-a_i^(p^i-1))``: nothing
+    is multiplied by the constant 1 and no pass negates the total.
     """
     tower = vec.tower
     p = tower.p
     if n < 1:
         raise UnramifiedCharacter("the invariant lives at conductor >= 1")
     m = n // p
+    flat = _flat_form_at(vec, n, m)
+    if flat is not None:
+        return flat
     total = LogForm.zero(tower.d, tower.field_domain, 1)
     for i, a_i in enumerate(vec.comps):
         if a_i.is_zero():
@@ -79,6 +102,95 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
         a_i = a_i.truncate(cut)
         total = total + (d(-a_i) if i == 0 else d(a_i).scale(-a_i.pow(p**i - 1)))
     return WindowedForm(total, n, m)
+
+
+def _flat_form_at(vec: WittVector, n: int, m: int) -> WindowedForm | None:
+    """:func:`rsw_form_at` of an exact vector on flat raw maps (module
+    docstring, "The flat path"); None hands the call to the series path."""
+    comps = vec.comps
+    level = comps[0].level
+    for a_i in comps:  # a window at any level keeps the series path
+        if a_i.ceiling is not None or level > 1 and not a_i.is_exact():
+            return None
+    tower = vec.tower
+    p, field = tower.p, tower.field_domain
+    xs, survivors = [], []
+    for i, a_i in enumerate(comps):  # cut as on the series path; one cut to nothing is zero
+        v = min(a_i.coeffs, default=0)
+        cut = -m - (p**i - 1) * v
+        if a_i.coeffs and cut > v:
+            survivors.append(i)
+            if max(a_i.coeffs) >= cut:
+                a_i = _make(level, field, {e: c for e, c in a_i.coeffs.items() if e < cut},
+                            None, clean=True)
+        elif a_i.coeffs:
+            a_i = _make(level, field, {}, None)
+        xs.append(a_i)
+    try:  # exact components: no None
+        [(_, flats)], weights, lows = _flat_components([(1, xs[::-1])], len(xs), p, level)
+    except ExponentOutOfRange:
+        return None
+    flats.reverse()  # internal order again
+    top = weights[level] if weights else 1
+    half = _digit_offset(level, weights)
+    ceiling = -m * top - half  # a flat exponent below it has top exponent < -m
+    k = field.k
+    sums = [{} for _ in range(level)]  # per dlog key, in plain ints
+    for i in survivors:
+        x = flats[i]
+        cofactor = _cut_pow(field, x, p**i - 1, ceiling) if i else None  # P
+        for lam, acc in enumerate(sums, 1):
+            terms = _negated_derivative(x, lam, weights, half, p, k)
+            if terms and cofactor is not None:
+                terms = _kernels._level_one_mul(field, terms, cofactor, ceiling)
+            if not acc:
+                acc.update(terms)
+            elif k == 1:
+                for e, c in terms.items():
+                    acc[e] = acc[e] + c if e in acc else c
+            else:
+                for e, c in terms.items():
+                    acc[e] = [a + b for a, b in zip(acc[e], c)] if e in acc else c
+    coeffs = {}
+    for lam, acc in enumerate(sums, 1):  # reduced once, read with plain digits
+        if k == 1:
+            out = {e + half: r for e, c in acc.items() if (r := c % p)}
+        else:
+            out = {e + half: r for e, c in acc.items() if any(r := tuple([a % p for a in c]))}
+        if out:
+            if min(out) < -n * top:  # a term below the window floor
+                return None  # the series path raises the refusal
+            coeffs[(lam,)] = _flat_series(level, field, out, weights, lows)
+    return _windowed_form(_form(level, field, 1, coeffs), n, m)
+
+
+def _cut_pow(field, x: dict, q: int, ceiling: int) -> dict:
+    """``x^q`` by :func:`rswan.scalars.power` over
+    :func:`rswan._kernels._level_one_mul`, each partial power ``x^j`` cut
+    where the rest of a product with ``x``'s terms, at least ``(q - j + 1)
+    min(x)``, would take every term to the flat ``ceiling`` or above."""
+    low = min(x)
+
+    def mul(a, b):
+        j = a[1] + b[1]
+        return _kernels._level_one_mul(field, a[0], b[0], ceiling - (q - j + 1) * low), j
+
+    return power((x, 1), q, mul)[0]
+
+
+def _negated_derivative(x: dict, lam: int, weights, half: int, p: int, k: int) -> dict:
+    """The flat map of ``-T_lam d/dT_lam x``: each coefficient of ``x``
+    times minus its level-``lam`` digit, mod ``p``."""
+    place = weights[lam] if weights else 1
+    radix = weights[lam + 1] // place if weights and lam + 1 < len(weights) else 0
+    out = {}
+    for e, c in x.items():
+        digit = (e + half) // place
+        if radix:  # a balanced lower digit
+            digit = digit % radix - radix // 2
+        if r := -digit % p:
+            out[e] = c * r % p if k == 1 else tuple([a * r % p for a in c])
+    return out
 
 
 def rsw_char_p(char: Character) -> RswValue:

@@ -76,7 +76,10 @@ The recursion runs on one of two representations of its series.
   :func:`rswan._kernels._level_one_mul` and the sum in plain ints, reduced
   once.  The ``s`` results are decoded (add ``sum_l B_l W_l``, then read
   the digits) and each result series is built once.  At ``d = 1`` the map
-  is the identity.
+  is the identity.  The refined invariant is this flattening's second
+  user: :func:`rswan.rsw.rsw_form_at` writes an exact vector once with
+  :func:`_flat_components` and forms its ``p^i``-fold products on the same
+  maps, inside the same digit bounds (:mod:`rswan.rsw`, "The flat path").
 * **Series** otherwise (a window at any level): each ghost index is one
   :func:`rswan.series.linear_combination`, which sums every exponent in
   plain ints and reduces once; a term whose multiplier ``c_j p^i``
@@ -491,12 +494,11 @@ def _flat_ghost_sum(lift, terms, q: int, mod: int, packed: bool) -> dict:
     return out
 
 
-def _digit_offset(level: int, weights, lows) -> int:
-    """``sum_l B_l W_l``: added to a flat exponent, it makes every balanced
-    digit a plain one (module docstring, "Arithmetic"); 0 at ``d = 1``."""
-    if level == 1:
-        return 0
-    return sum(-lo * w for lo, w in zip(lows[1:level], weights[1:level]))
+def _digit_offset(level: int, weights) -> int:
+    """``sum_{l<d} B_l W_l = (W_d - 1) / 2``, as ``W_{l+1} - W_l = 2 B_l
+    W_l``: added to a flat exponent, it makes every balanced digit a plain
+    one (module docstring, "Arithmetic"); 0 at ``d = 1``."""
+    return 0 if level == 1 else (weights[level] - 1) // 2
 
 
 def _flat_series(level: int, domain, flat_map: dict, weights, lows) -> NestedSeries:
@@ -518,7 +520,7 @@ def _flat_combine(flat, s: int, p: int, level: int, lift, field):
         vectors, s, p, lambda terms, q: _flat_ghost_sum(lift, terms, q, p * q, packed),
         merge=True,
     )
-    half = _digit_offset(level, weights, lows)
+    half = _digit_offset(level, weights)
     return tuple(
         _flat_series(level, field, {ex + half: v for ex, v in zi.items()} if half else zi,
                      weights, lows)
@@ -546,7 +548,7 @@ def _last_ghost_component(xs, p: int, lift) -> NestedSeries:
     [(_, flats)], weights, lows = flat
     theta = _flat_ghost_sum(lift, _ghost_terms(flats, s - 1, p, 1), 1, lift.modulus,
                             _kernels._ghost_sum_packs(level, flats, p ** (s - 1), lift.k))
-    half = _digit_offset(level, weights, lows)
+    half = _digit_offset(level, weights)
     if half:
         theta = {ex + half: v for ex, v in theta.items()}
     return _flat_series(level, lift, theta, weights, lows)

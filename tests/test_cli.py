@@ -9,6 +9,7 @@ and the exit-code contract (nonzero on any FAIL or ERROR record).
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -403,10 +404,22 @@ def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
         ({**change, "expect_sw": 99}, "has 'expect_sw' but no 'expect'"),
         ({**change, "expect": "PASS", "expect_sw": "x"}, "'expect_sw' to be an integer"),
         ({**change, "expect": "PASS", "expect_sw": True}, "'expect_sw' to be an integer"),
+        # a field no runner reads: a misspelling would silently run the default
+        ({"task": "swan", "character": "X", "sample": 9}, "task #0 (swan) has unknown fields ['sample']"),
+        ({"task": "rsw", "character": "X", "expected": "0"}, "task #0 (rsw) has unknown fields ['expected']"),
+        ({"task": "reciprocity", "character": "X", "sample": 5000},
+         "task #0 (reciprocity) has unknown fields ['sample']"),
+        ({"task": "duality", "n": 2, "m": 0, "window": 2}, "task #0 (duality) has unknown fields ['window']"),
+        ({**change, "expect": "PASS", "expect_SW": 3},
+         "task #0 (conductor-change) has unknown fields ['expect_SW']"),
+        ({"task": "thmB", "t_value": [1]}, "task #0 (thmB) has unknown fields ['t_value']"),
+        ({"task": "thmC", "f": {"-3": "x"}, "x_0": 1}, "task #0 (thmC) has unknown fields ['x_0']"),
+        ({"task": "exp-congruences", "p": 3, "q": 3}, "task #0 (exp-congruences) has unknown fields ['q']"),
+        ({"task": "swan", "character": "X", "tower": "main"}, "task #0 (swan) has unknown fields ['tower']"),
     ]
     for task, message in bad_tasks:
         doc = config_doc(**fields, tasks=[task])
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(doc)
         assert main(["run", write_config(tmp_path, doc)]) == 2
         assert message in capsys.readouterr().err

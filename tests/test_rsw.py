@@ -17,10 +17,11 @@ import pytest
 
 from rswan.catalog import catalog_characters
 from rswan.parser import render_form
-from rswan.errors import InconsistentValue, RswanError, UnramifiedCharacter
+from rswan.errors import ExponentOutOfRange, InconsistentValue, RswanError, UnramifiedCharacter
 from rswan.logdiff import LogForm, WindowedForm, d
 from rswan.rsw import (
     RswValue,
+    _flat_form_at,
     rsw_char_p,
     rsw_decompose,
     rsw_form_at,
@@ -279,6 +280,72 @@ def test_rsw_form_matches_the_summed_then_negated_form():
                 assert list(got.form.coeffs) == list(summed_then_negated_form_at(vec, n).form.coeffs)
                 seen["answered"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+# (p, k, s, d) cells of the flat-path sweep: every p in {2, 3, 5}, k in
+# {1, 2}, s in 1..4 and d in 1..3, at Witt lengths that reduce quickly.
+FLAT_CELLS = (
+    (2, 1, 1, 1), (3, 2, 1, 2), (5, 1, 1, 3), (5, 2, 1, 1),
+    (2, 2, 2, 1), (3, 1, 2, 2), (5, 2, 2, 1), (2, 1, 2, 3), (3, 2, 2, 3),
+    (3, 1, 3, 1), (2, 2, 3, 2), (5, 1, 3, 1), (2, 1, 3, 3),
+    (2, 1, 4, 1), (2, 2, 4, 1), (3, 1, 4, 1), (2, 1, 4, 2),
+)
+
+
+def test_flat_path_matches_the_series_path(monkeypatch):
+    """On exact vectors (reduced characters, their unreduced coboundary
+    shifts, and depths below the conductor, where a term can leave the
+    window floor) ``rsw_form_at`` equals the summed-then-negated series
+    formula by value and key order, and refuses with the same (type,
+    message, exponent).  Both branches run: the flat path answers some
+    calls and hands others to the series path."""
+    seen = Counter()
+
+    def counted(vec, n, m):
+        out = _flat_form_at(vec, n, m)
+        seen["flat" if out is not None else "handed off"] += 1
+        return out
+
+    monkeypatch.setattr("rswan.rsw._flat_form_at", counted)
+    for p, k, s, dd in FLAT_CELLS:
+        tower = FieldTower(p, k, s, ("v", "u", "t")[3 - dd:])
+        dom = tower.field_domain
+        rng = random.Random(f"flat:{(p, k, s, dd)}")
+
+        def component(low, terms):
+            return NestedSeries.from_monomials(dd, dom, [
+                (tuple(rng.randint(-2, 2) for _ in range(dd - 1)) + (rng.randint(low, 2),),
+                 dom.random_nonzero(rng))
+                for _ in range(rng.randint(0, terms))
+            ])
+
+        for _ in range(8):
+            chi = asw_reduce(WittVector(tower, tuple(component(-4, 4) for _ in range(s))))
+            n = swan_conductor(chi)
+            if n == 0:
+                continue
+            m = n // p
+            e_vec = WittVector(tower, tuple(component(-(m // p**i) if m else 0, 3)
+                                            for i in range(s)))
+            shifted = chi.vector + (e_vec.frobenius() - e_vec)
+            for vec in (chi.vector, shifted):
+                for depth in (n, rng.randint(1, n)):
+                    got = form_outcome(rsw_form_at, vec, depth)
+                    want = form_outcome(summed_then_negated_form_at, vec, depth)
+                    assert got == want, (vec, depth)
+                    if isinstance(got, tuple):
+                        seen[got[0]] += 1
+                    else:
+                        assert list(got.form.coeffs) == list(want.form.coeffs), (vec, depth)
+    assert seen["flat"] >= 200 and seen["handed off"] >= 100, seen
+    assert seen[InconsistentValue] == seen["handed off"], seen
+    # a last ghost power below the supported range: the flat floor check
+    # raises, and the series path raises its own refusal of the product
+    deep = WittVector.from_print_order(K2s2, (mono(K2s2, (-6001,)), mono(K2s2, (1,))))
+    handed_off = seen["handed off"]
+    got = form_outcome(rsw_form_at, deep, 12002)
+    assert got == form_outcome(summed_then_negated_form_at, deep, 12002)
+    assert got[0] is ExponentOutOfRange and seen["handed off"] == handed_off + 1, (got, seen)
 
 
 # ------------------------------------------------------------------ refusals
