@@ -6,7 +6,10 @@ The reports must be equal field for field across trees (checked).  Per
 cell, one figure per tree:
 
 * ``symbols_evaluated`` and ``pairings_evaluated``: the calls of
-  ``reciprocity._symbol_value`` and of ``r_b`` in one check;
+  ``reciprocity._symbol_value`` and of the pairing site in one check:
+  ``reciprocity._pairing`` on a tree that has it, which reads each term's
+  right side off the invariant's coefficients, else ``r_b``, which older
+  trees call once per term;
 * ``inverses``: the calls of ``NestedSeries.inv`` in one check, counting
   the inner-level calls an inverse makes and those of the Schmid oracle
   (s = 1, d = 1);
@@ -45,7 +48,8 @@ def _cells(rswan) -> dict:
 def _counted(rswan, char, samples) -> dict:
     """One untimed check, counting the symbols drawn and the evaluations."""
     reciprocity = rswan.reciprocity
-    patched = {"_random_window_terms": [], "_symbol_value": [], "r_b": []}
+    pairing = "_pairing" if hasattr(reciprocity, "_pairing") else "r_b"
+    patched = {"_random_window_terms": [], "_symbol_value": [], pairing: []}
     originals = {name: getattr(reciprocity, name) for name in patched}
 
     def recording(name):
@@ -77,7 +81,7 @@ def _counted(rswan, char, samples) -> dict:
         "report": dataclasses.asdict(report),
         "terms": sum(len(terms) for terms in patched["_random_window_terms"]),
         "symbols_evaluated": len(patched["_symbol_value"]),
-        "pairings_evaluated": len(patched["r_b"]),
+        "pairings_evaluated": len(patched[pairing]),
         "inverses": len(inverses),
     }
 

@@ -16,6 +16,7 @@ import sys
 import time
 
 from fractions import Fraction
+from math import comb
 
 from .catalog import CATALOG_PRIMES, canned_config
 from .errors import ConfigError, ParseError, RswanError
@@ -68,6 +69,9 @@ CONVENTIONS = {
 
 _FAILING_STATUSES = ("FAIL", "ERROR")
 MAX_SAMPLES = 10_000  # reciprocity samples per task: 100 times the default
+# Rows of a duality task's largest Gram matrix: 100 times the largest (96)
+# that the duality benchmark builds.
+MAX_GRAM_ROWS = 10_000
 _THMB_T_VALUES = (3, 5, 7)  # thmB's family exponents when a task gives none
 _THMC_EXPONENTS = (2, 4, 8)  # thmC's curve exponents when a task gives none
 
@@ -160,6 +164,31 @@ def _ratio_texts(value) -> bool:
         return all(str(Fraction(v)) == v for v in value)
     except (ValueError, ZeroDivisionError):
         return False
+
+
+def _check_gram_size(what: str, tower: FieldTower, task: dict):
+    """Refuse a duality task whose ``b`` cannot collapse its window (``p^b
+    < n - m``) or whose largest Gram matrix, of ``comb(d, d // 2) (n - m)
+    p^(b (d - 1))`` rows, is above ``MAX_GRAM_ROWS``; no power is formed
+    that the answer does not need."""
+    p, d = tower.p, tower.d
+    width = task["n"] - task["m"]
+    b = task.get("b")
+    _require(
+        b is None or b >= width.bit_length() or p**b >= width,
+        f"{what} has p^b = {p}^{b} below the window width n - m = {width}",
+    )
+    if width <= MAX_GRAM_ROWS:
+        if b is None:
+            b = minimal_b(p, width)
+        # past the bit length of the cap, p^(b (d - 1)) alone is above it
+        if (b * (d - 1) < MAX_GRAM_ROWS.bit_length()
+                and comb(d, d // 2) * width * p ** (b * (d - 1)) <= MAX_GRAM_ROWS):
+            return
+    raise ConfigError(
+        f"{what} builds a Gram matrix of comb(d, d // 2) (n - m) p^(b (d - 1)) rows, "
+        f"more than {MAX_GRAM_ROWS}, with d = {d}, p = {p}, n - m = {width}"
+    )
 
 
 def load_config(doc: dict, precision: int | None = None) -> RunConfig:
@@ -300,6 +329,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 "b" not in task or (_is_int(task["b"]) and task["b"] >= 0),
                 f"task #{idx} (duality) needs a non-negative integer 'b'",
             )
+            _check_gram_size(f"task #{idx} (duality)", towers[tower_name], task)
         list_field = {"thmB": "t_values", "thmC": "exponents"}.get(kind)
         if list_field in task:
             _require(

@@ -13,9 +13,10 @@ extraction followed by the trace to Z/p^s.  The characterizing identity
     chi(E(alpha)) = Res_F(R_b(Rsw(chi) ^ alpha))     (F_p -> Z/p^s, 1 |-> p^(s-1))
 
 is verified sample-by-sample: the left side through symbols {E(x), y, ...}
-built from the monomials of alpha, the right side through the window
-collapse r_b and the residue-plus-trace map (the orientation is derived in
-:func:`verify_rsw_characterization`).
+built from the monomials of alpha, the right side read off one coefficient
+of the representative of ``Rsw(chi)`` per term of alpha, which is the value
+of the window collapse r_b and the residue-plus-trace map (the orientation
+is derived in :func:`verify_rsw_characterization`; "The right side" below).
 
 Symbols
 -------
@@ -56,6 +57,31 @@ it opens are found once, and each entry that is not a monomial has its
 once, however many symbols hold it.  The entries are known by identity,
 and the shared state keeps each one alive.  At d = 2 the symbols
 ``{E(x), T_1}`` and ``{E(x), T_2}`` of one monomial share ``E(x)``.
+
+The right side
+--------------
+For one term ``alpha = c T^e dlog T_key`` of the dual window (no ``dlog``
+at d = 1), only the coefficient ``R_K`` of ``Rsw(chi)``'s representative
+under the complement ``K`` of ``key`` meets ``alpha`` in the wedge, with
+the sign ``sgn`` of :func:`logdiff._merge_sign` of ``(K, key)``.  The
+residue slot of ``R_K c T^e`` is ``c R_K[-e] T^0`` once its lower
+exponents are read at 0 too, where ``R_K[-e]`` is the coefficient of
+``R_K`` at the negated exponents, top level first (0 when one is absent).
+``r_b`` roots that slot ``b`` times, and a root keeps the ``T^0`` monomial
+as the root of its scalar, so the pairing is ``Tr((sgn c R_K[-e])^(1/p^b))``.
+Over ``F_q`` the trace is the sum of the Frobenius conjugates, so it is
+Frobenius-invariant and the ``b`` roots drop out:
+
+    Res_F(R_b(Rsw(chi) ^ alpha)) = Tr(sgn c R_K[-e])   in F_p.
+
+:func:`_pairing` reads that value without building ``alpha``, the wedge or
+the ``r_b`` form.  It hands the call to the operators, which raise every
+refusal, when a window on the path to ``R_K[-e]`` (a ceiling on ``R_K`` or
+on one of the coefficients it walks) could decide it, when a product
+exponent could fall below the supported range, when ``p^b`` is below the
+window's width, over a lift ring (no roots) or for a top exponent outside
+the dual window; the tests compare it with the operators on every term of
+random windows.
 
 The terms of a sample are rejection-sampled inline on ``rng.getrandbits``
 as CPython's ``Random._randbelow_with_getrandbits`` samples
@@ -98,7 +124,7 @@ from .logdiff import (
     wedge_windowed,
 )
 from .rsw import rsw_char_p
-from .series import NestedSeries, _is_lift_non_unit, _level_lows
+from .series import _ORD_FLOOR, NestedSeries, _is_lift_non_unit, _level_lows
 from .witt import (
     Character,
     WittVector,
@@ -523,6 +549,70 @@ def _random_window_terms(tower, rng, m: int, n: int):
     return terms
 
 
+def _pairing(window: WindowedForm, term, b: int) -> int:
+    """``Res_F(R_b(window ^ alpha))`` in F_p for the raw term ``(exps, c,
+    key)`` of :func:`_random_window_terms`, ``alpha = c T^exps dlog T_key``
+    in the dual window: the trace of ``sgn c R_K[-exps]`` (module
+    docstring, "The right side"), or the operators' value and refusal when
+    a window, the exponent floor, ``b``, the ring or the exponent could
+    decide."""
+    exps, c, key = term
+    form = window.form
+    domain, level = form.domain, form.level
+    partner = tuple(v for v in range(1, level + 1) if v not in key)
+    coeff = form.coeffs.get(partner)
+    if (domain.s != 1 or domain.p**b < window.width
+            or not window.m < exps[-1] <= window.n):
+        return _pairing_through_operators(window, term, b)
+    if coeff is None:
+        return 0
+    lows = _level_lows(coeff, {})
+    if any(lows[lvl] + e < _ORD_FLOOR for lvl, e in enumerate(exps, 1) if lvl in lows):
+        return _pairing_through_operators(window, term, b)
+    for e in reversed(exps):
+        if coeff.ceiling is not None:
+            return _pairing_through_operators(window, term, b)
+        coeff = coeff.coeffs.get(-e)
+        if coeff is None:
+            return 0
+    raw = domain.mul(c, coeff)
+    if _merge_sign(partner, key)[0] < 0:
+        raw = domain.neg(raw)
+    return domain.trace(raw) % domain.modulus
+
+
+def _pairing_through_operators(window: WindowedForm, term, b: int) -> int:
+    """What :func:`_pairing` reads, through ``wedge_windowed``, ``r_b`` and
+    the residue-plus-trace map."""
+    exps, c, key = term
+    form = window.form
+    x = NestedSeries.from_monomials(form.level, form.domain, [(exps, c)])
+    alpha = WindowedForm(LogForm(form.level, form.domain, form.level - 1, {key: x}),
+                         -window.m - 1, -window.n - 1)
+    return residue_to_prime_field(r_b(wedge_windowed(window, alpha), b), form.domain)
+
+
+def _recount(draws, known, modulus: int):
+    """The agreements and the mismatch entries of the samples ``draws``,
+    each term's values looked up in ``known``, sample by sample."""
+    agreements = 0
+    mismatches = []
+    for idx, terms in enumerate(draws):
+        records = [known[term] for term in terms]
+        for val, oracle, _ in records:
+            if oracle is not None and oracle % modulus != val % modulus:
+                mismatches.append(
+                    {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}
+                )
+        lhs = sum([record[0] for record in records]) % modulus
+        rhs = sum([record[2] for record in records]) % modulus
+        if lhs == rhs:
+            agreements += 1
+        else:
+            mismatches.append({"sample": idx, "kind": "identity", "lhs": lhs, "rhs": rhs})
+    return agreements, mismatches
+
+
 def verify_rsw_characterization(
     char: Character | WittVector, samples: int, seed: int = 0
 ) -> CharacterizationReport:
@@ -571,13 +661,23 @@ def verify_rsw_characterization(
     So each distinct drawn term, keyed by its raw monomial ``(exps, c,
     key)``, has its symbol, its Schmid oracle value (at s = 1, d = 1) and
     its own pairing evaluated once per call, and each distinct ``(exps,
-    c)`` its series ``x`` and ``E(x)`` built once, whatever its key; the
-    symbols share their entries (module docstring, "Symbols"), so each
-    ``E(x)`` is differentiated, wedged with ``theta`` and inverted once per
-    width tried, and ``T_lambda`` takes its exact ``dlog``.  A sample's
-    right side is the sum of its terms' pairings.  Within a
-    sample the symbols come first, in draw order, then the new pairings,
-    so an exception comes from the sample's first failing symbol.
+    c)`` its ``E(x)`` built once, whatever its key; the symbols share their
+    entries (module docstring, "Symbols"), so each ``E(x)`` is
+    differentiated, wedged with ``theta`` and inverted once per width
+    tried, and ``T_lambda`` takes its exact ``dlog``.  A term's pairing is
+    read off ``Rsw(chi)``'s coefficients by :func:`_pairing` (module
+    docstring, "The right side").  Within a sample the new symbols come
+    first, in draw order, then the new pairings, so an exception comes
+    from the sample's first failing symbol.
+
+    Agreements are counted per term.  A sample's two sides are the sums of
+    its terms' values, so when every distinct term agrees (its symbol
+    equals its pairing, and its Schmid value where one is taken) every
+    sample agrees, and the Schmid check runs once per term occurrence:
+    the loop only draws the samples and evaluates their new terms.  When
+    some term disagrees, one pass over the kept draws sums each sample's
+    sides and lists the mismatches in sample order, a sample's Schmid
+    entries before its identity entry.
     """
     char = asw_reduce(char)
     tower = char.tower
@@ -593,52 +693,43 @@ def verify_rsw_characterization(
     theta = theta_lift(char.vector)
     domain = tower.field_domain
     rng = random.Random(seed)
-    agreements = 0
-    schmid_checked = 0
-    mismatches = []
     modulus = p**s
+    embed = p ** (s - 1)
     schmid = s == 1 and tower.d == 1
-    known: dict = {}  # raw term -> [symbol value, Schmid oracle value or None, pairing]
-    exps_of: dict = {}  # (exps, c) -> (x, E(x)), shared by the terms' dlog keys
+    known: dict = {}  # raw term -> (symbol value, Schmid oracle value or None, pairing)
+    exponentials: dict = {}  # (exps, c) -> E(x), shared by the terms' dlog keys
     variables = {lam: NestedSeries.variable(tower.d, domain, lam) for lam in range(1, tower.d + 1)}
     entries = _SymbolEntries(theta, tower)
-    for idx in range(samples):
+    draws = []
+    all_agree = True
+    for _ in range(samples):
         terms = _random_window_terms(tower, rng, m, n)
-        # Left side: sum over terms of the symbol {E(x), T_lambda}.
-        fresh = []
-        records = []
+        draws.append(terms)
+        # Left side: the symbol {E(x), T_lambda} of each new term.
+        fresh = {}
         for term in terms:
-            record = known.get(term)
-            if record is None:
-                exps, c, key = term
-                if (exps, c) not in exps_of:
-                    x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
-                    exps_of[exps, c] = x, truncated_exp(x)
-                x, ex = exps_of[exps, c]
-                ys = [ex] + [variables[lam] for lam in key]
-                val = _symbol_value(theta, tower, ys, entries)
-                oracle = schmid_symbol(char.vector.comps[0], ys[0]) if schmid else None
-                record = known[term] = [val, oracle, None]
-                fresh.append((term, x))
-            records.append(record)
-            if schmid:
-                val, oracle, _ = record
-                if oracle % modulus != val % modulus:
-                    mismatches.append(
-                        {"sample": idx, "kind": "schmid-oracle", "symbol": val, "oracle": oracle}
-                    )
-                schmid_checked += 1
-        # Right side: the invariant wedged with each new term x dlog T_key.
-        for term, x in fresh:
-            alpha = WindowedForm(LogForm(tower.d, domain, tower.d - 1, {term[2]: x}), -m - 1, -n - 1)
-            res_val = residue_to_prime_field(r_b(wedge_windowed(value.window, alpha), b), domain)
-            known[term][2] = (res_val * p ** (s - 1)) % modulus
-        lhs = sum([record[0] for record in records]) % modulus
-        rhs = sum([record[2] for record in records]) % modulus
-        if lhs == rhs:
-            agreements += 1
-        else:
-            mismatches.append({"sample": idx, "kind": "identity", "lhs": lhs, "rhs": rhs})
+            if term in known or term in fresh:
+                continue
+            exps, c, key = term
+            ex = exponentials.get((exps, c))
+            if ex is None:
+                x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
+                ex = exponentials[exps, c] = truncated_exp(x)
+            ys = [ex] + [variables[lam] for lam in key]
+            val = _symbol_value(theta, tower, ys, entries)
+            fresh[term] = val, schmid_symbol(char.vector.comps[0], ex) if schmid else None
+        # Right side: Rsw(chi) paired with each new term.
+        for term, (val, oracle) in fresh.items():
+            pairing = _pairing(value.window, term, b) * embed % modulus
+            known[term] = val, oracle, pairing
+            if val % modulus != pairing or schmid and oracle % modulus != val % modulus:
+                all_agree = False
+    occurrences = sum(map(len, draws))
+    schmid_checked = occurrences if schmid else 0
+    if all_agree:
+        agreements, mismatches = samples, []
+    else:
+        agreements, mismatches = _recount(draws, known, modulus)
     return CharacterizationReport(
         n=n,
         m=m,

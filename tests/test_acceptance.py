@@ -295,14 +295,14 @@ def test_criterion_05_reciprocity_characterization(capsys):
 def test_criterion_05_sees_a_wrong_d2_right_side(monkeypatch, factor):
     """A d = 2 right side planted negated, or forced to 0, fails criterion
     5's check on every d = 2 character at p = 3 and 5.  At p = 2 the
-    negation cannot show; the plant leaves d = 1 (a raw scalar) alone."""
-    r_b_of = reciprocity.r_b
+    negation cannot show; the plant leaves d = 1 alone."""
+    pairing = reciprocity._pairing
 
-    def planted(x, b):
-        value = r_b_of(x, b)
-        return value.mul_int(factor) if isinstance(value, LogForm) else value
+    def planted(window, term, b):
+        value = pairing(window, term, b)
+        return value * factor % window.form.domain.p if window.form.level == 2 else value
 
-    monkeypatch.setattr(reciprocity, "r_b", planted)
+    monkeypatch.setattr(reciprocity, "_pairing", planted)
     reports = criterion_05_reports()
     assert not all(report.all_equal for _, report in reports)
     odd = [report for tower, report in reports if tower.d == 2 and tower.p > 2]

@@ -16,6 +16,7 @@ import pytest
 from rswan.catalog import canned_config
 from rswan.cli import (
     CONVENTIONS,
+    MAX_GRAM_ROWS,
     MAX_SAMPLES,
     REPORT_VERSION,
     TASK_NAMES,
@@ -356,6 +357,41 @@ def test_reciprocity_samples_are_capped(tmp_path, capsys):
     assert load_config(doc).tasks[0]["samples"] == MAX_SAMPLES == 10_000
     doc["tasks"][0]["samples"] = MAX_SAMPLES + 1
     assert_config_error(tmp_path, capsys, doc, "'samples' 10001 is above the cap 10000")
+
+
+def test_duality_tasks_are_sized_at_load_time(tmp_path, capsys):
+    """A ``b`` too small for the window, and a largest Gram matrix above
+    ``MAX_GRAM_ROWS`` rows, are ConfigErrors that name the task; tasks at
+    the cap load.  None of these configs is run."""
+    towers = {"D": {"p": 2, "k": 1, "s": 1, "variables": ["u", "t"]}}
+    wide = "has p^b = 2^1 below the window width n - m = 4"
+    rows = "builds a Gram matrix of comb(d, d // 2) (n - m) p^(b (d - 1)) rows, more than 10000"
+    bad_tasks = [
+        ({"task": "duality", "tower": "D", "n": 5, "m": 1, "b": 1}, wide),
+        ({"task": "duality", "n": 5, "m": 1, "b": 1}, wide),
+        ({"task": "duality", "tower": "D", "n": 2, "m": 1, "b": 100}, rows),
+        ({"task": "duality", "tower": "D", "n": 2, "m": 1, "b": 30}, rows),
+        ({"task": "duality", "tower": "D", "n": 2, "m": 1, "b": 10**18}, rows),
+        ({"task": "duality", "tower": "D", "n": 2, "m": 1, "b": 13}, rows),  # 16,384 rows
+        ({"task": "duality", "tower": "D", "n": 65, "m": 0}, rows),  # b = 7: 16,640 rows
+        ({"task": "duality", "n": MAX_GRAM_ROWS + 1, "m": 0}, rows),
+        ({"task": "duality", "n": 10**40, "m": 0, "b": 10**9}, rows),
+    ]
+    for task, message in bad_tasks:
+        doc = config_doc(towers=towers, tasks=[{"task": "swan", "character": "X"}, task],
+                         characters={"X": ["t^-3"]})
+        with pytest.raises(ConfigError, match=re.escape(f"task #1 (duality) {message}")):
+            load_config(doc)
+    doc = config_doc(tasks=[{"task": "duality", "n": 5, "m": 1, "b": 1}])
+    assert_config_error(tmp_path, capsys, doc, "below the window width n - m = 4")
+    at_cap = [
+        {"task": "duality", "tower": "D", "n": 2, "m": 1, "b": 12},  # 8,192 rows
+        {"task": "duality", "tower": "D", "n": 60, "m": -4},  # b = 6: 8,192 rows
+        {"task": "duality", "n": MAX_GRAM_ROWS, "m": 0},
+        {"task": "duality", "n": 2, "m": 1, "b": 10**18},
+    ]
+    assert load_config(config_doc(towers=towers, tasks=at_cap)).tasks == at_cap
+    assert MAX_GRAM_ROWS == 10_000
 
 
 def test_out_of_range_literal_exponents_exit_two(tmp_path, capsys):

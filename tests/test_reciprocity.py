@@ -872,10 +872,28 @@ def test_characterization_mismatches_match_uncached_oracle(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
+def test_characterization_reports_schmid_mismatches_alone(p, monkeypatch):
+    """An off-by-one Schmid value with the identity intact: every sample
+    agrees, yet the report lists the oracle mismatches, equal to the
+    unmemoized loop's."""
+    schmid = reciprocity.schmid_symbol
+    monkeypatch.setattr(reciprocity, "schmid_symbol", lambda f, y: schmid(f, y) + 1)
+    checked = 0
+    for label, char, samples in catalog_reciprocity_cells(p):
+        report = verify_rsw_characterization(char, samples, seed=1)
+        assert report == uncached_characterization_oracle(char, samples, 1), label
+        assert report.agreements == samples, label
+        if report.schmid_checked:
+            checked += 1
+            assert {entry["kind"] for entry in report.mismatches} == {"schmid-oracle"}, label
+    assert checked
+
+
+@pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
 def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
-    """One symbol and one pairing (one ``r_b``) per distinct drawn term."""
+    """One symbol and one pairing (one ``_pairing``) per distinct drawn term."""
     drawn = set()
-    calls = {"_symbol_value": 0, "r_b": 0}
+    calls = {"_symbol_value": 0, "_pairing": 0}
     draw = reciprocity._random_window_terms
 
     def recording_draw(*args):
@@ -899,8 +917,111 @@ def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
         drawn.clear()
         calls.update(dict.fromkeys(calls, 0))
         verify_rsw_characterization(char, samples, seed=3)
-        assert calls["_symbol_value"] == calls["r_b"] == len(drawn) < samples, label
+        assert calls["_symbol_value"] == calls["_pairing"] == len(drawn) < samples, label
 
+
+
+# ------------------------------------- the right side off Rsw's coefficients
+
+def operator_pairing(window, term, b):
+    """``Res_F(r_b(window ^ alpha))`` for the raw term ``(exps, c, key)``,
+    through ``wedge_windowed``, ``r_b`` and the residue-plus-trace map."""
+    exps, c, key = term
+    form = window.form
+    x = NestedSeries.from_monomials(form.level, form.domain, [(exps, c)])
+    alpha = WindowedForm(LogForm(form.level, form.domain, form.level - 1, {key: x}),
+                         -window.m - 1, -window.n - 1)
+    return residue_to_prime_field(r_b(wedge_windowed(window, alpha), b), form.domain)
+
+
+def window_terms(window, scalars, beyond=0):
+    """Every term ``(exps, c, key)`` of the dual window of ``window`` with
+    ``c`` in ``scalars``, a top exponent in ``[m + 1, n]`` (widened by
+    ``beyond`` on each side) and lower exponents that meet each stored
+    monomial of the representative and miss it (``-3 .. 3`` and the
+    negated stored ones)."""
+    level = window.form.level
+    lower = set(range(-3, 4))
+    for series in window.form.coeffs.values():
+        for exps, _ in series.iter_monomials():
+            lower.update(-e for e in exps[:-1])
+    keys = [()] if level == 1 else [(lam,) for lam in range(1, level + 1)]
+    for top in range(window.m + 1 - beyond, window.n + 1 + beyond):
+        for rest in ([()] if level == 1 else [(e,) for e in sorted(lower)]):
+            for c in scalars:
+                for key in keys:
+                    yield rest + (top,), c, key
+
+
+def test_pairing_matches_the_operators_on_random_characters():
+    """``_pairing`` equals ``r_b`` through the operators on every term of
+    the window of ``Rsw(chi)``, for random characters over p = 2, 3, 5,
+    k = 1, 2, s = 1-3 and d = 1, 2 (conductors up to 30), at the minimal
+    ``b``: keys the invariant lacks, coefficients it lacks and nonzero
+    values all occur."""
+    rng = random.Random(4301)
+    seen = Counter()
+    for p, k, s, d_level in SYMBOL_TOWER_CELLS:
+        tower = FieldTower(p, k, s, ("t",) if d_level == 1 else ("u", "t"))
+        dom = tower.field_domain
+        chars = 0
+        while chars < 2:
+            printed = [
+                NestedSeries.from_monomials(d_level, dom, [
+                    (tuple(rng.randint(-2, 2) for _ in range(d_level - 1)) + (rng.randint(-6, 1),),
+                     dom.random_nonzero(rng))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for _ in range(s)
+            ]
+            chi = asw_reduce(WittVector.from_print_order(tower, printed))
+            if not 0 < witt.swan_conductor(chi) <= 30:  # a wider window only runs longer
+                continue
+            chars += 1
+            window = reciprocity.rsw_char_p(chi).window
+            b = minimal_b(p, window.width)
+            for term in window_terms(window, [dom.random_nonzero(rng)]):
+                want = operator_pairing(window, term, b)
+                assert reciprocity._pairing(window, term, b) == want, (chi, term)
+                partner = tuple(v for v in range(1, d_level + 1) if v not in term[2])
+                seen["nonzero" if want else "absent key" if partner not in window.form.coeffs
+                     else "zero"] += 1
+    assert seen["nonzero"] > 100 and seen["absent key"] > 100 and seen["zero"] > 1000, seen
+
+
+def test_pairing_gives_the_operators_refusals_on_inner_windows():
+    """A representative built through the API, with inner windows on the
+    coefficients read, an inner exponent next to the supported floor,
+    ``b`` one short of, at and past the minimal, and top exponents one
+    outside the dual window on each side: ``_pairing`` gives the
+    operators' value or their refusal (type, message, exponent).  So does
+    a window over a lift ring, which has no Cartier roots."""
+    rng = random.Random(4302)
+    seen = Counter()
+    for p, s in ((2, 1), (3, 1), (5, 1), (3, 2)):
+        dom = FieldTower(p, 1, s, ("u", "t")).field_domain if s == 1 else \
+            FieldTower(p, 1, s, ("u", "t")).lift_domain
+
+        def inner(coeffs, ceiling=None):
+            return NestedSeries(1, dom, {e: dom.from_int(c) for e, c in coeffs.items()}, ceiling)
+
+        form = LogForm(2, dom, 1, {
+            (1,): NestedSeries(2, dom, {-4: inner({-1: 1, 0: 2}, 2), -3: inner({2: 1}, 3),
+                                        -2: inner({}, 1)}),
+            (2,): NestedSeries(2, dom, {-4: inner({FLOOR + 1: 1}), -3: inner({0: 1, 1: 2}),
+                                        -2: inner({-1: 1}, 4)}),
+        })
+        window = WindowedForm(form, 4, 1)
+        b0 = minimal_b(p, window.width)
+        scalars = [dom.from_int(rng.randint(1, p - 1)) for _ in range(2)]
+        for b in (b0 - 1, b0, b0 + 1):
+            for term in window_terms(window, scalars, beyond=1):
+                want = refusal_outcome(operator_pairing, window, term, b)
+                assert refusal_outcome(reciprocity._pairing, window, term, b) == want, (term, b)
+                seen[want[0] if isinstance(want, tuple) else "nonzero" if want else "zero"] += 1
+    assert seen["nonzero"] and seen["zero"] and seen["PrecisionExhausted"], seen
+    assert seen["ExponentOutOfRange"] and seen["WindowTooWide"] and seen["TowerMismatch"], seen
+    assert seen["InconsistentValue"], seen
 
 
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
