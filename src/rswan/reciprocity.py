@@ -58,31 +58,6 @@ once, however many symbols hold it.  The entries are known by identity,
 and the shared state keeps each one alive.  At d = 2 the symbols
 ``{E(x), T_1}`` and ``{E(x), T_2}`` of one monomial share ``E(x)``.
 
-The right side
---------------
-For one term ``alpha = c T^e dlog T_key`` of the dual window (no ``dlog``
-at d = 1), only the coefficient ``R_K`` of ``Rsw(chi)``'s representative
-under the complement ``K`` of ``key`` meets ``alpha`` in the wedge, with
-the sign ``sgn`` of :func:`logdiff._merge_sign` of ``(K, key)``.  The
-residue slot of ``R_K c T^e`` is ``c R_K[-e] T^0`` once its lower
-exponents are read at 0 too, where ``R_K[-e]`` is the coefficient of
-``R_K`` at the negated exponents, top level first (0 when one is absent).
-``r_b`` roots that slot ``b`` times, and a root keeps the ``T^0`` monomial
-as the root of its scalar, so the pairing is ``Tr((sgn c R_K[-e])^(1/p^b))``.
-Over ``F_q`` the trace is the sum of the Frobenius conjugates, so it is
-Frobenius-invariant and the ``b`` roots drop out:
-
-    Res_F(R_b(Rsw(chi) ^ alpha)) = Tr(sgn c R_K[-e])   in F_p.
-
-:func:`_pairing` reads that value without building ``alpha``, the wedge or
-the ``r_b`` form.  It hands the call to the operators, which raise every
-refusal, when a window on the path to ``R_K[-e]`` (a ceiling on ``R_K`` or
-on one of the coefficients it walks) could decide it, when a product
-exponent could fall below the supported range, when ``p^b`` is below the
-window's width, over a lift ring (no roots) or for a top exponent outside
-the dual window; the tests compare it with the operators on every term of
-random windows.
-
 The terms of a sample are rejection-sampled inline on ``rng.getrandbits``
 as CPython's ``Random._randbelow_with_getrandbits`` samples
 ``randrange(w)``: ``w.bit_length()`` bits, redrawn while at least ``w``
@@ -92,6 +67,31 @@ redraws are those of ``randint`` and ``random_nonzero``: a coefficient of
 while all its coordinates are 0.  So each seed draws the same terms from
 the same bits, and leaves the generator in the same state, as those calls
 do.
+
+The right side
+--------------
+For one term ``alpha = c T^e dlog T_key`` of the dual window (no ``dlog``
+at d = 1), only the coefficient ``R_K`` of ``Rsw(chi)``'s representative
+under the complement ``K`` of ``key`` meets ``alpha`` in the wedge, with
+the sign ``sgn`` of :func:`logdiff._merge_sign` of ``(K, key)``.  ``r_b``
+takes the top-level ``T^0`` slot of ``sgn c T^e R_K`` and roots it ``b``
+times, and the residue reads the ``T^0`` coefficient at each lower level
+and traces it.  A root of a series keeps its ``T^0`` monomial as the root
+of that scalar, so the pairing is ``Tr((sgn c R_K[-e])^(1/p^b))``, where
+``R_K[-e]`` is the coefficient of ``R_K`` at the negated exponents, top
+level first (0 when one is absent).  Over ``F_q`` the trace is the sum of
+the Frobenius conjugates, so it is Frobenius-invariant and the ``b`` roots
+drop out:
+
+    Res_F(R_b(Rsw(chi) ^ alpha)) = Tr(sgn c R_K[-e])   in F_p.
+
+:func:`_pairing` reads that value without building ``alpha``, the wedge or
+the ``r_b`` form.  It hands the call to the operators, which raise every
+refusal, when a window on the path to ``R_K[-e]`` (a ceiling on ``R_K`` or
+on a coefficient it walks through) could decide it, when a product
+exponent could fall below the supported range, when ``p^b`` is below the
+window's width, over a lift ring (no roots) or for a top exponent outside
+the dual window.
 """
 
 from __future__ import annotations
@@ -620,8 +620,9 @@ def verify_rsw_characterization(
 
     alpha runs over the window m^(m+1)/m^(n+1) of degree-(d-1) forms, as a
     random small sum of monomial terms; the left side goes through symbols
-    {E(x), T_lambda}, the right side through r_b with the minimal b such
-    that p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1).
+    {E(x), T_lambda}, the right side is r_b with the minimal b such that
+    p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1),
+    read off the coefficients of Rsw(chi).
 
     The orientation, for alpha = x dlog T_lambda (no dlog at d = 1) with
     ord x >= m + 1:
@@ -724,8 +725,7 @@ def verify_rsw_characterization(
             known[term] = val, oracle, pairing
             if val % modulus != pairing or schmid and oracle % modulus != val % modulus:
                 all_agree = False
-    occurrences = sum(map(len, draws))
-    schmid_checked = occurrences if schmid else 0
+    schmid_checked = sum(map(len, draws)) if schmid else 0
     if all_agree:
         agreements, mismatches = samples, []
     else:
