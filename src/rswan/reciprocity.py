@@ -559,11 +559,11 @@ def _pairing(window: WindowedForm, term, b: int) -> int:
     exps, c, key = term
     form = window.form
     domain, level = form.domain, form.level
-    partner = tuple(v for v in range(1, level + 1) if v not in key)
-    coeff = form.coeffs.get(partner)
     if (domain.s != 1 or domain.p**b < window.width
             or not window.m < exps[-1] <= window.n):
         return _pairing_through_operators(window, term, b)
+    partner = tuple(v for v in range(1, level + 1) if v not in key)
+    coeff = form.coeffs.get(partner)
     if coeff is None:
         return 0
     lows = _level_lows(coeff, {})
