@@ -17,7 +17,10 @@ cell, one figure per tree:
   passes, each timing a batch of calls (``bench/_trees.py``).
 
 ``terms`` is the number of symbols the samples draw, the same for every
-tree.  ``totals_ms`` sums ``ms_per_check`` over the cells per tree.
+tree (checked): the sum of the sample lengths of the one batch call
+``_random_window_terms(tower, rng, m, n, samples)`` on a tree that draws a
+check's samples at once, else the sum of the lengths of the per-sample
+calls.  ``totals_ms`` sums ``ms_per_check`` over the cells per tree.
 """
 
 from __future__ import annotations
@@ -79,11 +82,20 @@ def _counted(rswan, char, samples) -> dict:
         series_class.inv = inv
     return {
         "report": dataclasses.asdict(report),
-        "terms": sum(len(terms) for terms in patched["_random_window_terms"]),
+        "terms": sum(_drawn(out) for out in patched["_random_window_terms"]),
         "symbols_evaluated": len(patched["_symbol_value"]),
         "pairings_evaluated": len(patched[pairing]),
         "inverses": len(inverses),
     }
+
+
+def _drawn(out) -> int:
+    """The terms in one output of ``_random_window_terms``: a batch call
+    returns one list of term codes per sample, a per-sample call the list of
+    its terms."""
+    if out and isinstance(out[0], list):
+        return sum(map(len, out))
+    return len(out)
 
 
 def measure(trees) -> dict:
@@ -94,6 +106,7 @@ def measure(trees) -> dict:
     for key in keys:
         counts[key] = [_counted(tree, *c[key]) for tree, c in zip(trees, cells)]
         same(f"reports of cell {key}", [c["report"] for c in counts[key]])
+        same(f"terms drawn in cell {key}", [c["terms"] for c in counts[key]])
     calls = {
         key: [
             (lambda tree=tree, cell=c[key]: tree.verify_rsw_characterization(*cell, seed=SEED))

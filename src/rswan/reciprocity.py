@@ -58,15 +58,18 @@ once, however many symbols hold it.  The entries are known by identity,
 and the shared state keeps each one alive.  At d = 2 the symbols
 ``{E(x), T_1}`` and ``{E(x), T_2}`` of one monomial share ``E(x)``.
 
-The terms of a sample are rejection-sampled inline on ``rng.getrandbits``
-as CPython's ``Random._randbelow_with_getrandbits`` samples
-``randrange(w)``: ``w.bit_length()`` bits, redrawn while at least ``w``
-(so a width of 1 still takes a bit).  The widths, the order and the
-redraws are those of ``randint`` and ``random_nonzero``: a coefficient of
+The terms of a check's samples are drawn in one call and
+rejection-sampled inline on ``rng.getrandbits`` as CPython's
+``Random._randbelow_with_getrandbits`` samples ``randrange(w)``:
+``w.bit_length()`` bits, redrawn while at least ``w`` (so a width of 1
+still takes a bit).  The widths, the order and the redraws are those of
+``randint`` and ``random_nonzero``, sample after sample: a coefficient of
 ``F_p`` is redrawn while it is 0 or at least p, one of ``F_q`` (``k > 1``)
 while all its coordinates are 0.  So each seed draws the same terms from
 the same bits, and leaves the generator in the same state, as those calls
-do.
+do, one sample at a time.  Each term comes out as one int code, the mixed
+radix of its drawn fields in draw order, so the check keys its table by an
+int and reads a code back into a term only the first time it sees it.
 
 The right side
 --------------
@@ -494,64 +497,89 @@ class CharacterizationReport:
         return self.agreements == self.samples and not self.mismatches
 
 
-def _random_window_terms(tower, rng, m: int, n: int):
-    """1..3 random raw terms ``(exps, c, key)``, each standing for the form
-    c * (lower monomial) * t^i dlog T_key with i in [m+1, n]; degree d - 1.
+def _random_window_terms(tower, rng, m: int, n: int, samples: int):
+    """The terms of ``samples`` samples, each a list of 1..3 int codes;
+    :func:`_window_term` reads a code as the raw term ``(exps, c, key)``,
+    the form c * (lower monomial) * t^i dlog T_key with i in [m+1, n] of
+    degree d - 1.
 
-    The draws are those of ``rng.randint(1, 3)`` for the count, then per
-    term ``rng.randint(m + 1, n)``, ``field_domain.random_nonzero(rng)``,
-    ``rng.randint(-2, 2)`` per lower variable and ``rng.randint(1, d)``,
-    each rejection-sampled here on the same bits (module docstring,
-    "Symbols")."""
+    Per sample the draws are those of ``rng.randint(1, 3)`` for the count,
+    then per term ``rng.randint(m + 1, n)``, ``field_domain.random_nonzero
+    (rng)``, ``rng.randint(-2, 2)`` per lower variable and ``rng.randint(1,
+    d)``, each rejection-sampled here on the same bits (module docstring,
+    "Symbols").  A code is the mixed radix, in draw order, of the top
+    offset ``i - m - 1``, the base-``p`` digits of ``c``, each lower
+    exponent plus 2 and the key minus 1."""
     bits = rng.getrandbits
     d_level = tower.d
     p, k = tower.p, tower.k
+    q = p**k
     p_bits = p.bit_length()
     span = n - m
     span_bits = span.bit_length()
     key_bits = d_level.bit_length()
-    terms = []
-    count = bits(2)
-    while count >= 3:
+    draws = []
+    for _ in range(samples):
+        codes = []
         count = bits(2)
-    for _ in range(count + 1):
-        i = bits(span_bits)
-        while i >= span:
-            i = bits(span_bits)
-        if k == 1:
-            c = bits(p_bits)
-            while not 0 < c < p:
+        while count >= 3:
+            count = bits(2)
+        for _ in range(count + 1):
+            code = bits(span_bits)
+            while code >= span:
+                code = bits(span_bits)
+            if k == 1:
                 c = bits(p_bits)
-        else:
-            c = ()
-            while not any(c):
-                digits = []
-                for _ in range(k):
-                    r = bits(p_bits)
-                    while r >= p:
+                while not 0 < c < p:
+                    c = bits(p_bits)
+            else:
+                c = 0
+                while not c:  # c is 0 again after k zero digits
+                    for _ in range(k):
                         r = bits(p_bits)
-                    digits.append(r)
-                c = tuple(digits)
-        if d_level == 1:
-            terms.append(((m + 1 + i,), c, ()))
-            continue
-        exps = []
+                        while r >= p:
+                            r = bits(p_bits)
+                        c = c * p + r
+            code = code * q + c
+            if d_level > 1:
+                for _ in range(d_level - 1):
+                    r = bits(3)
+                    while r >= 5:
+                        r = bits(3)
+                    code = code * 5 + r
+                r = bits(key_bits)
+                while r >= d_level:
+                    r = bits(key_bits)
+                code = code * d_level + r
+            codes.append(code)
+        draws.append(codes)
+    return draws
+
+
+def _window_term(code: int, tower, m: int):
+    """The raw term ``(exps, c, key)`` of a code of
+    :func:`_random_window_terms`: its radices read back, last first."""
+    p, k, d_level = tower.p, tower.k, tower.d
+    key = lower = ()
+    if d_level > 1:
+        code, r = divmod(code, d_level)
+        key = (r + 1,)
         for _ in range(d_level - 1):
-            r = bits(3)
-            while r >= 5:
-                r = bits(3)
-            exps.append(r - 2)
-        exps.append(m + 1 + i)
-        key = bits(key_bits)
-        while key >= d_level:
-            key = bits(key_bits)
-        terms.append((tuple(exps), c, (1 + key,)))
-    return terms
+            code, r = divmod(code, 5)
+            lower = (r - 2,) + lower
+    if k == 1:
+        code, c = divmod(code, p)
+    else:
+        c = ()
+        for _ in range(k):
+            code, r = divmod(code, p)
+            c = (r,) + c
+    return lower + (m + 1 + code,), c, key
 
 
 def _pairing(window: WindowedForm, term, b: int) -> int:
     """``Res_F(R_b(window ^ alpha))`` in F_p for the raw term ``(exps, c,
-    key)`` of :func:`_random_window_terms`, ``alpha = c T^exps dlog T_key``
+    key)`` of :func:`_window_term`, ``alpha = c T^exps dlog T_key``
     in the dual window: the trace of ``sgn c R_K[-exps]`` (module
     docstring, "The right side"), or the operators' value and refusal when
     a window, the exponent floor, ``b``, the ring or the exponent could
@@ -594,7 +622,7 @@ def _pairing_through_operators(window: WindowedForm, term, b: int) -> int:
 
 def _recount(draws, known, modulus: int):
     """The agreements and the mismatch entries of the samples ``draws``,
-    each term's values looked up in ``known``, sample by sample."""
+    each term code's values looked up in ``known``, sample by sample."""
     agreements = 0
     mismatches = []
     for idx, terms in enumerate(draws):
@@ -674,12 +702,19 @@ def verify_rsw_characterization(
     Agreements are counted per term.  A sample's two sides are the sums of
     its terms' values, so when every distinct term agrees (its symbol
     equals its pairing, and its Schmid value where one is taken) every
-    sample agrees, and the Schmid check runs once per term occurrence:
-    the loop only draws the samples and evaluates their new terms.  When
-    some term disagrees, one pass over the kept draws sums each sample's
-    sides and lists the mismatches in sample order, a sample's Schmid
-    entries before its identity entry.
+    sample agrees, and the Schmid check runs once per term occurrence.
+    So the loop draws every sample in one call, as int codes (module
+    docstring, "Symbols"), skips a sample whose codes are all known after
+    one membership pass, and reads a code back into its term only to
+    evaluate it.  When some term disagrees, one pass over the kept draws
+    sums each sample's sides and lists the mismatches in sample order, a
+    sample's Schmid entries before its identity entry.
+
+    ``samples`` must be a positive int (not a bool): anything else raises
+    :class:`InconsistentValue`.
     """
+    if type(samples) is not int or samples < 1:  # bools are ints to isinstance
+        raise InconsistentValue(f"samples must be a positive integer (got {samples!r})")
     char = asw_reduce(char)
     tower = char.tower
     if tower.d not in (1, 2):
@@ -697,32 +732,35 @@ def verify_rsw_characterization(
     modulus = p**s
     embed = p ** (s - 1)
     schmid = s == 1 and tower.d == 1
-    known: dict = {}  # raw term -> (symbol value, Schmid oracle value or None, pairing)
+    known: dict = {}  # term code -> (symbol value, Schmid oracle value or None, pairing)
     exponentials: dict = {}  # (exps, c) -> E(x), shared by the terms' dlog keys
     variables = {lam: NestedSeries.variable(tower.d, domain, lam) for lam in range(1, tower.d + 1)}
     entries = _SymbolEntries(theta, tower)
-    draws = []
+    draws = _random_window_terms(tower, rng, m, n, samples)
     all_agree = True
-    for _ in range(samples):
-        terms = _random_window_terms(tower, rng, m, n)
-        draws.append(terms)
+    for codes in draws:
+        for code in codes:
+            if code not in known:
+                break
+        else:
+            continue
         # Left side: the symbol {E(x), T_lambda} of each new term.
         fresh = {}
-        for term in terms:
-            if term in known or term in fresh:
+        for code in codes:
+            if code in known or code in fresh:
                 continue
-            exps, c, key = term
+            term = exps, c, key = _window_term(code, tower, m)
             ex = exponentials.get((exps, c))
             if ex is None:
                 x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
                 ex = exponentials[exps, c] = truncated_exp(x)
             ys = [ex] + [variables[lam] for lam in key]
             val = _symbol_value(theta, tower, ys, entries)
-            fresh[term] = val, schmid_symbol(char.vector.comps[0], ex) if schmid else None
+            fresh[code] = term, val, schmid_symbol(char.vector.comps[0], ex) if schmid else None
         # Right side: Rsw(chi) paired with each new term.
-        for term, (val, oracle) in fresh.items():
+        for code, (term, val, oracle) in fresh.items():
             pairing = _pairing(value.window, term, b) * embed % modulus
-            known[term] = val, oracle, pairing
+            known[code] = val, oracle, pairing
             if val % modulus != pairing or schmid and oracle % modulus != val % modulus:
                 all_agree = False
     schmid_checked = sum(map(len, draws)) if schmid else 0

@@ -13,13 +13,16 @@ Oracles used here:
     the nose and serve as representation-independent oracles;
   * the characterization checker is compared with its own loop without the
     per-call dict of terms, which pairs each sample's whole summed alpha
-    (``uncached_characterization_oracle``): a check of additivity;
+    and draws through ``randint`` (``uncached_characterization_oracle``): a
+    check of additivity and of the terms the checker pairs;
   * symbol values are compared with the residue through full ``dlog``
     forms (``dlog_route_symbol``) and with that route on exact completions
     at a wide budget, and the term draws with the ``randint`` draws they
-    replace (``randint_draw_oracle``).
+    replace (``randint_draw_oracle``); the term codes are checked
+    injective on every term of small windows, drawn from scripted bits.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -651,27 +654,37 @@ def test_characterization_is_seed_deterministic():
 
 
 def partner_sampler(value, drawn):
-    """A stand-in for ``reciprocity._random_window_terms`` that draws one
-    term per sample, appended to ``drawn``, from the partners of the
-    monomials of ``Rsw(chi)``, by the partner rule of ``duality_matrix``:
-    the monomial ``c u^a t^e dlog_K`` of the invariant pairs with ``c' u^-a
-    t^-e dlog_K'``, ``K'`` the complement of ``K`` and ``c'`` a random
-    nonzero scalar.  The product is ``c c'`` times ``u^0 t^0 dlog u ^ dlog
-    t`` up to sign, which ``r_b`` and the residue read; every other monomial
-    of the invariant leaves the ``u^0 t^0`` slot."""
+    """Stand-ins for ``reciprocity._random_window_terms`` and
+    ``reciprocity._window_term`` that draw one term per sample, appended to
+    ``drawn``, from the partners of the monomials of ``Rsw(chi)``, by the
+    partner rule of ``duality_matrix``: the monomial ``c u^a t^e dlog_K`` of
+    the invariant pairs with ``c' u^-a t^-e dlog_K'``, ``K'`` the complement
+    of ``K`` and ``c'`` a random nonzero scalar.  The product is ``c c'``
+    times ``u^0 t^0 dlog u ^ dlog t`` up to sign, which ``r_b`` and the
+    residue read; every other monomial of the invariant leaves the ``u^0
+    t^0`` slot.  A partner's lower exponent can leave the sampler's range
+    -2..2, so a code is the term's index in order of first draw, which the
+    stand-in decoder reads back."""
     domain = value.window.form.domain
     monomials = [
         (key, exps)
         for key, coeff in sorted(value.window.form.coeffs.items())
         for exps, _ in coeff.iter_monomials()
     ]
+    codes: dict = {}  # term -> code
 
-    def draw(tower, rng, m, n):
-        (lam,), (a, e) = rng.choice(monomials)
-        drawn.append(((-a, -e), domain.random_nonzero(rng), (3 - lam,)))
-        return drawn[-1:]
+    def draw(tower, rng, m, n, samples):
+        batch = []
+        for _ in range(samples):
+            (lam,), (a, e) = rng.choice(monomials)
+            drawn.append(((-a, -e), domain.random_nonzero(rng), (3 - lam,)))
+            batch.append([codes.setdefault(drawn[-1], len(codes))])
+        return batch
 
-    return draw
+    def window_term(code, tower, m):
+        return list(codes)[code]
+
+    return draw, window_term
 
 
 PARTNER_CELLS = [(p, s) for p in (3, 5) for s in (1, 2)]
@@ -708,8 +721,9 @@ def test_partner_sampled_identity_checks_are_nonzero(monkeypatch, p, s):
             continue
         drawn = []
         values.clear()
-        monkeypatch.setattr(reciprocity, "_random_window_terms",
-                            partner_sampler(reciprocity.rsw_char_p(chi), drawn))
+        draw, window_term = partner_sampler(reciprocity.rsw_char_p(chi), drawn)
+        monkeypatch.setattr(reciprocity, "_random_window_terms", draw)
+        monkeypatch.setattr(reciprocity, "_window_term", window_term)
         report = verify_rsw_characterization(chi, 40, seed=len(checks))
         assert report.all_equal, report
         # each distinct term's symbol is evaluated once, at its first draw
@@ -724,6 +738,16 @@ def test_characterization_refuses_unramified():
         verify_rsw_characterization(char_of(K2, ["t"]), samples=1)
 
 
+@pytest.mark.parametrize("samples", [-5, 0, True, 2.5])
+def test_characterization_refuses_a_sample_count_that_is_not_a_positive_int(samples):
+    """A negative or zero count, a bool and a float are refused, as the
+    loader refuses them; before, -5 reported -5 agreements as all equal, 0
+    passed with nothing checked, True ran one sample and 2.5 raised a bare
+    TypeError."""
+    with pytest.raises(InconsistentValue, match="samples must be a positive integer"):
+        verify_rsw_characterization(char_of(K2, ["t^-3"]), samples)
+
+
 def test_characterization_covers_low_dimensions_only():
     K3d = FieldTower(2, 1, 1, ("v", "u", "t"))
     chi = char_of(K3d, ["t^-1"])
@@ -734,8 +758,8 @@ def test_characterization_covers_low_dimensions_only():
 # ---------------------------------------------------------- the term draws
 
 def randint_draw_oracle(tower, rng, m, n):
-    """The term draw through ``randint`` and ``random_nonzero``, as the
-    library drew it before ``reciprocity._below``."""
+    """The term draw of one sample through ``randint`` and
+    ``random_nonzero``, as the library drew it before ``reciprocity._below``."""
     d_level = tower.d
     terms = []
     for _ in range(rng.randint(1, 3)):
@@ -747,30 +771,133 @@ def randint_draw_oracle(tower, rng, m, n):
     return terms
 
 
+def decoded(tower, m, batch):
+    """The raw terms of a batch of term codes, sample by sample."""
+    return [[reciprocity._window_term(code, tower, m) for code in codes] for codes in batch]
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_term_draws_take_the_bits_of_the_randint_draws(p):
-    """Same terms and the same generator state after every call, over 200
-    seeds, k = 1, 2, 3, d = 1, 2 and windows of width 1 (n - m = 1) up."""
+    """One batch call, decoded, gives the terms of as many successive
+    per-sample ``randint`` draws and leaves the generator in their state,
+    over 200 seeds, k = 1, 2, 3, d = 1, 2, windows of width 1 (n - m = 1)
+    up and 1 to 4 samples a call."""
     for k in (1, 2, 3):
         for variables in (("t",), ("u", "t")):
             tower = FieldTower(p, k, 1, variables)
             for seed in range(200):
                 ours, theirs = random.Random(seed), random.Random(seed)
+                samples = 1 + seed % 4
                 for m, n in ((0, 1), (3, 4), (1, 5), (4, 40)):
-                    assert (reciprocity._random_window_terms(tower, ours, m, n)
-                            == randint_draw_oracle(tower, theirs, m, n)), (k, variables, seed)
+                    batch = reciprocity._random_window_terms(tower, ours, m, n, samples)
+                    assert decoded(tower, m, batch) == [
+                        randint_draw_oracle(tower, theirs, m, n) for _ in range(samples)
+                    ], (k, variables, seed, m, n)
                     assert ours.getstate() == theirs.getstate(), (k, variables, seed, m, n)
+
+
+class ScriptedBits:
+    """A generator whose ``getrandbits`` returns the values of a script in
+    turn, each checked to fit the bits asked for."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def getrandbits(self, k):
+        value = self.script.pop(0)
+        assert 0 <= value < 2**k, (value, k)
+        return value
+
+
+def window_code(draw, tower, m, n, term):
+    """The code that the batch draw ``draw`` gives the raw term ``term`` of
+    the window ``(m, n]``: one sample drawn from the bits that pick it (a
+    count of one term, its top offset, its coefficient's digits, each lower
+    exponent plus 2 and its key minus 1), so no radix is restated here."""
+    exps, c, key = term
+    digits = [c] if tower.k == 1 else list(c)
+    rng = ScriptedBits([0, exps[-1] - m - 1, *digits,
+                        *(e + 2 for e in exps[:-1]), *(lam - 1 for lam in key)])
+    (code,), = draw(tower, rng, m, n, 1)
+    assert not rng.script, term
+    return code
+
+
+def every_window_term(tower, m, n):
+    """Every raw term the sampler can draw in the window ``(m, n]``."""
+    p, k, d_level = tower.p, tower.k, tower.d
+    scalars = range(1, p) if k == 1 else [
+        c for c in itertools.product(range(p), repeat=k) if any(c)
+    ]
+    keys = [()] if d_level == 1 else [(lam,) for lam in range(1, d_level + 1)]
+    for top in range(m + 1, n + 1):
+        for lower in itertools.product(range(-2, 3), repeat=d_level - 1):
+            for c in scalars:
+                for key in keys:
+                    yield lower + (top,), c, key
+
+
+def test_term_codes_are_injective_and_decode_to_their_terms():
+    """Every term of small windows (p = 2, 3, 5; k = 1, 2; d = 1, 2; n - m =
+    1 to 4) drawn from scripted bits: distinct terms get distinct codes, and
+    each code decodes to its term, so no two terms share an entry of the
+    check's table, drawn by a seed or not."""
+    for p, k, variables in itertools.product((2, 3, 5), (1, 2), (("t",), ("u", "t"))):
+        tower = FieldTower(p, k, 1, variables)
+        for width in range(1, 5):
+            m, n = width + 1, 2 * width + 1
+            terms = list(every_window_term(tower, m, n))
+            codes = [window_code(reciprocity._random_window_terms, tower, m, n, term)
+                     for term in terms]
+            assert len(set(codes)) == len(terms), (p, k, variables, width)
+            assert [reciprocity._window_term(code, tower, m) for code in codes] == terms, \
+                (p, k, variables, width)
+
+
+def recording_draw(drawn):
+    """Wrap ``reciprocity._random_window_terms`` so that every call adds the
+    raw terms it drew to the set ``drawn``, after checking them against
+    ``randint_draw_oracle`` on a twin of the generator."""
+    draw = reciprocity._random_window_terms
+
+    def recording(tower, rng, m, n, samples):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        batch = draw(tower, rng, m, n, samples)
+        terms = decoded(tower, m, batch)
+        assert terms == [randint_draw_oracle(tower, twin, m, n) for _ in range(samples)]
+        drawn.update(term for sample in terms for term in sample)
+        return batch
+
+    return recording
+
+
+def recording_pairings(monkeypatch):
+    """The list to which every ``reciprocity._pairing`` call appends its term."""
+    paired = []
+    pairing = reciprocity._pairing
+
+    def recording(window, term, b):
+        paired.append(term)
+        return pairing(window, term, b)
+
+    monkeypatch.setattr(reciprocity, "_pairing", recording)
+    return paired
 
 
 # ------------------------------------- the unmemoized characterization loop
 
-def uncached_characterization_oracle(char, samples, seed=0):
+def uncached_characterization_oracle(char, samples, seed=0, reshape=None):
     """The characterization loop without its per-call dict of terms and
     without additivity: every term's series, symbol and Schmid oracle value
     built afresh, and every sample's whole summed alpha paired at once, so
     the library's per-term pairings are checked against the pairing of the
-    sum.  Helpers are looked up on the module, so a monkeypatched one
-    reaches both this loop and the library's."""
+    sum.  The samples are drawn one by one through ``randint_draw_oracle``,
+    each passed through ``reshape(tower, m, n, terms)`` when given, so the
+    loop shares no sampler with the library; the other helpers are looked
+    up on the module, so a monkeypatched one reaches both this loop and the
+    library's.  Returns the report and the distinct terms in order of first
+    draw, which the library must pair one by one in that order."""
     char = asw_reduce(char)
     tower = char.tower
     p, s = tower.p, tower.s
@@ -783,10 +910,15 @@ def uncached_characterization_oracle(char, samples, seed=0):
     agreements = schmid_checked = 0
     mismatches = []
     modulus = p**s
+    drawn = []
     for idx in range(samples):
+        raw = randint_draw_oracle(tower, rng, m, n)
+        if reshape is not None:
+            raw = reshape(tower, m, n, raw)
+        drawn += raw
         terms = [
             (NestedSeries.from_monomials(tower.d, tower.field_domain, [(exps, c)]), key)
-            for exps, c, key in reciprocity._random_window_terms(tower, rng, m, n)
+            for exps, c, key in raw
         ]
         lhs = 0
         for x, key in terms:
@@ -818,10 +950,11 @@ def uncached_characterization_oracle(char, samples, seed=0):
             agreements += 1
         else:
             mismatches.append({"sample": idx, "kind": "identity", "lhs": lhs, "rhs": rhs})
-    return CharacterizationReport(
+    report = CharacterizationReport(
         n=n, m=m, b=b, samples=samples, agreements=agreements,
         schmid_checked=schmid_checked, mismatches=tuple(mismatches[:10]),
     )
+    return report, list(dict.fromkeys(drawn))
 
 
 def catalog_reciprocity_cells(p):
@@ -835,11 +968,14 @@ def catalog_reciprocity_cells(p):
 
 
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
-def test_characterization_matches_uncached_oracle_on_the_catalog(p):
+def test_characterization_matches_uncached_oracle_on_the_catalog(p, monkeypatch):
+    paired = recording_pairings(monkeypatch)
     for label, char, samples in catalog_reciprocity_cells(p):
         for seed in range(5):
+            paired.clear()
             report = verify_rsw_characterization(char, samples, seed=seed)
-            assert report == uncached_characterization_oracle(char, samples, seed), (label, seed)
+            assert (report, paired) == uncached_characterization_oracle(char, samples, seed), \
+                (label, seed)
             assert report.all_equal
 
 
@@ -861,11 +997,14 @@ def test_characterization_mismatches_match_uncached_oracle(p, monkeypatch):
     monkeypatch.setattr(reciprocity, "rsw_char_p", _zero_invariant(reciprocity.rsw_char_p))
     schmid = reciprocity.schmid_symbol
     monkeypatch.setattr(reciprocity, "schmid_symbol", lambda f, y: schmid(f, y) + 1)
+    paired = recording_pairings(monkeypatch)
     kinds = set()
     for label, char, samples in catalog_reciprocity_cells(p):
         for seed, count in ((0, 3), (1, samples)):
+            paired.clear()
             report = verify_rsw_characterization(char, count, seed=seed)
-            assert report == uncached_characterization_oracle(char, count, seed), (label, seed)
+            assert (report, paired) == uncached_characterization_oracle(char, count, seed), \
+                (label, seed)
             kinds |= {entry["kind"] for entry in report.mismatches}
         assert not report.all_equal, label
     assert kinds == {"identity", "schmid-oracle"}
@@ -878,10 +1017,12 @@ def test_characterization_reports_schmid_mismatches_alone(p, monkeypatch):
     unmemoized loop's."""
     schmid = reciprocity.schmid_symbol
     monkeypatch.setattr(reciprocity, "schmid_symbol", lambda f, y: schmid(f, y) + 1)
+    paired = recording_pairings(monkeypatch)
     checked = 0
     for label, char, samples in catalog_reciprocity_cells(p):
+        paired.clear()
         report = verify_rsw_characterization(char, samples, seed=1)
-        assert report == uncached_characterization_oracle(char, samples, 1), label
+        assert (report, paired) == uncached_characterization_oracle(char, samples, 1), label
         assert report.agreements == samples, label
         if report.schmid_checked:
             checked += 1
@@ -894,12 +1035,6 @@ def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
     """One symbol and one pairing (one ``_pairing``) per distinct drawn term."""
     drawn = set()
     calls = {"_symbol_value": 0, "_pairing": 0}
-    draw = reciprocity._random_window_terms
-
-    def recording_draw(*args):
-        terms = draw(*args)
-        drawn.update(terms)
-        return terms
 
     def counting(name):
         original = getattr(reciprocity, name)
@@ -910,7 +1045,7 @@ def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
 
         return call
 
-    monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw)
+    monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw(drawn))
     for name in calls:
         monkeypatch.setattr(reciprocity, name, counting(name))
     for label, char, samples in catalog_reciprocity_cells(p):
@@ -1061,9 +1196,11 @@ def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch
 
     monkeypatch.setattr(reciprocity, "_symbol_value", recording_symbol)
     monkeypatch.setattr(NestedSeries, "inv", recording_inv)
+    paired = recording_pairings(monkeypatch)
     for seed in range(30):
         exponentials.clear()
         inverted.clear()
+        paired.clear()
         state["recording"] = True
         report = verify_rsw_characterization(char, samples, seed=seed)
         state["recording"] = False
@@ -1072,7 +1209,8 @@ def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch
         lifted = {lift_series(e, big) for e in exponentials.values()}
         assert len(lifted) == len(exponentials) == len(inverted), (label, seed)
         assert {y for y, _ in inverted} == lifted, (label, seed)
-        assert report == uncached_characterization_oracle(char, samples, seed), (label, seed)
+        assert (report, paired) == uncached_characterization_oracle(char, samples, seed), \
+            (label, seed)
 
 
 def test_characterization_builds_each_exponential_once(monkeypatch):
@@ -1080,19 +1218,15 @@ def test_characterization_builds_each_exponential_once(monkeypatch):
     the d = 2 catalog characters some monomial is drawn with both keys."""
     drawn = set()
     calls = []
-    draw, exp = reciprocity._random_window_terms, reciprocity.truncated_exp
-
-    def recording_draw(*args):
-        terms = draw(*args)
-        drawn.update(terms)
-        return terms
+    exp = reciprocity.truncated_exp
 
     def counting_exp(x):
         calls.append(x)
         return exp(x)
 
-    monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw)
+    monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw(drawn))
     monkeypatch.setattr(reciprocity, "truncated_exp", counting_exp)
+    paired = recording_pairings(monkeypatch)
     shared = 0
     for p in catalog.CATALOG_PRIMES:
         for label, char, samples in catalog_reciprocity_cells(p):
@@ -1100,8 +1234,9 @@ def test_characterization_builds_each_exponential_once(monkeypatch):
                 continue
             drawn.clear()
             calls.clear()
+            paired.clear()
             report = verify_rsw_characterization(char, samples, seed=0)
-            assert report == uncached_characterization_oracle(char, samples, 0), label
+            assert (report, paired) == uncached_characterization_oracle(char, samples, 0), label
             monomials = {(exps, c) for exps, c, _ in drawn}
             assert len(calls) == len(monomials), label
             shared += len(drawn) - len(monomials)
@@ -1122,20 +1257,29 @@ ADDITIVITY_CELLS = [
 ]
 
 
-def _repeating_and_cancelling(draw):
-    """Wrap the term draw so that every sample also holds the negative of
-    its first term (the two cancel in alpha), a second term on the first
-    term's dlog key at another exponent, the first term once more and, over
-    two variables, the first term's monomial on the other dlog key."""
+def _repeat_and_cancel(tower, m, n, terms):
+    """A sample's raw terms, then the negative of its first term (the two
+    cancel in alpha), a second term on the first term's dlog key at another
+    exponent, the first term once more and, over two variables, the first
+    term's monomial on the other dlog key."""
+    exps, c, key = terms[0]
+    top = m + 1 + (exps[-1] - m) % (n - m)  # another exponent in [m+1, n] when n > m + 1
+    terms = terms + [(exps, tower.field_domain.neg(c), key), (exps[:-1] + (top,), c, key),
+                     terms[0]]
+    if key:
+        terms.append((exps, c, (3 - key[0],)))
+    return terms
 
-    def wrapped(tower, rng, m, n):
-        terms = draw(tower, rng, m, n)
-        exps, c, key = terms[0]
-        top = m + 1 + (exps[-1] - m) % (n - m)  # another exponent in [m+1, n] when n > m + 1
-        terms += [(exps, tower.field_domain.neg(c), key), (exps[:-1] + (top,), c, key), terms[0]]
-        if key:
-            terms.append((exps, c, (3 - key[0],)))
-        return terms
+
+def _repeating_and_cancelling(draw):
+    """Wrap the batch draw so that every sample holds the terms of
+    ``_repeat_and_cancel``, each coded by ``draw`` itself."""
+
+    def wrapped(tower, rng, m, n, samples):
+        return [
+            [window_code(draw, tower, m, n, term) for term in _repeat_and_cancel(tower, m, n, terms)]
+            for terms in decoded(tower, m, draw(tower, rng, m, n, samples))
+        ]
 
     return wrapped
 
@@ -1149,15 +1293,19 @@ def test_characterization_is_additive_beyond_the_catalog(tower, texts, monkeypat
     towers the catalog does not sample, with repeated dlog keys, repeated
     terms and terms that cancel in alpha."""
     chi = char_of(tower, texts)
+    paired = recording_pairings(monkeypatch)
     for forced in (False, True):
         if forced:
             monkeypatch.setattr(
                 reciprocity, "_random_window_terms",
                 _repeating_and_cancelling(reciprocity._random_window_terms),
             )
+        reshape = _repeat_and_cancel if forced else None
         for seed in range(3):
+            paired.clear()
             report = verify_rsw_characterization(chi, 30, seed=seed)
-            assert report == uncached_characterization_oracle(chi, 30, seed), (forced, seed)
+            assert (report, paired) == uncached_characterization_oracle(chi, 30, seed, reshape), \
+                (forced, seed)
             assert report.all_equal, (forced, seed)
 
 
