@@ -518,19 +518,20 @@ def _random_window_terms(tower, rng, m: int, n: int, samples: int):
     span = n - m
     span_bits = span.bit_length()
     key_bits = d_level.bit_length()
+    lower = range(d_level - 1)
     draws = []
     for _ in range(samples):
-        codes = []
-        count = bits(2)
-        while count >= 3:
+        count = bits(2)  # the terms after the first
+        while count == 3:
             count = bits(2)
-        for _ in range(count + 1):
+        codes = []
+        while True:
             code = bits(span_bits)
             while code >= span:
                 code = bits(span_bits)
             if k == 1:
                 c = bits(p_bits)
-                while not 0 < c < p:
+                while c == 0 or c >= p:
                     c = bits(p_bits)
             else:
                 c = 0
@@ -541,8 +542,8 @@ def _random_window_terms(tower, rng, m: int, n: int, samples: int):
                             r = bits(p_bits)
                         c = c * p + r
             code = code * q + c
-            if d_level > 1:
-                for _ in range(d_level - 1):
+            if lower:
+                for _ in lower:
                     r = bits(3)
                     while r >= 5:
                         r = bits(3)
@@ -552,6 +553,9 @@ def _random_window_terms(tower, rng, m: int, n: int, samples: int):
                     r = bits(key_bits)
                 code = code * d_level + r
             codes.append(code)
+            if not count:
+                break
+            count -= 1
         draws.append(codes)
     return draws
 
