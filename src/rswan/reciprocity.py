@@ -504,10 +504,10 @@ def _random_window_terms(tower, rng, m: int, n: int, samples: int):
     degree d - 1.
 
     Per sample the draws are those of ``rng.randint(1, 3)`` for the count,
-    then per term ``rng.randint(m + 1, n)``, ``field_domain.random_nonzero
-    (rng)``, ``rng.randint(-2, 2)`` per lower variable and ``rng.randint(1,
-    d)``, each rejection-sampled here on the same bits (module docstring,
-    "Symbols").  A code is the mixed radix, in draw order, of the top
+    then per term ``rng.randint(m + 1, n)``,
+    ``field_domain.random_nonzero(rng)``, ``rng.randint(-2, 2)`` per lower
+    variable and ``rng.randint(1, d)``, each rejection-sampled here on the
+    same bits (module docstring, "Symbols").  A code is the mixed radix, in draw order, of the top
     offset ``i - m - 1``, the base-``p`` digits of ``c``, each lower
     exponent plus 2 and the key minus 1."""
     bits = rng.getrandbits
