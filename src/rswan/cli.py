@@ -15,6 +15,7 @@ import json
 import sys
 import time
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -32,7 +33,7 @@ from .parser import parse_rat_func, parse_series, parse_windowed_form, render_fo
 from .ratfunc import rat_func_domain
 from .reciprocity import FP_EMBEDDING, check_exp_congruences, verify_rsw_characterization
 from .rsw import rsw_char_p, rsw_is_closed, sw_from_rsw
-from .series import NestedSeries
+from .series import _ORD_FLOOR, NestedSeries
 from .tower import FieldTower
 from .witt import Character, WittVector, asw_reduce, swan_conductor
 
@@ -45,19 +46,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
-
-# The fields each task kind reads beside 'task'; any other field is refused.
-_FIELDS = {
-    "swan": {"character", "expect"},
-    "rsw": {"character", "expect"},
-    "duality": {"tower", "n", "m", "b"},
-    "reciprocity": {"character", "samples"},
-    "conductor-change": {"character", "extension", "expect", "expect_sw"},
-    "thmB": {"t_values", "expect_ratios"},
-    "thmC": {"f", "x0", "exponents", "expect_ratios"},
-    "exp-congruences": {"p"},
-}
-TASK_NAMES = tuple(_FIELDS)
 
 CONVENTIONS = {
     "witt_order": (
@@ -72,32 +60,30 @@ MAX_SAMPLES = 10_000  # reciprocity samples per task: 100 times the default
 # Rows of a duality task's largest Gram matrix: 100 times the largest (96)
 # that the duality benchmark builds.
 MAX_GRAM_ROWS = 10_000
-_THMB_T_VALUES = (3, 5, 7)  # thmB's family exponents when a task gives none
-_THMC_EXPONENTS = (2, 4, 8)  # thmC's curve exponents when a task gives none
+# thmB's family pulls u t^-2 back to w^(-2t): t above this takes the
+# exponent below the series floor.
+_THMB_MAX_T = -_ORD_FLOOR // 2
 
 
 # ------------------------------------------------------------- configuration
 
+@dataclass
 class RunConfig:
     """A validated run: towers, characters, extensions, and the task list."""
 
-    def __init__(self, main_tower, towers, characters, extensions, tasks, curves, version):
-        self.main_tower = main_tower
-        self.towers = towers  # name -> FieldTower, includes "main"
-        self.characters = characters  # label -> Character (unreduced)
-        self.extensions = extensions  # name -> ExtensionMap
-        self.tasks = tasks
-        self.curves = curves  # thmC 'f' items -> the parsed series over F_p(x)
-        self.version = version
+    main_tower: FieldTower
+    towers: dict  # name -> FieldTower, includes "main"
+    characters: dict  # label -> Character (unreduced)
+    extensions: dict  # name -> ExtensionMap
+    tasks: list
+    curves: dict  # thmC 'f' items -> the parsed series over F_p(x)
+    version: int
 
 
 def _build_tower(name: str, desc, precision: int | None) -> FieldTower:
     if not isinstance(desc, dict):
         raise ConfigError(f"tower {name!r} must be an object")
-    allowed = {"p", "k", "s", "variables", "precision"}
-    extra = set(desc) - allowed
-    if extra:
-        raise ConfigError(f"tower {name!r} has unknown fields {sorted(extra)}")
+    _refuse_unknown_fields(f"tower {name!r}", desc, ("p", "k", "s", "variables", "precision"))
     for key in ("p", "k", "s", "precision"):
         if key in desc and not _is_int(desc[key]):
             raise ConfigError(f"tower {name!r} field {key!r} must be an integer")
@@ -129,27 +115,21 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _refuse_unknown_fields(what: str, desc: dict, allowed):
+    extra = set(desc) - set(allowed)
+    _require(not extra, f"{what} has unknown fields {sorted(extra)}")
+
+
 def _require_reference(owner: str, kind: str, name, defined: dict):
     """``name`` names an entry of ``defined``; one that is not a string is
     refused before the lookup, which would hash it."""
-    _require(isinstance(name, str), f"{owner} needs a {kind} name, got {name!r}")
+    article = "an" if kind[0] in "aeiou" else "a"
+    _require(isinstance(name, str), f"{owner} needs {article} {kind} name, got {name!r}")
     _require(name in defined, f"{owner} references undefined {kind} {name!r}")
 
 
 def _is_int(value) -> bool:
     return type(value) is int  # bools are ints to isinstance
-
-
-# The task kinds that compare an 'expect' field with their answer: the check
-# the field must pass, and how a refusal names what it must be.
-_EXPECTATIONS = {
-    "swan": (_is_int, "an integer"),
-    "rsw": (lambda value: isinstance(value, str), "a form literal"),
-    "conductor-change": (
-        lambda value: isinstance(value, str) and value in ("PASS", "FAIL", "NOT_APPLICABLE"),
-        "one of 'PASS', 'FAIL', 'NOT_APPLICABLE'",
-    ),
-}
 
 
 def _positive_ints(value) -> bool:
@@ -166,6 +146,15 @@ def _ratio_texts(value) -> bool:
         return False
 
 
+def _exponent_literals(value) -> bool:
+    """A nonempty thmC ``f``: exponent -> literal, each exponent written as
+    ``str(int)`` writes it (ASCII, no "-0", no leading zero), so that no two
+    keys name one exponent."""
+    return isinstance(value, dict) and bool(value) and all(
+        isinstance(e, str) and e.isascii() and e.removeprefix("-").isdigit()
+        and str(int(e)) == e and isinstance(v, str) for e, v in value.items())
+
+
 def _check_gram_size(what: str, tower: FieldTower, task: dict):
     """Refuse a duality task whose ``b`` cannot collapse its window (``p^b
     < n - m``) or whose largest Gram matrix, of ``comb(d, d // 2) (n - m)
@@ -173,7 +162,7 @@ def _check_gram_size(what: str, tower: FieldTower, task: dict):
     that the answer does not need."""
     p, d = tower.p, tower.d
     width = task["n"] - task["m"]
-    b = task.get("b")
+    b = _get(task, "b")
     _require(
         b is None or b >= width.bit_length() or p**b >= width,
         f"{what} has p^b = {p}^{b} below the window width n - m = {width}",
@@ -217,8 +206,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
     _require(isinstance(chars_doc, dict), "'characters' must map labels to component lists")
     for label, desc in chars_doc.items():
         if isinstance(desc, dict):
-            extra = set(desc) - {"tower", "components"}
-            _require(not extra, f"character {label!r} has unknown fields {sorted(extra)}")
+            _refuse_unknown_fields(f"character {label!r}", desc, ("tower", "components"))
             tower_name = desc.get("tower", "main")
             comps = desc.get("components")
         else:
@@ -245,8 +233,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
     _require(isinstance(ext_doc, dict), "'extensions' must map names to descriptors")
     for name, desc in ext_doc.items():
         _require(isinstance(desc, dict), f"extension {name!r} must be an object")
-        extra = set(desc) - {"source", "target", "images"}
-        _require(not extra, f"extension {name!r} has unknown fields {sorted(extra)}")
+        _refuse_unknown_fields(f"extension {name!r}", desc, ("source", "target", "images"))
         source_name = desc.get("source", "main")
         target_name = desc.get("target")
         _require_reference(f"extension {name!r}", "tower", source_name, towers)
@@ -267,111 +254,59 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
 
     tasks = doc.get("tasks", [])
     _require(isinstance(tasks, list), "'tasks' must be a list")
+    defined = {"tower": towers, "character": characters, "extension": extensions}
     curves: dict = {}
     for idx, task in enumerate(tasks):
         _require(isinstance(task, dict), f"task #{idx} must be an object")
         kind = task.get("task")
         _require(
-            kind in TASK_NAMES,
+            kind in TASK_NAMES,  # a tuple: `in` a dict would hash a list-valued kind
             f"task #{idx} has unknown kind {kind!r}; expected one of {list(TASK_NAMES)}",
         )
-        extra = set(task) - _FIELDS[kind] - {"task"}
-        _require(not extra, f"task #{idx} ({kind}) has unknown fields {sorted(extra)}")
-        if kind in ("swan", "rsw", "reciprocity", "conductor-change"):
-            label = task.get("character")
-            _require_reference(f"task #{idx} ({kind})", "character", label, characters)
-        if kind in _EXPECTATIONS and "expect" in task:
-            check, what = _EXPECTATIONS[kind]
-            _require(check(task["expect"]), f"task #{idx} ({kind}) needs 'expect' to be {what}")
-        if kind == "conductor-change" and "expect_sw" in task:
-            _require(
-                _is_int(task["expect_sw"]),
-                f"task #{idx} (conductor-change) needs 'expect_sw' to be an integer",
-            )
-            _require(
-                "expect" in task,
-                f"task #{idx} (conductor-change) has 'expect_sw' but no 'expect' to check it with",
-            )
+        what = f"task #{idx} ({kind})"
+        fields = _KINDS[kind][0]
+        _refuse_unknown_fields(what, task, ("task", *fields))
+        for field, (default, *rules) in fields.items():
+            if field in task or default is ...:
+                value = task.get(field)
+                if rules[0] in defined:
+                    _require_reference(what, rules[0], value, defined[rules[0]])
+                for check, refusal in zip(rules[::2], rules[1::2]):
+                    _require(check(value), f"{what} {refusal}")
         if kind == "reciprocity":
-            d = characters[label].tower.d
+            d = characters[task["character"]].tower.d
             _require(
                 d in (1, 2),
-                f"task #{idx} (reciprocity) checks the identity over one or two variables; "
-                f"character {label!r} is over {d} variables",
+                f"{what} checks the identity over one or two variables; "
+                f"character {task['character']!r} is over {d} variables",
             )
-        if kind == "reciprocity" and "samples" in task:
-            _require(
-                _is_int(task["samples"]) and task["samples"] > 0,
-                f"task #{idx} (reciprocity) needs a positive integer 'samples'",
-            )
-            _require(
-                task["samples"] <= MAX_SAMPLES,
-                f"task #{idx} (reciprocity) 'samples' {task['samples']} is above the cap {MAX_SAMPLES}",
-            )
+            samples = _get(task, "samples")
+            _require(samples <= MAX_SAMPLES, f"{what} 'samples' {samples} is above the cap {MAX_SAMPLES}")
         if kind == "conductor-change":
-            ext_name = task.get("extension")
-            _require_reference(f"task #{idx} (conductor-change)", "extension", ext_name, extensions)
-            source = extensions[ext_name].source
+            _require(
+                "expect" in task or "expect_sw" not in task,
+                f"{what} has 'expect_sw' but no 'expect' to check it with",
+            )
+            source = extensions[task["extension"]].source
             _require(
                 source.d == 1,
-                f"task #{idx} (conductor-change) needs a one-variable source field; "
-                f"extension {ext_name!r} has {source.d} source variables",
+                f"{what} needs a one-variable source field; "
+                f"extension {task['extension']!r} has {source.d} source variables",
             )
         if kind == "duality":
-            tower_name = task.get("tower", "main")
-            _require_reference(f"task #{idx} (duality)", "tower", tower_name, towers)
-            _require(
-                _is_int(task.get("n")) and _is_int(task.get("m")),
-                f"task #{idx} (duality) needs integer window bounds 'n' and 'm'",
-            )
-            _require(task["n"] > task["m"], f"task #{idx} (duality) needs n > m")
-            _require(
-                "b" not in task or (_is_int(task["b"]) and task["b"] >= 0),
-                f"task #{idx} (duality) needs a non-negative integer 'b'",
-            )
-            _check_gram_size(f"task #{idx} (duality)", towers[tower_name], task)
-        list_field = {"thmB": "t_values", "thmC": "exponents"}.get(kind)
-        if list_field in task:
-            _require(
-                _positive_ints(task[list_field]),
-                f"task #{idx} ({kind}) needs {list_field!r} to be a nonempty list of positive integers",
-            )
-        if kind in ("thmB", "thmC") and "expect_ratios" in task:
-            _require(
-                _ratio_texts(task["expect_ratios"]),
-                f"task #{idx} ({kind}) needs 'expect_ratios' to be a list of ratio strings "
-                "written as the report writes them, such as \"5/2\"",
-            )
+            _require(task["n"] > task["m"], f"{what} needs n > m")
+            _check_gram_size(what, towers[_get(task, "tower")], task)
         if kind == "thmB":
             p = towers["main"].p
-            _require(
-                all(t % p for t in task.get("t_values", _THMB_T_VALUES)),
-                f"task #{idx} (thmB) needs 't_values' prime to p = {p}",
-            )
-        if kind == "exp-congruences" and "p" in task:
-            _require(
-                _is_int(task["p"]) and task["p"] in (2, 3, 5),
-                f"task #{idx} (exp-congruences) needs 'p' to be one of 2, 3, 5",
-            )
+            _require(all(t % p for t in _get(task, "t_values")), f"{what} needs 't_values' prime to p = {p}")
         if kind == "thmC":
-            f_doc = task.get("f")
-            # an exponent key is written as str(int) writes it (ASCII, no "-0",
-            # no leading zero), so no two keys name one exponent
-            _require(
-                isinstance(f_doc, dict) and f_doc
-                and all(isinstance(e, str) and e.isascii() and e.removeprefix("-").isdigit()
-                        and str(int(e)) == e and isinstance(v, str) for e, v in f_doc.items()),
-                f"task #{idx} (thmC) needs a nonempty 'f' object of exponent -> literal, "
-                "each exponent an integer in canonical ASCII form such as '-3'",
-            )
-            _require(_is_int(task.get("x0", 0)), f"task #{idx} (thmC) needs an integer 'x0'")
             domain = rat_func_domain(towers["main"].p)
             try:
-                curves[tuple(f_doc.items())] = NestedSeries.from_monomials(
-                    1, domain, [((int(e),), parse_rat_func(text, domain)) for e, text in f_doc.items()]
+                curves[tuple(task["f"].items())] = NestedSeries.from_monomials(
+                    1, domain, [((int(e),), parse_rat_func(text, domain)) for e, text in task["f"].items()]
                 )
             except (ParseError, ValueError) as exc:
-                raise ConfigError(f"task #{idx} (thmC) 'f' does not parse: {exc}") from None
+                raise ConfigError(f"{what} 'f' does not parse: {exc}") from None
     return RunConfig(
         main_tower=towers["main"],
         towers=towers,
@@ -434,9 +369,9 @@ def _run_rsw(config: RunConfig, task: dict, task_seed: int) -> list:
 
 
 def _run_duality(config: RunConfig, task: dict, task_seed: int) -> list:
-    tower = config.towers[task.get("tower", "main")]
+    tower = config.towers[_get(task, "tower")]
     n, m = task["n"], task["m"]
-    b = task.get("b")
+    b = _get(task, "b")
     if b is None:
         b = minimal_b(tower.p, n - m)
     degrees = {}
@@ -460,8 +395,7 @@ def _run_duality(config: RunConfig, task: dict, task_seed: int) -> list:
 def _run_reciprocity(config: RunConfig, task: dict, task_seed: int) -> list:
     char = config.characters[task["character"]]
     tower = char.tower
-    samples = task.get("samples", 100)
-    report = verify_rsw_characterization(char, samples, seed=task_seed)
+    report = verify_rsw_characterization(char, _get(task, "samples"), seed=task_seed)
     values = {
         "n": report.n,
         "m": report.m,
@@ -502,8 +436,7 @@ def _run_conductor_change(config: RunConfig, task: dict, task_seed: int) -> list
 
 def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
     p = config.main_tower.p
-    t_values = tuple(task.get("t_values", _THMB_T_VALUES))
-    chi, family = imperfect_residue_family(p, t_values)
+    chi, family = imperfect_residue_family(p, tuple(_get(task, "t_values")))
     out = perfect_residue_ratios(chi, family)
     n = out["sw_source"]
     rows = [
@@ -531,8 +464,8 @@ def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
 
 def _run_thmC(config: RunConfig, task: dict, task_seed: int) -> list:
     f = config.curves[tuple(task["f"].items())]
-    exponents = tuple(task.get("exponents", _THMC_EXPONENTS))
-    out = curve_restriction_ratios(config.main_tower.p, f, task.get("x0", 0), exponents)
+    exponents = tuple(_get(task, "exponents"))
+    out = curve_restriction_ratios(config.main_tower.p, f, _get(task, "x0"), exponents)
     rows = [
         {"e": r["e"], "sw": r["sw"], "ratio": str(r["ratio"])} for r in out["rows"]
     ]
@@ -548,7 +481,7 @@ def _run_thmC(config: RunConfig, task: dict, task_seed: int) -> list:
 
 
 def _run_exp_congruences(config: RunConfig, task: dict, task_seed: int) -> list:
-    p = task.get("p", config.main_tower.p)
+    p = _get(task, "p") or config.main_tower.p
     report = check_exp_congruences(p)
     records = []
     for name, holds in report.results.items():
@@ -558,16 +491,71 @@ def _run_exp_congruences(config: RunConfig, task: dict, task_seed: int) -> list:
     return records
 
 
-_EXECUTORS = {
-    "swan": _run_swan,
-    "rsw": _run_rsw,
-    "duality": _run_duality,
-    "reciprocity": _run_reciprocity,
-    "conductor-change": _run_conductor_change,
-    "thmB": _run_thmB,
-    "thmC": _run_thmC,
-    "exp-congruences": _run_exp_congruences,
+_CHARACTER = (..., "character")
+_BOUND = (..., _is_int, "needs integer window bounds 'n' and 'm'")
+_EXPECT_RATIOS = (
+    None, _ratio_texts, "needs 'expect_ratios' to be a list of ratio strings "
+    "written as the report writes them, such as \"5/2\"",
+)
+# Each task kind: the fields it reads beside 'task', and its runner.  A field
+# maps to its default (``...`` when the task must give it; None when the
+# runner does without it or works it out), then either to the kind of name
+# it references or to pairs of a check and the refusal that follows "task #i
+# (kind) " when the check fails.  ``load_config`` checks every required field
+# and every optional one a task gives, then the rules that span fields; the
+# runners read every default through ``_get``.
+_KINDS = {
+    "swan": ({
+        "character": _CHARACTER,
+        "expect": (None, _is_int, "needs 'expect' to be an integer"),
+    }, _run_swan),
+    "rsw": ({
+        "character": _CHARACTER,
+        "expect": (None, lambda v: isinstance(v, str), "needs 'expect' to be a form literal"),
+    }, _run_rsw),
+    "duality": ({
+        "tower": ("main", "tower"),
+        "n": _BOUND,
+        "m": _BOUND,
+        "b": (None, lambda v: _is_int(v) and v >= 0, "needs a non-negative integer 'b'"),
+    }, _run_duality),
+    "reciprocity": ({
+        "character": _CHARACTER,
+        "samples": (100, lambda v: _is_int(v) and v > 0, "needs a positive integer 'samples'"),
+    }, _run_reciprocity),
+    "conductor-change": ({
+        "character": _CHARACTER,
+        "expect": (None, lambda v: v in ("PASS", "FAIL", "NOT_APPLICABLE"),
+                   "needs 'expect' to be one of 'PASS', 'FAIL', 'NOT_APPLICABLE'"),
+        "expect_sw": (None, _is_int, "needs 'expect_sw' to be an integer"),
+        "extension": (..., "extension"),
+    }, _run_conductor_change),
+    "thmB": ({
+        "t_values": (
+            (3, 5, 7), _positive_ints, "needs 't_values' to be a nonempty list of positive integers",
+            lambda v: max(v) <= _THMB_MAX_T,
+            f"needs 't_values' of at most {_THMB_MAX_T}: the family pulls u t^-2 back "
+            f"to w^(-2t), and exponents stop at {_ORD_FLOOR}",
+        ),
+        "expect_ratios": _EXPECT_RATIOS,
+    }, _run_thmB),
+    "thmC": ({
+        "exponents": ((2, 4, 8), _positive_ints, "needs 'exponents' to be a nonempty list of positive integers"),
+        "expect_ratios": _EXPECT_RATIOS,
+        "f": (..., _exponent_literals, "needs a nonempty 'f' object of exponent -> literal, "
+              "each exponent an integer in canonical ASCII form such as '-3'"),
+        "x0": (0, _is_int, "needs an integer 'x0'"),
+    }, _run_thmC),
+    "exp-congruences": ({
+        "p": (None, lambda v: _is_int(v) and v in (2, 3, 5), "needs 'p' to be one of 2, 3, 5"),
+    }, _run_exp_congruences),
 }
+TASK_NAMES = tuple(_KINDS)
+
+
+def _get(task: dict, field: str):
+    """A task's ``field``, or the default that ``_KINDS`` declares for it."""
+    return task.get(field, _KINDS[task["task"]][0][field][0])
 
 
 def run(config: RunConfig, seed: int = 0) -> dict:
@@ -582,7 +570,7 @@ def run(config: RunConfig, seed: int = 0) -> dict:
     for idx, task in enumerate(config.tasks):
         started = time.perf_counter()
         try:
-            records.extend(_EXECUTORS[task["task"]](config, task, _task_seed(seed, idx)))
+            records.extend(_KINDS[task["task"]][1](config, task, _task_seed(seed, idx)))
         except Exception as exc:  # noqa: BLE001 - becomes a structured record
             error = {"type": type(exc).__name__, "message": str(exc)}
             if getattr(exc, "exponent", None) is not None:

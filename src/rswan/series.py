@@ -192,7 +192,7 @@ def _refuse_below_floor(e: int):
     """Raise :class:`ExponentOutOfRange` when ``e`` is below the supported
     range of exponents."""
     if e < _ORD_FLOOR:
-        raise ExponentOutOfRange(f"exponent {e} below the supported range (>{_ORD_FLOOR})")
+        raise ExponentOutOfRange(f"exponent {e} below the supported range (>= {_ORD_FLOOR})")
 
 
 # Below this many term pairs a product at level >= 2 keeps the loop over

@@ -26,10 +26,10 @@ MAX_PRECISION = 4096
 class FieldTower:
     """F_q((T_1))...((T_d)) with q = p^k, Witt/lift length s, precision N.
 
-    ``variables`` are listed inside-out: ``variables[-1]`` is the uniformizer
-    of K, ``variables[:-1]`` generate the residue field.  The absolute
-    ramification index is infinite (equal characteristic); there is no e_K
-    field for that reason.
+    ``variables`` (at least one) are listed inside-out: ``variables[-1]`` is
+    the uniformizer of K, ``variables[:-1]`` generate the residue field.  The
+    absolute ramification index is infinite (equal characteristic); there is
+    no e_K field for that reason.
     """
 
     p: int
@@ -43,6 +43,8 @@ class FieldTower:
             object.__setattr__(self, "variables", tuple(self.variables))
         # checks the lift length and looks up the table entry for (p, k)
         galois_ring_domain(self.p, self.k, self.s)
+        if not self.variables:
+            raise ConfigError("a tower needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ConfigError("tower variables must be distinct")
         for v in self.variables:
@@ -61,8 +63,6 @@ class FieldTower:
 
     @property
     def uniformizer(self) -> str:
-        if not self.variables:
-            raise TowerMismatch("a zero-dimensional tower has no uniformizer")
         return self.variables[-1]
 
     def level_of(self, name: str) -> int:

@@ -10,6 +10,7 @@ import copy
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from rswan.cli import (
     MAX_SAMPLES,
     REPORT_VERSION,
     TASK_NAMES,
+    _KINDS,
     load_config,
     main,
     report_body_bytes,
@@ -452,9 +454,38 @@ def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
         ({"task": "thmC", "f": {"-3": "x"}, "x_0": 1}, "task #0 (thmC) has unknown fields ['x_0']"),
         ({"task": "exp-congruences", "p": 3, "q": 3}, "task #0 (exp-congruences) has unknown fields ['q']"),
         ({"task": "swan", "character": "X", "tower": "main"}, "task #0 (swan) has unknown fields ['tower']"),
+        ({**change, "extension": 3}, "task #0 (conductor-change) needs an extension name, got 3"),
     ]
     for task, message in bad_tasks:
         doc = config_doc(**fields, tasks=[task])
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(doc)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
+    # towers, characters and extensions: an unknown field, a missing field, a
+    # value that is not an object, no variables or no components
+    wild = {"target": "L", "images": {"t": "u^2 + u^3"}}
+    no_variables = "is invalid: a tower needs at least one variable"
+    no_components = "character 'X' needs 1 components (tower lift length), got 0"
+    bad_objects = [
+        ({"towers": {"L": {"p": 2, "variables": ["u"], "q": 1}}}, "tower 'L' has unknown fields ['q']"),
+        ({"towers": {"L": {"variables": ["u"]}}}, "tower 'L' is missing field 'p'"),
+        ({"towers": {"L": {"p": 2}}}, "tower 'L' is missing field 'variables'"),
+        ({"towers": {"L": ["u"]}}, "tower 'L' must be an object"),
+        ({"towers": {"L": {"p": 2, "variables": []}}}, f"tower 'L' {no_variables}"),
+        ({"tower": {"p": 2, "variables": []}}, f"tower 'main' {no_variables}"),
+        ({"characters": {"X": {"components": ["t^-3"], "lift": 1}}}, "character 'X' has unknown fields ['lift']"),
+        ({"characters": {"X": {"tower": "main"}}}, "character 'X' components must be a list of literals"),
+        ({"characters": {"X": "t^-3"}}, "character 'X' components must be a list of literals"),
+        ({"characters": {"X": []}}, no_components),
+        ({"characters": {"X": {"components": []}}}, no_components),
+        ({"extensions": {"phi": {**wild, "image": {}}}}, "extension 'phi' has unknown fields ['image']"),
+        ({"extensions": {"phi": {"images": wild["images"]}}}, "extension 'phi' needs a tower name, got None"),
+        ({"extensions": {"phi": {"target": "L"}}}, "extension 'phi' needs an 'images' object of series literals"),
+        ({"extensions": {"phi": ["L"]}}, "extension 'phi' must be an object"),
+    ]
+    for overrides, message in bad_objects:
+        doc = config_doc(**{**fields, **overrides})
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(doc)
         assert main(["run", write_config(tmp_path, doc)]) == 2
@@ -527,6 +558,28 @@ def test_thmB_t_values_must_be_prime_to_p(tmp_path, capsys):
                         "prime to p = 3")
     good = config_doc(tower=MAIN3, tasks=[{"task": "thmB", "t_values": [2, 5]}])
     assert [r["status"] for r in run(load_config(good))["tasks"]] == ["PASS"]
+
+
+THMB_CAP = "task #0 (thmB) needs 't_values' of at most 5000"
+
+
+@pytest.mark.parametrize("p, t, message", [
+    (2, 4999, None), (2, 5000, "task #0 (thmB) needs 't_values' prime to p = 2"), (2, 5001, THMB_CAP),
+    (3, 4999, None), (3, 5000, None), (3, 5001, THMB_CAP),  # 5001 is 3 * 1667 too
+    (5, 4999, None), (5, 5000, "task #0 (thmB) needs 't_values' prime to p = 5"), (5, 5001, THMB_CAP),
+])
+def test_thmB_t_values_are_capped(tmp_path, capsys, p, t, message):
+    """The family pulls ``u t^-2`` back to ``w^(-2t)``, so a ``t`` above
+    5,000 takes the exponent below the floor -10,000 at every p: the task
+    alone decides, and the loader refuses it, naming the task."""
+    doc = config_doc(tower={"p": p, "variables": ["t"]}, tasks=[{"task": "thmB", "t_values": [t]}])
+    if message is None:
+        assert [r["status"] for r in run(load_config(doc))["tasks"]] == ["PASS"]
+    else:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(doc)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_thmC_reduces_by_adding_rational_functions(monkeypatch):
@@ -710,6 +763,30 @@ def test_report_bodies_are_seed_deterministic():
     assert report_body_bytes(a) == report_body_bytes(b)
     assert a["meta"]["seed"] == 0
     assert json.loads(report_body_bytes(a)) is not None  # body is valid JSON
+
+
+def readme_task_fields():
+    """kind -> (required, optional) field names of the task table of
+    README.md: the backquoted names of a row's second cell, before and
+    after the word "optional"."""
+    rows = {}
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        row = re.match(r"\| `([\w-]+)` \| (.*?) \|", line)
+        if row and row[1] in TASK_NAMES:
+            required, _, optional = row[2].partition("optional")
+            rows[row[1]] = (set(re.findall(r"`(\w+)`", required)), set(re.findall(r"`(\w+)`", optional)))
+    return rows
+
+
+def test_readme_task_table_names_the_declared_fields():
+    """Each README task row names exactly the fields that ``cli._KINDS``
+    declares for its kind, the required ones (default ``...``) first."""
+    declared = {
+        kind: ({f for f, spec in fields.items() if spec[0] is ...},
+               {f for f, spec in fields.items() if spec[0] is not ...})
+        for kind, (fields, _) in _KINDS.items()
+    }
+    assert readme_task_fields() == declared
 
 
 def test_task_vocabulary_is_pinned():

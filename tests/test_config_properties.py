@@ -4,7 +4,9 @@ Hypothesis).
 A canned ``check-all`` configuration with one or two of its leaves replaced
 by arbitrary JSON values (``null``, bools, ints, floats, strings, among
 them tower, character and extension names and series literals, and lists
-and objects of these) either loads or raises :class:`ConfigError`: no other
+and objects of these), and maybe a field added to one task (a field that
+kind reads, a field of another kind, a misspelling or any short name, with
+such a value), either loads or raises :class:`ConfigError`: no other
 exception leaves ``load_config``.  A configuration that loads runs: ``run``
 raises nothing and writes only PASS, FAIL, NOT_APPLICABLE and ERROR
 records.
@@ -20,7 +22,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rswan.catalog import CATALOG_PRIMES, canned_config  # noqa: E402
-from rswan.cli import load_config, run  # noqa: E402
+from rswan.cli import _KINDS, load_config, run  # noqa: E402
 from rswan.errors import ConfigError  # noqa: E402
 
 
@@ -47,6 +49,10 @@ JSON_VALUES = st.recursive(
 )
 
 
+# Every field some task kind reads, and two misspellings.
+TASK_FIELDS = sorted({field for fields, _ in _KINDS.values() for field in fields} | {"sample", "x_0"})
+
+
 @st.composite
 def edited_config(draw):
     p = draw(st.sampled_from(CATALOG_PRIMES))
@@ -56,6 +62,9 @@ def edited_config(draw):
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        task = draw(st.sampled_from(doc["tasks"]))
+        task[draw(st.sampled_from(TASK_FIELDS) | st.text(max_size=4))] = draw(JSON_VALUES)
     return doc
 
 

@@ -1,11 +1,11 @@
 """Tower descriptors and the canned catalog refuse bad parameters with the
-library's own errors: ``ConfigError`` for a malformed descriptor or an
-unknown catalog, ``TowerMismatch`` for a structure the tower lacks."""
+library's own error, ``ConfigError``: a malformed descriptor (a tower with
+no variables among them) or an unknown catalog."""
 
 import pytest
 
 from rswan.catalog import canned_config
-from rswan.errors import ConfigError, TowerMismatch
+from rswan.errors import ConfigError
 from rswan.tower import MAX_PRECISION, FieldTower
 
 
@@ -19,15 +19,12 @@ from rswan.tower import MAX_PRECISION, FieldTower
     (dict(p=2, k=1, s=1, variables=("u", "dlog")), "bad variable name"),
     (dict(p=2, k=1, s=1, variables=("é",)), "bad variable name"),
     (dict(p=2, k=1, s=1, variables=("tµ",)), "bad variable name"),
+    # a zero-dimensional tower has no uniformizer, so it is never built
+    (dict(p=2, k=1, s=1, variables=()), "at least one variable"),
 ])
 def test_malformed_towers_are_config_errors(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         FieldTower(**kwargs)
-
-
-def test_a_zero_dimensional_tower_has_no_uniformizer():
-    with pytest.raises(TowerMismatch, match="no uniformizer"):
-        FieldTower(2, 1, 1, ()).uniformizer
 
 
 def test_an_unknown_catalog_is_a_config_error():
