@@ -5,11 +5,18 @@ the catalog character and sample count of each, checked at seed ``SEED``.
 The reports must be equal field for field across trees (checked).  Per
 cell, one figure per tree:
 
-* ``symbols_evaluated`` and ``pairings_evaluated``: the calls of
-  ``reciprocity._symbol_value`` and of the pairing site in one check:
-  ``reciprocity._pairing`` on a tree that has it, which reads each term's
-  right side off the invariant's coefficients, else ``r_b``, which older
-  trees call once per term;
+* ``symbols_evaluated`` and ``pairings_evaluated``: the calls of the
+  symbol site and of the pairing site in one check.  The symbol site is
+  ``reciprocity._LeftSide.symbol`` on a tree that has it, which reads each
+  term's left side off ``theta``'s coefficients or hands it off, else
+  ``reciprocity._symbol_value``, which older trees call once per term;
+  the pairing site is ``reciprocity._pairing`` on a tree that has it,
+  which reads each term's right side off the invariant's coefficients,
+  else ``r_b``, which older trees call once per term;
+* ``symbols_handed_off``: the calls of ``reciprocity._symbol_value`` in
+  one check, the general path: on a tree with ``_LeftSide`` the terms it
+  hands off, so ``symbols_evaluated`` less this is the terms read off
+  ``theta``; on older trees every symbol;
 * ``inverses``: the calls of ``NestedSeries.inv`` in one check, counting
   the inner-level calls an inverse makes and those of the Schmid oracle
   (s = 1, d = 1);
@@ -71,6 +78,11 @@ def _counted(rswan, char, samples) -> dict:
         inverses.append(None)
         return inv(*args)
 
+    left_side = getattr(reciprocity, "_LeftSide", None)
+    symbols = patched["_symbol_value"]
+    if left_side is not None:
+        site, symbols = left_side.symbol, []
+        left_side.symbol = lambda *args: symbols.append(None) or site(*args)
     for name in patched:
         setattr(reciprocity, name, recording(name))
     series_class.inv = counting_inv
@@ -80,10 +92,13 @@ def _counted(rswan, char, samples) -> dict:
         for name, fn in originals.items():
             setattr(reciprocity, name, fn)
         series_class.inv = inv
+        if left_side is not None:
+            left_side.symbol = site
     return {
         "report": dataclasses.asdict(report),
         "terms": sum(_drawn(out) for out in patched["_random_window_terms"]),
-        "symbols_evaluated": len(patched["_symbol_value"]),
+        "symbols_evaluated": len(symbols),
+        "symbols_handed_off": len(patched["_symbol_value"]),
         "pairings_evaluated": len(patched[pairing]),
         "inverses": len(inverses),
     }
@@ -122,6 +137,7 @@ def measure(trees) -> dict:
             "p": p, "character": label, "samples": cells[0][key][1],
             "terms": counts[key][0]["terms"],
             "symbols_evaluated": [c["symbols_evaluated"] for c in counts[key]],
+            "symbols_handed_off": [c["symbols_handed_off"] for c in counts[key]],
             "pairings_evaluated": [c["pairings_evaluated"] for c in counts[key]],
             "inverses": [c["inverses"] for c in counts[key]],
             "ms_per_check": [round(t * 1e3, 3) for t in seconds[key]],

@@ -168,8 +168,7 @@ def _check_gram_size(what: str, tower: FieldTower, task: dict):
         f"{what} has p^b = {p}^{b} below the window width n - m = {width}",
     )
     if width <= MAX_GRAM_ROWS:
-        if b is None:
-            b = minimal_b(p, width)
+        b = _duality_b(task, p)
         # past the bit length of the cap, p^(b (d - 1)) alone is above it
         if (b * (d - 1) < MAX_GRAM_ROWS.bit_length()
                 and comb(d, d // 2) * width * p ** (b * (d - 1)) <= MAX_GRAM_ROWS):
@@ -178,6 +177,12 @@ def _check_gram_size(what: str, tower: FieldTower, task: dict):
         f"{what} builds a Gram matrix of comb(d, d // 2) (n - m) p^(b (d - 1)) rows, "
         f"more than {MAX_GRAM_ROWS}, with d = {d}, p = {p}, n - m = {width}"
     )
+
+
+def _duality_b(task: dict, p: int) -> int:
+    """A duality task's ``b``, by default the least with ``p^b >= n - m``."""
+    b = _get(task, "b")
+    return minimal_b(p, task["n"] - task["m"]) if b is None else b
 
 
 def load_config(doc: dict, precision: int | None = None) -> RunConfig:
@@ -307,6 +312,10 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 )
             except (ParseError, ValueError) as exc:
                 raise ConfigError(f"{what} 'f' does not parse: {exc}") from None
+            low = min(map(int, task["f"]))
+            _require(all(e * low >= _ORD_FLOOR for e in _get(task, "exponents")),
+                     f"{what} needs 'exponents' e with e * {low} (the least exponent of 'f') at "
+                     f"least {_ORD_FLOOR}: the curve pulls t^{low} back to u^(e * {low})")
     return RunConfig(
         main_tower=towers["main"],
         towers=towers,
@@ -371,9 +380,7 @@ def _run_rsw(config: RunConfig, task: dict, task_seed: int) -> list:
 def _run_duality(config: RunConfig, task: dict, task_seed: int) -> list:
     tower = config.towers[_get(task, "tower")]
     n, m = task["n"], task["m"]
-    b = _get(task, "b")
-    if b is None:
-        b = minimal_b(tower.p, n - m)
+    b = _duality_b(task, tower.p)
     degrees = {}
     for i in range(tower.d + 1):
         j = tower.d - i

@@ -13,7 +13,7 @@ extraction followed by the trace to Z/p^s.  The characterizing identity
     chi(E(alpha)) = Res_F(R_b(Rsw(chi) ^ alpha))     (F_p -> Z/p^s, 1 |-> p^(s-1))
 
 is verified sample-by-sample: the left side through symbols {E(x), y, ...}
-built from the monomials of alpha, the right side read off one coefficient
+read off the coefficients of ``theta(f)``, the right side off one coefficient
 of the representative of ``Rsw(chi)`` per term of alpha, which is the value
 of the window collapse r_b and the residue-plus-trace map (the orientation
 is derived in :func:`verify_rsw_characterization`; "The right side" below).
@@ -50,13 +50,11 @@ by ``e`` and back, so the residue and the refusals are the same; only an
 exponent that the shift would carry below the supported range no longer
 raises.
 
-The symbols of one characterization check share one
-:class:`_SymbolEntries`.  ``theta`` is fixed for the check, so the widths
-it opens are found once, and each entry that is not a monomial has its
-``d y~``, its wedge ``theta ^ d y~`` and its inverse at each width built
-once, however many symbols hold it.  The entries are known by identity,
-and the shared state keeps each one alive.  At d = 2 the symbols
-``{E(x), T_1}`` and ``{E(x), T_2}`` of one monomial share ``E(x)``.
+The symbols a check hands off ("The left side") share one
+:class:`_SymbolEntries`: the widths ``theta`` opens are found once, and
+each entry that is not a monomial, known by identity and kept alive, has
+its ``d y~``, its wedge ``theta ^ d y~`` and its inverse at each width
+built once, however many symbols hold it.
 
 The terms of a check's samples are drawn in one call and
 rejection-sampled inline on ``rng.getrandbits`` as CPython's
@@ -70,6 +68,32 @@ the same bits, and leaves the generator in the same state, as those calls
 do, one sample at a time.  Each term comes out as one int code, the mixed
 radix of its drawn fields in draw order, so the check keys its table by an
 int and reads a code back into a term only the first time it sees it.
+
+The left side
+-------------
+A term ``x = c T^a`` (``a_top >= m + 1``) lifts to ``y~ = P(T^a)``, ``P(Z) =
+sum_{i<p} a~_i Z^i`` with ``a~_i = lift(c^i / i!)``, so ``dlog y~ = Q(T^a)
+sum_mu a_mu dlog T_mu`` for ``Q = Z P'/P = sum_{j>=1} Q_j Z^j``, ``Q_j = j
+a~_j - sum_{0<i<min(j,p)} a~_i Q_{j-i}`` (``a~_j = 0`` for ``j >= p``).  Res
+reads the ``T^0`` coefficient of ``theta Q(T^a)``, so with ``J =
+floor(-low_top(theta) / a_top)``
+
+    {E(x), T_key} = Tr(sgn a_mu sum_{j=1..J} Q_j theta[-j a])   in Z/p^s,
+
+where ``sgn a_mu = a`` at d = 1; at d = 2 ``mu`` is the variable not in
+``key`` and ``sgn`` is +1 when ``mu`` is below it, else -1.  :class:`_LeftSide`
+reads that with no series, form or inverse, one sum per ``(exps, c)`` for
+both dlog keys.  It hands a term to :func:`_symbol_value` when ``theta``
+has a window at any level, when the width ``w`` it opens is above the
+budget, or when an exponent of that path could leave the supported range,
+so every refusal is that path's own.  That path answers every other term,
+with the exact value the sum is: every exponent of ``theta`` is at least
+``1 - w``; ``y~^-1`` at width ``w`` is exact at the inner level (its inner
+lead is 1) and known below the top exponent ``w``; ``theta ^ dy~`` is
+exact, of top order at least ``1 - w + a_top``, so the one ceiling the
+residue meets is at least ``1 + a_top > 0``.  The path's exponents are at
+least ``1 - w + min(0, a_1) (p + w)`` at the inner level, kept in range by
+the hand-off, and ``2 - w`` at the top, kept there by the tower's cap on ``w``.
 
 The right side
 --------------
@@ -298,8 +322,8 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
     Each ``y_i`` is a nonzero series over the residue tower; they are lifted
     coefficientwise and the residue of ``theta(f) ^_i dlog y~_i`` is traced
     down to Z/p^s.  This is the paper's symbol map, kept as the public
-    entry that validates the entries before ``_symbol_value``, which the
-    characterization check calls directly.
+    entry that validates the entries before ``_symbol_value``, the general
+    path, to which the characterization check hands some terms.
     """
     char = asw_reduce(char)
     tower = char.tower
@@ -356,8 +380,7 @@ class _SymbolEntries:
     __slots__ = ("opened", "budget", "widths", "lift_domain", "theta_form", "by_id")
 
     def __init__(self, theta: NestedSeries, tower):
-        low = min(_level_lows(theta, {}).values(), default=0)
-        self.opened, self.budget = max(1, 1 - low), tower.precision
+        self.opened, self.budget = _opened(theta), tower.precision
         self.widths = sorted({min(self.opened, self.budget), self.budget})
         self.lift_domain = tower.lift_domain
         self.theta_form = LogForm.from_series(theta)
@@ -368,6 +391,11 @@ class _SymbolEntries:
         if found is None:
             found = self.by_id[id(y)] = _Entry(y, self.lift_domain)
         return found
+
+
+def _opened(theta: NestedSeries) -> int:
+    """The width the entries' inverses open for ``theta`` (:func:`_symbol_value`)."""
+    return max(1, 1 - min(_level_lows(theta, {}).values(), default=0))
 
 
 def _monomial(sr: NestedSeries):
@@ -464,6 +492,65 @@ def _residue_through_dlog(theta: NestedSeries, tower, ys, width: int) -> int:
     for y in ys:
         omega = wedge(omega, dlog(lift_series(y, big), width))
     return residue_to_prime_field(omega)
+
+
+class _LeftSide:
+    """The symbols ``{E(x), T_key}`` of one check's raw terms ``(exps, c,
+    key)``, ``x = c T^exps`` (module docstring, "The left side")."""
+
+    def __init__(self, theta: NestedSeries, tower):
+        self.theta, self.tower, self.opened = theta, tower, _opened(theta)
+        self.exact = theta.is_exact() and self.opened <= tower.precision
+        self.sums: dict = {}  # (exps, c) -> sum_j Q_j theta[-j exps], for both dlog keys
+        self.exponentials: dict = {}  # (exps, c) -> E(x): hand-offs and the Schmid oracle
+        self.entries = None  # the hand-offs' shared _SymbolEntries, from the first
+        self.variables = [NestedSeries.variable(tower.d, tower.field_domain, lam)
+                          for lam in range(1, tower.d + 1)]
+
+    def reads(self, exps) -> bool:
+        """Whether the terms of ``exps`` are read off ``theta``, not handed off."""
+        return self.exact and (1 - self.opened + min((0, *exps[:-1]))
+                               * (self.tower.p + self.opened) >= _ORD_FLOOR)
+
+    def exponential(self, exps, c) -> NestedSeries:
+        if (exps, c) not in self.exponentials:
+            x = NestedSeries.from_monomials(self.tower.d, self.tower.field_domain, [(exps, c)])
+            self.exponentials[exps, c] = truncated_exp(x)
+        return self.exponentials[exps, c]
+
+    def symbol(self, term) -> int:
+        exps, c, key = term
+        tower, big = self.tower, self.tower.lift_domain
+        if not self.reads(exps):
+            if self.entries is None:
+                self.entries = _SymbolEntries(self.theta, tower)
+            ys = [self.exponential(exps, c)] + [self.variables[lam - 1] for lam in key]
+            return _symbol_value(self.theta, tower, ys, self.entries)
+        if (exps, c) not in self.sums:
+            self.sums[exps, c] = _left_sum(self.theta, tower, exps, c)
+        a = -exps[1] if key == (1,) else exps[0]  # sgn a_mu, mu not in key
+        return big.trace(big.mul_int(self.sums[exps, c], a)) % big.modulus
+
+
+def _left_sum(theta: NestedSeries, tower, exps, c):
+    """``sum_{j=1..J} Q_j theta[-j exps]`` in the lift ring, ``theta`` exact
+    (module docstring, "The left side"); a raw of F_q is its lift's raw."""
+    field, big, p = tower.field_domain, tower.lift_domain, tower.p
+    lifted = [field.mul(field.pow(c, i), field.inv(field.from_int(factorial(i))))
+              for i in range(p)]
+    total, q = big.zero(), [None]
+    for j in range(1, -min(theta.coeffs, default=0) // exps[-1] + 1):
+        q.append(big.mul_int(lifted[j], j) if j < p else big.zero())
+        for i in range(1, min(j, p)):
+            q[j] = big.sub(q[j], big.mul(lifted[i], q[j - i]))
+        coeff = theta
+        for e in reversed(exps):
+            coeff = coeff.coeffs.get(-j * e)
+            if coeff is None:
+                break
+        else:
+            total = big.add(total, big.mul(q[j], coeff))
+    return total
 
 
 def schmid_symbol(f: NestedSeries, y: NestedSeries) -> int:
@@ -652,7 +739,8 @@ def verify_rsw_characterization(
 
     alpha runs over the window m^(m+1)/m^(n+1) of degree-(d-1) forms, as a
     random small sum of monomial terms; the left side goes through symbols
-    {E(x), T_lambda}, the right side is r_b with the minimal b such that
+    {E(x), T_lambda}, read off the coefficients of theta, the right side is
+    r_b with the minimal b such that
     p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1),
     read off the coefficients of Rsw(chi).
 
@@ -693,15 +781,14 @@ def verify_rsw_characterization(
 
     So each distinct drawn term, keyed by its raw monomial ``(exps, c,
     key)``, has its symbol, its Schmid oracle value (at s = 1, d = 1) and
-    its own pairing evaluated once per call, and each distinct ``(exps,
-    c)`` its ``E(x)`` built once, whatever its key; the symbols share their
-    entries (module docstring, "Symbols"), so each ``E(x)`` is
-    differentiated, wedged with ``theta`` and inverted once per width
-    tried, and ``T_lambda`` takes its exact ``dlog``.  A term's pairing is
-    read off ``Rsw(chi)``'s coefficients by :func:`_pairing` (module
-    docstring, "The right side").  Within a sample the new symbols come
-    first, in draw order, then the new pairings, so an exception comes
-    from the sample's first failing symbol.
+    its own pairing evaluated once per call.  :class:`_LeftSide` reads a
+    symbol off ``theta``'s coefficients, through one sum per distinct
+    ``(exps, c)`` whatever its key, and builds ``E(x)``, once per ``(exps,
+    c)``, only for the Schmid oracle and for a term it hands off (module
+    docstring, "The left side").  :func:`_pairing` reads a term's pairing
+    off ``Rsw(chi)``'s coefficients ("The right side").  Within a sample
+    the new symbols come first, in draw order, then the new pairings, so
+    an exception comes from the sample's first failing symbol.
 
     Agreements are counted per term.  A sample's two sides are the sums of
     its terms' values, so when every distinct term agrees (its symbol
@@ -731,15 +818,12 @@ def verify_rsw_characterization(
     m = value.m
     b = minimal_b(p, n - m)
     theta = theta_lift(char.vector)
-    domain = tower.field_domain
     rng = random.Random(seed)
     modulus = p**s
     embed = p ** (s - 1)
     schmid = s == 1 and tower.d == 1
     known: dict = {}  # term code -> (symbol value, Schmid oracle value or None, pairing)
-    exponentials: dict = {}  # (exps, c) -> E(x), shared by the terms' dlog keys
-    variables = {lam: NestedSeries.variable(tower.d, domain, lam) for lam in range(1, tower.d + 1)}
-    entries = _SymbolEntries(theta, tower)
+    left = _LeftSide(theta, tower)
     draws = _random_window_terms(tower, rng, m, n, samples)
     all_agree = True
     for codes in draws:
@@ -753,31 +837,17 @@ def verify_rsw_characterization(
         for code in codes:
             if code in known or code in fresh:
                 continue
-            term = exps, c, key = _window_term(code, tower, m)
-            ex = exponentials.get((exps, c))
-            if ex is None:
-                x = NestedSeries.from_monomials(tower.d, domain, [(exps, c)])
-                ex = exponentials[exps, c] = truncated_exp(x)
-            ys = [ex] + [variables[lam] for lam in key]
-            val = _symbol_value(theta, tower, ys, entries)
-            fresh[code] = term, val, schmid_symbol(char.vector.comps[0], ex) if schmid else None
+            term = _window_term(code, tower, m)
+            fresh[code] = term, left.symbol(term), schmid_symbol(
+                char.vector.comps[0], left.exponential(*term[:2])) if schmid else None
         # Right side: Rsw(chi) paired with each new term.
         for code, (term, val, oracle) in fresh.items():
             pairing = _pairing(value.window, term, b) * embed % modulus
             known[code] = val, oracle, pairing
             if val % modulus != pairing or schmid and oracle % modulus != val % modulus:
                 all_agree = False
-    schmid_checked = sum(map(len, draws)) if schmid else 0
-    if all_agree:
-        agreements, mismatches = samples, []
-    else:
-        agreements, mismatches = _recount(draws, known, modulus)
+    agreements, mismatches = (samples, []) if all_agree else _recount(draws, known, modulus)
     return CharacterizationReport(
-        n=n,
-        m=m,
-        b=b,
-        samples=samples,
-        agreements=agreements,
-        schmid_checked=schmid_checked,
-        mismatches=tuple(mismatches[:10]),
+        n=n, m=m, b=b, samples=samples, agreements=agreements,
+        schmid_checked=sum(map(len, draws)) if schmid else 0, mismatches=tuple(mismatches[:10]),
     )

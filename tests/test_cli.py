@@ -8,8 +8,11 @@ and the exit-code contract (nonzero on any FAIL or ERROR record).
 
 import copy
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,8 @@ K2 = FieldTower(2, 1, 1, ("t",))
 K3 = FieldTower(3, 1, 1, ("t",))
 K4 = FieldTower(2, 2, 1, ("t",))
 KD = FieldTower(2, 1, 1, ("u", "t"))
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MAIN2 = {"p": 2, "k": 1, "s": 1, "variables": ["t"]}
 MAIN3 = {"p": 3, "k": 1, "s": 1, "variables": ["t"]}
@@ -582,6 +587,35 @@ def test_thmB_t_values_are_capped(tmp_path, capsys, p, t, message):
         assert message in capsys.readouterr().err
 
 
+THMC_CAP = "task #0 (thmC) needs 'exponents' e with e * {} (the least exponent of 'f') at least -10000"
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("f, e, refused", [
+    ({"-4": "1 + x", "-1": "x"}, 2499, False),
+    ({"-4": "1 + x", "-1": "x"}, 2500, False),  # t^-4 lands on u^-10000, the floor
+    ({"-4": "1 + x", "-1": "x"}, 2501, True),
+    ({"-3": "x"}, 3333, False),
+    ({"-3": "x"}, 3334, True),  # ran into an ExponentOutOfRange ERROR record
+    ({"-1": "x", "2": "x^2"}, 10000, False),
+])
+def test_thmC_exponents_are_capped(tmp_path, capsys, p, f, e, refused):
+    """The curve ``t -> u^e`` pulls ``t^low`` back to ``u^(e low)`` times a
+    unit at ``x0``, so an ``e`` with ``e low`` below the floor -10,000, for
+    ``low`` the least exponent of ``f``, is decided by the task alone: the
+    loader refuses it, naming the task."""
+    doc = config_doc(tower={"p": p, "variables": ["t"]},
+                     tasks=[{"task": "thmC", "f": f, "exponents": [e]}])
+    if refused:
+        message = THMC_CAP.format(min(map(int, f)))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(doc)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
+    else:
+        assert [r["status"] for r in run(load_config(doc))["tasks"]] == ["PASS"]
+
+
 def test_thmC_reduces_by_adding_rational_functions(monkeypatch):
     """``f = x t^-3 + x^2 t^-2 + x t^-1`` over F_2(x): the root ``x t^-1``
     of ``x^2 t^-2`` lands on the stored ``x t^-1``, so the reduction at
@@ -763,6 +797,24 @@ def test_report_bodies_are_seed_deterministic():
     assert report_body_bytes(a) == report_body_bytes(b)
     assert a["meta"]["seed"] == 0
     assert json.loads(report_body_bytes(a)) is not None  # body is valid JSON
+
+
+def test_check_all_bodies_do_not_depend_on_the_hash_seed(tmp_path):
+    """``check-all --p 2`` in two processes, with ``PYTHONHASHSEED`` 0 and
+    1, writes equal report bodies: no set or dict order that string
+    hashing decides reaches a record."""
+    bodies = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "rswan.cli", "check-all", "--p", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        bodies.append(report_body_bytes(json.loads(out.read_text())))
+    assert bodies[0] == bodies[1]
 
 
 def readme_task_fields():

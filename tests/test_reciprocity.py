@@ -700,13 +700,13 @@ def test_partner_sampled_identity_checks_are_nonzero(monkeypatch, p, s):
     dom = tower.field_domain
     rng = random.Random(f"partners:{p}:{s}")
     values = []
-    symbol_value = reciprocity._symbol_value
+    symbol = reciprocity._LeftSide.symbol
 
-    def recording(*args):
-        values.append(symbol_value(*args))
+    def recording(left, term):
+        values.append(symbol(left, term))
         return values[-1]
 
-    monkeypatch.setattr(reciprocity, "_symbol_value", recording)
+    monkeypatch.setattr(reciprocity._LeftSide, "symbol", recording)
     checks = []  # the symbol value of each sample's one term
     while len(checks) < 200:
         printed = [
@@ -1032,27 +1032,28 @@ def test_characterization_reports_schmid_mismatches_alone(p, monkeypatch):
 
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
 def test_characterization_evaluates_each_distinct_symbol_once(p, monkeypatch):
-    """One symbol and one pairing (one ``_pairing``) per distinct drawn term."""
+    """One symbol (one ``_LeftSide.symbol``) and one pairing (one
+    ``_pairing``) per distinct drawn term."""
     drawn = set()
-    calls = {"_symbol_value": 0, "_pairing": 0}
+    calls = {"symbol": 0, "_pairing": 0}
 
-    def counting(name):
-        original = getattr(reciprocity, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
         def call(*args):
             calls[name] += 1
             return original(*args)
 
-        return call
+        monkeypatch.setattr(owner, name, call)
 
     monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw(drawn))
-    for name in calls:
-        monkeypatch.setattr(reciprocity, name, counting(name))
+    counting(reciprocity._LeftSide, "symbol")
+    counting(reciprocity, "_pairing")
     for label, char, samples in catalog_reciprocity_cells(p):
         drawn.clear()
         calls.update(dict.fromkeys(calls, 0))
         verify_rsw_characterization(char, samples, seed=3)
-        assert calls["_symbol_value"] == calls["_pairing"] == len(drawn) < samples, label
+        assert calls["symbol"] == calls["_pairing"] == len(drawn) < samples, label
 
 
 
@@ -1162,9 +1163,10 @@ def test_pairing_gives_the_operators_refusals_on_inner_windows():
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
 def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch):
     """On the catalog cell of most variables and samples at p, over seeds
-    0-29: inside the symbols, each distinct ``E(x)`` is inverted once per
-    width tried (every catalog symbol answers at the first width, so once),
-    no monomial entry is inverted, and the report equals the unmemoized
+    0-29, with every term handed off to ``_symbol_value``: inside the
+    symbols, each distinct ``E(x)`` is inverted once per width tried (every
+    catalog symbol answers at the first width, so once), some are, no
+    monomial entry is inverted, and the report equals the unmemoized
     loop's."""
     label, char, samples = max(
         catalog_reciprocity_cells(p), key=lambda cell: (cell[1].tower.d, cell[2])
@@ -1195,6 +1197,7 @@ def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch
             state["depth"] -= 1
 
     monkeypatch.setattr(reciprocity, "_symbol_value", recording_symbol)
+    monkeypatch.setattr(reciprocity._LeftSide, "reads", lambda left, exps: False)
     monkeypatch.setattr(NestedSeries, "inv", recording_inv)
     paired = recording_pairings(monkeypatch)
     for seed in range(30):
@@ -1204,7 +1207,7 @@ def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch
         state["recording"] = True
         report = verify_rsw_characterization(char, samples, seed=seed)
         state["recording"] = False
-        assert all(_monomial(y) is None for y, _ in inverted), (label, seed)
+        assert inverted and all(_monomial(y) is None for y, _ in inverted), (label, seed)
         assert len(set(inverted)) == len(inverted), (label, seed)
         lifted = {lift_series(e, big) for e in exponentials.values()}
         assert len(lifted) == len(exponentials) == len(inverted), (label, seed)
@@ -1214,18 +1217,22 @@ def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch
 
 
 def test_characterization_builds_each_exponential_once(monkeypatch):
-    """One ``E(x)`` per distinct ``(exps, c)``, shared by its dlog keys: on
-    the d = 2 catalog characters some monomial is drawn with both keys."""
+    """One left-side sum ``sum_j Q_j theta[-j exps]`` (one ``_left_sum``)
+    per distinct ``(exps, c)``, shared by its dlog keys, and no ``E(x)``
+    built, as no term is handed off and no Schmid oracle runs: on the d = 2
+    catalog characters some monomial is drawn with both keys."""
     drawn = set()
     calls = []
-    exp = reciprocity.truncated_exp
+    built = []
+    left_sum, exp = reciprocity._left_sum, reciprocity.truncated_exp
 
-    def counting_exp(x):
-        calls.append(x)
-        return exp(x)
+    def counting_sum(theta, tower, exps, c):
+        calls.append((exps, c))
+        return left_sum(theta, tower, exps, c)
 
     monkeypatch.setattr(reciprocity, "_random_window_terms", recording_draw(drawn))
-    monkeypatch.setattr(reciprocity, "truncated_exp", counting_exp)
+    monkeypatch.setattr(reciprocity, "_left_sum", counting_sum)
+    monkeypatch.setattr(reciprocity, "truncated_exp", lambda x: built.append(x) or exp(x))
     paired = recording_pairings(monkeypatch)
     shared = 0
     for p in catalog.CATALOG_PRIMES:
@@ -1238,9 +1245,93 @@ def test_characterization_builds_each_exponential_once(monkeypatch):
             report = verify_rsw_characterization(char, samples, seed=0)
             assert (report, paired) == uncached_characterization_oracle(char, samples, 0), label
             monomials = {(exps, c) for exps, c, _ in drawn}
-            assert len(calls) == len(monomials), label
+            assert len(calls) == len(monomials) == len(set(calls)), label
+            assert not built, label
             shared += len(drawn) - len(monomials)
     assert shared > 0
+
+
+# ------------------------------------ the left side off theta's coefficients
+
+def test_left_side_matches_the_symbols_on_random_characters():
+    """``_LeftSide.symbol`` equals ``_symbol_value`` on ``{E(x), T_key}``
+    for the sampler's terms of random characters over p = 2, 3, 5, k = 1, 2,
+    s = 1-3 and d = 1, 2, with poles down to -8 in the components, at the
+    default budget: every term is read off theta (a theta whose poles,
+    ``p^i`` times a component's, open more than the budget is redrawn), and
+    nonzero values at both dlog keys and zero values all occur."""
+    rng = random.Random(4601)
+    seen = Counter()
+    for p, k, s, d_level in SYMBOL_TOWER_CELLS:
+        tower = FieldTower(p, k, s, ("t",) if d_level == 1 else ("u", "t"))
+        dom = tower.field_domain
+        chars = 0
+        while chars < 3 * d_level:
+            printed = [
+                NestedSeries.from_monomials(d_level, dom, [
+                    (tuple(rng.randint(-2, 2) for _ in range(d_level - 1)) + (rng.randint(-8, 1),),
+                     dom.random_nonzero(rng))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for _ in range(s)
+            ]
+            chi = asw_reduce(WittVector.from_print_order(tower, printed))
+            theta, n = theta_lift(chi), witt.swan_conductor(chi)
+            left = reciprocity._LeftSide(theta, tower)
+            if n == 0 or left.opened > tower.precision:
+                continue
+            chars += 1
+            m = n // p
+            draws = reciprocity._random_window_terms(tower, rng, m, n, 8)
+            for code in sorted({code for codes in draws for code in codes}):
+                term = exps, c, key = reciprocity._window_term(code, tower, m)
+                x = NestedSeries.from_monomials(d_level, dom, [(exps, c)])
+                ys = [truncated_exp(x)] + [NestedSeries.variable(d_level, dom, lam) for lam in key]
+                want = reciprocity._symbol_value(theta, tower, ys)
+                assert left.reads(exps) and left.symbol(term) == want, (chi, term)
+                seen[f"nonzero {key}" if want else "zero"] += 1
+    assert seen["nonzero ()"] > 100 and seen["nonzero (1,)"] > 20, seen
+    assert seen["nonzero (2,)"] > 20 and seen["zero"] > 1000, seen
+
+
+LEFT_SIDE_CASES = [
+    # (p, variables, budget, components, ceiling, handed off)
+    (3, ("t",), 5, ["t^-4"], None, False),  # least exponent 1 - budget
+    (3, ("t",), 5, ["t^-5"], None, True),  # least exponent -budget
+    (3, ("t",), 4, ["t^-8"], None, True),  # the general path refuses
+    (3, ("u", "t"), 5, ["u^-4*t^-1 + t^-2"], None, False),
+    (3, ("u", "t"), 5, ["u^-5*t^-1 + t^-2"], None, True),
+    (2, ("t",), 5, ["t^-1", "t^-3"], None, False),
+    (3, ("t",), 5, ["t^-4 + t"], 3, True),  # a windowed character
+    (3, ("u", "t"), 64, ["u*t^-4 + t^-1"], 2, True),
+]
+
+
+@pytest.mark.parametrize("p,variables,budget,texts,ceiling,handed_off", LEFT_SIDE_CASES)
+def test_left_side_hands_off_windows_and_widths_past_the_budget(
+        monkeypatch, p, variables, budget, texts, ceiling, handed_off):
+    """On towers with a small budget, a ``theta`` whose least exponent is
+    ``1 - budget`` is read off its coefficients, and every term of one at
+    ``-budget`` or below, or of a windowed character, is handed to
+    ``_symbol_value``; each check gives the report, or the refusal (type,
+    message, exponent), of the unmemoized loop, which evaluates every
+    symbol through ``_symbol_value`` as the check did before it read
+    symbols off ``theta``."""
+    tower = FieldTower(p, 1, len(texts), variables, precision=budget)
+    printed = [parse_series(text, tower) for text in texts]
+    if ceiling is not None:
+        printed = [sr.truncate(ceiling) for sr in printed]
+    chi = Character(WittVector.from_print_order(tower, printed))
+    calls = Counter()
+    symbol, symbol_value = reciprocity._LeftSide.symbol, reciprocity._symbol_value
+    monkeypatch.setattr(reciprocity._LeftSide, "symbol",
+                        lambda *args: calls.update(["site"]) or symbol(*args))
+    monkeypatch.setattr(reciprocity, "_symbol_value",
+                        lambda *args: calls.update(["handed"]) or symbol_value(*args))
+    got = refusal_outcome(verify_rsw_characterization, chi, 30, 4)
+    assert calls["site"] and calls["handed"] == (calls["site"] if handed_off else 0), calls
+    want = refusal_outcome(uncached_characterization_oracle, chi, 30, 4)
+    assert got == (want if isinstance(want[0], str) else want[0])
 
 
 # ----------------------------------------- additivity beyond the catalog
