@@ -14,24 +14,31 @@ cell, one figure per tree:
   which reads each term's right side off the invariant's coefficients,
   else ``r_b``, which older trees call once per term;
 * ``symbols_handed_off``: the calls of ``reciprocity._symbol_value`` in
-  one check, the general path: on a tree with ``_LeftSide`` the terms it
-  hands off, so ``symbols_evaluated`` less this is the terms read off
-  ``theta``; on older trees every symbol;
+  one check, the general path, which evaluates each symbol on its own (on
+  older trees the symbols of a check share their entries' inverses): on a
+  tree with ``_LeftSide`` the terms it hands off, so ``symbols_evaluated``
+  less this is the terms read off ``theta``; on older trees every symbol;
 * ``inverses``: the calls of ``NestedSeries.inv`` in one check, counting
   the inner-level calls an inverse makes and those of the Schmid oracle
   (s = 1, d = 1);
 * ``ms_per_check``: the time of one call, from ``PASSES`` alternating
-  passes, each timing a batch of calls (``bench/_trees.py``).
+  passes, each timing a batch of calls (``bench/_trees.py``);
+* ``ms_per_check_handed_off``: the same, with ``_LeftSide.reads`` forced
+  False on a tree that has it, so that every term goes through
+  ``_symbol_value``: the price of the general path, which no catalog term
+  pays.  Its reports must equal the unforced ones (checked).
 
 ``terms`` is the number of symbols the samples draw, the same for every
 tree (checked): the sum of the sample lengths of the one batch call
 ``_random_window_terms(tower, rng, m, n, samples)`` on a tree that draws a
 check's samples at once, else the sum of the lengths of the per-sample
-calls.  ``totals_ms`` sums ``ms_per_check`` over the cells per tree.
+calls.  ``totals_ms`` and ``totals_handed_off_ms`` sum ``ms_per_check``
+and ``ms_per_check_handed_off`` over the cells per tree.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 
@@ -94,14 +101,45 @@ def _counted(rswan, char, samples) -> dict:
         series_class.inv = inv
         if left_side is not None:
             left_side.symbol = site
+    with _handing_off(rswan):
+        forced = reciprocity.verify_rsw_characterization(char, samples, seed=SEED)
     return {
         "report": dataclasses.asdict(report),
+        "handed_off_report": dataclasses.asdict(forced),
         "terms": sum(_drawn(out) for out in patched["_random_window_terms"]),
         "symbols_evaluated": len(symbols),
         "symbols_handed_off": len(patched["_symbol_value"]),
         "pairings_evaluated": len(patched[pairing]),
         "inverses": len(inverses),
     }
+
+
+@contextlib.contextmanager
+def _handing_off(rswan):
+    """Within the block, ``_LeftSide.reads`` is False on a tree that has
+    it, so that its check hands every term to ``_symbol_value``."""
+    left_side = getattr(rswan.reciprocity, "_LeftSide", None)
+    if left_side is None:
+        yield
+        return
+    reads = left_side.reads
+    left_side.reads = lambda left, exps: False
+    try:
+        yield
+    finally:
+        left_side.reads = reads
+
+
+def _check(tree, cell, forced: bool):
+    """One check of ``cell`` on ``tree``, every term handed off when ``forced``."""
+    if not forced:
+        return lambda: tree.verify_rsw_characterization(*cell, seed=SEED)
+
+    def call():
+        with _handing_off(tree):
+            return tree.verify_rsw_characterization(*cell, seed=SEED)
+
+    return call
 
 
 def _drawn(out) -> int:
@@ -121,13 +159,12 @@ def measure(trees) -> dict:
     for key in keys:
         counts[key] = [_counted(tree, *c[key]) for tree, c in zip(trees, cells)]
         same(f"reports of cell {key}", [c["report"] for c in counts[key]])
+        same(f"handed-off reports of cell {key}",
+             [c["report"] for c in counts[key]] + [c["handed_off_report"] for c in counts[key]])
         same(f"terms drawn in cell {key}", [c["terms"] for c in counts[key]])
     calls = {
-        key: [
-            (lambda tree=tree, cell=c[key]: tree.verify_rsw_characterization(*cell, seed=SEED))
-            for tree, c in zip(trees, cells)
-        ]
-        for key in keys
+        (key, forced): [_check(tree, c[key], forced) for tree, c in zip(trees, cells)]
+        for key in keys for forced in (False, True)
     }
     seconds = alternate(calls, PASSES, BATCH_SECONDS)
     rows = []
@@ -140,13 +177,20 @@ def measure(trees) -> dict:
             "symbols_handed_off": [c["symbols_handed_off"] for c in counts[key]],
             "pairings_evaluated": [c["pairings_evaluated"] for c in counts[key]],
             "inverses": [c["inverses"] for c in counts[key]],
-            "ms_per_check": [round(t * 1e3, 3) for t in seconds[key]],
+            "ms_per_check": [round(t * 1e3, 3) for t in seconds[key, False]],
+            "ms_per_check_handed_off": [round(t * 1e3, 3) for t in seconds[key, True]],
         })
-    totals = [sum(seconds[key][index] for key in keys) * 1e3 for index in range(len(trees))]
     return {
-        "totals_ms": [round(t, 1) for t in totals],
+        "totals_ms": _totals(seconds, keys, False, len(trees)),
+        "totals_handed_off_ms": _totals(seconds, keys, True, len(trees)),
         "cells": rows,
     }
+
+
+def _totals(seconds, keys, forced: bool, count: int) -> list:
+    """``ms_per_check`` (or, ``forced``, its handed-off twin) summed over the cells, per tree."""
+    return [round(sum(seconds[key, forced][index] for key in keys) * 1e3, 1)
+            for index in range(count)]
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from .catalog import CATALOG_PRIMES, canned_config
 from .errors import ConfigError, ParseError, RswanError
 from .extensions import (
     ExtensionMap,
+    _curve_x,
+    _eval_poly_at,
     conductor_change,
     curve_restriction_ratios,
     imperfect_residue_family,
@@ -312,10 +314,16 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 )
             except (ParseError, ValueError) as exc:
                 raise ConfigError(f"{what} 'f' does not parse: {exc}") from None
-            low = min(map(int, task["f"]))
-            _require(all(e * low >= _ORD_FLOOR for e in _get(task, "exponents")),
-                     f"{what} needs 'exponents' e with e * {low} (the least exponent of 'f') at "
-                     f"least {_ORD_FLOOR}: the curve pulls t^{low} back to u^(e * {low})")
+            field = FieldTower(towers["main"].p, 1, 1, ("u",)).field_domain
+            base = _curve_x(_get(task, "x0"), field)
+            orders = [(k, _eval_poly_at(base, num, field).ord())  # a_k t^k lands on u^(e k + order)
+                      for (k,), (num, _) in curves[tuple(task["f"].items())].iter_monomials()]
+            for e in _get(task, "exponents"):
+                k, order = min(orders, key=lambda pair: e * pair[0] + pair[1], default=(0, 0))
+                _require(e * k + order >= _ORD_FLOOR,
+                         f"{what} needs 'exponents' e with e * k + ord_x0(a_k) at least {_ORD_FLOOR} "
+                         f"for each term a_k t^k of 'f': the curve of e = {e} pulls the term of "
+                         f"t^{k} back to u^{e * k + order}")
     return RunConfig(
         main_tower=towers["main"],
         towers=towers,

@@ -340,6 +340,11 @@ def perfect_residue_ratios(chi: Character | WittVector, family):
 
 # ---------------------------------------------------- curve restriction
 
+def _curve_x(x0: int, domain) -> NestedSeries:
+    """``x0 + u`` over ``domain`` (F_p): what the curves substitute for x."""
+    return NestedSeries.from_monomials(1, domain, [((0,), domain.from_int(x0)), ((1,), domain.one())])
+
+
 def _eval_poly_at(series_base: NestedSeries, coeffs, domain) -> NestedSeries:
     acc = NestedSeries.zero(series_base.level, domain)
     for c in reversed(coeffs):
@@ -365,9 +370,7 @@ def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents):
     sw_generic = swan_of_components(asw_reduce_components([f], p), p)
     target = FieldTower(p, 1, 1, ("u",))
     fd = target.field_domain
-    base = NestedSeries.from_monomials(
-        1, fd, [((0,), fd.from_int(x0)), ((1,), fd.one())]
-    )
+    base = _curve_x(x0, fd)
     rows = []
     for e in exponents:
         acc = NestedSeries.zero(1, fd)

@@ -50,11 +50,9 @@ by ``e`` and back, so the residue and the refusals are the same; only an
 exponent that the shift would carry below the supported range no longer
 raises.
 
-The symbols a check hands off ("The left side") share one
-:class:`_SymbolEntries`: the widths ``theta`` opens are found once, and
-each entry that is not a monomial, known by identity and kept alive, has
-its ``d y~``, its wedge ``theta ^ d y~`` and its inverse at each width
-built once, however many symbols hold it.
+Each symbol is evaluated on its own: a symbol that a check hands off
+("The left side") builds its ``E(x)``, its variables and the forms and
+inverses of its entries afresh, and shares nothing with the others.
 
 The terms of a check's samples are drawn in one call and
 rejection-sampled inline on ``rng.getrandbits`` as CPython's
@@ -133,6 +131,7 @@ from .errors import (
     InconsistentValue,
     NotTopological,
     PrecisionExhausted,
+    TowerMismatch,
     UnramifiedCharacter,
     ZeroEntry,
 )
@@ -319,11 +318,12 @@ def theta_lift(vec: WittVector | Character) -> NestedSeries:
 def eval_symbol(char: Character | WittVector, ys) -> int:
     """Value of the character on the symbol {y_1, ..., y_d}, in Z/p^s.
 
-    Each ``y_i`` is a nonzero series over the residue tower; they are lifted
+    Each ``y_i`` is a nonzero series over the character's residue tower
+    (any other entry raises :class:`TowerMismatch`); they are lifted
     coefficientwise and the residue of ``theta(f) ^_i dlog y~_i`` is traced
     down to Z/p^s.  This is the paper's symbol map, kept as the public
     entry that validates the entries before ``_symbol_value``, the general
-    path, to which the characterization check hands some terms.
+    path, which also takes the terms the characterization check hands off.
     """
     char = asw_reduce(char)
     tower = char.tower
@@ -331,6 +331,10 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
     if len(ys) != tower.d:
         raise InconsistentValue(f"expected {tower.d} symbol entries, got {len(ys)}")
     for y in ys:
+        if not isinstance(y, NestedSeries):
+            raise TowerMismatch(f"expected a series, got {type(y).__name__}")
+        if y.level != tower.d or y.domain is not tower.field_domain:
+            raise TowerMismatch("series belong to different towers or coefficient rings")
         if y.is_exact_zero():
             raise ZeroEntry("symbol entries must be nonzero")
         if y.is_zero():
@@ -338,8 +342,8 @@ def eval_symbol(char: Character | WittVector, ys) -> int:
     return _symbol_value(theta_lift(char.vector), tower, ys)
 
 
-def _symbol_value(theta: NestedSeries, tower, ys, entries=None) -> int:
-    """Res of ``theta ^_i dlog y~_i``, traced to Z/p^s.
+def _symbol_value(theta: NestedSeries, tower, ys) -> int:
+    """Res of ``theta ^_i dlog y~_i``, traced to Z/p^s, for this one symbol.
 
     Res reads nothing above T^0, so the inverses of the entries open at the
     width the lowest stored exponent of ``theta`` at any level needs (a
@@ -348,49 +352,25 @@ def _symbol_value(theta: NestedSeries, tower, ys, entries=None) -> int:
     small; the residue is then computed once more at the cap.  What the
     product-free residue refuses at both widths goes through the ``dlog``
     forms at both (module docstring, "Symbols"); when neither answers, the
-    refusal names the width the symbol opens and the budget.  ``entries``
-    is the :class:`_SymbolEntries` of ``theta`` that the symbols of one
-    check share; without it the symbol builds its own.
+    refusal names the width the symbol opens and the budget.
     """
-    if entries is None:
-        entries = _SymbolEntries(theta, tower)
-    for width in entries.widths:
+    opened, budget = _opened(theta), tower.precision
+    widths = sorted({min(opened, budget), budget})
+    for width in widths:
         try:
-            return _residue_of_symbol(ys, width, entries)
+            return _residue_of_symbol(theta, tower, ys, width)
         except PrecisionExhausted as exc:
             cause = exc
-    for width in entries.widths:
+    for width in widths:
         try:
             return _residue_through_dlog(theta, tower, ys, width)
         except PrecisionExhausted as exc:
             cause = exc
     raise PrecisionExhausted(
-        f"the symbol opens windows of width {entries.opened}; its residue is not "
-        f"certified within the budget {entries.budget}",
+        f"the symbol opens windows of width {opened}; its residue is not "
+        f"certified within the budget {budget}",
         exponent=0,
     ) from cause
-
-
-class _SymbolEntries:
-    """What the symbols of one check share, ``theta`` being fixed (module
-    docstring, "Symbols"): the widths ``theta`` opens, and per entry, by
-    ``id``, its :class:`_Entry`, which keeps the entry alive, so that the
-    ``id`` names it for as long as this object lives."""
-
-    __slots__ = ("opened", "budget", "widths", "lift_domain", "theta_form", "by_id")
-
-    def __init__(self, theta: NestedSeries, tower):
-        self.opened, self.budget = _opened(theta), tower.precision
-        self.widths = sorted({min(self.opened, self.budget), self.budget})
-        self.lift_domain = tower.lift_domain
-        self.theta_form = LogForm.from_series(theta)
-        self.by_id: dict = {}
-
-    def entry(self, y: NestedSeries) -> "_Entry":
-        found = self.by_id.get(id(y))
-        if found is None:
-            found = self.by_id[id(y)] = _Entry(y, self.lift_domain)
-        return found
 
 
 def _opened(theta: NestedSeries) -> int:
@@ -410,44 +390,17 @@ def _monomial(sr: NestedSeries):
     return exps, sr
 
 
-class _Entry:
-    """One symbol entry ``y``, kept alive with what is built from it.  For
-    an exact monomial ``c T^e`` with ``c`` a unit of the lift ring:
-    ``dlogs``, the pairs ``(i, e_i)`` of its exact ``dlog y~ = sum_i e_i
-    dlog T_i`` with ``e_i`` nonzero in the lift ring.  Otherwise ``dlogs``
-    is None, and it holds its lift ``y~``, ``d y~``, the wedge ``theta ^ d
-    y~`` once asked for, and ``y~^-1`` by width."""
-
-    __slots__ = ("y", "dlogs", "lifted", "dy", "theta_dy", "inverses")
-
-    def __init__(self, y: NestedSeries, big):
-        self.y = y
-        mono = _monomial(y)
-        if mono is None or _is_lift_non_unit(big, mono[1]):
-            self.dlogs = None
-            self.lifted = lift_series(y, big)
-            self.dy = d(self.lifted)
-            self.theta_dy = None
-            self.inverses: dict = {}
-        else:
-            self.dlogs = [(i, e) for i, e in enumerate(mono[0], 1)
-                          if not big.is_zero(big.from_int(e))]
-
-    def inverse(self, width: int) -> NestedSeries:
-        inv = self.inverses.get(width)
-        if inv is None:
-            inv = self.inverses[width] = self.lifted.inv(width)
-        return inv
-
-
-def _wedge_exact_dlog(omega: LogForm, dlogs) -> LogForm:
-    """``omega ^ sum_i e_i dlog T_i`` for the pairs ``(i, e_i)`` of
-    ``dlogs``: what :func:`wedge` with the form of those coefficients
-    returns, each term an integer multiple of a coefficient of ``omega``."""
+def _wedge_exact_dlog(omega: LogForm, exps) -> LogForm:
+    """``omega ^ sum_i e_i dlog T_i`` for ``exps = (e_1, ..., e_d)``: what
+    :func:`wedge` with the form of those coefficients returns, each term an
+    integer multiple of a coefficient of ``omega`` (an ``e_i`` that is zero
+    in ``omega``'s ring contributes nothing)."""
     if omega.degree >= omega.level:
         raise DegreeOverflow(
             f"wedge of degrees {omega.degree} and 1 exceeds top degree {omega.level}"
         )
+    domain = omega.domain
+    dlogs = [(i, e) for i, e in enumerate(exps, 1) if not domain.is_zero(domain.from_int(e))]
     out: dict = {}
     for key, c in omega.coeffs.items():
         for i, e in dlogs:
@@ -456,28 +409,26 @@ def _wedge_exact_dlog(omega: LogForm, dlogs) -> LogForm:
                 continue
             term = c.mul_int(sign * e)
             out[new_key] = out[new_key] + term if new_key in out else term
-    return _form(omega.level, omega.domain, omega.degree + 1, out)
+    return _form(omega.level, domain, omega.degree + 1, out)
 
 
-def _residue_of_symbol(ys, width: int, entries: _SymbolEntries) -> int:
+def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int) -> int:
     """``Res(theta ^ dy~_1 ^ ... ^ dy~_d * prod_i y~_i^-1)``: the symbol's
-    residue with ``dlog y = dy y^-1``, each inverse at ``width``, and the
-    exact ``dlog`` of an exact monomial entry (module docstring,
-    "Symbols"), ``theta`` being that of ``entries``."""
-    omega = entries.theta_form
+    residue with ``dlog y = dy y^-1``, each inverse at ``width``.  An exact
+    monomial entry ``c T^e`` with ``c`` a unit of the lift ring takes its
+    exact ``dlog y~ = sum_i e_i dlog T_i`` instead, and is never lifted,
+    differentiated or inverted (module docstring, "Symbols")."""
+    big = tower.lift_domain
+    omega = LogForm.from_series(theta)
     g = None
     for y in ys:
-        entry = entries.entry(y)
-        if entry.dlogs is not None:
-            omega = _wedge_exact_dlog(omega, entry.dlogs)
+        mono = _monomial(y)
+        if mono is not None and not _is_lift_non_unit(big, mono[1]):
+            omega = _wedge_exact_dlog(omega, mono[0])
             continue
-        if omega is entries.theta_form:
-            if entry.theta_dy is None:
-                entry.theta_dy = wedge(omega, entry.dy)
-            omega = entry.theta_dy
-        else:
-            omega = wedge(omega, entry.dy)
-        inv = entry.inverse(width)
+        y = lift_series(y, big)
+        omega = wedge(omega, d(y))
+        inv = y.inv(width)
         g = inv if g is None else g * inv
     if g is None:
         g = NestedSeries.one(omega.level, omega.domain)
@@ -496,40 +447,36 @@ def _residue_through_dlog(theta: NestedSeries, tower, ys, width: int) -> int:
 
 class _LeftSide:
     """The symbols ``{E(x), T_key}`` of one check's raw terms ``(exps, c,
-    key)``, ``x = c T^exps`` (module docstring, "The left side")."""
+    key)``, ``x = c T^exps`` (module docstring, "The left side"): read off
+    ``theta``'s coefficients through one sum per ``(exps, c)``, or handed
+    to :func:`_symbol_value` as a symbol of its own."""
 
     def __init__(self, theta: NestedSeries, tower):
         self.theta, self.tower, self.opened = theta, tower, _opened(theta)
         self.exact = theta.is_exact() and self.opened <= tower.precision
         self.sums: dict = {}  # (exps, c) -> sum_j Q_j theta[-j exps], for both dlog keys
-        self.exponentials: dict = {}  # (exps, c) -> E(x): hand-offs and the Schmid oracle
-        self.entries = None  # the hand-offs' shared _SymbolEntries, from the first
-        self.variables = [NestedSeries.variable(tower.d, tower.field_domain, lam)
-                          for lam in range(1, tower.d + 1)]
 
     def reads(self, exps) -> bool:
         """Whether the terms of ``exps`` are read off ``theta``, not handed off."""
         return self.exact and (1 - self.opened + min((0, *exps[:-1]))
                                * (self.tower.p + self.opened) >= _ORD_FLOOR)
 
-    def exponential(self, exps, c) -> NestedSeries:
-        if (exps, c) not in self.exponentials:
-            x = NestedSeries.from_monomials(self.tower.d, self.tower.field_domain, [(exps, c)])
-            self.exponentials[exps, c] = truncated_exp(x)
-        return self.exponentials[exps, c]
-
     def symbol(self, term) -> int:
         exps, c, key = term
         tower, big = self.tower, self.tower.lift_domain
         if not self.reads(exps):
-            if self.entries is None:
-                self.entries = _SymbolEntries(self.theta, tower)
-            ys = [self.exponential(exps, c)] + [self.variables[lam - 1] for lam in key]
-            return _symbol_value(self.theta, tower, ys, self.entries)
+            ys = [_exponential(tower, exps, c)]
+            ys += [NestedSeries.variable(tower.d, tower.field_domain, lam) for lam in key]
+            return _symbol_value(self.theta, tower, ys)
         if (exps, c) not in self.sums:
             self.sums[exps, c] = _left_sum(self.theta, tower, exps, c)
         a = -exps[1] if key == (1,) else exps[0]  # sgn a_mu, mu not in key
         return big.trace(big.mul_int(self.sums[exps, c], a)) % big.modulus
+
+
+def _exponential(tower, exps, c) -> NestedSeries:
+    """``E(c T^exps)``: a handed-off symbol's first entry, and the Schmid oracle's."""
+    return truncated_exp(NestedSeries.from_monomials(tower.d, tower.field_domain, [(exps, c)]))
 
 
 def _left_sum(theta: NestedSeries, tower, exps, c):
@@ -783,9 +730,9 @@ def verify_rsw_characterization(
     key)``, has its symbol, its Schmid oracle value (at s = 1, d = 1) and
     its own pairing evaluated once per call.  :class:`_LeftSide` reads a
     symbol off ``theta``'s coefficients, through one sum per distinct
-    ``(exps, c)`` whatever its key, and builds ``E(x)``, once per ``(exps,
-    c)``, only for the Schmid oracle and for a term it hands off (module
-    docstring, "The left side").  :func:`_pairing` reads a term's pairing
+    ``(exps, c)`` whatever its key; ``E(x)`` is built only for the Schmid
+    oracle and for a term it hands off (module docstring, "The left
+    side").  :func:`_pairing` reads a term's pairing
     off ``Rsw(chi)``'s coefficients ("The right side").  Within a sample
     the new symbols come first, in draw order, then the new pairings, so
     an exception comes from the sample's first failing symbol.
@@ -839,7 +786,7 @@ def verify_rsw_characterization(
                 continue
             term = _window_term(code, tower, m)
             fresh[code] = term, left.symbol(term), schmid_symbol(
-                char.vector.comps[0], left.exponential(*term[:2])) if schmid else None
+                char.vector.comps[0], _exponential(tower, *term[:2])) if schmid else None
         # Right side: Rsw(chi) paired with each new term.
         for code, (term, val, oracle) in fresh.items():
             pairing = _pairing(value.window, term, b) * embed % modulus

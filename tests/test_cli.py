@@ -587,7 +587,16 @@ def test_thmB_t_values_are_capped(tmp_path, capsys, p, t, message):
         assert message in capsys.readouterr().err
 
 
-THMC_CAP = "task #0 (thmC) needs 'exponents' e with e * {} (the least exponent of 'f') at least -10000"
+THMC_CAP = ("task #0 (thmC) needs 'exponents' e with e * k + ord_x0(a_k) at least -10000 for "
+            "each term a_k t^k of 'f': the curve of e = {} pulls the term of t^{} back to u^{}")
+ORDER_AT_0 = {"1": 0, "1 + x": 0, "x": 1, "x^2": 2}  # the order at x = 0 of each literal below
+
+
+def thmC_refusal(f, e, orders):
+    """The loader's message for the term of ``f`` that the curve of ``e``
+    sends lowest, ``orders`` giving each coefficient's order at ``x0``."""
+    landing, k = min((e * int(k) + orders[text], int(k)) for k, text in f.items())
+    return THMC_CAP.format(e, k, landing)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -598,22 +607,63 @@ THMC_CAP = "task #0 (thmC) needs 'exponents' e with e * {} (the least exponent o
     ({"-3": "x"}, 3333, False),
     ({"-3": "x"}, 3334, True),  # ran into an ExponentOutOfRange ERROR record
     ({"-1": "x", "2": "x^2"}, 10000, False),
+    ({"-1": "x"}, 10001, False),  # x vanishes at 0: u^-10001 times u
+    ({"-1": "x^2"}, 10002, False),
+    ({"-1": "x^2"}, 10003, True),
+    ({"-2": "x", "-1": "1"}, 5000, False),
+    ({"-2": "x", "-1": "1"}, 5001, True),
 ])
 def test_thmC_exponents_are_capped(tmp_path, capsys, p, f, e, refused):
-    """The curve ``t -> u^e`` pulls ``t^low`` back to ``u^(e low)`` times a
-    unit at ``x0``, so an ``e`` with ``e low`` below the floor -10,000, for
-    ``low`` the least exponent of ``f``, is decided by the task alone: the
-    loader refuses it, naming the task."""
+    """The curve ``t -> u^e, x -> x0 + u`` (here ``x0 = 0``) pulls ``a_k(x)
+    t^k`` back to ``u^(e k + ord_x0 a_k)`` times a unit; the order of
+    ``a_k`` at ``x0`` is its numerator's, and is positive where ``a_k``
+    vanishes there (a denominator that vanishes there is the run's refusal,
+    ``test_thmC_pole_at_x0_stays_a_run_time_record``).  So an ``e`` that
+    sends some term below the floor -10,000 is decided by the task alone:
+    the loader refuses it, naming the task and that term; a task that loads
+    runs and passes."""
     doc = config_doc(tower={"p": p, "variables": ["t"]},
                      tasks=[{"task": "thmC", "f": f, "exponents": [e]}])
     if refused:
-        message = THMC_CAP.format(min(map(int, f)))
+        message = thmC_refusal(f, e, ORDER_AT_0)
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(doc)
         assert main(["run", write_config(tmp_path, doc)]) == 2
         assert message in capsys.readouterr().err
     else:
         assert [r["status"] for r in run(load_config(doc))["tasks"]] == ["PASS"]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_thmC_exponent_cap_reads_the_order_at_x0(tmp_path, capsys, p):
+    """``x t^-1`` at e = 10,001: at ``x0 = 0`` the coefficient vanishes to
+    order 1 and the term lands on u^-10000, which runs and passes; at
+    ``x0 = 1`` it is a unit and the term lands on u^-10001, below the floor
+    (it ran into an ``ExponentOutOfRange`` ERROR record before the loader
+    read the order), so the loader refuses it."""
+    def doc(x0):
+        return config_doc(tower={"p": p, "variables": ["t"]},
+                          tasks=[{"task": "thmC", "f": {"-1": "x"}, "x0": x0, "exponents": [10001]}])
+    assert [r["status"] for r in run(load_config(doc(0)))["tasks"]] == ["PASS"]
+    message = thmC_refusal({"-1": "x"}, 10001, {"x": 0})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(doc(1))
+    assert main(["run", write_config(tmp_path, doc(1))]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_thmC_pole_at_x0_stays_a_run_time_record():
+    """A coefficient whose denominator vanishes at ``x0`` is not an exponent
+    the loader bounds: the task loads (its numerator 1 lands on u^-10000 at
+    e = 10,000) and the run writes the ``NonEmbedding`` ERROR record."""
+    for e in (3, 10000):
+        doc = config_doc(tasks=[{"task": "thmC", "f": {"-1": "1/x"}, "exponents": [e]}])
+        (record,) = run(load_config(doc))["tasks"]
+        assert record["error"] == {
+            "type": "NonEmbedding",
+            "message": "coefficient denominator vanishes at x = 0; "
+                       "the curve meets a pole of the character",
+        }
 
 
 def test_thmC_reduces_by_adding_rational_functions(monkeypatch):

@@ -24,6 +24,7 @@ Oracles used here:
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -35,6 +36,7 @@ from rswan.errors import (
     NotTopological,
     PrecisionExhausted,
     RswanError,
+    TowerMismatch,
     UnramifiedCharacter,
     ZeroEntry,
 )
@@ -55,7 +57,6 @@ from rswan.reciprocity import (
     CharacterizationReport,
     _monomial,
     _residue_of_symbol,
-    _SymbolEntries,
     check_exp_congruences,
     eval_symbol,
     schmid_symbol,
@@ -335,9 +336,8 @@ def test_symbol_widens_to_the_budget_when_lower_poles_need_it():
     the first entry pushes the residue past them; the budget answers."""
     chi = char_of(KD, ["u^-1*t^-2"])
     ys = [parse_series("1 + u + u^-2*t", KD), parse_series("t", KD)]
-    entries = _SymbolEntries(theta_lift(chi), KD)
     with pytest.raises(PrecisionExhausted):
-        _residue_of_symbol(ys, 3, entries)
+        _residue_of_symbol(theta_lift(chi), KD, ys, 3)
     assert eval_symbol(chi, ys) == 1
 
 
@@ -370,6 +370,29 @@ def test_symbol_entry_validation():
         with pytest.raises(PrecisionExhausted, match="zero within its window") as err:
             eval_symbol(chi, [parse_series("t", K2).truncate(ceiling)])
         assert err.value.exponent == ceiling
+    # An entry of another tower, level or coefficient ring, or one that is
+    # not a series, raises TowerMismatch in the words of
+    # NestedSeries._check_compatible, as schmid_symbol does on the same F_3
+    # entries.
+    chi = char_of(K2, ["t^-3"])
+    other = "series belong to different towers or coefficient rings"
+    lift = FieldTower(2, 1, 2, ("t",)).lift_domain
+    rows = [
+        (parse_series("1 + 2*t", K3), other),
+        (parse_series("1 + t", K3), other),
+        (parse_series("1 + t", FieldTower(2, 2, 1, ("t",))), other),
+        (parse_series("1 + t", KD), other),
+        (NestedSeries.from_monomials(1, lift, [((0,), 1), ((1,), 1)]), other),
+        (5, "expected a series, got int"),
+        ("1 + t", "expected a series, got str"),
+    ]
+    for y, message in rows:
+        with pytest.raises(TowerMismatch, match=re.escape(message)):
+            eval_symbol(chi, [y])
+    for y, _ in rows[:2]:
+        with pytest.raises(TowerMismatch, match=re.escape(other)):
+            schmid_symbol(parse_series("t^-3", K2), y)
+    assert eval_symbol(chi, [parse_series("1 + t", K2)]) == 1
 
 
 def test_symbol_entry_zero_within_an_inner_window_is_not_a_zero_entry():
@@ -492,7 +515,7 @@ def test_symbol_falls_back_to_dlog_forms_where_a_window_meets_a_cancellation():
     ys = [parse_series("1 + u^-1*t^3", KD), parse_series("t^-1 + t", KD)]
     for width in (6, KD.precision):
         with pytest.raises(PrecisionExhausted):
-            _residue_of_symbol(ys, width, _SymbolEntries(theta, KD))
+            _residue_of_symbol(theta, KD, ys, width)
     wide = FieldTower(2, 1, 1, ("u", "t"), precision=512)
     assert reciprocity._symbol_value(theta, KD, ys) == 0
     assert dlog_route_symbol(completed(theta), wide, ys) == 0
@@ -505,12 +528,12 @@ def test_symbol_width_reads_window_zero_coefficients(monkeypatch):
     theta = NestedSeries(2, dom, {-2: NestedSeries.zero(1, dom, 2)})
     ys = [parse_series("1 + u*t", KD), parse_series("t", KD)]
     with pytest.raises(PrecisionExhausted):
-        _residue_of_symbol(ys, 1, _SymbolEntries(theta, KD))
+        _residue_of_symbol(theta, KD, ys, 1)
     widths = []
 
-    def recording(ys, width, entries):
+    def recording(theta, tower, ys, width):
         widths.append(width)
-        return _residue_of_symbol(ys, width, entries)
+        return _residue_of_symbol(theta, tower, ys, width)
 
     monkeypatch.setattr(reciprocity, "_residue_of_symbol", recording)
     assert reciprocity._symbol_value(theta, KD, ys) == 0
@@ -615,12 +638,76 @@ def test_monomial_entries_take_the_outcome_of_their_inverse():
             rng.shuffle(ys)
         assert any(_monomial(y) is not None for y in ys)
         for width in sorted({max(1, 1 - min(theta.coeffs, default=0)), tower.precision}):
-            new = refusal_outcome(
-                reciprocity._residue_of_symbol, ys, width, _SymbolEntries(theta, tower))
+            new = refusal_outcome(reciprocity._residue_of_symbol, theta, tower, ys, width)
             old = refusal_outcome(parent_residue_of_symbol, theta, tower, ys, width)
             assert new == old, (theta, ys, width)
             seen["answered" if isinstance(new, int) else new[0]] += 1
     assert seen["answered"] > 500 and seen["PrecisionExhausted"] > 50, seen
+
+
+# ------------------------------------- Artin reciprocity on P^1, k = 1
+
+def teichmueller_weight(values, p, s):
+    """``w(x_0, ..., x_{s-1}) = sum_i p^i [x_i] mod p^s`` for components in
+    print order, ``[x] = x~^(p^(s-1)) mod p^s`` the Teichmueller lift."""
+    modulus = p**s
+    return sum(p**i * pow(x, p ** (s - 1), modulus) for i, x in enumerate(values)) % modulus
+
+
+def test_symbols_obey_reciprocity_on_the_projective_line():
+    """A vector ``f`` with components in ``F_p[t^-1]`` is a global
+    character of ``F_p(t)``, unramified away from t = 0; for ``y = t^a
+    prod_alpha (t - alpha)^m_alpha``, alpha in ``F_p^x``, the local symbols
+    sum to 0 over the places, and at a place v other than 0 ``chi_v(y) =
+    ord_v(y) w(f(v))`` (``teichmueller_weight``), so
+
+        eval_symbol(chi, [y]) = -sum_alpha m_alpha w(f(alpha)) + deg(y) w(f(oo))
+
+    in Z/p^s (H. L. Schmid and E. Witt, J. reine angew. Math. 176 (1936);
+    J.-P. Serre, Algebraic Groups and Class Fields, the residue theorem).
+    The right side needs only the components' values at points of ``F_p``:
+    no series, window or Witt sum.  Over p = 2, 3, 5 and s = 1-3 at k = 1,
+    on entries with roots (the general path) and bare powers ``t^a`` (the
+    exact ``dlog`` of a monomial entry); some expected values are nonzero
+    and some units, at s >= 2 too."""
+    rng = random.Random(2501)
+    seen = Counter()
+    for p, s in itertools.product((2, 3, 5), (1, 2, 3)):
+        tower = FieldTower(p, 1, s, ("t",), precision=4 * p ** (s - 1) + 2)
+        dom = tower.field_domain
+        modulus = p**s
+        for idx in range(80):
+            printed = [{j: rng.randrange(p) for j in range(rng.randint(0, 4))} for _ in range(s)]
+            chi = WittVector.from_print_order(tower, tuple(
+                NestedSeries.from_monomials(1, dom, [((-j,), c) for j, c in comp.items() if c])
+                for comp in printed))
+            if witt.swan_conductor(asw_reduce(chi)) == 0:
+                continue
+
+            def w_at(alpha):  # w(f(alpha)), alpha = None for the place at infinity
+                return teichmueller_weight([
+                    comp.get(0, 0) if alpha is None
+                    else sum(c * pow(alpha, -j, p) for j, c in comp.items()) % p
+                    for comp in printed], p, s)
+
+            a = rng.randint(1, 2 * p + 1)
+            roots = {} if idx % 4 == 0 else {
+                alpha: rng.randint(1, 3) for alpha in rng.sample(range(1, p), rng.randint(1, p - 1))}
+            y = NestedSeries.from_monomials(1, dom, [((a,), 1)])
+            for alpha, mult in roots.items():
+                y = y * NestedSeries.from_monomials(1, dom, [((1,), 1), ((0,), p - alpha)]).pow(mult)
+            degree = a + sum(roots.values())
+            want = (degree * w_at(None) - sum(m * w_at(alpha) for alpha, m in roots.items()))
+            assert eval_symbol(chi, [y]) == want % modulus, (p, s, printed, a, roots)
+            kind = "monomial" if not roots else "roots"
+            seen[kind] += 1
+            seen[kind, "nonzero" if want % modulus else "zero"] += 1
+            if want % p:
+                seen[kind, "unit"] += 1
+                seen["unit at s >= 2"] += s >= 2
+    assert seen["roots", "nonzero"] > 250 and seen["roots", "unit"] > 150, seen
+    assert seen["monomial", "nonzero"] > 80 and seen["monomial", "unit"] > 40, seen
+    assert seen["unit at s >= 2"] > 150, seen
 
 
 # ----------------------------------------------- characterizing identity
@@ -1163,33 +1250,35 @@ def test_pairing_gives_the_operators_refusals_on_inner_windows():
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)
 def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch):
     """On the catalog cell of most variables and samples at p, over seeds
-    0-29, with every term handed off to ``_symbol_value``: inside the
-    symbols, each distinct ``E(x)`` is inverted once per width tried (every
-    catalog symbol answers at the first width, so once), some are, no
-    monomial entry is inverted, and the report equals the unmemoized
-    loop's."""
+    0-29, with every term handed off to ``_symbol_value``: inside each
+    symbol, its ``E(x)`` is inverted once per width tried (every catalog
+    symbol answers at the first width, so once) and nothing else is, so no
+    monomial entry is inverted; and the report equals the unmemoized
+    loop's.  Each symbol is evaluated on its own, so an ``E(x)`` that two
+    symbols hold (one term on both dlog keys at d = 2) is inverted in
+    each."""
     label, char, samples = max(
         catalog_reciprocity_cells(p), key=lambda cell: (cell[1].tower.d, cell[2])
     )
     big = char.tower.lift_domain
     symbol_value, inv = reciprocity._symbol_value, NestedSeries.inv
     state = {"recording": False, "inside": False, "depth": 0}
-    exponentials = {}  # id -> E(x), the first entry of each evaluated symbol
-    inverted = []  # (series, width) of each outermost inverse inside a symbol
+    exponentials = []  # E(x), the first entry of each evaluated symbol
+    inverted = []  # the series of each outermost inverse inside a symbol
 
-    def recording_symbol(theta, tower, ys, *entries):
+    def recording_symbol(theta, tower, ys):
         if not state["recording"]:
-            return symbol_value(theta, tower, ys, *entries)
-        exponentials[id(ys[0])] = ys[0]
+            return symbol_value(theta, tower, ys)
+        exponentials.append(ys[0])
         state["inside"] = True
         try:
-            return symbol_value(theta, tower, ys, *entries)
+            return symbol_value(theta, tower, ys)
         finally:
             state["inside"] = False
 
     def recording_inv(self, precision=None):
         if state["inside"] and state["depth"] == 0:
-            inverted.append((self, precision))
+            inverted.append(self)
         state["depth"] += 1
         try:
             return inv(self, precision)
@@ -1207,11 +1296,8 @@ def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch
         state["recording"] = True
         report = verify_rsw_characterization(char, samples, seed=seed)
         state["recording"] = False
-        assert inverted and all(_monomial(y) is None for y, _ in inverted), (label, seed)
-        assert len(set(inverted)) == len(inverted), (label, seed)
-        lifted = {lift_series(e, big) for e in exponentials.values()}
-        assert len(lifted) == len(exponentials) == len(inverted), (label, seed)
-        assert {y for y, _ in inverted} == lifted, (label, seed)
+        assert inverted and all(_monomial(y) is None for y in inverted), (label, seed)
+        assert inverted == [lift_series(e, big) for e in exponentials], (label, seed)
         assert (report, paired) == uncached_characterization_oracle(char, samples, seed), \
             (label, seed)
 
