@@ -371,19 +371,22 @@ def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents):
     target = FieldTower(p, 1, 1, ("u",))
     fd = target.field_domain
     base = _curve_x(x0, fd)
+    monomials = list(f.iter_monomials())
+    quotients = []  # num/den at x0 + u per monomial, filled in the first exponent's pass
     rows = []
     for e in exponents:
         acc = NestedSeries.zero(1, fd)
-        for (te,), raw in f.iter_monomials():
-            num, den = raw
-            num_s = _eval_poly_at(base, num, fd)
-            den_s = _eval_poly_at(base, den, fd)
-            if den_s.is_zero() or den_s.ord() > 0:
-                raise NonEmbedding(
-                    f"coefficient denominator vanishes at x = {x0}; the curve "
-                    "meets a pole of the character"
-                )
-            acc = acc + _divide_by_power(num_s, den_s, 1, target.precision).shift(e * te)
+        for index, ((te,), (num, den)) in enumerate(monomials):
+            if index == len(quotients):
+                den_s = _eval_poly_at(base, den, fd)
+                if den_s.is_zero() or den_s.ord() > 0:
+                    raise NonEmbedding(
+                        f"coefficient denominator vanishes at x = {x0}; the curve "
+                        "meets a pole of the character"
+                    )
+                quotients.append(_divide_by_power(_eval_poly_at(base, num, fd), den_s, 1,
+                                                  target.precision))
+            acc = acc + quotients[index].shift(e * te)
         chi_e = asw_reduce(Character(WittVector(target, (acc,))))
         sw_e = swan_conductor(chi_e)
         rows.append({"e": e, "sw": sw_e, "ratio": Fraction(sw_e, e)})

@@ -22,6 +22,33 @@ canonical member of this grammar: monomials sorted by exponents (outermost
 variable first), scalar coefficients as polynomials in ``g`` with
 nonnegative representatives, parenthesised when they multiply a variable
 part.
+
+Reading
+-------
+One regex pass splits a literal into token strings; the character
+positions that error messages carry are worked out again only when a
+literal is refused.  The grammar is evaluated on monomial maps ``{exps:
+raw}`` (``exps[i]`` the exponent of the level-``i+1`` variable, no zero
+raw stored): ``term`` multiplies maps and ``expr`` sums them.  A
+coefficient becomes a series once, at the end, through ``series._make``;
+a form keeps the terms inside its window and is built by ``logdiff._form``
+and ``logdiff._windowed_form``.
+
+A window opens only where a sum of several terms is raised to a negative
+power: that subexpression becomes a series, ``x.pow(n, tower.precision)``,
+and everything it meets from there on is series arithmetic.  A positive
+power of a sum also runs on the series kernels and comes back as a map,
+since it stays exact.
+
+The refusals are those of the series arithmetic, in the order the parse
+meets them.  A negative power of zero is the "non-invertible"
+:class:`ParseError` at its ``^``.  A variable power below the supported
+range raises :class:`ExponentOutOfRange` as it is read; a product, power
+or inverse whose map leaves that range is done again on series, which
+raises as it would have.  The window's own checks (``n > m``, the
+representative's floor and, for a series coefficient, its ceiling) run
+last, in :class:`~rswan.logdiff.WindowedForm`, which a form takes
+whenever its fast build does not apply.
 """
 
 from __future__ import annotations
@@ -29,10 +56,11 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, TowerMismatch, UnknownVariable, ZeroInput
-from .logdiff import LogForm, WindowedForm
+from .logdiff import LogForm, WindowedForm, _form, _windowed_form
 from .ratfunc import RatFuncDomain
 from .rsw import RswValue
-from .series import NestedSeries
+from .scalars import power
+from .series import _ORD_FLOOR, NestedSeries, _make, _refuse_below_floor
 from .tower import FieldTower
 
 __all__ = [
@@ -43,164 +71,289 @@ __all__ = [
     "parse_rat_func",
 ]
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/|,]))")
+# ordered so that a name is tried first; \S is an operator once _STRAY found nothing
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
+# a character that starts no token
+_STRAY = re.compile(r"[^\s\dA-Za-z_+\-*^()/|,]")
+_SPAN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*^()/|,])")
+_OPS = frozenset("+-*^()/|,")
 
 
-def _tokenize(text: str):
-    tokens = []
+def _tokenize(text: str) -> list:
+    """The token strings of ``text``, then ``""`` for the end."""
+    if _STRAY.search(text):
+        _positions(text)  # raises at the first stray character
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    return tokens
+
+
+def _positions(text: str) -> list:
+    """The start of every token of ``text``, then ``len(text)`` for the
+    end; raises at the first character that starts no token.  Only a
+    refusal needs them."""
+    out = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = _SPAN.match(text, pos)
         if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", position=pos)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
+        out.append(m.start(1))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    out.append(len(text))
+    return out
 
 
-class _Parser:
+def _shown(token: str):
+    """A token as the error messages show it: an integer as its value."""
+    return int(token) if token.isdecimal() else token
+
+
+class _Reader:
+    """Recursive descent over the tokens of one literal (module docstring,
+    "Reading").  A value is a monomial map or, past a window, a series."""
+
     def __init__(self, text: str, tower: FieldTower):
+        self.text = text
         self.tower = tower
-        self.domain = tower.field_domain
+        self.domain = domain = tower.field_domain
         self.level = tower.d
         self.tokens = _tokenize(text)
         self.i = 0
+        self.zero = domain.zero()
+        self.one = domain.one()
+        self.origin = (0,) * tower.d
+        self.variables = tower.variables
 
-    def peek(self):
-        return self.tokens[self.i]
+    def position(self, index: int) -> int:
+        return _positions(self.text)[index]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def at(self, val: str, kind: str = "op") -> bool:
-        tok_kind, tok_val, _ = self.peek()
-        return tok_kind == kind and tok_val == val
-
-    def accept(self, op: str) -> bool:
-        if self.at(op):
+    def accept(self, token: str) -> bool:
+        if self.tokens[self.i] == token:
             self.i += 1
             return True
         return False
 
-    def expect(self, val: str, kind: str = "op"):
-        if not self.at(val, kind):
-            raise ParseError(f"expected {val!r}", position=self.peek()[2])
-        return self.advance()
+    def expect(self, *expected: str):
+        """Read the tokens ``expected``, in order."""
+        tokens, i = self.tokens, self.i
+        for token in expected:
+            if tokens[i] != token:
+                raise ParseError(f"expected {token!r}", position=self.position(i))
+            i += 1
+        self.i = i
 
-    # ------------------------------------------------------------------
     def parse(self, rule, *args):
         out = rule(self, *args)
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", position=pos)
+        token = self.tokens[self.i]
+        if token:
+            raise ParseError(f"unexpected trailing input {_shown(token)!r}",
+                             position=self.position(self.i))
         return out
 
-    def expr(self) -> NestedSeries:
+    # ------------------------------------------------------------- values
+    def series(self, value) -> NestedSeries:
+        """``value`` as a series: a map is built through ``_make``."""
+        if type(value) is not dict:
+            return value
+        return _series_of(self.level, self.domain, value)
+
+    def plus(self, a, b):
+        if type(a) is not dict or type(b) is not dict:
+            return self.series(a) + self.series(b)
+        add, zero = self.domain.add, self.zero
+        out = dict(a)
+        for e, c in b.items():
+            if e in out:
+                c = add(out[e], c)
+                if c == zero:
+                    del out[e]
+                    continue
+            out[e] = c
+        return out
+
+    def negate(self, a):
+        if type(a) is not dict:
+            return -a
+        neg = self.domain.neg
+        return {e: neg(c) for e, c in a.items()}
+
+    def times(self, a, b):
+        if type(a) is not dict or type(b) is not dict:
+            return self.series(a) * self.series(b)
+        mul = self.domain.mul
+        if len(a) == 1 and len(b) == 1:  # two monomials, as most terms are
+            ((ea, ca),) = a.items()
+            ((eb, cb),) = b.items()
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            if min(e) >= _ORD_FLOOR:
+                return {e: mul(ca, cb)}
+            return self.series(a) * self.series(b)  # raises where the series product does
+        add = self.domain.add
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple([x + y for x, y in zip(ea, eb)])
+                c = mul(ca, cb)
+                out[e] = add(out[e], c) if e in out else c
+        if len(out) < len(a) * len(b):  # terms collided: some may cancel
+            zero = self.zero
+            out = {e: c for e, c in out.items() if c != zero}
+        if out and min(map(min, out)) < _ORD_FLOOR:
+            return self.series(a) * self.series(b)  # raises where the series product does
+        return out
+
+    def raised(self, base, n: int, caret: int):
+        """``base^n``, ``caret`` the index of the ``^`` token."""
+        if type(base) is dict:
+            if n == 0:
+                return {self.origin: self.one}
+            if n > 0 and len(base) < 2:
+                return power(base, n, self.times)
+            if n < 0 and len(base) == 1:
+                ((exps, c),) = base.items()
+                exps = tuple([-e for e in exps])
+                if min(exps) >= _ORD_FLOOR:  # else the series inverse raises below
+                    return power({exps: self.domain.inv(c)}, -n, self.times)
+        try:
+            out = self.series(base).pow(n, self.tower.precision)
+        except ZeroInput:
+            raise ParseError("cannot raise a non-invertible expression to a negative power",
+                             position=self.position(caret)) from None
+        if type(base) is dict and n > 0:  # a positive power of an exact sum is exact
+            return dict(out.iter_monomials())
+        return out
+
+    # ------------------------------------------------------------- series
+    def expr(self):
+        tokens = self.tokens
         negate = self.accept("-")
         acc = self.term()
         if negate:
-            acc = -acc
-        while self.at("+") or self.at("-"):
-            _, op, _ = self.advance()
+            acc = self.negate(acc)
+        while True:
+            op = tokens[self.i]
+            if op != "+" and op != "-":
+                return acc
+            self.i += 1
             rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            acc = self.plus(acc, rhs if op == "+" else self.negate(rhs))
 
-    def term(self) -> NestedSeries:
+    def term(self):
         acc = self.factor()
-        while self.accept("*"):
-            acc = acc * self.factor()
+        while self.tokens[self.i] == "*":
+            self.i += 1
+            acc = self.times(acc, self.factor())
         return acc
 
-    def factor(self) -> NestedSeries:
-        base_series, var_level = self.atom()
-        pos = self.peek()[2]
-        if self.accept("^"):
-            n = self.signed_int()
-            if var_level is not None:
-                exps = tuple(n if j == var_level else 0 for j in range(1, self.level + 1))
-                return NestedSeries.from_monomials(self.level, self.domain, [(exps, self.domain.one())])
-            try:
-                return base_series.pow(n, self.tower.precision)
-            except ZeroInput:
-                raise ParseError("cannot raise a non-invertible expression to a negative power", position=pos)
-        return base_series
+    def factor(self):
+        tokens = self.tokens
+        token = tokens[self.i]
+        self.i += 1
+        if token in self.variables:  # a variable: its power is one monomial
+            n = 1
+            if tokens[self.i] == "^":
+                self.i += 1
+                n = self.signed_int()
+                if n < _ORD_FLOOR:
+                    _refuse_below_floor(n)
+            exps = list(self.origin)
+            exps[self.variables.index(token)] = n
+            return {tuple(exps): self.one}
+        base = self.atom(token)
+        caret = self.i
+        if tokens[caret] != "^":
+            return base
+        self.i += 1
+        return self.raised(base, self.signed_int(), caret)
 
-    def atom(self):
-        """Returns (series, var_level or None); var_level lets ^ build a monomial."""
-        kind, val, pos = self.advance()
-        if kind == "int":
-            return NestedSeries.constant(self.level, self.domain, self.domain.from_int(val)), None
-        if kind == "name":
-            if val == "g":
-                return NestedSeries.constant(self.level, self.domain, self.domain.generator()), None
-            try:
-                lvl = self.tower.level_of(val)
-            except TowerMismatch:
-                raise UnknownVariable(f"unknown variable {val!r}", position=pos) from None
-            return NestedSeries.variable(self.level, self.domain, lvl), lvl
-        if kind == "op" and val == "(":
+    def atom(self, token: str):
+        """The value of the atom ``token`` (just read), a variable aside."""
+        if token.isdecimal():
+            raw = self.domain.from_int(int(token))
+            return {} if raw == self.zero else {self.origin: raw}
+        if token == "g":
+            return {self.origin: self.domain.generator()}
+        if token == "(":
             inner = self.expr()
             self.expect(")")
-            return inner, None
-        raise ParseError(f"expected a number, name, or '(' (got {val!r})", position=pos)
+            return inner
+        if token and token not in _OPS:
+            raise UnknownVariable(f"unknown variable {token!r}", position=self.position(self.i - 1))
+        raise ParseError(f"expected a number, name, or '(' (got {token!r})",
+                         position=self.position(self.i - 1))
 
     def signed_int(self) -> int:
-        sign = -1 if self.accept("-") else 1
-        kind, val, pos = self.advance()
-        if kind != "int":
-            raise ParseError("expected an integer", position=pos)
-        return sign * val
+        tokens, i = self.tokens, self.i
+        sign = 1
+        if tokens[i] == "-":
+            sign, i = -1, i + 1
+        token = tokens[i]
+        self.i = i + 1
+        if not token.isdecimal():
+            raise ParseError("expected an integer", position=self.position(i))
+        return sign * int(token)
 
     # ------------------------------------------------------------ forms
     def form(self) -> WindowedForm:
+        tokens = self.tokens
         coeffs: dict = {}
         chained = False
         op = "-" if self.accept("-") else "+"
         while True:
-            pos = self.peek()[2]
+            start = self.i
             coeff, key = self.fterm()
             chained = chained or key is not None
             key = key or ()
             if coeffs and len(key) != len(next(iter(coeffs))):
-                raise ParseError("mixed-degree terms in one form literal", position=pos)
+                raise ParseError("mixed-degree terms in one form literal",
+                                 position=self.position(start))
             if op == "-":
-                coeff = -coeff
-            coeffs[key] = coeffs[key] + coeff if key in coeffs else coeff
-            if not (self.at("+") or self.at("-")):
+                coeff = self.negate(coeff)
+            coeffs[key] = self.plus(coeffs[key], coeff) if key in coeffs else coeff
+            op = tokens[self.i]
+            if op != "+" and op != "-":
                 break
-            _, op, _ = self.advance()
-        self.expect("|")
-        self.expect("window", "name")
-        self.expect("(")
+            self.i += 1
+        self.expect("|", "window", "(")
         n = self.signed_int()
         self.expect(",")
         m = self.signed_int()
         self.expect(")")
+        return self.windowed(coeffs, chained, n, m)
+
+    def windowed(self, coeffs: dict, chained: bool, n: int, m: int) -> WindowedForm:
+        """The form of the coefficients ``{key: value}`` in the window ``(n, m)``."""
+        level, domain = self.level, self.domain
+        if not chained and all(not c if type(c) is dict else c.is_zero() for c in coeffs.values()):
+            return WindowedForm(LogForm.zero(level, domain, 1), n, m)
         degree = len(next(iter(coeffs)))
-        if not chained and all(c.is_zero() for c in coeffs.values()):
-            return WindowedForm(LogForm.zero(self.level, self.domain, 1), n, m)
-        return WindowedForm(LogForm(self.level, self.domain, degree, coeffs), n, m)
+        if n > m:  # exact terms inside the window are built once
+            kept = {}
+            for key, c in coeffs.items():
+                terms = _inside(c, n, m) if type(c) is dict else None
+                if terms is None:
+                    break
+                kept[key] = _series_of(level, domain, terms)
+            else:
+                return _windowed_form(_form(level, domain, degree, kept), n, m)
+        # the window's own checks refuse, or a series coefficient is cut
+        series = {key: self.series(c) for key, c in coeffs.items()}
+        return WindowedForm(_form(level, domain, degree, series), n, m)
 
     def fterm(self):
         """(coefficient, dlog key); the key is None for a term without a
         chain and () for the empty chain ``dlog()``."""
-        coeff = NestedSeries.one(self.level, self.domain)
-        if not self.at("dlog", "name"):
+        tokens = self.tokens
+        if tokens[self.i] != "dlog":
             coeff = self.term()
-            if not self.at("dlog", "name"):
+            if tokens[self.i] != "dlog":
                 return coeff, None
+        else:
+            coeff = {self.origin: self.one}
         first = self.dlog()
         if first is None:
             return coeff, ()
@@ -215,34 +368,65 @@ class _Parser:
 
     def dlog(self) -> int | None:
         """The level of ``dlog(NAME)``, or None for the empty ``dlog()``."""
-        self.expect("dlog", "name")
-        self.expect("(")
-        if self.accept(")"):
+        self.expect("dlog", "(")
+        tokens, i = self.tokens, self.i
+        token = tokens[i]
+        self.i = i + 1
+        if token == ")":
             return None
-        kind, val, pos = self.advance()
-        if kind != "name":
-            raise ParseError("expected a variable name", position=pos)
+        if not token or token in _OPS or token.isdecimal():
+            raise ParseError("expected a variable name", position=self.position(i))
         self.expect(")")
-        return self.tower.level_of(val)
+        return self.tower.level_of(token)
 
     # ------------------------------------------------- rational functions
     def rat_func(self, domain: RatFuncDomain):
         num = self.polynomial()
-        pos = self.peek()[2]
+        slash = self.i
         den = self.polynomial() if self.accept("/") else [1]
         if not any(den):
-            raise ParseError("zero denominator in a rational literal", position=pos)
+            raise ParseError("zero denominator in a rational literal", position=self.position(slash))
         return domain.from_polys(num, den)
 
     def polynomial(self) -> list:
-        pos = self.peek()[2]
-        sr = self.expr()
-        if not sr.is_exact() or any(e < 0 for e in sr.coeffs):
-            raise ParseError("a rational literal is a quotient of polynomials in x", position=pos)
-        coeffs = [0] * (max(sr.coeffs, default=0) + 1)
-        for (e,), raw in sr.iter_monomials():
+        start = self.i
+        value = self.expr()
+        if type(value) is not dict:
+            value = dict(value.iter_monomials()) if value.is_exact() else None
+        if value is None or any(e < 0 for (e,) in value):
+            raise ParseError("a rational literal is a quotient of polynomials in x",
+                             position=self.position(start))
+        coeffs = [0] * (max(value, default=(0,))[0] + 1)
+        for (e,), raw in value.items():
             coeffs[e] = raw
         return coeffs
+
+
+def _inside(monomials: dict, n: int, m: int) -> dict | None:
+    """The terms of a map with top exponents below ``-m``, or None when one
+    lies below ``-n``."""
+    out = {}
+    for exps, raw in monomials.items():
+        top = exps[-1]
+        if top < -n:
+            return None
+        if top < -m:
+            out[exps] = raw
+    return out
+
+
+def _series_of(level: int, domain, monomials: dict) -> NestedSeries:
+    """The exact series of a monomial map with no zero raw."""
+    if level == 1:
+        return _make(1, domain, {e: c for (e,), c in monomials.items()}, None, clean=True)
+    groups: dict = {}
+    for exps, c in monomials.items():
+        inner = groups.get(exps[-1])
+        if inner is None:
+            inner = groups[exps[-1]] = {}
+        inner[exps[:-1]] = c
+    return _make(level, domain, {e: _series_of(level - 1, domain, inner)
+                                 for e, inner in groups.items()}, None, clean=True)
 
 
 def parse_series(text: str, tower: FieldTower) -> NestedSeries:
@@ -253,7 +437,8 @@ def parse_series(text: str, tower: FieldTower) -> NestedSeries:
     Unknown variable names raise :class:`UnknownVariable`; other syntax
     problems raise :class:`ParseError` with a character position.
     """
-    return _Parser(text, tower).parse(_Parser.expr)
+    reader = _Reader(text, tower)
+    return reader.series(reader.parse(_Reader.expr))
 
 
 def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
@@ -264,24 +449,18 @@ def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
     degree 1; a zero body with a chain is the zero form of the chain's
     degree, and ``0 dlog()``, with the empty chain, is the one of degree 0.
     """
-    return _Parser(text, tower).parse(_Parser.form)
+    return _Reader(text, tower).parse(_Reader.form)
 
 
 def parse_rat_func(text: str, domain: RatFuncDomain):
     """``"num/den"`` (or just ``"num"``): polynomials in ``x`` over F_p."""
-    return _Parser(text, FieldTower(domain.p, 1, 1, ("x",))).parse(_Parser.rat_func, domain)
+    return _Reader(text, FieldTower(domain.p, 1, 1, ("x",))).parse(_Reader.rat_func, domain)
 
 
-def _render_monomial(tower: FieldTower, exps, raw) -> str:
-    domain = tower.field_domain
-    var_bits = []
-    for idx in range(tower.d):  # innermost variable first, as in the examples
-        e = exps[idx]
-        if e == 0:
-            continue
-        name = tower.variables[idx]
-        var_bits.append(name if e == 1 else f"{name}^{e}")
-    coeff = domain.render(raw)
+def _render_monomial(names, exps, coeff: str) -> str:
+    """``coeff`` times the variables ``names`` to the powers ``exps``."""
+    # innermost variable first, as in the examples
+    var_bits = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
     if not var_bits:
         return coeff
     if coeff == "1":
@@ -298,11 +477,14 @@ def render_series(series: NestedSeries, tower: FieldTower) -> str:
     finite top-level window is shown as a trailing ``O(T^c)`` marker (the
     marker is informational; :func:`parse_series` reads only exact data).
     """
-    if series.level != tower.d or series.domain is not tower.field_domain:
+    domain = tower.field_domain
+    if series.level != tower.d or series.domain is not domain:
         # Render against the tower the data actually lives in.
         raise ParseError("series does not belong to the given tower")
-    monomials = sorted(series.iter_monomials(), key=lambda m: tuple(reversed(m[0])))
-    parts = [_render_monomial(tower, exps, raw) for exps, raw in monomials]
+    names, render = tower.variables, domain.render
+    # iter_monomials walks each level's exponents in order, the top level's
+    # first: the order of the exponent vectors read outermost variable first
+    parts = [_render_monomial(names, exps, render(raw)) for exps, raw in series.iter_monomials()]
     body = " + ".join(parts) if parts else "0"
     if series.ceiling is not None:
         body += f" + O({tower.uniformizer}^{series.ceiling})"

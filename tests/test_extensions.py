@@ -665,6 +665,64 @@ def test_curve_restriction_rejects_poles_on_the_curve():
         curve_restriction_ratios(2, f, 0, (2,))
 
 
+def _curve_rows_per_exponent(p, f, x0, exponents):
+    """The rows of ``curve_restriction_ratios``, every exponent's quotients
+    computed again from ``f``, as the loop did before its quotient table."""
+    target = FieldTower(p, 1, 1, ("u",))
+    fd = target.field_domain
+    base = extensions._curve_x(x0, fd)
+    rows = []
+    for e in exponents:
+        acc = NestedSeries.zero(1, fd)
+        for (te,), (num, den) in f.iter_monomials():
+            num_s = extensions._eval_poly_at(base, num, fd)
+            den_s = extensions._eval_poly_at(base, den, fd)
+            if den_s.is_zero() or den_s.ord() > 0:
+                raise NonEmbedding(
+                    f"coefficient denominator vanishes at x = {x0}; the curve "
+                    "meets a pole of the character"
+                )
+            quotient = extensions._divide_by_power(num_s, den_s, 1, target.precision)
+            acc = acc + quotient.shift(e * te)
+        sw_e = swan_conductor(asw_reduce(Character(WittVector(target, (acc,)))))
+        rows.append({"e": e, "sw": sw_e, "ratio": Fraction(sw_e, e)})
+    return rows
+
+
+def _outcome(call):
+    try:
+        return call()
+    except RswanError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_curve_rows_equal_a_per_exponent_recomputation(p):
+    """``f = x t^-n + x^p t^-(p n2)`` as the ``embed`` curve units draw it,
+    alone and with a term ``c/(x - x0) t^-j`` that has a pole at ``x0``,
+    placed before, between or after the others; exponents as the units
+    take them, one whose shift leaves the supported range, and none."""
+    dom = rat_func_domain(p)
+    x = dom.variable()
+    rng = random.Random(f"curve rows {p}")
+    cases = 0
+    for _ in range(6):
+        n, n2 = rng.sample([n for n in range(1, 8) if n % p], 2)
+        x0 = rng.randrange(p)
+        terms = [((-n,), x), ((-p * n2,), dom.pow(x, p))]
+        pole = dom.from_polys([1], [-x0 % p, 1])
+        for extra in [[]] + [[((-j,), pole)] for j in (1, n, p * n2 + 1)]:
+            f = NestedSeries.from_monomials(1, dom, terms + extra)
+            for exponents in ((p, p * p), (1, 5000), (5000, p), ()):
+                got = _outcome(lambda: curve_restriction_ratios(p, f, x0, exponents))
+                want = _outcome(lambda: _curve_rows_per_exponent(p, f, x0, exponents))
+                if isinstance(got, dict):
+                    got = got["rows"]
+                assert got == want, (n, n2, x0, extra, exponents)
+                cases += 1
+    assert cases == 6 * 4 * 4
+
+
 def test_curve_restriction_requires_rational_coefficients():
     with pytest.raises(TowerMismatch):
         curve_restriction_ratios(2, parse_series("t^-3", K2), 0, (2,))
