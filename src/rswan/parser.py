@@ -71,11 +71,10 @@ __all__ = [
     "parse_rat_func",
 ]
 
-# ordered so that a name is tried first; \S is an operator once _STRAY found nothing
+# a name is tried first; \S is an operator once _STRAY has found nothing
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
 # a character that starts no token
 _STRAY = re.compile(r"[^\s\dA-Za-z_+\-*^()/|,]")
-_SPAN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*^()/|,])")
 _OPS = frozenset("+-*^()/|,")
 
 
@@ -90,26 +89,18 @@ def _tokenize(text: str) -> list:
 
 def _positions(text: str) -> list:
     """The start of every token of ``text``, then ``len(text)`` for the
-    end; raises at the first character that starts no token.  Only a
-    refusal needs them."""
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _SPAN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", position=pos)
-        out.append(m.start(1))
-        pos = m.end()
-    out.append(len(text))
-    return out
-
-
-def _shown(token: str):
-    """A token as the error messages show it: an integer as its value."""
-    return int(token) if token.isdecimal() else token
+    end.  A stray character raises, at the end of the token before it.
+    Only a refusal needs them."""
+    stray = _STRAY.search(text)
+    end = len(text) if stray is None else stray.start()
+    starts, last = [], 0
+    for m in _TOKEN.finditer(text, 0, end):
+        starts.append(m.start())
+        last = m.end()
+    if stray is not None:
+        raise ParseError(f"unexpected character {text[end]!r}", position=last)
+    starts.append(end)
+    return starts
 
 
 class _Reader:
@@ -150,8 +141,8 @@ class _Reader:
         out = rule(self, *args)
         token = self.tokens[self.i]
         if token:
-            raise ParseError(f"unexpected trailing input {_shown(token)!r}",
-                             position=self.position(self.i))
+            shown = int(token) if token.isdecimal() else token
+            raise ParseError(f"unexpected trailing input {shown!r}", position=self.position(self.i))
         return out
 
     # ------------------------------------------------------------- values
@@ -184,15 +175,7 @@ class _Reader:
     def times(self, a, b):
         if type(a) is not dict or type(b) is not dict:
             return self.series(a) * self.series(b)
-        mul = self.domain.mul
-        if len(a) == 1 and len(b) == 1:  # two monomials, as most terms are
-            ((ea, ca),) = a.items()
-            ((eb, cb),) = b.items()
-            e = tuple([x + y for x, y in zip(ea, eb)])
-            if min(e) >= _ORD_FLOOR:
-                return {e: mul(ca, cb)}
-            return self.series(a) * self.series(b)  # raises where the series product does
-        add = self.domain.add
+        mul, add = self.domain.mul, self.domain.add
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
