@@ -111,13 +111,13 @@ class _Reader:
         self.text = text
         self.tower = tower
         self.domain = domain = tower.field_domain
-        self.level = tower.d
+        self.variables = tower.variables
+        self.level = len(self.variables)
         self.tokens = _tokenize(text)
         self.i = 0
         self.zero = domain.zero()
         self.one = domain.one()
-        self.origin = (0,) * tower.d
-        self.variables = tower.variables
+        self.origin = (0,) * self.level
 
     def position(self, index: int) -> int:
         return _positions(self.text)[index]
