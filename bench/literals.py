@@ -9,8 +9,8 @@ Three sets of literals, the same for every tree:
   runs, rendered by ``render_series`` and read back by ``parse_series``;
 * ``random``: ``FORMS`` seeded windowed forms over towers with p = 2, 3,
   5, k = 1, 2 and d = 1, 2, 3, of every degree, with 0..4 terms per
-  coefficient and top exponents from the window's floor to two past its
-  top, rendered and read back as the ``rsw`` set is.
+  coefficient and top exponents in ``-n..-m+2`` (those at ``-m`` and above
+  are cut), rendered and read back as the ``rsw`` set is.
 
 The rendered texts and the values read back (or their refusals) must be
 equal across trees (checked).  Per set, one figure per tree each:
@@ -127,7 +127,8 @@ def measure(trees) -> dict:
               for tree, tree_sets, ts in zip(trees, sets, texts)])
         counts[name] = len(texts[0])
         calls[name, "parse"] = [
-            (lambda parse=tree_sets[name][0], pairs=list(zip(ts, (t for _, t in tree_sets[name][2]))):
+            (lambda parse=tree_sets[name][0],
+             pairs=[(text, tower) for text, (_, tower) in zip(ts, tree_sets[name][2])]:
              [parse(text, tower) for text, tower in pairs])
             for tree_sets, ts in zip(sets, texts)
         ]
