@@ -155,9 +155,10 @@ DRAWS = 700
 class _Draw:
     """One random literal and the series arithmetic over its tree.
 
-    ``text`` grows as the tree is drawn, so each ``^`` knows its position;
-    ``value`` evaluates the subtree at once, in the order the grammar reads
-    it, and raises what that arithmetic raises.
+    ``text`` grows as the tree is drawn, so each ``^`` knows its position.
+    Each drawing method returns the value of its subtree, computed at once,
+    in the order the grammar reads it; the first refusal of that arithmetic
+    is kept in ``error``, and every value after it is None.
     """
 
     def __init__(self, rng: random.Random, tower: FieldTower):
