@@ -30,9 +30,9 @@ positions that error messages carry are worked out again only when a
 literal is refused.  The grammar is evaluated on monomial maps ``{exps:
 raw}`` (``exps[i]`` the exponent of the level-``i+1`` variable, no zero
 raw stored): ``term`` multiplies maps and ``expr`` sums them.  A
-coefficient becomes a series once, at the end, through ``series._make``;
-a form keeps the terms inside its window and is built by ``logdiff._form``
-and ``logdiff._windowed_form``.
+coefficient becomes a series once, at the end, through ``series._exact``;
+a form is built by ``logdiff._form`` and cut to its window by
+:class:`~rswan.logdiff.WindowedForm`.
 
 A window opens only where a sum of several terms is raised to a negative
 power: that subexpression becomes a series, ``x.pow(n, tower.precision)``,
@@ -47,8 +47,7 @@ range raises :class:`ExponentOutOfRange` as it is read; a product, power
 or inverse whose map leaves that range is done again on series, which
 raises as it would have.  The window's own checks (``n > m``, the
 representative's floor and, for a series coefficient, its ceiling) run
-last, in :class:`~rswan.logdiff.WindowedForm`, which a form takes
-whenever its fast build does not apply.
+last, in :class:`~rswan.logdiff.WindowedForm`.
 """
 
 from __future__ import annotations
@@ -56,11 +55,11 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, TowerMismatch, UnknownVariable, ZeroInput
-from .logdiff import LogForm, WindowedForm, _form, _windowed_form
+from .logdiff import LogForm, WindowedForm, _form
 from .ratfunc import RatFuncDomain
 from .rsw import RswValue
 from .scalars import power
-from .series import _ORD_FLOOR, NestedSeries, _make, _refuse_below_floor
+from .series import _ORD_FLOOR, NestedSeries, _exact, _refuse_below_floor
 from .tower import FieldTower
 
 __all__ = [
@@ -147,10 +146,10 @@ class _Reader:
 
     # ------------------------------------------------------------- values
     def series(self, value) -> NestedSeries:
-        """``value`` as a series: a map is built through ``_make``."""
+        """``value`` as a series: a map is built through ``series._exact``."""
         if type(value) is not dict:
             return value
-        return _series_of(self.level, self.domain, value)
+        return _exact(self.level, self.domain, value)
 
     def plus(self, a, b):
         if type(a) is not dict or type(b) is not dict:
@@ -185,8 +184,10 @@ class _Reader:
         if len(out) < len(a) * len(b):  # terms collided: some may cancel
             zero = self.zero
             out = {e: c for e, c in out.items() if c != zero}
+        # not a refusal of its own: a map that leaves the range is multiplied
+        # again on series, which raises where and as it always has
         if out and min(map(min, out)) < _ORD_FLOOR:
-            return self.series(a) * self.series(b)  # raises where the series product does
+            return self.series(a) * self.series(b)
         return out
 
     def raised(self, base, n: int, caret: int):
@@ -241,8 +242,7 @@ class _Reader:
             if tokens[self.i] == "^":
                 self.i += 1
                 n = self.signed_int()
-                if n < _ORD_FLOOR:
-                    _refuse_below_floor(n)
+                _refuse_below_floor(n)
             exps = list(self.origin)
             exps[self.variables.index(token)] = n
             return {tuple(exps): self.one}
@@ -313,19 +313,8 @@ class _Reader:
         level, domain = self.level, self.domain
         if not chained and all(not c if type(c) is dict else c.is_zero() for c in coeffs.values()):
             return WindowedForm(LogForm.zero(level, domain, 1), n, m)
-        degree = len(next(iter(coeffs)))
-        if n > m:  # exact terms inside the window are built once
-            kept = {}
-            for key, c in coeffs.items():
-                terms = _inside(c, n, m) if type(c) is dict else None
-                if terms is None:
-                    break
-                kept[key] = _series_of(level, domain, terms)
-            else:
-                return _windowed_form(_form(level, domain, degree, kept), n, m)
-        # the window's own checks refuse, or a series coefficient is cut
         series = {key: self.series(c) for key, c in coeffs.items()}
-        return WindowedForm(_form(level, domain, degree, series), n, m)
+        return WindowedForm(_form(level, domain, len(next(iter(coeffs))), series), n, m)
 
     def fterm(self):
         """(coefficient, dlog key); the key is None for a term without a
@@ -383,33 +372,6 @@ class _Reader:
         for (e,), raw in value.items():
             coeffs[e] = raw
         return coeffs
-
-
-def _inside(monomials: dict, n: int, m: int) -> dict | None:
-    """The terms of a map with top exponents below ``-m``, or None when one
-    lies below ``-n``."""
-    out = {}
-    for exps, raw in monomials.items():
-        top = exps[-1]
-        if top < -n:
-            return None
-        if top < -m:
-            out[exps] = raw
-    return out
-
-
-def _series_of(level: int, domain, monomials: dict) -> NestedSeries:
-    """The exact series of a monomial map with no zero raw."""
-    if level == 1:
-        return _make(1, domain, {e: c for (e,), c in monomials.items()}, None, clean=True)
-    groups: dict = {}
-    for exps, c in monomials.items():
-        inner = groups.get(exps[-1])
-        if inner is None:
-            inner = groups[exps[-1]] = {}
-        inner[exps[:-1]] = c
-    return _make(level, domain, {e: _series_of(level - 1, domain, inner)
-                                 for e, inner in groups.items()}, None, clean=True)
 
 
 def parse_series(text: str, tower: FieldTower) -> NestedSeries:

@@ -33,6 +33,8 @@ the kernels and :func:`linear_combination` return maps that are already
 clean, which it takes as they are (``clean=True``), and the Witt layer
 builds its lifts, reductions and divisions through it as well.  It never
 stores an exactly zero inner coefficient (``is_exact_zero`` relies on it).
+The literal reader builds its exact coefficients from flat monomial maps
+through ``_exact``, which nests them for ``_build``.
 It fills a private draft twin of ``NestedSeries`` (``scalars._draft_of``:
 the same ``__slots__``, plain stores) and then assigns the public class to
 the object, which CPython allows between classes of one layout; the result
@@ -218,6 +220,23 @@ def _build(level: int, domain, nested: dict) -> dict:
         return {e: _make(1, domain, inner, None, clean=True) for e, inner in nested.items()}
     return {e: _make(level - 1, domain, _build(level - 1, domain, inner), None, clean=True)
             for e, inner in nested.items()}
+
+
+def _exact(level: int, domain, monomials: dict) -> "NestedSeries":
+    """Trusted constructor of the exact series of ``{exps: raw}``, with
+    ``exps[i]`` the level-``i+1`` exponent and no zero raw stored."""
+    if level == 1:
+        return _make(1, domain, {e: c for (e,), c in monomials.items()}, None, clean=True)
+    nested: dict = {}
+    for exps, raw in monomials.items():
+        node = nested
+        for e in exps[:0:-1]:  # the top exponent first
+            inner = node.get(e)
+            if inner is None:
+                inner = node[e] = {}
+            node = inner
+        node[exps[0]] = raw
+    return _make(level, domain, _build(level, domain, nested), None, clean=True)
 
 
 
