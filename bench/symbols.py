@@ -34,13 +34,34 @@ tree (checked): the sum of the sample lengths of the one batch call
 check's samples at once, else the sum of the lengths of the per-sample
 calls.  ``totals_ms`` and ``totals_handed_off_ms`` sum ``ms_per_check``
 and ``ms_per_check_handed_off`` over the cells per tree.
+
+``sweep`` is the cross-tree check of the general path, which no catalog
+term reaches, untimed; it needs ``_symbol_value(theta, tower, ys)`` on
+every tree:
+
+* ``symbols``: ``SWEEP_SYMBOLS`` seeded random symbols from
+  ``SWEEP_SEED``, each evaluated by ``reciprocity._symbol_value`` on every
+  tree.  They run through the cells p = 2, 3, 5, k = 1, 2, s = 1-3, d = 1,
+  2 in turn, each at a budget drawn from ``SWEEP_BUDGETS``, with an exact
+  or a windowed ``theta`` (top and inner windows) and, per entry, either
+  an exact monomial (a bare variable among them) or a general entry: the
+  exponential of a monomial, a variable, or a unit ``c T^v (1 + ...)``,
+  possibly windowed.  The drawn inputs, and the value or the refusal's
+  type, message and exponent of each symbol, must be equal across trees
+  (checked); ``answered`` and ``refused`` (by type) count them per tree;
+* ``handed_off_checks``: the catalog checks of the cells, with
+  ``_LeftSide.reads`` forced False, at each seed of ``SWEEP_CHECK_SEEDS``;
+  their reports must equal each other across trees and the unforced
+  reports (checked).
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import random
 import sys
+from collections import Counter
 
 from _trees import alternate, main, same
 
@@ -48,6 +69,11 @@ PRIMES = (2, 3, 5)
 SEED = 0
 PASSES = 7
 BATCH_SECONDS = 0.05  # each timing covers a batch of calls of about this length
+SWEEP_SEED = 49
+SWEEP_SYMBOLS = 3600
+SWEEP_BUDGETS = (6, 12, 64)
+SWEEP_CELLS = [(p, k, s, d) for p in PRIMES for k in (1, 2) for s in (1, 2, 3) for d in (1, 2)]
+SWEEP_CHECK_SEEDS = range(30)
 
 
 def _cells(rswan) -> dict:
@@ -184,6 +210,104 @@ def measure(trees) -> dict:
         "totals_ms": _totals(seconds, keys, False, len(trees)),
         "totals_handed_off_ms": _totals(seconds, keys, True, len(trees)),
         "cells": rows,
+        "sweep": sweep(trees, cells),
+    }
+
+
+def _random_theta(rswan, rng, level, domain, windowed):
+    """1-3 monomials with top exponents in -8..0 and lower ones in -2..2;
+    when ``windowed``, an inner coefficient cut at a ceiling half the time
+    and the whole cut at a top ceiling above its lowest exponent half the
+    time."""
+    monos = [(tuple(rng.randint(-2, 2) for _ in range(level - 1)) + (rng.randint(-8, 0),),
+              domain.random_nonzero(rng)) for _ in range(rng.randint(1, 3))]
+    sr = rswan.NestedSeries.from_monomials(level, domain, monos)
+    if not windowed or sr.is_zero():
+        return sr
+    if level > 1 and rng.random() < 0.5:
+        e = rng.choice(sorted(sr.coeffs))
+        inner = sr.coeffs[e].truncate(rng.randint(-1, 3))
+        sr = rswan.NestedSeries(level, domain, {**sr.coeffs, e: inner}, sr.ceiling)
+    if rng.random() < 0.5:
+        sr = sr.truncate(min(sr.coeffs) + rng.randint(1, 6))
+    return sr
+
+
+def _random_entry(rswan, rng, tower, windowed):
+    """One symbol entry over ``tower`` (module docstring, ``sweep``)."""
+    d, dom = tower.d, tower.field_domain
+    series = rswan.NestedSeries
+    if rng.random() < 0.5:  # an exact monomial
+        if rng.random() < 0.3:
+            return series.variable(d, dom, rng.randint(1, d))
+        exps = tuple(rng.randint(-3, 3) for _ in range(d - 1)) + (rng.randint(-4, 4),)
+        return series.from_monomials(d, dom, [(exps, dom.random_nonzero(rng))])
+    kind = rng.randrange(3)
+    if kind == 0:
+        exps = tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(1, 4),)
+        y = rswan.reciprocity.truncated_exp(
+            series.from_monomials(d, dom, [(exps, dom.random_nonzero(rng))]))
+    elif kind == 1:
+        y = series.variable(d, dom, rng.randint(1, d))
+    else:
+        v = rng.randint(-2, 2)
+        lead = tuple(rng.randint(-1, 1) for _ in range(d - 1)) + (v,)
+        tail = [(tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(v + 1, v + 3),),
+                 dom.random_nonzero(rng)) for _ in range(rng.randint(1, 3))]
+        y = series.from_monomials(d, dom, [(lead, dom.random_nonzero(rng))])
+        y = y + series.from_monomials(d, dom, tail)
+    if windowed and rng.random() < 0.5 and not y.is_zero():
+        y = y.truncate(min(y.coeffs) + rng.randint(1, 4))
+    return y
+
+
+def _swept(rswan) -> dict:
+    """The drawn symbols and their outcomes on one tree (module docstring,
+    ``sweep``)."""
+    rng = random.Random(SWEEP_SEED)
+    drawn, outcomes = [], []
+    for index in range(SWEEP_SYMBOLS):
+        p, k, s, d = SWEEP_CELLS[index % len(SWEEP_CELLS)]
+        budget = rng.choice(SWEEP_BUDGETS)
+        tower = rswan.FieldTower(p, k, s, ("u", "t")[2 - d:], precision=budget)
+        windowed = rng.random() < 0.5
+        theta = _random_theta(rswan, rng, d, tower.lift_domain, windowed)
+        ys = [_random_entry(rswan, rng, tower, windowed) for _ in range(d)]
+        drawn.append(((p, k, s, d, budget), theta, ys))
+        try:
+            outcomes.append(rswan.reciprocity._symbol_value(theta, tower, ys))
+        except rswan.RswanError as exc:
+            outcomes.append((type(exc).__name__, str(exc), getattr(exc, "exponent", None)))
+    return {"drawn": drawn, "outcomes": outcomes}
+
+
+def _handed_off_reports(rswan, cells) -> list:
+    """``[(unforced, forced)]`` reports of every cell's check at every seed
+    of ``SWEEP_CHECK_SEEDS``, forced with every term handed off."""
+    verify = rswan.reciprocity.verify_rsw_characterization
+    out = []
+    for seed in SWEEP_CHECK_SEEDS:
+        for char, samples in cells.values():
+            report = dataclasses.asdict(verify(char, samples, seed=seed))
+            with _handing_off(rswan):
+                forced = dataclasses.asdict(verify(char, samples, seed=seed))
+            out.append((report, forced))
+    return out
+
+
+def sweep(trees, cells) -> dict:
+    swept = [_swept(tree) for tree in trees]
+    same("the swept symbols", [s["drawn"] for s in swept])
+    same("the swept symbols' values and refusals", [s["outcomes"] for s in swept])
+    reports = [_handed_off_reports(tree, c) for tree, c in zip(trees, cells)]
+    same("the handed-off checks' reports",
+         [[u for u, _ in rs] for rs in reports] + [[f for _, f in rs] for rs in reports])
+    refused = [Counter(o[0] for o in s["outcomes"] if isinstance(o, tuple)) for s in swept]
+    return {
+        "symbols": SWEEP_SYMBOLS,
+        "answered": [sum(isinstance(o, int) for o in s["outcomes"]) for s in swept],
+        "refused": [dict(sorted(r.items())) for r in refused],
+        "handed_off_checks": len(reports[0]),
     }
 
 
@@ -194,4 +318,4 @@ def _totals(seconds, keys, forced: bool, count: int) -> list:
 
 
 if __name__ == "__main__":
-    sys.exit(main(__file__, measure, {"seed": SEED, "passes": PASSES}))
+    sys.exit(main(__file__, measure, {"seed": SEED, "passes": PASSES, "sweep_seed": SWEEP_SEED}))

@@ -367,11 +367,10 @@ def _run_rsw(config: RunConfig, task: dict, task_seed: int) -> list:
     tower = char.tower
     value = rsw_char_p(char)
     closed = rsw_is_closed(value)
-    recovered = sw_from_rsw(value)
-    sw = swan_conductor(char)
+    recovered = sw_from_rsw(value)  # the form's top order; value.n is Sw, from rsw_char_p
     rendered = render_form(value)
     round_trip = parse_windowed_form(rendered, tower) == value.window
-    ok = closed and recovered == sw and round_trip
+    ok = closed and recovered == value.n and round_trip
     if "expect" in task:
         ok = ok and rendered == task["expect"]
     values = {

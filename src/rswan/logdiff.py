@@ -8,16 +8,15 @@ forms are plain series under the empty key.
 Implemented here: the exterior derivative ``d`` (in the log basis), wedge
 products, the Cartier operator on top-degree forms, the one-step residue
 ``Res`` (coefficient of ``T_d^0 dlog T_d``), the full residue-plus-trace map
-to the prime field (also of a form scaled by a series, without the
-product: :func:`residue_of_product`), windowed forms (classes modulo a
-power of the maximal ideal of the top variable), the window collapse
-``r_b = C^b(omega_0)``, and the Gram matrix of the pairing
-``(x, y) -> r_b(x ^ y)`` on twisted monomial bases as sparse
-``{column: entry}`` rows (one entry per dlog key and residue monomial,
-computed from raw exponents and scalars, each row and its partner column
-placed by arithmetic on basis positions), whose invertibility is decided
-column by column.  ``r_b`` takes ``C^b`` of the residue slot as ``b``
-Cartier roots of its one coefficient and builds a single form.
+to the prime field, windowed forms (classes modulo a power of the maximal
+ideal of the top variable), the window collapse ``r_b = C^b(omega_0)``,
+and the Gram matrix of the pairing ``(x, y) -> r_b(x ^ y)`` on twisted
+monomial bases as sparse ``{column: entry}`` rows (one entry per dlog key
+and residue monomial, computed from raw exponents and scalars, each row
+and its partner column placed by arithmetic on basis positions), whose
+invertibility is decided column by column.  ``r_b`` takes ``C^b`` of the
+residue slot as ``b`` Cartier roots of its one coefficient and builds a
+single form.
 
 Construction
 ------------
@@ -88,7 +87,7 @@ from .errors import (
 )
 from .ratfunc import _algebra_refused
 from .scalars import _Frozen, _QuotientDomain, _draft_of
-from .series import _ORD_FLOOR, NestedSeries, _level_lows, _make, _set
+from .series import NestedSeries, _make, _set
 
 __all__ = [
     "LogForm",
@@ -100,7 +99,6 @@ __all__ = [
     "cartier",
     "residue_step",
     "residue_to_prime_field",
-    "residue_of_product",
     "r_b",
     "minimal_b",
     "wedge_windowed",
@@ -350,67 +348,6 @@ def residue_to_prime_field(omega, domain=None) -> int:
             raise TowerMismatch("a raw scalar needs its domain")
         raw = omega
     return domain.trace(raw) % domain.modulus
-
-
-def residue_of_product(omega: LogForm, g: NestedSeries) -> int:
-    """``residue_to_prime_field(omega.scale(g))``, without the product.
-
-    The residue reads one coefficient at each level: the ``T_l^0`` slot of
-    a sum of products ``a_j b_j`` is the sum of the products of the slots
-    whose exponents cancel, ``a_j[e] b_j[-e]``.  So the pairs are followed
-    down the tower from ``(c, g)``, with ``c`` the top coefficient of
-    ``omega``, and only the last level's scalars are multiplied.
-
-    The refusals are those of the product.  At each level the slot's sum
-    has the least ceiling of its products, and a product ``a b`` has the
-    ceiling ``min(ceil(a) + low(b), ceil(b) + low(a))`` (``NestedSeries``
-    multiplication); a ceiling at or below 0 raises the
-    :class:`PrecisionExhausted` of ``coefficient(0)``.  A slot that the
-    product drops as an exact zero has only exact pairs below it, so
-    following them changes no refusal.  Anything else goes through the
-    product itself: a form that is not top-degree, a ``g`` over another
-    ring, and exponent sums that could reach below the supported range
-    (where the product raises :class:`ExponentOutOfRange`).
-    """
-    c = omega.coeffs.get(tuple(range(1, omega.level + 1)))
-    if (c is None or omega.degree != omega.level or not isinstance(g, NestedSeries)
-            or g.level != omega.level or g.domain is not omega.domain
-            or _may_leave_the_floor(c, g)):
-        return residue_to_prime_field(omega.scale(g))
-    domain = omega.domain
-    pairs = [(c, g)]
-    for level in range(omega.level, 0, -1):
-        least = None
-        for a, b in pairs:
-            for ceiling in (None if a.ceiling is None else a.ceiling + b.low(),
-                            None if b.ceiling is None else b.ceiling + a.low()):
-                if ceiling is not None and (least is None or ceiling < least):
-                    least = ceiling
-        if least is not None and least <= 0:
-            raise PrecisionExhausted(
-                f"coefficient at exponent 0 is beyond the window ceiling {least}", exponent=0
-            )
-        if level > 1:
-            pairs = [(a.coeffs[e], b.coeffs[-e]) for a, b in pairs for e in a.coeffs
-                     if -e in b.coeffs]
-    if domain.k == 1:
-        raw = sum(x * b.coeffs[-e] for a, b in pairs for e, x in a.coeffs.items()
-                  if -e in b.coeffs) % domain.modulus
-    else:
-        raw = domain.zero()
-        for a, b in pairs:
-            for e, x in a.coeffs.items():
-                if -e in b.coeffs:
-                    raw = domain.add(raw, domain.mul(x, b.coeffs[-e]))
-    return domain.trace(raw) % domain.modulus
-
-
-def _may_leave_the_floor(a: NestedSeries, b: NestedSeries) -> bool:
-    """Whether some level's least exponents of ``a`` and ``b`` sum below the
-    supported range, so that their product may raise."""
-    lows_a, lows_b = _level_lows(a, {}), _level_lows(b, {})
-    return any(lows_a[level] + lows_b[level] < _ORD_FLOOR
-               for level in lows_a.keys() & lows_b.keys())
 
 
 # ------------------------------------------------------------------ windows

@@ -326,16 +326,20 @@ class _Reader:
                 return coeff, None
         else:
             coeff = {self.origin: self.one}
-        first = self.dlog()
-        if first is None:
+        starts = [self.i]  # the index of each dlog token, for a refusal
+        key = [self.dlog()]
+        if key[0] is None:
             return coeff, ()
-        key = [first]
         while self.accept("^"):
+            starts.append(self.i)
             key.append(self.dlog())
         if None in key:
-            raise ParseError("the empty chain dlog() stands alone")
-        if any(b <= a for a, b in zip(key, key[1:])):
-            raise ParseError("dlog variables must appear in strictly increasing tower order")
+            raise ParseError("the empty chain dlog() stands alone",
+                             position=self.position(starts[key.index(None)]))
+        for j in range(1, len(key)):
+            if key[j] <= key[j - 1]:
+                raise ParseError("dlog variables must appear in strictly increasing tower order",
+                                 position=self.position(starts[j]))
         return coeff, tuple(key)
 
     def dlog(self) -> int | None:
@@ -389,7 +393,10 @@ def parse_series(text: str, tower: FieldTower) -> NestedSeries:
 def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
     """Inverse of :func:`render_form`.
 
-    A ``dlog`` name outside the tower raises :class:`TowerMismatch`.  A zero
+    A ``dlog`` name outside the tower raises :class:`TowerMismatch`.  A chain
+    that holds the empty ``dlog()`` beside another ``dlog``, or whose
+    variables do not rise in tower order, is a :class:`ParseError` at the
+    first offending ``dlog``.  A zero
     body without a ``dlog`` chain (such as ``0``) is the zero form of
     degree 1; a zero body with a chain is the zero form of the chain's
     degree, and ``0 dlog()``, with the empty chain, is the one of degree 0.

@@ -26,15 +26,13 @@ Since ``dlog y = dy y^-1``,
         = Res((theta ^ dy~_1 ^ ... ^ dy~_d) * prod_i y~_i^-1),
 
 so a symbol builds the small form ``omega = theta ^ dy~_1 ^ ... ^ dy~_d``
-and ``g = prod_i y~_i^-1`` and reads the residue through
-:func:`logdiff.residue_of_product`, whose value and refusals are those of
-``residue_to_prime_field(omega.scale(g))``; the wide product ``omega * g``,
-and the ``dlog`` forms with it, are never built.
-The windows of the two routes differ.  An exactly zero derivative is an
-exact zero here, where ``dlog`` left ``0 * y~^-1`` zero only within the
-inverse's window, so some symbols the ``dlog`` forms refused now answer.
-The other way, a window of ``theta`` can meet terms that cancel only
-inside the full ``dlog y~``; what the product-free residue refuses at both
+and ``g = prod_i y~_i^-1`` and reads the residue of the scaled form,
+``residue_to_prime_field(omega.scale(g))``; the ``dlog`` forms are never
+built.  The windows of the two routes differ.  An exactly zero derivative
+is an exact zero here, where ``dlog`` left ``0 * y~^-1`` zero only within
+the inverse's window, so some symbols the ``dlog`` forms refused now
+answer.  The other way, a window of ``theta`` can meet terms that cancel
+only inside the full ``dlog y~``; what the scaled form refuses at both
 widths therefore goes through the ``dlog`` forms, so every symbol the
 ``dlog`` forms answer still answers, with the same value.
 :func:`schmid_symbol` stays on the ``dlog`` forms: it is an independent
@@ -44,11 +42,12 @@ An entry that is one exact monomial ``c T^e`` (``c`` a unit of the lift
 ring, as every nonzero residue is) has the exact ``dlog y~ = sum_i e_i
 dlog T_i``: ``omega`` takes that form, as integer multiples of its
 coefficients, and ``g`` nothing, so the entry is never lifted,
-differentiated or inverted.  ``dy~ y~^-1`` would multiply by ``c T^e`` and
-by its exact inverse, which moves every exponent and every window ceiling
-by ``e`` and back, so the residue and the refusals are the same; only an
-exponent that the shift would carry below the supported range no longer
-raises.
+differentiated or inverted; when every entry is such a monomial there is
+no ``g``, and the residue is that of ``omega``.  ``dy~ y~^-1`` would
+multiply by ``c T^e`` and by its exact inverse, which moves every exponent
+and every window ceiling by ``e`` and back, so the residue and the
+refusals are the same; only an exponent that the shift would carry below
+the supported range no longer raises.
 
 Each symbol is evaluated on its own: a symbol that a check hands off
 ("The left side") builds its ``E(x)``, its variables and the forms and
@@ -144,7 +143,6 @@ from .logdiff import (
     dlog,
     minimal_b,
     r_b,
-    residue_of_product,
     residue_to_prime_field,
     wedge,
     wedge_windowed,
@@ -350,7 +348,7 @@ def _symbol_value(theta: NestedSeries, tower, ys) -> int:
     coefficient zero only within an inner window counts), capped by the
     tower budget.  Lower-level poles of the entries can make that width too
     small; the residue is then computed once more at the cap.  What the
-    product-free residue refuses at both widths goes through the ``dlog``
+    scaled form's residue refuses at both widths goes through the ``dlog``
     forms at both (module docstring, "Symbols"); when neither answers, the
     refusal names the width the symbol opens and the budget.
     """
@@ -414,10 +412,13 @@ def _wedge_exact_dlog(omega: LogForm, exps) -> LogForm:
 
 def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int) -> int:
     """``Res(theta ^ dy~_1 ^ ... ^ dy~_d * prod_i y~_i^-1)``: the symbol's
-    residue with ``dlog y = dy y^-1``, each inverse at ``width``.  An exact
-    monomial entry ``c T^e`` with ``c`` a unit of the lift ring takes its
-    exact ``dlog y~ = sum_i e_i dlog T_i`` instead, and is never lifted,
-    differentiated or inverted (module docstring, "Symbols")."""
+    residue with ``dlog y = dy y^-1``, each inverse at ``width``, read as
+    ``residue_to_prime_field(omega.scale(g))`` for ``omega`` the form and
+    ``g`` the product of the inverses.  An exact monomial entry ``c T^e``
+    with ``c`` a unit of the lift ring takes its exact ``dlog y~ = sum_i
+    e_i dlog T_i`` instead, and is never lifted, differentiated or inverted;
+    when every entry is one, there is no ``g`` to scale by (module
+    docstring, "Symbols")."""
     big = tower.lift_domain
     omega = LogForm.from_series(theta)
     g = None
@@ -430,9 +431,7 @@ def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int) -> int:
         omega = wedge(omega, d(y))
         inv = y.inv(width)
         g = inv if g is None else g * inv
-    if g is None:
-        g = NestedSeries.one(omega.level, omega.domain)
-    return residue_of_product(omega, g)
+    return residue_to_prime_field(omega if g is None else omega.scale(g))
 
 
 def _residue_through_dlog(theta: NestedSeries, tower, ys, width: int) -> int:

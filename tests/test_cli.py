@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from rswan import cli
 from rswan.catalog import canned_config
 from rswan.cli import (
     CONVENTIONS,
@@ -830,6 +831,22 @@ def test_rsw_task_checks_expected_literal():
     assert rec["values"]["closed"] and rec["values"]["round_trip"]
     assert rec["values"]["sw_from_rsw"] == 3
     doc["tasks"][0]["expect"] = "t^-2 dlog(t) | window(3,1)"
+    (rec,) = run(load_config(doc))["tasks"]
+    assert rec["status"] == "FAIL"
+
+
+@pytest.mark.parametrize("check, planted", [
+    ("sw_from_rsw", lambda value: value.n + 1),
+    ("rsw_is_closed", lambda value: False),
+], ids=["sw_from_rsw", "rsw_is_closed"])
+def test_rsw_task_fails_when_a_check_of_its_form_fails(monkeypatch, check, planted):
+    """An rsw record checks its form twice: the conductor read off the
+    form's top order equals ``n``, and the form is closed.  With either
+    check planted to fail, the record is a FAIL."""
+    doc = config_doc(characters={"X": ["t^-3"]}, tasks=[{"task": "rsw", "character": "X"}])
+    (rec,) = run(load_config(doc))["tasks"]
+    assert rec["status"] == "PASS"
+    monkeypatch.setattr(cli, check, planted)
     (rec,) = run(load_config(doc))["tasks"]
     assert rec["status"] == "FAIL"
 

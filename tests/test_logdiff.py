@@ -6,9 +6,7 @@ Oracles used here:
   * the residue's coordinate independence is certified by substituting a
     reparameterized uniformizer and comparing exact values;
   * Cartier annihilation of exact forms follows from e * c = 0 whenever
-    p | e, and is asserted on random exact forms;
-  * ``residue_of_product`` is compared, values and refusals, with the
-    residue of the scaled form, the product it does not build.
+    p | e, and is asserted on random exact forms.
 """
 
 import operator
@@ -43,7 +41,6 @@ from rswan.logdiff import (
     log_derivative,
     minimal_b,
     r_b,
-    residue_of_product,
     residue_step,
     residue_to_prime_field,
     wedge,
@@ -79,6 +76,14 @@ def random_series(rng, level, domain, lo=-4, hi=5, terms=4):
         exps = tuple(rng.randint(lo, hi) for _ in range(level))
         monos.append((exps, domain.random_nonzero(rng)))
     return NestedSeries.from_monomials(level, domain, monos)
+
+
+def outcome(fn, *args):
+    """The value, or the refusal's type, message and exponent."""
+    try:
+        return fn(*args)
+    except RswanError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "exponent", None)
 
 
 # ------------------------------------------------------------ construction
@@ -550,100 +555,6 @@ def test_residue_needs_top_degree():
     omega = LogForm(2, F2, 1, {(1,): mono(2, F2, (0, 0))})
     with pytest.raises(NotTopDegree):
         residue_step(omega)
-
-
-# ------------------------------------------------ residues of products
-
-PRODUCT_DOMAINS = (
-    F2, F3, F4, fq_domain(5, 1),
-    galois_ring_domain(2, 1, 2), galois_ring_domain(3, 1, 2), galois_ring_domain(2, 1, 3),
-    galois_ring_domain(2, 2, 2), galois_ring_domain(3, 2, 2),
-)
-
-
-def random_factor(rng, level, domain, windows):
-    """A series at ``level`` with 1-3 stored exponents in [-2, 2].
-
-    ``windows`` is ``None`` (exact), ``"top"`` (a top ceiling a third of the
-    time) or ``"inner"`` (ceilings and window-zero coefficients at every
-    level).  Over a lift ring a third of the scalars are multiples of p,
-    so that products of stored scalars can vanish."""
-    coeffs = {}
-    for e in rng.sample(range(-2, 3), rng.randint(1, 3)):
-        if level == 1:
-            c = domain.random_nonzero(rng)
-            if domain.s > 1 and rng.random() < 0.33:
-                c = domain.mul_int(c, domain.p)
-        elif windows == "inner" and rng.random() < 0.15:
-            c = NestedSeries.zero(level - 1, domain, rng.randint(-2, 3))
-        else:
-            c = random_factor(rng, level - 1, domain, "inner" if windows == "inner" else None)
-        coeffs[e] = c
-    ceiling = rng.randint(-2, 5) if windows and rng.random() < 0.35 else None
-    return NestedSeries(level, domain, coeffs, ceiling)
-
-
-def outcome(fn, *args):
-    """The value, or the refusal's type, message and exponent."""
-    try:
-        return fn(*args)
-    except RswanError as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "exponent", None)
-
-
-def test_residue_of_product_is_the_residue_of_the_scaled_form():
-    """``residue_of_product(omega, g)`` equals ``residue_to_prime_field(
-    omega.scale(g))``, values and refusals (type, message, exponent), over
-    F_q, Z/p^s and (Z/p^s)[g] at levels 1-3, on exact, top-windowed and
-    inner-windowed inputs."""
-    rng = random.Random(2201)
-    seen = Counter()
-    for _ in range(2400):
-        domain = rng.choice(PRODUCT_DOMAINS)
-        level = rng.randint(1, 3)
-        windows = rng.choice((None, "top", "inner"))
-        top = tuple(range(1, level + 1))
-        omega = LogForm(level, domain, level, {top: random_factor(rng, level, domain, windows)})
-        g = random_factor(rng, level, domain, windows)
-        want = outcome(lambda: residue_to_prime_field(omega.scale(g)))
-        assert outcome(residue_of_product, omega, g) == want, (omega, g)
-        seen[want[0] if isinstance(want, tuple) else "zero" if want == 0 else "value"] += 1
-    assert seen["value"] > 300 and seen["zero"] > 300 and seen["PrecisionExhausted"] > 300, seen
-
-
-def test_residue_of_product_refuses_as_the_product_does():
-    """The cases the kernel hands to the product itself: an empty or
-    non-top form, a ``g`` over another ring, and exponents whose sums leave
-    the supported range (at the top level and one level down)."""
-    t, one = mono(1, F2, (1,)), NestedSeries.one(1, F2)
-    deep = [mono(1, F2, (-6000,)), mono(1, F2, (-5000,))]
-    inner = [NestedSeries(2, F2, {1: mono(1, F2, (-6000,))}), NestedSeries(2, F2, {-1: deep[1]})]
-    cases = [
-        (LogForm.zero(1, F2, 1), t),
-        (LogForm(2, F2, 1, {(1,): mono(2, F2, (0, 0))}), mono(2, F2, (0, 0))),
-        (LogForm(1, F2, 1, {(1,): t}), mono(1, F3, (1,))),
-        (LogForm(1, F2, 1, {(1,): t}), mono(2, F2, (0, 0))),
-        (LogForm(1, F2, 1, {(1,): deep[0]}), deep[1]),
-        (LogForm(2, F2, 2, {(1, 2): inner[0]}), inner[1]),
-        (LogForm(1, F2, 1, {(1,): deep[0] + one}), mono(1, F2, (-3000,))),
-    ]
-    got = [outcome(residue_of_product, omega, g) for omega, g in cases]
-    assert got == [outcome(lambda: residue_to_prime_field(omega.scale(g))) for omega, g in cases]
-    assert [r if r == 0 else r[0] for r in got] == [
-        0, "NotTopDegree", "TowerMismatch", "TowerMismatch",
-        "ExponentOutOfRange", "ExponentOutOfRange", 0,
-    ]
-
-
-def test_residue_of_product_reads_only_the_cancelling_pairs():
-    """Res((t^-2 + t) dlog t * (1 + t + t^2 + O(t^3))) over F_3 reads
-    t^-2 * t^2 only; at g's ceiling 2 the slot is unknown."""
-    omega = LogForm(1, F3, 1, {(1,): parse_series("t^-2 + t", K3)})
-    assert residue_of_product(omega, parse_series("1 + t + 2*t^2", K3).truncate(3)) == 2
-    with pytest.raises(PrecisionExhausted) as err:
-        residue_of_product(omega, parse_series("1 + t", K3).truncate(2))
-    assert str(err.value) == "coefficient at exponent 0 is beyond the window ceiling 0"
-    assert err.value.exponent == 0
 
 
 # ----------------------------------------------------------------- windows

@@ -100,11 +100,16 @@ ERRORS = [
     ("form2", "t dlog(t) + t dlog(u)^dlog(t) | window(1,0)", ParseError,
      _p("mixed-degree terms in one form literal", 12), 12),
     ("form2", "t dlog(t)^dlog(u) | window(1,0)", ParseError,
-     "dlog variables must appear in strictly increasing tower order", None),
+     _p("dlog variables must appear in strictly increasing tower order", 10), 10),
     ("form2", "t dlog(u)^dlog(u) | window(1,0)", ParseError,
-     "dlog variables must appear in strictly increasing tower order", None),
+     _p("dlog variables must appear in strictly increasing tower order", 10), 10),
     ("form2", "t dlog(u)^dlog() | window(1,0)", ParseError,
-     "the empty chain dlog() stands alone", None),
+     _p("the empty chain dlog() stands alone", 10), 10),
+    # the first offending dlog, the empty chain before the order
+    ("form2", "t dlog(u)^dlog(t)^dlog(t) | window(1,0)", ParseError,
+     _p("dlog variables must appear in strictly increasing tower order", 18), 18),
+    ("form2", "t dlog(t)^dlog(u)^dlog() | window(1,0)", ParseError,
+     _p("the empty chain dlog() stands alone", 18), 18),
     # forms: the window's own checks, after the literal is read
     ("form", "t^-1 dlog(t) | window(1,1)", InconsistentValue, "window needs n > m, got (1, 1)", None),
     ("form", "t^-3 dlog(t) | window(2,1)", InconsistentValue,

@@ -47,7 +47,6 @@ from rswan.logdiff import (
     dlog,
     minimal_b,
     r_b,
-    residue_of_product,
     residue_to_prime_field,
     wedge,
     wedge_windowed,
@@ -439,8 +438,9 @@ def test_symbol_refusal_names_the_width_it_opens_and_the_budget():
 
 def dlog_route_symbol(theta, tower, ys):
     """The symbol through full windowed ``dlog`` forms and their wedges, as
-    the library computed it before ``logdiff.residue_of_product``: the same
-    widths (the width theta opens, then the budget), the same residue."""
+    the library computed it before it read the residue of the scaled form
+    ``(theta ^ dy~_1 ^ ... ^ dy~_d) * prod_i y~_i^-1``: the same widths (the
+    width theta opens, then the budget), the same residue."""
     low = min((min(exps) for exps, _ in theta.iter_monomials()), default=0)
     width = min(max(1, 1 - low), tower.precision)
 
@@ -508,7 +508,7 @@ def test_symbol_falls_back_to_dlog_forms_where_a_window_meets_a_cancellation():
     """theta = (1 + O(u)) t^-5 on {1 + u^-1 t^3, t^-1 + t} over
     F_2((u))((t)): in ``(theta dy~_1 ^ dy~_2) * prod_i y~_i^-1`` the window
     O(u) multiplies terms that cancel only inside ``dlog y~ = dy~ y~^-1``,
-    so the product-free residue refuses at both widths.  The dlog forms
+    so the residue of the scaled form refuses at both widths.  The dlog forms
     answer, with the value of the exact completion."""
     dom = KD.lift_domain
     theta = NestedSeries(2, dom, {-5: NestedSeries(1, dom, {0: 1}, 1)})
@@ -555,8 +555,8 @@ def symbol_outcome(fn, *args):
 def test_symbol_route_answers_what_the_dlog_route_answers():
     """Random symbols over p = 2, 3, 5, k = 1, 2, s = 1-3, d = 1, 2, exact
     and windowed, at budgets 6, 12 and 64.  Wherever the dlog route
-    answers, ``_symbol_value`` (the product-free residue, then its dlog
-    fallback) gives the same value; every answer equals the dlog route's
+    answers, ``_symbol_value`` (the residue of the scaled form, then its
+    dlog fallback) gives the same value; every answer equals the dlog route's
     on an exact completion of the inputs at budget 512, and some symbols
     the dlog route refused now answer."""
     rng = random.Random(2202)
@@ -584,9 +584,9 @@ def test_symbol_route_answers_what_the_dlog_route_answers():
 # ------------------------------------------ monomial entries, exact dlog
 
 def parent_residue_of_symbol(theta, tower, ys, width):
-    """The product-free symbol residue as the library computed it before a
-    monomial entry took its exact ``dlog``: every entry lifted,
-    differentiated and inverted at ``width``."""
+    """The symbol residue as the library computed it before a monomial
+    entry took its exact ``dlog``: every entry lifted, differentiated and
+    inverted at ``width``, and the residue read off the scaled form."""
     big = tower.lift_domain
     omega = LogForm.from_series(theta)
     g = None
@@ -595,7 +595,7 @@ def parent_residue_of_symbol(theta, tower, ys, width):
         omega = wedge(omega, d(y))
         inv = y.inv(width)
         g = inv if g is None else g * inv
-    return residue_of_product(omega, g)
+    return residue_to_prime_field(omega.scale(g))
 
 
 def refusal_outcome(fn, *args):
@@ -645,7 +645,7 @@ def test_monomial_entries_take_the_outcome_of_their_inverse():
     assert seen["answered"] > 500 and seen["PrecisionExhausted"] > 50, seen
 
 
-# ------------------------------------- Artin reciprocity on P^1, k = 1
+# ----------------------------------------------- Artin reciprocity on P^1
 
 def teichmueller_weight(values, p, s):
     """``w(x_0, ..., x_{s-1}) = sum_i p^i [x_i] mod p^s`` for components in
@@ -708,6 +708,67 @@ def test_symbols_obey_reciprocity_on_the_projective_line():
     assert seen["roots", "nonzero"] > 250 and seen["roots", "unit"] > 150, seen
     assert seen["monomial", "nonzero"] > 80 and seen["monomial", "unit"] > 40, seen
     assert seen["unit at s >= 2"] > 150, seen
+
+
+def test_symbols_obey_reciprocity_on_the_projective_line_over_f_q():
+    """The reciprocity law of ``test_symbols_obey_reciprocity_on_the_projective_line``
+    at k = 2: ``f`` has components in ``F_q[t^-1]`` and ``y = t^a
+    prod_alpha (t - alpha)^m_alpha`` has its roots ``alpha`` in ``F_q^x``.
+    The local symbol at a place of degree 1 is now the trace to Z/p^s of
+    ``sum_i p^i [x_i^(p^-i)]`` in the Galois ring, and the trace is
+    Frobenius-invariant, so the p-th roots drop out:
+
+        eval_symbol(chi, [y]) = Tr(deg(y) w(f(oo)) - sum_alpha m_alpha w(f(alpha)))
+
+    with ``w(x) = sum_i p^i [x_i]`` (components in print order) and ``[x] =
+    x~^(q^(s-1))`` the Teichmueller lift in the tower's lift ring.  Over p =
+    2, 3, 5 and s = 1-4, on entries with roots and bare powers ``t^a``; the
+    theta lift's ghost sums run on the packed kernel here."""
+    rng = random.Random(2502)
+    seen = Counter()
+    for p, s in itertools.product((2, 3, 5), (1, 2, 3, 4)):
+        tower = FieldTower(p, 2, s, ("t",), precision=4 * p ** (s - 1) + 2)
+        dom, big = tower.field_domain, tower.lift_domain
+        modulus, q = p**s, p * p
+        nonzero = [x for x in itertools.product(range(p), repeat=2) if any(x)]
+        for idx in range(40):
+            printed = [{j: dom.random(rng) for j in range(rng.randint(0, 4))} for _ in range(s)]
+            chi = WittVector.from_print_order(tower, tuple(
+                NestedSeries.from_monomials(1, dom, [((-j,), c) for j, c in comp.items() if any(c)])
+                for comp in printed))
+            if witt.swan_conductor(asw_reduce(chi)) == 0:
+                continue
+
+            def w_at(alpha):  # w(f(alpha)) in the lift ring, alpha = None for infinity
+                w = big.zero()
+                for i, comp in enumerate(printed):
+                    x = comp.get(0, dom.zero()) if alpha is None else dom.zero()
+                    for j, c in comp.items():
+                        if alpha is not None:
+                            x = dom.add(x, dom.mul(c, dom.pow(alpha, -j)))
+                    teich = big.pow(big.lift_from_field(x), q ** (s - 1))
+                    w = big.add(w, big.mul_int(teich, p**i))
+                return w
+
+            a = rng.randint(1, 2 * p + 1)
+            roots = {} if idx % 4 == 0 else {
+                alpha: rng.randint(1, 3) for alpha in rng.sample(nonzero, rng.randint(1, p))}
+            y = NestedSeries.from_monomials(1, dom, [((a,), dom.one())])
+            for alpha, mult in roots.items():
+                y = y * NestedSeries.from_monomials(
+                    1, dom, [((1,), dom.one()), ((0,), dom.neg(alpha))]).pow(mult)
+            total = big.mul_int(w_at(None), a + sum(roots.values()))
+            for alpha, mult in roots.items():
+                total = big.sub(total, big.mul_int(w_at(alpha), mult))
+            want = big.trace(total) % modulus
+            assert eval_symbol(chi, [y]) == want, (p, s, printed, a, roots)
+            seen["symbols"] += 1
+            seen["nonzero"] += want != 0
+            seen["unit"] += want % p != 0
+            seen["unit at s >= 2"] += s >= 2 and want % p != 0
+            seen["monomial" if not roots else "roots"] += 1
+    assert seen["symbols"] > 350 and seen["nonzero"] > 280 and seen["unit"] > 150, seen
+    assert seen["unit at s >= 2"] > 100 and seen["monomial"] > 80, seen
 
 
 # ----------------------------------------------- characterizing identity
