@@ -210,7 +210,7 @@ def measure(trees) -> dict:
         "totals_ms": _totals(seconds, keys, False, len(trees)),
         "totals_handed_off_ms": _totals(seconds, keys, True, len(trees)),
         "cells": rows,
-        "sweep": sweep(trees, cells),
+        "sweep": _sweep(trees, cells),
     }
 
 
@@ -295,7 +295,8 @@ def _handed_off_reports(rswan, cells) -> list:
     return out
 
 
-def sweep(trees, cells) -> dict:
+def _sweep(trees, cells) -> dict:
+    """The cross-tree sweep of the general path (module docstring, ``sweep``)."""
     swept = [_swept(tree) for tree in trees]
     same("the swept symbols", [s["drawn"] for s in swept])
     same("the swept symbols' values and refusals", [s["outcomes"] for s in swept])

@@ -396,10 +396,10 @@ def parse_windowed_form(text: str, tower: FieldTower) -> WindowedForm:
     A ``dlog`` name outside the tower raises :class:`TowerMismatch`.  A chain
     that holds the empty ``dlog()`` beside another ``dlog``, or whose
     variables do not rise in tower order, is a :class:`ParseError` at the
-    first offending ``dlog``.  A zero
-    body without a ``dlog`` chain (such as ``0``) is the zero form of
-    degree 1; a zero body with a chain is the zero form of the chain's
-    degree, and ``0 dlog()``, with the empty chain, is the one of degree 0.
+    first offending ``dlog``.  A zero body without a ``dlog`` chain (such as
+    ``0``) is the zero form of degree 1; a zero body with a chain is the
+    zero form of the chain's degree, and ``0 dlog()``, with the empty chain,
+    is the one of degree 0.
     """
     return _Reader(text, tower).parse(_Reader.form)
 

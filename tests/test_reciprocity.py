@@ -15,6 +15,9 @@ Oracles used here:
     per-call dict of terms, which pairs each sample's whole summed alpha
     and draws through ``randint`` (``uncached_characterization_oracle``): a
     check of additivity and of the terms the checker pairs;
+  * symbols of global characters of ``F_q(t)`` sum to 0 over the places of
+    P^1 (Artin reciprocity, k = 1 and 2): the value at t = 0 is read off
+    the components' values at the other places;
   * symbol values are compared with the residue through full ``dlog``
     forms (``dlog_route_symbol``) and with that route on exact completions
     at a wide budget, and the term draws with the ``randint`` draws they
@@ -508,8 +511,8 @@ def test_symbol_falls_back_to_dlog_forms_where_a_window_meets_a_cancellation():
     """theta = (1 + O(u)) t^-5 on {1 + u^-1 t^3, t^-1 + t} over
     F_2((u))((t)): in ``(theta dy~_1 ^ dy~_2) * prod_i y~_i^-1`` the window
     O(u) multiplies terms that cancel only inside ``dlog y~ = dy~ y~^-1``,
-    so the residue of the scaled form refuses at both widths.  The dlog forms
-    answer, with the value of the exact completion."""
+    so the residue of the scaled form refuses at both widths.  The dlog
+    forms answer, with the value of the exact completion."""
     dom = KD.lift_domain
     theta = NestedSeries(2, dom, {-5: NestedSeries(1, dom, {0: 1}, 1)})
     ys = [parse_series("1 + u^-1*t^3", KD), parse_series("t^-1 + t", KD)]
@@ -556,9 +559,9 @@ def test_symbol_route_answers_what_the_dlog_route_answers():
     """Random symbols over p = 2, 3, 5, k = 1, 2, s = 1-3, d = 1, 2, exact
     and windowed, at budgets 6, 12 and 64.  Wherever the dlog route
     answers, ``_symbol_value`` (the residue of the scaled form, then its
-    dlog fallback) gives the same value; every answer equals the dlog route's
-    on an exact completion of the inputs at budget 512, and some symbols
-    the dlog route refused now answer."""
+    dlog fallback) gives the same value; every answer equals the dlog
+    route's on an exact completion of the inputs at budget 512, and some
+    symbols the dlog route refused now answer."""
     rng = random.Random(2202)
     seen = {"both": 0, "new only": 0, "refused": 0}
     for idx in range(480):
@@ -742,9 +745,11 @@ def test_symbols_obey_reciprocity_on_the_projective_line_over_f_q():
             def w_at(alpha):  # w(f(alpha)) in the lift ring, alpha = None for infinity
                 w = big.zero()
                 for i, comp in enumerate(printed):
-                    x = comp.get(0, dom.zero()) if alpha is None else dom.zero()
-                    for j, c in comp.items():
-                        if alpha is not None:
+                    if alpha is None:
+                        x = comp.get(0, dom.zero())
+                    else:
+                        x = dom.zero()
+                        for j, c in comp.items():
                             x = dom.add(x, dom.mul(c, dom.pow(alpha, -j)))
                     teich = big.pow(big.lift_from_field(x), q ** (s - 1))
                     w = big.add(w, big.mul_int(teich, p**i))
