@@ -34,20 +34,20 @@ coefficient becomes a series once, at the end, through ``series._exact``;
 a form is built by ``logdiff._form`` and cut to its window by
 :class:`~rswan.logdiff.WindowedForm`.
 
-A window opens only where a sum of several terms is raised to a negative
-power: that subexpression becomes a series, ``x.pow(n, tower.precision)``,
-and everything it meets from there on is series arithmetic.  A positive
-power of a sum also runs on the series kernels and comes back as a map,
-since it stays exact.
+Every power ``x^n`` runs on series, ``x.pow(n, tower.precision)``.  A
+power ``n >= 0`` of an exact map stays exact and comes back as a map; a
+negative power comes back as a series, which opens a window only where
+``x`` is a sum of several terms, and everything it meets from there on is
+series arithmetic.
 
 The refusals are those of the series arithmetic, in the order the parse
 meets them.  A negative power of zero is the "non-invertible"
 :class:`ParseError` at its ``^``.  A variable power below the supported
-range raises :class:`ExponentOutOfRange` as it is read; a product, power
-or inverse whose map leaves that range is done again on series, which
-raises as it would have.  The window's own checks (``n > m``, the
-representative's floor and, for a series coefficient, its ceiling) run
-last, in :class:`~rswan.logdiff.WindowedForm`.
+range raises :class:`ExponentOutOfRange` as it is read; a product whose
+map leaves that range is done again on series, which raises as it would
+have, and a power raises as the series power does.  The window's own
+checks (``n > m``, the representative's floor and, for a series
+coefficient, its ceiling) run last, in :class:`~rswan.logdiff.WindowedForm`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .errors import ParseError, TowerMismatch, UnknownVariable, ZeroInput
 from .logdiff import LogForm, WindowedForm, _form
 from .ratfunc import RatFuncDomain
 from .rsw import RswValue
-from .scalars import power
 from .series import _ORD_FLOOR, NestedSeries, _exact, _refuse_below_floor
 from .tower import FieldTower
 
@@ -192,22 +191,12 @@ class _Reader:
 
     def raised(self, base, n: int, caret: int):
         """``base^n``, ``caret`` the index of the ``^`` token."""
-        if type(base) is dict:
-            if n == 0:
-                return {self.origin: self.one}
-            if n > 0 and len(base) < 2:
-                return power(base, n, self.times)
-            if n < 0 and len(base) == 1:
-                ((exps, c),) = base.items()
-                exps = tuple([-e for e in exps])
-                if min(exps) >= _ORD_FLOOR:  # else the series inverse raises below
-                    return power({exps: self.domain.inv(c)}, -n, self.times)
         try:
             out = self.series(base).pow(n, self.tower.precision)
         except ZeroInput:
             raise ParseError("cannot raise a non-invertible expression to a negative power",
                              position=self.position(caret)) from None
-        if type(base) is dict and n > 0:  # a positive power of an exact sum is exact
+        if type(base) is dict and n >= 0:  # a power n >= 0 of an exact map is exact
             return dict(out.iter_monomials())
         return out
 

@@ -38,16 +38,11 @@ widths therefore goes through the ``dlog`` forms, so every symbol the
 :func:`schmid_symbol` stays on the ``dlog`` forms: it is an independent
 oracle for the one-variable, length-1 symbols of the check.
 
-An entry that is one exact monomial ``c T^e`` (``c`` a unit of the lift
-ring, as every nonzero residue is) has the exact ``dlog y~ = sum_i e_i
-dlog T_i``: ``omega`` takes that form, as integer multiples of its
-coefficients, and ``g`` nothing, so the entry is never lifted,
-differentiated or inverted; when every entry is such a monomial there is
-no ``g``, and the residue is that of ``omega``.  ``dy~ y~^-1`` would
-multiply by ``c T^e`` and by its exact inverse, which moves every exponent
-and every window ceiling by ``e`` and back, so the residue and the
-refusals are the same; only an exponent that the shift would carry below
-the supported range no longer raises.
+Every entry, one exact monomial included, is lifted, differentiated,
+wedged and inverted at the width, so the exponent floor is uniform: an
+exponent of ``omega``, of an inverse or of the scaled form below the
+supported range raises :class:`ExponentOutOfRange`, as every other product
+does.  So ``t^-5001`` on ``[t^-5999]`` at p = 2 refuses at -11000.
 
 Each symbol is evaluated on its own: a symbol that a check hands off
 ("The left side") builds its ``E(x)``, its variables and the forms and
@@ -126,7 +121,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import (
-    DegreeOverflow,
     InconsistentValue,
     NotTopological,
     PrecisionExhausted,
@@ -137,7 +131,6 @@ from .errors import (
 from .logdiff import (
     LogForm,
     WindowedForm,
-    _form,
     _merge_sign,
     d,
     dlog,
@@ -148,7 +141,7 @@ from .logdiff import (
     wedge_windowed,
 )
 from .rsw import rsw_char_p
-from .series import _ORD_FLOOR, NestedSeries, _is_lift_non_unit, _level_lows
+from .series import _ORD_FLOOR, NestedSeries, _level_lows
 from .witt import (
     Character,
     WittVector,
@@ -346,8 +339,10 @@ def _symbol_value(theta: NestedSeries, tower, ys) -> int:
     Res reads nothing above T^0, so the inverses of the entries open at the
     width the lowest stored exponent of ``theta`` at any level needs (a
     coefficient zero only within an inner window counts), capped by the
-    tower budget.  Lower-level poles of the entries can make that width too
-    small; the residue is then computed once more at the cap.  What the
+    tower budget; every entry is inverted at each width tried.  Lower-level
+    poles of the entries can make that width too small; the residue is then
+    computed once more at the cap.  An exponent below the supported range
+    raises :class:`ExponentOutOfRange` at once, whatever the entry.  What the
     scaled form's residue refuses at both widths goes through the ``dlog``
     forms at both (module docstring, "Symbols"); when neither answers, the
     refusal names the width the symbol opens and the budget.
@@ -376,62 +371,21 @@ def _opened(theta: NestedSeries) -> int:
     return max(1, 1 - min(_level_lows(theta, {}).values(), default=0))
 
 
-def _monomial(sr: NestedSeries):
-    """``(exponents, raw)`` when ``sr`` is one exact monomial at every level
-    (exponents from level 1 up), else None."""
-    exps = ()
-    for _ in range(sr.level):
-        if sr.ceiling is not None or len(sr.coeffs) != 1:
-            return None
-        (e, sr), = sr.coeffs.items()
-        exps = (e,) + exps
-    return exps, sr
-
-
-def _wedge_exact_dlog(omega: LogForm, exps) -> LogForm:
-    """``omega ^ sum_i e_i dlog T_i`` for ``exps = (e_1, ..., e_d)``: what
-    :func:`wedge` with the form of those coefficients returns, each term an
-    integer multiple of a coefficient of ``omega`` (an ``e_i`` that is zero
-    in ``omega``'s ring contributes nothing)."""
-    if omega.degree >= omega.level:
-        raise DegreeOverflow(
-            f"wedge of degrees {omega.degree} and 1 exceeds top degree {omega.level}"
-        )
-    domain = omega.domain
-    dlogs = [(i, e) for i, e in enumerate(exps, 1) if not domain.is_zero(domain.from_int(e))]
-    out: dict = {}
-    for key, c in omega.coeffs.items():
-        for i, e in dlogs:
-            sign, new_key = _merge_sign(key, (i,))
-            if sign is None:
-                continue
-            term = c.mul_int(sign * e)
-            out[new_key] = out[new_key] + term if new_key in out else term
-    return _form(omega.level, domain, omega.degree + 1, out)
-
-
 def _residue_of_symbol(theta: NestedSeries, tower, ys, width: int) -> int:
     """``Res(theta ^ dy~_1 ^ ... ^ dy~_d * prod_i y~_i^-1)``: the symbol's
-    residue with ``dlog y = dy y^-1``, each inverse at ``width``, read as
-    ``residue_to_prime_field(omega.scale(g))`` for ``omega`` the form and
-    ``g`` the product of the inverses.  An exact monomial entry ``c T^e``
-    with ``c`` a unit of the lift ring takes its exact ``dlog y~ = sum_i
-    e_i dlog T_i`` instead, and is never lifted, differentiated or inverted;
-    when every entry is one, there is no ``g`` to scale by (module
+    residue with ``dlog y = dy y^-1``, each entry lifted, differentiated and
+    inverted at ``width``, read as ``residue_to_prime_field(omega.scale(g))``
+    for ``omega`` the form and ``g`` the product of the inverses (module
     docstring, "Symbols")."""
     big = tower.lift_domain
     omega = LogForm.from_series(theta)
     g = None
     for y in ys:
-        mono = _monomial(y)
-        if mono is not None and not _is_lift_non_unit(big, mono[1]):
-            omega = _wedge_exact_dlog(omega, mono[0])
-            continue
         y = lift_series(y, big)
         omega = wedge(omega, d(y))
         inv = y.inv(width)
         g = inv if g is None else g * inv
-    return residue_to_prime_field(omega if g is None else omega.scale(g))
+    return residue_to_prime_field(omega.scale(g))
 
 
 def _residue_through_dlog(theta: NestedSeries, tower, ys, width: int) -> int:

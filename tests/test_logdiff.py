@@ -48,7 +48,6 @@ from rswan.logdiff import (
 )
 from rswan.parser import parse_series
 from rswan.ratfunc import rat_func_domain
-from rswan.reciprocity import _monomial
 from rswan.scalars import fq_domain, galois_ring_domain
 from rswan.series import NestedSeries
 from rswan.substitution import series_substitute
@@ -68,6 +67,18 @@ K4 = FieldTower(2, 2, 1, ("t",))
 def mono(level, domain, exps, c=1):
     raw = domain.from_int(c) if isinstance(c, int) else c
     return NestedSeries.from_monomials(level, domain, [(tuple(exps), raw)])
+
+
+def one_monomial(sr):
+    """``(exponents, raw)`` when ``sr`` is one exact monomial at every level
+    (exponents from level 1 up), else None."""
+    exps = ()
+    for _ in range(sr.level):
+        if sr.ceiling is not None or len(sr.coeffs) != 1:
+            return None
+        (e, sr), = sr.coeffs.items()
+        exps = (e,) + exps
+    return exps, sr
 
 
 def random_series(rng, level, domain, lo=-4, hi=5, terms=4):
@@ -414,10 +425,9 @@ def test_one_term_wedge_matches_the_term_pair_loop():
         beta = LogForm(level, domain, len(kb), {kb: coeffs[1]})
         want = outcome(wedge_by_term_pairs, alpha, beta)
         assert outcome(wedge, alpha, beta) == want, (alpha, beta)
-        # reciprocity._monomial, which the symbol entries use, takes exactly
-        # the exact single monomials
+        # one_monomial takes exactly the exact single monomials
         monomial = [c.is_exact() and len(list(c.iter_monomials())) == 1 for c in coeffs]
-        assert [_monomial(c) is not None for c in coeffs] == monomial
+        assert [one_monomial(c) is not None for c in coeffs] == monomial
         if isinstance(want, tuple):
             seen[want[0]] += 1
         elif not all(monomial):
@@ -786,7 +796,7 @@ def test_one_term_r_b_walk_matches_the_cartier_steps():
             top[e] = random_slot(rng, level - 1, domain)
         form = LogForm(level, domain, level, {tuple(range(1, level + 1)): NestedSeries(level, domain, top)})
         x = WindowedForm(form, a - 1, -1)
-        assert _monomial(slot) == (exps, raw)
+        assert one_monomial(slot) == (exps, raw)
         for b in range(4):
             want = outcome(r_b_by_cartier_steps, x, b)
             assert outcome(r_b, x, b) == want, (x, b)

@@ -35,6 +35,7 @@ import pytest
 import rswan.series
 from rswan import catalog, cli, reciprocity, witt
 from rswan.errors import (
+    ExponentOutOfRange,
     InconsistentValue,
     NotTopological,
     PrecisionExhausted,
@@ -46,7 +47,6 @@ from rswan.errors import (
 from rswan.logdiff import (
     LogForm,
     WindowedForm,
-    d,
     dlog,
     minimal_b,
     r_b,
@@ -57,7 +57,6 @@ from rswan.logdiff import (
 from rswan.parser import parse_series, render_series
 from rswan.reciprocity import (
     CharacterizationReport,
-    _monomial,
     _residue_of_symbol,
     check_exp_congruences,
     eval_symbol,
@@ -548,6 +547,15 @@ SYMBOL_TOWER_CELLS = [
 ]
 
 
+def refusal_outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type, message and exponent of
+    what it raised."""
+    try:
+        return fn(*args)
+    except RswanError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "exponent", None)
+
+
 def symbol_outcome(fn, *args):
     try:
         return fn(*args)
@@ -584,70 +592,6 @@ def test_symbol_route_answers_what_the_dlog_route_answers():
     assert seen["both"] > 200 and seen["new only"] > 0 and seen["refused"] > 50, seen
 
 
-# ------------------------------------------ monomial entries, exact dlog
-
-def parent_residue_of_symbol(theta, tower, ys, width):
-    """The symbol residue as the library computed it before a monomial
-    entry took its exact ``dlog``: every entry lifted, differentiated and
-    inverted at ``width``, and the residue read off the scaled form."""
-    big = tower.lift_domain
-    omega = LogForm.from_series(theta)
-    g = None
-    for y in ys:
-        y = lift_series(y, big)
-        omega = wedge(omega, d(y))
-        inv = y.inv(width)
-        g = inv if g is None else g * inv
-    return residue_to_prime_field(omega.scale(g))
-
-
-def refusal_outcome(fn, *args):
-    """The value of ``fn(*args)``, or the type, message and exponent of
-    what it raised."""
-    try:
-        return fn(*args)
-    except RswanError as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "exponent", None)
-
-
-def random_monomial_entry(rng, tower):
-    """One exact ``c u^a t^e`` (a zero or p-divisible exponent included), or
-    a bare variable ``T_lambda``."""
-    d_level, dom = tower.d, tower.field_domain
-    if rng.random() < 0.3:
-        return NestedSeries.variable(d_level, dom, rng.randint(1, d_level))
-    exps = tuple(rng.randint(-3, 3) for _ in range(d_level - 1)) + (rng.randint(-4, 4),)
-    return NestedSeries.from_monomials(d_level, dom, [(exps, dom.random_nonzero(rng))])
-
-
-def test_monomial_entries_take_the_outcome_of_their_inverse():
-    """Random exact and windowed theta over p = 2, 3, 5, k = 1, 2, s = 1-3,
-    d = 1, 2, with at least one monomial entry per symbol: the residue
-    through the exact ``dlog`` of each monomial entry equals the residue
-    through its derivative and inverse, at the width theta opens and at the
-    budget, and so does every refusal, by type, message and exponent."""
-    rng = random.Random(2901)
-    seen = Counter()
-    for idx in range(540):
-        p, k, s, d_level = SYMBOL_TOWER_CELLS[idx % len(SYMBOL_TOWER_CELLS)]
-        variables = ("t",) if d_level == 1 else ("u", "t")
-        tower = FieldTower(p, k, s, variables, precision=rng.choice((6, 12)))
-        windowed = rng.random() < 0.5
-        theta = random_windowed(rng, d_level, tower.lift_domain, range(-8, 1), windowed)
-        ys = [random_monomial_entry(rng, tower)]
-        if d_level == 2:
-            other = rng.choice((random_monomial_entry, lambda r, t: random_entry(r, t, windowed)))
-            ys.append(other(rng, tower))
-            rng.shuffle(ys)
-        assert any(_monomial(y) is not None for y in ys)
-        for width in sorted({max(1, 1 - min(theta.coeffs, default=0)), tower.precision}):
-            new = refusal_outcome(reciprocity._residue_of_symbol, theta, tower, ys, width)
-            old = refusal_outcome(parent_residue_of_symbol, theta, tower, ys, width)
-            assert new == old, (theta, ys, width)
-            seen["answered" if isinstance(new, int) else new[0]] += 1
-    assert seen["answered"] > 500 and seen["PrecisionExhausted"] > 50, seen
-
-
 # ----------------------------------------------- Artin reciprocity on P^1
 
 def teichmueller_weight(values, p, s):
@@ -670,9 +614,8 @@ def test_symbols_obey_reciprocity_on_the_projective_line():
     J.-P. Serre, Algebraic Groups and Class Fields, the residue theorem).
     The right side needs only the components' values at points of ``F_p``:
     no series, window or Witt sum.  Over p = 2, 3, 5 and s = 1-3 at k = 1,
-    on entries with roots (the general path) and bare powers ``t^a`` (the
-    exact ``dlog`` of a monomial entry); some expected values are nonzero
-    and some units, at s >= 2 too."""
+    on entries with roots and bare powers ``t^a``; some expected values are
+    nonzero and some units, at s >= 2 too."""
     rng = random.Random(2501)
     seen = Counter()
     for p, s in itertools.product((2, 3, 5), (1, 2, 3)):
@@ -774,6 +717,45 @@ def test_symbols_obey_reciprocity_on_the_projective_line_over_f_q():
             seen["monomial" if not roots else "roots"] += 1
     assert seen["symbols"] > 350 and seen["nonzero"] > 280 and seen["unit"] > 150, seen
     assert seen["unit at s >= 2"] > 100 and seen["monomial"] > 80, seen
+
+
+def monomial_symbol(p, s, printed, a):
+    """``eval_symbol`` of the vector with print-order components ``sum_j
+    c t^-j`` (``printed``, one ``{j: c}`` per component) on ``[t^a]``."""
+    tower = FieldTower(p, 1, s, ("t",))
+    dom = tower.field_domain
+    chi = WittVector.from_print_order(tower, tuple(
+        NestedSeries.from_monomials(1, dom, [((-j,), c) for j, c in comp.items()])
+        for comp in printed))
+    return eval_symbol(chi, [NestedSeries.from_monomials(1, dom, [((a,), 1)])])
+
+
+@pytest.mark.parametrize("p,s,printed,a,floor", [
+    (2, 1, [{5001: 1}], -5999, -11000),
+    (3, 1, [{4000: 1}], -7001, -11001),
+    (5, 1, [{9001: 1}], -2003, -11004),
+    (2, 1, [{5: 1, 0: 1}], -7, None),
+    (3, 2, [{5: 1, 0: 1}, {}], -7, None),
+    (5, 1, [{3: 2, 0: 3}], -7, None),
+    (5, 2, [{5: 1, 1: 2, 0: 1}, {2: 1}], -2, None),
+    (2, 1, [{4001: 1, 0: 1}], -5999, None),
+    (3, 1, [{3000: 1, 0: 2}], -7000, None),
+])
+def test_one_monomial_entries_keep_the_exponent_floor(p, s, printed, a, floor):
+    """A one-monomial entry ``t^a`` (a < 0) is lifted, differentiated,
+    wedged and inverted like any other entry: a wedge with theta below the
+    supported range refuses, naming the exponent, as every other product
+    does, and in range, the floor -10000 itself included (``t^-4001`` on
+    ``[t^-5999]``), the symbol equals the oracle of
+    ``test_symbols_obey_reciprocity_on_the_projective_line``, ``deg(y)
+    w(f(oo)) = a w(f(oo))``, nonzero on every case here."""
+    if floor is not None:
+        with pytest.raises(ExponentOutOfRange, match=f"exponent {floor} below"):
+            monomial_symbol(p, s, printed, a)
+        return
+    want = a * teichmueller_weight([comp.get(0, 0) for comp in printed], p, s) % p**s
+    assert want
+    assert monomial_symbol(p, s, printed, a) == want
 
 
 # ----------------------------------------------- characterizing identity
@@ -1317,25 +1299,25 @@ def test_pairing_gives_the_operators_refusals_on_inner_windows():
 def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch):
     """On the catalog cell of most variables and samples at p, over seeds
     0-29, with every term handed off to ``_symbol_value``: inside each
-    symbol, its ``E(x)`` is inverted once per width tried (every catalog
-    symbol answers at the first width, so once) and nothing else is, so no
-    monomial entry is inverted; and the report equals the unmemoized
-    loop's.  Each symbol is evaluated on its own, so an ``E(x)`` that two
-    symbols hold (one term on both dlog keys at d = 2) is inverted in
-    each."""
+    symbol, its entries, ``E(x)`` and then its ``T_lambda``, are inverted
+    in order once per width tried (every catalog symbol answers at the
+    first width, so once) and nothing else is; and the report equals the
+    unmemoized loop's.  Each symbol is evaluated on its own, so an ``E(x)``
+    that two symbols hold (one term on both dlog keys at d = 2) is inverted
+    in each."""
     label, char, samples = max(
         catalog_reciprocity_cells(p), key=lambda cell: (cell[1].tower.d, cell[2])
     )
     big = char.tower.lift_domain
     symbol_value, inv = reciprocity._symbol_value, NestedSeries.inv
     state = {"recording": False, "inside": False, "depth": 0}
-    exponentials = []  # E(x), the first entry of each evaluated symbol
+    entries = []  # the entries of each evaluated symbol, in order
     inverted = []  # the series of each outermost inverse inside a symbol
 
     def recording_symbol(theta, tower, ys):
         if not state["recording"]:
             return symbol_value(theta, tower, ys)
-        exponentials.append(ys[0])
+        entries.extend(ys)
         state["inside"] = True
         try:
             return symbol_value(theta, tower, ys)
@@ -1356,14 +1338,13 @@ def test_characterization_inverts_each_exponential_once_per_width(p, monkeypatch
     monkeypatch.setattr(NestedSeries, "inv", recording_inv)
     paired = recording_pairings(monkeypatch)
     for seed in range(30):
-        exponentials.clear()
+        entries.clear()
         inverted.clear()
         paired.clear()
         state["recording"] = True
         report = verify_rsw_characterization(char, samples, seed=seed)
         state["recording"] = False
-        assert inverted and all(_monomial(y) is None for y in inverted), (label, seed)
-        assert inverted == [lift_series(e, big) for e in exponentials], (label, seed)
+        assert inverted and inverted == [lift_series(y, big) for y in entries], (label, seed)
         assert (report, paired) == uncached_characterization_oracle(char, samples, seed), \
             (label, seed)
 

@@ -13,10 +13,15 @@ Oracles used here:
     replaced (``rescan_reduce_slot_oracle``);
   * each ghost index's one linear combination is compared against the
     ghost recursion run one series addition at a time
-    (``uncombined_witt_oracle``).
+    (``uncombined_witt_oracle``);
+  * a windowed reduction and conductor are compared, inside the result's
+    window, with those of random exact completions of the input
+    (``completions``).
 """
 
+import functools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -48,6 +53,7 @@ from rswan.witt import (
     witt_frobenius,
 )
 from test_ratfunc import random_nonzero_rat_func
+from test_reciprocity import completed
 
 K2s2 = FieldTower(2, 1, 2, ("t",))
 K2s3 = FieldTower(2, 1, 3, ("t",))
@@ -1241,3 +1247,104 @@ def test_a_one_input_slot_cancels_against_z_before_any_power(monkeypatch):
         series_pows.clear()
         assert witt_combine(windowed, [1, 1], p) == want
         assert series_pows == unmerged and any(n == p**2 for _, n in unmerged)
+
+
+# ------------------------------------------------- the completion oracle
+
+def completions(x, rng, k):
+    """``k`` exact completions of the series ``x``: each fills every open
+    window, at every level, with one to three random terms within four
+    exponents above its ceiling (exact inner series of one or two terms in
+    ``[-2, 2]`` above a top ceiling), and completes every stored
+    coefficient in turn."""
+    return [_completion(x, rng) for _ in range(k)]
+
+
+def _completion(x, rng):
+    level, dom = x.level, x.domain
+    coeffs = {e: c if level == 1 else _completion(c, rng) for e, c in x.coeffs.items()}
+    if x.ceiling is not None:
+        for e in rng.sample(range(x.ceiling, x.ceiling + 4), rng.randint(1, 3)):
+            coeffs[e] = dom.random_nonzero(rng) if level == 1 else NestedSeries.from_monomials(
+                level - 1, dom, [(tuple(rng.randint(-2, 2) for _ in range(level - 1)),
+                                  dom.random_nonzero(rng)) for _ in range(rng.randint(1, 2))])
+    return NestedSeries(level, dom, coeffs)
+
+
+def exact_inner(x):
+    """``x`` with every coefficient below the top level cut to its stored
+    terms: its top window, if any, is its only one."""
+    if x.level == 1:
+        return x
+    return NestedSeries(x.level, x.domain, {e: completed(c) for e, c in x.coeffs.items()}, x.ceiling)
+
+
+# the cells of PLAN_CELLS whose exact reductions stay cheap: p^(s-1) <= 9
+COMPLETION_CELLS = [(p, k, s, d) for p, k, s, d in PLAN_CELLS if p ** (s - 1) <= 9]
+
+
+@functools.cache
+def completion_cases(windows):
+    """``[(tower, windowed comps, reductions of three completions)]`` for
+    ``plan_sweep_slot`` vectors over ``COMPLETION_CELLS``, with every
+    window (``windows == "inner"``) or the top ones only (``"top"``); exact
+    vectors are left out.  The completions' reductions are the costly part,
+    so the two properties below share them."""
+    cases = []
+    for p, k, s, d in COMPLETION_CELLS:
+        rng = random.Random(f"completion:{windows}:{p}:{k}:{s}:{d}")
+        tower = FieldTower(p, k, s, ("u", "t")[2 - d:])
+        for _ in range(12):
+            comps = tuple(plan_sweep_slot(rng, d, tower.field_domain, p) for _ in range(s))
+            if windows == "top":
+                comps = tuple(exact_inner(c) for c in comps)
+            if all(c.is_exact() for c in comps):
+                continue
+            cases.append((tower, comps, [asw_reduce(WittVector(tower, full))
+                                         for full in zip(*[completions(c, rng, 3) for c in comps])]))
+    return cases
+
+
+@pytest.mark.parametrize("windows", [
+    "top",
+    pytest.param("inner", marks=pytest.mark.xfail(strict=True, reason=(
+        "_reduce_slot skips a p-th root that is zero only within an inner window, "
+        "so the reduced slot claims terms a completion's reduction moves"))),
+])
+def test_windowed_reductions_agree_with_every_completion(windows):
+    """Seeded property: ``asw_reduce`` of a windowed vector either refuses
+    with ``PrecisionExhausted`` or gives components that agree, inside
+    their windows, with the reduction of each of three completions.  The
+    answers are counted, so a change that turns answers into refusals
+    shows.  With inner windows the property fails: a polar coefficient at
+    a p-divisible exponent whose root is zero within an inner window is
+    reduced as if it were exactly zero."""
+    seen = Counter()
+    for tower, comps, filled in completion_cases(windows):
+        try:
+            reduced = asw_reduce(WittVector(tower, comps)).vector.comps
+        except PrecisionExhausted:
+            seen["refused"] += 1
+            continue
+        for full in filled:
+            assert all(a.agrees_with(b) for a, b in zip(reduced, full.vector.comps)), \
+                (comps, full.vector.comps)
+        seen["answered"] += 1
+    assert seen["answered"] >= 160 and seen["refused"], seen
+
+
+def test_windowed_conductors_agree_with_every_completion():
+    """Seeded property, over top and inner windows: ``swan_conductor`` of
+    a windowed vector either refuses with ``PrecisionExhausted`` or equals
+    the conductor of each of three completions; the answers are counted."""
+    seen = Counter()
+    for windows in ("top", "inner"):
+        for tower, comps, filled in completion_cases(windows):
+            try:
+                sw = swan_conductor(WittVector(tower, comps))
+            except PrecisionExhausted:
+                seen["refused"] += 1
+                continue
+            assert all(swan_conductor(full) == sw for full in filled), comps
+            seen["answered"] += 1
+    assert seen["answered"] >= 333 and seen["refused"], seen
