@@ -35,9 +35,8 @@ check's samples at once, else the sum of the lengths of the per-sample
 calls.  ``totals_ms`` and ``totals_handed_off_ms`` sum ``ms_per_check``
 and ``ms_per_check_handed_off`` over the cells per tree.
 
-``sweep`` is the cross-tree check of the general path, which no catalog
-term reaches, untimed; it needs ``_symbol_value(theta, tower, ys)`` on
-every tree:
+``sweep`` is the cross-tree check of the paths no catalog check reaches,
+untimed; it needs ``_symbol_value(theta, tower, ys)`` on every tree:
 
 * ``symbols``: ``SWEEP_SYMBOLS`` seeded random symbols from
   ``SWEEP_SEED``, each evaluated by ``reciprocity._symbol_value`` on every
@@ -52,7 +51,23 @@ every tree:
 * ``handed_off_checks``: the catalog checks of the cells, with
   ``_LeftSide.reads`` forced False, at each seed of ``SWEEP_CHECK_SEEDS``;
   their reports must equal each other across trees and the unforced
-  reports (checked).
+  reports (checked);
+* ``characters``: ``SWEEP_CHARACTERS`` seeded random characters from
+  ``SWEEP_CHARACTER_SEED``, each checked by ``verify_rsw_characterization``
+  with ``SWEEP_CHARACTER_SAMPLES`` samples at its index as the seed, on
+  every tree.  They run through the cells above in turn, each at a budget
+  drawn from ``SWEEP_CHARACTER_BUDGETS``, exact or with windowed
+  components (top and inner windows, drawn as a windowed ``theta`` is),
+  so they reach the windowed paths of both sides of the check, which no
+  catalog character does.  The drawn components must be equal across
+  trees, and so must every report (checked); a character refused on one
+  tree must be refused on every tree, with the same type of refusal, save
+  that ``ZeroInput`` and ``PrecisionExhausted`` may stand for each other
+  (a tree whose ``NestedSeries.ord`` refuses a series zero only within a
+  window as unknown raises the second where an older one raised the
+  first).  ``reports`` and ``refused`` (by type) count them per tree, and
+  ``refusals_differing`` counts per tree the refusals that differ from
+  tree 0's, by their types (``"A -> B"``), messages included.
 """
 
 from __future__ import annotations
@@ -63,7 +78,7 @@ import random
 import sys
 from collections import Counter
 
-from _trees import alternate, main, same
+from _trees import alternate, form, main, same
 
 PRIMES = (2, 3, 5)
 SEED = 0
@@ -74,6 +89,10 @@ SWEEP_SYMBOLS = 3600
 SWEEP_BUDGETS = (6, 12, 64)
 SWEEP_CELLS = [(p, k, s, d) for p in PRIMES for k in (1, 2) for s in (1, 2, 3) for d in (1, 2)]
 SWEEP_CHECK_SEEDS = range(30)
+SWEEP_CHARACTER_SEED = 52
+SWEEP_CHARACTERS = 900
+SWEEP_CHARACTER_SAMPLES = 20
+SWEEP_CHARACTER_BUDGETS = (8, 16, 64)
 
 
 def _cells(rswan) -> dict:
@@ -295,6 +314,50 @@ def _handed_off_reports(rswan, cells) -> list:
     return out
 
 
+def _checked_characters(rswan) -> dict:
+    """The drawn characters and their checks' outcomes on one tree (module
+    docstring, ``sweep``)."""
+    rng = random.Random(SWEEP_CHARACTER_SEED)
+    drawn, outcomes = [], []
+    for index in range(SWEEP_CHARACTERS):
+        p, k, s, d = SWEEP_CELLS[index % len(SWEEP_CELLS)]
+        budget = rng.choice(SWEEP_CHARACTER_BUDGETS)
+        tower = rswan.FieldTower(p, k, s, ("u", "t")[2 - d:], precision=budget)
+        windowed = rng.random() < 0.5
+        comps = [_random_theta(rswan, rng, d, tower.field_domain, windowed) for _ in range(s)]
+        drawn.append(((p, k, s, d, budget), comps))
+        try:
+            char = rswan.Character(rswan.WittVector.from_print_order(tower, comps))
+            report = rswan.reciprocity.verify_rsw_characterization(
+                char, SWEEP_CHARACTER_SAMPLES, seed=index)
+            outcomes.append(dataclasses.asdict(report))
+        except rswan.RswanError as exc:
+            outcomes.append((type(exc).__name__, str(exc), getattr(exc, "exponent", None)))
+    return {"drawn": drawn, "outcomes": outcomes}
+
+
+# refusal types that may stand for each other across trees (module docstring, ``sweep``)
+_UNKNOWN_OR_ZERO = {"ZeroInput", "PrecisionExhausted"}
+
+
+def _differing_refusals(checked) -> list:
+    """Per tree, the counts of its refusals that differ from tree 0's;
+    exits on a differing report or a refusal of another type."""
+    out = []
+    for outcomes in [c["outcomes"] for c in checked]:
+        differing = Counter()
+        for index, (first, other) in enumerate(zip(checked[0]["outcomes"], outcomes)):
+            if form(first) == form(other):
+                continue
+            if isinstance(first, dict) or isinstance(other, dict):
+                raise SystemExit(f"the swept characters' reports: character {index} differs")
+            if first[0] != other[0] and {first[0], other[0]} != _UNKNOWN_OR_ZERO:
+                raise SystemExit(f"the swept characters' refusals: character {index} differs")
+            differing[f"{first[0]} -> {other[0]}"] += 1
+        out.append(dict(sorted(differing.items())))
+    return out
+
+
 def _sweep(trees, cells) -> dict:
     """The cross-tree sweep of the general path (module docstring, ``sweep``)."""
     swept = [_swept(tree) for tree in trees]
@@ -304,11 +367,22 @@ def _sweep(trees, cells) -> dict:
     same("the handed-off checks' reports",
          [[u for u, _ in rs] for rs in reports] + [[f for _, f in rs] for rs in reports])
     refused = [Counter(o[0] for o in s["outcomes"] if isinstance(o, tuple)) for s in swept]
+    checked = [_checked_characters(tree) for tree in trees]
+    same("the swept characters", [c["drawn"] for c in checked])
+    differing = _differing_refusals(checked)
+    checks_refused = [Counter(o[0] for o in c["outcomes"] if isinstance(o, tuple))
+                      for c in checked]
     return {
         "symbols": SWEEP_SYMBOLS,
         "answered": [sum(isinstance(o, int) for o in s["outcomes"]) for s in swept],
         "refused": [dict(sorted(r.items())) for r in refused],
         "handed_off_checks": len(reports[0]),
+        "characters": {
+            "checks": SWEEP_CHARACTERS,
+            "reports": [sum(isinstance(o, dict) for o in c["outcomes"]) for c in checked],
+            "refused": [dict(sorted(r.items())) for r in checks_refused],
+            "refusals_differing": differing,
+        },
     }
 
 
@@ -319,4 +393,5 @@ def _totals(seconds, keys, forced: bool, count: int) -> list:
 
 
 if __name__ == "__main__":
-    sys.exit(main(__file__, measure, {"seed": SEED, "passes": PASSES, "sweep_seed": SWEEP_SEED}))
+    sys.exit(main(__file__, measure, {"seed": SEED, "passes": PASSES, "sweep_seed": SWEEP_SEED,
+                                      "sweep_character_seed": SWEEP_CHARACTER_SEED}))

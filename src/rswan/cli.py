@@ -231,7 +231,7 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
         )
         try:
             series = [parse_series(text, tower) for text in comps]
-        except (ParseError, ValueError) as exc:
+        except (RswanError, ValueError) as exc:
             raise ConfigError(f"character {label!r} does not parse: {exc}") from None
         characters[label] = Character(WittVector.from_print_order(tower, series))
 
@@ -479,7 +479,8 @@ def _run_thmB(config: RunConfig, task: dict, task_seed: int) -> list:
 def _run_thmC(config: RunConfig, task: dict, task_seed: int) -> list:
     f = config.curves[tuple(task["f"].items())]
     exponents = tuple(_get(task, "exponents"))
-    out = curve_restriction_ratios(config.main_tower.p, f, _get(task, "x0"), exponents)
+    out = curve_restriction_ratios(config.main_tower.p, f, _get(task, "x0"), exponents,
+                                   precision=config.main_tower.precision)
     rows = [
         {"e": r["e"], "sw": r["sw"], "ratio": str(r["ratio"])} for r in out["rows"]
     ]

@@ -54,7 +54,7 @@ from .ratfunc import RatFuncDomain
 from .scalars import _Frozen
 from .series import _ORD_FLOOR, NestedSeries, _divide_by_power
 from .substitution import series_substitute
-from .tower import FieldTower
+from .tower import DEFAULT_PRECISION, FieldTower
 from .witt import (
     Character,
     WittVector,
@@ -354,21 +354,23 @@ def _eval_poly_at(series_base: NestedSeries, coeffs, domain) -> NestedSeries:
     return acc
 
 
-def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents):
+def curve_restriction_ratios(p: int, f: NestedSeries, x0: int, exponents, *,
+                             precision: int = DEFAULT_PRECISION):
     """Restrict a character over F_p(x)((t)) to curves t -> u^e, x -> x0 + u.
 
     ``f`` is a length-one component with coefficients in F_p(x) (the
     :class:`~rswan.ratfunc.RatFuncDomain`).  The generic conductor is
     computed over the rational-function field; each curve gives a character
     over F_p((u)) whose conductor divided by e approaches the generic one
-    from below.  Coefficients with a pole at x0 are rejected.
+    from below.  Coefficients with a pole at x0 are rejected.  The curves'
+    tower F_p((u)) has the budget ``precision``.
     """
     if not isinstance(f.domain, RatFuncDomain) or f.domain.p != p:
         raise TowerMismatch("f must have F_p(x) coefficients for this experiment")
     if f.level != 1:
         raise TowerMismatch("the experiment restricts one-variable characters")
     sw_generic = swan_of_components(asw_reduce_components([f], p), p)
-    target = FieldTower(p, 1, 1, ("u",))
+    target = FieldTower(p, 1, 1, ("u",), precision=precision)
     fd = target.field_domain
     base = _curve_x(x0, fd)
     monomials = list(f.iter_monomials())

@@ -289,9 +289,12 @@ def d(omega) -> LogForm:
 
 
 def dlog(f: NestedSeries, precision: int | None = None) -> LogForm:
-    """dlog f = df / f as a degree-1 form; f must be invertible."""
-    if f.is_zero():
+    """dlog f = df / f as a degree-1 form; f must be invertible.  A series
+    zero only within its window raises :class:`PrecisionExhausted`."""
+    if f.is_exact_zero():
         raise ZeroInput("dlog of zero")
+    if f.is_zero():
+        raise PrecisionExhausted("dlog of a series zero within its window", exponent=f.low())
     f_inv = f.inv(precision)
     out = {(i,): log_derivative(f, i) * f_inv for i in range(1, f.level + 1)}
     return _form(f.level, f.domain, 1, out)

@@ -75,17 +75,15 @@ floor(-low_top(theta) / a_top)``
 where ``sgn a_mu = a`` at d = 1; at d = 2 ``mu`` is the variable not in
 ``key`` and ``sgn`` is +1 when ``mu`` is below it, else -1.  :class:`_LeftSide`
 reads that with no series, form or inverse, one sum per ``(exps, c)`` for
-both dlog keys.  It hands a term to :func:`_symbol_value` when ``theta``
-has a window at any level, when the width ``w`` it opens is above the
-budget, or when an exponent of that path could leave the supported range,
-so every refusal is that path's own.  That path answers every other term,
-with the exact value the sum is: every exponent of ``theta`` is at least
-``1 - w``; ``y~^-1`` at width ``w`` is exact at the inner level (its inner
-lead is 1) and known below the top exponent ``w``; ``theta ^ dy~`` is
-exact, of top order at least ``1 - w + a_top``, so the one ceiling the
-residue meets is at least ``1 + a_top > 0``.  The path's exponents are at
-least ``1 - w + min(0, a_1) (p + w)`` at the inner level, kept in range by
-the hand-off, and ``2 - w`` at the top, kept there by the tower's cap on ``w``.
+both dlog keys.  It hands a term to :func:`_symbol_value`, whose refusal
+is the contract's, only when ``theta`` has a window at any level or opens
+a width ``w`` above the budget.  Every other term the sum answers with the
+symbol's exact value: every exponent of ``theta`` is at least ``1 - w``;
+``y~^-1`` at width ``w`` is exact at the inner level (its inner lead is 1)
+and known below the top exponent ``w``; ``theta ^ dy~`` is exact, of top
+order at least ``1 - w + a_top``, so the one ceiling the residue meets is
+at least ``1 + a_top > 0``.  The sum forms no product, so no exponent
+floor applies, where the general path could raise :class:`ExponentOutOfRange`.
 
 The right side
 --------------
@@ -104,13 +102,13 @@ drop out:
 
     Res_F(R_b(Rsw(chi) ^ alpha)) = Tr(sgn c R_K[-e])   in F_p.
 
-:func:`_pairing` reads that value without building ``alpha``, the wedge or
-the ``r_b`` form.  It hands the call to the operators, which raise every
-refusal, when a window on the path to ``R_K[-e]`` (a ceiling on ``R_K`` or
-on a coefficient it walks through) could decide it, when a product
-exponent could fall below the supported range, when ``p^b`` is below the
-window's width, over a lift ring (no roots) or for a top exponent outside
-the dual window.
+:func:`_pairing` walks ``R_K`` to ``R_K[-e]`` through
+``NestedSeries.coefficient``, top level first, and builds no ``alpha``,
+wedge or ``r_b`` form.  The operators shift each ceiling on that path by
+its exponent of ``e`` and read ``T^0`` coefficients, so a window there
+raises :class:`PrecisionExhausted` at the same coefficient (the message
+names the unshifted ceiling); no product is formed, so no exponent floor
+applies, where the operators' product could raise :class:`ExponentOutOfRange`.
 """
 
 from __future__ import annotations
@@ -135,13 +133,11 @@ from .logdiff import (
     d,
     dlog,
     minimal_b,
-    r_b,
     residue_to_prime_field,
     wedge,
-    wedge_windowed,
 )
 from .rsw import rsw_char_p
-from .series import _ORD_FLOOR, NestedSeries, _level_lows
+from .series import NestedSeries, _level_lows
 from .witt import (
     Character,
     WittVector,
@@ -411,8 +407,7 @@ class _LeftSide:
 
     def reads(self, exps) -> bool:
         """Whether the terms of ``exps`` are read off ``theta``, not handed off."""
-        return self.exact and (1 - self.opened + min((0, *exps[:-1]))
-                               * (self.tower.p + self.opened) >= _ORD_FLOOR)
+        return self.exact
 
     def symbol(self, term) -> int:
         exps, c, key = term
@@ -460,7 +455,7 @@ def schmid_symbol(f: NestedSeries, y: NestedSeries) -> int:
     """
     if f.level != 1:
         raise InconsistentValue("the classical symbol oracle is one-variable only")
-    if y.is_zero():
+    if y.is_exact_zero():  # one zero only within its window refuses in dlog
         raise ZeroEntry("symbol entries must be nonzero")
     omega = dlog(y, max(1, 1 - f.low())).scale(f)
     return residue_to_prime_field(omega)
@@ -568,47 +563,24 @@ def _window_term(code: int, tower, m: int):
     return lower + (m + 1 + code,), c, key
 
 
-def _pairing(window: WindowedForm, term, b: int) -> int:
+def _pairing(window: WindowedForm, term) -> int:
     """``Res_F(R_b(window ^ alpha))`` in F_p for the raw term ``(exps, c,
-    key)`` of :func:`_window_term`, ``alpha = c T^exps dlog T_key``
-    in the dual window: the trace of ``sgn c R_K[-exps]`` (module
-    docstring, "The right side"), or the operators' value and refusal when
-    a window, the exponent floor, ``b``, the ring or the exponent could
-    decide."""
+    key)`` of :func:`_window_term`, ``alpha = c T^exps dlog T_key`` in the
+    dual window of a window over ``F_q``: the trace of ``sgn c R_K[-exps]``
+    (module docstring, "The right side")."""
     exps, c, key = term
     form = window.form
-    domain, level = form.domain, form.level
-    if (domain.s != 1 or domain.p**b < window.width
-            or not window.m < exps[-1] <= window.n):
-        return _pairing_through_operators(window, term, b)
-    partner = tuple(v for v in range(1, level + 1) if v not in key)
+    domain = form.domain
+    partner = tuple(v for v in range(1, form.level + 1) if v not in key)
     coeff = form.coeffs.get(partner)
     if coeff is None:
         return 0
-    lows = _level_lows(coeff, {})
-    if any(lows[lvl] + e < _ORD_FLOOR for lvl, e in enumerate(exps, 1) if lvl in lows):
-        return _pairing_through_operators(window, term, b)
     for e in reversed(exps):
-        if coeff.ceiling is not None:
-            return _pairing_through_operators(window, term, b)
-        coeff = coeff.coeffs.get(-e)
-        if coeff is None:
-            return 0
+        coeff = coeff.coefficient(-e)
     raw = domain.mul(c, coeff)
     if _merge_sign(partner, key)[0] < 0:
         raw = domain.neg(raw)
     return domain.trace(raw) % domain.modulus
-
-
-def _pairing_through_operators(window: WindowedForm, term, b: int) -> int:
-    """What :func:`_pairing` reads, through ``wedge_windowed``, ``r_b`` and
-    the residue-plus-trace map."""
-    exps, c, key = term
-    form = window.form
-    x = NestedSeries.from_monomials(form.level, form.domain, [(exps, c)])
-    alpha = WindowedForm(LogForm(form.level, form.domain, form.level - 1, {key: x}),
-                         -window.m - 1, -window.n - 1)
-    return residue_to_prime_field(r_b(wedge_windowed(window, alpha), b), form.domain)
 
 
 def _recount(draws, known, modulus: int):
@@ -640,9 +612,9 @@ def verify_rsw_characterization(
     alpha runs over the window m^(m+1)/m^(n+1) of degree-(d-1) forms, as a
     random small sum of monomial terms; the left side goes through symbols
     {E(x), T_lambda}, read off the coefficients of theta, the right side is
-    r_b with the minimal b such that
-    p^b >= n - m, then residue, trace, and the embedding 1 |-> p^(s-1),
-    read off the coefficients of Rsw(chi).
+    r_b with the minimal b such that p^b >= n - m (the report's ``b``),
+    then residue, trace, and the embedding 1 |-> p^(s-1), read off the
+    coefficients of Rsw(chi).
 
     The orientation, for alpha = x dlog T_lambda (no dlog at d = 1) with
     ord x >= m + 1:
@@ -716,7 +688,6 @@ def verify_rsw_characterization(
         raise UnramifiedCharacter("the identity is about ramified characters")
     value = rsw_char_p(char)
     m = value.m
-    b = minimal_b(p, n - m)
     theta = theta_lift(char.vector)
     rng = random.Random(seed)
     modulus = p**s
@@ -742,12 +713,12 @@ def verify_rsw_characterization(
                 char.vector.comps[0], _exponential(tower, *term[:2])) if schmid else None
         # Right side: Rsw(chi) paired with each new term.
         for code, (term, val, oracle) in fresh.items():
-            pairing = _pairing(value.window, term, b) * embed % modulus
+            pairing = _pairing(value.window, term) * embed % modulus
             known[code] = val, oracle, pairing
             if val % modulus != pairing or schmid and oracle % modulus != val % modulus:
                 all_agree = False
     agreements, mismatches = (samples, []) if all_agree else _recount(draws, known, modulus)
     return CharacterizationReport(
-        n=n, m=m, b=b, samples=samples, agreements=agreements,
+        n=n, m=m, b=minimal_b(p, value.window.width), samples=samples, agreements=agreements,
         schmid_checked=sum(map(len, draws)) if schmid else 0, mismatches=tuple(mismatches[:10]),
     )

@@ -76,12 +76,15 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
     tests exercise.
 
     Only the window is computed: every term of ``a_i^(p^i-1) d(a_i)`` that
-    uses a term of ``a_i`` at ``e >= -m - (p^i - 1) v`` (``v`` the lowest
-    stored exponent of ``a_i``) has order ``>= -m``, so ``a_i`` is cut there
-    before the power, and a component cut to nothing is left out.  An
-    exact vector takes the flat path (module docstring); on the series
+    uses a term of ``a_i`` at ``e >= -m - (p^i - 1) v`` (``v = a_i.low()``,
+    a lower bound for its order) has order ``>= -m``, so ``a_i`` is cut
+    there before the power, and a component with ``cut <= v`` is left out.
+    An exact vector takes the flat path (module docstring); on the series
     path the sum is of ``d(-a_0)`` and ``d(a_i) * (-a_i^(p^i-1))``: nothing
-    is multiplied by the constant 1 and no pass negates the total.
+    is multiplied by the constant 1 and no pass negates the total.  Only an
+    exactly zero component is skipped: one zero only within a window keeps
+    its windows through the formula, which refuses or carries them into
+    the form, as its unknown terms may reach the window.
     """
     tower = vec.tower
     p = tower.p
@@ -93,7 +96,7 @@ def rsw_form_at(vec: WittVector, n: int) -> WindowedForm:
         return flat
     total = LogForm.zero(tower.d, tower.field_domain, 1)
     for i, a_i in enumerate(vec.comps):
-        if a_i.is_zero():
+        if a_i.is_exact_zero():
             continue
         v = a_i.low()
         cut = -m - (p**i - 1) * v

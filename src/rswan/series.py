@@ -415,12 +415,19 @@ class NestedSeries(_Frozen):
         return self.ceiling if self.ceiling is not None else 0
 
     def ord(self) -> int:
-        """Valuation in the top variable.  Raises ZeroInput on a window-zero series."""
-        if self.is_zero():
-            raise ZeroInput("ord of a (window-)zero series is undefined")
+        """Valuation in the top variable.  An exact zero raises
+        :class:`ZeroInput`; a series zero only within its window, or whose
+        lowest stored coefficient is, raises :class:`PrecisionExhausted`
+        naming that window, as its unknown terms decide."""
+        if not self.coeffs:
+            if self.ceiling is None:
+                raise ZeroInput("ord of zero is undefined")
+            raise PrecisionExhausted(
+                f"order is unknown: the series is zero below its window ceiling {self.ceiling}",
+                exponent=self.ceiling,
+            )
         e = min(self.coeffs)
-        c = self.coeffs[e]
-        if self.level > 1 and c.is_zero():
+        if self.level > 1 and self.coeffs[e].is_zero():
             raise PrecisionExhausted(
                 "order is ambiguous: the lowest stored coefficient "
                 f"(exponent {e}) is zero only within a finite window",

@@ -298,8 +298,8 @@ def test_criterion_05_sees_a_wrong_d2_right_side(monkeypatch, factor):
     negation cannot show; the plant leaves d = 1 alone."""
     pairing = reciprocity._pairing
 
-    def planted(window, term, b):
-        value = pairing(window, term, b)
+    def planted(window, term):
+        value = pairing(window, term)
         return value * factor % window.form.domain.p if window.form.level == 2 else value
 
     monkeypatch.setattr(reciprocity, "_pairing", planted)

@@ -414,6 +414,24 @@ def test_out_of_range_literal_exponents_exit_two(tmp_path, capsys):
         assert label in err and "below the supported range" in err
 
 
+@pytest.mark.parametrize("literal", [
+    "((1+u)^-1 - (1+u)^-1 + u*t)^-1",  # a lowest coefficient zero within its window
+    "((1+u)^-1 - (1+u)^-1)^-1",  # zero within its window, inverted
+])
+def test_a_literal_that_refuses_exits_two(tmp_path, capsys, literal):
+    """A literal whose reading raises (here ``PrecisionExhausted``: the
+    order of what is inverted is not known within the window) is a
+    ``ConfigError`` naming the character, never a traceback."""
+    doc = config_doc(tower={"p": 2, "variables": ["u", "t"]}, characters={"a": [literal]},
+                     tasks=[{"task": "swan", "character": "a"}])
+    with pytest.raises(ConfigError, match="character 'a' does not parse"):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error: character 'a' does not parse")
+    assert "Traceback" not in err
+
+
 def test_task_fields_are_checked_at_load_time(tmp_path, capsys):
     fields = {
         "towers": {"L": {"p": 2, "k": 1, "s": 1, "variables": ["u"]}},
@@ -683,6 +701,25 @@ def test_thmC_reduces_by_adding_rational_functions(monkeypatch):
     assert record["values"]["sw_generic"] == 3
     assert [row["ratio"] for row in record["values"]["rows"]] == ["5/2", "11/4"]
     assert added
+
+
+def test_thmC_curves_take_the_main_budget(tmp_path, capsys):
+    """The curves' tower F_2((u)) takes the main tower's budget, so
+    ``--precision`` reaches thmC: the curve ``t -> u^30`` of ``f =
+    1/(1+x) t^-3`` is known only below order -26 at the default budget 64
+    (an ERROR record) and answers Sw = 89 at 512; the record keeps its
+    fields."""
+    doc = config_doc(tasks=[{"task": "thmC", "f": {"-3": "1/(1+x)"}, "exponents": [30]}])
+    (record,) = run(load_config(doc))["tasks"]
+    assert record["status"] == "ERROR" and record["error"]["exponent"] == -26
+    (record,) = run(load_config(doc, precision=512))["tasks"]
+    assert record["status"] == "PASS" and set(record) == {"inputs", "status", "task", "values"}
+    assert record["values"] == {"sw_generic": 3, "all_bounded": True,
+                                "rows": [{"e": 30, "sw": 89, "ratio": "89/30"}]}
+    path = write_config(tmp_path, doc)
+    assert main(["run", path]) == 1
+    assert main(["run", path, "--precision", "512"]) == 0
+    capsys.readouterr()
 
 
 def test_exp_congruences_p_is_checked_at_load_time(tmp_path, capsys):

@@ -32,13 +32,15 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-# Series-level operations without a tower, plus the command-line override.
+# Series-level operations without a tower, the curve restriction (which
+# builds its curves' tower from p alone), and the command-line override.
 TAKES_PRECISION = {
     "NestedSeries.inv",
     "NestedSeries.pow",
     "series_substitute",
     "dlog",
     "gram_is_invertible",
+    "curve_restriction_ratios",
     "load_config",
 }
 

@@ -43,6 +43,7 @@ from rswan.errors import (
     TowerMismatch,
     UnramifiedCharacter,
     ZeroEntry,
+    ZeroInput,
 )
 from rswan.logdiff import (
     LogForm,
@@ -404,6 +405,35 @@ def test_symbol_entry_zero_within_an_inner_window_is_not_a_zero_entry():
     with pytest.raises(PrecisionExhausted, match="zero within its window") as err:
         eval_symbol(char_of(KD, ["t^-1"]), [parse_series("t", KD), y])
     assert err.value.exponent == -1  # the top exponent of the unknown coefficient
+
+
+def test_zero_within_a_window_is_unknown_and_an_exact_zero_is_zero():
+    """A series zero only within a window raises ``PrecisionExhausted``
+    naming its window, where an exact zero keeps ``ZeroInput`` or
+    ``ZeroEntry``: the conductor (through ``NestedSeries.ord``), ``dlog``
+    and the Schmid oracle, each on both kinds of zero."""
+    kd3 = FieldTower(3, 1, 1, ("u", "t"))
+    dom, dom3 = K2.field_domain, kd3.field_domain
+    unknown = NestedSeries(2, dom3, {-5: NestedSeries.zero(1, dom3, 1)}, 1)  # (0 + O(u)) t^-5 + O(t)
+    window, zero = NestedSeries.zero(1, dom, 5), NestedSeries.zero(1, dom)
+    ambiguous = "order is ambiguous: the lowest stored coefficient (exponent -5)"
+    rows = [
+        (lambda: witt.swan_conductor(WittVector(kd3, (unknown,))), PrecisionExhausted, ambiguous, -5),
+        (lambda: witt.swan_conductor(WittVector(kd3, (unknown + parse_series("t^-2", kd3),))),
+         PrecisionExhausted, ambiguous, -5),
+        (lambda: window.ord(), PrecisionExhausted, "zero below its window ceiling 5", 5),
+        (lambda: NestedSeries.zero(2, dom3, 3).ord(), PrecisionExhausted, "ceiling 3", 3),
+        (lambda: zero.ord(), ZeroInput, "ord of zero", None),
+        (lambda: dlog(window, 8), PrecisionExhausted, "zero within its window", 5),
+        (lambda: dlog(zero, 8), ZeroInput, "dlog of zero", None),
+        (lambda: schmid_symbol(parse_series("t^-3", K2), window), PrecisionExhausted,
+         "zero within its window", 5),
+        (lambda: schmid_symbol(parse_series("t^-3", K2), zero), ZeroEntry, "must be nonzero", None),
+    ]
+    for call, kind, message, exponent in rows:
+        with pytest.raises(kind, match=re.escape(message)) as err:
+            call()
+        assert getattr(err.value, "exponent", None) == exponent, message
 
 
 def test_schmid_symbol_refusals():
@@ -1012,9 +1042,9 @@ def recording_pairings(monkeypatch):
     paired = []
     pairing = reciprocity._pairing
 
-    def recording(window, term, b):
+    def recording(window, term):
         paired.append(term)
-        return pairing(window, term, b)
+        return pairing(window, term)
 
     monkeypatch.setattr(reciprocity, "_pairing", recording)
     return paired
@@ -1253,7 +1283,7 @@ def test_pairing_matches_the_operators_on_random_characters():
             b = minimal_b(p, window.width)
             for term in window_terms(window, [dom.random_nonzero(rng)]):
                 want = operator_pairing(window, term, b)
-                assert reciprocity._pairing(window, term, b) == want, (chi, term)
+                assert reciprocity._pairing(window, term) == want, (chi, term)
                 partner = tuple(v for v in range(1, d_level + 1) if v not in term[2])
                 seen["nonzero" if want else "absent key" if partner not in window.form.coeffs
                      else "zero"] += 1
@@ -1262,16 +1292,17 @@ def test_pairing_matches_the_operators_on_random_characters():
 
 def test_pairing_gives_the_operators_refusals_on_inner_windows():
     """A representative built through the API, with inner windows on the
-    coefficients read, an inner exponent next to the supported floor,
-    ``b`` one short of, at and past the minimal, and top exponents one
-    outside the dual window on each side: ``_pairing`` gives the
-    operators' value or their refusal (type, message, exponent).  So does
-    a window over a lift ring, which has no Cartier roots."""
+    coefficients read and an inner exponent next to the supported floor,
+    paired at the minimal ``b`` with every term of its dual window:
+    ``_pairing`` gives the operators' value, raises
+    :class:`PrecisionExhausted` where they do (a window on the path decides
+    it; the message names the coefficient's own ceiling, not the
+    product's), and answers where their product leaves the supported range
+    and raises :class:`ExponentOutOfRange`, as it forms no product."""
     rng = random.Random(4302)
     seen = Counter()
-    for p, s in ((2, 1), (3, 1), (5, 1), (3, 2)):
-        dom = FieldTower(p, 1, s, ("u", "t")).field_domain if s == 1 else \
-            FieldTower(p, 1, s, ("u", "t")).lift_domain
+    for p in (2, 3, 5):
+        dom = FieldTower(p, 1, 1, ("u", "t")).field_domain
 
         def inner(coeffs, ceiling=None):
             return NestedSeries(1, dom, {e: dom.from_int(c) for e, c in coeffs.items()}, ceiling)
@@ -1283,16 +1314,22 @@ def test_pairing_gives_the_operators_refusals_on_inner_windows():
                                         -2: inner({-1: 1}, 4)}),
         })
         window = WindowedForm(form, 4, 1)
-        b0 = minimal_b(p, window.width)
+        b = minimal_b(p, window.width)
         scalars = [dom.from_int(rng.randint(1, p - 1)) for _ in range(2)]
-        for b in (b0 - 1, b0, b0 + 1):
-            for term in window_terms(window, scalars, beyond=1):
-                want = refusal_outcome(operator_pairing, window, term, b)
-                assert refusal_outcome(reciprocity._pairing, window, term, b) == want, (term, b)
-                seen[want[0] if isinstance(want, tuple) else "nonzero" if want else "zero"] += 1
+        for term in window_terms(window, scalars):
+            want = refusal_outcome(operator_pairing, window, term, b)
+            got = refusal_outcome(reciprocity._pairing, window, term)
+            if not isinstance(want, tuple):
+                assert got == want, term
+                seen["nonzero" if want else "zero"] += 1
+            elif want[0] == "PrecisionExhausted":
+                assert isinstance(got, tuple) and got[0] == want[0], (term, got)
+                seen[want[0]] += 1
+            else:
+                assert want[0] == "ExponentOutOfRange" and isinstance(got, int), (term, want, got)
+                seen["answered past the operators' floor"] += 1
     assert seen["nonzero"] and seen["zero"] and seen["PrecisionExhausted"], seen
-    assert seen["ExponentOutOfRange"] and seen["WindowTooWide"] and seen["TowerMismatch"], seen
-    assert seen["InconsistentValue"], seen
+    assert seen["answered past the operators' floor"], seen
 
 
 @pytest.mark.parametrize("p", catalog.CATALOG_PRIMES)

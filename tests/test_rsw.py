@@ -17,7 +17,8 @@ import pytest
 
 from rswan.catalog import catalog_characters
 from rswan.parser import render_form
-from rswan.errors import ExponentOutOfRange, InconsistentValue, RswanError, UnramifiedCharacter
+from rswan.errors import (ExponentOutOfRange, InconsistentValue, PrecisionExhausted, RswanError,
+                          UnramifiedCharacter)
 from rswan.logdiff import LogForm, WindowedForm, d
 from rswan.rsw import (
     RswValue,
@@ -32,6 +33,7 @@ from rswan.scalars import fq_domain
 from rswan.series import NestedSeries
 from rswan.tower import FieldTower
 from rswan.witt import Character, WittVector, asw_reduce, swan_conductor
+from test_witt import completions
 
 K2 = FieldTower(2, 1, 1, ("t",))
 K3 = FieldTower(3, 1, 1, ("t",))
@@ -164,7 +166,7 @@ def untruncated_form_at(vec, n):
     p = vec.tower.p
     total = LogForm.zero(vec.tower.d, vec.tower.field_domain, 1)
     for i, a_i in enumerate(vec.comps):
-        if not a_i.is_zero():
+        if not a_i.is_exact_zero():
             total = total + d(a_i).scale(a_i.pow(p**i - 1))
     return WindowedForm(-total, n, n // p)
 
@@ -218,7 +220,7 @@ def summed_then_negated_form_at(vec, n):
     m = n // p
     total = LogForm.zero(tower.d, tower.field_domain, 1)
     for i, a_i in enumerate(vec.comps):
-        if a_i.is_zero():
+        if a_i.is_exact_zero():
             continue
         v = a_i.low()
         cut = -m - (p**i - 1) * v
@@ -280,6 +282,49 @@ def test_rsw_form_matches_the_summed_then_negated_form():
                 assert list(got.form.coeffs) == list(summed_then_negated_form_at(vec, n).form.coeffs)
                 seen["answered"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def depth(vec) -> int:
+    """The least ``n >= 1`` whose filtration step holds ``vec``: every
+    weighted order ``p^i ord(a_i)`` of an exact vector is at least ``-n``."""
+    p = vec.tower.p
+    return max([1] + [-p**i * a_i.ord() for i, a_i in enumerate(vec.comps) if a_i.coeffs])
+
+
+def test_windowed_forms_agree_with_every_completion():
+    """Seeded property, over top and inner windows (some coefficients zero
+    only within theirs): ``rsw_form_at`` of a windowed vector, at a depth
+    at or above that of each of three completions, either refuses with
+    ``PrecisionExhausted`` or gives a form whose every coefficient agrees,
+    inside its windows, with that of each completion's form; the answers
+    are counted per kind of window.  A component zero only within a window
+    is not skipped: its unknown terms may reach the window."""
+    seen = Counter()
+    for p, k, s, dd in WITT_CELLS:
+        tower = FieldTower(p, k, s, ("u", "t")[2 - dd:])
+        rng = random.Random(f"completion:{(p, k, s, dd)}")
+        for _ in range(40):
+            comps = tuple(windowed_component(rng, tower, -4) for _ in range(s))
+            if all(c.is_exact() for c in comps):
+                continue
+            inner = any(c.level > 1 and not all(x.is_exact() for x in c.coeffs.values())
+                        for c in comps)
+            filled = [WittVector(tower, full)
+                      for full in zip(*[completions(c, rng, 3) for c in comps])]
+            n = max(map(depth, filled)) + rng.randint(0, 2)
+            try:
+                got = rsw_form_at(WittVector(tower, comps), n).form
+            except PrecisionExhausted:
+                seen["inner" if inner else "top", "refused"] += 1
+                continue
+            for full in filled:
+                want = rsw_form_at(full, n).form
+                for key in sorted(set(got.coeffs) | set(want.coeffs)):
+                    assert got.coefficient(key).agrees_with(want.coefficient(key)), \
+                        (comps, full.comps, n, key)
+            seen["inner" if inner else "top", "answered"] += 1
+    assert seen["top", "answered"] >= 250 and seen["inner", "answered"] >= 100, seen
+    assert seen["top", "refused"] and seen["inner", "refused"], seen
 
 
 # (p, k, s, d) cells of the flat-path sweep: every p in {2, 3, 5}, k in
