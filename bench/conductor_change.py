@@ -27,6 +27,23 @@ raises late.  Three sections, with one figure per tree:
 
 Each time comes from ``PASSES`` alternating passes, each timing a batch of
 calls of about ``BATCH_SECONDS`` (``bench/_trees.py``).
+
+``sweep`` is the untimed cross-tree check of the conductor changes the
+``embed`` draws never reach: ``SWEEP_UNITS`` seeded units per cell ``(p, s,
+budget)``, p = 2, 3, 5, s = 1..3 and the budgets ``SWEEP_BUDGETS``.  Each
+draws an image of order ``e`` in 1..6 with 1..4 terms, a wild one (p
+divides ``e``), a tame one or a monomial (never a p-th power), and 0..3
+monomials per component whose deepest pole ``L`` lies, for a third of the
+components each, next to the budget edge ``e L = budget``, next to the
+weight-p slot's edge ``p e L = budget - 1`` (where its window of
+``(p - 1) e L + 1`` stops being shorter than the budget's), or anywhere
+down to ``2 budget / e``.  The outcomes of ``extensions.conductor_change``
+must be equal across trees: the report's fields, or the refusal's kind,
+message and exponent.  Per tree, ``sized`` counts the units whose planned
+pullback cuts some window (``extensions._sized_widths`` on a tree that
+has it; 0 on older trees), ``refused`` those whose planned ceilings refuse
+before any substitution, and ``fallback`` the rest, which pull back on the
+full budget.
 """
 
 from __future__ import annotations
@@ -45,6 +62,8 @@ EMBED_CELLS = tuple((p, s) for p in (2, 3, 5) for s in (1, 2))
 UNITS = 24
 PASSES = 7
 BATCH_SECONDS = 0.02
+SWEEP_BUDGETS = (16, 32, 64, 128)
+SWEEP_UNITS = 40
 
 
 # ----------------------------------------------------------------------- inv
@@ -220,6 +239,96 @@ def _embed_section(trees):
     return reduce_rows, change_rows
 
 
+# ------------------------------------------------------------------- sweep
+
+def _sweep_image(rswan, dom, rng, p):
+    """An image of order 1..6 with 1..4 terms: wild, tame or a monomial, never
+    a p-th power (module docstring, ``sweep``)."""
+    kind = rng.choice(("wild", "tame", "monomial"))
+    if kind == "wild":
+        e = p * rng.randint(1, 6 // p)
+        exps = [e] + rng.sample([x for x in range(e + 1, e + 6) if x % p], 1)
+    else:
+        e = rng.choice([x for x in range(1, 7) if x % p])
+        exps = [e]
+    if kind != "monomial":
+        spare = [x for x in range(e + 1, e + 6) if x not in exps]
+        exps += rng.sample(spare, rng.randint(0, 4 - len(exps)))
+    return rswan.NestedSeries.from_monomials(1, dom, [((x,), dom.random_nonzero(rng))
+                                                      for x in sorted(exps)]), e
+
+
+def _sweep_poles(rng, p, e, budget):
+    """The deepest pole of one component (module docstring, ``sweep``)."""
+    edge = rng.choice(("budget", "need", "any"))
+    if edge == "budget":
+        return max(1, budget // e + rng.randint(-1, 1))
+    if edge == "need":
+        return max(1, (budget - 1) // (p * e) + rng.randint(-1, 1))
+    return rng.randint(1, 2 * budget // e)
+
+
+def _sweep_units(rswan, cell):
+    """``(ExtensionMap, WittVector)`` pairs of one sweep cell."""
+    p, s, budget = cell
+    source = rswan.FieldTower(p, 1, s, ("t",))
+    target = rswan.FieldTower(p, 1, s, ("u",), budget)
+    dom = target.field_domain
+    rng = random.Random(f"conductor_change:sweep:{cell}")
+    out = []
+    for _ in range(SWEEP_UNITS):
+        image, e = _sweep_image(rswan, dom, rng, p)
+        comps = []
+        for _ in range(s):
+            monos = []
+            count = rng.randint(0, 3)
+            if count:
+                monos.append(((-_sweep_poles(rng, p, e, budget),), dom.random_nonzero(rng)))
+                monos += [((rng.randint(monos[0][0][0], 3),), dom.random_nonzero(rng))
+                          for _ in range(count - 1)]
+            comps.append(rswan.NestedSeries.from_monomials(1, dom, monos))
+        ext = rswan.extensions.ExtensionMap(source, target, {"t": image})
+        out.append((ext, rswan.WittVector(source, tuple(comps))))
+    return out
+
+
+def _route(rswan, ext, vec):
+    """``sized``, ``refused`` or ``fallback`` (module docstring, ``sweep``)."""
+    extensions = rswan.extensions
+    try:
+        char = rswan.asw_reduce(vec)
+    except rswan.RswanError:
+        return "fallback"
+    ceilings = extensions._planned_ceilings(ext, char)
+    if ceilings is None:
+        return "fallback"
+    if any(c is not None and c <= 0 for c in ceilings):
+        return "refused"
+    sized = getattr(extensions, "_sized_widths", None)
+    return "sized" if sized is not None and any(sized(ext, ceilings)) else "fallback"
+
+
+def _sweep(trees) -> dict:
+    """The cross-tree sweep of the conductor changes (module docstring)."""
+    cells = [(p, s, budget) for p in (2, 3, 5) for s in (1, 2, 3) for budget in SWEEP_BUDGETS]
+    routes = [dict.fromkeys(("sized", "fallback", "refused"), 0) for _ in trees]
+    answered, errors = 0, {}
+    for cell in cells:
+        units = [_sweep_units(tree, cell) for tree in trees]
+        results = [[_change(tree, *u) for u in us] for tree, us in zip(trees, units)]
+        same(f"sweep outcomes of cell {cell}", [[_outcome(r) for r in rs] for rs in results])
+        for index, (tree, us) in enumerate(zip(trees, units)):
+            for u in us:
+                routes[index][_route(tree, *u)] += 1
+        for r in results[0]:
+            if isinstance(r, Exception):
+                errors[type(r).__name__] = errors.get(type(r).__name__, 0) + 1
+            else:
+                answered += 1
+    return {"units": len(cells) * SWEEP_UNITS, "answered": answered, "errors": errors,
+            "routes": routes}
+
+
 def measure(trees) -> dict:
     inv_rows = _inv_section(trees)
     reduce_rows, change_rows = _embed_section(trees)
@@ -227,8 +336,11 @@ def measure(trees) -> dict:
         "inv": inv_rows,
         "asw_reduce": reduce_rows,
         "conductor_change": change_rows,
+        "sweep": _sweep(trees),
     }
 
 
 if __name__ == "__main__":
-    sys.exit(main(__file__, measure, {"units_per_cell": UNITS, "passes": PASSES}))
+    sys.exit(main(__file__, measure, {"units_per_cell": UNITS, "passes": PASSES,
+                                      "sweep_budgets": list(SWEEP_BUDGETS),
+                                      "sweep_units_per_cell": SWEEP_UNITS}))

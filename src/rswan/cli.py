@@ -25,6 +25,7 @@ from .extensions import (
     ExtensionMap,
     _curve_x,
     _eval_poly_at,
+    _is_over_source,
     conductor_change,
     curve_restriction_ratios,
     imperfect_residue_family,
@@ -299,6 +300,11 @@ def load_config(doc: dict, precision: int | None = None) -> RunConfig:
                 source.d == 1,
                 f"{what} needs a one-variable source field; "
                 f"extension {task['extension']!r} has {source.d} source variables",
+            )
+            _require(
+                _is_over_source(extensions[task["extension"]], characters[task["character"]].tower),
+                f"{what} needs character {task['character']!r} over the source tower "
+                f"of extension {task['extension']!r}",
             )
         if kind == "duality":
             _require(task["n"] > task["m"], f"{what} needs n > m")

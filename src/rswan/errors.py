@@ -37,7 +37,7 @@ class TowerMismatch(RswanError):
 
 
 class ZeroInput(RswanError):
-    """The operation is undefined for (window-)zero input, e.g. ord or inverse."""
+    """The operation is undefined for an exactly zero input, e.g. ord or inverse."""
 
 
 class ParseError(RswanError):

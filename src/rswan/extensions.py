@@ -21,16 +21,48 @@ Planned pullbacks
 -----------------
 The pullback of an exact source component whose deepest pole is ``T^-L``
 through an exact image of order ``e`` with at least two terms is known
-below ``precision - e L`` (:mod:`rswan.substitution`).
-:func:`pullback_character` plans these ceilings for every component first
-and raises the target reduction's refusal of the first one ``<= 0`` before
-any substitution.  It plans nothing when the character is not over the
-source tower, the source has more than one variable, the image is a
-monomial, windowed or over a larger tower, a component is windowed, or some
-``-e L`` lies below the exponent floor (the substitution raises
-``ExponentOutOfRange`` there).  Past this source-side plan, the target
-reduction refuses an uncovered Witt tail of any length before combining it
-(:mod:`rswan.witt`, "Reduction").
+below ``c = precision - e L`` (:mod:`rswan.substitution`).
+:func:`pullback_character` and :func:`conductor_change` plan these ceilings
+for every component first and raise the target reduction's refusal of the
+first one ``<= 0`` before any substitution.  Nothing is planned when the
+source has more than one variable, the image is a monomial, windowed or
+over a larger tower, a component is windowed, or some ``-e L`` lies below
+the exponent floor (the substitution raises ``ExponentOutOfRange`` there).
+Past this source-side plan, the target reduction refuses an uncovered Witt
+tail of any length before combining it (:mod:`rswan.witt`, "Reduction").
+A character over another p, constant field, length or variable list than
+the source is a ``TowerMismatch`` before any plan; a budget alone may
+differ, as the plan reads only the target's.
+
+Sized pullbacks
+---------------
+:func:`conductor_change` asks only for ``Sw_L``, which the polar parts of
+the reduced target vector decide (Brylinski's ``Sw = max_i -p^(s-1-i) ord
+x_i``; K. Kato, Contemp. Math. 83, 1989), so when every planned ceiling
+``c_i`` is above 0 it substitutes component ``i`` (internal order, weight
+``p^i``, ``L_i`` poles) only below ``min(c_i, need_i)``, at the width
+``need_i + e L_i``:
+
+* ``need = 1`` for the weight-1 slot, at every s;
+* ``need = (p - 1) e L + 1`` for the weight-p slot at s = 2;
+* the heavier slots at s >= 3 keep ``c_i``.
+
+Every other input takes the full-budget route of :func:`pullback_character`.
+Why the cut decides as the full window does:
+
+* A reduction moves only polar terms (``e -> e/p``),
+  :func:`~rswan.witt.swan_of_components` reads polar orders, and the
+  reduction's check asks only that each ceiling be above 0.
+* The weight-1 slot feeds no lighter slot, so its terms at or above 1 never
+  reach an outcome.
+* At s = 2 the weight-p slot reaches the weight-1 output only through
+  ``x^p`` and ``z_0^p``, whose ceilings are ``(p - 1) low + ceiling``
+  (:mod:`rswan.witt`, "The ceiling plan"), with ``low >= -e L``; so
+  ``need`` keeps that output's ceiling at 1 or more.
+* Hence where the full window answers, the cut one answers with the same
+  polar parts.  Where the full window refuses, the refusing bound is the
+  same minimum, because a cut term is at least 1 and never the least: the
+  refusal keeps its message and exponent.
 
 Two ratio experiments live here as well: the imperfect-residue family
 ``u -> v^p + w, t -> w^t`` (ratios 2 - 1/t) and curve restriction over
@@ -139,6 +171,24 @@ def ramification_index(ext: ExtensionMap) -> int:
     return ext.images[ext.source.variables[-1]].ord()
 
 
+def _is_over_source(ext: ExtensionMap, tower: FieldTower) -> bool:
+    """Whether ``tower`` is the source tower up to the budget: the same p,
+    constant field, length and variables."""
+    source = ext.source
+    return (tower.p, tower.k, tower.s, tower.variables) == (
+        source.p, source.k, source.s, source.variables)
+
+
+def _require_over_source(ext: ExtensionMap, tower: FieldTower):
+    if not _is_over_source(ext, tower):
+        raise TowerMismatch("the character does not live over the source tower")
+
+
+def _images(ext: ExtensionMap) -> dict:
+    """The image of each source variable, keyed by its level."""
+    return {level: ext.images[name] for level, name in enumerate(ext.source.variables, 1)}
+
+
 def pullback_series(ext: ExtensionMap, sr: NestedSeries) -> NestedSeries:
     """Image of a source series under the embedding.
 
@@ -146,23 +196,21 @@ def pullback_series(ext: ExtensionMap, sr: NestedSeries) -> NestedSeries:
     its image (see :func:`~rswan.substitution.series_substitute`).  A finite
     source window propagates to the target window at ``ceiling * e``; a
     window on a lower-variable coefficient raises
-    :class:`PrecisionExhausted`, since lower variables map to units.
+    :class:`PrecisionExhausted`, since lower variables map to units.  A
+    series over other coefficients or another number of variables raises
+    :class:`TowerMismatch`.
     """
-    if sr.level != ext.source.d:
+    if sr.level != ext.source.d or sr.domain is not ext.source.field_domain:
         raise TowerMismatch("series does not live over the source tower")
-    images = {
-        level: ext.images[name] for level, name in enumerate(ext.source.variables, 1)
-    }
-    return series_substitute(sr, images, ext.target.precision)
+    return series_substitute(sr, _images(ext), ext.target.precision)
 
 
 def _planned_ceilings(ext: ExtensionMap, char: Character):
-    """The pullback ceiling of each component of the reduced ``char``, None
-    for an exact pullback; None when they are not all planned (module
-    docstring, "Planned pullbacks")."""
+    """The pullback ceiling of each component of the reduced ``char`` (over
+    the source tower, up to the budget), None for an exact pullback; None
+    when they are not all planned (module docstring, "Planned pullbacks")."""
     img = ext.images[ext.source.variables[-1]]
-    if (char.tower != ext.source or ext.source.d != 1 or img.level != 1
-            or img.ceiling is not None or len(img.coeffs) < 2):
+    if ext.source.d != 1 or img.level != 1 or img.ceiling is not None or len(img.coeffs) < 2:
         return None
     e = img.ord()
     ceilings = []
@@ -179,16 +227,50 @@ def _planned_ceilings(ext: ExtensionMap, char: Character):
     return ceilings
 
 
-def pullback_character(ext: ExtensionMap, char: Character | WittVector) -> Character:
-    """Reduce over the source, pull each component back, re-reduce over the
-    target; a refusal of the target reduction that the planned windows
-    decide is raised before any substitution (module docstring)."""
-    char = asw_reduce(char)
-    for i, ceiling in enumerate(_planned_ceilings(ext, char) or ()):
-        if ceiling is not None and ceiling <= 0:
-            raise _uncovered_polar_part(i, ceiling)
-    comps = tuple(pullback_series(ext, c) for c in char.vector.comps)
+def _sized_widths(ext: ExtensionMap, ceilings) -> list:
+    """The substitution width of each planned component whose window
+    ``conductor_change`` cuts, None for the full budget: component ``i``
+    ends at ``need_i < c_i``, so its width is ``need_i + e L_i`` (module
+    docstring, "Sized pullbacks")."""
+    budget, p, s = ext.target.precision, ext.source.p, ext.source.s
+    widths = []
+    for i, ceiling in enumerate(ceilings):
+        need = None
+        if ceiling is not None and (i == 0 or s == 2):
+            need = 1 if i == 0 else (p - 1) * (budget - ceiling) + 1  # budget - c_i = e L_i
+        widths.append(need + budget - ceiling if need is not None and need < ceiling else None)
+    return widths
+
+
+def _pull_back(ext: ExtensionMap, char: Character, sized: bool) -> Character:
+    """Pull the reduced ``char`` back and re-reduce it over the target.  A
+    refusal of the target reduction that the planned windows decide is
+    raised before any substitution; with ``sized``, the planned components
+    are substituted only as far as the conductor reads them (module
+    docstring)."""
+    ceilings = _planned_ceilings(ext, char)
+    widths = [None] * len(char.vector.comps)
+    if ceilings is not None:
+        for i, ceiling in enumerate(ceilings):
+            if ceiling is not None and ceiling <= 0:
+                raise _uncovered_polar_part(i, ceiling)
+        if sized:
+            widths = _sized_widths(ext, ceilings)
+    images = _images(ext)
+    comps = tuple(pullback_series(ext, c) if width is None
+                  else series_substitute(c, images, width)
+                  for c, width in zip(char.vector.comps, widths))
     return asw_reduce(Character(WittVector(ext.target, comps)))
+
+
+def pullback_character(ext: ExtensionMap, char: Character | WittVector) -> Character:
+    """Reduce over the source, pull each component back on the full budget,
+    re-reduce over the target; a refusal of the target reduction that the
+    planned windows decide is raised before any substitution (module
+    docstring).  A character over another tower than the source, up to the
+    budget, raises :class:`TowerMismatch`."""
+    _require_over_source(ext, char.tower)
+    return _pull_back(ext, asw_reduce(char), sized=False)
 
 
 def delta_tor(ext: ExtensionMap) -> int:
@@ -246,14 +328,20 @@ def conductor_change(ext: ExtensionMap, char: Character | WittVector) -> Conduct
 
     The formula is asserted only under the strong-ramification hypothesis
     ``Sw > (p/(p-1)) * delta/e``; outside it the report carries both
-    conductors and the verdict NOT_APPLICABLE.
+    conductors and the verdict NOT_APPLICABLE.  ``Sw_L`` is read off a
+    pullback cut to the windows the conductor reads (module docstring,
+    "Sized pullbacks"): the same answer or refusal as
+    ``swan_conductor(pullback_character(ext, char))``.  A character over
+    another tower than the source, up to the budget, raises
+    :class:`TowerMismatch`.
     """
+    _require_over_source(ext, char.tower)
     char = asw_reduce(char)
     p = ext.source.p
     e = ramification_index(ext)
     delta = delta_tor(ext)
     sw_source = swan_conductor(char)
-    sw_target = swan_conductor(pullback_character(ext, char))
+    sw_target = swan_conductor(_pull_back(ext, char, sized=True))
     predicted = e * sw_source - delta
     lhs = Fraction(sw_source)
     rhs = Fraction(p, p - 1) * Fraction(delta, e)

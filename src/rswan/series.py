@@ -68,11 +68,12 @@ by ``img^n``; and the curve restriction of :mod:`rswan.extensions` divides by
 a denominator.  It computes ``q / x^n`` on the window that ``q *
 (x^n).inv(precision)`` has.  With ``v = n ord(x)`` and ``w`` the width of
 ``x^n`` (its own window, or ``precision`` when it is exact), the quotient is
-known below ``min(ceil(q), low(q) + w) - v``.  A zero ``x`` raises
-``ZeroInput``; an exact ``x^n`` of several terms with no ``precision`` raises
-``PrecisionExhausted`` at ``-v``; ``-v`` below the supported range raises
-``ExponentOutOfRange`` unless ``w <= 0``; a one-term ``x^n`` scales and shifts
-``q``, exact where ``q`` is.  The factors:
+known below ``min(ceil(q), low(q) + w) - v``.  An exactly zero ``x`` raises
+``ZeroInput``, and one zero only within its window ``PrecisionExhausted``
+at its ceiling, as ``ord`` does; an exact ``x^n`` of several terms with no
+``precision`` raises ``PrecisionExhausted`` at ``-v``; ``-v`` below the
+supported range raises ``ExponentOutOfRange`` unless ``w <= 0``; a one-term
+``x^n`` scales and shifts ``q``, exact where ``q`` is.  The factors:
 
 * **Characteristic p** (``F_q``).  With ``n = sum_j d_j
   p^j``, ``(1 + h)^(p^j) = 1 + F^j(h)``, where ``F^j`` raises each
@@ -251,7 +252,12 @@ def _divide_by_power(q, x, n, precision, powers=None):
     if not isinstance(domain, _QuotientDomain):
         raise _algebra_refused()
     if not x.coeffs:
-        raise ZeroInput("cannot invert a (window-)zero series")
+        if x.ceiling is None:
+            raise ZeroInput("cannot invert a zero series")
+        raise PrecisionExhausted(
+            f"cannot invert: the series is zero below its window ceiling {x.ceiling}",
+            exponent=x.ceiling,
+        )
     m = x.ord() if x.level > 1 else min(x.coeffs)
     lead = x.coeffs[m]
     if x.level == 1 and _is_lift_non_unit(domain, lead):  # inverted past the nilpotent head
@@ -614,8 +620,8 @@ class NestedSeries(_Frozen):
         monomial that fails raises :class:`NoPthRoot` unless its flag leaves
         it out: ``skip_prime_to_p`` gives the series action of the Cartier
         operator; both flags give the root of the largest removable part
-        (character reduction), which also leaves out coefficients with
-        nothing left in them.
+        (character reduction).  A coefficient whose root is exactly zero is
+        left out; one whose root is zero only within its window keeps it.
         """
         p = self.domain.p
         out = {}
@@ -631,9 +637,8 @@ class NestedSeries(_Frozen):
                     raise NoPthRoot("coefficient is not a p-th power at the scalar level")
                 out[e // p] = self.domain.pth_root(c)
                 continue
-            root = c.pth_root(skip_prime_to_p=skip_prime_to_p, skip_non_powers=skip_non_powers)
-            if root.coeffs or not skip_non_powers:
-                out[e // p] = root
+            out[e // p] = c.pth_root(skip_prime_to_p=skip_prime_to_p,
+                                     skip_non_powers=skip_non_powers)
         ceiling = None if self.ceiling is None else (self.ceiling - 1) // p + 1
         return _make(self.level, self.domain, out, ceiling)
 

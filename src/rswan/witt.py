@@ -133,13 +133,17 @@ series-level result directly, so at ``s = 1`` no combination runs.
 The series-level reduction (``_reduce_slot``) is one ascending sweep over a
 heap of the negative exponents divisible by ``p``.  The term ``c_e T^e`` is
 removable when its root ``u`` (``pth_root`` with ``skip_prime_to_p`` and
-``skip_non_powers``, at any level) is nonzero; removing it sets
+``skip_non_powers``, at any level) is not exactly zero: a root zero only
+within an inner window moves with that window, since a completion may hide
+a p-th power there.  Removing it sets
 ``c_e <- c_e - F(u)`` and ``c_{e/p} <- c_{e/p} + u``, pushes ``e/p`` when it
 is new and adds ``u T^(e/p)`` to ``U``.  Those are the coefficient operations
 of ``x - u^p + u``.  A removal only adds at ``e/p > e``, so no exponent
-already passed becomes removable again: the sweep removes the same terms in
-the same order as rescanning from the deepest pole after each removal, and
-it ends, because every pushed exponent is larger and still negative.
+already passed gains a term again, and its root is then exactly zero or zero
+within the window it had, whose removal would change nothing: the sweep
+removes the same terms in the same order as rescanning from the deepest
+pole after each removal, and it ends, because every pushed exponent is
+larger and still negative.
 
 *The ceiling plan.*  A window puts the combination of a moved tail of
 length ``L`` with ``F(e)`` and ``e`` on the series path.  There ``z_n`` is
@@ -632,7 +636,7 @@ def _reduce_slot(x: NestedSeries):
             coeffs[e] = domain.zero()  # c - u^p, exactly zero over a field
         else:
             u = c.pth_root(skip_prime_to_p=True, skip_non_powers=True)
-            if not u.coeffs:
+            if u.is_exact_zero():  # a root zero only within its window still moves
                 continue
             coeffs[e] = c + -u.frobenius()
         f = e // p

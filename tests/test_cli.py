@@ -294,6 +294,28 @@ def test_conductor_change_needs_a_one_variable_source(tmp_path, capsys):
     load_config({**doc, "tasks": []})  # the extension itself stays valid
 
 
+@pytest.mark.parametrize("tower, components", [
+    ({"p": 3, "k": 1, "s": 1, "variables": ["t"]}, ["2*t^-5"]),
+    ({"p": 2, "k": 1, "s": 2, "variables": ["t"]}, ["t^-5", "t^-3"]),
+])
+def test_conductor_change_needs_a_character_over_the_source(tmp_path, capsys, tower, components):
+    """A conductor change of a character over another tower than the
+    extension's source is refused at load time, naming the task, the
+    character and the extension (an F_3 character along an F_2 map was
+    a FAIL record read off F_3 coefficients taken as F_2 ones)."""
+    doc = config_doc(
+        towers={"L": {"p": 2, "k": 1, "s": 1, "variables": ["u"]}, "Q": tower},
+        characters={"X": {"tower": "Q", "components": components}},
+        extensions={"phi": {"target": "L", "images": {"t": "u^2 + u^3"}}},
+        tasks=[{"task": "conductor-change", "character": "X", "extension": "phi"}],
+    )
+    with pytest.raises(ConfigError, match=r"^task #0 \(conductor-change\) needs character"):
+        load_config(doc)
+    assert_config_error(tmp_path, capsys, doc,
+                        "needs character 'X' over the source tower of extension 'phi'")
+    load_config({**doc, "tasks": []})  # the character and the extension stay valid
+
+
 def test_reciprocity_needs_one_or_two_variables(tmp_path, capsys):
     """The characterization check covers one- and two-variable towers, so a
     reciprocity task over three variables is refused at load time, naming
@@ -430,6 +452,19 @@ def test_a_literal_that_refuses_exits_two(tmp_path, capsys, literal):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error: character 'a' does not parse")
     assert "Traceback" not in err
+
+
+def test_a_window_zero_inverse_exits_two(tmp_path, capsys):
+    """Over F_2((t)) the difference of two equal inverses is zero only
+    within its window, so its inverse is unknown: ``PrecisionExhausted``
+    from the reader, a ``ConfigError`` naming the character from the loader."""
+    doc = config_doc(characters={"a": ["((1+t)^-1 - (1+t)^-1)^-1"]},
+                     tasks=[{"task": "swan", "character": "a"}])
+    with pytest.raises(ConfigError, match="character 'a' does not parse: cannot invert"):
+        load_config(doc)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "zero below its window ceiling 64" in err and "Traceback" not in err
 
 
 def test_task_fields_are_checked_at_load_time(tmp_path, capsys):

@@ -183,6 +183,33 @@ def test_pullback_through_unit_order_lower_image():
     assert out == series_substitute(src, images, LD.precision)
 
 
+@pytest.mark.parametrize("tower, texts", [
+    (K3, ["2*t^-5"]),  # F_3 coefficients are not F_2 raws
+    (K2s2, ["t^-5", "t^-3"]),  # two components where the source has one
+    (FieldTower(2, 1, 1, ("x",)), ["x^-5"]),
+])
+def test_a_character_over_another_tower_is_refused(tower, texts):
+    """Along t -> u^2 + u^3 over F_2, a character whose tower is not the
+    source tower in p, k, s or variables is a ``TowerMismatch``, never a
+    report read off reinterpreted coefficients."""
+    ext = ExtensionMap(K2, L2, {"t": parse_series("u^2 + u^3", L2)})
+    chi = char_of(tower, texts)
+    for call in (conductor_change, pullback_character):
+        with pytest.raises(TowerMismatch, match="the character does not live over the source"):
+            call(ext, chi)
+    if tower.p != K2.p:
+        with pytest.raises(TowerMismatch, match="series does not live over the source tower"):
+            pullback_series(ext, chi.vector.comps[0])
+
+
+def test_a_character_over_another_budget_passes():
+    ext = ExtensionMap(K2, L2, {"t": parse_series("u^2 + u^3", L2)})
+    k8 = FieldTower(2, 1, 1, ("t",), precision=8)
+    report = conductor_change(ext, char_of(k8, ["t^-5"]))
+    assert report == conductor_change(ext, char_of(K2, ["t^-5"]))
+    assert (report.sw_target, report.predicted, report.status) == (9, 9, "PASS")
+
+
 def test_pullback_character_reduces_on_the_target():
     """t^-2 pulls back through t -> u^3 to u^-6, which reduces to u^-3."""
     chi = char_of(K2, ["t^-2"])  # reduces to t^-1 on the source already
@@ -423,6 +450,52 @@ def test_planned_ceilings_are_the_pullback_ceilings():
                         planned += ceiling is not None
                         refused += ceiling is not None and ceiling <= 0
     assert planned >= 200 and refused >= 20
+
+
+def sized_unit(rng, p, s, budget):
+    """An exact unit for the sized pullback: an image of order e in 1..6
+    with 1..4 terms (wild, tame or monomial; never a p-th power) and 0..3
+    monomials per component, with poles on both sides of the budget edge
+    ``e L = budget`` and of the weight-p slot's ``(p - 1) e L + 1``."""
+    source = FieldTower(p, 1, s, ("t",))
+    target = FieldTower(p, 1, s, ("u",), budget)
+    dom = target.field_domain
+    e = rng.randint(1, 6)
+    exps = [e] + sorted(rng.sample(range(e + 1, e + 6), rng.randint(0, 3)))
+    if all(x % p == 0 for x in exps):
+        exps.append(next(x for x in range(e + 1, e + p + 1) if x % p))
+    image = NestedSeries.from_monomials(1, dom, [((x,), dom.random_nonzero(rng)) for x in exps])
+    deepest = budget // e + 2
+    comps = tuple(
+        NestedSeries.from_monomials(
+            1, dom, [((rng.randint(-deepest, 3),), dom.random_nonzero(rng))
+                     for _ in range(rng.randint(0, 3))])
+        for _ in range(s)
+    )
+    return ExtensionMap(source, target, {"t": image}), WittVector(source, comps)
+
+
+def test_sized_conductor_change_is_the_full_budget_oracle():
+    """``conductor_change`` reads ``Sw_L`` off windows cut to what the
+    conductor reads; the full-budget pullback must give the same conductor,
+    or the same refusal (type, message and exponent)."""
+    rng = random.Random(53)
+    counts = {"sized": 0, "fallback": 0, "refused": 0}
+    for p in (2, 3, 5):
+        for s in (1, 2, 3):
+            for _ in range(30 if s == 3 else 60):
+                ext, vec = sized_unit(rng, p, s, rng.choice((16, 24, 32, 48, 64)))
+                char = asw_reduce(vec)
+                want = outcome(lambda: swan_conductor(pullback_character(ext, char)))
+                assert outcome(lambda: conductor_change(ext, char).sw_target) == want
+                ceilings = _planned_ceilings(ext, char)
+                if ceilings is not None and any(c is not None and c <= 0 for c in ceilings):
+                    counts["refused"] += 1
+                elif ceilings is not None and any(extensions._sized_widths(ext, ceilings)):
+                    counts["sized"] += 1  # some window was cut
+                else:
+                    counts["fallback"] += 1
+    assert counts["sized"] >= 130 and counts["fallback"] >= 150 and counts["refused"] >= 100, counts
 
 
 def dlog_depth(ext, budget, skip_zero_derivatives=False):

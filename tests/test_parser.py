@@ -84,6 +84,9 @@ ERRORS = [
      _p("cannot raise a non-invertible expression to a negative power", 6), 6),
     ("series", "(2*t)^-1", ParseError,
      _p("cannot raise a non-invertible expression to a negative power", 5), 5),
+    # zero only within its window: unknown, so the inverse is refused at the ceiling
+    ("series", "((1+t)^-1 - (1+t)^-1)^-1", PrecisionExhausted,
+     "cannot invert: the series is zero below its window ceiling 64", None),
     # the supported range of exponents, as the read, a product, a power or an
     # inverse leaves it: at once, before the unknown name after it is read
     ("series", "t^-10001", ExponentOutOfRange,

@@ -156,10 +156,13 @@ def test_inverse_without_width_refuses_a_fresh_window():
 
 
 def test_inverse_of_zero_refused():
+    """An exact zero has no inverse; a series zero only within its window
+    is unknown, so its inverse is refused at the window's ceiling."""
     with pytest.raises(ZeroInput):
         NestedSeries.zero(1, F2).inv(8)
-    with pytest.raises(ZeroInput):
+    with pytest.raises(PrecisionExhausted, match="zero below its window ceiling 3") as info:
         NestedSeries.zero(1, F2, ceiling=3).inv(8)
+    assert info.value.exponent == 3
 
 
 def test_inverse_random_certified():

@@ -599,16 +599,20 @@ def test_reduce_keeps_prime_to_p_poles():
 def rescan_reduce_slot_oracle(x):
     """``witt._reduce_slot`` as a rescan: after each removal, scan the
     negative exponents again from the deepest and cancel the first
-    removable term by ``x <- x - u^p + u``."""
-    total = None
+    removable term not cancelled yet by ``x <- x - u^p + u``.  A term is
+    removable when its root is not exactly zero; once cancelled, its root
+    is exactly zero, or zero within the window it had, and cancelling it
+    again would change nothing."""
+    total, cancelled = None, set()
     while True:
-        for e in sorted(k for k in x.coeffs if k < 0):
+        for e in sorted(k for k in x.coeffs if k < 0 and k not in cancelled):
             term = NestedSeries(x.level, x.domain, {e: x.coeffs[e]})
             u = term.pth_root(skip_prime_to_p=True, skip_non_powers=True)
-            if u.coeffs:
+            if not u.is_exact_zero():
                 break
         else:
             return x, total
+        cancelled.add(e)
         x = x - u.frobenius() + u
         total = u if total is None else total + u
 
@@ -1305,20 +1309,15 @@ def completion_cases(windows):
     return cases
 
 
-@pytest.mark.parametrize("windows", [
-    "top",
-    pytest.param("inner", marks=pytest.mark.xfail(strict=True, reason=(
-        "_reduce_slot skips a p-th root that is zero only within an inner window, "
-        "so the reduced slot claims terms a completion's reduction moves"))),
-])
+@pytest.mark.parametrize("windows", ["top", "inner"])
 def test_windowed_reductions_agree_with_every_completion(windows):
     """Seeded property: ``asw_reduce`` of a windowed vector either refuses
     with ``PrecisionExhausted`` or gives components that agree, inside
     their windows, with the reduction of each of three completions.  The
     answers are counted, so a change that turns answers into refusals
-    shows.  With inner windows the property fails: a polar coefficient at
-    a p-divisible exponent whose root is zero within an inner window is
-    reduced as if it were exactly zero."""
+    shows.  With inner windows it needs a polar coefficient at a
+    p-divisible exponent whose root is zero only within an inner window
+    to be moved with that window, not skipped as an exact zero."""
     seen = Counter()
     for tower, comps, filled in completion_cases(windows):
         try:
@@ -1336,7 +1335,9 @@ def test_windowed_reductions_agree_with_every_completion(windows):
 def test_windowed_conductors_agree_with_every_completion():
     """Seeded property, over top and inner windows: ``swan_conductor`` of
     a windowed vector either refuses with ``PrecisionExhausted`` or equals
-    the conductor of each of three completions; the answers are counted."""
+    the conductor of each of three completions; the answers are counted.
+    Moving roots that are zero only within an inner window refuses 19
+    inner-window vectors at d = 2 that skipping them answered."""
     seen = Counter()
     for windows in ("top", "inner"):
         for tower, comps, filled in completion_cases(windows):
@@ -1347,4 +1348,4 @@ def test_windowed_conductors_agree_with_every_completion():
                 continue
             assert all(swan_conductor(full) == sw for full in filled), comps
             seen["answered"] += 1
-    assert seen["answered"] >= 333 and seen["refused"], seen
+    assert seen["answered"] >= 314 and seen["refused"], seen
