@@ -203,6 +203,7 @@ def test_a_character_over_another_tower_is_refused(tower, texts):
 
 
 def test_a_character_over_another_budget_passes():
+    """Only the budget differs: the plan and the pullback read the target's."""
     ext = ExtensionMap(K2, L2, {"t": parse_series("u^2 + u^3", L2)})
     k8 = FieldTower(2, 1, 1, ("t",), precision=8)
     report = conductor_change(ext, char_of(k8, ["t^-5"]))
