@@ -11,6 +11,9 @@ whose entries are tuples, and the one-variable towers ``F_2((t))`` and
 
 * ``rows``: the Gram size; every row's ``{column: entry}`` is checked
   equal across the trees (``_trees.same``) before anything is timed;
+* ``walks``: one figure per tree: the number of ``C^b`` walks
+  (``logdiff._monomial_root`` calls, counted by a wrapper on each loaded
+  tree while the four windows are built once, untimed);
 * ``ms_per_matrix``: one figure per tree: the mean builder time over the
   windows ``(m + a, m)`` for m = 0..3 with the minimal ``b``, from
   ``PASSES`` alternating passes, each timing a batch of builds of all four
@@ -19,8 +22,8 @@ whose entries are tuples, and the one-variable towers ``F_2((t))`` and
   has just built for those windows (every answer must be ``True``).
 
 ``totals_ms`` and ``gram_totals_ms`` sum the builder and the Gram decision
-time over every workload window (k = 1, d = 2, p = 2 and 3, 4 windows per
-cell) per tree.
+time, and ``walks_total`` the walks, over every workload window (k = 1,
+d = 2, p = 2 and 3, 4 windows per cell) per tree.
 """
 
 from __future__ import annotations
@@ -45,16 +48,27 @@ VARIABLES = ("v", "u", "t")
 
 
 def _calls(rswan, p: int, k: int, d: int, a: int, i: int):
-    """The Gram matrices of the cell's windows, a call that builds them
-    again and returns their sizes, and a call that decides their
-    invertibility."""
+    """The Gram matrices of the cell's windows, the number of ``C^b`` walks
+    that building them ran, a call that builds them again and returns
+    their sizes, and a call that decides their invertibility."""
     tower = rswan.FieldTower(p, k, 1, VARIABLES[3 - d:])
     b = rswan.logdiff.minimal_b(p, a)
 
     def build():
         return [rswan.duality_matrix(m + a, m, b, tower, i, d - i) for m in MS]
 
-    built = build()
+    walk, walks = rswan.logdiff._monomial_root, 0
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    rswan.logdiff._monomial_root = counted
+    try:
+        built = build()
+    finally:
+        rswan.logdiff._monomial_root = walk
 
     def gram():
         return [
@@ -62,14 +76,14 @@ def _calls(rswan, p: int, k: int, d: int, a: int, i: int):
             for rows in built
         ]
 
-    return built, (lambda: [len(rows) for rows in build()]), gram
+    return built, walks, (lambda: [len(rows) for rows in build()]), gram
 
 
 def measure(trees) -> dict:
     keys = [(p, k, d, a, i) for p, k, d, a in CELLS for i in range(d + 1)]
-    calls, grams, sizes = {}, {}, {}
+    calls, grams, sizes, walks = {}, {}, {}, {}
     for key in keys:
-        built, calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
+        built, walks[key], calls[key], grams[key] = zip(*(_calls(tree, *key) for tree in trees))
         same(f"Gram rows of cell {key}", built)
         if not all(all(gram()) for gram in grams[key]):
             raise SystemExit(f"cell {key}: a Gram matrix is singular")
@@ -79,6 +93,7 @@ def measure(trees) -> dict:
     cells = []
     totals = [0.0 for _ in trees]
     gram_totals = [0.0 for _ in trees]
+    walk_totals = [0 for _ in trees]
     for key in keys:
         p, k, d, a, i = key
         per_matrix = [t * 1e3 / len(MS) for t in seconds[key]]
@@ -86,15 +101,18 @@ def measure(trees) -> dict:
         cells.append({
             "p": p, "k": k, "d": d, "a": a, "split": f"({i},{d - i})",
             "rows": sizes[key],
+            "walks": list(walks[key]),
             "ms_per_matrix": [round(ms, 3) for ms in per_matrix],
             "gram_ms": [round(ms, 3) for ms in gram_ms],
         })
         if k == 1 and d == 2 and p in WORKLOAD_WIDTHS:
             totals = [t + ms * len(MS) for t, ms in zip(totals, per_matrix)]
             gram_totals = [t + ms * len(MS) for t, ms in zip(gram_totals, gram_ms)]
+            walk_totals = [t + w for t, w in zip(walk_totals, walks[key])]
     return {
         "totals_ms": [round(t, 1) for t in totals],
         "gram_totals_ms": [round(t, 1) for t in gram_totals],
+        "walks_total": walk_totals,
         "cells": cells,
     }
 

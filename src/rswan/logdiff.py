@@ -12,9 +12,10 @@ to the prime field, windowed forms (classes modulo a power of the maximal
 ideal of the top variable), the window collapse ``r_b = C^b(omega_0)``,
 and the Gram matrix of the pairing ``(x, y) -> r_b(x ^ y)`` on twisted
 monomial bases as sparse ``{column: entry}`` rows (one entry per dlog key
-and residue monomial, computed from raw exponents and scalars, each row
-and its partner column placed by arithmetic on basis positions), whose
-invertibility is decided column by column.  ``r_b`` takes ``C^b`` of the
+and residue monomial, computed from raw exponents and scalars once per
+distinct exponent-sum pattern, each row and its partner column placed by
+arithmetic on basis positions), whose invertibility is decided column by
+column.  ``r_b`` takes ``C^b`` of the
 residue slot as ``b`` Cartier roots of its one coefficient and builds a
 single form.
 
@@ -44,10 +45,13 @@ truncation pass, a form whose terms are exact and inside its window
 Gram matrices
 -------------
 :func:`duality_matrix` pairs each basis class with its one partner, so its
-Gram matrix holds one entry per row, in distinct columns.  It computes each
+Gram matrix holds one entry per row, in distinct columns.  It computes a
 class's entry from the raw sign, exponents and scalar through the ``C^b``
 walk ``_monomial_root``, and builds no basis form, wedge or ``r_b`` form;
 acceptance criterion 4 checks the entries against the operators.  The
+entry depends only on the key's sign and the exponent sums, each of which
+is 0 or ``p^b``, so within one call the walk runs once per key and
+distinct sum pattern, and the classes of a pattern share its entry.  The
 walk takes ``C^b`` of one exact monomial over its exponents and raw
 scalar (no exponents over one variable, where :func:`r_b` runs it on the
 residue, a raw scalar): step ``j`` drops the monomial when ``p^j`` does
@@ -62,6 +66,8 @@ that shape and refuses any other with :class:`InconsistentValue`.  It
 checks the columns in order and answers ``False`` at the first one that no
 row holds or whose entry is an exact zero; an entry zero only within its
 window raises :class:`PrecisionExhausted`, since its unknown tail decides.
+A series pivot that is the very object checked just before (the classes
+of one sum pattern share their entry) is not checked again.
 Over a field (the tower's coefficient field, or nested Laurent series over
 it) a nonzero entry is a unit and nothing is inverted.  Over a lift ring
 ``Z/p^s`` with ``s > 1`` a nonzero entry need not be a unit, so each entry
@@ -514,13 +520,16 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
     * the window ``(a-1, -1)`` and ``r_b`` read only the ``t^0`` slot.
 
     So the loop runs over the keys ``K``, then the residue monomials
-    ``alpha``, then the top exponents ``e``: the entry is computed once per
-    ``(K, alpha)`` and stored in the partner column of each of the class's
+    ``alpha``, then the top exponents ``e``: each ``(K, alpha)`` class has
+    one entry, stored in the partner column of each of the class's
     ``a = n - m`` rows, the row's only entry.  No form is built: the sign
     ``sgn(K, K')`` of :func:`_merge_sign` becomes a raw scalar once per
-    key, and each class runs the exponent sums ``alpha_l + beta_l`` and
-    that scalar through the ``C^b`` walk ``_monomial_root`` (module
-    docstring, "Gram matrices").  That is the value of
+    key, and the exponent sums ``alpha_l + beta_l`` and that scalar go
+    through the ``C^b`` walk ``_monomial_root`` (module docstring, "Gram
+    matrices").  Each sum is 0 when ``alpha_l = 0`` and ``p^b`` otherwise,
+    so a key has at most ``min(2, p^b)^(d-1)`` sum patterns: a table kept
+    for the key within this call walks each pattern once, and every class
+    of the pattern stores that one immutable entry.  That is the value of
     ``r_b(wedge_windowed(x, y), b)``: the wedge of the two basis monomials
     has the residue slot ``sgn(K, K') T^(alpha + beta)``, and
     ``K.field_domain`` is always ``F_q``, so no root refuses as it would
@@ -558,12 +567,16 @@ def duality_matrix(n: int, m: int, b: int, K, i: int, j: int):
         raw = domain.one() if sign == 1 else domain.from_int(sign)
         row_base = key_pos * a * block
         col_base = (len(keys) - 1 - key_pos) * a * block
+        entries = {}  # exponent sums -> entry: one walk per pattern
         for alpha_pos, alpha in enumerate(product(range(pb), repeat=level - 1)):
             beta = tuple(-e % pb for e in alpha)
             beta_pos = 0
             for e in beta:
                 beta_pos = beta_pos * pb + e
-            entry = _monomial_root(domain, tuple(map(operator.add, alpha, beta)), raw, b)
+            sums = tuple(map(operator.add, alpha, beta))
+            entry = entries.get(sums)
+            if entry is None:
+                entry = entries[sums] = _monomial_root(domain, sums, raw, b)
             for e in range(-n, -m):
                 rows[row_base + (e + n) * block + alpha_pos] = {
                     col_base + (-e - m - 1) * block + beta_pos: entry
@@ -609,10 +622,14 @@ def gram_is_invertible(rows, domain=None, precision: int | None = None) -> bool:
                 pivots[c] = v
     if outside:
         return False
+    last = None
     for v in pivots:
         if v is None:
             return False
         if series:
+            if v is last:
+                continue
+            last = v
             if v.is_exact_zero():
                 return False
             if v.is_zero():

@@ -1207,10 +1207,11 @@ def dense_duality_oracle(n, m, b, K, i, j):
 
 
 def test_duality_matrix_pairs_once_per_class(monkeypatch):
-    """The ``C^b`` walk ``_monomial_root`` runs once per ``(dlog key,
-    residue monomial)`` class: ``len(rows) / (n - m)`` times per split, on
-    the workload windows (p = 2 and 3, d = 2), at d = 1 and on the d = 3
-    tower."""
+    """Each ``(dlog key, residue monomial)`` class fills its ``n - m`` rows,
+    and the ``C^b`` walk ``_monomial_root`` runs once per dlog key and
+    distinct exponent-sum pattern ``alpha + beta`` (each sum 0 or ``p^b``):
+    ``comb(d, j) * min(2, p^b)^(d - 1)`` times per split, on the workload
+    windows (p = 2 and 3, d = 2), at d = 1 and on the d = 3 tower."""
     calls = 0
     walk = logdiff._monomial_root
 
@@ -1236,9 +1237,8 @@ def test_duality_matrix_pairs_once_per_class(monkeypatch):
         for i in range(K.d + 1):
             calls = 0
             rows = duality_matrix(n, m, b, K, i, K.d - i)
-            classes, rest = divmod(len(rows), n - m)
-            assert rest == 0
-            assert calls == classes
+            assert len(rows) % (n - m) == 0
+            assert calls == comb(K.d, K.d - i) * min(2, K.p**b) ** (K.d - 1)
 
 
 def assert_partner_matched(K, n, m, b):
@@ -1428,6 +1428,20 @@ def test_gram_entries_are_inverted_only_over_a_lift_ring(monkeypatch):
     assert raw_calls == []
     assert gram_is_invertible([{1: 3}, {0: 1}, {2: 3}], domain=z4)
     assert [x for dom, x in raw_calls if dom is z4] == [1, 3, 3]
+
+
+def test_a_series_pivot_repeated_in_the_next_column_is_checked_once(monkeypatch):
+    """The classes of one exponent-sum pattern share their entry object:
+    over Z/4 a series pivot that is the very object of the column before
+    is not inverted again, an equal but distinct one is, and an exact zero
+    after a repeat still answers ``False``."""
+    z4 = galois_ring_domain(2, 1, 2)
+    one4, t4 = NestedSeries.one(1, z4), mono(1, z4, (1,), 3)
+    calls = counted_inverses(monkeypatch)
+    assert gram_is_invertible([{0: t4}, {1: t4}, {2: one4}, {3: NestedSeries.one(1, z4)}],
+                              precision=8)
+    assert calls == [t4, one4, one4]
+    assert not gram_is_invertible([{0: t4}, {1: t4}, {2: NestedSeries.zero(1, z4)}])
 
 
 def test_every_pivot_over_a_lift_ring_is_inverted():

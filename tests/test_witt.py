@@ -14,9 +14,9 @@ Oracles used here:
   * each ghost index's one linear combination is compared against the
     ghost recursion run one series addition at a time
     (``uncombined_witt_oracle``);
-  * a windowed reduction and conductor are compared, inside the result's
-    window, with those of random exact completions of the input
-    (``completions``).
+  * a windowed reduction, conductor and level-1 combination are compared,
+    inside the result's window, with those of random exact completions of
+    the input (``completions``).
 """
 
 import functools
@@ -1349,3 +1349,55 @@ def test_windowed_conductors_agree_with_every_completion():
             assert all(swan_conductor(full) == sw for full in filled), comps
             seen["answered"] += 1
     assert seen["answered"] >= 314 and seen["refused"], seen
+
+
+# level-1 cells whose windowed combinations stay cheap: p^(s-1) k <= 18
+COMBINE_COMPLETION_CELLS = [(p, k, s) for p in (2, 3, 5) for k in (1, 2) for s in (2, 3)
+                            if p ** (s - 1) * k <= 18]
+COMBINE_MULTIPLIERS = ([1, 1], [1, -1], [1, -1, 1], [2, 1], [-1])
+
+
+def windowed_level_one(rng, dom, p):
+    """0..3 terms with poles down to -8, some of them at multiples of p,
+    under a top ceiling in ``[-4, 8]`` three times in four (else exact)."""
+    ceiling = rng.randint(-4, 8)
+    coeffs = {}
+    for _ in range(rng.randint(0, 3)):
+        e = rng.choice((rng.randint(-8, ceiling - 1), -p * rng.randint(1, 8 // p)))
+        if e < ceiling:
+            coeffs[e] = dom.random_nonzero(rng)
+    return NestedSeries(1, dom, coeffs, ceiling if rng.random() < 0.75 else None)
+
+
+def test_windowed_sums_agree_with_every_completion():
+    """Seeded property: ``witt_combine`` of level-1 vectors with top windows
+    either refuses with ``PrecisionExhausted`` or gives slots that agree,
+    inside their windows, with the combination of each of three
+    completions of the inputs; the answers and refusals are counted
+    (400 answers, no refusal).  The windowed inputs take the series ghost
+    engine, so this guards the outer windows the flat engine is to take."""
+    seen = Counter()
+    for p, k, s in COMBINE_COMPLETION_CELLS:
+        dom = fq_domain(p, k)
+        for ints in COMBINE_MULTIPLIERS:
+            rng = random.Random(f"combine-completion:{p}:{k}:{s}:{ints}")
+            draws = 0
+            while draws < 8:
+                comps_list = [tuple(windowed_level_one(rng, dom, p) for _ in range(s))
+                              for _ in ints]
+                if all(c.is_exact() for comps in comps_list for c in comps):
+                    continue
+                draws += 1
+                try:
+                    combined = witt_combine(comps_list, ints, p)
+                except PrecisionExhausted:
+                    seen["refused"] += 1
+                    continue
+                filled = [completions(c, rng, 3) for comps in comps_list for c in comps]
+                for n in range(3):
+                    full = witt_combine([tuple(filled[j * s + i][n] for i in range(s))
+                                         for j in range(len(ints))], ints, p)
+                    assert all(a.agrees_with(b) for a, b in zip(combined, full)), \
+                        (p, k, s, ints, comps_list)
+                seen["answered"] += 1
+    assert seen["answered"] >= 400, seen
