@@ -15,9 +15,8 @@ monomial bases as sparse ``{column: entry}`` rows (one entry per dlog key
 and residue monomial, computed from raw exponents and scalars once per
 distinct exponent-sum pattern, each row and its partner column placed by
 arithmetic on basis positions), whose invertibility is decided column by
-column.  ``r_b`` takes ``C^b`` of the
-residue slot as ``b`` Cartier roots of its one coefficient and builds a
-single form.
+column.  ``r_b`` takes ``C^b`` of the residue slot as ``b`` Cartier roots
+of its one coefficient and builds a single form.
 
 Construction
 ------------

@@ -1393,10 +1393,9 @@ def test_windowed_sums_agree_with_every_completion():
                 except PrecisionExhausted:
                     seen["refused"] += 1
                     continue
-                filled = [completions(c, rng, 3) for comps in comps_list for c in comps]
+                filled = [[completions(c, rng, 3) for c in comps] for comps in comps_list]
                 for n in range(3):
-                    full = witt_combine([tuple(filled[j * s + i][n] for i in range(s))
-                                         for j in range(len(ints))], ints, p)
+                    full = witt_combine([tuple(c[n] for c in comps) for comps in filled], ints, p)
                     assert all(a.agrees_with(b) for a, b in zip(combined, full)), \
                         (p, k, s, ints, comps_list)
                 seen["answered"] += 1
